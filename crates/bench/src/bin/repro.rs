@@ -3,7 +3,6 @@
 //! ```text
 //! repro <experiment> [--quick] [--adaptive]
 //! repro skew --trace <run.jsonl>
-//! repro pil-repr [--pil-repr auto|sparse|dense]
 //!
 //! experiments:
 //!   counts     Section 4.1 N_l table and the N_10 example
@@ -25,10 +24,6 @@
 //!   corpus     just the corpus_scale section of `bench` — sharded
 //!              mmap mining with a controlled mid-run kill and resume
 //!              — printed as its JSON fragment (not in `all`)
-//!   pil-repr   PIL layout section: occupancy kernel sweep + the
-//!              representation-invariance gate (not in `all`); the
-//!              optional --pil-repr MODE narrows the gate to
-//!              sparse-vs-MODE
 //!   skew       per-worker utilization table from a --trace JSONL file
 //!   all        everything above except `bench`/`skew`, in order
 //!
@@ -43,21 +38,16 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let adaptive = args.iter().any(|a| a == "--adaptive");
-    // Value options (`--key <value>`): the value word must not be
-    // mistaken for the experiment name.
-    let value_of = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-    };
-    let consumed_values: Vec<&str> = ["--trace", "--pil-repr"]
+    // `--trace <path>`: the path word must not be mistaken for the
+    // experiment name.
+    let trace = args
         .iter()
-        .filter_map(|key| value_of(key))
-        .collect();
+        .position(|a| a == "--trace")
+        .and_then(|i| args.get(i + 1))
+        .map(String::as_str);
     let which = args
         .iter()
-        .find(|a| !a.starts_with("--") && !consumed_values.contains(&a.as_str()))
+        .find(|a| !a.starts_with("--") && Some(a.as_str()) != trace)
         .map(String::as_str)
         .unwrap_or("all");
 
@@ -110,16 +100,7 @@ fn main() {
             let fragment = experiments::bench_mining::corpus_scale(quick);
             println!("{fragment}");
         }
-        "pil-repr" => {
-            let forced = value_of("--pil-repr").map(|raw| {
-                raw.parse::<perigap_core::PilRepr>().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            });
-            experiments::pil_repr::run(quick, forced)
-        }
-        "skew" => match value_of("--trace") {
+        "skew" => match trace {
             Some(path) => experiments::skew::run(path),
             None => {
                 eprintln!("skew needs --trace <run.jsonl> (a pgmine/mpp trace file)");

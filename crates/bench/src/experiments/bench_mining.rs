@@ -20,21 +20,15 @@
 //! 5. **join kernel**: per-candidate [`Pil::join_checked`] calls vs the
 //!    batched multi-suffix walk ([`join_multi_into`]) over the same
 //!    shared-parent fan-out;
-//! 6. **simd kernel**: the AVX2 dense window probe
-//!    ([`perigap_core::kernel::join_dense_kernel`]) vs the scalar
-//!    prefix-sum probe over identical windowed [`DensePil`]s, and the
-//!    AVX2 level-3 seeding scan vs the scalar packed-key path —
-//!    outputs cross-checked before any timing is trusted (≥ 2×
-//!    required on AVX2 hardware);
-//! 7. **single thread**: the serial packed engine vs the seed
+//! 6. **single thread**: the serial packed engine vs the seed
 //!    reference at one thread on L = 50 000 (the ISSUE-6 parity row),
 //!    with per-level wall-clock from both so a late-level regression
 //!    is visible individually;
-//! 8. **query throughput**: the `pgmine serve` daemon over the mined
+//! 7. **query throughput**: the `pgmine serve` daemon over the mined
 //!    pattern set, hammered by 1 / 4 / 16 concurrent clients with a
 //!    mixed support/topk/prefix/overlap workload — queries/sec per
 //!    client count, every response checked `"ok": true`;
-//! 9. **top-k pruning**: `PruneMode::top_k(k)` vs a full mine +
+//! 8. **top-k pruning**: `PruneMode::top_k(k)` vs a full mine +
 //!    [`select_top_k`] post-filter at k ∈ {10, 100, 1000}, in both gap
 //!    regimes — the flexible acceptance gap `[0, 9]` (`W = 10`:
 //!    support is not anti-monotone, the floor gates emission only, so
@@ -43,32 +37,39 @@
 //!    k = 100 on the full-size run). Every pruned outcome is checked
 //!    bit-identical to the post-filter oracle before its timing is
 //!    trusted.
-//! 10. **incremental speedup**: `mine_incremental` re-mining after an
-//!     append of 0.1% / 1% / 10% of L under a rigid gap, against a cold
-//!     mine of the grown sequence (≥ 5× required at the 1% append on
-//!     the full-size run). The record is rewound to the base-sequence
-//!     state before every timed rep, and every incremental outcome is
-//!     checked bit-identical to the cold one before its timing is
-//!     trusted.
-//! 11. **corpus scale**: the mmap-backed sharded corpus miner
+//! 9. **incremental speedup**: `mine_incremental` re-mining after an
+//!    append of 0.1% / 1% / 10% of L under a rigid gap, against a cold
+//!    mine of the grown sequence (≥ 5× required at the 1% append on
+//!    the full-size run). The record is rewound to the base-sequence
+//!    state before every timed rep, and every incremental outcome is
+//!    checked bit-identical to the cold one before its timing is
+//!    trusted.
+//! 10. **corpus scale**: the mmap-backed sharded corpus miner
 //!     ([`perigap_core::corpus::mine_corpus`]) under a DFS arena
 //!     ceiling — cold wall-clock and peak RSS (`VmHWM`), then a
 //!     controlled kill at ~50% of shards followed by a `--resume`, with
 //!     the restart delta (resume / cold wall-clock) and checkpoint
 //!     footprint; the resumed outcome is checked bit-identical to the
-//!     cold mine before any timing is trusted.
+//!     cold mine before any timing is trusted;
+//! 11. **DFS sweep**: `mppm` vs `mppm_dfs` (and `mpp_parallel` vs
+//!     `mpp_dfs` on the `n` axis) across the Figure 4–8 axes (ρs, n,
+//!     W, N, L) — wall-clock plus the deterministic peak live-arena
+//!     bytes of each engine, with a hard check that both find the same
+//!     frequent set.
+//!
+//! Thread counts are capped at the CPUs the run actually has, so no
+//! row measures oversubscription.
 //!
 //! The JSON is hand-rolled (the workspace carries no serde); the format
 //! is flat enough to eyeball and to parse with anything.
 
-use super::timed;
-use crate::data::scaling_sequence;
+use super::{paper, pct, timed, timed_median};
+use crate::data::{ax_fragment, scaling_sequence};
+use perigap_analysis::report::{seconds, TextTable};
 use perigap_core::dfs::{mpp_dfs, mpp_dfs_traced};
-use perigap_core::kernel::{join_dense_kernel, seed_level3, simd_available, ResolvedKernel};
 use perigap_core::mpp::{mpp, mpp_traced, MppConfig};
-use perigap_core::mppm::mppm_traced;
+use perigap_core::mppm::{mppm_dfs_traced, mppm_traced};
 use perigap_core::parallel::{mpp_parallel, mpp_parallel_traced};
-use perigap_core::pil::{join_dense_into, DensePil};
 use perigap_core::pil::{join_multi_into, JoinCounters, MultiJoinScratch, Pil};
 use perigap_core::reference::{build_all_reference, mpp_reference};
 use perigap_core::result::MineOutcome;
@@ -81,7 +82,11 @@ use std::time::Duration;
 const GAP: (usize, usize) = (0, 9);
 const RHO: f64 = 0.003e-2;
 const N: usize = 8;
-const THREADS: usize = 8;
+
+/// Pool threads for the mining rows: 8, capped at the available CPUs.
+fn threads() -> usize {
+    8.min(cpus())
+}
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -143,6 +148,7 @@ fn level_json(outcome: &MineOutcome) -> String {
 /// directory. `--quick` shrinks lengths so CI smoke runs stay fast;
 /// the acceptance numbers come from the full run.
 pub fn run(quick: bool) {
+    let threads = threads();
     let gap = GapRequirement::new(GAP.0, GAP.1).unwrap();
     let seed_len = if quick { 10_000 } else { 100_000 };
     let e2e_len = seed_len;
@@ -178,7 +184,7 @@ pub fn run(quick: bool) {
     for (i, &len) in matrix_lens.iter().enumerate() {
         let seq = scaling_sequence(len);
         let (outcome, total) =
-            timed(|| mpp_parallel(&seq, gap, RHO, N, config.clone(), THREADS).unwrap());
+            timed(|| mpp_parallel(&seq, gap, RHO, N, config.clone(), threads).unwrap());
         println!(
             "bench: matrix L = {len}: {:.1} ms over {} levels",
             ms(total),
@@ -247,21 +253,14 @@ pub fn run(quick: bool) {
     let engine_comparison = engine_comparison(&e2e_seq, gap, reps);
     let spill = spill_overhead(&e2e_seq, gap, reps);
     let join_kernel = join_kernel(&e2e_seq, gap, if quick { 50 } else { 200 });
-    let simd_kernel = simd_kernel(&e2e_seq, gap, if quick { 20 } else { 100 });
     let single_thread = single_thread(if quick { 10_000 } else { 50_000 }, gap, reps);
     let query_throughput = query_throughput(gap, quick);
     let top_k_pruning = top_k_pruning(quick);
     let incremental_speedup = incremental_speedup(quick);
-
-    // The adaptive-layout section (ISSUE-4): occupancy kernel sweep,
-    // the representation-invariance gate with histogram, and the
-    // DFS-first mppm sweep over the Figure 4–8 axes.
-    let pil_occupancy = super::pil_repr::occupancy_section(quick);
-    let pil_mining = super::pil_repr::mining_section(quick, None);
-    let dfs_sweep = super::pil_repr::dfs_sweep(quick);
+    let dfs_sweep = dfs_sweep(quick);
 
     let json = format!(
-        "{{\n  \"config\": {{\"alphabet\": \"DNA\", \"gap\": [{}, {}], \"rho\": {RHO}, \"n\": {N}, \"threads\": {THREADS}, \"quick\": {quick}}},\n  \"seeding_level3\": {{\"length\": {seed_len}, \"patterns\": {}, \"reference_ms\": {:.3}, \"packed_ms\": {:.3}, \"speedup\": {:.3}}},\n  \"end_to_end\": {end_to_end},\n  \"corpus_scale\": {corpus_scale},\n  \"matrix\": {},\n  \"engine_comparison\": {engine_comparison},\n  \"spill\": {spill},\n  \"join_kernel\": {join_kernel},\n  \"simd_kernel\": {simd_kernel},\n  \"single_thread\": {single_thread},\n  \"query_throughput\": {query_throughput},\n  \"top_k_pruning\": {top_k_pruning},\n  \"incremental_speedup\": {incremental_speedup},\n  \"pil_repr\": {{\"occupancy\": {pil_occupancy},\n    \"mining\": {pil_mining}}},\n  \"dfs_sweep\": {dfs_sweep},\n  \"pruning_power\": {}\n}}\n",
+        "{{\n  \"config\": {{\"alphabet\": \"DNA\", \"gap\": [{}, {}], \"rho\": {RHO}, \"n\": {N}, \"threads\": {threads}, \"quick\": {quick}}},\n  \"seeding_level3\": {{\"length\": {seed_len}, \"patterns\": {}, \"reference_ms\": {:.3}, \"packed_ms\": {:.3}, \"speedup\": {:.3}}},\n  \"end_to_end\": {end_to_end},\n  \"corpus_scale\": {corpus_scale},\n  \"matrix\": {},\n  \"engine_comparison\": {engine_comparison},\n  \"spill\": {spill},\n  \"join_kernel\": {join_kernel},\n  \"single_thread\": {single_thread},\n  \"query_throughput\": {query_throughput},\n  \"top_k_pruning\": {top_k_pruning},\n  \"incremental_speedup\": {incremental_speedup},\n  \"dfs_sweep\": {dfs_sweep},\n  \"pruning_power\": {}\n}}\n",
         GAP.0,
         GAP.1,
         packed_pils.len(),
@@ -276,21 +275,22 @@ pub fn run(quick: bool) {
 }
 
 /// End-to-end mining on the acceptance config: `mpp_parallel` at
-/// [`THREADS`] threads (persistent pool) vs the seed per-level-spawn
+/// [`threads`] threads (persistent pool) vs the seed per-level-spawn
 /// reference miner, per-level wall-clock from both. Returns the JSON
 /// fragment for the `end_to_end` key.
 pub fn end_to_end(quick: bool) -> String {
+    let threads = threads();
     let gap = GapRequirement::new(GAP.0, GAP.1).unwrap();
     let e2e_len = if quick { 10_000 } else { 100_000 };
     let reps = if quick { 2 } else { 3 };
-    println!("bench: end-to-end mpp, {THREADS} threads, L = {e2e_len}, rho = {RHO}");
+    println!("bench: end-to-end mpp, {threads} threads, L = {e2e_len}, rho = {RHO}");
     let e2e_seq = scaling_sequence(e2e_len);
     let config = MppConfig::default();
     let (old_outcome, e2e_ref) = best_of(reps.min(2), || {
-        mpp_reference(&e2e_seq, gap, RHO, N, config.clone(), THREADS).unwrap()
+        mpp_reference(&e2e_seq, gap, RHO, N, config.clone(), threads).unwrap()
     });
     let (new_outcome, e2e_new) = best_of(reps.min(2), || {
-        mpp_parallel(&e2e_seq, gap, RHO, N, config.clone(), THREADS).unwrap()
+        mpp_parallel(&e2e_seq, gap, RHO, N, config.clone(), threads).unwrap()
     });
     assert_eq!(
         old_outcome.frequent.len(),
@@ -306,7 +306,7 @@ pub fn end_to_end(quick: bool) -> String {
         new_outcome.frequent.len()
     );
     format!(
-        "{{\"length\": {e2e_len}, \"threads\": {THREADS}, \"cpus\": {}, \"frequent\": {}, \"reference_ms\": {:.3}, \"engine_ms\": {:.3}, \"speedup\": {:.3},\n    \"reference_levels\": {},\n    \"engine_levels\": {}}}",
+        "{{\"length\": {e2e_len}, \"threads\": {threads}, \"cpus\": {}, \"frequent\": {}, \"reference_ms\": {:.3}, \"engine_ms\": {:.3}, \"speedup\": {:.3},\n    \"reference_levels\": {},\n    \"engine_levels\": {}}}",
         cpus(),
         new_outcome.frequent.len(),
         ms(e2e_ref),
@@ -360,7 +360,7 @@ pub fn corpus_scale(quick: bool) -> String {
     let shards = if quick { 4 } else { 8 };
     let base = if quick { 2_000 } else { 10_000 };
     let step = if quick { 500 } else { 2_000 };
-    let threads = ENGINE_THREADS;
+    let threads = engine_threads();
 
     let seqs: Vec<(String, perigap_seq::Sequence)> = (0..shards)
         .map(|i| (format!("shard-{i}"), scaling_sequence(base + step * i)))
@@ -475,25 +475,28 @@ pub fn corpus_scale(quick: bool) -> String {
     )
 }
 
-/// Engine threads for the BFS-vs-DFS comparison (the ISSUE-3
-/// acceptance config).
-const ENGINE_THREADS: usize = 4;
+/// Engine threads for the BFS-vs-DFS comparison and the DFS sweep: 4,
+/// capped at the available CPUs.
+fn engine_threads() -> usize {
+    4.min(cpus())
+}
 
 /// Breadth-first pooled engine vs the hybrid BFS→DFS engine on the
 /// acceptance config: best-of wall-clock, the deterministic peak
 /// live-arena bytes each engine reports, and a counter-identity check.
 /// Returns the JSON fragment.
 fn engine_comparison(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize) -> String {
+    let engine_threads = engine_threads();
     let config = MppConfig::default();
     println!(
-        "bench: engine comparison bfs vs dfs, {ENGINE_THREADS} threads, L = {}",
+        "bench: engine comparison bfs vs dfs, {engine_threads} threads, L = {}",
         seq.len()
     );
     let (_, bfs_wall) = best_of(reps, || {
-        mpp_parallel(seq, gap, RHO, N, config.clone(), ENGINE_THREADS).unwrap()
+        mpp_parallel(seq, gap, RHO, N, config.clone(), engine_threads).unwrap()
     });
     let (_, dfs_wall) = best_of(reps, || {
-        mpp_dfs(seq, gap, RHO, N, config.clone(), ENGINE_THREADS).unwrap()
+        mpp_dfs(seq, gap, RHO, N, config.clone(), engine_threads).unwrap()
     });
     // Peaks come from one traced run each; the gauge is deterministic
     // across thread schedules (transient chunk buffers are unaccounted).
@@ -504,7 +507,7 @@ fn engine_comparison(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usi
         RHO,
         N,
         config.clone(),
-        ENGINE_THREADS,
+        engine_threads,
         &mut bfs_metrics,
     )
     .unwrap();
@@ -515,7 +518,7 @@ fn engine_comparison(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usi
         RHO,
         N,
         config.clone(),
-        ENGINE_THREADS,
+        engine_threads,
         &mut dfs_metrics,
     )
     .unwrap();
@@ -551,7 +554,7 @@ fn engine_comparison(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usi
         bfs_peak as f64 / dfs_peak as f64
     );
     format!(
-        "{{\"length\": {}, \"threads\": {ENGINE_THREADS}, \"frequent\": {}, \"bfs_ms\": {:.3}, \"dfs_ms\": {:.3}, \"bfs_peak_arena_bytes\": {bfs_peak}, \"dfs_peak_arena_bytes\": {dfs_peak}, \"peak_ratio\": {:.3}, \"counters_identical\": {counters_identical}}}",
+        "{{\"length\": {}, \"threads\": {engine_threads}, \"frequent\": {}, \"bfs_ms\": {:.3}, \"dfs_ms\": {:.3}, \"bfs_peak_arena_bytes\": {bfs_peak}, \"dfs_peak_arena_bytes\": {dfs_peak}, \"peak_ratio\": {:.3}, \"counters_identical\": {counters_identical}}}",
         seq.len(),
         dfs.frequent.len(),
         ms(bfs_wall),
@@ -567,8 +570,9 @@ fn engine_comparison(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usi
 /// reported as `completed: false` rather than papered over. Returns
 /// the JSON fragment.
 fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize) -> String {
+    let engine_threads = engine_threads();
     println!(
-        "bench: spill overhead, {ENGINE_THREADS} threads, L = {}",
+        "bench: spill overhead, {engine_threads} threads, L = {}",
         seq.len()
     );
     let mut metrics = MetricsObserver::new();
@@ -578,13 +582,13 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
         RHO,
         N,
         MppConfig::default(),
-        ENGINE_THREADS,
+        engine_threads,
         &mut metrics,
     )
     .unwrap();
     let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes;
     let (_, unbounded_wall) = best_of(reps, || {
-        mpp_dfs(seq, gap, RHO, N, MppConfig::default(), ENGINE_THREADS).unwrap()
+        mpp_dfs(seq, gap, RHO, N, MppConfig::default(), engine_threads).unwrap()
     });
     let dir = std::env::temp_dir().join(format!("perigap-bench-spill-{}", std::process::id()));
     let mut rows = Vec::new();
@@ -596,14 +600,14 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
             spill_watermark: 0.0,
             ..MppConfig::default()
         };
-        match mpp_dfs(seq, gap, RHO, N, config.clone(), ENGINE_THREADS) {
+        match mpp_dfs(seq, gap, RHO, N, config.clone(), engine_threads) {
             Ok(outcome) => {
                 assert_eq!(
                     outcome.frequent, base.frequent,
                     "spilling changed the pattern set at {pct}% ceiling"
                 );
                 let (_, wall) = best_of(reps, || {
-                    mpp_dfs(seq, gap, RHO, N, config.clone(), ENGINE_THREADS).unwrap()
+                    mpp_dfs(seq, gap, RHO, N, config.clone(), engine_threads).unwrap()
                 });
                 let overhead = wall.as_secs_f64() / unbounded_wall.as_secs_f64();
                 println!(
@@ -631,7 +635,7 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
     }
     std::fs::remove_dir_all(&dir).ok();
     format!(
-        "{{\"length\": {}, \"threads\": {ENGINE_THREADS}, \"unbounded_ms\": {:.3}, \"unbounded_peak_arena_bytes\": {peak}, \"ceilings\": [{}]}}",
+        "{{\"length\": {}, \"threads\": {engine_threads}, \"unbounded_ms\": {:.3}, \"unbounded_peak_arena_bytes\": {peak}, \"ceilings\": [{}]}}",
         seq.len(),
         ms(unbounded_wall),
         rows.join(", ")
@@ -734,159 +738,6 @@ fn join_kernel(seq: &perigap_seq::Sequence, gap: GapRequirement, rounds: usize) 
         ms(per_candidate),
         ms(batched),
         speedup
-    )
-}
-
-/// The SIMD kernel section: the AVX2 dense window probe vs the scalar
-/// prefix-sum probe over the same pre-built windowed [`DensePil`]s (the
-/// level-3 fan-out of `seq`), and the AVX2 level-3 seeding scan vs the
-/// scalar packed-key path. Both halves cross-check outputs before any
-/// timing is trusted; without AVX2 (or under `PERIGAP_FORCE_SCALAR`)
-/// the "simd" timings measure the fallback and `simd_available` in the
-/// fragment says so. Returns the JSON fragment.
-fn simd_kernel(seq: &perigap_seq::Sequence, gap: GapRequirement, rounds: usize) -> String {
-    use std::collections::HashMap;
-    let available = simd_available();
-    println!(
-        "bench: simd kernel, L = {}, avx2 {}",
-        seq.len(),
-        if available { "yes" } else { "NO (fallback)" }
-    );
-
-    // The same shared-parent fan-out as `join_kernel`, with every
-    // suffix lifted into the windowed dense layout the SIMD probe
-    // wants. Builds happen here, outside the timed region.
-    let pils: Vec<(Vec<u8>, Pil)> = {
-        let mut v: Vec<_> = Pil::build_all(seq, gap, 3)
-            .into_iter()
-            .map(|(p, pil)| (p.codes().to_vec(), pil))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    };
-    let dense: Vec<DensePil> = pils
-        .iter()
-        .map(|(_, pil)| DensePil::build_windowed(pil.entries(), gap).expect("bench counts fit u64"))
-        .collect();
-    let by_prefix: HashMap<&[u8], Vec<usize>> = {
-        let mut m: HashMap<&[u8], Vec<usize>> = HashMap::new();
-        for (i, (codes, _)) in pils.iter().enumerate() {
-            m.entry(&codes[..2]).or_default().push(i);
-        }
-        m
-    };
-    let fan_outs: Vec<(usize, Vec<usize>)> = pils
-        .iter()
-        .enumerate()
-        .filter_map(|(i, (codes, _))| {
-            by_prefix
-                .get(&codes[1..])
-                .map(|partners| (i, partners.clone()))
-        })
-        .collect();
-    let candidates: usize = fan_outs.iter().map(|(_, p)| p.len()).sum();
-
-    // Cross-check first: the vector probe must be bit-identical to the
-    // scalar one over every candidate in the fan-out.
-    let mut jc = JoinCounters::default();
-    let mut scalar_out = Vec::new();
-    let mut simd_out = Vec::new();
-    for (i, partners) in &fan_outs {
-        for &j in partners {
-            scalar_out.clear();
-            simd_out.clear();
-            join_dense_into(
-                pils[*i].1.entries(),
-                &dense[j],
-                gap,
-                &mut scalar_out,
-                &mut jc,
-            );
-            join_dense_kernel(
-                ResolvedKernel::Simd,
-                pils[*i].1.entries(),
-                &dense[j],
-                gap,
-                &mut simd_out,
-                &mut jc,
-            );
-            assert_eq!(scalar_out, simd_out, "dense probe kernels disagree");
-        }
-    }
-
-    let (_, probe_scalar) = timed(|| {
-        for _ in 0..rounds {
-            for (i, partners) in &fan_outs {
-                for &j in partners {
-                    scalar_out.clear();
-                    join_dense_into(
-                        pils[*i].1.entries(),
-                        &dense[j],
-                        gap,
-                        &mut scalar_out,
-                        &mut jc,
-                    );
-                    std::hint::black_box(&scalar_out);
-                }
-            }
-        }
-    });
-    let (_, probe_simd) = timed(|| {
-        for _ in 0..rounds {
-            for (i, partners) in &fan_outs {
-                for &j in partners {
-                    simd_out.clear();
-                    join_dense_kernel(
-                        ResolvedKernel::Simd,
-                        pils[*i].1.entries(),
-                        &dense[j],
-                        gap,
-                        &mut simd_out,
-                        &mut jc,
-                    );
-                    std::hint::black_box(&simd_out);
-                }
-            }
-        }
-    });
-    let probe_speedup = probe_scalar.as_secs_f64() / probe_simd.as_secs_f64();
-    println!(
-        "  dense probe {candidates} candidates x {rounds} rounds: scalar {:.1} ms | simd {:.1} ms | speedup {:.2}x",
-        ms(probe_scalar),
-        ms(probe_simd),
-        probe_speedup
-    );
-
-    // Level-3 seeding: the whole seed build, scalar vs vector scan.
-    // `seed_level3` returns (patterns, total PIL entries); both kernels
-    // must agree exactly.
-    let reps = 3;
-    let (scalar_counts, seed_scalar) =
-        best_of(reps, || seed_level3(seq, gap, ResolvedKernel::Scalar));
-    let (simd_counts, seed_simd) = best_of(reps, || seed_level3(seq, gap, ResolvedKernel::Simd));
-    assert_eq!(scalar_counts, simd_counts, "seeding kernels disagree");
-    let seed_speedup = seed_scalar.as_secs_f64() / seed_simd.as_secs_f64();
-    println!(
-        "  level-3 seeding {} patterns / {} entries: scalar {:.1} ms | simd {:.1} ms | speedup {:.2}x",
-        scalar_counts.0,
-        scalar_counts.1,
-        ms(seed_scalar),
-        ms(seed_simd),
-        seed_speedup
-    );
-
-    format!(
-        "{{\"length\": {}, \"simd_available\": {available}, \"dense_probe\": {{\"parents\": {}, \"candidates\": {candidates}, \"rounds\": {rounds}, \"scalar_ms\": {:.3}, \"simd_ms\": {:.3}, \"speedup\": {:.3}}}, \"seeding_level3\": {{\"patterns\": {}, \"pil_entries\": {}, \"scalar_ms\": {:.3}, \"simd_ms\": {:.3}, \"speedup\": {:.3}}}}}",
-        seq.len(),
-        fan_outs.len(),
-        ms(probe_scalar),
-        ms(probe_simd),
-        probe_speedup,
-        scalar_counts.0,
-        scalar_counts.1,
-        ms(seed_scalar),
-        ms(seed_simd),
-        seed_speedup
     )
 }
 
@@ -1055,6 +906,7 @@ pub fn top_k_pruning(quick: bool) -> String {
 }
 
 fn top_k_pruning_at(len: usize, reps: usize) -> String {
+    let threads = threads();
     let seq = scaling_sequence(len);
     let ks: [usize; 3] = [10, 100, 1000];
     let mut regimes = Vec::new();
@@ -1077,7 +929,7 @@ fn top_k_pruning_at(len: usize, reps: usize) -> String {
         );
         let config = MppConfig::default();
         let (full, full_wall) = best_of(reps, || {
-            mpp_parallel(&seq, gap, rho, N, config.clone(), THREADS).unwrap()
+            mpp_parallel(&seq, gap, rho, N, config.clone(), threads).unwrap()
         });
         let mut rows = Vec::new();
         for k in ks {
@@ -1086,7 +938,7 @@ fn top_k_pruning_at(len: usize, reps: usize) -> String {
                 ..config.clone()
             };
             let (pruned, topk_wall) = best_of(reps, || {
-                mpp_parallel(&seq, gap, rho, N, topk_cfg.clone(), THREADS).unwrap()
+                mpp_parallel(&seq, gap, rho, N, topk_cfg.clone(), threads).unwrap()
             });
             // The oracle: post-filter the full mine. Its cost counts
             // toward the baseline the pruned run is up against.
@@ -1290,6 +1142,268 @@ fn incremental_speedup_at(len: usize, reps: usize, enforce: bool) -> String {
     )
 }
 
+/// One point of a BFS-vs-DFS axis sweep.
+struct SweepPoint {
+    x: String,
+    bfs: Duration,
+    dfs: Duration,
+    bfs_peak: usize,
+    dfs_peak: usize,
+    patterns: usize,
+}
+
+/// Run one axis point: median wall for both engines plus one traced
+/// run each for the deterministic peak-arena gauge, with a hard check
+/// that both engines find the same frequent set.
+fn sweep_point(
+    reps: usize,
+    x: String,
+    mut bfs: impl FnMut(&mut MetricsObserver) -> MineOutcome,
+    mut dfs: impl FnMut(&mut MetricsObserver) -> MineOutcome,
+) -> SweepPoint {
+    let (_, bfs_wall) = timed_median(reps, || bfs(&mut MetricsObserver::new()));
+    let (_, dfs_wall) = timed_median(reps, || dfs(&mut MetricsObserver::new()));
+    let mut bm = MetricsObserver::new();
+    let b = bfs(&mut bm);
+    let mut dm = MetricsObserver::new();
+    let d = dfs(&mut dm);
+    assert_eq!(b.frequent, d.frequent, "engines disagree at {x}");
+    SweepPoint {
+        x,
+        bfs: bfs_wall,
+        dfs: dfs_wall,
+        bfs_peak: bm
+            .complete
+            .as_ref()
+            .expect("traced run completes")
+            .peak_arena_bytes,
+        dfs_peak: dm
+            .complete
+            .as_ref()
+            .expect("traced run completes")
+            .peak_arena_bytes,
+        patterns: d.frequent.len(),
+    }
+}
+
+/// Render one axis of the sweep as a table plus its JSON fragment.
+fn render_axis(name: &str, xlabel: &str, points: &[SweepPoint]) -> String {
+    let mut table = TextTable::new(&[
+        xlabel,
+        "bfs (s)",
+        "dfs (s)",
+        "wall ratio",
+        "bfs peak (B)",
+        "dfs peak (B)",
+        "peak ratio",
+    ]);
+    for p in points {
+        table.row(&[
+            p.x.clone(),
+            seconds(p.bfs),
+            seconds(p.dfs),
+            format!("{:.2}x", p.bfs.as_secs_f64() / p.dfs.as_secs_f64()),
+            p.bfs_peak.to_string(),
+            p.dfs_peak.to_string(),
+            format!("{:.2}x", p.bfs_peak as f64 / p.dfs_peak.max(1) as f64),
+        ]);
+    }
+    println!("bench: dfs sweep axis {name}");
+    print!("{}", table.render());
+
+    let mut s = String::new();
+    let _ = write!(s, "{{\"axis\": \"{name}\", \"points\": [");
+    for (i, p) in points.iter().enumerate() {
+        if i > 0 {
+            s.push_str(", ");
+        }
+        let _ = write!(
+            s,
+            "{{\"x\": \"{}\", \"bfs_ms\": {:.3}, \"dfs_ms\": {:.3}, \"bfs_peak_arena_bytes\": {}, \"dfs_peak_arena_bytes\": {}, \"patterns\": {}}}",
+            p.x,
+            ms(p.bfs),
+            ms(p.dfs),
+            p.bfs_peak,
+            p.dfs_peak,
+            p.patterns
+        );
+    }
+    s.push_str("]}");
+    s
+}
+
+/// The DFS-first mppm sweep: `mppm` vs `mppm_dfs` (and
+/// `mpp_parallel` vs `mpp_dfs` on the Figure 5 axis) across the
+/// Figure 4–8 axes. Returns the JSON fragment for the `dfs_sweep`
+/// array.
+pub fn dfs_sweep(quick: bool) -> String {
+    let reps = if quick { 1 } else { 3 };
+    let seq_len = if quick { 600 } else { paper::SEQ_LEN };
+    let engine_threads = engine_threads();
+    let config = MppConfig::default();
+    let paper_gap = GapRequirement::new(paper::GAP_MIN, paper::GAP_MAX).expect("static gap");
+    println!("bench: dfs-first mppm sweep, {engine_threads} threads, L = {seq_len}, reps {reps}");
+    let mut axes = Vec::new();
+
+    // Figure 4 axis: ρs sweep, mppm at m = 10, gap [9, 12].
+    let rhos: Vec<f64> = if quick {
+        vec![0.003e-2, 0.005e-2]
+    } else {
+        paper::RHO_SWEEP_PERCENT.iter().map(|p| p * 1e-2).collect()
+    };
+    let seq = ax_fragment(seq_len);
+    let points: Vec<SweepPoint> = rhos
+        .iter()
+        .map(|&rho| {
+            sweep_point(
+                reps,
+                pct(rho),
+                |o| {
+                    mppm_traced(&seq, paper_gap, rho, paper::M, config.clone(), o)
+                        .expect("mppm runs")
+                },
+                |o| {
+                    mppm_dfs_traced(
+                        &seq,
+                        paper_gap,
+                        rho,
+                        paper::M,
+                        config.clone(),
+                        engine_threads,
+                        o,
+                    )
+                    .expect("mppm_dfs runs")
+                },
+            )
+        })
+        .collect();
+    axes.push(render_axis("rho", "rho", &points));
+
+    // Figure 5 axis: user input n, mpp engines, gap [9, 12].
+    let ns: Vec<usize> = if quick {
+        vec![10, 40]
+    } else {
+        vec![10, 20, 40, 77]
+    };
+    let points: Vec<SweepPoint> = ns
+        .iter()
+        .map(|&n| {
+            sweep_point(
+                reps,
+                n.to_string(),
+                |o| {
+                    mpp_parallel_traced(
+                        &seq,
+                        paper_gap,
+                        paper::RHO,
+                        n,
+                        config.clone(),
+                        engine_threads,
+                        o,
+                    )
+                    .expect("mpp_parallel runs")
+                },
+                |o| {
+                    mpp_dfs_traced(
+                        &seq,
+                        paper_gap,
+                        paper::RHO,
+                        n,
+                        config.clone(),
+                        engine_threads,
+                        o,
+                    )
+                    .expect("mpp_dfs runs")
+                },
+            )
+        })
+        .collect();
+    axes.push(render_axis("n", "n", &points));
+
+    // Figure 6 axis: gap flexibility W (gap [9, 8+W]), m = 8.
+    let ws: Vec<usize> = if quick {
+        vec![4, 6]
+    } else {
+        vec![4, 5, 6, 7, 8]
+    };
+    let points: Vec<SweepPoint> = ws
+        .iter()
+        .map(|&w| {
+            let gap =
+                GapRequirement::new(paper::GAP_MIN, paper::GAP_MIN + w - 1).expect("sweep gap");
+            sweep_point(
+                reps,
+                format!("W={w}"),
+                |o| mppm_traced(&seq, gap, paper::RHO, 8, config.clone(), o).expect("mppm runs"),
+                |o| {
+                    mppm_dfs_traced(&seq, gap, paper::RHO, 8, config.clone(), engine_threads, o)
+                        .expect("mppm_dfs runs")
+                },
+            )
+        })
+        .collect();
+    axes.push(render_axis("W", "W", &points));
+
+    // Figure 7 axis: minimum gap N (gap [N, N+3]), m = 8.
+    let gap_mins: Vec<usize> = if quick {
+        vec![8, 12]
+    } else {
+        vec![8, 9, 10, 11, 12]
+    };
+    let points: Vec<SweepPoint> = gap_mins
+        .iter()
+        .map(|&gmin| {
+            let gap = GapRequirement::new(gmin, gmin + 3).expect("sweep gap");
+            sweep_point(
+                reps,
+                format!("N={gmin}"),
+                |o| mppm_traced(&seq, gap, paper::RHO, 8, config.clone(), o).expect("mppm runs"),
+                |o| {
+                    mppm_dfs_traced(&seq, gap, paper::RHO, 8, config.clone(), engine_threads, o)
+                        .expect("mppm_dfs runs")
+                },
+            )
+        })
+        .collect();
+    axes.push(render_axis("gap_min", "N", &points));
+
+    // Figure 8 axis: sequence length L, homogeneous family, m = 10.
+    let lens: Vec<usize> = if quick {
+        vec![1_000, 2_000]
+    } else {
+        vec![2_000, 4_000, 6_000, 8_000, 10_000]
+    };
+    let points: Vec<SweepPoint> = lens
+        .iter()
+        .map(|&len| {
+            let seq = scaling_sequence(len);
+            sweep_point(
+                reps,
+                len.to_string(),
+                |o| {
+                    mppm_traced(&seq, paper_gap, paper::RHO, paper::M, config.clone(), o)
+                        .expect("mppm runs")
+                },
+                |o| {
+                    mppm_dfs_traced(
+                        &seq,
+                        paper_gap,
+                        paper::RHO,
+                        paper::M,
+                        config.clone(),
+                        engine_threads,
+                        o,
+                    )
+                    .expect("mppm_dfs runs")
+                },
+            )
+        })
+        .collect();
+    axes.push(render_axis("length", "L", &points));
+
+    format!("[{}]", axes.join(", "))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1341,13 +1455,12 @@ mod tests {
     }
 
     #[test]
-    fn simd_kernel_fragment_cross_checks() {
-        let seq = scaling_sequence(2_000);
-        let gap = GapRequirement::new(0, 2).unwrap();
-        let json = simd_kernel(&seq, gap, 2);
-        assert!(json.contains("\"dense_probe\""), "{json}");
-        assert!(json.contains("\"seeding_level3\""), "{json}");
-        assert!(json.contains("\"simd_available\""), "{json}");
+    fn dfs_sweep_covers_every_axis() {
+        let json = dfs_sweep(true);
+        for axis in ["rho", "n", "W", "gap_min", "length"] {
+            assert!(json.contains(&format!("\"axis\": \"{axis}\"")), "{json}");
+        }
+        assert!(json.contains("dfs_peak_arena_bytes"), "{json}");
     }
 
     #[test]

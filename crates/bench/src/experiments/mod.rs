@@ -14,7 +14,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod pil_repr;
 pub mod skew;
 pub mod table2;
 pub mod table3;

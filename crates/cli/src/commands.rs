@@ -13,8 +13,8 @@ use perigap_core::parallel::mpp_parallel_traced;
 use perigap_core::trace::{validate_trace, JsonlObserver, MetricsObserver};
 use perigap_core::verify::verify_outcome;
 use perigap_core::{
-    mine_incremental, BaselineDiff, EngineSelection, GapRequirement, IncrementalMode, Kernel,
-    MineError, MineOutcome, Pattern, PilRepr, PruneMode, ReprPolicy, TargetSpec,
+    mine_incremental, BaselineDiff, EngineSelection, GapRequirement, IncrementalMode, MineError,
+    MineOutcome, Pattern, PruneMode, TargetSpec,
 };
 use perigap_seq::fasta::read_fasta;
 use perigap_seq::oscillation::correlation_spectrum;
@@ -43,10 +43,6 @@ USAGE:
                 disk instead of aborting at the ceiling]
                [--spill-watermark <frac>  spill once live arenas reach
                 frac * ceiling (default 0.5)]
-               [--pil-repr auto|sparse|dense  per-list PIL join layout;
-                output-identical, performance only]
-               [--kernel auto|scalar|simd  join/seed kernels; simd needs
-                AVX2 and falls back to scalar; output-identical]
                [--closed  keep only closed patterns: drop any pattern a
                 one-longer frequent extension matches at equal support]
                [--incremental  mpp/mppm: consult and refresh a result
@@ -136,8 +132,6 @@ pub fn run(raw: impl IntoIterator<Item = String>) -> Result<String, ArgError> {
             "max-arena-bytes",
             "spill-dir",
             "spill-watermark",
-            "pil-repr",
-            "kernel",
             "store",
             "addr",
             "port-file",
@@ -270,14 +264,6 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         }
         None => None,
     };
-    let pil_repr = match args.get("pil-repr") {
-        Some(raw) => ReprPolicy::of(raw.parse::<PilRepr>().map_err(ArgError)?),
-        None => ReprPolicy::default(),
-    };
-    let kernel = match args.get("kernel") {
-        Some(raw) => raw.parse::<Kernel>().map_err(ArgError)?,
-        None => Kernel::default(),
-    };
     let top_k: Option<usize> = match args.get("top-k") {
         Some(raw) => {
             let v: usize = raw
@@ -398,8 +384,6 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
     let config = MppConfig {
         max_level,
         max_arena_bytes,
-        pil_repr,
-        kernel,
         spill_dir,
         spill_watermark,
         prune: PruneMode {
@@ -1586,97 +1570,29 @@ mod tests {
     }
 
     #[test]
-    fn mine_with_pil_repr_is_output_identical() {
-        let body = "ACGTT".repeat(60);
-        let f = fasta_file(&format!(">frag\n{body}\n"));
-        let base = |extra: &[&str]| {
-            let mut words: Vec<String> = vec![
-                "mine".into(),
-                "--input".into(),
-                f.as_str().into(),
-                "--gap".into(),
-                "1:3".into(),
-                "--rho".into(),
-                "0.5%".into(),
-            ];
-            words.extend(extra.iter().map(|s| s.to_string()));
-            words
-        };
-        for algo_args in [
-            &["--algorithm", "mpp"][..],
-            &["--algorithm", "mpp", "--engine", "dfs"],
-            &["--algorithm", "mppm"],
-        ] {
-            let reference = run_words(&base(algo_args)).unwrap();
-            for mode in ["auto", "sparse", "dense"] {
-                let mut extra = algo_args.to_vec();
-                extra.extend(["--pil-repr", mode]);
-                let out = run_words(&base(&extra)).unwrap_or_else(|e| panic!("{mode}: {e}"));
-                assert_eq!(out, reference, "--pil-repr {mode} changed the output");
-            }
+    fn removed_layout_and_kernel_flags_are_unknown_options() {
+        let f = fasta_file(&format!(">frag\n{}\n", "ACGTT".repeat(60)));
+        for (flag, value) in [("--pil-repr", "sparse"), ("--kernel", "scalar")] {
+            let words: Vec<String> = [
+                "mine",
+                "--input",
+                f.as_str(),
+                "--gap",
+                "1:3",
+                "--rho",
+                "0.5%",
+                flag,
+                value,
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+            let err = run_words(&words).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("unknown option {flag}")),
+                "{err}"
+            );
         }
-        // The histogram surfaces through --metrics.
-        let out = run_words(&base(&[
-            "--algorithm",
-            "mpp",
-            "--pil-repr",
-            "dense",
-            "--metrics",
-        ]))
-        .unwrap();
-        assert!(out.contains("pil repr (dense):"), "{out}");
-        let err = run_words(&base(&["--pil-repr", "bitmap"])).unwrap_err();
-        assert!(err.to_string().contains("auto|sparse|dense"), "{err}");
-    }
-
-    #[test]
-    fn mine_with_kernel_is_output_identical() {
-        let body = "ACGTT".repeat(60);
-        let f = fasta_file(&format!(">frag\n{body}\n"));
-        let base = |extra: &[&str]| {
-            let mut words: Vec<String> = vec![
-                "mine".into(),
-                "--input".into(),
-                f.as_str().into(),
-                "--gap".into(),
-                "1:3".into(),
-                "--rho".into(),
-                "0.5%".into(),
-            ];
-            words.extend(extra.iter().map(|s| s.to_string()));
-            words
-        };
-        for algo_args in [
-            &["--algorithm", "mpp"][..],
-            &["--algorithm", "mpp", "--engine", "dfs"],
-            &["--algorithm", "mppm"],
-        ] {
-            let reference = run_words(&base(algo_args)).unwrap();
-            for mode in ["auto", "scalar", "simd"] {
-                let mut extra = algo_args.to_vec();
-                extra.extend(["--kernel", mode]);
-                let out = run_words(&base(&extra)).unwrap_or_else(|e| panic!("{mode}: {e}"));
-                assert_eq!(out, reference, "--kernel {mode} changed the output");
-            }
-        }
-        // The resolved kernel lands in the trace summary line.
-        let mut trace_path = std::env::temp_dir();
-        trace_path.push(format!("pgmine-kernel-{}.jsonl", std::process::id()));
-        let trace_str = trace_path.to_str().unwrap().to_string();
-        run_words(&base(&[
-            "--algorithm",
-            "mpp",
-            "--kernel",
-            "scalar",
-            "--trace",
-            &trace_str,
-        ]))
-        .unwrap();
-        let trace = std::fs::read_to_string(&trace_path).unwrap();
-        assert!(trace.contains("\"kernel\": \"scalar\""), "{trace}");
-        std::fs::remove_file(&trace_path).ok();
-        let err = run_words(&base(&["--kernel", "neon"])).unwrap_err();
-        assert!(err.to_string().contains("auto|scalar|simd"), "{err}");
     }
 
     #[test]

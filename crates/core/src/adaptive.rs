@@ -12,22 +12,12 @@
 //! be missed if none of its length-`n` fragments surfaced. The paper
 //! proposes the scheme on exactly those terms ("we do not explore this
 //! approach further"); MPPm remains the sound way to choose `n`.
-//!
-//! This module is also home to the engines' other adaptive choice: the
-//! per-list PIL *representation* policy ([`PilRepr`], [`ReprPolicy`],
-//! [`ReprCache`]) that decides, from occupancy, whether a suffix's
-//! occurrence list is joined through the sparse sliding-window merge or
-//! the dense prefix-sum probe of [`crate::pil::DensePil`].
 
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::ResolvedKernel;
 use crate::mpp::{mpp, MppConfig};
-use crate::pil::DensePil;
 use crate::result::MineOutcome;
 use perigap_seq::Sequence;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Outcome of an adaptive run, with the refinement trajectory.
@@ -77,290 +67,6 @@ pub fn adaptive_mpp(
     })
 }
 
-// ---------------------------------------------------------------------
-// Adaptive PIL representation (sparse merge vs dense prefix-sum probe).
-// ---------------------------------------------------------------------
-
-/// Which physical PIL layout the join kernels use — see the two-layout
-/// notes in [`crate::pil`]. Parsed from `--pil-repr` on the CLI.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PilRepr {
-    /// Pick per suffix list from occupancy (the default).
-    #[default]
-    Auto,
-    /// Always the sorted sparse `(offset, count)` merge.
-    Sparse,
-    /// Dense prefix-sum probes wherever a dense array is feasible.
-    Dense,
-}
-
-impl std::str::FromStr for PilRepr {
-    type Err = String;
-    fn from_str(s: &str) -> Result<PilRepr, String> {
-        match s {
-            "auto" => Ok(PilRepr::Auto),
-            "sparse" => Ok(PilRepr::Sparse),
-            "dense" => Ok(PilRepr::Dense),
-            other => Err(format!(
-                "unknown PIL representation {other:?} (auto|sparse|dense)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for PilRepr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PilRepr::Auto => "auto",
-            PilRepr::Sparse => "sparse",
-            PilRepr::Dense => "dense",
-        })
-    }
-}
-
-/// `Auto` crossover: densify a list when at least this fraction of its
-/// occupied offset span holds an entry. Below it, the prefix-sum array
-/// spends more memory traffic on empty slots than the O(1) probe saves
-/// over the sliding-window merge.
-pub const DEFAULT_CROSSOVER: f64 = 0.25;
-
-/// Ceiling on span / entries honored even under forced `Dense`: beyond
-/// it the prefix-sum array would allocate more than this many words per
-/// sparse entry, so the decision falls back to sparse.
-pub const DEFAULT_MAX_BLOWUP: usize = 64;
-
-/// `Auto` never densifies lists shorter than this — the `O(span)` build
-/// cannot amortize over a handful of probes.
-const MIN_DENSE_LEN: usize = 8;
-
-/// The per-list representation decision: a mode plus the tunable
-/// occupancy crossover. Plain data (`Copy`), carried by
-/// [`crate::mpp::MppConfig`] into every engine.
-///
-/// Representation choice is a pure performance knob: whichever side is
-/// picked, mined patterns, supports, and `MineStats` are bit-identical
-/// (see [`DensePil::build`] for why the saturation corner is covered).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReprPolicy {
-    /// Forced mode, or `Auto` for the occupancy heuristic.
-    pub mode: PilRepr,
-    /// Minimum occupancy (entries / span) at which `Auto` goes dense.
-    pub crossover: f64,
-    /// Maximum span-per-entry blow-up tolerated even under `Dense`.
-    pub max_blowup: usize,
-}
-
-impl Default for ReprPolicy {
-    fn default() -> ReprPolicy {
-        ReprPolicy::of(PilRepr::Auto)
-    }
-}
-
-impl ReprPolicy {
-    /// The default crossover under the given mode.
-    pub fn of(mode: PilRepr) -> ReprPolicy {
-        ReprPolicy {
-            mode,
-            crossover: DEFAULT_CROSSOVER,
-            max_blowup: DEFAULT_MAX_BLOWUP,
-        }
-    }
-
-    /// Would this policy densify a list with these entries? (Feasibility
-    /// — the `u64` total-count check — still happens in
-    /// [`DensePil::build`]; see [`ReprCache::decide`].)
-    pub fn wants_dense(&self, entries: &[(u32, u64)]) -> bool {
-        let len = entries.len() as u64;
-        if len == 0 {
-            return false;
-        }
-        let span = entries[entries.len() - 1].0 as u64 - entries[0].0 as u64 + 1;
-        match self.mode {
-            PilRepr::Sparse => false,
-            PilRepr::Dense => span <= len.saturating_mul(self.max_blowup as u64),
-            PilRepr::Auto => {
-                entries.len() >= MIN_DENSE_LEN && len as f64 >= self.crossover * span as f64
-            }
-        }
-    }
-}
-
-const TAG_UNDECIDED: u8 = 0;
-const TAG_SPARSE: u8 = 1;
-const TAG_DENSE: u8 = 2;
-
-/// Per-generation cache of representation decisions and dense builds,
-/// keyed by pattern index into the generation's pattern set.
-///
-/// Candidate generation joins every left parent of a run against the
-/// same suffix lists, so one [`DensePil::build`] per suffix is reused
-/// across the whole fan-out — the amortization that pays for the
-/// `O(span)` build. The cache must be [`ReprCache::begin`]-reset
-/// whenever the indices start referring to a different generation.
-pub struct ReprCache {
-    policy: ReprPolicy,
-    /// The resolved join kernel: under [`ResolvedKernel::Simd`] dense
-    /// builds also materialize the windowed-sum array for `gap` so the
-    /// vector probe has its gather target.
-    kern: ResolvedKernel,
-    /// The gap the windowed sums are precomputed for (SIMD only).
-    gap: Option<GapRequirement>,
-    /// Decision per pattern index; `TAG_UNDECIDED` until first use.
-    tags: Vec<u8>,
-    /// Built prefix-sum arrays for the dense-tagged indices.
-    dense: HashMap<usize, DensePil>,
-}
-
-impl ReprCache {
-    /// An empty cache carrying `policy`, building plain (scalar-probe)
-    /// dense arrays.
-    pub fn new(policy: ReprPolicy) -> ReprCache {
-        ReprCache::with_kernel(policy, ResolvedKernel::Scalar, None)
-    }
-
-    /// An empty cache whose dense builds match `kern`: the SIMD kernel
-    /// gets windowed-sum arrays for `gap`. The dense/sparse *decisions*
-    /// are identical across kernels — [`DensePil::build_windowed`]
-    /// succeeds exactly when [`DensePil::build`] does — so
-    /// representation choice stays kernel-invariant.
-    pub fn with_kernel(
-        policy: ReprPolicy,
-        kern: ResolvedKernel,
-        gap: Option<GapRequirement>,
-    ) -> ReprCache {
-        ReprCache {
-            policy,
-            kern,
-            gap,
-            tags: Vec::new(),
-            dense: HashMap::new(),
-        }
-    }
-
-    /// The policy this cache decides with.
-    pub fn policy(&self) -> ReprPolicy {
-        self.policy
-    }
-
-    /// Forget every decision and size for a generation of `patterns`
-    /// lists. Keeps the tag allocation.
-    pub fn begin(&mut self, patterns: usize) {
-        self.tags.clear();
-        self.tags.resize(patterns, TAG_UNDECIDED);
-        self.dense.clear();
-    }
-
-    /// Decide (once) the representation for pattern `id`, whose PIL is
-    /// `entries`; returns `true` for dense. The first call per `id`
-    /// consults the policy, attempts the dense build, and counts the
-    /// decision in the process-wide histogram; later calls are a tag
-    /// load.
-    pub fn decide(&mut self, id: usize, entries: &[(u32, u64)]) -> bool {
-        match self.tags[id] {
-            TAG_SPARSE => false,
-            TAG_DENSE => true,
-            _ => {
-                let mut built = None;
-                if self.policy.wants_dense(entries) {
-                    built = match (self.kern, self.gap) {
-                        (ResolvedKernel::Simd, Some(gap)) => DensePil::build_windowed(entries, gap),
-                        _ => DensePil::build(entries),
-                    };
-                    if built.is_none() {
-                        DENSE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                match built {
-                    Some(d) => {
-                        DENSE_LISTS.fetch_add(1, Ordering::Relaxed);
-                        self.dense.insert(id, d);
-                        self.tags[id] = TAG_DENSE;
-                        true
-                    }
-                    None => {
-                        SPARSE_LISTS.fetch_add(1, Ordering::Relaxed);
-                        self.tags[id] = TAG_SPARSE;
-                        false
-                    }
-                }
-            }
-        }
-    }
-
-    /// The dense build for `id`, present iff [`ReprCache::decide`]
-    /// returned `true` for it this generation.
-    pub fn get(&self, id: usize) -> Option<&DensePil> {
-        self.dense.get(&id)
-    }
-
-    /// [`ReprCache::decide`] and [`ReprCache::get`] in one step.
-    pub fn dense_for(&mut self, id: usize, entries: &[(u32, u64)]) -> Option<&DensePil> {
-        if self.decide(id, entries) {
-            self.dense.get(&id)
-        } else {
-            None
-        }
-    }
-}
-
-static DENSE_LISTS: AtomicU64 = AtomicU64::new(0);
-static SPARSE_LISTS: AtomicU64 = AtomicU64::new(0);
-static DENSE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide totals of representation decisions — the
-/// chosen-representation histogram. Deliberately *outside*
-/// [`crate::result::MineStats`], which must stay representation-
-/// invariant; these are diagnostics, read by `--metrics`, traces, and
-/// the bench harness via snapshot deltas.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReprStats {
-    /// Suffix lists joined through the dense prefix-sum probe.
-    pub dense: u64,
-    /// Suffix lists joined through the sparse sliding-window merge.
-    pub sparse: u64,
-    /// Lists the policy wanted dense but [`DensePil::build`] refused
-    /// (total count above `u64`); counted in `sparse` as well.
-    pub fallbacks: u64,
-}
-
-impl ReprStats {
-    /// Decisions made between the `earlier` snapshot and this one.
-    /// Saturating, so concurrent mines in other threads cannot wrap the
-    /// difference below zero.
-    pub fn since(self, earlier: ReprStats) -> ReprStats {
-        ReprStats {
-            dense: self.dense.saturating_sub(earlier.dense),
-            sparse: self.sparse.saturating_sub(earlier.sparse),
-            fallbacks: self.fallbacks.saturating_sub(earlier.fallbacks),
-        }
-    }
-
-    /// Total decisions in the snapshot.
-    pub fn total(self) -> u64 {
-        self.dense.saturating_add(self.sparse)
-    }
-
-    /// Render this (delta) snapshot as the trace event for a run mined
-    /// under `mode`.
-    pub fn to_event(self, mode: PilRepr) -> crate::trace::ReprEvent {
-        crate::trace::ReprEvent {
-            mode: mode.to_string(),
-            dense: self.dense,
-            sparse: self.sparse,
-            fallbacks: self.fallbacks,
-        }
-    }
-}
-
-/// Snapshot the process-wide representation histogram.
-pub fn repr_stats() -> ReprStats {
-    ReprStats {
-        dense: DENSE_LISTS.load(Ordering::Relaxed),
-        sparse: SPARSE_LISTS.load(Ordering::Relaxed),
-        fallbacks: DENSE_FALLBACKS.load(Ordering::Relaxed),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,82 +111,6 @@ mod tests {
         let g = gap(9, 12);
         let adaptive = adaptive_mpp(&s, g, 0.01, 1_000, MppConfig::default()).unwrap();
         assert!(adaptive.n_trajectory[0] <= g.l1(60).max(3));
-    }
-
-    #[test]
-    fn policy_crossover_splits_dense_from_sparse() {
-        let auto = ReprPolicy::default();
-        // Fully occupied span, long enough: dense.
-        let packed: Vec<(u32, u64)> = (1..=64).map(|x| (x, 1)).collect();
-        assert!(auto.wants_dense(&packed));
-        // 2% occupancy: sparse under Auto, dense only when forced.
-        let thin: Vec<(u32, u64)> = (0..64).map(|k| (1 + k * 50, 1)).collect();
-        assert!(!auto.wants_dense(&thin));
-        assert!(ReprPolicy::of(PilRepr::Dense).wants_dense(&thin));
-        assert!(!ReprPolicy::of(PilRepr::Sparse).wants_dense(&packed));
-        // Tiny lists never densify under Auto.
-        assert!(!auto.wants_dense(&[(1, 1), (2, 1)]));
-        assert!(!auto.wants_dense(&[]));
-        // Forced Dense still refuses pathological blow-up.
-        let lone: Vec<(u32, u64)> = vec![(1, 1), (1_000_000, 1)];
-        assert!(!ReprPolicy::of(PilRepr::Dense).wants_dense(&lone));
-        // Crossover is tunable.
-        let eager = ReprPolicy {
-            crossover: 0.005,
-            ..ReprPolicy::default()
-        };
-        assert!(eager.wants_dense(&thin));
-    }
-
-    #[test]
-    fn cache_decides_once_and_resets_per_generation() {
-        let packed: Vec<(u32, u64)> = (1..=64).map(|x| (x, 1)).collect();
-        let before = repr_stats();
-        let mut cache = ReprCache::new(ReprPolicy::default());
-        cache.begin(2);
-        assert!(cache.decide(0, &packed));
-        assert!(cache.decide(0, &packed), "second call is a tag load");
-        assert!(cache.get(0).is_some());
-        assert!(cache.get(1).is_none(), "undecided ids have no build");
-        assert!(cache.dense_for(1, &[(5, 1)]).is_none());
-        // Exactly one dense and one sparse decision were counted
-        // (other concurrent tests may add their own, hence >=).
-        let delta = repr_stats().since(before);
-        assert!(delta.dense >= 1 && delta.sparse >= 1);
-        // begin() drops every decision and build.
-        cache.begin(1);
-        assert!(cache.get(0).is_none());
-        assert_eq!(cache.policy().mode, PilRepr::Auto);
-    }
-
-    #[test]
-    fn cache_counts_overflow_fallbacks() {
-        // A list the policy wants dense but whose total overflows u64:
-        // the decision must come back sparse and count a fallback.
-        let hot: Vec<(u32, u64)> = (1..=8).map(|x| (x, u64::MAX / 4)).collect();
-        assert!(ReprPolicy::default().wants_dense(&hot));
-        let before = repr_stats();
-        let mut cache = ReprCache::new(ReprPolicy::default());
-        cache.begin(1);
-        assert!(!cache.decide(0, &hot));
-        assert!(cache.get(0).is_none());
-        let delta = repr_stats().since(before);
-        assert!(delta.fallbacks >= 1);
-        assert!(delta.total() >= 1);
-    }
-
-    #[test]
-    fn pil_repr_parses_and_displays() {
-        for (text, mode) in [
-            ("auto", PilRepr::Auto),
-            ("sparse", PilRepr::Sparse),
-            ("dense", PilRepr::Dense),
-        ] {
-            assert_eq!(text.parse::<PilRepr>().unwrap(), mode);
-            assert_eq!(mode.to_string(), text);
-        }
-        assert!("densest".parse::<PilRepr>().is_err());
-        assert_eq!(PilRepr::default(), PilRepr::Auto);
     }
 
     #[test]

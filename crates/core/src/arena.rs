@@ -25,12 +25,10 @@
 //! its behaviour — including byte-identical mining output — is
 //! unchanged.
 
-use crate::adaptive::ReprCache;
 use crate::gap::GapRequirement;
-use crate::kernel::{self, ResolvedKernel};
 use crate::packed::KeyCodec;
 use crate::pattern::Pattern;
-use crate::pil::{join_into, join_multi_into, DensePil, JoinCounters, MultiJoinScratch, Pil};
+use crate::pil::{join_into, join_multi_into, JoinCounters, MultiJoinScratch, Pil};
 use crate::prune::Pruner;
 use perigap_seq::Sequence;
 use std::collections::HashMap;
@@ -155,29 +153,6 @@ impl PilSet {
         self.bounds.push(self.entries.len());
     }
 
-    /// [`PilSet::push_candidate`] through the dense prefix-sum kernel:
-    /// the suffix arrives as a pre-built [`DensePil`] (cached per
-    /// suffix by [`ReprCache`]), so the join is one O(1) probe per
-    /// prefix offset and can never saturate (see [`DensePil::build`]).
-    /// `kern` picks the scalar or AVX2 probe — same output either way.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_candidate_dense(
-        &mut self,
-        p1_codes: &[u8],
-        last: u8,
-        prefix: &[(u32, u64)],
-        suffix: &DensePil,
-        gap: GapRequirement,
-        kern: ResolvedKernel,
-        counters: &mut JoinCounters,
-    ) {
-        debug_assert_eq!(p1_codes.len() + 1, self.level);
-        self.codes.extend_from_slice(p1_codes);
-        self.codes.push(last);
-        kernel::join_dense_kernel(kern, prefix, suffix, gap, &mut self.entries, counters);
-        self.bounds.push(self.entries.len());
-    }
-
     /// Append the candidate `p1_codes · last` with a PIL already
     /// computed by the batched multi-suffix join — the entries are
     /// copied in and the partner's saturation flag is absorbed.
@@ -252,26 +227,11 @@ impl PilSet {
 /// - key fits a `u64`: hash the packed key (still allocation-free per
 ///   event).
 /// - otherwise: hash the code string (the original pipeline's shape).
-pub(crate) fn build_seed(
-    seq: &Sequence,
-    gap: GapRequirement,
-    level: usize,
-    kern: ResolvedKernel,
-) -> PilSet {
+pub(crate) fn build_seed(seq: &Sequence, gap: GapRequirement, level: usize) -> PilSet {
     assert!(level >= 1, "level must be at least 1");
     let codec = KeyCodec::new(seq.alphabet().size());
     if codec.fits(level) {
         if codec.key_bits(level) <= DENSE_KEY_BITS_MAX {
-            // Level 3 (the engines' start level) has a vectorized scan;
-            // `build_seed_l3_simd` declines at runtime when AVX2 is
-            // unavailable and the recursive scalar scan takes over.
-            if level == 3 && kern == ResolvedKernel::Simd {
-                if let Some((slots, saturated)) =
-                    kernel::build_seed_l3_simd(seq, gap, codec, DENSE_KEY_BITS_MAX)
-                {
-                    return slots_to_set(&slots, level, codec, saturated);
-                }
-            }
             build_seed_dense(seq, gap, level, codec)
         } else {
             build_seed_sparse(seq, gap, level, codec)
@@ -309,20 +269,8 @@ fn build_seed_dense(seq: &Sequence, gap: GapRequirement, level: usize, codec: Ke
             saturated |= bump(&mut slots[key as usize], start as u32);
         });
     }
-    slots_to_set(&slots, level, codec, saturated)
-}
-
-/// Walk a dense key-indexed slot table into a sorted [`PilSet`].
-/// Ascending slot index == ascending packed key == lexicographic code
-/// order, so the set comes out sorted for free. Shared by the scalar
-/// scan and [`kernel::build_seed_l3_simd`], which both fill the same
-/// slot layout.
-fn slots_to_set(
-    slots: &[Vec<(u32, u64)>],
-    level: usize,
-    codec: KeyCodec,
-    saturated: bool,
-) -> PilSet {
+    // Ascending slot index == ascending packed key == lexicographic
+    // code order, so the set comes out sorted for free.
     let mut set = PilSet::new(level);
     let mut codes = Vec::with_capacity(level);
     for (key, entries) in slots.iter().enumerate() {
@@ -457,17 +405,10 @@ pub(crate) fn prefix_runs(set: &PilSet, kept: &[usize]) -> Vec<(usize, usize)> {
 /// them (already sorted) to `out`. The right-parent run is found by
 /// binary search over the prefix runs.
 ///
-/// `repr` decides per suffix list whether the join runs on the sparse
-/// merge or the dense prefix-sum probe; the dense build is cached in it
-/// and reused across every left parent sharing the suffix. The caller
-/// must have [`ReprCache::begin`]-reset it for `set`'s pattern indices.
-///
-/// Each left parent's partner run is a *sibling group*: the sparse
-/// subset shares one batched walk of the left PIL
-/// ([`join_multi_into`]), the dense subset takes the per-partner
-/// prefix-sum probe under `kern`, and candidates are emitted back in
-/// partner order — so the output is byte-identical to the per-candidate
-/// path, saturation flags included.
+/// Each left parent's partner run is a *sibling group* sharing one
+/// batched walk of the left PIL ([`join_multi_into`]); candidates are
+/// emitted in partner order, so the output is byte-identical to the
+/// per-candidate path, saturation flags included.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate_candidates(
     set: &PilSet,
@@ -477,8 +418,6 @@ pub(crate) fn generate_candidates(
     lo: usize,
     hi: usize,
     out: &mut PilSet,
-    repr: &mut ReprCache,
-    kern: ResolvedKernel,
     counters: &mut JoinCounters,
     pruner: &Pruner,
 ) {
@@ -487,7 +426,6 @@ pub(crate) fn generate_candidates(
     let mut scratch = MultiJoinScratch::default();
     let mut souts: Vec<Vec<(u32, u64)>> = Vec::new();
     let mut partners: Vec<&[(u32, u64)]> = Vec::new();
-    let mut sparse_pos: Vec<usize> = Vec::new();
     for &i in &kept[lo..hi] {
         let p1 = set.pattern_codes(i);
         // Pruned modes: skip a left parent whose cone cannot reach the
@@ -500,46 +438,31 @@ pub(crate) fn generate_candidates(
             runs.binary_search_by(|&(s, _)| set.pattern_codes(kept[s])[..level - 1].cmp(suffix));
         if let Ok(r) = found {
             let (s, e) = runs[r];
-            sparse_pos.clear();
-            for (j, &m) in kept[s..e].iter().enumerate() {
-                if !repr.decide(m, set.entries(m)) {
-                    sparse_pos.push(j);
-                }
-            }
-            if e - s == 1 && sparse_pos.len() == 1 {
-                // Singleton sparse group: join straight into the arena,
+            if e - s == 1 {
+                // Singleton group: join straight into the arena,
                 // skipping the staging buffer round-trip.
                 let m = kept[s];
                 let last = set.pattern_codes(m)[level - 1];
                 out.push_candidate(p1, last, set.entries(i), set.entries(m), gap, counters);
                 continue;
             }
-            if !sparse_pos.is_empty() {
-                let k = sparse_pos.len();
-                partners.clear();
-                partners.extend(sparse_pos.iter().map(|&j| set.entries(kept[s + j])));
-                if souts.len() < k {
-                    souts.resize_with(k, Vec::new);
-                }
-                join_multi_into(
-                    set.entries(i),
-                    &partners,
-                    gap,
-                    &mut souts[..k],
-                    &mut scratch,
-                    counters,
-                );
+            let k = e - s;
+            partners.clear();
+            partners.extend(kept[s..e].iter().map(|&m| set.entries(m)));
+            if souts.len() < k {
+                souts.resize_with(k, Vec::new);
             }
-            let mut sp = 0usize;
+            join_multi_into(
+                set.entries(i),
+                &partners,
+                gap,
+                &mut souts[..k],
+                &mut scratch,
+                counters,
+            );
             for (j, &m) in kept[s..e].iter().enumerate() {
                 let last = set.pattern_codes(m)[level - 1];
-                if sparse_pos.get(sp) == Some(&j) {
-                    out.push_batched(p1, last, &souts[sp], scratch.saturated[sp]);
-                    sp += 1;
-                } else {
-                    let dense = repr.get(m).expect("decided dense");
-                    out.push_candidate_dense(p1, last, set.entries(i), dense, gap, kern, counters);
-                }
+                out.push_batched(p1, last, &souts[j], scratch.saturated[j]);
             }
         }
     }
@@ -548,7 +471,6 @@ pub(crate) fn generate_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::{PilRepr, ReprPolicy};
     use crate::naive::support_dp;
     use perigap_seq::Sequence;
 
@@ -556,20 +478,7 @@ mod tests {
         GapRequirement::new(n, m).unwrap()
     }
 
-    /// A fresh cache sized for `set`, under `mode`.
-    fn cache_for(set: &PilSet, mode: PilRepr) -> ReprCache {
-        let mut cache = ReprCache::new(ReprPolicy::of(mode));
-        cache.begin(set.len());
-        cache
-    }
-
-    /// `build_seed` pinned to the scalar kernel, as most tests want.
-    fn seed(s: &Sequence, g: GapRequirement, level: usize) -> PilSet {
-        build_seed(s, g, level, ResolvedKernel::Scalar)
-    }
-
-    /// `generate_candidates` with the scalar kernel and throwaway counters.
-    #[allow(clippy::too_many_arguments)]
+    /// `generate_candidates` with throwaway counters and no pruning.
     fn gen(
         set: &PilSet,
         kept: &[usize],
@@ -578,22 +487,9 @@ mod tests {
         lo: usize,
         hi: usize,
         out: &mut PilSet,
-        repr: &mut ReprCache,
     ) {
         let mut jc = JoinCounters::default();
-        generate_candidates(
-            set,
-            kept,
-            runs,
-            g,
-            lo,
-            hi,
-            out,
-            repr,
-            ResolvedKernel::Scalar,
-            &mut jc,
-            &Pruner::default(),
-        );
+        generate_candidates(set, kept, runs, g, lo, hi, out, &mut jc, &Pruner::default());
     }
 
     fn dna(text: &str) -> Sequence {
@@ -605,7 +501,7 @@ mod tests {
         let s = dna("ACGTACGTTGCAACGT");
         let g = gap(1, 3);
         for level in 1..=3 {
-            let set = seed(&s, g, level);
+            let set = build_seed(&s, g, level);
             for i in 1..set.len() {
                 assert!(set.pattern_codes(i - 1) < set.pattern_codes(i), "sorted");
             }
@@ -623,7 +519,7 @@ mod tests {
         // the key width crosses the dense and u64 thresholds.
         let s = dna(&"ACGGTTA".repeat(30));
         let g = gap(0, 1);
-        let dense = seed(&s, g, 3); // 6 key bits
+        let dense = build_seed(&s, g, 3); // 6 key bits
         let sparse = build_seed_sparse(&s, g, 3, KeyCodec::new(4));
         let bytes = build_seed_bytes(&s, g, 3);
         assert_eq!(dense, sparse);
@@ -634,7 +530,7 @@ mod tests {
     fn paper_example_via_pilset() {
         // S = AACCGTT, gap [1,2]: PIL(ACT) = {(1,3),(2,2)}.
         let s = dna("AACCGTT");
-        let set = seed(&s, gap(1, 2), 3);
+        let set = build_seed(&s, gap(1, 2), 3);
         let act: Vec<u8> = vec![0, 1, 3];
         let i = (0..set.len())
             .find(|&i| set.pattern_codes(i) == act)
@@ -647,7 +543,7 @@ mod tests {
     #[test]
     fn runs_group_shared_prefixes() {
         let s = dna("ACGTACGTACGT");
-        let set = seed(&s, gap(0, 2), 2);
+        let set = build_seed(&s, gap(0, 2), 2);
         let kept: Vec<usize> = (0..set.len()).collect();
         let runs = prefix_runs(&set, &kept);
         // Every pattern is in exactly one run and runs tile `kept`.
@@ -668,12 +564,11 @@ mod tests {
     fn candidates_match_naive_generation() {
         let s = dna("ACGTTGCAACGTTACG");
         let g = gap(1, 2);
-        let set = seed(&s, g, 3);
+        let set = build_seed(&s, g, 3);
         let kept: Vec<usize> = (0..set.len()).collect();
         let runs = prefix_runs(&set, &kept);
         let mut out = PilSet::new(4);
-        let mut repr = cache_for(&set, PilRepr::Sparse);
-        gen(&set, &kept, &runs, g, 0, kept.len(), &mut out, &mut repr);
+        gen(&set, &kept, &runs, g, 0, kept.len(), &mut out);
 
         // Naive: every ordered pair with suffix(p1) == prefix(p2).
         let mut expected: Vec<(Vec<u8>, Pil)> = Vec::new();
@@ -705,46 +600,19 @@ mod tests {
     }
 
     #[test]
-    fn candidate_generation_is_representation_invariant() {
-        // The same generation through the sparse merge, the dense
-        // probe, and the occupancy policy must be byte-identical —
-        // codes, entries, bounds, and the saturation flag.
-        let s = dna("ACGTTGCAACGTTACGGTCAACGT");
-        for g in [gap(0, 2), gap(1, 3), gap(2, 5)] {
-            let set = seed(&s, g, 3);
-            let kept: Vec<usize> = (0..set.len()).collect();
-            let runs = prefix_runs(&set, &kept);
-            let mut sparse = PilSet::new(4);
-            let mut repr = cache_for(&set, PilRepr::Sparse);
-            gen(&set, &kept, &runs, g, 0, kept.len(), &mut sparse, &mut repr);
-            for mode in [PilRepr::Dense, PilRepr::Auto] {
-                let mut out = PilSet::new(4);
-                let mut repr = cache_for(&set, mode);
-                gen(&set, &kept, &runs, g, 0, kept.len(), &mut out, &mut repr);
-                assert_eq!(out, sparse, "mode {mode} under gap {g}");
-            }
-        }
-    }
-
-    #[test]
     fn concat_preserves_chunked_generation() {
         let s = dna("ACGTTGCAACGTTACGGTCA");
         let g = gap(0, 2);
-        let set = seed(&s, g, 3);
+        let set = build_seed(&s, g, 3);
         let kept: Vec<usize> = (0..set.len()).collect();
         let runs = prefix_runs(&set, &kept);
         let mut whole = PilSet::new(4);
-        let mut repr = cache_for(&set, PilRepr::Auto);
-        gen(&set, &kept, &runs, g, 0, kept.len(), &mut whole, &mut repr);
+        gen(&set, &kept, &runs, g, 0, kept.len(), &mut whole);
         let mid = kept.len() / 2;
         let mut a = PilSet::new(4);
         let mut b = PilSet::new(4);
-        // Chunked generation rebuilds the cache per chunk, as the
-        // parallel engine does.
-        let mut repr_a = cache_for(&set, PilRepr::Auto);
-        let mut repr_b = cache_for(&set, PilRepr::Auto);
-        gen(&set, &kept, &runs, g, 0, mid, &mut a, &mut repr_a);
-        gen(&set, &kept, &runs, g, mid, kept.len(), &mut b, &mut repr_b);
+        gen(&set, &kept, &runs, g, 0, mid, &mut a);
+        gen(&set, &kept, &runs, g, mid, kept.len(), &mut b);
         assert_eq!(PilSet::concat(4, [a, b]), whole);
     }
 
@@ -779,13 +647,13 @@ mod tests {
         merged.reset(4);
         assert!(!merged.saturated());
         // An ordinary seed never saturates.
-        assert!(!seed(&dna("ACGTACGT"), g, 2).saturated());
+        assert!(!build_seed(&dna("ACGTACGT"), g, 2).saturated());
     }
 
     #[test]
     fn reset_reuses_buffers() {
         let s = dna("ACGTACGT");
-        let mut set = seed(&s, gap(0, 1), 2);
+        let mut set = build_seed(&s, gap(0, 1), 2);
         assert!(!set.is_empty());
         let cap = set.entries.capacity();
         set.reset(3);
@@ -798,23 +666,8 @@ mod tests {
     fn into_pil_map_round_trips() {
         let s = dna("AACCGTT");
         let g = gap(1, 2);
-        let map = seed(&s, g, 3).into_pil_map();
+        let map = build_seed(&s, g, 3).into_pil_map();
         let direct = Pil::build_all(&s, g, 3);
         assert_eq!(map, direct);
-    }
-
-    #[test]
-    fn seed_is_kernel_invariant() {
-        // The SIMD level-3 seeding scan must match the scalar table
-        // walk entry for entry. Without AVX2 (or under
-        // PERIGAP_FORCE_SCALAR) the Simd kernel falls back and the
-        // comparison is trivially true.
-        let s = dna(&"ACGTTGCAACGGTTACGTCA".repeat(17));
-        for g in [gap(0, 0), gap(0, 3), gap(1, 4), gap(3, 9)] {
-            let scalar = build_seed(&s, g, 3, ResolvedKernel::Scalar);
-            let simd = build_seed(&s, g, 3, ResolvedKernel::Simd);
-            assert_eq!(scalar, simd, "gap {g}");
-            assert_eq!(scalar.saturated(), simd.saturated());
-        }
     }
 }

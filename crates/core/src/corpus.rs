@@ -839,7 +839,7 @@ pub struct CorpusMineConfig {
     /// Per-shard engine.
     pub engine: ShardEngine,
     /// Per-shard engine configuration (`start_level`, arena ceiling,
-    /// PIL representation, kernel, spill). When the hybrid engine
+    /// spill). When the hybrid engine
     /// spills, each shard spills under its own subdirectory of
     /// [`MppConfig::spill_dir`].
     pub mpp: MppConfig,
@@ -1185,7 +1185,6 @@ pub fn mine_corpus_traced<O: MineObserver>(
         n_used: config.n,
         support_saturated: false,
         peak_arena_bytes: 0,
-        kernel: config.engine.name().to_string(),
         top_k: None,
         floor_raises: 0,
         pruned_by_floor: 0,

@@ -47,12 +47,10 @@
 //! time is the summed generation+evaluation time that *produced* it,
 //! and `arena_bytes` covers the surviving arenas only.
 
-use crate::adaptive::{ReprCache, ReprPolicy};
 use crate::arena::{build_seed, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::{self, ResolvedKernel};
 use crate::lambda::{BoundRow, BoundTable};
 use crate::mpp::{check_ceiling, prepare, MppConfig};
 use crate::parallel::{
@@ -102,11 +100,9 @@ pub fn mpp_dfs_traced<O: MineObserver>(
 ) -> Result<MineOutcome, MineError> {
     assert!(threads >= 1, "need at least one thread");
     let started = Instant::now();
-    let repr_before = crate::adaptive::repr_stats();
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let kern = config.kernel.resolve();
     let seed_started = Instant::now();
-    let pils = build_seed(seq, gap, config.start_level, kern);
+    let pils = build_seed(seq, gap, config.start_level);
     observer.on_seed(&SeedEvent {
         level: config.start_level,
         patterns: pils.len(),
@@ -120,7 +116,6 @@ pub fn mpp_dfs_traced<O: MineObserver>(
         &rho_exact,
         n,
         &config,
-        kern,
         pils,
         threads,
         PoolHooks::default(),
@@ -137,16 +132,7 @@ pub fn mpp_dfs_traced<O: MineObserver>(
         }
     };
     outcome.stats.total_elapsed = started.elapsed();
-    observer.on_repr(
-        &crate::adaptive::repr_stats()
-            .since(repr_before)
-            .to_event(config.pil_repr.mode),
-    );
-    observer.on_complete(
-        &CompleteEvent::from_outcome(&outcome)
-            .with_peak_arena_bytes(peak)
-            .with_kernel(kern),
-    );
+    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
     Ok(outcome)
 }
 
@@ -237,17 +223,11 @@ struct EagerStats {
 
 /// Reusable working buffers for [`eager_generate`], bundled so callers
 /// amortise their allocations across generation steps. `outs[j]` maps
-/// position-for-position onto one batch's partner run; `souts` is the
-/// staging area for the sparse subset of a mixed batch (buffers migrate
-/// between the two via `mem::swap`, so capacity is retained either way).
+/// position-for-position onto one batch's partner run.
 #[derive(Default)]
 struct EagerBufs {
     scratch: MultiJoinScratch,
     outs: Vec<Vec<(u32, u64)>>,
-    souts: Vec<Vec<(u32, u64)>>,
-    sat: Vec<bool>,
-    dense_pos: Vec<usize>,
-    sparse_pos: Vec<usize>,
     codes: Vec<u8>,
 }
 
@@ -258,11 +238,8 @@ struct EagerBufs {
 /// pair is counted in `evaluated` (empty joins included), matching the
 /// breadth-first engines' candidate accounting exactly.
 ///
-/// Each batch is split by `repr`'s per-suffix representation decision:
-/// dense partners take the O(|A|) prefix-sum probe
-/// ([`join_dense_into`]), the sparse remainder shares one batched
-/// sliding-window walk ([`join_multi_into`]). Outputs and saturation
-/// flags are position-identical to the all-sparse path.
+/// Each batch (one left parent's partner run) shares one batched
+/// sliding-window walk ([`join_multi_into`]).
 #[allow(clippy::too_many_arguments)]
 fn eager_generate(
     set: &PilSet,
@@ -271,17 +248,14 @@ fn eager_generate(
     lo: usize,
     hi: usize,
     gap: GapRequirement,
-    kern: ResolvedKernel,
     row: &BoundRow,
     next: &mut PilSet,
-    repr: &mut ReprCache,
     bufs: &mut EagerBufs,
     frequent: &mut Vec<FrequentPattern>,
     pruner: &Pruner,
 ) -> EagerStats {
     let level = set.level();
     let mut st = EagerStats::default();
-    repr.begin(set.len());
     let mut partners: Vec<&[(u32, u64)]> = Vec::new();
     for &i in &members[lo..hi] {
         let p1 = set.pattern_codes(i);
@@ -299,52 +273,21 @@ fn eager_generate(
         if bufs.outs.len() < cnt {
             bufs.outs.resize_with(cnt, Vec::new);
         }
-        bufs.dense_pos.clear();
-        bufs.sparse_pos.clear();
-        bufs.sat.clear();
-        bufs.sat.resize(cnt, false);
-        for (j, &m) in members[s..e].iter().enumerate() {
-            if repr.decide(m, set.entries(m)) {
-                bufs.dense_pos.push(j);
-            } else {
-                bufs.sparse_pos.push(j);
-            }
-        }
-        let a = set.entries(i);
-        for &j in &bufs.dense_pos {
-            // A dense list can never saturate: `DensePil::build` already
-            // proved the *total* count sum fits in u64, and every window
-            // is a sub-sum of it — `sat[j]` stays false, matching what
-            // the sparse walk would have reported.
-            let dense = repr.get(members[s + j]).expect("decided dense");
-            bufs.outs[j].clear();
-            kernel::join_dense_kernel(kern, a, dense, gap, &mut bufs.outs[j], &mut st.jc);
-        }
-        if !bufs.sparse_pos.is_empty() {
-            let k = bufs.sparse_pos.len();
-            partners.clear();
-            partners.extend(bufs.sparse_pos.iter().map(|&j| set.entries(members[s + j])));
-            if bufs.souts.len() < k {
-                bufs.souts.resize_with(k, Vec::new);
-            }
-            join_multi_into(
-                a,
-                &partners,
-                gap,
-                &mut bufs.souts[..k],
-                &mut bufs.scratch,
-                &mut st.jc,
-            );
-            for (k2, &j) in bufs.sparse_pos.iter().enumerate() {
-                std::mem::swap(&mut bufs.outs[j], &mut bufs.souts[k2]);
-                bufs.sat[j] = bufs.scratch.saturated[k2];
-            }
-        }
+        partners.clear();
+        partners.extend(members[s..e].iter().map(|&m| set.entries(m)));
+        join_multi_into(
+            set.entries(i),
+            &partners,
+            gap,
+            &mut bufs.outs[..cnt],
+            &mut bufs.scratch,
+            &mut st.jc,
+        );
         st.batches += 1;
         st.batch_candidates += cnt as u64;
         for (j, &m) in members[s..e].iter().enumerate() {
             st.evaluated += 1;
-            st.saturated |= bufs.sat[j];
+            st.saturated |= bufs.scratch.saturated[j];
             let entries = &bufs.outs[j];
             let sup: u128 = entries.iter().map(|&(_, c)| c as u128).sum();
             let mut admitted_exact = row.exact.admits_u128(sup);
@@ -477,12 +420,6 @@ struct DfsJob {
     /// The `base_level + 1` bound row, built once on the main thread so
     /// chunk tasks skip per-task bound construction.
     first_row: BoundRow,
-    /// Per-list representation policy; each task builds its own
-    /// [`ReprCache`] (dense lists are reused across the left parents of
-    /// one task, never shared between threads).
-    repr: ReprPolicy,
-    /// Compute kernel for the dense probes inside every task.
-    kern: ResolvedKernel,
     /// Present when the base generation was spilled: the backend plus
     /// the once-only claim guard for each record.
     spill: Option<SpillState>,
@@ -531,7 +468,6 @@ impl DfsJob {
     fn process_chunk(&self, lo: usize, hi: usize) -> Result<TaskOut, MineError> {
         let started = Instant::now();
         let mut next = PilSet::new(self.base_level + 1);
-        let mut repr = ReprCache::with_kernel(self.repr, self.kern, Some(self.gap));
         let mut bufs = EagerBufs::default();
         let mut frequent: Vec<FrequentPattern> = Vec::new();
         let st = eager_generate(
@@ -541,10 +477,8 @@ impl DfsJob {
             lo,
             hi,
             self.gap,
-            self.kern,
             &self.first_row,
             &mut next,
-            &mut repr,
             &mut bufs,
             &mut frequent,
             &self.pruner,
@@ -582,8 +516,6 @@ impl DfsJob {
             counts: &counts,
             bounds: BoundTable::new(&counts, &self.rho, self.n),
             gauge: MemGauge::new(&self.live, &self.peak, self.limit),
-            repr: ReprCache::with_kernel(self.repr, self.kern, Some(self.gap)),
-            kern: self.kern,
             bufs: EagerBufs::default(),
             aggs: BTreeMap::new(),
             frequent: Vec::new(),
@@ -666,8 +598,6 @@ impl DfsJob {
             counts: &counts,
             bounds: BoundTable::new(&counts, &self.rho, self.n),
             gauge: MemGauge::new(&self.live, &self.peak, self.limit),
-            repr: ReprCache::with_kernel(self.repr, self.kern, Some(self.gap)),
-            kern: self.kern,
             bufs: EagerBufs::default(),
             aggs: BTreeMap::new(),
             frequent: Vec::new(),
@@ -740,8 +670,6 @@ struct TaskCtx<'a> {
     counts: &'a OffsetCounts,
     bounds: BoundTable<'a>,
     gauge: MemGauge<'a>,
-    repr: ReprCache,
-    kern: ResolvedKernel,
     bufs: EagerBufs,
     aggs: BTreeMap<usize, LevelAgg>,
     frequent: Vec<FrequentPattern>,
@@ -789,10 +717,8 @@ fn descend_split(
         0,
         members.len(),
         ctx.gap,
-        ctx.kern,
         &row,
         &mut next,
-        &mut ctx.repr,
         &mut ctx.bufs,
         &mut ctx.frequent,
         &ctx.pruner,
@@ -863,10 +789,8 @@ fn mine_chain(
             0,
             members.len(),
             ctx.gap,
-            ctx.kern,
             &row,
             &mut next,
-            &mut ctx.repr,
             &mut ctx.bufs,
             &mut ctx.frequent,
             &ctx.pruner,
@@ -919,7 +843,6 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     rho: &BigRatio,
     n: usize,
     config: &MppConfig,
-    kern: ResolvedKernel,
     seed: PilSet,
     threads: usize,
     hooks: PoolHooks,
@@ -1012,7 +935,6 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             },
         );
 
-        let mut repr_cache = ReprCache::with_kernel(config.pil_repr, kern, Some(gap));
         let mut bufs = EagerBufs::default();
         let mut level = start;
         loop {
@@ -1117,8 +1039,6 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                     live: Arc::clone(&live),
                     peak: Arc::clone(&peak_shared),
                     first_row,
-                    repr: config.pil_repr,
-                    kern,
                     spill: spill_state,
                     cursor: AtomicUsize::new(0),
                     hooks,
@@ -1214,8 +1134,6 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                         live: Arc::clone(&live),
                         peak: Arc::clone(&peak_shared),
                         first_row,
-                        repr: config.pil_repr,
-                        kern,
                         spill: None,
                         cursor: AtomicUsize::new(0),
                         hooks,
@@ -1252,10 +1170,8 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                         0,
                         kept.len(),
                         gap,
-                        kern,
                         &first_row,
                         &mut next,
-                        &mut repr_cache,
                         &mut bufs,
                         &mut frequent,
                         &pruner,
@@ -1441,25 +1357,6 @@ mod tests {
     }
 
     #[test]
-    fn dfs_mining_is_representation_invariant() {
-        use crate::adaptive::{PilRepr, ReprPolicy};
-        let seq = uniform(&mut StdRng::seed_from_u64(95), Alphabet::Dna, 400);
-        let g = gap(1, 3);
-        let rho = 0.0008;
-        let base = mpp_dfs(&seq, g, rho, 12, MppConfig::default(), 1).unwrap();
-        for mode in [PilRepr::Sparse, PilRepr::Dense, PilRepr::Auto] {
-            let config = MppConfig {
-                pil_repr: ReprPolicy::of(mode),
-                ..MppConfig::default()
-            };
-            for threads in [1usize, 4] {
-                let run = mpp_dfs(&seq, g, rho, 12, config.clone(), threads).unwrap();
-                assert_counters_match(&run, &base, &format!("{mode} on {threads} threads"));
-            }
-        }
-    }
-
-    #[test]
     fn dfs_peak_no_higher_than_bfs_peak() {
         let seq = uniform(&mut StdRng::seed_from_u64(41), Alphabet::Dna, 2_000);
         let g = gap(0, 3);
@@ -1522,14 +1419,13 @@ mod tests {
                 main_no_steal: true,
             };
             let result = prepare(&seq, g, 0.4, &config).and_then(|(counts, rho_exact)| {
-                let pils = build_seed(&seq, g, config.start_level, ResolvedKernel::Scalar);
+                let pils = build_seed(&seq, g, config.start_level);
                 run_hybrid(
                     &seq,
                     &counts,
                     &rho_exact,
                     20,
                     &config,
-                    ResolvedKernel::Scalar,
                     pils,
                     4,
                     hooks,

@@ -22,8 +22,8 @@
 //! `perigap-store`) holding:
 //!
 //! - the **key**: sequence FNV-1a hash and length, alphabet size, gap,
-//!   exact ρ bits, algorithm + engine, the `n`/`m` parameter, PIL
-//!   representation, kernel, prune flag, start/max level;
+//!   exact ρ bits, algorithm + engine, the `n`/`m` parameter, prune
+//!   flag, start/max level;
 //! - the **outcome**: every frequent pattern with its exact support and
 //!   the bit-exact ratio, in the engine's emission order, plus
 //!   `n_used`, `e_m` and the saturation flag;
@@ -71,9 +71,9 @@
 //! `tests/prop_incremental.rs` proves every path bit-identical to a
 //! cold mine.
 
+use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::Kernel;
 use crate::lambda::BoundTable;
 use crate::mpp::MppConfig;
 use crate::pattern::Pattern;
@@ -83,16 +83,18 @@ use crate::trace::{
     CompleteEvent, DiffEvent, EmEvent, LevelEvent, MineObserver, SeedEvent, SpillEvent,
     SubtreeEvent, WarningEvent,
 };
-use crate::{counts::OffsetCounts, PilRepr};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 const MAGIC: &[u8; 4] = b"PGST";
-const VERSION: u32 = 1;
+/// Bumped whenever the record layout changes: a record of any other
+/// version fails to load as [`MineError::CacheIo`] and is re-mined cold.
+const VERSION: u32 = 2;
 
 /// Wire tag of a result-cache record (`perigap-store` re-exports the
 /// same value as `TAG_RESULT_CACHE`; sequence packs use 1, outcome
@@ -307,10 +309,6 @@ pub struct CacheKey {
     pub engine: u8,
     /// `n` (MPP) or `m` (MPPm).
     pub param: u64,
-    /// [`PilRepr`] as 0 = auto, 1 = sparse, 2 = dense.
-    pub pil_repr: u8,
-    /// [`Kernel`] as 0 = auto, 1 = scalar, 2 = simd.
-    pub kernel: u8,
     /// Always 0: pruned (top-k / targeted) mines are never cached.
     pub prune: u8,
     /// `MppConfig::start_level`.
@@ -373,8 +371,6 @@ fn encode_cache(cache: &ResultCache) -> Vec<u8> {
     out.push(k.algorithm);
     out.push(k.engine);
     out.extend_from_slice(&k.param.to_le_bytes());
-    out.push(k.pil_repr);
-    out.push(k.kernel);
     out.push(k.prune);
     out.extend_from_slice(&(k.start_level as u32).to_le_bytes());
     let max_level = k.max_level.map(|l| l as u64).unwrap_or(u64::MAX);
@@ -461,14 +457,6 @@ fn decode_cache(bytes: &[u8]) -> Result<ResultCache, MineError> {
         return Err(cache_err(format!("unknown engine id {engine}")));
     }
     let param = t.u64()?;
-    let pil_repr = t.u8()?;
-    if pil_repr > 2 {
-        return Err(cache_err(format!("unknown pil-repr id {pil_repr}")));
-    }
-    let kernel = t.u8()?;
-    if kernel > 2 {
-        return Err(cache_err(format!("unknown kernel id {kernel}")));
-    }
     let prune = t.u8()?;
     if prune != 0 {
         return Err(cache_err(format!("unknown prune flag {prune}")));
@@ -585,8 +573,6 @@ fn decode_cache(bytes: &[u8]) -> Result<ResultCache, MineError> {
             algorithm,
             engine,
             param,
-            pil_repr,
-            kernel,
             prune,
             start_level,
             max_level,
@@ -624,8 +610,16 @@ pub fn write_result_cache(path: &Path, cache: &ResultCache) -> Result<(), MineEr
     let stem = path
         .file_name()
         .ok_or_else(|| cache_err(format!("{} has no file name", path.display())))?;
-    let unique = std::process::id();
-    let tmp_name = format!("{}.{unique:08x}.tmp", stem.to_string_lossy());
+    // Unique per call, not just per process: concurrent writers in one
+    // process (e.g. two serve queries on one cache path) must not share
+    // a tmp file.
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp_name = format!(
+        "{}.{:08x}.{seq}.tmp",
+        stem.to_string_lossy(),
+        std::process::id()
+    );
     let tmp = match dir {
         Some(d) => d.join(&tmp_name),
         None => std::path::PathBuf::from(&tmp_name),
@@ -646,22 +640,6 @@ pub fn write_result_cache(path: &Path, cache: &ResultCache) -> Result<(), MineEr
 // Key construction and checking.
 // ---------------------------------------------------------------------
 
-fn pil_repr_id(mode: PilRepr) -> u8 {
-    match mode {
-        PilRepr::Auto => 0,
-        PilRepr::Sparse => 1,
-        PilRepr::Dense => 2,
-    }
-}
-
-fn kernel_id(kernel: Kernel) -> u8 {
-    match kernel {
-        Kernel::Auto => 0,
-        Kernel::Scalar => 1,
-        Kernel::Simd => 2,
-    }
-}
-
 fn request_key(
     seq: &Sequence,
     gap: GapRequirement,
@@ -678,8 +656,6 @@ fn request_key(
         algorithm: engine.algorithm_id(),
         engine: engine.engine_id(),
         param: engine.param() as u64,
-        pil_repr: pil_repr_id(config.pil_repr.mode),
-        kernel: kernel_id(config.kernel),
         prune: 0,
         start_level: config.start_level,
         max_level: config.max_level,
@@ -727,12 +703,6 @@ fn check_key(cached: &CacheKey, requested: &CacheKey, seq: &Sequence) -> Result<
     }
     if cached.param != requested.param {
         return Err(mismatch("engine parameter", cached.param, requested.param));
-    }
-    if cached.pil_repr != requested.pil_repr {
-        return Err(mismatch("pil-repr", cached.pil_repr, requested.pil_repr));
-    }
-    if cached.kernel != requested.kernel {
-        return Err(mismatch("kernel", cached.kernel, requested.kernel));
     }
     if cached.start_level != requested.start_level {
         return Err(mismatch(
@@ -1329,9 +1299,6 @@ impl<O: MineObserver> MineObserver for DeferComplete<'_, O> {
     fn on_em(&mut self, event: &EmEvent) {
         self.inner.on_em(event);
     }
-    fn on_repr(&mut self, event: &crate::trace::ReprEvent) {
-        self.inner.on_repr(event);
-    }
     fn on_spill(&mut self, event: &SpillEvent) {
         self.inner.on_spill(event);
     }
@@ -1922,8 +1889,6 @@ mod tests {
                 algorithm: 1,
                 engine: 1,
                 param: 5,
-                pil_repr: 2,
-                kernel: 1,
                 prune: 0,
                 start_level: 3,
                 max_level: Some(9),
@@ -2128,34 +2093,6 @@ mod tests {
             Some(MineError::CacheMismatch { field, .. }) => {
                 assert_eq!(field, "sequence length");
             }
-            other => panic!("expected CacheMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn append_of_length_zero_vs_pil_repr_change_is_keyed() {
-        let gap = GapRequirement::new(0, 0).unwrap();
-        let path = tmp_path("keyed");
-        let seq = dna(&"ACGTT".repeat(100));
-        run(&seq, gap, 0.01, 5, &path);
-        let config = MppConfig {
-            pil_repr: crate::adaptive::ReprPolicy::of(PilRepr::Dense),
-            ..MppConfig::default()
-        };
-        let second = mine_incremental(
-            &seq,
-            gap,
-            0.01,
-            &EngineSelection::MppBfs { n: 5 },
-            &config,
-            1,
-            &path,
-            &mut NoopObserver,
-        )
-        .unwrap();
-        assert_eq!(second.mode, IncrementalMode::Cold);
-        match second.cache_fault {
-            Some(MineError::CacheMismatch { field, .. }) => assert_eq!(field, "pil-repr"),
             other => panic!("expected CacheMismatch, got {other:?}"),
         }
     }

@@ -48,7 +48,6 @@ pub mod enumerate;
 pub mod error;
 pub mod gap;
 pub mod incremental;
-pub mod kernel;
 pub mod lambda;
 pub mod mpp;
 pub mod mppm;
@@ -68,7 +67,6 @@ pub mod trace;
 pub mod verify;
 pub mod windowed;
 
-pub use adaptive::{repr_stats, PilRepr, ReprPolicy, ReprStats};
 pub use corpus::{
     mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, CorpusOutcome, ShardEngine,
 };
@@ -80,8 +78,7 @@ pub use incremental::{
     CachedPattern, DiffEntry, DiffKind, DiffStats, EngineSelection, IncrementalMode,
     IncrementalOutcome, ResultCache,
 };
-pub use kernel::{Kernel, ResolvedKernel};
 pub use pattern::Pattern;
-pub use pil::{DensePil, JoinCounters, Pil};
+pub use pil::{JoinCounters, Pil};
 pub use prune::{select_top_k, PruneMode, TargetSpec};
 pub use result::{CorpusStats, FrequentPattern, MineOutcome, MineStats};

@@ -7,12 +7,10 @@
 //! shared with [`crate::mppm`], which differs only in how `n` is
 //! chosen.
 
-use crate::adaptive::{ReprCache, ReprPolicy};
 use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::{Kernel, ResolvedKernel};
 use crate::lambda::BoundTable;
 use crate::pattern::Pattern;
 use crate::pil::JoinCounters;
@@ -41,17 +39,6 @@ pub struct MppConfig {
     /// unlimited. The hybrid DFS engine can finish under the ceiling
     /// anyway by spilling cold subtrees — see [`MppConfig::spill_dir`].
     pub max_arena_bytes: Option<usize>,
-    /// Per-suffix PIL representation policy for the join kernels
-    /// (sparse sliding-window merge vs dense prefix-sum probe) — a pure
-    /// performance knob; mined output and `MineStats` are bit-identical
-    /// under every setting. See [`crate::adaptive::ReprPolicy`].
-    pub pil_repr: ReprPolicy,
-    /// Compute-kernel selection for the dense window probe and the
-    /// level-3 seeding scan (scalar vs AVX2 SIMD). Like
-    /// [`MppConfig::pil_repr`] this is a pure performance knob: mined
-    /// output, saturation flags and `MineStats` are bit-identical under
-    /// every setting. See [`crate::kernel`].
-    pub kernel: Kernel,
     /// Directory for DFS spill records (see [`crate::spill`]). `Some`
     /// arms spill-to-disk on the hybrid engine when `max_arena_bytes`
     /// is also set; the breadth-first engines ignore it and keep the
@@ -79,8 +66,6 @@ impl Default for MppConfig {
             start_level: 3,
             max_level: None,
             max_arena_bytes: None,
-            pil_repr: ReprPolicy::default(),
-            kernel: Kernel::default(),
             spill_dir: None,
             spill_watermark: 0.5,
             spill_io: None,
@@ -116,11 +101,9 @@ pub fn mpp_traced<O: MineObserver>(
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
     let started = Instant::now();
-    let repr_before = crate::adaptive::repr_stats();
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let kern = config.kernel.resolve();
     let seed_started = Instant::now();
-    let pils = build_seed(seq, gap, config.start_level, kern);
+    let pils = build_seed(seq, gap, config.start_level);
     observer.on_seed(&SeedEvent {
         level: config.start_level,
         patterns: pils.len(),
@@ -128,28 +111,18 @@ pub fn mpp_traced<O: MineObserver>(
         arena_bytes: pils.arena_bytes(),
         elapsed: seed_started.elapsed(),
     });
-    let (mut outcome, peak) = match run_levelwise(
-        seq, &counts, &rho_exact, n, &config, kern, pils, None, observer,
-    ) {
-        Ok(done) => done,
-        Err(e) => {
-            observer.on_abort(&AbortEvent {
-                message: e.to_string(),
-            });
-            return Err(e);
-        }
-    };
+    let (mut outcome, peak) =
+        match run_levelwise(seq, &counts, &rho_exact, n, &config, pils, None, observer) {
+            Ok(done) => done,
+            Err(e) => {
+                observer.on_abort(&AbortEvent {
+                    message: e.to_string(),
+                });
+                return Err(e);
+            }
+        };
     outcome.stats.total_elapsed = started.elapsed();
-    observer.on_repr(
-        &crate::adaptive::repr_stats()
-            .since(repr_before)
-            .to_event(config.pil_repr.mode),
-    );
-    observer.on_complete(
-        &CompleteEvent::from_outcome(&outcome)
-            .with_peak_arena_bytes(peak)
-            .with_kernel(kern),
-    );
+    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
     Ok(outcome)
 }
 
@@ -213,7 +186,6 @@ pub(crate) fn run_levelwise<O: MineObserver>(
     rho: &BigRatio,
     n: usize,
     config: &MppConfig,
-    kern: ResolvedKernel,
     seed: PilSet,
     mut stats_seed: Option<MineStats>,
     observer: &mut O,
@@ -237,9 +209,6 @@ pub(crate) fn run_levelwise<O: MineObserver>(
     // One reused output set: the join fan-out writes into buffers that
     // survive across levels.
     let mut next = PilSet::new(start + 1);
-    // One reused representation cache: per-suffix dense builds live
-    // only for the level that decided them.
-    let mut repr = ReprCache::with_kernel(config.pil_repr, kern, Some(gap));
     let mut kept: Vec<usize> = Vec::new();
     let mut level = start;
     let mut candidates_at_level: u128 = sigma.saturating_pow(start as u32);
@@ -326,7 +295,6 @@ pub(crate) fn run_levelwise<O: MineObserver>(
         let join_started = Instant::now();
         let runs = prefix_runs(&current, &kept);
         next.reset(level + 1);
-        repr.begin(current.len());
         let mut jc = JoinCounters::default();
         generate_candidates(
             &current,
@@ -336,8 +304,6 @@ pub(crate) fn run_levelwise<O: MineObserver>(
             0,
             kept.len(),
             &mut next,
-            &mut repr,
-            kern,
             &mut jc,
             &pruner,
         );
@@ -599,37 +565,6 @@ mod tests {
         let capped = mpp(&s, g, 0.0005, 10, roomy).unwrap();
         let free = mpp(&s, g, 0.0005, 10, MppConfig::default()).unwrap();
         assert_eq!(capped.frequent, free.frequent);
-    }
-
-    #[test]
-    fn mining_is_representation_invariant() {
-        use crate::adaptive::{PilRepr, ReprPolicy};
-        let s = uniform(&mut StdRng::seed_from_u64(18), Alphabet::Dna, 300);
-        let g = gap(0, 3);
-        let rho = 0.0008;
-        let base_cfg = MppConfig {
-            pil_repr: ReprPolicy::of(PilRepr::Sparse),
-            ..MppConfig::default()
-        };
-        let base = mpp(&s, g, rho, 12, base_cfg).unwrap();
-        for mode in [PilRepr::Dense, PilRepr::Auto] {
-            let cfg = MppConfig {
-                pil_repr: ReprPolicy::of(mode),
-                ..MppConfig::default()
-            };
-            let out = mpp(&s, g, rho, 12, cfg).unwrap();
-            assert_eq!(base.frequent, out.frequent, "mode {mode}");
-            assert_eq!(base.stats.n_used, out.stats.n_used);
-            assert_eq!(base.stats.support_saturated, out.stats.support_saturated);
-            assert_eq!(base.stats.levels.len(), out.stats.levels.len());
-            for (a, b) in base.stats.levels.iter().zip(&out.stats.levels) {
-                assert_eq!(
-                    (a.level, a.candidates, a.frequent, a.extended),
-                    (b.level, b.candidates, b.frequent, b.extended),
-                    "mode {mode}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::counts::OffsetCounts;
 use crate::em::compute_em;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::ResolvedKernel;
 use crate::lambda::PruneBound;
 use crate::mpp::{prepare, run_levelwise, MppConfig};
 use crate::parallel::PoolHooks;
@@ -59,7 +58,6 @@ struct MppmPrelude {
     counts: OffsetCounts,
     rho_exact: BigRatio,
     n: usize,
-    kern: ResolvedKernel,
     pils: PilSet,
     stats_seed: MineStats,
 }
@@ -93,9 +91,8 @@ fn mppm_prelude<O: MineObserver>(
 
     // Phase 2: seed-level supports.
     let start = config.start_level;
-    let kern = config.kernel.resolve();
     let seed_started = Instant::now();
-    let pils = build_seed(seq, gap, start, kern);
+    let pils = build_seed(seq, gap, start);
     observer.on_seed(&SeedEvent {
         level: start,
         patterns: pils.len(),
@@ -130,7 +127,6 @@ fn mppm_prelude<O: MineObserver>(
         counts,
         rho_exact,
         n,
-        kern,
         pils,
         stats_seed,
     })
@@ -147,21 +143,18 @@ pub fn mppm_traced<O: MineObserver>(
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
     let started = Instant::now();
-    let repr_before = crate::adaptive::repr_stats();
     let p = mppm_prelude(seq, gap, rho, m, &config, observer)?;
-    let kern = p.kern;
     let run = run_levelwise(
         seq,
         &p.counts,
         &p.rho_exact,
         p.n,
         &config,
-        kern,
         p.pils,
         Some(p.stats_seed),
         observer,
     );
-    finish(run, started, repr_before, &config, kern, observer)
+    finish(run, started, observer)
 }
 
 /// [`mppm`] on the hybrid BFS→DFS engine: the same `n` estimate and
@@ -188,35 +181,28 @@ pub fn mppm_dfs_traced<O: MineObserver>(
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
     let started = Instant::now();
-    let repr_before = crate::adaptive::repr_stats();
     let p = mppm_prelude(seq, gap, rho, m, &config, observer)?;
-    let kern = p.kern;
     let run = crate::dfs::run_hybrid(
         seq,
         &p.counts,
         &p.rho_exact,
         p.n,
         &config,
-        kern,
         p.pils,
         threads,
         PoolHooks::default(),
         Some(p.stats_seed),
         observer,
     );
-    finish(run, started, repr_before, &config, kern, observer)
+    finish(run, started, observer)
 }
 
 /// Shared MPPm tail: stamp the total wall time and emit the terminal
-/// trace events — the representation histogram delta since
-/// `repr_before` followed by [`CompleteEvent`] with the peak, or
-/// [`AbortEvent`] on error.
+/// trace event — [`CompleteEvent`] with the peak, or [`AbortEvent`] on
+/// error.
 fn finish<O: MineObserver>(
     run: Result<(MineOutcome, usize), MineError>,
     started: Instant,
-    repr_before: crate::adaptive::ReprStats,
-    config: &MppConfig,
-    kern: ResolvedKernel,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
     let (mut outcome, peak) = match run {
@@ -229,16 +215,7 @@ fn finish<O: MineObserver>(
         }
     };
     outcome.stats.total_elapsed = started.elapsed();
-    observer.on_repr(
-        &crate::adaptive::repr_stats()
-            .since(repr_before)
-            .to_event(config.pil_repr.mode),
-    );
-    observer.on_complete(
-        &CompleteEvent::from_outcome(&outcome)
-            .with_peak_arena_bytes(peak)
-            .with_kernel(kern),
-    );
+    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
     Ok(outcome)
 }
 

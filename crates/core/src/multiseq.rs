@@ -165,7 +165,6 @@ pub fn mine_collection_traced<O: MineObserver>(
             n_used: n,
             support_saturated: false,
             peak_arena_bytes: 0,
-            kernel: String::new(),
             top_k: None,
             floor_raises: 0,
             pruned_by_floor: 0,
@@ -358,7 +357,6 @@ pub fn mine_collection_traced<O: MineObserver>(
         n_used: n,
         support_saturated: false,
         peak_arena_bytes: 0,
-        kernel: String::new(),
         top_k: None,
         floor_raises: 0,
         pruned_by_floor: 0,

@@ -30,12 +30,10 @@
 //! (`JoinHandle::is_finished` during receive timeouts) covers the
 //! pathological case of a worker dying without managing to report.
 
-use crate::adaptive::{ReprCache, ReprPolicy};
 use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::kernel::ResolvedKernel;
 use crate::lambda::BoundTable;
 use crate::mpp::{check_ceiling, prepare, MppConfig};
 use crate::pattern::Pattern;
@@ -101,11 +99,9 @@ pub fn mpp_parallel_traced<O: MineObserver>(
 ) -> Result<MineOutcome, MineError> {
     assert!(threads >= 1, "need at least one thread");
     let started = Instant::now();
-    let repr_before = crate::adaptive::repr_stats();
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let kern = config.kernel.resolve();
     let seed_started = Instant::now();
-    let pils = build_seed(seq, gap, config.start_level, kern);
+    let pils = build_seed(seq, gap, config.start_level);
     observer.on_seed(&SeedEvent {
         level: config.start_level,
         patterns: pils.len(),
@@ -119,7 +115,6 @@ pub fn mpp_parallel_traced<O: MineObserver>(
         &rho_exact,
         n,
         &config,
-        kern,
         pils,
         threads,
         PoolHooks::default(),
@@ -135,16 +130,7 @@ pub fn mpp_parallel_traced<O: MineObserver>(
         }
     };
     outcome.stats.total_elapsed = started.elapsed();
-    observer.on_repr(
-        &crate::adaptive::repr_stats()
-            .since(repr_before)
-            .to_event(config.pil_repr.mode),
-    );
-    observer.on_complete(
-        &CompleteEvent::from_outcome(&outcome)
-            .with_peak_arena_bytes(peak)
-            .with_kernel(kern),
-    );
+    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
     Ok(outcome)
 }
 
@@ -230,11 +216,6 @@ struct LevelJob {
     n_chunks: usize,
     cursor: AtomicUsize,
     hooks: PoolHooks,
-    /// PIL representation policy; each chunk builds its own
-    /// [`ReprCache`] (suffix reuse amortizes within a chunk).
-    repr: ReprPolicy,
-    /// Compute kernel for the dense probe inside each chunk.
-    kern: ResolvedKernel,
     /// Shared pruning state; floor reads inside a chunk see raises from
     /// every other thread's already-merged levels.
     pruner: Pruner,
@@ -266,8 +247,6 @@ impl PoolJob for LevelJob {
         let lo = c * self.chunk;
         let hi = (lo + self.chunk).min(self.kept.len());
         let mut out = PilSet::new(self.next_level);
-        let mut repr = ReprCache::with_kernel(self.repr, self.kern, Some(self.gap));
-        repr.begin(self.set.len());
         let mut jc = JoinCounters::default();
         generate_candidates(
             &self.set,
@@ -277,8 +256,6 @@ impl PoolJob for LevelJob {
             lo,
             hi,
             &mut out,
-            &mut repr,
-            self.kern,
             &mut jc,
             &self.pruner,
         );
@@ -523,7 +500,6 @@ fn run_parallel<O: MineObserver>(
     rho: &perigap_math::BigRatio,
     n: usize,
     config: &MppConfig,
-    kern: ResolvedKernel,
     seed: PilSet,
     threads: usize,
     hooks: PoolHooks,
@@ -652,8 +628,6 @@ fn run_parallel<O: MineObserver>(
                     n_chunks,
                     cursor: AtomicUsize::new(0),
                     hooks,
-                    repr: config.pil_repr,
-                    kern,
                     pruner: pruner.clone(),
                 });
                 let (parts, pool_event) = pool.run(job)?;
@@ -667,8 +641,6 @@ fn run_parallel<O: MineObserver>(
             }
             _ => {
                 let mut out = PilSet::new(level + 1);
-                let mut repr = ReprCache::with_kernel(config.pil_repr, kern, Some(gap));
-                repr.begin(current.len());
                 generate_candidates(
                     &current,
                     &kept,
@@ -677,8 +649,6 @@ fn run_parallel<O: MineObserver>(
                     0,
                     kept.len(),
                     &mut out,
-                    &mut repr,
-                    kern,
                     &mut level_jc,
                     &pruner,
                 );
@@ -735,15 +705,13 @@ mod tests {
         hooks: PoolHooks,
     ) -> Result<MineOutcome, MineError> {
         let (counts, rho_exact) = prepare(seq, g, rho, &config)?;
-        let kern = config.kernel.resolve();
-        let pils = build_seed(seq, g, config.start_level, kern);
+        let pils = build_seed(seq, g, config.start_level);
         run_parallel(
             seq,
             &counts,
             &rho_exact,
             n,
             &config,
-            kern,
             pils,
             threads,
             hooks,

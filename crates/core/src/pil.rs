@@ -26,24 +26,6 @@
 //! the two lists under the gap window (at most one entry per prefix
 //! offset, and none for prefix offsets whose window cannot reach the
 //! suffix range).
-//!
-//! ## Two layouts
-//!
-//! Occurrence lists come in two physical representations:
-//!
-//! * **sparse** — the sorted `(offset, count)` pairs of [`Pil`], joined
-//!   by the sliding-window merge in [`join_into`] /
-//!   [`join_multi_into`]: `O(|A| + |B|)` with two monotone cursors.
-//! * **dense** — [`DensePil`], an exclusive prefix-sum array over the
-//!   occupied offset span, joined by [`join_dense_into`]: one O(1)
-//!   subtraction per prefix offset, `O(|A|)` regardless of `|B|` or the
-//!   window width, at the cost of `span + 1` words of memory and an
-//!   `O(span)` build.
-//!
-//! The dense build amortizes across every prefix sharing the suffix
-//! (the run-local fan-out of candidate generation), which is why the
-//! engines cache it per suffix — see [`crate::adaptive::ReprCache`] for
-//! the occupancy-based policy that picks a side per list.
 
 use crate::gap::GapRequirement;
 use crate::pattern::Pattern;
@@ -62,10 +44,7 @@ use std::collections::HashMap;
 ///   partner for the batched kernel).
 /// - `probed` — probe positions scanned: left offsets examined after
 ///   overlap clipping (× partners for the batched kernel) plus suffix
-///   entries absorbed into sliding windows. The dense and SIMD probe
-///   kernels count the same clipped left offsets, so the counter is
-///   kernel-invariant for a fixed representation; sparse and dense
-///   counts differ by construction.
+///   entries absorbed into sliding windows.
 /// - `reallocs` — output-buffer growth events observed across a kernel
 ///   call (a lower bound on the allocator's actual reallocations).
 /// - `bytes_moved` — bytes of live buffer content at each observed
@@ -234,33 +213,6 @@ impl Pil {
         (Pil { entries: out }, saturated)
     }
 
-    /// [`Pil::join_checked`] evaluated through the dense prefix-sum
-    /// kernel ([`DensePil`] + [`join_dense_into`]). Falls back to the
-    /// sparse kernel when the suffix cannot be densified (empty list, or
-    /// total count overflowing `u64` — the only configurations where the
-    /// sparse kernel can saturate), so the result is bit-identical to
-    /// `join_checked` in every case, saturation flag included.
-    pub fn join_dense(prefix: &Pil, suffix: &Pil, gap: GapRequirement) -> (Pil, bool) {
-        if prefix.is_empty() || suffix.is_empty() {
-            return (Pil::new(), false);
-        }
-        match DensePil::build(&suffix.entries) {
-            Some(dense) => {
-                let mut out =
-                    Vec::with_capacity(overlap_reserve(&prefix.entries, &suffix.entries, gap));
-                join_dense_into(
-                    &prefix.entries,
-                    &dense,
-                    gap,
-                    &mut out,
-                    &mut JoinCounters::default(),
-                );
-                (Pil { entries: out }, false)
-            }
-            None => Pil::join_checked(prefix, suffix, gap),
-        }
-    }
-
     /// Build `PIL(P)` for every length-`level` pattern that occurs in
     /// `seq` at all, by a single scan with `level − 1` nested gap steps
     /// (`O(L · W^(level−1))` work). Patterns with empty PILs are absent
@@ -272,8 +224,7 @@ impl Pil {
     /// # Panics
     /// Panics if `level == 0`.
     pub fn build_all(seq: &Sequence, gap: GapRequirement, level: usize) -> HashMap<Pattern, Pil> {
-        crate::arena::build_seed(seq, gap, level, crate::kernel::Kernel::Auto.resolve())
-            .into_pil_map()
+        crate::arena::build_seed(seq, gap, level).into_pil_map()
     }
 }
 
@@ -285,7 +236,7 @@ impl Pil {
 /// contributing side instead of the whole prefix list) and every
 /// reserve derives from its length.
 #[inline]
-pub(crate) fn overlap_range(
+fn overlap_range(
     a: &[(u32, u64)],
     b_first: u64,
     b_last: u64,
@@ -305,169 +256,6 @@ pub(crate) fn overlap_range(
 fn overlap_reserve(a: &[(u32, u64)], b: &[(u32, u64)], gap: GapRequirement) -> usize {
     let (from, to) = overlap_range(a, b[0].0 as u64, b[b.len() - 1].0 as u64, gap);
     to - from
-}
-
-/// The dense PIL layout: per-offset counts over the occupied offset
-/// span, stored as an exclusive prefix-sum array so any gap window
-/// collapses to one subtraction.
-///
-/// `psum[i]` holds the total count at offsets below `base + i`
-/// (`psum.len() == span + 1`), so the window sum over offset positions
-/// `[p, q)` is `psum[q − base] − psum[p − base]` once both positions
-/// are clamped into `[base, base + span]`.
-///
-/// Construction fails when the total count does not fit in `u64`.
-/// Every gap window is a sub-range of the total, so a buildable dense
-/// list can never overflow a window sum — which is exactly what keeps
-/// the dense kernel bit-identical to the sparse one: whenever the
-/// sparse kernel could saturate, `build` returns `None` and the caller
-/// stays on the sparse path with its exact saturation tracking.
-#[derive(Clone, Debug)]
-pub struct DensePil {
-    /// First occupied offset.
-    base: u64,
-    /// Exclusive prefix sums over the span; `len == span + 1`.
-    psum: Vec<u64>,
-    /// Optional windowed sums for the SIMD probe kernel:
-    /// `wsum[i] = psum[min(i + width, span)] − psum[i]`, so an interior
-    /// probe is a single load instead of two. Built only on request
-    /// ([`DensePil::build_windowed`]) because it doubles the memory and
-    /// is specific to one gap width.
-    wsum: Option<(u64, Vec<u64>)>,
-}
-
-impl DensePil {
-    /// Build from sparse entries (strictly ascending offsets). Returns
-    /// `None` for an empty list or when the total count overflows
-    /// `u64`.
-    pub fn build(entries: &[(u32, u64)]) -> Option<DensePil> {
-        let (&(first, _), &(last, _)) = (entries.first()?, entries.last()?);
-        let base = first as u64;
-        let span = (last as u64 - base) as usize + 1;
-        let mut psum = vec![0u64; span + 1];
-        for &(x, y) in entries {
-            psum[(x as u64 - base) as usize + 1] = y;
-        }
-        let mut acc: u64 = 0;
-        for slot in psum.iter_mut() {
-            acc = acc.checked_add(*slot)?;
-            *slot = acc;
-        }
-        Some(DensePil {
-            base,
-            psum,
-            wsum: None,
-        })
-    }
-
-    /// [`DensePil::build`] plus the windowed-sum array for `gap`'s
-    /// window width, enabling the single-load SIMD probe. Same `None`
-    /// conditions as `build`.
-    pub fn build_windowed(entries: &[(u32, u64)], gap: GapRequirement) -> Option<DensePil> {
-        let mut dense = DensePil::build(entries)?;
-        let span = dense.span();
-        let width = (gap.max_step() - gap.min_step() + 1) as u64;
-        let psum = &dense.psum;
-        let wsum = (0..=span)
-            .map(|i| psum[(i + width as usize).min(span)] - psum[i])
-            .collect();
-        dense.wsum = Some((width, wsum));
-        Some(dense)
-    }
-
-    /// Occupied offset span (number of dense slots).
-    pub fn span(&self) -> usize {
-        self.psum.len() - 1
-    }
-
-    /// Heap bytes held by the prefix-sum (and any windowed-sum) array.
-    pub fn bytes(&self) -> usize {
-        let wsum = match &self.wsum {
-            Some((_, w)) => w.len(),
-            None => 0,
-        };
-        (self.psum.len() + wsum) * std::mem::size_of::<u64>()
-    }
-
-    /// First occupied offset (the dense array's origin).
-    pub(crate) fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// The exclusive prefix sums (`len == span + 1`).
-    pub(crate) fn psum(&self) -> &[u64] {
-        &self.psum
-    }
-
-    /// The windowed sums, if built, with the window width they encode.
-    pub(crate) fn wsum(&self) -> Option<(u64, &[u64])> {
-        self.wsum.as_ref().map(|(w, v)| (*w, v.as_slice()))
-    }
-}
-
-/// The prefix-sum window probe: for each prefix offset `x` the count is
-/// `psum[hi(x)] − psum[lo(x)]` with `[lo, hi)` the gap window clamped
-/// into the suffix's occupied span — an O(1) probe per offset replacing
-/// the sliding-window merge. Appends to `out` exactly like
-/// [`join_into`] and never saturates (see [`DensePil::build`]).
-///
-/// The left scan is clipped to the overlap run (see [`overlap_range`])
-/// and the output reserve is the run's length, not the whole prefix —
-/// offsets outside the run probe a zero-width window, so skipping them
-/// changes nothing but the work done. The probe arithmetic runs over
-/// exact-width chunks (`chunks_exact` into a fixed-size lane buffer) so
-/// LLVM vectorizes the clamp/subtract sequence; output compaction is
-/// branch-free — unconditional write, conditional index advance — then
-/// one truncate.
-pub fn join_dense_into(
-    a: &[(u32, u64)],
-    b: &DensePil,
-    gap: GapRequirement,
-    out: &mut Vec<(u32, u64)>,
-    counters: &mut JoinCounters,
-) {
-    const LANES: usize = 8;
-    counters.joins += 1;
-    let end = b.base + b.span() as u64;
-    // `end` is one past the last occupied offset (it indexes psum);
-    // the overlap clip wants the occupied range itself.
-    let (from, to) = overlap_range(a, b.base, end - 1, gap);
-    let a = &a[from..to];
-    if a.is_empty() {
-        return;
-    }
-    counters.probed += a.len() as u64;
-    let min_step = gap.min_step() as u64;
-    let max_step = gap.max_step() as u64;
-    let base = b.base;
-    let psum = b.psum.as_slice();
-    let start = out.len();
-    let cap_before = out.capacity();
-    out.resize(start + a.len(), (0, 0));
-    let dst = &mut out[start..];
-    let mut k = 0usize;
-    let mut sums = [0u64; LANES];
-    let mut chunks = a.chunks_exact(LANES);
-    for chunk in chunks.by_ref() {
-        for (s, &(x, _)) in sums.iter_mut().zip(chunk) {
-            let lo = (x as u64 + min_step).clamp(base, end) - base;
-            let hi = (x as u64 + max_step + 1).clamp(base, end) - base;
-            *s = psum[hi as usize] - psum[lo as usize];
-        }
-        for (&(x, _), &w) in chunk.iter().zip(sums.iter()) {
-            dst[k] = (x, w);
-            k += (w > 0) as usize;
-        }
-    }
-    for &(x, _) in chunks.remainder() {
-        let lo = (x as u64 + min_step).clamp(base, end) - base;
-        let hi = (x as u64 + max_step + 1).clamp(base, end) - base;
-        let w = psum[hi as usize] - psum[lo as usize];
-        dst[k] = (x, w);
-        k += (w > 0) as usize;
-    }
-    out.truncate(start + k);
-    counters.note_growth(out, cap_before);
 }
 
 /// The sliding-window join core, appending to a caller-owned buffer so
@@ -886,110 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_build_and_probe_match_sparse_join() {
-        use perigap_seq::gen::iid::uniform;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let s = uniform(&mut StdRng::seed_from_u64(12), Alphabet::Dna, 500);
-        for (n, m) in [(0, 0), (1, 2), (2, 5), (0, 9), (7, 30)] {
-            let g = gap(n, m);
-            let level2 = Pil::build_all(&s, g, 2);
-            let mut pils: Vec<&Pil> = level2.values().collect();
-            pils.sort_by_key(|p| p.entries().first().copied());
-            for a in &pils {
-                for b in &pils {
-                    let sparse = Pil::join_checked(a, b, g);
-                    let dense = Pil::join_dense(a, b, g);
-                    assert_eq!(sparse, dense, "gap [{n}, {m}]");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dense_probe_handles_chunk_boundaries() {
-        // Left lengths straddling the 8-lane chunking: 7 (remainder
-        // only), 8 (one exact chunk), 9 (chunk + remainder).
-        let b = Pil::from_entries(vec![(5, 2), (7, 3), (12, 1)]);
-        let g = gap(0, 4);
-        for len in [1u32, 7, 8, 9, 16, 17] {
-            let a = Pil::from_entries((1..=len).map(|x| (x, 1u64)).collect());
-            assert_eq!(
-                Pil::join_dense(&a, &b, g),
-                Pil::join_checked(&a, &b, g),
-                "left length {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn dense_build_refuses_overflowing_totals() {
-        // Window sums can overflow u64 only when the total does; build
-        // must refuse so the caller stays on the saturation-exact
-        // sparse kernel.
-        let entries = vec![(3u32, u64::MAX), (4u32, 5u64)];
-        assert!(DensePil::build(&entries).is_none());
-        assert!(DensePil::build(&[]).is_none());
-        // join_dense therefore reproduces the sparse saturation corner
-        // bit-for-bit, flag included.
-        let a = Pil::from_entries(vec![(1, 1)]);
-        let b = Pil::from_entries(entries);
-        let g = gap(1, 5);
-        assert_eq!(Pil::join_dense(&a, &b, g), Pil::join_checked(&a, &b, g));
-        assert!(Pil::join_dense(&a, &b, g).1, "fallback keeps the flag");
-    }
-
-    #[test]
-    fn dense_probe_appends_like_join_into() {
-        // join_dense_into must append after existing content, matching
-        // the arena engine's contract with join_into.
-        let a: Vec<(u32, u64)> = vec![(1, 1), (4, 2)];
-        let b: Vec<(u32, u64)> = vec![(3, 5), (6, 7)];
-        let g = gap(1, 2);
-        let dense = DensePil::build(&b).unwrap();
-        assert_eq!(dense.span(), 4);
-        assert_eq!(dense.bytes(), 5 * 8);
-        let mut out = vec![(99, 99)];
-        join_dense_into(&a, &dense, g, &mut out, &mut JoinCounters::default());
-        let mut expect = vec![(99, 99)];
-        join_into(&a, &b, g, &mut expect, &mut JoinCounters::default());
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn dense_probe_reserve_uses_overlap_span() {
-        // The dense kernel used to resize the output to the whole
-        // prefix length; it must now reserve (and scan) only the
-        // overlap run. Disjoint ranges: no allocation at all.
-        let a: Vec<(u32, u64)> = (1000..1100).map(|x| (x, 1u64)).collect();
-        let b = vec![(1u32, 5u64), (2, 3)];
-        let dense = DensePil::build(&b).unwrap();
-        let g = gap(1, 3);
-        let mut out = Vec::new();
-        let mut jc = JoinCounters::default();
-        join_dense_into(&a, &dense, g, &mut out, &mut jc);
-        assert!(out.is_empty());
-        assert_eq!(out.capacity(), 0, "disjoint dense join over-allocated");
-        assert_eq!(jc.probed, 0, "no left offset can contribute");
-        // Partial overlap: capacity bounded by the contributing run,
-        // not the prefix length.
-        let wide: Vec<(u32, u64)> = (1..=100).map(|x| (x, 1u64)).collect();
-        let narrow = vec![(50u32, 1u64)];
-        let dense = DensePil::build(&narrow).unwrap();
-        let g = gap(0, 1);
-        let mut out = Vec::new();
-        let mut jc = JoinCounters::default();
-        join_dense_into(&wide, &dense, g, &mut out, &mut jc);
-        assert_eq!(out, vec![(48, 1), (49, 1)]);
-        assert!(
-            out.capacity() < wide.len(),
-            "dense reserve must beat the prefix-length bound"
-        );
-        assert_eq!(jc.probed, 2, "scan clipped to the overlap run");
-        assert_eq!(jc.joins, 1);
-    }
-
-    #[test]
     fn counters_track_joins_probes_and_growth() {
         let a: Vec<(u32, u64)> = (1..=64).map(|x| (x, 1u64)).collect();
         let b: Vec<(u32, u64)> = (1..=64).map(|x| (x, 2u64)).collect();
@@ -1014,26 +698,6 @@ mod tests {
         // absorb folds totals.
         jc.absorb(&jc2);
         assert_eq!(jc.joins, 2);
-    }
-
-    #[test]
-    fn windowed_build_matches_probe_layout() {
-        let entries: Vec<(u32, u64)> = vec![(5, 2), (7, 3), (12, 1), (20, 4)];
-        let g = gap(1, 4);
-        let plain = DensePil::build(&entries).unwrap();
-        let wide = DensePil::build_windowed(&entries, g).unwrap();
-        assert_eq!(plain.span(), wide.span());
-        assert_eq!(wide.bytes(), 2 * plain.bytes(), "wsum doubles the array");
-        let (width, wsum) = wide.wsum().unwrap();
-        assert_eq!(width, 4, "gap [1,4] admits 4 window positions");
-        let psum = wide.psum();
-        let span = wide.span();
-        for i in 0..=span {
-            assert_eq!(wsum[i], psum[(i + width as usize).min(span)] - psum[i]);
-        }
-        assert!(plain.wsum().is_none());
-        // The saturation refusal carries over.
-        assert!(DensePil::build_windowed(&[(1, u64::MAX), (2, 5)], g).is_none());
     }
 
     #[test]

@@ -390,12 +390,7 @@ mod tests {
 
     fn sample_set(saturated: bool) -> PilSet {
         let seq = Sequence::dna("ACGTTGCAACGTTACG").unwrap();
-        let mut set = build_seed(
-            &seq,
-            GapRequirement::new(1, 3).unwrap(),
-            3,
-            crate::kernel::ResolvedKernel::Scalar,
-        );
+        let mut set = build_seed(&seq, GapRequirement::new(1, 3).unwrap(), 3);
         set.set_saturated(saturated);
         set
     }

@@ -38,14 +38,13 @@
 //! | `pool` | `level`, `chunks`, `workers` (array of `{worker, chunks, candidates, busy_ms, idle_ms}`) |
 //! | `subtree` | `index`, `level`, `patterns`, `deepest`, `evaluated`, `frequent`, `peak_arena_bytes`, `batches`, `batch_candidates`, `elapsed_ms` |
 //! | `em` | `m`, `em`, `elapsed_ms` |
-//! | `repr` | `mode`, `dense`, `sparse`, `fallbacks` |
 //! | `spill` | `level`, `records`, `bytes`, `live_bytes`, `watermark_bytes`, `elapsed_ms` |
 //! | `restore` | `record`, `bytes`, `patterns`, `elapsed_ms` |
 //! | `warning` | `kind`, `message` |
 //! | `query` | `kind`, `ok`, `results`, `latency_ms` |
 //! | `diff` | `new`, `dropped`, `changed`, `unchanged` |
 //! | `abort` | `message` |
-//! | `summary` | `frequent`, `levels`, `total_candidates`, `n_used`, `support_saturated`, `peak_arena_bytes`, `kernel`, `total_ms` |
+//! | `summary` | `frequent`, `levels`, `total_candidates`, `n_used`, `support_saturated`, `peak_arena_bytes`, `total_ms` |
 //!
 //! `level` events appear in strictly increasing level order and the
 //! `summary` line is last; [`validate_trace`] checks both plus the
@@ -103,9 +102,9 @@ pub struct LevelEvent {
     /// Join-kernel invocations in the fan-out that generated this
     /// level's members (zero for the seed level, whose PILs come from
     /// the sequence scan). Physical diagnostics: `joins`, `probed`,
-    /// `reallocs` and `bytes_moved` vary with the representation,
-    /// kernel, and batching choices — unlike the candidate counters
-    /// they are *not* part of the engine-invariant `MineStats`.
+    /// `reallocs` and `bytes_moved` vary with the engine and its
+    /// batching — unlike the candidate counters they are *not* part of
+    /// the engine-invariant `MineStats`.
     pub joins: u64,
     /// Probe positions scanned across those joins (left offsets walked
     /// plus right entries absorbed by the sliding windows).
@@ -245,24 +244,6 @@ pub struct ShardEvent {
     pub elapsed: Duration,
 }
 
-/// Per-list PIL representation choices made during a run (the
-/// [`crate::adaptive::ReprCache`] histogram): how many suffix lists
-/// were materialised as dense prefix-sum arrays, how many stayed
-/// sparse, and how many dense candidates fell back to sparse because
-/// their total count sum would overflow `u64`. Purely informational —
-/// mined patterns and [`crate::MineStats`] are identical across modes.
-#[derive(Clone, Debug)]
-pub struct ReprEvent {
-    /// The configured [`crate::adaptive::PilRepr`] mode, rendered.
-    pub mode: String,
-    /// Lists joined through the dense prefix-sum kernel.
-    pub dense: u64,
-    /// Lists joined through the sparse sliding-window kernel.
-    pub sparse: u64,
-    /// Dense candidates refused by the overflow guard.
-    pub fallbacks: u64,
-}
-
 /// A mine cut short by an error after events were already emitted —
 /// e.g. [`crate::MineError::MemoryCeiling`]. Terminal: no `summary`
 /// follows.
@@ -336,9 +317,6 @@ pub struct CompleteEvent {
     /// Peak arena bytes observed across the run (0 when the engine
     /// predates the gauge).
     pub peak_arena_bytes: usize,
-    /// The resolved join-kernel name (`"scalar"` / `"simd"`; empty
-    /// when the engine predates kernel selection).
-    pub kernel: String,
     /// The `k` of a top-k run; `None` on full and targeted mines. When
     /// set, `frequent` is the truncated top-k count, smaller than the
     /// per-level totals (`trace-check` relaxes its sum check on this).
@@ -363,7 +341,6 @@ impl CompleteEvent {
             n_used: outcome.stats.n_used,
             support_saturated: outcome.stats.support_saturated,
             peak_arena_bytes: 0,
-            kernel: String::new(),
             top_k: outcome.stats.top_k,
             floor_raises: outcome.stats.floor_raises,
             pruned_by_floor: outcome.stats.pruned_by_floor,
@@ -375,12 +352,6 @@ impl CompleteEvent {
     /// Attach the engine's peak arena gauge reading.
     pub fn with_peak_arena_bytes(mut self, peak: usize) -> CompleteEvent {
         self.peak_arena_bytes = peak;
-        self
-    }
-
-    /// Attach the resolved join-kernel name the run executed with.
-    pub fn with_kernel(mut self, kernel: crate::kernel::ResolvedKernel) -> CompleteEvent {
-        self.kernel = kernel.name().to_string();
         self
     }
 }
@@ -399,9 +370,6 @@ pub trait MineObserver {
     fn on_subtree(&mut self, _event: &SubtreeEvent) {}
     /// MPPm computed `e_m`.
     fn on_em(&mut self, _event: &EmEvent) {}
-    /// The run's PIL representation histogram (emitted once, before
-    /// the completion event).
-    fn on_repr(&mut self, _event: &ReprEvent) {}
     /// Cold subtree arenas were spilled at the BFS→DFS handoff.
     fn on_spill(&mut self, _event: &SpillEvent) {}
     /// A spill record was restored and mined (hybrid engine only).
@@ -443,9 +411,6 @@ impl<O: MineObserver + ?Sized> MineObserver for &mut O {
     }
     fn on_em(&mut self, event: &EmEvent) {
         (**self).on_em(event);
-    }
-    fn on_repr(&mut self, event: &ReprEvent) {
-        (**self).on_repr(event);
     }
     fn on_spill(&mut self, event: &SpillEvent) {
         (**self).on_spill(event);
@@ -493,10 +458,6 @@ impl<A: MineObserver, B: MineObserver> MineObserver for (A, B) {
     fn on_em(&mut self, event: &EmEvent) {
         self.0.on_em(event);
         self.1.on_em(event);
-    }
-    fn on_repr(&mut self, event: &ReprEvent) {
-        self.0.on_repr(event);
-        self.1.on_repr(event);
     }
     fn on_spill(&mut self, event: &SpillEvent) {
         self.0.on_spill(event);
@@ -556,11 +517,6 @@ impl<O: MineObserver> MineObserver for Option<O> {
     fn on_em(&mut self, event: &EmEvent) {
         if let Some(o) = self {
             o.on_em(event);
-        }
-    }
-    fn on_repr(&mut self, event: &ReprEvent) {
-        if let Some(o) = self {
-            o.on_repr(event);
         }
     }
     fn on_spill(&mut self, event: &SpillEvent) {
@@ -739,16 +695,6 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
         ));
     }
 
-    fn on_repr(&mut self, e: &ReprEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"repr\", \"mode\": \"{}\", \"dense\": {}, \"sparse\": {}, \"fallbacks\": {}}}",
-            escape_json(&e.mode),
-            e.dense,
-            e.sparse,
-            e.fallbacks
-        ));
-    }
-
     fn on_spill(&mut self, e: &SpillEvent) {
         self.write_line(&format!(
             "{{\"event\": \"spill\", \"level\": {}, \"records\": {}, \"bytes\": {}, \"live_bytes\": {}, \"watermark_bytes\": {}, \"elapsed_ms\": {:.3}}}",
@@ -823,14 +769,13 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
             let _ = write!(prune, ", \"pruned_by_target\": {}", e.pruned_by_target);
         }
         self.write_line(&format!(
-            "{{\"event\": \"summary\", \"frequent\": {}, \"levels\": {}, \"total_candidates\": {}, \"n_used\": {}, \"support_saturated\": {}, \"peak_arena_bytes\": {}, \"kernel\": \"{}\"{}, \"total_ms\": {:.3}}}",
+            "{{\"event\": \"summary\", \"frequent\": {}, \"levels\": {}, \"total_candidates\": {}, \"n_used\": {}, \"support_saturated\": {}, \"peak_arena_bytes\": {}{}, \"total_ms\": {:.3}}}",
             e.frequent,
             e.levels,
             e.total_candidates,
             e.n_used,
             e.support_saturated,
             e.peak_arena_bytes,
-            escape_json(&e.kernel),
             prune,
             ms(e.total_elapsed)
         ));
@@ -851,8 +796,6 @@ pub struct MetricsObserver {
     pub subtrees: Vec<SubtreeEvent>,
     /// The `e_m` event, if the mine was MPPm.
     pub em: Option<EmEvent>,
-    /// The PIL representation histogram, if the engine emitted one.
-    pub repr: Option<ReprEvent>,
     /// Spill events in arrival order (at most one per handoff).
     pub spills: Vec<SpillEvent>,
     /// Restore events in record order.
@@ -977,13 +920,6 @@ impl MetricsObserver {
                 ms(s.elapsed)
             );
         }
-        if let Some(r) = &self.repr {
-            let _ = writeln!(
-                out,
-                "  pil repr ({}): {} dense | {} sparse | {} fallbacks",
-                r.mode, r.dense, r.sparse, r.fallbacks
-            );
-        }
         for s in &self.spills {
             let _ = writeln!(
                 out,
@@ -1042,20 +978,14 @@ impl MetricsObserver {
             let _ = writeln!(out, "  ABORTED: {}", a.message);
         }
         if let Some(c) = &self.complete {
-            let kernel = if c.kernel.is_empty() {
-                String::new()
-            } else {
-                format!(" | {} kernel", c.kernel)
-            };
             let _ = writeln!(
                 out,
-                "  total: {} frequent over {} levels | {} candidates | n = {} | peak {} arena bytes{} | {:.3} ms{}",
+                "  total: {} frequent over {} levels | {} candidates | n = {} | peak {} arena bytes | {:.3} ms{}",
                 c.frequent,
                 c.levels,
                 c.total_candidates,
                 c.n_used,
                 c.peak_arena_bytes,
-                kernel,
                 ms(c.total_elapsed),
                 if c.support_saturated {
                     " | SUPPORT SATURATED"
@@ -1094,9 +1024,6 @@ impl MineObserver for MetricsObserver {
     }
     fn on_em(&mut self, event: &EmEvent) {
         self.em = Some(event.clone());
-    }
-    fn on_repr(&mut self, event: &ReprEvent) {
-        self.repr = Some(event.clone());
     }
     fn on_spill(&mut self, event: &SpillEvent) {
         self.spills.push(event.clone());
@@ -1479,8 +1406,7 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
                     .and_then(Json::as_str)
                     .ok_or(format!("line {lineno}: warning event without message"))?;
             }
-            "seed" | "pool" | "subtree" | "em" | "repr" | "spill" | "restore" | "query"
-            | "diff" => {}
+            "seed" | "pool" | "subtree" | "em" | "spill" | "restore" | "query" | "diff" => {}
             other => return Err(format!("line {lineno}: unknown event {other:?}")),
         }
     }
@@ -1569,7 +1495,6 @@ mod tests {
             n_used: 8,
             support_saturated: false,
             peak_arena_bytes: 8192,
-            kernel: "scalar".into(),
             top_k: None,
             floor_raises: 0,
             pruned_by_floor: 0,
@@ -1622,12 +1547,6 @@ mod tests {
             em: 12,
             elapsed: Duration::from_millis(1),
         });
-        sink.on_repr(&ReprEvent {
-            mode: "auto".into(),
-            dense: 30,
-            sparse: 12,
-            fallbacks: 1,
-        });
         sink.on_spill(&SpillEvent {
             level: 4,
             records: 3,
@@ -1650,11 +1569,6 @@ mod tests {
             text.contains("\"joins\": 60, \"probed\": 1200, \"reallocs\": 3, \"bytes_moved\": 768"),
             "{text}"
         );
-        assert!(text.contains("\"kernel\": \"scalar\""), "{text}");
-        assert!(
-            text.contains("\"event\": \"repr\", \"mode\": \"auto\", \"dense\": 30"),
-            "{text}"
-        );
         assert!(
             text.contains("\"event\": \"spill\", \"level\": 4, \"records\": 3"),
             "{text}"
@@ -1667,7 +1581,7 @@ mod tests {
         assert_eq!(report.level_events, 2);
         assert_eq!(report.frequent, 20);
         assert_eq!(report.total_candidates, 128);
-        assert_eq!(report.lines, 10);
+        assert_eq!(report.lines, 9);
         assert!(!report.aborted);
     }
 
@@ -1840,12 +1754,6 @@ mod tests {
             elapsed: Duration::from_millis(1),
         });
         m.on_level(&level_event(3));
-        m.on_repr(&ReprEvent {
-            mode: "auto".into(),
-            dense: 5,
-            sparse: 3,
-            fallbacks: 0,
-        });
         m.on_spill(&SpillEvent {
             level: 3,
             records: 2,
@@ -1864,10 +1772,6 @@ mod tests {
         let text = m.render();
         assert!(text.contains("e_m = 42"), "{text}");
         assert!(text.contains("10 frequent"), "{text}");
-        assert!(
-            text.contains("pil repr (auto): 5 dense | 3 sparse"),
-            "{text}"
-        );
         assert!(
             text.contains("spill @ level 3: 2 records | 640 bytes"),
             "{text}"

@@ -39,8 +39,7 @@ pub mod prelude {
     pub use perigap_core::rigid::{rigid_mine, RigidConfig, RigidPattern};
     pub use perigap_core::windowed::windowed_mine;
     pub use perigap_core::{
-        FrequentPattern, GapRequirement, Kernel, MineError, MineOutcome, OffsetCounts, Pattern,
-        Pil, PilRepr, ReprPolicy,
+        FrequentPattern, GapRequirement, MineError, MineOutcome, OffsetCounts, Pattern, Pil,
     };
     pub use perigap_seq::{Alphabet, Sequence};
 }

@@ -1,14 +1,16 @@
 //! Fault injection for the incremental result cache: whatever happens
 //! to the record on disk — truncation at any byte, flipped bits, a
-//! record seeded from a different sequence, or a stale configuration
-//! key — the loader must fail with a **typed** `MineError` and
-//! `mine_incremental` must recover with a cold mine whose answer is
-//! bit-identical to a healthy run. It must never serve a wrong or
-//! partial pattern set.
+//! record seeded from a different sequence, a stale configuration key,
+//! or a record in a retired format version — the loader must fail with
+//! a **typed** `MineError` and `mine_incremental` must recover with a
+//! cold mine whose answer is bit-identical to a healthy run. It must
+//! never serve a wrong or partial pattern set. Concurrent writers to
+//! one record path must all succeed.
 
 use perigap::core::trace::NoopObserver;
 use perigap::core::{
-    load_result_cache, mine_incremental, EngineSelection, IncrementalMode, IncrementalOutcome,
+    load_result_cache, mine_incremental, write_result_cache, EngineSelection, IncrementalMode,
+    IncrementalOutcome,
 };
 use perigap::prelude::*;
 use std::path::{Path, PathBuf};
@@ -162,7 +164,8 @@ fn hash_mismatched_sequence_is_a_typed_mismatch() {
 
 /// Every configuration axis in the key invalidates independently: the
 /// same sequence re-mined under a different gap, threshold, engine or
-/// kernel is a typed `CacheMismatch` naming the drifted field.
+/// engine parameter is a typed `CacheMismatch` naming the drifted
+/// field.
 #[test]
 fn stale_config_keys_name_the_drifted_field() {
     let cache = cache_path("stalekey");
@@ -196,13 +199,15 @@ fn stale_config_keys_name_the_drifted_field() {
         other => panic!("rho: expected CacheMismatch, got {other:?}"),
     }
 
-    // Engine (bfs -> dfs at the same n).
+    // Engine (bfs -> dfs at the same n): the engines agree, so the
+    // cold re-mine must answer exactly what the healthy run did.
     reseed(&cache);
     let out = run(&seq, gap, rho, &EngineSelection::MppDfs { n: 4 }, &cache);
     match &out.cache_fault {
         Some(MineError::CacheMismatch { field, .. }) => assert_eq!(*field, "engine"),
         other => panic!("engine: expected CacheMismatch, got {other:?}"),
     }
+    assert_eq!(out.outcome.frequent, healthy.frequent, "must not lie");
 
     // Engine parameter (n drift).
     reseed(&cache);
@@ -212,27 +217,85 @@ fn stale_config_keys_name_the_drifted_field() {
         other => panic!("param: expected CacheMismatch, got {other:?}"),
     }
 
-    // Kernel pin.
-    reseed(&cache);
-    let config = MppConfig {
-        kernel: Kernel::Scalar,
-        ..MppConfig::default()
-    };
-    let out = mine_incremental(
-        &seq,
-        gap,
-        rho,
-        &engine,
-        &config,
-        1,
-        &cache,
-        &mut NoopObserver,
-    )
-    .unwrap();
-    match &out.cache_fault {
-        Some(MineError::CacheMismatch { field, .. }) => assert_eq!(*field, "kernel"),
-        other => panic!("kernel: expected CacheMismatch, got {other:?}"),
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// 64-bit FNV-1a, the PGST record digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |state, &b| {
+        (state ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A version-1 record (the format that still carried the PIL-layout
+/// and kernel key bytes) is refused as a typed `CacheIo` naming the
+/// version, and recovered by a cold mine.
+#[test]
+fn version_one_record_is_refused_and_recovered() {
+    let cache = cache_path("version1");
+    let (bytes, healthy) = seeded(&cache);
+    // Header (magic, version, tag) + key fields through the engine
+    // parameter; version 1 then carried a layout byte and a kernel byte.
+    const VERSION_AT: usize = 4;
+    const PARAM_END: usize = 4 + 4 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 1 + 1 + 8;
+    let body = &bytes[..bytes.len() - 8];
+    let mut v1 = body[..PARAM_END].to_vec();
+    v1[VERSION_AT..VERSION_AT + 4].copy_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&[0, 0]);
+    v1.extend_from_slice(&body[PARAM_END..]);
+    let digest = fnv1a(&v1);
+    v1.extend_from_slice(&digest.to_le_bytes());
+    std::fs::write(&cache, &v1).unwrap();
+    match load_result_cache(&cache) {
+        Err(MineError::CacheIo { message, .. }) => {
+            assert!(message.contains("unsupported version 1"), "{message}");
+        }
+        other => panic!("expected CacheIo for a version-1 record, got {other:?}"),
     }
-    assert_eq!(out.outcome.frequent, healthy.frequent, "must not lie");
+    assert_recovers(&cache, &healthy, "version-1 record");
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// Writers racing on one record path — e.g. two incremental serve
+/// queries sharing a cache — must all succeed, and the surviving record
+/// must load whole. A barrier lines the writers up before every round so
+/// their create/write/rename sequences overlap.
+#[test]
+fn concurrent_writers_to_one_path_all_succeed() {
+    const WRITERS: usize = 4;
+    let cache = cache_path("concurrent");
+    seeded(&cache);
+    let record = load_result_cache(&cache).unwrap();
+    let barrier = std::sync::Barrier::new(WRITERS);
+    // Failures are collected, not panicked on: a writer that stopped
+    // early would leave the others waiting at the barrier forever.
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                s.spawn(|| {
+                    (0..200)
+                        .filter_map(|round| {
+                            barrier.wait();
+                            write_result_cache(&cache, &record)
+                                .err()
+                                .map(|e| format!("round {round}: {e}"))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().expect("writer thread"))
+            .collect()
+    });
+    assert!(
+        failures.is_empty(),
+        "{} of {} writes failed, first: {}",
+        failures.len(),
+        WRITERS * 200,
+        failures[0]
+    );
+    assert_eq!(load_result_cache(&cache).unwrap(), record);
     let _ = std::fs::remove_file(&cache);
 }

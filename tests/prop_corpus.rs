@@ -78,7 +78,6 @@ fn gap_req() -> impl Strategy<Value = GapRequirement> {
 
 fn config_grid(
     engine: ShardEngine,
-    repr: PilRepr,
     threads: usize,
     min_sequences: usize,
     checkpoint: Option<CheckpointConfig>,
@@ -88,10 +87,7 @@ fn config_grid(
         min_sequences,
         threads,
         engine,
-        mpp: MppConfig {
-            pil_repr: ReprPolicy::of(repr),
-            ..MppConfig::default()
-        },
+        mpp: MppConfig::default(),
         checkpoint,
     }
 }
@@ -110,7 +106,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The sharded mmap mine agrees with `mine_collection` across the
-    /// engine × PIL-representation × thread-count grid.
+    /// engine × thread-count grid.
     #[test]
     fn corpus_agrees_with_multiseq(
         seqs in collection(),
@@ -118,7 +114,6 @@ proptest! {
         rho in prop_oneof![Just(0.01), Just(0.05), Just(0.2)],
         min_sequences in 1usize..=3,
         engine in prop_oneof![Just(ShardEngine::Bfs), Just(ShardEngine::Dfs)],
-        repr in prop_oneof![Just(PilRepr::Auto), Just(PilRepr::Sparse), Just(PilRepr::Dense)],
         threads in 1usize..=3,
     ) {
         let scratch = Scratch::new("agree");
@@ -126,7 +121,7 @@ proptest! {
         Corpus::write(&path, &seqs).unwrap();
         let corpus = Arc::new(Corpus::open(&path).unwrap());
         let want = reference(&seqs, gap, rho, min_sequences);
-        let config = config_grid(engine, repr, threads, min_sequences, None);
+        let config = config_grid(engine, threads, min_sequences, None);
         let got = mine_corpus(&corpus, gap, rho, &config).unwrap();
         prop_assert_eq!(&got.outcome, &want);
         prop_assert_eq!(got.stats.shards, seqs.len());
@@ -156,7 +151,7 @@ proptest! {
         let mut fresh = CheckpointConfig::fresh(&ckpt);
         fresh.stop_after_shards = Some(kill_after.min(seqs.len()));
         // Serial first leg so the pause point is exact.
-        let first = config_grid(engine, PilRepr::Auto, 1, 1, Some(fresh));
+        let first = config_grid(engine, 1, 1, Some(fresh));
         let paused = mine_corpus(&corpus, gap, rho, &first);
         let restored_floor = match paused {
             Err(MineError::CorpusPaused { completed, total }) => {
@@ -173,7 +168,6 @@ proptest! {
 
         let second = config_grid(
             engine,
-            PilRepr::Auto,
             resume_threads,
             1,
             Some(CheckpointConfig::resume(&ckpt)),
@@ -205,7 +199,7 @@ fn demo_corpus(scratch: &Scratch, name: &str) -> (PathBuf, Vec<(String, Sequence
 fn mine_at(path: &Path, checkpoint: Option<CheckpointConfig>) -> Result<(), MineError> {
     let corpus = Arc::new(Corpus::open(path)?);
     let gap = GapRequirement::new(1, 3).unwrap();
-    let config = config_grid(ShardEngine::Bfs, PilRepr::Auto, 1, 1, checkpoint);
+    let config = config_grid(ShardEngine::Bfs, 1, 1, checkpoint);
     mine_corpus(&corpus, gap, 0.005, &config).map(|_| ())
 }
 

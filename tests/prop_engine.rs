@@ -3,11 +3,8 @@
 //! requirements (including the degenerate `N == M`) and alphabets
 //! (dense-table DNA, sparse-key protein, and an odd-sized custom set).
 
-use perigap::core::adaptive::ReprCache;
 use perigap::core::naive::support_dp;
-use perigap::core::pil::{
-    join_dense_into, join_multi_into, DensePil, JoinCounters, MultiJoinScratch, Pil,
-};
+use perigap::core::pil::{join_multi_into, JoinCounters, MultiJoinScratch, Pil};
 use perigap::core::reference::{build_all_reference, mpp_reference};
 use perigap::prelude::*;
 use proptest::prelude::*;
@@ -35,8 +32,7 @@ fn gap_req() -> impl Strategy<Value = (usize, usize)> {
 
 /// Strategy: one PIL entry count — mostly small, sometimes huge enough
 /// that a handful of entries overflow `u64` when summed (the corner
-/// where `DensePil::build` must refuse and the saturating sparse walk
-/// takes over).
+/// where the join's running window sum saturates).
 fn entry_count() -> impl Strategy<Value = u64> {
     (0u8..6, 1u64..1_000).prop_map(|(which, small)| match which {
         4 => u64::MAX / 3,
@@ -46,7 +42,8 @@ fn entry_count() -> impl Strategy<Value = u64> {
 }
 
 /// Strategy: arbitrary sorted-unique PIL entries over a narrow offset
-/// range (so dense and sparse regimes both occur), including empty.
+/// range (so overlapping and disjoint windows both occur), including
+/// empty.
 fn pil_entries() -> impl Strategy<Value = Vec<(u32, u64)>> {
     collection::vec((0u32..300, entry_count()), 0..40).prop_map(|mut v| {
         v.sort_by_key(|&(x, _)| x);
@@ -133,40 +130,11 @@ proptest! {
     }
 
     #[test]
-    fn dense_join_agrees_with_sparse_reference(
-        (a, b, (n, m)) in (pil_entries(), pil_entries(), gap_req())
-    ) {
-        let gap = GapRequirement::new(n, m).unwrap();
-        let prefix = Pil::from_entries(a);
-        let suffix = Pil::from_entries(b);
-        let (sparse, sparse_sat) = Pil::join_checked(&prefix, &suffix, gap);
-        // The public dense entry point (falls back to sparse when the
-        // suffix total overflows u64) must be exactly equivalent,
-        // saturation flag included.
-        let (dense, dense_sat) = Pil::join_dense(&prefix, &suffix, gap);
-        prop_assert_eq!(dense.entries(), sparse.entries());
-        prop_assert_eq!(dense_sat, sparse_sat);
-        // When the dense build is possible, the raw kernel agrees too —
-        // and a buildable suffix can never saturate any window.
-        if let Some(d) = DensePil::build(suffix.entries()) {
-            let mut out = Vec::new();
-            join_dense_into(prefix.entries(), &d, gap, &mut out, &mut JoinCounters::default());
-            prop_assert_eq!(out.as_slice(), sparse.entries());
-            prop_assert!(!sparse_sat);
-        }
-    }
-
-    #[test]
-    fn batched_and_cache_dispatched_joins_agree(
-        (a, partners, (n, m), crossover) in (
+    fn batched_joins_agree_with_per_candidate_joins(
+        (a, partners, (n, m)) in (
             pil_entries(),
             collection::vec(pil_entries(), 1..6),
             gap_req(),
-            (0u8..3).prop_map(|w| match w {
-                0 => 0.0f64,
-                1 => 0.25,
-                _ => 1.0,
-            }),
         )
     ) {
         let gap = GapRequirement::new(n, m).unwrap();
@@ -192,76 +160,6 @@ proptest! {
         for (j, (pil, sat)) in expected.iter().enumerate() {
             prop_assert_eq!(outs[j].as_slice(), pil.entries(), "partner {}", j);
             prop_assert_eq!(scratch.saturated[j], *sat, "partner {}", j);
-        }
-
-        // The adaptive cache dispatch (what the engines run), across
-        // crossover extremes: always-sparse, default, always-dense.
-        let policy = ReprPolicy {
-            crossover,
-            ..ReprPolicy::default()
-        };
-        let mut cache = ReprCache::new(policy);
-        cache.begin(suffixes.len());
-        for (j, s) in suffixes.iter().enumerate() {
-            let (pil, sat) = &expected[j];
-            match cache.dense_for(j, s.entries()) {
-                Some(d) => {
-                    let mut out = Vec::new();
-                    join_dense_into(prefix.entries(), d, gap, &mut out, &mut JoinCounters::default());
-                    prop_assert_eq!(out.as_slice(), pil.entries(), "dense partner {}", j);
-                    prop_assert!(!sat, "a dense-joinable partner cannot saturate");
-                }
-                None => {
-                    let (again, sat_again) = Pil::join_checked(&prefix, s, gap);
-                    prop_assert_eq!(again.entries(), pil.entries());
-                    prop_assert_eq!(sat_again, *sat);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mining_agrees_across_pil_repr(
-        (alpha, codes, (n, m), rho_scale, mode) in (
-            alphabet(),
-            codes(60),
-            gap_req(),
-            1usize..40,
-            (0u8..2).prop_map(|w| if w == 0 { PilRepr::Auto } else { PilRepr::Dense }),
-        )
-    ) {
-        let seq = Sequence::from_codes(alpha, codes).unwrap();
-        let gap = GapRequirement::new(n, m).unwrap();
-        let rho = rho_scale as f64 * 1e-4;
-        let sparse_config = MppConfig {
-            pil_repr: ReprPolicy::of(PilRepr::Sparse),
-            ..MppConfig::default()
-        };
-        let config = MppConfig {
-            pil_repr: ReprPolicy::of(mode),
-            ..MppConfig::default()
-        };
-        let base = mpp(&seq, gap, rho, 8, sparse_config);
-        let run = mpp(&seq, gap, rho, 8, config.clone());
-        prop_assert_eq!(base.is_ok(), run.is_ok());
-        let Ok(base) = base else { return Ok(()) };
-        let run = run.unwrap();
-        prop_assert_eq!(base.frequent.len(), run.frequent.len());
-        for (a, b) in base.frequent.iter().zip(&run.frequent) {
-            prop_assert_eq!(&a.pattern, &b.pattern);
-            prop_assert_eq!(a.support, b.support);
-        }
-        prop_assert_eq!(base.stats.support_saturated, run.stats.support_saturated);
-        for (a, b) in base.stats.levels.iter().zip(&run.stats.levels) {
-            prop_assert_eq!(a.candidates, b.candidates, "level {}", a.level);
-            prop_assert_eq!(a.frequent, b.frequent, "level {}", a.level);
-            prop_assert_eq!(a.extended, b.extended, "level {}", a.level);
-        }
-        let dfs = mpp_dfs(&seq, gap, rho, 8, config.clone(), 2).unwrap();
-        prop_assert_eq!(base.frequent.len(), dfs.frequent.len());
-        for (a, b) in base.frequent.iter().zip(&dfs.frequent) {
-            prop_assert_eq!(&a.pattern, &b.pattern);
-            prop_assert_eq!(a.support, b.support);
         }
     }
 
@@ -306,8 +204,7 @@ proptest! {
 
 /// Everything observable except durations, arena bytes and the
 /// physical diagnostics (spill and join counters) must be bit-identical
-/// between two runs of the same mine — used for the spill and kernel
-/// differentials alike.
+/// between two runs of the same mine — used by the spill differential.
 fn assert_outcome_invariant(a: &MineOutcome, b: &MineOutcome, label: &str) {
     assert_eq!(a.frequent.len(), b.frequent.len(), "{label}");
     for (x, y) in a.frequent.iter().zip(&b.frequent) {
@@ -326,70 +223,6 @@ fn assert_outcome_invariant(a: &MineOutcome, b: &MineOutcome, label: &str) {
         assert_eq!(x.candidates, y.candidates, "{label} level {}", x.level);
         assert_eq!(x.frequent, y.frequent, "{label} level {}", x.level);
         assert_eq!(x.extended, y.extended, "{label} level {}", x.level);
-    }
-}
-
-// The kernel differential mines the same input up to seven times per
-// case, so it gets its own smaller budget. Every (kernel × engine ×
-// repr) combination must reproduce the scalar/sparse baseline
-// bit-for-bit — patterns, supports, and all `MineStats` counters: the
-// `--kernel` knob is pure performance. On hardware without AVX2 (or
-// under `PERIGAP_FORCE_SCALAR`) Simd resolves to the scalar fallback
-// and the test degenerates to scalar-vs-scalar, which is still the
-// contract.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn mining_agrees_across_kernels(
-        (alpha, codes, (n, m), rho_scale, kernel, mode) in (
-            alphabet(),
-            codes(60),
-            gap_req(),
-            1usize..40,
-            (0u8..3).prop_map(|w| match w {
-                0 => Kernel::Scalar,
-                1 => Kernel::Simd,
-                _ => Kernel::Auto,
-            }),
-            (0u8..3).prop_map(|w| match w {
-                0 => PilRepr::Sparse,
-                1 => PilRepr::Dense,
-                _ => PilRepr::Auto,
-            }),
-        )
-    ) {
-        use perigap::core::mppm::{mppm, mppm_dfs};
-        let seq = Sequence::from_codes(alpha, codes).unwrap();
-        let gap = GapRequirement::new(n, m).unwrap();
-        let rho = rho_scale as f64 * 1e-4;
-        let base_cfg = MppConfig {
-            kernel: Kernel::Scalar,
-            pil_repr: ReprPolicy::of(PilRepr::Sparse),
-            ..MppConfig::default()
-        };
-        let cfg = MppConfig {
-            kernel,
-            pil_repr: ReprPolicy::of(mode),
-            ..MppConfig::default()
-        };
-        let base = mpp(&seq, gap, rho, 8, base_cfg.clone());
-        let bfs = mpp(&seq, gap, rho, 8, cfg.clone());
-        prop_assert_eq!(base.is_ok(), bfs.is_ok());
-        let Ok(base) = base else { return Ok(()) };
-        assert_outcome_invariant(&base, &bfs.unwrap(), "bfs");
-        let par = mpp_parallel(&seq, gap, rho, 8, cfg.clone(), 3).unwrap();
-        assert_outcome_invariant(&base, &par, "parallel");
-        let dfs = mpp_dfs(&seq, gap, rho, 8, cfg.clone(), 2).unwrap();
-        assert_outcome_invariant(&base, &dfs, "dfs");
-        let base_m = mppm(&seq, gap, rho, 4, base_cfg);
-        let run_m = mppm(&seq, gap, rho, 4, cfg.clone());
-        prop_assert_eq!(base_m.is_ok(), run_m.is_ok());
-        if let Ok(base_m) = base_m {
-            assert_outcome_invariant(&base_m, &run_m.unwrap(), "mppm");
-            let dfs_m = mppm_dfs(&seq, gap, rho, 4, cfg, 2).unwrap();
-            assert_outcome_invariant(&base_m, &dfs_m, "mppm dfs");
-        }
     }
 }
 
@@ -414,24 +247,19 @@ fn assert_pruned_equal(
 // so it gets a small case budget. Pruned mining is an output
 // contract: whatever the engine, gap regime (rigid `W == 1`, where the
 // rising floor prunes the search itself, or flexible `W > 1`, where
-// only emission is gated), PIL repr, thread count, or memory ceiling,
+// only emission is gated), thread count, or memory ceiling,
 // the outcome must be bit-identical to post-filtering the full mine.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn topk_and_targeted_pruning_match_post_filtering(
-        (alpha, codes, (n, m), rho_scale, k, mode, mask_bits) in (
+        (alpha, codes, (n, m), rho_scale, k, mask_bits) in (
             alphabet(),
             codes(60),
             gap_req(), // biased toward N == M: both floor regimes occur
             1usize..40,
             1usize..12,
-            (0u8..3).prop_map(|w| match w {
-                0 => PilRepr::Sparse,
-                1 => PilRepr::Dense,
-                _ => PilRepr::Auto,
-            }),
             1u8..8, // symbol mask over codes {0, 1, 2}; never empty
         )
     ) {
@@ -444,10 +272,7 @@ proptest! {
         let seq = Sequence::from_codes(alpha, codes).unwrap();
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
-        let cfg = MppConfig {
-            pil_repr: ReprPolicy::of(mode),
-            ..MppConfig::default()
-        };
+        let cfg = MppConfig::default();
 
         // Top-k: every engine must reproduce `select_top_k` over the
         // full mine — same rank order, same truncation, same ratios.
@@ -561,16 +386,11 @@ proptest! {
 
     #[test]
     fn spilling_never_changes_the_mined_outcome(
-        (alpha, codes, (n, m), rho_scale, mode, watermark) in (
+        (alpha, codes, (n, m), rho_scale, watermark) in (
             alphabet(),
             codes(60),
             gap_req(),
             1usize..40,
-            (0u8..3).prop_map(|w| match w {
-                0 => PilRepr::Sparse,
-                1 => PilRepr::Dense,
-                _ => PilRepr::Auto,
-            }),
             (0u8..3).prop_map(|w| match w {
                 0 => 0.0f64,
                 1 => 0.5,
@@ -587,13 +407,8 @@ proptest! {
         let seq = Sequence::from_codes(alpha, codes).unwrap();
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
-        let repr = ReprPolicy::of(mode);
-        let unbounded_cfg = MppConfig {
-            pil_repr: repr,
-            ..MppConfig::default()
-        };
+        let unbounded_cfg = MppConfig::default();
         let spill_cfg = |cap: usize| MppConfig {
-            pil_repr: repr,
             max_arena_bytes: Some(cap),
             spill_watermark: watermark,
             spill_io: Some(Arc::new(MemSpillIo::default()) as Arc<dyn SpillIo>),

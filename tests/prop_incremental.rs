@@ -4,9 +4,8 @@
 //! to a cold mine of the same sequence: same patterns in the same
 //! order, same supports, same ratio bits, same saturation flag.
 //!
-//! The matrix crosses engines (mpp/mppm × bfs/dfs), PIL representations
-//! (auto/sparse/dense), kernels (scalar/simd), thread counts (1/4) and
-//! append lengths (0, 1, and longer than the base sequence).
+//! The matrix crosses engines (mpp/mppm × bfs/dfs), thread counts (1/4)
+//! and append lengths (0, 1, and longer than the base sequence).
 
 use perigap::core::trace::NoopObserver;
 use perigap::core::{mine_incremental, EngineSelection, IncrementalMode, IncrementalOutcome};
@@ -20,14 +19,6 @@ fn cache_path(name: &str) -> PathBuf {
     path.push(format!("pginc-prop-{}-{name}.pgrc", std::process::id()));
     let _ = std::fs::remove_file(&path);
     path
-}
-
-fn config_for(repr: PilRepr, kernel: Kernel) -> MppConfig {
-    MppConfig {
-        pil_repr: ReprPolicy::of(repr),
-        kernel,
-        ..MppConfig::default()
-    }
 }
 
 /// The cold reference for one configuration, through the same dispatch
@@ -127,66 +118,56 @@ fn incremental_is_bit_identical_across_the_engine_matrix() {
         EngineSelection::MppmBfs { m: 3 },
         EngineSelection::MppmDfs { m: 3 },
     ];
-    let reprs = [PilRepr::Auto, PilRepr::Sparse, PilRepr::Dense];
-    let kernels = [Kernel::Scalar, Kernel::Simd];
+    let config = MppConfig::default();
     let mut combo = 0usize;
     for engine in &engines {
-        for &repr in &reprs {
-            for &kernel in &kernels {
-                for &threads in &[1usize, 4] {
-                    let config = config_for(repr, kernel);
-                    let cache = cache_path(&format!("matrix-{combo}"));
-                    combo += 1;
-                    let base_seq = Sequence::dna(&base).unwrap();
-                    let seeded =
-                        incremental_mine(&base_seq, gap, rho, engine, &config, threads, &cache);
-                    assert_eq!(seeded.mode, IncrementalMode::Cold, "first run seeds");
-                    let cold_base = cold_mine(&base_seq, gap, rho, engine, &config, threads);
-                    assert_identical("seed run", &cold_base, &seeded.outcome);
+        for &threads in &[1usize, 4] {
+            let cache = cache_path(&format!("matrix-{combo}"));
+            combo += 1;
+            let base_seq = Sequence::dna(&base).unwrap();
+            let seeded = incremental_mine(&base_seq, gap, rho, engine, &config, threads, &cache);
+            assert_eq!(seeded.mode, IncrementalMode::Cold, "first run seeds");
+            let cold_base = cold_mine(&base_seq, gap, rho, engine, &config, threads);
+            assert_identical("seed run", &cold_base, &seeded.outcome);
 
-                    for (name, suffix) in &appends {
-                        let grown = Sequence::dna(&format!("{base}{suffix}")).unwrap();
-                        let label =
-                            format!("{engine:?} {repr:?} {kernel:?} threads={threads} {name}");
-                        let inc =
-                            incremental_mine(&grown, gap, rho, engine, &config, threads, &cache);
-                        let cold = cold_mine(&grown, gap, rho, engine, &config, threads);
-                        assert_identical(&label, &cold, &inc.outcome);
-                        if suffix.is_empty() {
+            for (name, suffix) in &appends {
+                let grown = Sequence::dna(&format!("{base}{suffix}")).unwrap();
+                let label = format!("{engine:?} threads={threads} {name}");
+                let inc = incremental_mine(&grown, gap, rho, engine, &config, threads, &cache);
+                let cold = cold_mine(&grown, gap, rho, engine, &config, threads);
+                assert_identical(&label, &cold, &inc.outcome);
+                if suffix.is_empty() {
+                    assert_eq!(
+                        inc.mode,
+                        IncrementalMode::Cached,
+                        "{label}: unchanged sequence serves the cache"
+                    );
+                } else {
+                    // mpp with a pinned n must take the delta
+                    // path; mppm may legitimately fall back when
+                    // its estimated n drifts with the append.
+                    match (engine, &inc.mode) {
+                        (EngineSelection::MppBfs { .. } | EngineSelection::MppDfs { .. }, mode) => {
                             assert_eq!(
-                                inc.mode,
-                                IncrementalMode::Cached,
-                                "{label}: unchanged sequence serves the cache"
-                            );
-                        } else {
-                            // mpp with a pinned n must take the delta
-                            // path; mppm may legitimately fall back when
-                            // its estimated n drifts with the append.
-                            match (engine, &inc.mode) {
-                                (
-                                    EngineSelection::MppBfs { .. } | EngineSelection::MppDfs { .. },
-                                    mode,
-                                ) => assert_eq!(
-                                    *mode,
-                                    IncrementalMode::Incremental(suffix.len()),
-                                    "{label}: rigid-gap append delta-mines"
-                                ),
-                                (_, IncrementalMode::Cold) => {
-                                    panic!("{label}: a valid cache must not read as missing")
-                                }
-                                _ => {}
-                            }
+                                *mode,
+                                IncrementalMode::Incremental(suffix.len()),
+                                "{label}: rigid-gap append delta-mines"
+                            )
                         }
-                        // Every append re-runs against the *base* cache:
-                        // reseed so the next append length starts from
-                        // the same baseline.
-                        let reseed =
-                            incremental_mine(&base_seq, gap, rho, engine, &config, threads, &cache);
-                        assert_identical("reseed", &cold_base, &reseed.outcome);
+                        (_, IncrementalMode::Cold) => {
+                            panic!("{label}: a valid cache must not read as missing")
+                        }
+                        _ => {}
                     }
-                    let _ = std::fs::remove_file(&cache);
                 }
+                // Every append re-runs against the *base* cache:
+                // reseed so the next append length starts from
+                // the same baseline.
+                let reseed =
+                    incremental_mine(&base_seq, gap, rho, engine, &config, threads, &cache);
+                assert_identical("reseed", &cold_base, &reseed.outcome);
             }
+            let _ = std::fs::remove_file(&cache);
         }
     }
 }

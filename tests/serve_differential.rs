@@ -1,12 +1,12 @@
 //! Differential tests for the `pgmine serve` query path: every served
 //! answer must be bit-identical to post-filtering the mined pattern set
-//! directly, and must not depend on which mining engine or PIL
-//! representation produced that set.
+//! directly, and must not depend on which mining engine produced that
+//! set.
 //!
 //! Three layers of agreement are checked:
 //!
 //! 1. the mined sets themselves are identical across the breadth-first
-//!    and hybrid-DFS engines under every `--pil-repr` policy;
+//!    and hybrid-DFS engines;
 //! 2. the protocol transcript (raw response lines for a fixed workload)
 //!    is byte-identical no matter which variant built the index;
 //! 3. the reference transcript agrees field-by-field with answers
@@ -21,7 +21,7 @@ use perigap::core::dfs::mpp_dfs;
 use perigap::core::mpp::{mpp, MppConfig};
 use perigap::core::naive;
 use perigap::core::trace::{Json, NoopObserver};
-use perigap::core::{GapRequirement, MineOutcome, Pattern, PilRepr, ReprPolicy};
+use perigap::core::{GapRequirement, MineOutcome, Pattern};
 use perigap::seq::{Alphabet, Sequence};
 use perigap::serve::{serve_line, Client};
 use perigap::store::{LoadedOutcome, PatternIndex};
@@ -37,25 +37,19 @@ fn workload_input() -> (Sequence, GapRequirement) {
     (seq, gap)
 }
 
-/// Every engine × PIL-representation combination under test, with a
-/// label for failure messages.
+/// Every engine under test, with a label for failure messages.
 fn mine_variants(seq: &Sequence, gap: GapRequirement) -> Vec<(String, MineOutcome)> {
-    let mut out = Vec::new();
-    for repr in [PilRepr::Auto, PilRepr::Sparse, PilRepr::Dense] {
-        let config = MppConfig {
-            pil_repr: ReprPolicy::of(repr),
-            ..MppConfig::default()
-        };
-        out.push((
-            format!("bfs/{repr:?}"),
+    let config = MppConfig::default();
+    vec![
+        (
+            "bfs".to_string(),
             mpp(seq, gap, RHO, N, config.clone()).expect("bfs mine"),
-        ));
-        out.push((
-            format!("dfs/{repr:?}"),
+        ),
+        (
+            "dfs".to_string(),
             mpp_dfs(seq, gap, RHO, N, config, 2).expect("dfs mine"),
-        ));
-    }
-    out
+        ),
+    ]
 }
 
 /// Canonical form of a mined set for cross-engine comparison: sorted by
@@ -171,7 +165,7 @@ fn by_support(outcome: &MineOutcome) -> Vec<(Vec<u8>, u128, u64)> {
 }
 
 #[test]
-fn engines_and_pil_reprs_mine_identical_sets() {
+fn engines_mine_identical_sets() {
     let (seq, gap) = workload_input();
     let variants = mine_variants(&seq, gap);
     let reference = canonical(&variants[0].1);
