@@ -132,23 +132,33 @@ impl OffsetCounts {
         }
     }
 
-    /// Theorem 4: `N_l = (L − maxspan(l) + 1)·W^(l−1) + (l−1)(W−1)·W^(l−1)/2`,
+    /// The word-sized factor of Theorem 4's closed form: for
+    /// `1 ≤ l ≤ l1`, `2·N_l = W^(l−1)·C_l` with
+    /// `C_l = 2(L − maxspan(l) + 1) + (l−1)(W−1)`. That is
+    /// `2L − (l−1)(M+N+2)`: it falls by `M + N + 2` per length and is at
+    /// least 2.
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ l ≤ l1`.
+    pub(crate) fn closed_form_c(&self, l: usize) -> u64 {
+        assert!((1..=self.l1).contains(&l), "C_l needs 1 ≤ l ≤ l1");
+        let w = self.gap.flexibility() as u64;
+        let full_starts = (self.seq_len - self.gap.max_span(l) + 1) as u64;
+        2 * full_starts + (l as u64 - 1) * (w - 1)
+    }
+
+    /// Theorem 4: `N_l = W^(l−1)·C_l / 2` (see [`OffsetCounts::closed_form_c`]),
     /// which equals the paper's `[L − (l−1)((M+N)/2 + 1)]·W^(l−1)` without
     /// needing fractional arithmetic.
     fn n_closed_form(&self, l: usize) -> BigUint {
         let w = self.gap.flexibility() as u64;
-        let w_pow = BigUint::from_u64(w).pow((l - 1) as u32);
-        let full_starts = (self.seq_len - self.gap.max_span(l) + 1) as u64;
-        let mut total = w_pow.clone();
-        total.mul_assign_u64(full_starts);
-        // Boundary contribution: (l−1)(W−1)·W^(l−1) / 2 — always an
-        // even product (W·(W−1) is even; for l = 1 the factor is 0).
-        let mut boundary = w_pow;
-        boundary.mul_assign_u64((l as u64 - 1) * (w - 1));
-        let (half, rem) = boundary.div_rem_u64(2);
-        debug_assert_eq!(rem, 0, "(l-1)(W-1)W^(l-1) is always even");
-        total.add_assign_ref(&half);
-        total
+        let mut twice = BigUint::from_u64(w).pow((l - 1) as u32);
+        twice.mul_assign_u64(self.closed_form_c(l));
+        // Even: C_l is odd only when W is even and l ≥ 2, and then so is
+        // W^(l−1).
+        let (n, rem) = twice.div_rem_u64(2);
+        debug_assert_eq!(rem, 0, "W^(l-1)·C_l = 2·N_l is even");
+        n
     }
 
     /// Case 3: `N_l = Σ_{i = maxspan(l)−L}^{(l−1)(W−1)} f(l, i)`.
@@ -314,6 +324,24 @@ mod tests {
                 n_by_position_dp(40, gap, l),
                 "N_{l} mismatch (closed form vs DP)"
             );
+        }
+    }
+
+    #[test]
+    fn closed_form_c_steps_down_by_m_plus_n_plus_2() {
+        for (len, n, m) in [(40, 2, 4), (1000, 9, 12), (50, 4, 4), (7, 0, 0)] {
+            let c = counts(len, n, m);
+            let w = BigUint::from_u64(c.gap().flexibility() as u64);
+            for l in 1..=c.l1() {
+                let cl = c.closed_form_c(l);
+                assert_eq!(cl, (2 * len - (l - 1) * (m + n + 2)) as u64, "C_{l}");
+                assert!(cl >= 2, "C_{l} = {cl}");
+                let mut twice = c.n(l);
+                twice.mul_assign_u64(2);
+                let mut factored = w.pow((l - 1) as u32);
+                factored.mul_assign_u64(cl);
+                assert_eq!(twice, factored, "2·N_{l} = W^(l-1)·C_{l}");
+            }
         }
     }
 

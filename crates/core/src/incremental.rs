@@ -1108,35 +1108,19 @@ fn cascade(
             break;
         }
         let row = bounds.row(level).clone();
-        // Thresholds hoisted to plain integers: `admits(sup)` is
-        // `sup ≥ min_support`, and one ceil per level replaces two
-        // big-rational products per candidate. The `None` (overflow)
-        // arm cannot fire for any support a sequence can produce, but
-        // falls back to the exact test rather than assume it.
-        let n_f64 = row.n_f64;
-        let t_exact = row.exact.min_support().to_u128();
-        let t_lhat = row.lhat.min_support().to_u128();
-        let exact_admits = |sup: u128| match t_exact {
-            Some(t) => sup >= t,
-            None => row.exact.admits_u128(sup),
-        };
-        let lhat_admits = |sup: u128| match t_lhat {
-            Some(t) => sup >= t,
-            None => row.lhat.admits_u128(sup),
-        };
         let mut kept: Vec<&Vec<u8>> = Vec::new();
         let mut frequent_here = 0usize;
         for (codes, sup) in current.iter() {
             let sup = *sup;
-            if exact_admits(sup) {
+            if row.exact.admits_u128(sup) {
                 frequent.push(FrequentPattern {
                     pattern: Pattern::from_codes(codes.clone()),
                     support: sup,
-                    ratio: sup as f64 / n_f64,
+                    ratio: sup as f64 / row.n_f64,
                 });
                 frequent_here += 1;
             }
-            if lhat_admits(sup) {
+            if row.lhat.admits_u128(sup) {
                 kept.push(codes);
             }
         }
@@ -1162,14 +1146,10 @@ fn cascade(
         // parents whose join products the cached next level covers.
         let old_kept: HashSet<&[u8]> = match old_levels.get(&level) {
             Some(lv) if old_len > 0 => {
-                let old_row = bounds_old.row(level);
-                let t_old = old_row.lhat.min_support().to_u128();
+                let old_lhat = &bounds_old.row(level).lhat;
                 lv.candidates
                     .iter()
-                    .filter(|(_, sup)| match t_old {
-                        Some(t) => *sup >= t,
-                        None => old_row.lhat.admits_u128(*sup),
-                    })
+                    .filter(|(_, sup)| old_lhat.admits_u128(*sup))
                     .map(|(codes, _)| codes.as_slice())
                     .collect()
             }

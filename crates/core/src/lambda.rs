@@ -15,8 +15,9 @@
 //! sup(Q) ≥ λ(l,d)·ρs·N_(l−d)  ⇔  sup(Q) · W^d ≥ ρs · N_l
 //! ```
 //!
-//! [`PruneBound`] packages that comparison with exact rational
-//! arithmetic so threshold decisions can never flip with rounding.
+//! [`PruneBound`] packages that comparison as the exact integer
+//! threshold `⌈ρs · N_l / W^d⌉`, so threshold decisions can never flip
+//! with rounding.
 
 use crate::counts::OffsetCounts;
 use perigap_math::{BigRatio, BigUint};
@@ -69,24 +70,35 @@ pub fn lambda_prime(counts: &OffsetCounts, l: usize, d: usize, m: usize, em: u64
 /// An exact threshold test for one pruning level: decides
 /// `sup ≥ λ·ρs·N_(l−d)` (equivalently `sup · divisor ≥ ρs · N_l`)
 /// without constructing λ explicitly.
+///
+/// Supports are integers, so the test is `sup ≥ ⌈ρs · N_l / divisor⌉`;
+/// the bound keeps only that integer, computed once when it is built,
+/// and every [`PruneBound::admits_u128`] is a single compare.
 #[derive(Clone, Debug)]
 pub struct PruneBound {
-    /// `ρs · N_l` as an exact rational (numerator side of the test).
-    rhs: BigRatio,
-    /// `W^d` (Theorem 1) or `e_m^s · W^t` (Theorem 2).
-    divisor: BigUint,
+    /// The smallest passing support, `⌈ρs · N_l / divisor⌉` with divisor
+    /// `W^d` (Theorem 1), `e_m^s · W^t` (Theorem 2) or 1; `None` when it
+    /// exceeds every `u128`, so no support passes.
+    min_support: Option<u128>,
 }
 
 impl PruneBound {
+    /// The bound `sup · divisor ≥ ρ · N_l`.
+    fn new(rho: &BigRatio, n_l: &BigUint, divisor: &BigUint) -> PruneBound {
+        // ρ = p/q: ⌈p·N_l / (q·divisor)⌉. No reduction needed — the
+        // ceiling of a fraction does not depend on its terms.
+        let min = ceil_div(&rho.numer().mul_ref(n_l), &rho.denom().mul_ref(divisor));
+        PruneBound {
+            min_support: min.to_u128(),
+        }
+    }
+
     /// Theorem 1 bound for sub-patterns `d` characters shorter than a
     /// hypothetical frequent length-`l` pattern.
     pub fn theorem1(counts: &OffsetCounts, rho: &BigRatio, l: usize, d: usize) -> PruneBound {
         assert!(d <= l, "requires d ≤ l");
         let w = counts.gap().flexibility() as u64;
-        PruneBound {
-            rhs: rho.mul(&BigRatio::from_integer(counts.n(l))),
-            divisor: BigUint::from_u64(w).pow(d as u32),
-        }
+        PruneBound::new(rho, &counts.n(l), &BigUint::from_u64(w).pow(d as u32))
     }
 
     /// Theorem 2 bound (leading sub-patterns only), using `e_m`.
@@ -106,18 +118,12 @@ impl PruneBound {
         let divisor = BigUint::from_u64(em)
             .pow(s as u32)
             .mul_ref(&BigUint::from_u64(w).pow(t as u32));
-        PruneBound {
-            rhs: rho.mul(&BigRatio::from_integer(counts.n(l))),
-            divisor,
-        }
+        PruneBound::new(rho, &counts.n(l), &divisor)
     }
 
     /// The plain frequency test `sup ≥ ρs · N_l` (divisor 1).
     pub fn exact(counts: &OffsetCounts, rho: &BigRatio, l: usize) -> PruneBound {
-        PruneBound {
-            rhs: rho.mul(&BigRatio::from_integer(counts.n(l))),
-            divisor: BigUint::one(),
-        }
+        PruneBound::new(rho, &counts.n(l), &BigUint::one())
     }
 
     /// Decide whether a support count passes the bound:
@@ -129,17 +135,14 @@ impl PruneBound {
     /// [`PruneBound::admits`] for the full-width support counts the PIL
     /// machinery produces.
     pub fn admits_u128(&self, sup: u128) -> bool {
-        let lhs = BigUint::from_u128(sup).mul_ref(&self.divisor);
-        // rhs = num/den; lhs ≥ num/den ⇔ lhs·den ≥ num.
-        lhs.mul_ref(self.rhs.denom()) >= *self.rhs.numer()
+        self.min_support.is_some_and(|min| sup >= min)
     }
 
     /// The smallest integer support that passes the bound (useful for
-    /// reporting thresholds in the harness).
-    pub fn min_support(&self) -> BigUint {
-        // ceil(num / (den · divisor))
-        let denom = self.rhs.denom().mul_ref(&self.divisor);
-        ceil_div(self.rhs.numer(), &denom)
+    /// reporting thresholds in the harness); `None` when it exceeds
+    /// every `u128`.
+    pub fn min_support(&self) -> Option<u128> {
+        self.min_support
     }
 }
 
@@ -314,15 +317,63 @@ mod tests {
         let literal = lambda(&c, l, d)
             .mul(&rho)
             .mul(&BigRatio::from_integer(c.n(l - d)));
-        let threshold = bound.min_support();
+        let t = bound.min_support().expect("threshold fits u128");
         // min_support is the smallest integer ≥ literal.
+        let threshold = BigUint::from_u128(t);
         assert!(literal.cmp_integer(&threshold) != std::cmp::Ordering::Greater);
         let below = threshold.checked_sub(&BigUint::one()).unwrap();
         assert!(literal.cmp_integer(&below) == std::cmp::Ordering::Greater);
         // admits agrees with min_support.
-        let t = threshold.to_u64().unwrap();
-        assert!(bound.admits(t));
-        assert!(!bound.admits(t - 1));
+        assert!(bound.admits_u128(t));
+        assert!(!bound.admits_u128(t - 1));
+    }
+
+    #[test]
+    fn admits_matches_the_cross_multiplied_test() {
+        // An independent path: `ρ.le_scaled(sup·divisor, N_l)` decides
+        // `sup·divisor ≥ ρ·N_l` by cross-multiplying, without the
+        // bound's precomputed ceiling.
+        let c = counts(1000, 9, 12);
+        let w = BigUint::from_u64(4);
+        for rho in [
+            BigRatio::from_f64_exact(0.00003),
+            BigRatio::from_f64_exact(1e-4),
+            BigRatio::from_u64s(1, 3),
+            BigRatio::one(),
+        ] {
+            for (l, d) in [(3, 0), (10, 2), (13, 7), (30, 5)] {
+                let (m, em) = (3, 7);
+                let (s, t) = (d / m, d % m);
+                let cases = [
+                    (PruneBound::exact(&c, &rho, l), BigUint::one()),
+                    (PruneBound::theorem1(&c, &rho, l, d), w.pow(d as u32)),
+                    (
+                        PruneBound::theorem2(&c, &rho, l, d, m, em),
+                        BigUint::from_u64(em)
+                            .pow(s as u32)
+                            .mul_ref(&w.pow(t as u32)),
+                    ),
+                ];
+                for (bound, divisor) in cases {
+                    let min = bound.min_support().expect("fits u128");
+                    assert!(min > 0, "ρ·N_{l} > 0 needs a positive support");
+                    for sup in [min - 1, min, min + 1] {
+                        let scaled = BigUint::from_u128(sup).mul_ref(&divisor);
+                        assert_eq!(
+                            bound.admits_u128(sup),
+                            rho.le_scaled(&scaled, &c.n(l)),
+                            "ρ = {rho}, l = {l}, d = {d}, divisor = {divisor}, sup = {sup}"
+                        );
+                    }
+                }
+            }
+        }
+        // ρ·N_77 ≈ 2^157 here: no u128 support reaches the threshold.
+        let rho = BigRatio::from_u64s(1, 2);
+        let bound = PruneBound::exact(&c, &rho, 77);
+        assert_eq!(bound.min_support(), None);
+        assert!(!bound.admits_u128(u128::MAX));
+        assert!(!rho.le_scaled(&BigUint::from_u128(u128::MAX), &c.n(77)));
     }
 
     #[test]
@@ -343,7 +394,7 @@ mod tests {
         let b1 = PruneBound::theorem1(&c, &rho, 13, 10);
         let b2 = PruneBound::theorem2(&c, &rho, 13, 10, 3, 2);
         // Theorem 2's divisor is smaller, so its minimum support is larger.
-        assert!(b2.min_support() >= b1.min_support());
+        assert!(b2.min_support().unwrap() >= b1.min_support().unwrap());
     }
 
     #[test]

@@ -14,12 +14,11 @@ use crate::counts::OffsetCounts;
 use crate::em::compute_em;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::lambda::PruneBound;
 use crate::mpp::{prepare, run_levelwise, MppConfig};
 use crate::parallel::PoolHooks;
 use crate::result::{MineOutcome, MineStats};
 use crate::trace::{AbortEvent, CompleteEvent, EmEvent, MineObserver, NoopObserver, SeedEvent};
-use perigap_math::BigRatio;
+use perigap_math::{BigRatio, BigUint};
 use perigap_seq::Sequence;
 use std::time::Instant;
 
@@ -105,18 +104,7 @@ fn mppm_prelude<O: MineObserver>(
     // Phase 3: estimate n = max { k : some seed pattern clears
     // λ′(k, k−3)·ρs·N_3 }. Only the best-supported seed pattern matters,
     // since the bound is a fixed threshold per k.
-    let l1 = counts.l1();
-    let mut n = start;
-    for k in (start + 1)..=l1.max(start) {
-        let bound = PruneBound::theorem2(&counts, &rho_exact, k, k - start, m, em);
-        if bound.admits_u128(max_sup) {
-            n = k;
-        }
-        // Note: the bound is not monotone in k in general, so we keep
-        // scanning to l1 rather than breaking at the first failure —
-        // "the value of n is taken as the largest k such that length-k
-        // frequent patterns may exist".
-    }
+    let n = theorem2_n(&counts, &rho_exact, start, m, em, max_sup);
 
     let stats_seed = MineStats {
         em: Some(em),
@@ -130,6 +118,75 @@ fn mppm_prelude<O: MineObserver>(
         pils,
         stats_seed,
     })
+}
+
+/// MPPm's `n`: the largest `k ≤ l1` at which `max_sup`, the best
+/// start-level support, passes the Theorem 2 test
+/// `sup·e_m^s·W^t ≥ ρ·N_k` (start level `a`, `d = k − a`, `s = ⌊d/m⌋`,
+/// `t = d − s·m`), or `a` when no `k` does — "the value of n is taken
+/// as the largest k such that length-k frequent patterns may exist".
+///
+/// For `k ≤ l1`, `2·N_k = W^(k−1)·C_k` with the word-sized `C_k` of
+/// [`OffsetCounts::closed_form_c`]. With `ρ = p/q`, dividing the test by
+/// `W^t` leaves `A ≥ B·C_k` for `A = 2·sup·q·e_m^s` and
+/// `B = p·W^(a−1)·(W^m)^s`, which change only once per block of `m`
+/// lengths. So the threshold on `sup`,
+/// `ρ·C_k·W^(a−1)·(W^m/e_m)^s / 2`, is not monotone in `k` but a
+/// sawtooth: it falls with `C_k` inside a block and jumps by `W^m/e_m`
+/// at each block edge. Two facts keep the scan exact and short:
+///
+/// - `C_k` falls inside a block, so the block's last length passes
+///   whenever any of its lengths does: one test decides the block.
+/// - `e_m ≤ W^m`, since `e_m` counts one string among at most `W^m`
+///   offset sequences, so `A/B` never rises from one block to the next,
+///   and every `C_k ≥ C_{l1}`. Once `A < B·C_{l1}`, no later length can
+///   pass and the scan stops. The stop is guarded on `e_m ≤ W^m`: if the
+///   guard ever fails, the scan runs to `l1` and stays exact.
+fn theorem2_n(
+    counts: &OffsetCounts,
+    rho: &BigRatio,
+    start: usize,
+    m: usize,
+    em: u64,
+    max_sup: u128,
+) -> usize {
+    debug_assert!(start >= 1 && m >= 1 && em >= 1);
+    let l1 = counts.l1();
+    let w = BigUint::from_u64(counts.gap().flexibility() as u64);
+    let w_m = w.pow(m as u32);
+    let may_stop = BigUint::from_u64(em) <= w_m;
+    // Only A/B matters, so cancel g = gcd(e_m, W^m) from the per-block
+    // factors: with e_m = W^m (a long enough single-symbol run) A and B
+    // then keep their size however far the scan runs.
+    let g = BigUint::from_u64(em)
+        .gcd(&w_m)
+        .to_u64()
+        .expect("a divisor of e_m fits a word");
+    let (em_step, w_m_step) = (em / g, w_m.div_rem_u64(g).0);
+    let times = |big: &BigUint, c: u64| {
+        let mut x = big.clone();
+        x.mul_assign_u64(c);
+        x
+    };
+    // `lhs` is A and `rhs` is B, both at block s.
+    let mut lhs = BigUint::from_u128(max_sup).mul_ref(rho.denom());
+    lhs.mul_assign_u64(2);
+    let mut rhs = rho.numer().mul_ref(&w.pow((start - 1) as u32));
+    let mut n = start;
+    for s in 0usize.. {
+        // Block s holds the lengths with d in [s·m, s·m + m − 1].
+        let first = (start + s * m).max(start + 1);
+        if first > l1 || (may_stop && lhs < times(&rhs, counts.closed_form_c(l1))) {
+            break;
+        }
+        let last = (start + s * m + m - 1).min(l1);
+        if last >= first && lhs >= times(&rhs, counts.closed_form_c(last)) {
+            n = last;
+        }
+        lhs.mul_assign_u64(em_step);
+        rhs = rhs.mul_ref(&w_m_step);
+    }
+    n
 }
 
 /// [`mppm`] with a [`MineObserver`] attached; see
@@ -237,9 +294,11 @@ pub fn estimate_n(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lambda::PruneBound;
     use crate::mpp::mpp;
     use perigap_seq::gen::iid::uniform;
     use perigap_seq::Alphabet;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -336,5 +395,196 @@ mod tests {
         // m = 4 needs span 1 + 5·4 = 21 > 15.
         let outcome = mppm(&s, g, 0.01, 4, MppConfig::default()).unwrap();
         assert_eq!(outcome.stats.em, Some(1));
+    }
+
+    /// The oracle for [`theorem2_n`]: every `k` in `(a, l1]` tested with
+    /// its own freshly built Theorem 2 bound.
+    fn theorem2_n_by_scan(
+        counts: &OffsetCounts,
+        rho: &BigRatio,
+        start: usize,
+        m: usize,
+        em: u64,
+        max_sup: u128,
+    ) -> usize {
+        let mut n = start;
+        for k in (start + 1)..=counts.l1() {
+            if PruneBound::theorem2(counts, rho, k, k - start, m, em).admits_u128(max_sup) {
+                n = k;
+            }
+        }
+        n
+    }
+
+    /// Every input of [`theorem2_n`].
+    #[derive(Debug)]
+    struct Theorem2Case {
+        counts: OffsetCounts,
+        rho: BigRatio,
+        start: usize,
+        m: usize,
+        em: u64,
+        max_sup: u128,
+    }
+
+    impl Theorem2Case {
+        fn new(len: usize, g: (usize, usize), rho: f64, m: usize, em: u64, max_sup: u128) -> Self {
+            Theorem2Case {
+                counts: OffsetCounts::new(len, gap(g.0, g.1)),
+                rho: BigRatio::from_f64_exact(rho),
+                start: 3,
+                m,
+                em,
+                max_sup,
+            }
+        }
+
+        fn streamed(&self) -> usize {
+            theorem2_n(
+                &self.counts,
+                &self.rho,
+                self.start,
+                self.m,
+                self.em,
+                self.max_sup,
+            )
+        }
+
+        fn scanned(&self) -> usize {
+            theorem2_n_by_scan(
+                &self.counts,
+                &self.rho,
+                self.start,
+                self.m,
+                self.em,
+                self.max_sup,
+            )
+        }
+
+        fn passes(&self, k: usize) -> bool {
+            PruneBound::theorem2(&self.counts, &self.rho, k, k - self.start, self.m, self.em)
+                .admits_u128(self.max_sup)
+        }
+    }
+
+    /// `L`, `N ≤ M`, the start level and `m` uniform; log-uniform
+    /// `e_m ∈ [1, W^m]`, ρ in `[1e-6, 1]` (dyadic from an `f64`, or over
+    /// an odd prime) and `max_sup ∈ [1, N_a]`, the largest support a
+    /// start-level pattern can have.
+    fn theorem2_case() -> impl Strategy<Value = Theorem2Case> {
+        (
+            (8usize..=300, 0usize..=4, 0usize..=4),
+            (1usize..=5, 1usize..=6),
+            (0f64..1.0, 0f64..1.0, 0f64..1.0, any::<bool>()),
+        )
+            .prop_map(
+                |((len, min, extra), (start, m), (u_em, u_rho, u_sup, dyadic))| {
+                    let counts = OffsetCounts::new(len, gap(min, min + extra));
+                    let w_m = (extra as f64 + 1.0).powi(m as i32);
+                    let rho = 10f64.powf(-6.0 * u_rho);
+                    const Q: u64 = 999_983;
+                    Theorem2Case {
+                        rho: if dyadic {
+                            BigRatio::from_f64_exact(rho)
+                        } else {
+                            BigRatio::from_u64s(((rho * Q as f64) as u64).max(1), Q)
+                        },
+                        start,
+                        m,
+                        em: (w_m.powf(u_em).round() as u64).clamp(1, w_m as u64),
+                        max_sup: counts.n_f64(start).max(1.0).powf(u_sup) as u128,
+                        counts,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        #[test]
+        fn streamed_n_matches_the_per_k_scan(cases in collection::vec(theorem2_case(), 100..101)) {
+            let mut interior = 0;
+            for case in &cases {
+                let n = case.streamed();
+                prop_assert_eq!(n, case.scanned(), "{:?}", case);
+                if n > case.start && n < case.counts.l1() {
+                    interior += 1;
+                }
+            }
+            // The sawtooth's inside, not only its a and l1 ends: about
+            // a third of the draws land there.
+            prop_assert!(interior >= 20, "{interior} of {} draws had a < n < l1", cases.len());
+        }
+    }
+
+    #[test]
+    fn streamed_n_fixed_cases() {
+        let check = |case: &Theorem2Case| {
+            let n = case.streamed();
+            assert_eq!(n, case.scanned(), "{case:?}");
+            n
+        };
+        // l1 ≤ a: nothing to scan (l1 = 3 and l1 = 2).
+        for len in [12, 5] {
+            let case = Theorem2Case::new(len, (2, 3), 1e-4, 2, 1, 1 << 20);
+            assert!(case.counts.l1() <= 3);
+            assert_eq!(check(&case), 3);
+        }
+        // W = 1: e_m = W^m = 1, so the test is 2·sup·q ≥ p·C_k and holds
+        // from some k on: n is l1 (C_k ≤ 360 from k = 8) or the start
+        // level (C_l1 = 4 > 2·sup/ρ).
+        let rigid = Theorem2Case::new(200, (2, 2), 0.05, 3, 1, 9);
+        assert!(!rigid.passes(4));
+        assert_eq!(check(&rigid), rigid.counts.l1());
+        assert_eq!(check(&Theorem2Case::new(200, (2, 2), 1.0, 3, 1, 1)), 3);
+        // e_m = W^m: A/B never falls, and C_k does, so lengths pass only
+        // from some k on (sup ≥ 0.045·C_k, from k = 64). The stop rule
+        // must not fire at the early failures: n = l1.
+        let flat = Theorem2Case::new(300, (1, 3), 0.01, 2, 9, 10);
+        assert!(!flat.passes(4), "the early lengths must fail");
+        assert_eq!(check(&flat), flat.counts.l1());
+        // max_sup = 0 passes nowhere. Under ρ = 1 a block's last length k
+        // needs sup ≥ 4.5·C_k·(81/14)^s: 2,000 passes nowhere (block 0
+        // needs 4.5·C_6 = 2,565), u128::MAX everywhere, and 20,000 up to
+        // block 1, which ends at k = 10.
+        assert_eq!(check(&Theorem2Case::new(300, (1, 3), 1e-4, 4, 14, 0)), 3);
+        let dense = |sup| check(&Theorem2Case::new(300, (1, 3), 1.0, 4, 14, sup));
+        assert_eq!(dense(2_000), 3);
+        assert_eq!(dense(u128::MAX), 75);
+        assert_eq!(dense(20_000), 10);
+        // Start levels other than 3.
+        for start in [1, 2, 5] {
+            let case = Theorem2Case {
+                start,
+                ..Theorem2Case::new(400, (0, 2), 1e-3, 3, 5, 700)
+            };
+            check(&case);
+        }
+        // An out-of-contract e_m = 7 > W^m = 4 lets A/B rise, by 7/4 per
+        // block from 50, below C_l1 = 103 at the start: an unguarded stop
+        // rule would return 3, but from block 4 on every length passes.
+        let rising = Theorem2Case::new(200, (0, 1), 0.01, 2, 7, 1);
+        assert_eq!(check(&rising), rising.counts.l1());
+    }
+
+    #[test]
+    fn streamed_n_at_scale() {
+        // l1 = 1,000,000: the per-k scan would build a million bignum
+        // bounds; the streamed test stops a few blocks past n.
+        let case = Theorem2Case::new(4_000_000, (1, 3), 1e-4, 4, 14, 1_000_000);
+        assert_eq!(case.counts.l1(), 1_000_000);
+        let n = case.streamed();
+        assert!(n > 3 && n < 1_000_000, "n = {n}");
+        assert!(case.passes(n), "n = {n} must pass Theorem 2");
+        for k in (n + 1)..=(n + 3 * case.m) {
+            assert!(!case.passes(k), "k = {k} past n = {n} passes");
+        }
+        // e_m = W^m = 81: the threshold on sup never rises across blocks
+        // and stays below ρ·C_4·W^2/2 < 3,600 within them, so every
+        // length passes and the scan runs all 250,000 blocks without
+        // stopping. Cancelling gcd(e_m, W^m) keeps A and B one size, so
+        // that stays linear in l1.
+        let flat = Theorem2Case { em: 81, ..case };
+        assert_eq!(flat.streamed(), 1_000_000);
     }
 }

@@ -273,7 +273,8 @@ impl BigUint {
 
     /// Greatest common divisor (binary/Stein algorithm — needs only
     /// shifts and subtraction, which keeps this type free of full
-    /// multi-word division).
+    /// multi-word division). Once either operand fits a word, one
+    /// [`BigUint::div_rem_u64`] and word-sized Euclid finish the job.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
         if self.is_zero() {
             return other.clone();
@@ -294,7 +295,20 @@ impl BigUint {
             b.shr1_assign();
         }
         loop {
-            // Invariant: a and b are both odd.
+            // Invariant: a and b are both odd. Against a one-word operand
+            // the subtract-and-shift pass below sheds only about two bits
+            // of the other per round, shifting every limb each time —
+            // O(bits × limbs) for a ratio like ρ·N_l with ρ's 2^66
+            // denominator — so reduce it with one word division instead.
+            let word = match (a.to_u64(), b.to_u64()) {
+                (Some(x), _) => Some((x, &b)),
+                (None, Some(y)) => Some((y, &a)),
+                (None, None) => None,
+            };
+            if let Some((x, big)) = word {
+                let (_, r) = big.div_rem_u64(x);
+                return BigUint::from_u64(gcd_u64(x, r)).shl_bits(shift);
+            }
             if a > b {
                 std::mem::swap(&mut a, &mut b);
             }
@@ -362,6 +376,14 @@ impl BigUint {
         let exp = (n as f64 - 2.0) * 64.0;
         (top as f64).ln() + exp * std::f64::consts::LN_2
     }
+}
+
+/// Euclid's algorithm on machine words.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 impl PartialOrd for BigUint {
@@ -671,6 +693,23 @@ mod tests {
         let a = big(2).pow(100).mul_ref(&big(3).pow(5));
         let b = big(2).pow(90).mul_ref(&big(3).pow(7));
         assert_eq!(a.gcd(&b), big(2).pow(90).mul_ref(&big(3).pow(5)));
+    }
+
+    #[test]
+    fn gcd_against_a_one_word_operand() {
+        // 3^4000·2^5·7 (about 6,300 bits) against 2^66·7, which strips
+        // to the one-word 7: the word-division path.
+        let a = big(3).pow(4000).mul_ref(&big(2).pow(5)).mul_ref(&big(7));
+        let b = big(2).pow(66).mul_ref(&big(7));
+        assert_eq!(a.gcd(&b).to_u64(), Some(224));
+        assert_eq!(b.gcd(&a).to_u64(), Some(224));
+        assert_eq!(a.gcd(&BigUint::one()), BigUint::one());
+        assert_eq!(BigUint::one().gcd(&a), BigUint::one());
+        assert_eq!(big(2).pow(200).gcd(&big(2).pow(66)), big(2).pow(66));
+        // Both operands multi-word until the subtraction loop shrinks one.
+        let c = big(3).pow(90).mul_ref(&big(11));
+        let d = big(3).pow(85).mul_ref(&big(13));
+        assert_eq!(c.gcd(&d), big(3).pow(85));
     }
 
     #[test]

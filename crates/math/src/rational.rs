@@ -294,6 +294,26 @@ mod tests {
     }
 
     #[test]
+    fn rho_times_a_huge_integer_reduces_exactly() {
+        // 1e-4 is an odd 53-bit mantissa over 2^66. An odd factor keeps
+        // that denominator; 2^70 more cancels it into an integer.
+        let rho = BigRatio::from_f64_exact(1e-4);
+        let two66 = BigUint::from_u64(2).pow(66);
+        assert_eq!(*rho.denom(), two66);
+        let odd = BigUint::from_u64(3).pow(4000);
+        let kept = rho.mul(&BigRatio::from_integer(odd.clone()));
+        assert_eq!(*kept.denom(), two66);
+        assert_eq!(*kept.numer(), rho.numer().mul_ref(&odd));
+        let even = odd.mul_ref(&BigUint::from_u64(2).pow(70));
+        let whole = rho.mul(&BigRatio::from_integer(even));
+        assert_eq!(*whole.denom(), BigUint::one());
+        assert_eq!(
+            *whole.numer(),
+            rho.numer().mul_ref(&odd).mul_ref(&BigUint::from_u64(16))
+        );
+    }
+
+    #[test]
     fn exact_div_multiword() {
         let a = BigUint::from_u64(7).pow(50);
         let b = BigUint::from_u64(7).pow(20);
