@@ -4,7 +4,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use perigap_bench::data::ax_fragment;
-use perigap_core::dfs::mpp_dfs;
 use perigap_core::mpp::{mpp, MppConfig};
 use perigap_core::mppm::mppm;
 use perigap_core::parallel::mpp_parallel;
@@ -90,27 +89,6 @@ fn bench_profile_vs_uniform(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engines(c: &mut Criterion) {
-    // Breadth-first vs hybrid BFS→DFS on the same join-heavy workload.
-    let seq = ax_fragment(1_000);
-    let mut group = c.benchmark_group("engine");
-    group.sample_size(10);
-    for threads in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("bfs", threads), &threads, |b, &t| {
-            b.iter(|| {
-                mpp_parallel(black_box(&seq), gap(), RHO, 30, MppConfig::default(), t)
-                    .expect("runs")
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("dfs", threads), &threads, |b, &t| {
-            b.iter(|| {
-                mpp_dfs(black_box(&seq), gap(), RHO, 30, MppConfig::default(), t).expect("runs")
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_join_kernel(c: &mut Criterion) {
     // One left parent joined against its whole suffix fan-out:
     // per-candidate `join_checked` calls vs the batched one-scan walk.
@@ -165,7 +143,6 @@ criterion_group!(
     bench_mppm_by_w,
     bench_parallel_threads,
     bench_profile_vs_uniform,
-    bench_engines,
     bench_join_kernel
 );
 criterion_main!(benches);

@@ -12,23 +12,18 @@
 //!    with per-level wall-clock from both engines;
 //! 3. **a size matrix**: per-level wall-clock of the new engine over a
 //!    fixed seed/size grid, so later PRs can diff trajectories;
-//! 4. **engine comparison**: the breadth-first pooled engine vs the
-//!    hybrid BFS→DFS engine ([`perigap_core::dfs`]) at 4 threads —
-//!    wall-clock plus the deterministic peak live-arena bytes each
-//!    engine reports, with a hard check that the DFS peak is strictly
-//!    lower and all stats counters identical;
-//! 5. **join kernel**: per-candidate [`Pil::join_checked`] calls vs the
+//! 4. **join kernel**: per-candidate [`Pil::join_checked`] calls vs the
 //!    batched multi-suffix walk ([`join_multi_into`]) over the same
 //!    shared-parent fan-out;
-//! 6. **single thread**: the serial packed engine vs the seed
+//! 5. **single thread**: the serial packed engine vs the seed
 //!    reference at one thread on L = 50 000 (the ISSUE-6 parity row),
 //!    with per-level wall-clock from both so a late-level regression
 //!    is visible individually;
-//! 7. **query throughput**: the `pgmine serve` daemon over the mined
+//! 6. **query throughput**: the `pgmine serve` daemon over the mined
 //!    pattern set, hammered by 1 / 4 / 16 concurrent clients with a
 //!    mixed support/topk/prefix/overlap workload — queries/sec per
 //!    client count, every response checked `"ok": true`;
-//! 8. **top-k pruning**: `PruneMode::top_k(k)` vs a full mine +
+//! 7. **top-k pruning**: `PruneMode::top_k(k)` vs a full mine +
 //!    [`select_top_k`] post-filter at k ∈ {10, 100, 1000}, in both gap
 //!    regimes — the flexible acceptance gap `[0, 9]` (`W = 10`:
 //!    support is not anti-monotone, the floor gates emission only, so
@@ -37,25 +32,20 @@
 //!    k = 100 on the full-size run). Every pruned outcome is checked
 //!    bit-identical to the post-filter oracle before its timing is
 //!    trusted.
-//! 9. **incremental speedup**: `mine_incremental` re-mining after an
+//! 8. **incremental speedup**: `mine_incremental` re-mining after an
 //!    append of 0.1% / 1% / 10% of L under a rigid gap, against a cold
 //!    mine of the grown sequence (≥ 5× required at the 1% append on
 //!    the full-size run). The record is rewound to the base-sequence
 //!    state before every timed rep, and every incremental outcome is
 //!    checked bit-identical to the cold one before its timing is
 //!    trusted.
-//! 10. **corpus scale**: the mmap-backed sharded corpus miner
-//!     ([`perigap_core::corpus::mine_corpus`]) under a DFS arena
-//!     ceiling — cold wall-clock and peak RSS (`VmHWM`), then a
-//!     controlled kill at ~50% of shards followed by a `--resume`, with
-//!     the restart delta (resume / cold wall-clock) and checkpoint
-//!     footprint; the resumed outcome is checked bit-identical to the
-//!     cold mine before any timing is trusted;
-//! 11. **DFS sweep**: `mppm` vs `mppm_dfs` (and `mpp_parallel` vs
-//!     `mpp_dfs` on the `n` axis) across the Figure 4–8 axes (ρs, n,
-//!     W, N, L) — wall-clock plus the deterministic peak live-arena
-//!     bytes of each engine, with a hard check that both find the same
-//!     frequent set.
+//! 9. **corpus scale**: the mmap-backed sharded corpus miner
+//!    ([`perigap_core::corpus::mine_corpus`]) under an arena ceiling —
+//!    cold wall-clock and peak RSS (`VmHWM`), then a controlled kill at
+//!    ~50% of shards followed by a `--resume`, with the restart delta
+//!    (resume / cold wall-clock) and checkpoint footprint; the resumed
+//!    outcome is checked bit-identical to the cold mine before any
+//!    timing is trusted.
 //!
 //! Thread counts are capped at the CPUs the run actually has, so no
 //! row measures oversubscription.
@@ -63,12 +53,10 @@
 //! The JSON is hand-rolled (the workspace carries no serde); the format
 //! is flat enough to eyeball and to parse with anything.
 
-use super::{paper, pct, timed, timed_median};
-use crate::data::{ax_fragment, scaling_sequence};
-use perigap_analysis::report::{seconds, TextTable};
-use perigap_core::dfs::{mpp_dfs, mpp_dfs_traced};
+use super::timed;
+use crate::data::scaling_sequence;
 use perigap_core::mpp::{mpp, mpp_traced, MppConfig};
-use perigap_core::mppm::{mppm_dfs_traced, mppm_traced};
+use perigap_core::mppm::mppm_traced;
 use perigap_core::parallel::{mpp_parallel, mpp_parallel_traced};
 use perigap_core::pil::{join_multi_into, JoinCounters, MultiJoinScratch, Pil};
 use perigap_core::reference::{build_all_reference, mpp_reference};
@@ -250,17 +238,15 @@ pub fn run(quick: bool) {
         pruning_json(&lambda_prime_metrics.levels)
     );
 
-    let engine_comparison = engine_comparison(&e2e_seq, gap, reps);
     let spill = spill_overhead(&e2e_seq, gap, reps);
     let join_kernel = join_kernel(&e2e_seq, gap, if quick { 50 } else { 200 });
     let single_thread = single_thread(if quick { 10_000 } else { 50_000 }, gap, reps);
     let query_throughput = query_throughput(gap, quick);
     let top_k_pruning = top_k_pruning(quick);
     let incremental_speedup = incremental_speedup(quick);
-    let dfs_sweep = dfs_sweep(quick);
 
     let json = format!(
-        "{{\n  \"config\": {{\"alphabet\": \"DNA\", \"gap\": [{}, {}], \"rho\": {RHO}, \"n\": {N}, \"threads\": {threads}, \"quick\": {quick}}},\n  \"seeding_level3\": {{\"length\": {seed_len}, \"patterns\": {}, \"reference_ms\": {:.3}, \"packed_ms\": {:.3}, \"speedup\": {:.3}}},\n  \"end_to_end\": {end_to_end},\n  \"corpus_scale\": {corpus_scale},\n  \"matrix\": {},\n  \"engine_comparison\": {engine_comparison},\n  \"spill\": {spill},\n  \"join_kernel\": {join_kernel},\n  \"single_thread\": {single_thread},\n  \"query_throughput\": {query_throughput},\n  \"top_k_pruning\": {top_k_pruning},\n  \"incremental_speedup\": {incremental_speedup},\n  \"dfs_sweep\": {dfs_sweep},\n  \"pruning_power\": {}\n}}\n",
+        "{{\n  \"config\": {{\"alphabet\": \"DNA\", \"gap\": [{}, {}], \"rho\": {RHO}, \"n\": {N}, \"threads\": {threads}, \"quick\": {quick}}},\n  \"seeding_level3\": {{\"length\": {seed_len}, \"patterns\": {}, \"reference_ms\": {:.3}, \"packed_ms\": {:.3}, \"speedup\": {:.3}}},\n  \"end_to_end\": {end_to_end},\n  \"corpus_scale\": {corpus_scale},\n  \"matrix\": {},\n  \"spill\": {spill},\n  \"join_kernel\": {join_kernel},\n  \"single_thread\": {single_thread},\n  \"query_throughput\": {query_throughput},\n  \"top_k_pruning\": {top_k_pruning},\n  \"incremental_speedup\": {incremental_speedup},\n  \"pruning_power\": {}\n}}\n",
         GAP.0,
         GAP.1,
         packed_pils.len(),
@@ -351,9 +337,7 @@ fn reset_vm_hwm() {
 /// report the restart delta. Peak RSS (VmHWM) brackets each leg.
 /// Returns the JSON fragment for the `corpus_scale` key.
 pub fn corpus_scale(quick: bool) -> String {
-    use perigap_core::corpus::{
-        mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, ShardEngine,
-    };
+    use perigap_core::corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig};
     use std::sync::Arc;
 
     let gap = GapRequirement::new(GAP.0, GAP.1).unwrap();
@@ -385,13 +369,12 @@ pub fn corpus_scale(quick: bool) -> String {
         .max_by_key(|s| s.len())
         .expect("non-empty corpus");
     let mut peak_metrics = MetricsObserver::new();
-    mpp_dfs_traced(
+    mpp_traced(
         longest,
         gap,
         RHO,
         N,
         MppConfig::default(),
-        1,
         &mut peak_metrics,
     )
     .expect("unbounded peak probe");
@@ -405,7 +388,6 @@ pub fn corpus_scale(quick: bool) -> String {
         n: N,
         min_sequences: 1,
         threads,
-        engine: ShardEngine::Dfs,
         mpp: MppConfig {
             max_arena_bytes: Some(ceiling),
             spill_dir: Some(scratch.join("spill")),
@@ -463,7 +445,7 @@ pub fn corpus_scale(quick: bool) -> String {
     let _ = std::fs::remove_dir_all(&scratch);
 
     format!(
-        "{{\"shards\": {shards}, \"total_symbols\": {total_symbols}, \"threads\": {threads}, \"cpus\": {}, \"engine\": \"dfs\", \"ceiling_bytes\": {ceiling}, \"patterns\": {}, \"cold_ms\": {:.3}, \"cold_peak_rss_kb\": {cold_peak_kb}, \"paused_shards\": {paused_shards}, \"pause_ms\": {:.3}, \"resume_ms\": {:.3}, \"restart_delta\": {restart_delta:.3}, \"resume_peak_rss_kb\": {resume_peak_kb}, \"restored_shards\": {}, \"checkpoint_records\": {}, \"checkpoint_bytes\": {}}}",
+        "{{\"shards\": {shards}, \"total_symbols\": {total_symbols}, \"threads\": {threads}, \"cpus\": {}, \"ceiling_bytes\": {ceiling}, \"patterns\": {}, \"cold_ms\": {:.3}, \"cold_peak_rss_kb\": {cold_peak_kb}, \"paused_shards\": {paused_shards}, \"pause_ms\": {:.3}, \"resume_ms\": {:.3}, \"restart_delta\": {restart_delta:.3}, \"resume_peak_rss_kb\": {resume_peak_kb}, \"restored_shards\": {}, \"checkpoint_records\": {}, \"checkpoint_bytes\": {}}}",
         cpus(),
         cold.outcome.patterns.len(),
         ms(cold_wall),
@@ -475,95 +457,12 @@ pub fn corpus_scale(quick: bool) -> String {
     )
 }
 
-/// Engine threads for the BFS-vs-DFS comparison and the DFS sweep: 4,
-/// capped at the available CPUs.
+/// Engine threads for the spill rows: 4, capped at the available CPUs.
 fn engine_threads() -> usize {
     4.min(cpus())
 }
 
-/// Breadth-first pooled engine vs the hybrid BFS→DFS engine on the
-/// acceptance config: best-of wall-clock, the deterministic peak
-/// live-arena bytes each engine reports, and a counter-identity check.
-/// Returns the JSON fragment.
-fn engine_comparison(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize) -> String {
-    let engine_threads = engine_threads();
-    let config = MppConfig::default();
-    println!(
-        "bench: engine comparison bfs vs dfs, {engine_threads} threads, L = {}",
-        seq.len()
-    );
-    let (_, bfs_wall) = best_of(reps, || {
-        mpp_parallel(seq, gap, RHO, N, config.clone(), engine_threads).unwrap()
-    });
-    let (_, dfs_wall) = best_of(reps, || {
-        mpp_dfs(seq, gap, RHO, N, config.clone(), engine_threads).unwrap()
-    });
-    // Peaks come from one traced run each; the gauge is deterministic
-    // across thread schedules (transient chunk buffers are unaccounted).
-    let mut bfs_metrics = MetricsObserver::new();
-    let bfs = mpp_parallel_traced(
-        seq,
-        gap,
-        RHO,
-        N,
-        config.clone(),
-        engine_threads,
-        &mut bfs_metrics,
-    )
-    .unwrap();
-    let mut dfs_metrics = MetricsObserver::new();
-    let dfs = mpp_dfs_traced(
-        seq,
-        gap,
-        RHO,
-        N,
-        config.clone(),
-        engine_threads,
-        &mut dfs_metrics,
-    )
-    .unwrap();
-    let bfs_peak = bfs_metrics.complete.as_ref().unwrap().peak_arena_bytes;
-    let dfs_peak = dfs_metrics.complete.as_ref().unwrap().peak_arena_bytes;
-
-    let counters_identical = bfs.frequent == dfs.frequent
-        && bfs.stats.n_used == dfs.stats.n_used
-        && bfs.stats.support_saturated == dfs.stats.support_saturated
-        && bfs.stats.levels.len() == dfs.stats.levels.len()
-        && bfs
-            .stats
-            .levels
-            .iter()
-            .zip(&dfs.stats.levels)
-            .all(|(a, b)| {
-                a.level == b.level
-                    && a.candidates == b.candidates
-                    && a.frequent == b.frequent
-                    && a.extended == b.extended
-            });
-    assert!(counters_identical, "engines disagree on stats counters");
-    assert!(
-        dfs_peak < bfs_peak,
-        "dfs peak {dfs_peak} must be strictly below bfs peak {bfs_peak}"
-    );
-    println!(
-        "  bfs {:.1} ms peak {} B | dfs {:.1} ms peak {} B | peak ratio {:.2}x",
-        ms(bfs_wall),
-        bfs_peak,
-        ms(dfs_wall),
-        dfs_peak,
-        bfs_peak as f64 / dfs_peak as f64
-    );
-    format!(
-        "{{\"length\": {}, \"threads\": {engine_threads}, \"frequent\": {}, \"bfs_ms\": {:.3}, \"dfs_ms\": {:.3}, \"bfs_peak_arena_bytes\": {bfs_peak}, \"dfs_peak_arena_bytes\": {dfs_peak}, \"peak_ratio\": {:.3}, \"counters_identical\": {counters_identical}}}",
-        seq.len(),
-        dfs.frequent.len(),
-        ms(bfs_wall),
-        ms(dfs_wall),
-        bfs_peak as f64 / dfs_peak as f64
-    )
-}
-
-/// Spill-to-disk overhead on the acceptance config: the DFS engine
+/// Spill-to-disk overhead on the acceptance config: the engine
 /// unbounded vs under 2–3 arena ceilings derived from its own measured
 /// peak, spilling to a temp dir with a zero watermark (spill on every
 /// handoff). A ceiling whose hot working set genuinely does not fit is
@@ -576,7 +475,7 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
         seq.len()
     );
     let mut metrics = MetricsObserver::new();
-    let base = mpp_dfs_traced(
+    let base = mpp_parallel_traced(
         seq,
         gap,
         RHO,
@@ -588,7 +487,7 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
     .unwrap();
     let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes;
     let (_, unbounded_wall) = best_of(reps, || {
-        mpp_dfs(seq, gap, RHO, N, MppConfig::default(), engine_threads).unwrap()
+        mpp_parallel(seq, gap, RHO, N, MppConfig::default(), engine_threads).unwrap()
     });
     let dir = std::env::temp_dir().join(format!("perigap-bench-spill-{}", std::process::id()));
     let mut rows = Vec::new();
@@ -600,14 +499,14 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
             spill_watermark: 0.0,
             ..MppConfig::default()
         };
-        match mpp_dfs(seq, gap, RHO, N, config.clone(), engine_threads) {
+        match mpp_parallel(seq, gap, RHO, N, config.clone(), engine_threads) {
             Ok(outcome) => {
                 assert_eq!(
                     outcome.frequent, base.frequent,
                     "spilling changed the pattern set at {pct}% ceiling"
                 );
                 let (_, wall) = best_of(reps, || {
-                    mpp_dfs(seq, gap, RHO, N, config.clone(), engine_threads).unwrap()
+                    mpp_parallel(seq, gap, RHO, N, config.clone(), engine_threads).unwrap()
                 });
                 let overhead = wall.as_secs_f64() / unbounded_wall.as_secs_f64();
                 println!(
@@ -1017,7 +916,7 @@ fn incremental_speedup_at(len: usize, reps: usize, enforce: bool) -> String {
     // the Markov background dies out by level 4.
     let gap = GapRequirement::new(0, 0).unwrap();
     let rho = 0.008;
-    let engine = EngineSelection::MppBfs { n: N };
+    let engine = EngineSelection::Mpp { n: N };
     let config = MppConfig::default();
     println!("bench: incremental speedup, rigid gap [0, 0], L = {len}, rho = {rho}, n = {N}");
 
@@ -1136,272 +1035,10 @@ fn incremental_speedup_at(len: usize, reps: usize, enforce: bool) -> String {
     }
     let _ = std::fs::remove_dir_all(&scratch);
     format!(
-        "{{\"length\": {len}, \"gap\": [0, 0], \"rho\": {rho}, \"n\": {N}, \"engine\": \"mpp-bfs\", \"record_bytes\": {}, \"rows\": [{}]}}",
+        "{{\"length\": {len}, \"gap\": [0, 0], \"rho\": {rho}, \"n\": {N}, \"engine\": \"mpp\", \"record_bytes\": {}, \"rows\": [{}]}}",
         base_record.len(),
         rows.join(", ")
     )
-}
-
-/// One point of a BFS-vs-DFS axis sweep.
-struct SweepPoint {
-    x: String,
-    bfs: Duration,
-    dfs: Duration,
-    bfs_peak: usize,
-    dfs_peak: usize,
-    patterns: usize,
-}
-
-/// Run one axis point: median wall for both engines plus one traced
-/// run each for the deterministic peak-arena gauge, with a hard check
-/// that both engines find the same frequent set.
-fn sweep_point(
-    reps: usize,
-    x: String,
-    mut bfs: impl FnMut(&mut MetricsObserver) -> MineOutcome,
-    mut dfs: impl FnMut(&mut MetricsObserver) -> MineOutcome,
-) -> SweepPoint {
-    let (_, bfs_wall) = timed_median(reps, || bfs(&mut MetricsObserver::new()));
-    let (_, dfs_wall) = timed_median(reps, || dfs(&mut MetricsObserver::new()));
-    let mut bm = MetricsObserver::new();
-    let b = bfs(&mut bm);
-    let mut dm = MetricsObserver::new();
-    let d = dfs(&mut dm);
-    assert_eq!(b.frequent, d.frequent, "engines disagree at {x}");
-    SweepPoint {
-        x,
-        bfs: bfs_wall,
-        dfs: dfs_wall,
-        bfs_peak: bm
-            .complete
-            .as_ref()
-            .expect("traced run completes")
-            .peak_arena_bytes,
-        dfs_peak: dm
-            .complete
-            .as_ref()
-            .expect("traced run completes")
-            .peak_arena_bytes,
-        patterns: d.frequent.len(),
-    }
-}
-
-/// Render one axis of the sweep as a table plus its JSON fragment.
-fn render_axis(name: &str, xlabel: &str, points: &[SweepPoint]) -> String {
-    let mut table = TextTable::new(&[
-        xlabel,
-        "bfs (s)",
-        "dfs (s)",
-        "wall ratio",
-        "bfs peak (B)",
-        "dfs peak (B)",
-        "peak ratio",
-    ]);
-    for p in points {
-        table.row(&[
-            p.x.clone(),
-            seconds(p.bfs),
-            seconds(p.dfs),
-            format!("{:.2}x", p.bfs.as_secs_f64() / p.dfs.as_secs_f64()),
-            p.bfs_peak.to_string(),
-            p.dfs_peak.to_string(),
-            format!("{:.2}x", p.bfs_peak as f64 / p.dfs_peak.max(1) as f64),
-        ]);
-    }
-    println!("bench: dfs sweep axis {name}");
-    print!("{}", table.render());
-
-    let mut s = String::new();
-    let _ = write!(s, "{{\"axis\": \"{name}\", \"points\": [");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(
-            s,
-            "{{\"x\": \"{}\", \"bfs_ms\": {:.3}, \"dfs_ms\": {:.3}, \"bfs_peak_arena_bytes\": {}, \"dfs_peak_arena_bytes\": {}, \"patterns\": {}}}",
-            p.x,
-            ms(p.bfs),
-            ms(p.dfs),
-            p.bfs_peak,
-            p.dfs_peak,
-            p.patterns
-        );
-    }
-    s.push_str("]}");
-    s
-}
-
-/// The DFS-first mppm sweep: `mppm` vs `mppm_dfs` (and
-/// `mpp_parallel` vs `mpp_dfs` on the Figure 5 axis) across the
-/// Figure 4–8 axes. Returns the JSON fragment for the `dfs_sweep`
-/// array.
-pub fn dfs_sweep(quick: bool) -> String {
-    let reps = if quick { 1 } else { 3 };
-    let seq_len = if quick { 600 } else { paper::SEQ_LEN };
-    let engine_threads = engine_threads();
-    let config = MppConfig::default();
-    let paper_gap = GapRequirement::new(paper::GAP_MIN, paper::GAP_MAX).expect("static gap");
-    println!("bench: dfs-first mppm sweep, {engine_threads} threads, L = {seq_len}, reps {reps}");
-    let mut axes = Vec::new();
-
-    // Figure 4 axis: ρs sweep, mppm at m = 10, gap [9, 12].
-    let rhos: Vec<f64> = if quick {
-        vec![0.003e-2, 0.005e-2]
-    } else {
-        paper::RHO_SWEEP_PERCENT.iter().map(|p| p * 1e-2).collect()
-    };
-    let seq = ax_fragment(seq_len);
-    let points: Vec<SweepPoint> = rhos
-        .iter()
-        .map(|&rho| {
-            sweep_point(
-                reps,
-                pct(rho),
-                |o| {
-                    mppm_traced(&seq, paper_gap, rho, paper::M, config.clone(), o)
-                        .expect("mppm runs")
-                },
-                |o| {
-                    mppm_dfs_traced(
-                        &seq,
-                        paper_gap,
-                        rho,
-                        paper::M,
-                        config.clone(),
-                        engine_threads,
-                        o,
-                    )
-                    .expect("mppm_dfs runs")
-                },
-            )
-        })
-        .collect();
-    axes.push(render_axis("rho", "rho", &points));
-
-    // Figure 5 axis: user input n, mpp engines, gap [9, 12].
-    let ns: Vec<usize> = if quick {
-        vec![10, 40]
-    } else {
-        vec![10, 20, 40, 77]
-    };
-    let points: Vec<SweepPoint> = ns
-        .iter()
-        .map(|&n| {
-            sweep_point(
-                reps,
-                n.to_string(),
-                |o| {
-                    mpp_parallel_traced(
-                        &seq,
-                        paper_gap,
-                        paper::RHO,
-                        n,
-                        config.clone(),
-                        engine_threads,
-                        o,
-                    )
-                    .expect("mpp_parallel runs")
-                },
-                |o| {
-                    mpp_dfs_traced(
-                        &seq,
-                        paper_gap,
-                        paper::RHO,
-                        n,
-                        config.clone(),
-                        engine_threads,
-                        o,
-                    )
-                    .expect("mpp_dfs runs")
-                },
-            )
-        })
-        .collect();
-    axes.push(render_axis("n", "n", &points));
-
-    // Figure 6 axis: gap flexibility W (gap [9, 8+W]), m = 8.
-    let ws: Vec<usize> = if quick {
-        vec![4, 6]
-    } else {
-        vec![4, 5, 6, 7, 8]
-    };
-    let points: Vec<SweepPoint> = ws
-        .iter()
-        .map(|&w| {
-            let gap =
-                GapRequirement::new(paper::GAP_MIN, paper::GAP_MIN + w - 1).expect("sweep gap");
-            sweep_point(
-                reps,
-                format!("W={w}"),
-                |o| mppm_traced(&seq, gap, paper::RHO, 8, config.clone(), o).expect("mppm runs"),
-                |o| {
-                    mppm_dfs_traced(&seq, gap, paper::RHO, 8, config.clone(), engine_threads, o)
-                        .expect("mppm_dfs runs")
-                },
-            )
-        })
-        .collect();
-    axes.push(render_axis("W", "W", &points));
-
-    // Figure 7 axis: minimum gap N (gap [N, N+3]), m = 8.
-    let gap_mins: Vec<usize> = if quick {
-        vec![8, 12]
-    } else {
-        vec![8, 9, 10, 11, 12]
-    };
-    let points: Vec<SweepPoint> = gap_mins
-        .iter()
-        .map(|&gmin| {
-            let gap = GapRequirement::new(gmin, gmin + 3).expect("sweep gap");
-            sweep_point(
-                reps,
-                format!("N={gmin}"),
-                |o| mppm_traced(&seq, gap, paper::RHO, 8, config.clone(), o).expect("mppm runs"),
-                |o| {
-                    mppm_dfs_traced(&seq, gap, paper::RHO, 8, config.clone(), engine_threads, o)
-                        .expect("mppm_dfs runs")
-                },
-            )
-        })
-        .collect();
-    axes.push(render_axis("gap_min", "N", &points));
-
-    // Figure 8 axis: sequence length L, homogeneous family, m = 10.
-    let lens: Vec<usize> = if quick {
-        vec![1_000, 2_000]
-    } else {
-        vec![2_000, 4_000, 6_000, 8_000, 10_000]
-    };
-    let points: Vec<SweepPoint> = lens
-        .iter()
-        .map(|&len| {
-            let seq = scaling_sequence(len);
-            sweep_point(
-                reps,
-                len.to_string(),
-                |o| {
-                    mppm_traced(&seq, paper_gap, paper::RHO, paper::M, config.clone(), o)
-                        .expect("mppm runs")
-                },
-                |o| {
-                    mppm_dfs_traced(
-                        &seq,
-                        paper_gap,
-                        paper::RHO,
-                        paper::M,
-                        config.clone(),
-                        engine_threads,
-                        o,
-                    )
-                    .expect("mppm_dfs runs")
-                },
-            )
-        })
-        .collect();
-    axes.push(render_axis("length", "L", &points));
-
-    format!("[{}]", axes.join(", "))
 }
 
 #[cfg(test)]
@@ -1437,30 +1074,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_comparison_fragment_shape() {
-        let seq = scaling_sequence(3_000);
-        let gap = GapRequirement::new(GAP.0, GAP.1).unwrap();
-        let json = engine_comparison(&seq, gap, 1);
-        assert!(json.contains("\"counters_identical\": true"), "{json}");
-        assert!(json.contains("\"dfs_peak_arena_bytes\""), "{json}");
-    }
-
-    #[test]
     fn join_kernel_fragment_matches_scalar_path() {
         let seq = scaling_sequence(2_000);
         let gap = GapRequirement::new(0, 2).unwrap();
         let json = join_kernel(&seq, gap, 2);
         assert!(json.contains("\"speedup\""), "{json}");
         assert!(json.contains("\"candidates\""), "{json}");
-    }
-
-    #[test]
-    fn dfs_sweep_covers_every_axis() {
-        let json = dfs_sweep(true);
-        for axis in ["rho", "n", "W", "gap_min", "length"] {
-            assert!(json.contains(&format!("\"axis\": \"{axis}\"")), "{json}");
-        }
-        assert!(json.contains("dfs_peak_arena_bytes"), "{json}");
     }
 
     #[test]

@@ -3,11 +3,10 @@
 use crate::args::{parse_gap, parse_rho, ArgError, Args};
 use perigap_analysis::report::TextTable;
 use perigap_core::adaptive::adaptive_mpp;
-use perigap_core::corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, ShardEngine};
-use perigap_core::dfs::mpp_dfs_traced;
+use perigap_core::corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig};
 use perigap_core::enumerate::enumerate;
-use perigap_core::mpp::{mpp_traced, MppConfig};
-use perigap_core::mppm::{mppm_dfs_traced, mppm_traced};
+use perigap_core::mpp::MppConfig;
+use perigap_core::mppm::mppm_parallel_traced;
 use perigap_core::multiseq::{mine_collection, CollectionOutcome};
 use perigap_core::parallel::mpp_parallel_traced;
 use perigap_core::trace::{validate_trace, JsonlObserver, MetricsObserver};
@@ -36,11 +35,10 @@ USAGE:
                 a rigid gap (N:N) also prunes the search itself]
                [--target <pattern>  mine only patterns starting with
                 this prefix; join cones stay intact, emission filters]
-               [--engine bfs|dfs  mpp/mppm; dfs = depth-first subtrees]
-               [--threads <k>  mpp, or mppm with --engine dfs]
+               [--threads <k>  mpp/mppm worker threads]
                [--max-arena-bytes <bytes>  abort if live arenas exceed]
-               [--spill-dir <dir>  --engine dfs: spill cold subtrees to
-                disk instead of aborting at the ceiling]
+               [--spill-dir <dir>  spill cold subtrees to disk instead of
+                aborting at the ceiling]
                [--spill-watermark <frac>  spill once live arenas reach
                 frac * ceiling (default 0.5)]
                [--closed  keep only closed patterns: drop any pattern a
@@ -61,7 +59,6 @@ USAGE:
                mine the whole corpus, one shard per sequence
                [--n <len>] [--min-sequences <k>  frequent in ≥ k shards]
                [--threads <k>  shards fan out on a work-stealing pool]
-               [--engine bfs|dfs  per-shard engine]
                [--max-arena-bytes <bytes>] [--spill-dir <dir>]
                [--checkpoint-dir <dir>  persist each finished shard]
                [--resume  continue from a checkpoint manifest]
@@ -128,7 +125,6 @@ pub fn run(raw: impl IntoIterator<Item = String>) -> Result<String, ArgError> {
             "save",
             "threads",
             "trace",
-            "engine",
             "max-arena-bytes",
             "spill-dir",
             "spill-watermark",
@@ -321,15 +317,9 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         None => MppConfig::default().spill_watermark,
     };
 
-    let engine = args.get("engine").unwrap_or("bfs");
-    if !matches!(engine, "bfs" | "dfs") {
-        return Err(ArgError(format!("unknown engine {engine:?} (bfs|dfs)")));
-    }
-    if (args.get("engine").is_some() || max_arena_bytes.is_some())
-        && !matches!(algorithm, "mpp" | "mppm")
-    {
+    if max_arena_bytes.is_some() && !matches!(algorithm, "mpp" | "mppm") {
         return Err(ArgError(format!(
-            "--engine/--max-arena-bytes apply to --algorithm mpp or mppm only (got {algorithm:?})"
+            "--max-arena-bytes applies to --algorithm mpp or mppm only (got {algorithm:?})"
         )));
     }
     if args.get("spill-watermark").is_some() && spill_dir.is_none() {
@@ -337,21 +327,12 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
             "--spill-watermark needs --spill-dir to have any effect".into(),
         ));
     }
-    if spill_dir.is_some() {
-        if max_arena_bytes.is_none() {
-            return Err(ArgError(
-                "--spill-dir needs --max-arena-bytes: without a ceiling there \
-                 is nothing to spill under"
-                    .into(),
-            ));
-        }
-        if engine != "dfs" {
-            return Err(ArgError(
-                "--spill-dir applies to --engine dfs only: the BFS engines \
-                 abort at the ceiling"
-                    .into(),
-            ));
-        }
+    if spill_dir.is_some() && max_arena_bytes.is_none() {
+        return Err(ArgError(
+            "--spill-dir needs --max-arena-bytes: without a ceiling there \
+             is nothing to spill under"
+                .into(),
+        ));
     }
     let incremental = args.flag("incremental");
     let cache_path = args.get("cache-path");
@@ -397,10 +378,9 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
     if threads == 0 {
         return Err(ArgError("--threads must be at least 1".into()));
     }
-    if threads > 1 && !(algorithm == "mpp" || (algorithm == "mppm" && engine == "dfs")) {
+    if threads > 1 && !matches!(algorithm, "mpp" | "mppm") {
         return Err(ArgError(format!(
-            "--threads applies to --algorithm mpp, or mppm with --engine dfs \
-             (got {algorithm:?} on engine {engine:?})"
+            "--threads applies to --algorithm mpp or mppm only (got {algorithm:?})"
         )));
     }
 
@@ -437,15 +417,11 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         Option<BaselineDiff>,
     )> = None;
     let mined: Result<MineOutcome, _> = if incremental {
-        let selection = match (algorithm, engine) {
-            ("mpp", "dfs") => EngineSelection::MppDfs {
+        let selection = match algorithm {
+            "mpp" => EngineSelection::Mpp {
                 n: args.parse_or("n", gap.l1(seq.len()))?,
             },
-            ("mpp", _) => EngineSelection::MppBfs {
-                n: args.parse_or("n", gap.l1(seq.len()))?,
-            },
-            ("mppm", "dfs") => EngineSelection::MppmDfs { m },
-            _ => EngineSelection::MppmBfs { m },
+            _ => EngineSelection::Mppm { m },
         };
         let cache = std::path::Path::new(cache_path.expect("validated above"));
         mine_incremental(
@@ -464,22 +440,10 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         })
     } else {
         match algorithm {
-            "mppm" => {
-                if engine == "dfs" {
-                    mppm_dfs_traced(&seq, gap, rho, m, config, threads, &mut observer)
-                } else {
-                    mppm_traced(&seq, gap, rho, m, config, &mut observer)
-                }
-            }
+            "mppm" => mppm_parallel_traced(&seq, gap, rho, m, config, threads, &mut observer),
             "mpp" => {
                 let n: usize = args.parse_or("n", gap.l1(seq.len()))?;
-                if engine == "dfs" {
-                    mpp_dfs_traced(&seq, gap, rho, n, config, threads, &mut observer)
-                } else if threads > 1 {
-                    mpp_parallel_traced(&seq, gap, rho, n, config, threads, &mut observer)
-                } else {
-                    mpp_traced(&seq, gap, rho, n, config, &mut observer)
-                }
+                mpp_parallel_traced(&seq, gap, rho, n, config, threads, &mut observer)
             }
             "adaptive" => {
                 let n: usize = args.parse_or("n", 10)?;
@@ -798,11 +762,6 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
     if threads == 0 {
         return Err(ArgError("--threads must be at least 1".into()));
     }
-    let engine = match args.get("engine").unwrap_or("bfs") {
-        "bfs" => ShardEngine::Bfs,
-        "dfs" => ShardEngine::Dfs,
-        other => return Err(ArgError(format!("unknown engine {other:?} (bfs|dfs)"))),
-    };
     let max_arena_bytes: Option<usize> = match args.get("max-arena-bytes") {
         Some(raw) => {
             let v: usize = raw
@@ -816,21 +775,12 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
         None => None,
     };
     let spill_dir = args.get("spill-dir").map(std::path::PathBuf::from);
-    if spill_dir.is_some() {
-        if max_arena_bytes.is_none() {
-            return Err(ArgError(
-                "--spill-dir needs --max-arena-bytes: without a ceiling there \
-                 is nothing to spill under"
-                    .into(),
-            ));
-        }
-        if engine != ShardEngine::Dfs {
-            return Err(ArgError(
-                "--spill-dir applies to --engine dfs only: the BFS engine \
-                 aborts at the ceiling"
-                    .into(),
-            ));
-        }
+    if spill_dir.is_some() && max_arena_bytes.is_none() {
+        return Err(ArgError(
+            "--spill-dir needs --max-arena-bytes: without a ceiling there \
+             is nothing to spill under"
+                .into(),
+        ));
     }
     let checkpoint_dir = args.get("checkpoint-dir").map(std::path::PathBuf::from);
     if args.flag("resume") && checkpoint_dir.is_none() {
@@ -891,7 +841,6 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
             n,
             min_sequences,
             threads,
-            engine,
             mpp: mpp_config,
             checkpoint: checkpoint_dir.map(|dir| CheckpointConfig {
                 dir,
@@ -1519,7 +1468,10 @@ mod tests {
         let parallel = run_words(&base(&["--algorithm", "mpp", "--threads", "4"])).unwrap();
         assert_eq!(serial, parallel, "threaded mining must match serial output");
         assert!(run_words(&base(&["--algorithm", "mpp", "--threads", "0"])).is_err());
-        assert!(run_words(&base(&["--algorithm", "mppm", "--threads", "4"])).is_err());
+        let serial = run_words(&base(&["--algorithm", "mppm"])).unwrap();
+        let parallel = run_words(&base(&["--algorithm", "mppm", "--threads", "4"])).unwrap();
+        assert_eq!(serial, parallel, "threaded mppm must match serial output");
+        assert!(run_words(&base(&["--algorithm", "adaptive", "--threads", "4"])).is_err());
     }
 
     #[test]
@@ -1539,34 +1491,40 @@ mod tests {
             words.extend(extra.iter().map(|s| s.to_string()));
             words
         };
-        let bfs = run_words(&base(&["--algorithm", "mpp"])).unwrap();
-        let dfs = run_words(&base(&["--algorithm", "mpp", "--engine", "dfs"])).unwrap();
-        assert_eq!(bfs, dfs, "engines must report identical tables");
-        let dfs4 = run_words(&base(&[
-            "--algorithm",
-            "mpp",
-            "--engine",
-            "dfs",
-            "--threads",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(bfs, dfs4);
-        // mppm accepts --threads only on the dfs engine.
-        let mppm_bfs = run_words(&base(&["--algorithm", "mppm"])).unwrap();
-        let mppm_dfs = run_words(&base(&[
-            "--algorithm",
-            "mppm",
-            "--engine",
-            "dfs",
-            "--threads",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(mppm_bfs, mppm_dfs);
-        assert!(run_words(&base(&["--algorithm", "mppm", "--threads", "4"])).is_err());
-        assert!(run_words(&base(&["--algorithm", "mpp", "--engine", "zigzag"])).is_err());
-        assert!(run_words(&base(&["--algorithm", "enumerate", "--engine", "dfs"])).is_err());
+        // Every mpp/mppm mine runs on the one engine; the thread count
+        // moves only the schedule, never the table.
+        for algorithm in ["mpp", "mppm"] {
+            let serial = run_words(&base(&["--algorithm", algorithm])).unwrap();
+            for threads in ["1", "4"] {
+                let pooled =
+                    run_words(&base(&["--algorithm", algorithm, "--threads", threads])).unwrap();
+                assert_eq!(serial, pooled, "{algorithm} on {threads} threads");
+            }
+        }
+        assert!(run_words(&base(&["--algorithm", "enumerate", "--threads", "2"])).is_err());
+    }
+
+    #[test]
+    fn engine_flag_is_an_unknown_option() {
+        let f = fasta_file(&format!(">frag\n{}\n", "ACGTT".repeat(60)));
+        for value in ["bfs", "dfs"] {
+            let words: Vec<String> = [
+                "mine",
+                "--input",
+                f.as_str(),
+                "--gap",
+                "1:3",
+                "--rho",
+                "0.5%",
+                "--engine",
+                value,
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+            let err = run_words(&words).unwrap_err();
+            assert!(err.to_string().contains("unknown option --engine"), "{err}");
+        }
     }
 
     #[test]
@@ -1612,8 +1570,6 @@ mod tests {
             "0.5%".into(),
             "--algorithm".into(),
             "mpp".into(),
-            "--engine".into(),
-            "dfs".into(),
             "--max-arena-bytes".into(),
             "16".into(),
             "--trace".into(),
@@ -1644,6 +1600,65 @@ mod tests {
     }
 
     #[test]
+    fn aborted_mine_trace_keeps_its_completed_levels() {
+        // A ceiling above the seed arena and below the run's peak: the
+        // mine gets some levels deep before it aborts, and its trace
+        // must say how far it got.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let body: String = (0..2_000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                b"ACGT"[(state >> 33) as usize % 4] as char
+            })
+            .collect();
+        let seq = Sequence::dna(&body).unwrap();
+        let gap = GapRequirement::new(0, 3).unwrap();
+        let mut metrics = MetricsObserver::new();
+        perigap_core::mpp::mpp_traced(&seq, gap, 0.0003, 8, MppConfig::default(), &mut metrics)
+            .unwrap();
+        let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes;
+        assert!(metrics.levels[0].arena_bytes < peak / 2, "fixture too flat");
+
+        let f = fasta_file(&format!(">frag\n{body}\n"));
+        let mut trace_path = std::env::temp_dir();
+        trace_path.push(format!("pgmine-abort-levels-{}.jsonl", std::process::id()));
+        let trace_str = trace_path.to_str().unwrap().to_string();
+        let cap = (peak / 2).to_string();
+        let err = run_words(
+            &[
+                "mine",
+                "--input",
+                f.as_str(),
+                "--gap",
+                "0:3",
+                "--rho",
+                "0.03%",
+                "--algorithm",
+                "mpp",
+                "--n",
+                "8",
+                "--max-arena-bytes",
+                &cap,
+                "--trace",
+                &trace_str,
+            ]
+            .map(String::from),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("ceiling"), "{err}");
+        let trace = std::fs::read_to_string(&trace_path).unwrap();
+        let levels = trace.matches("\"event\": \"level\"").count();
+        assert!(levels >= 1, "no level event before the abort:\n{trace}");
+        assert!(trace.contains("\"event\": \"abort\""), "{trace}");
+        let checked =
+            run_words(&["trace-check".into(), "--input".into(), trace_str.clone()]).unwrap();
+        assert!(checked.contains("trace OK"), "{checked}");
+        std::fs::remove_file(&trace_path).ok();
+    }
+
+    #[test]
     fn mine_spill_flags_mine_identically_and_trace_the_spill() {
         // AT-repeat with gap [1,1] splits into two components at the
         // seed level, so a zero watermark forces a spill + restores.
@@ -1662,8 +1677,6 @@ mod tests {
                 "mpp".into(),
                 "--n".into(),
                 "20".into(),
-                "--engine".into(),
-                "dfs".into(),
             ];
             words.extend(extra.iter().map(|s| s.to_string()));
             words
@@ -1717,11 +1730,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("(0.0, 1.0]"), "{err}");
-        let mut bfs_words = base(&["--max-arena-bytes", "1048576", "--spill-dir", "/tmp/x"]);
-        let engine_at = bfs_words.iter().position(|w| w == "dfs").unwrap();
-        bfs_words[engine_at] = "bfs".into();
-        let err = run_words(&bfs_words).unwrap_err();
-        assert!(err.to_string().contains("dfs"), "{err}");
     }
 
     /// Each resource flag rejects its degenerate value with a message
@@ -1743,8 +1751,6 @@ mod tests {
                 "0.5%".into(),
                 "--algorithm".into(),
                 "mpp".into(),
-                "--engine".into(),
-                "dfs".into(),
             ];
             words.extend(extra.iter().map(|s| s.to_string()));
             words
@@ -1816,14 +1822,12 @@ mod tests {
                 .then(a.0.cmp(&b.0))
         });
         for k in [1usize, 5, rows.len() + 10] {
-            for engine_args in [&[][..], &["--engine", "dfs", "--threads", "2"]] {
-                let mut extra = vec!["--top-k".to_string(), k.to_string()];
-                extra.extend(engine_args.iter().map(|s| s.to_string()));
-                let extra: Vec<&str> = extra.iter().map(String::as_str).collect();
-                let got = run_words(&base(&extra)).unwrap();
+            for threads in ["1", "2"] {
+                let k_arg = k.to_string();
+                let got = run_words(&base(&["--top-k", &k_arg, "--threads", threads])).unwrap();
                 let got_rows = perigap_analysis::export::parse_outcome_tsv(&got).unwrap();
                 let want: Vec<_> = rows.iter().take(k).cloned().collect();
-                assert_eq!(got_rows, want, "k={k} engine={engine_args:?}");
+                assert_eq!(got_rows, want, "k={k} threads={threads}");
             }
         }
         // The table view prints top-k rows in rank order and reports
@@ -2359,9 +2363,9 @@ mod tests {
             &["--top-k", "3"],
             &["--algorithm", "mpp"],
             &["--engine", "zigzag"],
+            &["--engine", "dfs"],
             &["--threads", "0"],
             &["--spill-dir", "/tmp/x"],
-            &["--max-arena-bytes", "4096", "--spill-dir", "/tmp/x"],
         ];
         for extra in cases {
             assert!(

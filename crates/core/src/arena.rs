@@ -15,21 +15,19 @@
 //!   zero hashing and zero per-event allocation.
 //! - Candidate generation exploits the sort order: all patterns sharing
 //!   a `(level−1)`-prefix form a contiguous *run*, so the prefix-group
-//!   `HashMap` of the old pipeline reduces to run detection plus a
-//!   binary search ([`prefix_runs`] / [`generate_candidates`]), and the
-//!   candidates come out already sorted and duplicate-free — candidate
-//!   codes are `p1 · last(p2)`, which inherit the order of `(p1, p2)`.
+//!   `HashMap` of the old pipeline reduces to run detection
+//!   ([`prefix_runs`]) plus one forward merge that finds each pattern's
+//!   join partners ([`partner_runs`]). Candidates `p1 · last(p2)`
+//!   inherit the order of `(p1, p2)`, so they come out already sorted
+//!   and duplicate-free.
 //!
 //! Everything here is `pub(crate)`: the public API (`Pil::build_all`,
-//! `mpp`, `mppm`, `mpp_parallel`) is a thin shell over these types and
-//! its behaviour — including byte-identical mining output — is
-//! unchanged.
+//! `mpp`, `mppm`, `mpp_parallel`) is a thin shell over these types.
 
 use crate::gap::GapRequirement;
 use crate::packed::KeyCodec;
 use crate::pattern::Pattern;
-use crate::pil::{join_into, join_multi_into, JoinCounters, MultiJoinScratch, Pil};
-use crate::prune::Pruner;
+use crate::pil::Pil;
 use perigap_seq::Sequence;
 use std::collections::HashMap;
 
@@ -135,44 +133,8 @@ impl PilSet {
         self.bounds.push(self.entries.len());
     }
 
-    /// Append the candidate `p1_codes · last`, computing its PIL by
-    /// joining `prefix` and `suffix` straight into the arena.
-    pub(crate) fn push_candidate(
-        &mut self,
-        p1_codes: &[u8],
-        last: u8,
-        prefix: &[(u32, u64)],
-        suffix: &[(u32, u64)],
-        gap: GapRequirement,
-        counters: &mut JoinCounters,
-    ) {
-        debug_assert_eq!(p1_codes.len() + 1, self.level);
-        self.codes.extend_from_slice(p1_codes);
-        self.codes.push(last);
-        self.saturated |= join_into(prefix, suffix, gap, &mut self.entries, counters);
-        self.bounds.push(self.entries.len());
-    }
-
-    /// Append the candidate `p1_codes · last` with a PIL already
-    /// computed by the batched multi-suffix join — the entries are
-    /// copied in and the partner's saturation flag is absorbed.
-    pub(crate) fn push_batched(
-        &mut self,
-        p1_codes: &[u8],
-        last: u8,
-        entries: &[(u32, u64)],
-        saturated: bool,
-    ) {
-        debug_assert_eq!(p1_codes.len() + 1, self.level);
-        self.codes.extend_from_slice(p1_codes);
-        self.codes.push(last);
-        self.entries.extend_from_slice(entries);
-        self.saturated |= saturated;
-        self.bounds.push(self.entries.len());
-    }
-
     /// Drop all patterns, keeping the allocations, and set a new level —
-    /// the join fan-out reuses one output set per engine this way.
+    /// the engine's serial prelude reuses generation buffers this way.
     pub(crate) fn reset(&mut self, level: usize) {
         self.level = level;
         self.codes.clear();
@@ -401,71 +363,39 @@ pub(crate) fn prefix_runs(set: &PilSet, kept: &[usize]) -> Vec<(usize, usize)> {
     runs
 }
 
-/// Generate candidates whose left parent is `kept[lo..hi]`, appending
-/// them (already sorted) to `out`. The right-parent run is found by
-/// binary search over the prefix runs.
+/// No partner run: the pattern's suffix is no survivor's prefix.
+pub(crate) const NO_PARTNER: u32 = u32::MAX;
+
+/// For each position `k` of `members`, the index into `runs` of its
+/// *partner run* — the prefix run keyed by `suffix(members[k])`, whose
+/// members are its join partners — or [`NO_PARTNER`].
 ///
-/// Each left parent's partner run is a *sibling group* sharing one
-/// batched walk of the left PIL ([`join_multi_into`]); candidates are
-/// emitted in partner order, so the output is byte-identical to the
-/// per-candidate path, saturation flags included.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn generate_candidates(
-    set: &PilSet,
-    kept: &[usize],
-    runs: &[(usize, usize)],
-    gap: GapRequirement,
-    lo: usize,
-    hi: usize,
-    out: &mut PilSet,
-    counters: &mut JoinCounters,
-    pruner: &Pruner,
-) {
-    debug_assert_eq!(out.level(), set.level() + 1);
-    let level = set.level();
-    let mut scratch = MultiJoinScratch::default();
-    let mut souts: Vec<Vec<(u32, u64)>> = Vec::new();
-    let mut partners: Vec<&[(u32, u64)]> = Vec::new();
-    for &i in &kept[lo..hi] {
-        let p1 = set.pattern_codes(i);
-        // Pruned modes: skip a left parent whose cone cannot reach the
-        // target or whose support already sits under the top-k floor.
-        if !pruner.admits_parent(p1, || set.support(i)) {
-            continue;
-        }
-        let suffix = &p1[1..];
-        let found =
-            runs.binary_search_by(|&(s, _)| set.pattern_codes(kept[s])[..level - 1].cmp(suffix));
-        if let Ok(r) = found {
-            let (s, e) = runs[r];
-            if e - s == 1 {
-                // Singleton group: join straight into the arena,
-                // skipping the staging buffer round-trip.
-                let m = kept[s];
-                let last = set.pattern_codes(m)[level - 1];
-                out.push_candidate(p1, last, set.entries(i), set.entries(m), gap, counters);
-                continue;
+/// One lower-bound search per first symbol, then a forward walk:
+/// members sharing a first symbol are contiguous and, being sorted,
+/// have ascending suffixes, so the cursor over `runs` only moves
+/// forward within the block.
+pub(crate) fn partner_runs(set: &PilSet, members: &[usize], runs: &[(usize, usize)]) -> Vec<u32> {
+    assert!(runs.len() < NO_PARTNER as usize, "run index overflows u32");
+    let plen = set.level() - 1;
+    let key = |r: usize| &set.pattern_codes(members[runs[r].0])[..plen];
+    let mut partners = vec![NO_PARTNER; members.len()];
+    let mut k = 0;
+    while k < members.len() {
+        let first = set.pattern_codes(members[k])[0];
+        let suffix = &set.pattern_codes(members[k])[1..];
+        let mut r = runs.partition_point(|&(s, _)| &set.pattern_codes(members[s])[..plen] < suffix);
+        while k < members.len() && set.pattern_codes(members[k])[0] == first {
+            let suffix = &set.pattern_codes(members[k])[1..];
+            while r < runs.len() && key(r) < suffix {
+                r += 1;
             }
-            let k = e - s;
-            partners.clear();
-            partners.extend(kept[s..e].iter().map(|&m| set.entries(m)));
-            if souts.len() < k {
-                souts.resize_with(k, Vec::new);
+            if r < runs.len() && key(r) == suffix {
+                partners[k] = r as u32;
             }
-            join_multi_into(
-                set.entries(i),
-                &partners,
-                gap,
-                &mut souts[..k],
-                &mut scratch,
-                counters,
-            );
-            for (j, &m) in kept[s..e].iter().enumerate() {
-                let last = set.pattern_codes(m)[level - 1];
-                out.push_batched(p1, last, &souts[j], scratch.saturated[j]);
-            }
+            k += 1;
         }
     }
+    partners
 }
 
 #[cfg(test)]
@@ -476,20 +406,6 @@ mod tests {
 
     fn gap(n: usize, m: usize) -> GapRequirement {
         GapRequirement::new(n, m).unwrap()
-    }
-
-    /// `generate_candidates` with throwaway counters and no pruning.
-    fn gen(
-        set: &PilSet,
-        kept: &[usize],
-        runs: &[(usize, usize)],
-        g: GapRequirement,
-        lo: usize,
-        hi: usize,
-        out: &mut PilSet,
-    ) {
-        let mut jc = JoinCounters::default();
-        generate_candidates(set, kept, runs, g, lo, hi, out, &mut jc, &Pruner::default());
     }
 
     fn dna(text: &str) -> Sequence {
@@ -560,15 +476,38 @@ mod tests {
         }
     }
 
+    /// Every candidate `p1 · last(p2)` of `set`, generated through the
+    /// partner runs: the engine's join order.
+    fn candidates_via_partner_runs(set: &PilSet, g: GapRequirement) -> Vec<(Vec<u8>, Pil)> {
+        let members: Vec<usize> = (0..set.len()).collect();
+        let runs = prefix_runs(set, &members);
+        let partners = partner_runs(set, &members, &runs);
+        let mut out = Vec::new();
+        for (k, &i) in members.iter().enumerate() {
+            if partners[k] == NO_PARTNER {
+                continue;
+            }
+            let (s, e) = runs[partners[k] as usize];
+            for &j in &members[s..e] {
+                let mut codes = set.pattern_codes(i).to_vec();
+                codes.push(set.pattern_codes(j)[set.level() - 1]);
+                let pil = Pil::join(
+                    &Pil::from_raw(set.entries(i).to_vec()),
+                    &Pil::from_raw(set.entries(j).to_vec()),
+                    g,
+                );
+                out.push((codes, pil));
+            }
+        }
+        out
+    }
+
     #[test]
     fn candidates_match_naive_generation() {
         let s = dna("ACGTTGCAACGTTACG");
         let g = gap(1, 2);
         let set = build_seed(&s, g, 3);
-        let kept: Vec<usize> = (0..set.len()).collect();
-        let runs = prefix_runs(&set, &kept);
-        let mut out = PilSet::new(4);
-        gen(&set, &kept, &runs, g, 0, kept.len(), &mut out);
+        let out = candidates_via_partner_runs(&set, g);
 
         // Naive: every ordered pair with suffix(p1) == prefix(p2).
         let mut expected: Vec<(Vec<u8>, Pil)> = Vec::new();
@@ -588,32 +527,75 @@ mod tests {
             }
         }
         expected.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(out.len(), expected.len());
-        for (i, (codes, pil)) in expected.iter().enumerate() {
-            assert_eq!(out.pattern_codes(i), &codes[..]);
-            assert_eq!(out.entries(i), pil.entries());
+        // Same candidates, and already sorted by construction.
+        assert_eq!(out, expected);
+    }
+
+    /// The lookup `partner_runs` replaced: one binary search over the
+    /// prefix runs per member.
+    fn partner_runs_by_search(
+        set: &PilSet,
+        members: &[usize],
+        runs: &[(usize, usize)],
+    ) -> Vec<u32> {
+        let plen = set.level() - 1;
+        members
+            .iter()
+            .map(|&m| {
+                let suffix = &set.pattern_codes(m)[1..];
+                runs.binary_search_by(|&(s, _)| set.pattern_codes(members[s])[..plen].cmp(suffix))
+                    .map_or(NO_PARTNER, |r| r as u32)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn linear_partner_lookup_equals_binary_search() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut without_partner = 0usize;
+        for case in 0..400 {
+            // DNA and the protein alphabet; sparse draws leave many
+            // members with no partner run.
+            let sigma: u8 = if case % 2 == 0 { 4 } else { 20 };
+            let level = rng.gen_range(1..=5usize);
+            let count = rng.gen_range(0..200usize);
+            let mut patterns: Vec<Vec<u8>> = (0..count)
+                .map(|_| (0..level).map(|_| rng.gen_range(0..sigma)).collect())
+                .collect();
+            patterns.sort();
+            patterns.dedup();
+            let mut set = PilSet::new(level);
+            for codes in &patterns {
+                set.push_pattern(codes, &[(1, 1)]);
+            }
+            let members: Vec<usize> = (0..set.len()).filter(|_| rng.gen_bool(0.7)).collect();
+            let runs = prefix_runs(&set, &members);
+            let linear = partner_runs(&set, &members, &runs);
+            assert_eq!(
+                linear,
+                partner_runs_by_search(&set, &members, &runs),
+                "case {case}"
+            );
+            without_partner += linear.iter().filter(|&&r| r == NO_PARTNER).count();
         }
-        // And sorted output, by construction.
-        for i in 1..out.len() {
-            assert!(out.pattern_codes(i - 1) < out.pattern_codes(i));
-        }
+        assert!(without_partner > 0, "some members must lack a partner run");
     }
 
     #[test]
     fn concat_preserves_chunked_generation() {
         let s = dna("ACGTTGCAACGTTACGGTCA");
         let g = gap(0, 2);
-        let set = build_seed(&s, g, 3);
-        let kept: Vec<usize> = (0..set.len()).collect();
-        let runs = prefix_runs(&set, &kept);
-        let mut whole = PilSet::new(4);
-        gen(&set, &kept, &runs, g, 0, kept.len(), &mut whole);
-        let mid = kept.len() / 2;
-        let mut a = PilSet::new(4);
-        let mut b = PilSet::new(4);
-        gen(&set, &kept, &runs, g, 0, mid, &mut a);
-        gen(&set, &kept, &runs, g, mid, kept.len(), &mut b);
-        assert_eq!(PilSet::concat(4, [a, b]), whole);
+        let whole = build_seed(&s, g, 3);
+        let mid = whole.len() / 2;
+        let mut a = PilSet::new(3);
+        let mut b = PilSet::new(3);
+        for i in 0..whole.len() {
+            let part = if i < mid { &mut a } else { &mut b };
+            part.push_pattern(whole.pattern_codes(i), whole.entries(i));
+        }
+        assert_eq!(PilSet::concat(3, [a, b]), whole);
     }
 
     #[test]
@@ -623,19 +605,22 @@ mod tests {
         assert!(!bump(&mut entries, 1));
         assert!(bump(&mut entries, 1));
         assert_eq!(entries, vec![(1, u64::MAX)]);
-        // A join whose window sum overflows flags the candidate set.
+        // A join whose window sum overflows says so too.
         let g = gap(1, 2);
-        let mut set = PilSet::new(3);
+        let mut joined = Vec::new();
         let prefix = [(1u32, 1u64)];
         let suffix = [(3u32, u64::MAX), (4u32, 2u64)];
-        set.push_candidate(
-            &[0, 0],
-            0,
+        let mut jc = crate::pil::JoinCounters::default();
+        assert!(crate::pil::join_into(
             &prefix,
             &suffix,
             g,
-            &mut JoinCounters::default(),
-        );
+            &mut joined,
+            &mut jc
+        ));
+        let mut set = PilSet::new(3);
+        set.push_pattern(&[0, 0, 0], &joined);
+        set.set_saturated(true);
         assert!(set.saturated());
         assert!(set.entry_count() > 0);
         assert!(set.arena_bytes() > 0);

@@ -21,7 +21,7 @@
 //!    unit of work fanned out on the existing
 //!    [`parallel`](crate::parallel) work-stealing pool,
 //!    longest-shards-first so the straggler tail overlaps the small
-//!    shards. Emission inside every engine is *exact* (a pattern is
+//!    shards. Emission inside the engine is *exact* (a pattern is
 //!    emitted iff the exact per-level bound admits it, and the λ̂
 //!    schedule is sound), so per-shard frequent sets merge into the
 //!    collection outcome bit-identically to `mine_collection`: a
@@ -38,7 +38,6 @@
 //!    typed [`MineError`] — the merge never sees state it cannot
 //!    verify.
 
-use crate::dfs::mpp_dfs;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::mpp::{mpp, MppConfig};
@@ -530,7 +529,6 @@ struct Manifest {
     start_level: u64,
     /// `u64::MAX` encodes "no cap".
     max_level: u64,
-    engine: u8,
     completed: Vec<bool>,
 }
 
@@ -547,7 +545,6 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
     buf.extend_from_slice(&m.min_sequences.to_le_bytes());
     buf.extend_from_slice(&m.start_level.to_le_bytes());
     buf.extend_from_slice(&m.max_level.to_le_bytes());
-    buf.push(m.engine);
     buf.extend_from_slice(&(m.completed.len() as u32).to_le_bytes());
     let mut bitmap = vec![0u8; m.completed.len().div_ceil(8)];
     for (i, &done) in m.completed.iter().enumerate() {
@@ -597,10 +594,9 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, MineError> {
     let min_sequences = r.u64()?;
     let start_level = r.u64()?;
     let max_level = r.u64()?;
-    let engine = r.u8()?;
-    if engine > 1 {
-        return Err(err(format!("unknown engine tag {engine}")));
-    }
+    // A manifest from before the engine byte was dropped is one byte
+    // longer; the shard count then misreads and, for any run with at
+    // least one shard, the bitmap length check below refuses it.
     let shards = r.u32()? as usize;
     let bitmap = r.bytes(shards.div_ceil(8))?;
     if r.remaining() != 0 {
@@ -621,7 +617,6 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, MineError> {
         min_sequences,
         start_level,
         max_level,
-        engine,
         completed,
     })
 }
@@ -797,34 +792,6 @@ impl CkptState {
 // Sharded mining
 // ---------------------------------------------------------------------
 
-/// Which single-sequence engine mines each shard. Both emit the exact
-/// frequent set, so the merged corpus outcome is identical; they
-/// differ only in wall-clock and peak-memory profile.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardEngine {
-    /// Breadth-first level-wise engine ([`crate::mpp::mpp`]).
-    Bfs,
-    /// Hybrid BFS→DFS engine ([`crate::dfs::mpp_dfs`]), single-threaded
-    /// per shard — parallelism comes from the shard fan-out itself.
-    Dfs,
-}
-
-impl ShardEngine {
-    fn tag(self) -> u8 {
-        match self {
-            ShardEngine::Bfs => 0,
-            ShardEngine::Dfs => 1,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            ShardEngine::Bfs => "bfs",
-            ShardEngine::Dfs => "dfs",
-        }
-    }
-}
-
 /// Configuration of a sharded corpus mine.
 #[derive(Clone, Debug)]
 pub struct CorpusMineConfig {
@@ -834,14 +801,13 @@ pub struct CorpusMineConfig {
     /// A pattern is corpus-frequent when frequent in at least this
     /// many shards.
     pub min_sequences: usize,
-    /// Threads across shards (worker 0 is the calling thread).
+    /// Threads across shards (worker 0 is the calling thread). Each
+    /// shard mines on one thread: parallelism comes from the shard
+    /// fan-out itself.
     pub threads: usize,
-    /// Per-shard engine.
-    pub engine: ShardEngine,
     /// Per-shard engine configuration (`start_level`, arena ceiling,
-    /// spill). When the hybrid engine
-    /// spills, each shard spills under its own subdirectory of
-    /// [`MppConfig::spill_dir`].
+    /// spill). When a shard spills, it spills under its own
+    /// subdirectory of [`MppConfig::spill_dir`].
     pub mpp: MppConfig,
     /// Optional checkpoint/resume state.
     pub checkpoint: Option<CheckpointConfig>,
@@ -853,7 +819,6 @@ impl Default for CorpusMineConfig {
             n: 10,
             min_sequences: 1,
             threads: 1,
-            engine: ShardEngine::Bfs,
             mpp: MppConfig::default(),
             checkpoint: None,
         }
@@ -889,7 +854,6 @@ struct ShardJob {
     gap: GapRequirement,
     rho: f64,
     n: usize,
-    engine: ShardEngine,
     mpp: MppConfig,
     ckpt: Option<Arc<CkptState>>,
     stop_after: Option<usize>,
@@ -914,10 +878,7 @@ impl ShardJob {
             // per-run counters and would collide in a shared directory.
             config.spill_dir = Some(dir.join(format!("shard-{shard:08}")));
         }
-        let outcome = match self.engine {
-            ShardEngine::Bfs => mpp(&seq, self.gap, self.rho, self.n, config)?,
-            ShardEngine::Dfs => mpp_dfs(&seq, self.gap, self.rho, self.n, config, 1)?,
-        };
+        let outcome = mpp(&seq, self.gap, self.rho, self.n, config)?;
         Ok(outcome
             .frequent
             .into_iter()
@@ -988,8 +949,8 @@ impl PoolJob for ShardJob {
 /// (ratio ≥ `rho`) in at least `config.min_sequences` shards, with
 /// per-shard supports — bit-identical to
 /// [`mine_collection`](crate::multiseq::mine_collection) over the
-/// decoded sequences, for every engine, thread count, and
-/// checkpoint/resume split.
+/// decoded sequences, for every thread count and checkpoint/resume
+/// split.
 pub fn mine_corpus(
     corpus: &Arc<Corpus>,
     gap: GapRequirement,
@@ -1054,7 +1015,6 @@ pub fn mine_corpus_traced<O: MineObserver>(
                 min_sequences: config.min_sequences as u64,
                 start_level: config.mpp.start_level as u64,
                 max_level: config.mpp.max_level.map_or(u64::MAX, |l| l as u64),
-                engine: config.engine.tag(),
                 completed: vec![false; n_shards],
             };
             let manifest_path = ck.dir.join(MANIFEST_FILE);
@@ -1066,7 +1026,7 @@ pub fn mine_corpus_traced<O: MineObserver>(
                     )
                 })?;
                 let found = decode_manifest(&bytes)?;
-                check_manifest(&found, &template, config.engine)?;
+                check_manifest(&found, &template)?;
                 for (shard, &done) in found.completed.iter().enumerate() {
                     if !done {
                         continue;
@@ -1121,7 +1081,6 @@ pub fn mine_corpus_traced<O: MineObserver>(
         gap,
         rho,
         n: config.n,
-        engine: config.engine,
         mpp: config.mpp.clone(),
         ckpt: ckpt.clone(),
         stop_after: config
@@ -1195,11 +1154,7 @@ pub fn mine_corpus_traced<O: MineObserver>(
 }
 
 /// Refuse to resume under a manifest describing a different run.
-fn check_manifest(
-    found: &Manifest,
-    wanted: &Manifest,
-    engine: ShardEngine,
-) -> Result<(), MineError> {
+fn check_manifest(found: &Manifest, wanted: &Manifest) -> Result<(), MineError> {
     let mismatch = |field: &'static str, manifest: String, requested: String| {
         Err(MineError::CheckpointMismatch {
             field,
@@ -1250,13 +1205,6 @@ fn check_manifest(
             "max level",
             found.max_level.to_string(),
             wanted.max_level.to_string(),
-        );
-    }
-    if found.engine != engine.tag() {
-        return mismatch(
-            "engine",
-            if found.engine == 0 { "bfs" } else { "dfs" }.to_string(),
-            engine.name().to_string(),
         );
     }
     if found.completed.len() != wanted.completed.len() {
@@ -1491,23 +1439,20 @@ mod tests {
         for min_sequences in [1, 2, 4] {
             let expected =
                 mine_collection(&seqs, g, rho, min_sequences, 12, MppConfig::default()).unwrap();
-            for engine in [ShardEngine::Bfs, ShardEngine::Dfs] {
-                for threads in [1, 3] {
-                    let config = CorpusMineConfig {
-                        n: 12,
-                        min_sequences,
-                        threads,
-                        engine,
-                        ..CorpusMineConfig::default()
-                    };
-                    let got = mine_corpus(&corpus, g, rho, &config).unwrap();
-                    assert_eq!(
-                        got.outcome, expected,
-                        "min_sequences {min_sequences} {engine:?} threads {threads}"
-                    );
-                    assert_eq!(got.stats.mined_shards, 4);
-                    assert_eq!(got.stats.restored_shards, 0);
-                }
+            for threads in [1, 3] {
+                let config = CorpusMineConfig {
+                    n: 12,
+                    min_sequences,
+                    threads,
+                    ..CorpusMineConfig::default()
+                };
+                let got = mine_corpus(&corpus, g, rho, &config).unwrap();
+                assert_eq!(
+                    got.outcome, expected,
+                    "min_sequences {min_sequences} threads {threads}"
+                );
+                assert_eq!(got.stats.mined_shards, 4);
+                assert_eq!(got.stats.restored_shards, 0);
             }
             assert!(
                 !expected.patterns.is_empty() || min_sequences == 4,
@@ -1676,6 +1621,23 @@ mod tests {
                 other => panic!("manifest flip at {i}: expected typed error, got {other:?}"),
             }
         }
+        // A manifest in the layout that still carried an engine byte
+        // after the max level, for either engine, is refused, not
+        // misread.
+        const ENGINE_AT: usize = 4 + 4 + 1 + 8 * 8;
+        for engine in [0u8, 1] {
+            let body = &manifest_bytes[..manifest_bytes.len() - TRAILER];
+            let mut old = body[..ENGINE_AT].to_vec();
+            old.push(engine);
+            old.extend_from_slice(&body[ENGINE_AT..]);
+            let digest = fnv1a(&old);
+            old.extend_from_slice(&digest.to_le_bytes());
+            fs::write(&manifest_path, &old).unwrap();
+            match mine_corpus(&corpus, g, 0.004, &resume_config) {
+                Err(MineError::CheckpointIo { record, .. }) => assert_eq!(record, u64::MAX),
+                other => panic!("old-layout manifest: expected CheckpointIo, got {other:?}"),
+            }
+        }
         fs::write(&manifest_path, &manifest_bytes).unwrap();
 
         // Corrupt shard record.
@@ -1723,19 +1685,6 @@ mod tests {
             }
             other => panic!("expected CheckpointMismatch, got {other:?}"),
         }
-        match mine_corpus(
-            &corpus,
-            g,
-            0.004,
-            &CorpusMineConfig {
-                engine: ShardEngine::Dfs,
-                ..resume_config.clone()
-            },
-        ) {
-            Err(MineError::CheckpointMismatch { field, .. }) => assert_eq!(field, "engine"),
-            other => panic!("expected CheckpointMismatch, got {other:?}"),
-        }
-
         // After restoring everything, resume still works.
         assert!(mine_corpus(&corpus, g, 0.004, &resume_config).is_ok());
         fs::remove_dir_all(&dir).unwrap();

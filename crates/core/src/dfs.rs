@@ -1,26 +1,29 @@
-//! The hybrid BFS→DFS mining engine.
+//! The mining engine behind every MPP and MPPm entry point.
 //!
-//! The breadth-first engines ([`crate::mpp`], [`crate::parallel`]) hold
-//! two *full* generations alive at every level, so their footprint is
-//! O(widest level). This engine mines breadth-first only while the
-//! survivor set is one connected prefix-run component; as soon as the
+//! Figure 3 of the paper counts each candidate's support and tests it
+//! against the level's bounds as the candidate is produced. This engine
+//! does the same: a candidate is evaluated against the exact and
+//! Theorem 1 bounds the moment its join finishes, and only survivors
+//! are written to the next generation's arena. Nothing is stored for a
+//! candidate that fails both bounds.
+//!
+//! The run starts breadth-first (the *prelude*) and stays so while the
+//! survivor set is one connected prefix-run component. As soon as the
 //! survivors split into two or more components it hands each component
 //! to the worker pool as an independent **depth-first subtree task**.
 //! Inside a subtree the engine keeps a *double-buffered* chain — the
 //! parent generation and the generation under construction — so live
 //! arena bytes along a chain are O(deepest chain), not O(widest level).
 //!
-//! Two further levers:
+//! Serial mining is `threads = 1`: no pool is spawned and the calling
+//! thread runs every chunk and subtree itself. With more threads, a
+//! wide prelude level is split into chunks of left parents, and the
+//! subtrees of a split are claimed off one shared [`WorkerPool`].
 //!
-//! - **Eager candidate filtering.** Candidates are evaluated against
-//!   the exact and Theorem 1 bounds the moment they are generated;
-//!   only survivors are written to the next arena. The breadth-first
-//!   engines persist every candidate (empty PILs included) until the
-//!   next level's filter pass.
-//! - **Batched multi-suffix joins.** All right parents of one left
-//!   parent share a single walk of the left PIL
-//!   ([`crate::pil::join_multi_into`]), instead of re-scanning it per
-//!   candidate.
+//! All right parents of one left parent share a single walk of the
+//! left PIL ([`crate::pil::join_multi_into`]) instead of re-scanning it
+//! per candidate, and each level finds every member's join partners
+//! with one forward merge ([`partner_runs`]).
 //!
 //! ## Why the component handoff is sound
 //!
@@ -40,14 +43,15 @@
 //! ## Engine invariants
 //!
 //! Every counter in [`MineStats`] and every [`LevelEvent`] counter
-//! (candidates, evaluated, frequent, kept, pruned, saturated) is
-//! **identical** to the breadth-first engines': both consult the same
-//! [`BoundTable`] rows and enumerate the same partner pairs. Durations
-//! and `arena_bytes` are engine-dependent — here a level's elapsed
-//! time is the summed generation+evaluation time that *produced* it,
-//! and `arena_bytes` covers the surviving arenas only.
+//! (candidates, evaluated, frequent, kept, pruned, saturated) is the
+//! paper's level-wise count, identical at every thread count and to
+//! the breadth-first reference miner in [`crate::reference`]: the same
+//! [`BoundTable`] rows are consulted for the same partner pairs.
+//! Durations and `arena_bytes` are schedule-dependent: a level's
+//! elapsed time is the summed generation+evaluation time that
+//! *produced* it, and `arena_bytes` covers the surviving arenas only.
 
-use crate::arena::{build_seed, prefix_runs, PilSet};
+use crate::arena::{build_seed, partner_runs, prefix_runs, PilSet, NO_PARTNER};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
@@ -62,8 +66,8 @@ use crate::prune::Pruner;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::spill::{self, SpillState};
 use crate::trace::{
-    AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, PoolLevelEvent,
-    RestoreEvent, SeedEvent, SpillEvent, SubtreeEvent, WarningEvent,
+    AbortEvent, CompleteEvent, LevelEvent, MineObserver, PoolLevelEvent, RestoreEvent, SeedEvent,
+    SpillEvent, SubtreeEvent, WarningEvent,
 };
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
@@ -72,24 +76,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// MPP on the hybrid BFS→DFS engine. Identical frequent patterns and
-/// stats counters to [`crate::mpp::mpp`] / [`crate::parallel::mpp_parallel`];
-/// lower peak memory on workloads whose survivor set splits or narrows.
-pub fn mpp_dfs(
-    seq: &Sequence,
-    gap: GapRequirement,
-    rho: f64,
-    n: usize,
-    config: MppConfig,
-    threads: usize,
-) -> Result<MineOutcome, MineError> {
-    mpp_dfs_traced(seq, gap, rho, n, config, threads, &mut NoopObserver)
-}
-
-/// [`mpp_dfs`] with a [`MineObserver`] attached. Beyond the shared
-/// events, every subtree task emits a [`SubtreeEvent`] and pooled
-/// phases emit [`crate::trace::PoolLevelEvent`]s.
-pub fn mpp_dfs_traced<O: MineObserver>(
+/// MPP from validated inputs: build the seed, mine it on `threads`
+/// workers, and close the trace. The shared body of
+/// [`crate::mpp::mpp_traced`] and [`crate::parallel::mpp_parallel_traced`].
+pub(crate) fn mine_mpp<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
@@ -122,6 +112,17 @@ pub fn mpp_dfs_traced<O: MineObserver>(
         None,
         observer,
     );
+    finish(run, started, observer)
+}
+
+/// Stamp the total wall time and emit the terminal trace event —
+/// [`CompleteEvent`] with the peak arena bytes, or [`AbortEvent`] on
+/// error.
+pub(crate) fn finish<O: MineObserver>(
+    run: Result<(MineOutcome, usize), MineError>,
+    started: Instant,
+    observer: &mut O,
+) -> Result<MineOutcome, MineError> {
     let (mut outcome, peak) = match run {
         Ok(done) => done,
         Err(e) => {
@@ -231,12 +232,35 @@ struct EagerBufs {
     codes: Vec<u8>,
 }
 
+/// One generation's join index over a sorted member list: its prefix
+/// runs and, per member position, its partner run. Built once per
+/// level and shared by the component split and the joins.
+struct JoinIndex {
+    runs: Vec<(usize, usize)>,
+    partners: Vec<u32>,
+}
+
+impl JoinIndex {
+    fn new(set: &PilSet, members: &[usize]) -> JoinIndex {
+        let runs = prefix_runs(set, members);
+        let partners = partner_runs(set, members, &runs);
+        JoinIndex { runs, partners }
+    }
+
+    /// The member range `s..e` holding the join partners of member
+    /// position `k`, if it has any.
+    fn partners_of(&self, k: usize) -> Option<(usize, usize)> {
+        let r = self.partners[k];
+        (r != NO_PARTNER).then(|| self.runs[r as usize])
+    }
+}
+
 /// Generate the level `set.level() + 1` candidates whose left parent is
 /// `members[lo..hi]`, evaluating each against `row` the moment it is
 /// produced. Frequent candidates are appended to `frequent`; candidates
 /// passing the extension bound are appended to `next`. Every partner
-/// pair is counted in `evaluated` (empty joins included), matching the
-/// breadth-first engines' candidate accounting exactly.
+/// pair is counted in `evaluated` (empty joins included): the paper's
+/// per-level candidate count.
 ///
 /// Each batch (one left parent's partner run) shares one batched
 /// sliding-window walk ([`join_multi_into`]).
@@ -244,7 +268,7 @@ struct EagerBufs {
 fn eager_generate(
     set: &PilSet,
     members: &[usize],
-    runs: &[(usize, usize)],
+    index: &JoinIndex,
     lo: usize,
     hi: usize,
     gap: GapRequirement,
@@ -257,18 +281,16 @@ fn eager_generate(
     let level = set.level();
     let mut st = EagerStats::default();
     let mut partners: Vec<&[(u32, u64)]> = Vec::new();
-    for &i in &members[lo..hi] {
+    for (k, &i) in members.iter().enumerate().take(hi).skip(lo) {
         let p1 = set.pattern_codes(i);
         // Pruned modes: a left parent outside the target cone or under
         // the top-k floor cannot contribute an admissible candidate.
         if !pruner.admits_parent(p1, || set.support(i)) {
             continue;
         }
-        let suffix = &p1[1..];
-        let found =
-            runs.binary_search_by(|&(s, _)| set.pattern_codes(members[s])[..level - 1].cmp(suffix));
-        let Ok(r) = found else { continue };
-        let (s, e) = runs[r];
+        let Some((s, e)) = index.partners_of(k) else {
+            continue;
+        };
         let cnt = e - s;
         if bufs.outs.len() < cnt {
             bufs.outs.resize_with(cnt, Vec::new);
@@ -320,11 +342,11 @@ fn eager_generate(
 }
 
 /// Partition the survivor set into connected prefix-run components:
-/// union-find over `runs`, where each pattern's run is unioned with the
-/// run keyed by its suffix (the component-closure rule from the module
-/// docs). Returns ascending member lists, in first-seen run order; one
-/// list means the set cannot be split yet.
-fn run_components(set: &PilSet, members: &[usize], runs: &[(usize, usize)]) -> Vec<Vec<usize>> {
+/// union-find over the runs, where each member's run is unioned with
+/// its partner run (the component-closure rule from the module docs).
+/// Returns ascending member lists, in first-seen run order, or `None`
+/// when the set is one component and cannot be split yet.
+fn split_components(members: &[usize], index: &JoinIndex) -> Option<Vec<Vec<usize>>> {
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
             parent[x] = parent[parent[x]];
@@ -332,40 +354,38 @@ fn run_components(set: &PilSet, members: &[usize], runs: &[(usize, usize)]) -> V
         }
         x
     }
-    let level = set.level();
+    let runs = &index.runs;
     let mut parent: Vec<usize> = (0..runs.len()).collect();
+    let mut roots = runs.len();
     for (r, &(s, e)) in runs.iter().enumerate() {
-        for &m in &members[s..e] {
-            let suffix = &set.pattern_codes(m)[1..];
-            let found = runs.binary_search_by(|&(s2, _)| {
-                set.pattern_codes(members[s2])[..level - 1].cmp(suffix)
-            });
-            if let Ok(r2) = found {
-                let (a, b) = (find(&mut parent, r), find(&mut parent, r2));
-                if a != b {
-                    parent[a] = b;
-                }
+        for &p in &index.partners[s..e] {
+            if p == NO_PARTNER {
+                continue;
+            }
+            let (a, b) = (find(&mut parent, r), find(&mut parent, p as usize));
+            if a != b {
+                parent[a] = b;
+                roots -= 1;
             }
         }
+    }
+    if roots <= 1 {
+        return None;
     }
     let mut slot: Vec<Option<usize>> = vec![None; runs.len()];
     let mut comps: Vec<Vec<usize>> = Vec::new();
     for (r, &(s, e)) in runs.iter().enumerate() {
         let root = find(&mut parent, r);
-        let idx = match slot[root] {
-            Some(idx) => idx,
-            None => {
-                comps.push(Vec::new());
-                slot[root] = Some(comps.len() - 1);
-                comps.len() - 1
-            }
-        };
+        let idx = *slot[root].get_or_insert_with(|| {
+            comps.push(Vec::new());
+            comps.len() - 1
+        });
         comps[idx].extend_from_slice(&members[s..e]);
     }
-    comps
+    Some(comps)
 }
 
-/// One pool item of the hybrid engine.
+/// One pool item of the engine.
 enum DfsTask {
     /// Prelude chunk: eager-generate for left parents
     /// `members[lo..hi]` of the shared base generation.
@@ -405,8 +425,8 @@ struct DfsJob {
     base: PilSet,
     /// Survivor indices into `base`, ascending.
     members: Vec<usize>,
-    /// Prefix runs over `members`.
-    runs: Vec<(usize, usize)>,
+    /// The join index over `members`.
+    index: JoinIndex,
     tasks: Vec<DfsTask>,
     gap: GapRequirement,
     seq_len: usize,
@@ -473,7 +493,7 @@ impl DfsJob {
         let st = eager_generate(
             &self.base,
             &self.members,
-            &self.runs,
+            &self.index,
             lo,
             hi,
             self.gap,
@@ -699,9 +719,8 @@ fn descend_split(
     if !ctx.pruner.component_viable(set, members) {
         return Ok(());
     }
-    let runs = prefix_runs(set, members);
-    let comps = run_components(set, members, &runs);
-    if comps.len() > 1 {
+    let index = JoinIndex::new(set, members);
+    if let Some(comps) = split_components(members, &index) {
         for comp in &comps {
             descend_split(ctx, set, comp, level)?;
         }
@@ -713,7 +732,7 @@ fn descend_split(
     let st = eager_generate(
         set,
         members,
-        &runs,
+        &index,
         0,
         members.len(),
         ctx.gap,
@@ -770,9 +789,8 @@ fn mine_chain(
             return Ok(());
         }
         let members: Vec<usize> = (0..current.len()).collect();
-        let runs = prefix_runs(&current, &members);
-        let comps = run_components(&current, &members, &runs);
-        if comps.len() > 1 {
+        let index = JoinIndex::new(&current, &members);
+        if let Some(comps) = split_components(&members, &index) {
             for comp in &comps {
                 descend_split(ctx, &current, comp, level)?;
             }
@@ -785,7 +803,7 @@ fn mine_chain(
         let st = eager_generate(
             &current,
             &members,
-            &runs,
+            &index,
             0,
             members.len(),
             ctx.gap,
@@ -832,10 +850,14 @@ fn mine_chain(
     }
 }
 
-/// The hybrid core shared by [`mpp_dfs`] and [`crate::mppm::mppm_dfs`]:
-/// breadth-first prelude with eager filtering, component handoff to
+/// The engine core shared by every MPP and MPPm entry point:
+/// breadth-first prelude with eager evaluation, component handoff to
 /// depth-first subtree tasks, and engine-wide peak-arena accounting.
 /// Returns the outcome plus peak live arena bytes.
+///
+/// The level events are emitted on every exit. An aborted run (memory
+/// ceiling, spill I/O, a failed worker) still reports each level it
+/// aggregated before the failure, so its trace shows how far it got.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_hybrid<O: MineObserver>(
     seq: &Sequence,
@@ -853,6 +875,9 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     let gap = counts.gap();
     let sigma = seq.alphabet().size() as u128;
     let start = config.start_level;
+    // Figure 3 line 3: if n > l1, n = l1. Also never below the start
+    // level — the engine cannot prune with a target shorter than the
+    // patterns it begins from.
     let n = n.clamp(start, counts.l1().max(start));
     let hard_cap = config.max_level.unwrap_or(usize::MAX).min(counts.l2());
 
@@ -889,7 +914,10 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     let pool = (threads > 1).then(|| WorkerPool::<DfsJob>::new(threads - 1));
     let mut bounds = BoundTable::new(counts, rho, n);
 
-    if hard_cap >= start && !counts.n(start).is_zero() {
+    let mine = || -> Result<(), MineError> {
+        if hard_cap < start || counts.n(start).is_zero() {
+            return Ok(());
+        }
         let mut current = seed;
         let mut cur_bytes = current.arena_bytes();
         gauge.grow(cur_bytes)?;
@@ -936,14 +964,19 @@ pub(crate) fn run_hybrid<O: MineObserver>(
         );
 
         let mut bufs = EagerBufs::default();
+        // The serial prelude writes each generation into the buffers
+        // the generation before last left behind.
+        let mut spare = PilSet::new(start);
         let mut level = start;
         loop {
             if kept.is_empty() || level >= hard_cap || counts.n(level + 1).is_zero() {
-                break;
+                return Ok(());
             }
-            let runs = prefix_runs(&current, &kept);
-            let mut comps = run_components(&current, &kept, &runs);
-            if comps.len() >= 2 {
+            let index = JoinIndex::new(&current, &kept);
+            if let Some(mut comps) = split_components(&kept, &index) {
+                // Subtree tasks allocate their own generations: free the
+                // prelude's spare buffers before they run.
+                drop(std::mem::take(&mut spare));
                 // Pruned modes: drop dead components before they become
                 // tasks (or spill records). The handoff proceeds even if
                 // only one — or zero — components stay viable.
@@ -951,7 +984,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                     comps.retain(|comp| pruner.component_viable(&current, comp));
                     if comps.is_empty() {
                         gauge.shrink(cur_bytes);
-                        break;
+                        return Ok(());
                     }
                 }
                 // Handoff: every component is an independent subtree.
@@ -1027,7 +1060,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                 let job = Arc::new(DfsJob {
                     base: current,
                     members: kept,
-                    runs,
+                    index,
                     tasks,
                     gap,
                     seq_len: seq.len(),
@@ -1096,7 +1129,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                 if !spilling {
                     gauge.shrink(cur_bytes);
                 }
-                break;
+                return Ok(());
             }
 
             // One component: eager-generate the next level, pooled when
@@ -1122,7 +1155,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                     let job = Arc::new(DfsJob {
                         base: std::mem::take(&mut current),
                         members: std::mem::take(&mut kept),
-                        runs,
+                        index,
                         tasks,
                         gap,
                         seq_len: seq.len(),
@@ -1162,11 +1195,12 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                     (PilSet::concat(level + 1, parts), merged)
                 }
                 _ => {
-                    let mut next = PilSet::new(level + 1);
+                    let mut next = std::mem::take(&mut spare);
+                    next.reset(level + 1);
                     let st = eager_generate(
                         &current,
                         &kept,
-                        &runs,
+                        &index,
                         0,
                         kept.len(),
                         gap,
@@ -1190,7 +1224,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             };
             if agg.evaluated == 0 {
                 gauge.shrink(cur_bytes);
-                break;
+                return Ok(());
             }
             let elapsed = gen_started.elapsed();
             let next_bytes = next.arena_bytes();
@@ -1201,16 +1235,18 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             absorb(&mut aggs, level + 1, agg);
             if survivors == 0 {
                 gauge.shrink(cur_bytes);
-                break;
+                return Ok(());
             }
             gauge.grow(next_bytes)?;
             gauge.shrink(cur_bytes);
-            current = next;
+            spare = std::mem::replace(&mut current, next);
             cur_bytes = next_bytes;
-            kept = (0..current.len()).collect();
+            kept.clear();
+            kept.extend(0..current.len());
             level += 1;
         }
-    }
+    };
+    let run = mine();
 
     for (&level, agg) in &aggs {
         stats.support_saturated |= agg.saturated;
@@ -1253,6 +1289,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     for ev in &restore_events {
         observer.on_restore(ev);
     }
+    run?;
 
     let peak = peak_shared.load(Ordering::Relaxed);
     let mut outcome = MineOutcome { frequent, stats };
@@ -1263,8 +1300,10 @@ pub(crate) fn run_hybrid<O: MineObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpp::mpp;
-    use crate::trace::MetricsObserver;
+    use crate::mpp::mpp_traced;
+    use crate::parallel::{mpp_parallel, mpp_parallel_traced};
+    use crate::reference::mpp_reference;
+    use crate::trace::{MetricsObserver, NoopObserver};
     use perigap_seq::gen::iid::uniform;
     use perigap_seq::Alphabet;
     use rand::rngs::StdRng;
@@ -1274,20 +1313,22 @@ mod tests {
         GapRequirement::new(n, m).unwrap()
     }
 
-    fn assert_counters_match(dfs: &MineOutcome, bfs: &MineOutcome, label: &str) {
-        assert_eq!(dfs.frequent.len(), bfs.frequent.len(), "{label}");
-        for (a, b) in dfs.frequent.iter().zip(&bfs.frequent) {
+    /// The frequent set, supports, ratios, `n_used`, saturation and
+    /// every level's `(level, candidates, frequent, extended)` agree.
+    fn assert_counters_match(got: &MineOutcome, want: &MineOutcome, label: &str) {
+        assert_eq!(got.frequent.len(), want.frequent.len(), "{label}");
+        for (a, b) in got.frequent.iter().zip(&want.frequent) {
             assert_eq!(a.pattern, b.pattern, "{label}");
             assert_eq!(a.support, b.support, "{label}");
             assert!((a.ratio - b.ratio).abs() < 1e-12, "{label}");
         }
-        assert_eq!(dfs.stats.n_used, bfs.stats.n_used, "{label}");
+        assert_eq!(got.stats.n_used, want.stats.n_used, "{label}");
         assert_eq!(
-            dfs.stats.support_saturated, bfs.stats.support_saturated,
+            got.stats.support_saturated, want.stats.support_saturated,
             "{label}"
         );
-        assert_eq!(dfs.stats.levels.len(), bfs.stats.levels.len(), "{label}");
-        for (a, b) in dfs.stats.levels.iter().zip(&bfs.stats.levels) {
+        assert_eq!(got.stats.levels.len(), want.stats.levels.len(), "{label}");
+        for (a, b) in got.stats.levels.iter().zip(&want.stats.levels) {
             assert_eq!(a.level, b.level, "{label}");
             assert_eq!(a.candidates, b.candidates, "{label} level {}", a.level);
             assert_eq!(a.frequent, b.frequent, "{label} level {}", a.level);
@@ -1297,12 +1338,14 @@ mod tests {
 
     #[test]
     fn dfs_matches_bfs_exactly() {
+        // The breadth-first side is the reference miner, which
+        // materialises every level whole.
         let seq = uniform(&mut StdRng::seed_from_u64(95), Alphabet::Dna, 400);
         let g = gap(1, 3);
         let rho = 0.0008;
-        let bfs = mpp(&seq, g, rho, 12, MppConfig::default()).unwrap();
+        let bfs = mpp_reference(&seq, g, rho, 12, MppConfig::default(), 1).unwrap();
         for threads in [1usize, 4] {
-            let dfs = mpp_dfs(&seq, g, rho, 12, MppConfig::default(), threads).unwrap();
+            let dfs = mpp_parallel(&seq, g, rho, 12, MppConfig::default(), threads).unwrap();
             assert_counters_match(&dfs, &bfs, &format!("{threads} threads"));
         }
     }
@@ -1314,11 +1357,11 @@ mod tests {
         let seq = uniform(&mut StdRng::seed_from_u64(99), Alphabet::Protein, 3_000);
         let g = gap(0, 2);
         let rho = 1e-6;
-        let bfs = mpp(&seq, g, rho, 6, MppConfig::default()).unwrap();
-        assert!(bfs.stats.levels[0].extended >= PARALLEL_THRESHOLD);
+        let serial = mpp_parallel(&seq, g, rho, 6, MppConfig::default(), 1).unwrap();
+        assert!(serial.stats.levels[0].extended >= PARALLEL_THRESHOLD);
         for threads in [2usize, 4] {
-            let dfs = mpp_dfs(&seq, g, rho, 6, MppConfig::default(), threads).unwrap();
-            assert_counters_match(&dfs, &bfs, &format!("{threads} threads"));
+            let pooled = mpp_parallel(&seq, g, rho, 6, MppConfig::default(), threads).unwrap();
+            assert_counters_match(&pooled, &serial, &format!("{threads} threads"));
         }
     }
 
@@ -1329,10 +1372,10 @@ mod tests {
         // mines as its own depth-first subtree.
         let seq = Sequence::dna(&"AT".repeat(50)).unwrap();
         let g = gap(1, 1);
-        let bfs = mpp(&seq, g, 0.4, 20, MppConfig::default()).unwrap();
+        let bfs = mpp_reference(&seq, g, 0.4, 20, MppConfig::default(), 1).unwrap();
         for threads in [1usize, 2] {
             let mut metrics = MetricsObserver::new();
-            let dfs = mpp_dfs_traced(
+            let dfs = mpp_parallel_traced(
                 &seq,
                 g,
                 0.4,
@@ -1357,29 +1400,23 @@ mod tests {
     }
 
     #[test]
-    fn dfs_peak_no_higher_than_bfs_peak() {
+    fn peak_arena_holds_survivors_only() {
+        // One thread: at most one generation per level is live at any
+        // time, and every generation holds survivors only. So the peak
+        // is bounded by the survivor arenas summed over the levels, and
+        // at least the widest arena the prelude charged.
         let seq = uniform(&mut StdRng::seed_from_u64(41), Alphabet::Dna, 2_000);
         let g = gap(0, 3);
         let rho = 0.0003;
-        let mut bfs_metrics = MetricsObserver::new();
-        crate::parallel::mpp_parallel_traced(
-            &seq,
-            g,
-            rho,
-            8,
-            MppConfig::default(),
-            1,
-            &mut bfs_metrics,
-        )
-        .unwrap();
-        let mut dfs_metrics = MetricsObserver::new();
-        mpp_dfs_traced(&seq, g, rho, 8, MppConfig::default(), 1, &mut dfs_metrics).unwrap();
-        let bfs_peak = bfs_metrics.complete.as_ref().unwrap().peak_arena_bytes;
-        let dfs_peak = dfs_metrics.complete.as_ref().unwrap().peak_arena_bytes;
-        assert!(bfs_peak > 0 && dfs_peak > 0);
+        let mut metrics = MetricsObserver::new();
+        mpp_traced(&seq, g, rho, 8, MppConfig::default(), &mut metrics).unwrap();
+        let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes;
+        let survivors: usize = metrics.levels.iter().map(|l| l.arena_bytes).sum();
+        let seed = metrics.levels[0].arena_bytes;
+        assert!(peak >= seed && seed > 0, "peak {peak} vs seed {seed}");
         assert!(
-            dfs_peak <= bfs_peak,
-            "eager filtering must not raise the peak: dfs {dfs_peak} vs bfs {bfs_peak}"
+            peak <= survivors,
+            "peak {peak} above the summed survivor arenas {survivors}"
         );
     }
 
@@ -1391,7 +1428,7 @@ mod tests {
             ..MppConfig::default()
         };
         let mut metrics = MetricsObserver::new();
-        let result = mpp_dfs_traced(&seq, gap(0, 3), 0.0008, 10, config, 2, &mut metrics);
+        let result = mpp_parallel_traced(&seq, gap(0, 3), 0.0008, 10, config, 2, &mut metrics);
         match result {
             Err(MineError::MemoryCeiling { limit, required }) => {
                 assert_eq!(limit, 16);
@@ -1402,6 +1439,43 @@ mod tests {
         let abort = metrics.abort.expect("abort event must be emitted");
         assert!(abort.message.contains("ceiling"), "{}", abort.message);
         assert!(metrics.complete.is_none());
+    }
+
+    #[test]
+    fn aborted_mine_reports_its_completed_levels() {
+        // A ceiling between the seed and the widest level: the run gets
+        // a few levels deep, then aborts. Every level it finished must
+        // still reach the trace, ahead of the abort line.
+        let seq = uniform(&mut StdRng::seed_from_u64(43), Alphabet::Dna, 2_000);
+        let (g, rho) = (gap(0, 3), 0.0003);
+        let mut free = MetricsObserver::new();
+        mpp_traced(&seq, g, rho, 8, MppConfig::default(), &mut free).unwrap();
+        let peak = free.complete.as_ref().unwrap().peak_arena_bytes;
+        let seed = free.levels[0].arena_bytes;
+        assert!(seed < peak / 2, "fixture needs a peak well above the seed");
+        for threads in [1usize, 2] {
+            let config = MppConfig {
+                max_arena_bytes: Some(peak / 2),
+                ..MppConfig::default()
+            };
+            let mut metrics = MetricsObserver::new();
+            let result = mpp_parallel_traced(&seq, g, rho, 8, config, threads, &mut metrics);
+            assert!(matches!(result, Err(MineError::MemoryCeiling { .. })));
+            assert!(metrics.abort.is_some());
+            assert!(
+                metrics.levels.len() >= 2,
+                "{threads} threads: {} level events before the abort",
+                metrics.levels.len()
+            );
+            // The levels run in order from the seed; the seed level is
+            // whole. (A level mined across subtree tasks may be partial:
+            // a failed task's counts are lost with it.)
+            for (got, want) in metrics.levels.iter().zip(&free.levels) {
+                assert_eq!(got.level, want.level);
+            }
+            assert_eq!(metrics.levels[0].candidates, free.levels[0].candidates);
+            assert_eq!(metrics.levels[0].kept, free.levels[0].kept);
+        }
     }
 
     #[test]
@@ -1477,8 +1551,7 @@ mod tests {
 
         // Unbounded baseline: record the true peak.
         let mut free_metrics = MetricsObserver::new();
-        let free =
-            mpp_dfs_traced(&seq, g, 0.4, 20, MppConfig::default(), 1, &mut free_metrics).unwrap();
+        let free = mpp_traced(&seq, g, 0.4, 20, MppConfig::default(), &mut free_metrics).unwrap();
         let peak = free_metrics.complete.as_ref().unwrap().peak_arena_bytes;
         assert!(peak > 0);
         let cap = peak - 1;
@@ -1489,7 +1562,7 @@ mod tests {
             ..MppConfig::default()
         };
         assert!(matches!(
-            mpp_dfs(&seq, g, 0.4, 20, no_spill, 1),
+            mpp_parallel(&seq, g, 0.4, 20, no_spill, 1),
             Err(MineError::MemoryCeiling { .. })
         ));
 
@@ -1507,7 +1580,8 @@ mod tests {
                 ..MppConfig::default()
             };
             let mut metrics = MetricsObserver::new();
-            let spilled = mpp_dfs_traced(&seq, g, 0.4, 20, config, threads, &mut metrics).unwrap();
+            let spilled =
+                mpp_parallel_traced(&seq, g, 0.4, 20, config, threads, &mut metrics).unwrap();
             assert_counters_match(&spilled, &free, &format!("spill on {threads} threads"));
             assert!(spilled.stats.spilled_records >= 2, "handoff must spill");
             assert_eq!(

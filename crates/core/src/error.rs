@@ -33,8 +33,8 @@ pub enum MineError {
         /// Configured budget.
         budget: u128,
     },
-    /// The next generation (BFS) or subtree buffer (DFS) would push the
-    /// live arena bytes past `MppConfig::max_arena_bytes`.
+    /// The next generation would push the live arena bytes past
+    /// `MppConfig::max_arena_bytes`.
     MemoryCeiling {
         /// Configured ceiling in bytes.
         limit: usize,

@@ -22,8 +22,8 @@
 //! `perigap-store`) holding:
 //!
 //! - the **key**: sequence FNV-1a hash and length, alphabet size, gap,
-//!   exact ρ bits, algorithm + engine, the `n`/`m` parameter, prune
-//!   flag, start/max level;
+//!   exact ρ bits, algorithm, the `n`/`m` parameter, prune flag,
+//!   start/max level;
 //! - the **outcome**: every frequent pattern with its exact support and
 //!   the bit-exact ratio, in the engine's emission order, plus
 //!   `n_used`, `e_m` and the saturation flag;
@@ -94,7 +94,8 @@ use std::time::{Duration, Instant};
 const MAGIC: &[u8; 4] = b"PGST";
 /// Bumped whenever the record layout changes: a record of any other
 /// version fails to load as [`MineError::CacheIo`] and is re-mined cold.
-const VERSION: u32 = 2;
+/// Version 3 dropped the engine byte from the key.
+const VERSION: u32 = 3;
 
 /// Wire tag of a result-cache record (`perigap-store` re-exports the
 /// same value as `TAG_RESULT_CACHE`; sequence packs use 1, outcome
@@ -121,28 +122,17 @@ fn mismatch(field: &'static str, cached: impl ToString, requested: impl ToString
 // Engine selection.
 // ---------------------------------------------------------------------
 
-/// Which mining entry point an incremental run wraps — part of the
-/// cache key, and the cold-path dispatch target.
+/// Which algorithm an incremental run wraps — part of the cache key,
+/// and the cold-path dispatch target. Either runs on `threads` workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineSelection {
-    /// [`crate::mpp::mpp`] / [`crate::parallel::mpp_parallel`] (when
-    /// `threads > 1`) with this `n`.
-    MppBfs {
+    /// [`crate::parallel::mpp_parallel`] with this `n`.
+    Mpp {
         /// The target level `n`.
         n: usize,
     },
-    /// [`crate::dfs::mpp_dfs`] with this `n`.
-    MppDfs {
-        /// The target level `n`.
-        n: usize,
-    },
-    /// [`crate::mppm::mppm`] with this `m`.
-    MppmBfs {
-        /// The sampling window `m`.
-        m: usize,
-    },
-    /// [`crate::mppm::mppm_dfs`] with this `m`.
-    MppmDfs {
+    /// [`crate::mppm::mppm_parallel`] with this `m`.
+    Mppm {
         /// The sampling window `m`.
         m: usize,
     },
@@ -151,22 +141,15 @@ pub enum EngineSelection {
 impl EngineSelection {
     fn algorithm_id(&self) -> u8 {
         match self {
-            EngineSelection::MppBfs { .. } | EngineSelection::MppDfs { .. } => 0,
-            EngineSelection::MppmBfs { .. } | EngineSelection::MppmDfs { .. } => 1,
-        }
-    }
-
-    fn engine_id(&self) -> u8 {
-        match self {
-            EngineSelection::MppBfs { .. } | EngineSelection::MppmBfs { .. } => 0,
-            EngineSelection::MppDfs { .. } | EngineSelection::MppmDfs { .. } => 1,
+            EngineSelection::Mpp { .. } => 0,
+            EngineSelection::Mppm { .. } => 1,
         }
     }
 
     fn param(&self) -> usize {
         match *self {
-            EngineSelection::MppBfs { n } | EngineSelection::MppDfs { n } => n,
-            EngineSelection::MppmBfs { m } | EngineSelection::MppmDfs { m } => m,
+            EngineSelection::Mpp { n } => n,
+            EngineSelection::Mppm { m } => m,
         }
     }
 }
@@ -305,8 +288,6 @@ pub struct CacheKey {
     pub rho_bits: u64,
     /// 0 = MPP, 1 = MPPm.
     pub algorithm: u8,
-    /// 0 = breadth-first, 1 = hybrid DFS.
-    pub engine: u8,
     /// `n` (MPP) or `m` (MPPm).
     pub param: u64,
     /// Always 0: pruned (top-k / targeted) mines are never cached.
@@ -369,7 +350,6 @@ fn encode_cache(cache: &ResultCache) -> Vec<u8> {
     out.extend_from_slice(&(k.gap.1 as u32).to_le_bytes());
     out.extend_from_slice(&k.rho_bits.to_le_bytes());
     out.push(k.algorithm);
-    out.push(k.engine);
     out.extend_from_slice(&k.param.to_le_bytes());
     out.push(k.prune);
     out.extend_from_slice(&(k.start_level as u32).to_le_bytes());
@@ -451,10 +431,6 @@ fn decode_cache(bytes: &[u8]) -> Result<ResultCache, MineError> {
     let algorithm = t.u8()?;
     if algorithm > 1 {
         return Err(cache_err(format!("unknown algorithm id {algorithm}")));
-    }
-    let engine = t.u8()?;
-    if engine > 1 {
-        return Err(cache_err(format!("unknown engine id {engine}")));
     }
     let param = t.u64()?;
     let prune = t.u8()?;
@@ -571,7 +547,6 @@ fn decode_cache(bytes: &[u8]) -> Result<ResultCache, MineError> {
             gap: (gap_min, gap_max),
             rho_bits,
             algorithm,
-            engine,
             param,
             prune,
             start_level,
@@ -654,7 +629,6 @@ fn request_key(
         gap: (gap.min(), gap.max()),
         rho_bits: rho.to_bits(),
         algorithm: engine.algorithm_id(),
-        engine: engine.engine_id(),
         param: engine.param() as u64,
         prune: 0,
         start_level: config.start_level,
@@ -692,13 +666,6 @@ fn check_key(cached: &CacheKey, requested: &CacheKey, seq: &Sequence) -> Result<
             } else {
                 "mppm"
             },
-        ));
-    }
-    if cached.engine != requested.engine {
-        return Err(mismatch(
-            "engine",
-            if cached.engine == 0 { "bfs" } else { "dfs" },
-            if requested.engine == 0 { "bfs" } else { "dfs" },
         ));
     }
     if cached.param != requested.param {
@@ -903,12 +870,21 @@ impl<'a> RigidChains<'a> {
     /// `codes[end-level..end]`, so the keys borrow straight out of the
     /// sequence and no pattern is materialised at all. Wider strides
     /// fall back to the owned map.
-    fn window_counts(&self, level: usize, lo: usize, hi: usize) -> WindowCounts<'a> {
+    ///
+    /// `out` is refilled in place. The cascade threads one map through
+    /// every level, so its table is allocated once, not once per level.
+    fn window_counts(&self, level: usize, lo: usize, hi: usize, out: &mut WindowCounts<'a>) {
         if self.stride != 1 {
-            return WindowCounts::Owned(self.window_deltas(level, lo, hi));
+            *out = WindowCounts::Owned(self.window_deltas(level, lo, hi));
+            return;
         }
-        let mut counts: HashMap<&'a [u8], u128, FnvBuild> =
-            HashMap::with_capacity_and_hasher(64, FnvBuild);
+        if !matches!(out, WindowCounts::Slices(_)) {
+            *out = WindowCounts::Slices(HashMap::with_capacity_and_hasher(64, FnvBuild));
+        }
+        let WindowCounts::Slices(counts) = out else {
+            unreachable!("set to the slice map just above")
+        };
+        counts.clear();
         // Uniform chains (`c^level`) — the bulk of any periodic region —
         // are recognised from the run table and tallied per symbol;
         // only non-uniform chains pay for a hash.
@@ -930,7 +906,6 @@ impl<'a> RigidChains<'a> {
                 *counts.entry(&self.codes[end - level..end]).or_insert(0) += n;
             }
         }
-        WindowCounts::Slices(counts)
     }
 
     /// Exact support of `codes` by direct scan, with early exit per
@@ -1004,8 +979,12 @@ enum WindowCounts<'a> {
 }
 
 impl WindowCounts<'_> {
-    fn empty() -> WindowCounts<'static> {
-        WindowCounts::Owned(BTreeMap::new())
+    /// Drop every count, keeping the allocation.
+    fn clear(&mut self) {
+        match self {
+            WindowCounts::Slices(m) => m.clear(),
+            WindowCounts::Owned(m) => m.clear(),
+        }
     }
 
     fn get(&self, codes: &[u8]) -> u128 {
@@ -1032,13 +1011,14 @@ struct CascadeResult {
     suspect_scans: u64,
 }
 
-/// Replay [`crate::mpp::run_levelwise`] over rigid-gap chains with
+/// Replay MPP's level-wise loop (Figure 3) over rigid-gap chains with
 /// supports merged from `old` (the cached per-level candidate maps)
 /// plus window deltas — or computed from scratch when `old` is `None`
 /// (the cold-path cache rebuild, where the "window" is the whole
-/// sequence). The loop structure, thresholds, emission order and break
-/// conditions mirror the engine exactly; the equivalence argument lives
-/// in DESIGN.md §16 and is enforced by `tests/prop_incremental.rs`.
+/// sequence). The thresholds, break conditions and per-level counts
+/// mirror the engine's exactly, and the frequent set comes out in the
+/// engine's sorted order; the equivalence argument lives in DESIGN.md
+/// §16 and is enforced by `tests/prop_incremental.rs`.
 #[allow(clippy::too_many_arguments)]
 fn cascade(
     seq: &Sequence,
@@ -1101,6 +1081,8 @@ fn cascade(
 
     let mut level = start;
     let mut candidates_at_level: u128 = sigma.saturating_pow(start as u32);
+    // The next level's window counts, refilled level by level.
+    let mut deltas_next = WindowCounts::Owned(BTreeMap::new());
 
     while level <= hard_cap {
         let level_started = Instant::now();
@@ -1163,19 +1145,14 @@ fn cascade(
                 .collect(),
             None => HashMap::new(),
         };
-        let deltas_next = {
-            let first = chains.first_end(level + 1);
-            if seq.len() >= first {
-                let lo = first.max(old_len + 1);
-                if lo <= seq.len() {
-                    chains.window_counts(level + 1, lo, seq.len())
-                } else {
-                    WindowCounts::empty()
-                }
-            } else {
-                WindowCounts::empty()
+        deltas_next.clear();
+        let first = chains.first_end(level + 1);
+        if seq.len() >= first {
+            let lo = first.max(old_len + 1);
+            if lo <= seq.len() {
+                chains.window_counts(level + 1, lo, seq.len(), &mut deltas_next);
             }
-        };
+        }
 
         // Gen(L̂): suffix(P1) = prefix(P2) joins over the kept set. The
         // kept list is lexicographically sorted, so iterating it as the
@@ -1318,30 +1295,19 @@ fn dispatch_cold<O: MineObserver>(
     threads: usize,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
+    let threads = threads.max(1);
     match *engine {
-        EngineSelection::MppBfs { n } => {
-            if threads > 1 {
-                crate::parallel::mpp_parallel_traced(
-                    seq,
-                    gap,
-                    rho,
-                    n,
-                    config.clone(),
-                    threads,
-                    observer,
-                )
-            } else {
-                crate::mpp::mpp_traced(seq, gap, rho, n, config.clone(), observer)
-            }
-        }
-        EngineSelection::MppDfs { n } => {
-            crate::dfs::mpp_dfs_traced(seq, gap, rho, n, config.clone(), threads.max(1), observer)
-        }
-        EngineSelection::MppmBfs { m } => {
-            crate::mppm::mppm_traced(seq, gap, rho, m, config.clone(), observer)
-        }
-        EngineSelection::MppmDfs { m } => {
-            crate::mppm::mppm_dfs_traced(seq, gap, rho, m, config.clone(), threads.max(1), observer)
+        EngineSelection::Mpp { n } => crate::parallel::mpp_parallel_traced(
+            seq,
+            gap,
+            rho,
+            n,
+            config.clone(),
+            threads,
+            observer,
+        ),
+        EngineSelection::Mppm { m } => {
+            crate::mppm::mppm_parallel_traced(seq, gap, rho, m, config.clone(), threads, observer)
         }
     }
 }
@@ -1359,10 +1325,10 @@ fn resolve_n_used(
     let counts_l1 = gap.l1(seq.len());
     let start = config.start_level;
     match *engine {
-        EngineSelection::MppBfs { n } | EngineSelection::MppDfs { n } => {
+        EngineSelection::Mpp { n } => {
             Ok((n.clamp(start, counts_l1.max(start)), None, Duration::ZERO))
         }
-        EngineSelection::MppmBfs { m } | EngineSelection::MppmDfs { m } => {
+        EngineSelection::Mppm { m } => {
             let em_started = Instant::now();
             let (n_est, em) = crate::mppm::estimate_n(seq, gap, rho, m, config.clone())?;
             Ok((
@@ -1848,7 +1814,7 @@ mod tests {
             seq,
             gap,
             rho,
-            &EngineSelection::MppBfs { n },
+            &EngineSelection::Mpp { n },
             &MppConfig::default(),
             1,
             path,
@@ -1867,7 +1833,6 @@ mod tests {
                 gap: (2, 2),
                 rho_bits: 0.01f64.to_bits(),
                 algorithm: 1,
-                engine: 1,
                 param: 5,
                 prune: 0,
                 start_level: 3,

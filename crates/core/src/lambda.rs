@@ -160,11 +160,11 @@ pub(crate) struct BoundRow {
     pub n_f64: f64,
 }
 
-/// Lazily built per-level [`BoundRow`] table, shared by the BFS and DFS
-/// engines so each bound is constructed once per depth instead of once
-/// per candidate. The two engines consulting the same rows is what
-/// keeps their keep/frequent decisions — and therefore their stats —
-/// identical.
+/// Lazily built per-level [`BoundRow`] table, shared by the engine's
+/// prelude and its subtree tasks so each bound is constructed once per
+/// depth instead of once per candidate. Every task consulting the same
+/// rows is what keeps the keep/frequent decisions — and therefore the
+/// stats — identical at every thread count.
 pub(crate) struct BoundTable<'a> {
     counts: &'a OffsetCounts,
     rho: &'a BigRatio,

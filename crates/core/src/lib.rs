@@ -67,9 +67,7 @@ pub mod trace;
 pub mod verify;
 pub mod windowed;
 
-pub use corpus::{
-    mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, CorpusOutcome, ShardEngine,
-};
+pub use corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, CorpusOutcome};
 pub use counts::OffsetCounts;
 pub use error::MineError;
 pub use gap::GapRequirement;

@@ -1,27 +1,25 @@
-//! The MPP algorithm (Figure 3) and the shared level-wise engine.
+//! The MPP algorithm (Figure 3) and the configuration shared by every
+//! level-wise run.
 //!
 //! MPP takes a user estimate `n` of the longest frequent pattern
 //! length. Below level `n` it prunes with the Theorem 1 factor
 //! `λ(n, n−i)`; above it the factor degenerates to 1 (a plain
-//! level-wise pass), making longer patterns best-effort. The engine is
-//! shared with [`crate::mppm`], which differs only in how `n` is
-//! chosen.
+//! level-wise pass), making longer patterns best-effort. Mining runs on
+//! the engine in [`crate::dfs`], shared with [`crate::mppm`], which
+//! differs only in how `n` is chosen. [`mpp`] is that engine on one
+//! thread; [`crate::parallel::mpp_parallel`] is the same engine on a
+//! worker pool.
 
-use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::lambda::BoundTable;
-use crate::pattern::Pattern;
-use crate::pil::JoinCounters;
-use crate::prune::{PruneMode, Pruner};
-use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
-use crate::trace::{AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, SeedEvent};
+use crate::prune::PruneMode;
+use crate::result::MineOutcome;
+use crate::trace::{MineObserver, NoopObserver};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Tuning knobs common to every level-wise run.
 #[derive(Clone, Debug)]
@@ -33,19 +31,18 @@ pub struct MppConfig {
     /// Hard cap on the deepest level (safety valve; `None` runs to
     /// `l2`).
     pub max_level: Option<usize>,
-    /// Ceiling on live arena bytes (parent + candidate generations
-    /// combined). When mining would exceed it the run aborts with
-    /// [`MineError::MemoryCeiling`] instead of thrashing; `None` is
-    /// unlimited. The hybrid DFS engine can finish under the ceiling
-    /// anyway by spilling cold subtrees — see [`MppConfig::spill_dir`].
+    /// Ceiling on live arena bytes (every surviving generation the
+    /// engine holds at once). When mining would exceed it the run
+    /// aborts with [`MineError::MemoryCeiling`] instead of thrashing;
+    /// `None` is unlimited. With a spill backend the engine can finish
+    /// under the ceiling anyway by spilling cold subtrees — see
+    /// [`MppConfig::spill_dir`].
     pub max_arena_bytes: Option<usize>,
-    /// Directory for DFS spill records (see [`crate::spill`]). `Some`
-    /// arms spill-to-disk on the hybrid engine when `max_arena_bytes`
-    /// is also set; the breadth-first engines ignore it and keep the
-    /// abort-at-ceiling behaviour. Ignored when [`MppConfig::spill_io`]
-    /// supplies a backend directly.
+    /// Directory for spill records (see [`crate::spill`]). `Some` arms
+    /// spill-to-disk when `max_arena_bytes` is also set. Ignored when
+    /// [`MppConfig::spill_io`] supplies a backend directly.
     pub spill_dir: Option<PathBuf>,
-    /// Fraction of `max_arena_bytes` at which the hybrid engine starts
+    /// Fraction of `max_arena_bytes` at which the engine starts
     /// spilling cold subtree arenas (`0.0` spills at every handoff,
     /// `1.0` only at the ceiling itself). Only consulted when a spill
     /// backend is configured. Default `0.5`.
@@ -91,7 +88,7 @@ pub fn mpp(
 
 /// [`mpp`] with a [`MineObserver`] attached. The observer is a generic
 /// parameter, so `mpp` (which passes [`NoopObserver`]) monomorphizes to
-/// the exact pre-observability hot path.
+/// the untraced hot path.
 pub fn mpp_traced<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
@@ -100,30 +97,7 @@ pub fn mpp_traced<O: MineObserver>(
     config: MppConfig,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
-    let started = Instant::now();
-    let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let seed_started = Instant::now();
-    let pils = build_seed(seq, gap, config.start_level);
-    observer.on_seed(&SeedEvent {
-        level: config.start_level,
-        patterns: pils.len(),
-        pil_entries: pils.entry_count(),
-        arena_bytes: pils.arena_bytes(),
-        elapsed: seed_started.elapsed(),
-    });
-    let (mut outcome, peak) =
-        match run_levelwise(seq, &counts, &rho_exact, n, &config, pils, None, observer) {
-            Ok(done) => done,
-            Err(e) => {
-                observer.on_abort(&AbortEvent {
-                    message: e.to_string(),
-                });
-                return Err(e);
-            }
-        };
-    outcome.stats.total_elapsed = started.elapsed();
-    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
-    Ok(outcome)
+    crate::dfs::mine_mpp(seq, gap, rho, n, config, 1, observer)
 }
 
 /// Fail with [`MineError::MemoryCeiling`] when `live` arena bytes
@@ -164,179 +138,12 @@ pub(crate) fn prepare(
     ))
 }
 
-/// The level-wise core shared by MPP and MPPm.
-///
-/// `seed` holds the PILs of every start-level pattern with non-zero
-/// support, sorted, in the arena layout. Each level filters the current
-/// generation against the exact and Theorem 1 bounds, then generates
-/// the next generation by run-detection over the sorted survivors
-/// (Section 5.1's `Gen(L̂)` without any hashing — see
-/// [`crate::arena`]). A level's [`LevelStats::elapsed`] covers the
-/// whole level: filtering *and* the join fan-out that produces the next
-/// generation.
-///
-/// Returns the outcome together with the peak live arena bytes the run
-/// reached (parent + candidate generation combined), or
-/// [`MineError::MemoryCeiling`] when [`MppConfig::max_arena_bytes`]
-/// would be exceeded.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_levelwise<O: MineObserver>(
-    seq: &Sequence,
-    counts: &OffsetCounts,
-    rho: &BigRatio,
-    n: usize,
-    config: &MppConfig,
-    seed: PilSet,
-    mut stats_seed: Option<MineStats>,
-    observer: &mut O,
-) -> Result<(MineOutcome, usize), MineError> {
-    let gap = counts.gap();
-    let sigma = seq.alphabet().size() as u128;
-    let start = config.start_level;
-    // Figure 3 line 3: if n > l1, n = l1. Also never below the start
-    // level — the engine cannot prune with a target shorter than the
-    // patterns it begins from.
-    let n = n.clamp(start, counts.l1().max(start));
-    let hard_cap = config.max_level.unwrap_or(usize::MAX).min(counts.l2());
-
-    let mut stats = stats_seed.take().unwrap_or_default();
-    stats.n_used = n;
-    let pruner = Pruner::new(&config.prune, counts.gap().flexibility());
-    let mut frequent: Vec<FrequentPattern> = Vec::new();
-    let mut bounds = BoundTable::new(counts, rho, n);
-
-    let mut current = seed;
-    // One reused output set: the join fan-out writes into buffers that
-    // survive across levels.
-    let mut next = PilSet::new(start + 1);
-    let mut kept: Vec<usize> = Vec::new();
-    let mut level = start;
-    let mut candidates_at_level: u128 = sigma.saturating_pow(start as u32);
-    let mut peak = current.arena_bytes();
-    check_ceiling(config.max_arena_bytes, peak)?;
-
-    while level <= hard_cap {
-        let level_started = Instant::now();
-        if counts.n(level).is_zero() {
-            break;
-        }
-        let row = bounds.row(level);
-
-        kept.clear();
-        let mut frequent_here = 0usize;
-        for i in 0..current.len() {
-            let sup = current.support(i);
-            let admits_exact = row.exact.admits_u128(sup);
-            let admits_lhat = row.lhat.admits_u128(sup);
-            if (admits_exact || admits_lhat) && !pruner.admits_search(sup) {
-                continue;
-            }
-            if admits_exact && pruner.admits_result(current.pattern_codes(i), sup) {
-                frequent.push(FrequentPattern {
-                    pattern: Pattern::from_codes(current.pattern_codes(i).to_vec()),
-                    support: sup,
-                    ratio: sup as f64 / row.n_f64,
-                });
-                frequent_here += 1;
-            }
-            if admits_lhat && pruner.admits_frontier(current.pattern_codes(i)) {
-                kept.push(i);
-            }
-        }
-        let evaluated = current.len();
-        let extended = kept.len();
-        let gen_saturated = current.saturated();
-        stats.support_saturated |= gen_saturated;
-        let finish_level = |stats: &mut MineStats,
-                            observer: &mut O,
-                            join_elapsed: Duration,
-                            elapsed,
-                            arena_bytes: usize,
-                            jc: JoinCounters| {
-            stats.levels.push(LevelStats {
-                level,
-                candidates: candidates_at_level,
-                frequent: frequent_here,
-                extended,
-                elapsed,
-            });
-            observer.on_level(&LevelEvent {
-                level,
-                candidates: candidates_at_level,
-                evaluated,
-                frequent: frequent_here,
-                kept: extended,
-                pruned_bound: evaluated - extended,
-                pruned_support: evaluated - frequent_here,
-                arena_bytes,
-                joins: jc.joins,
-                probed: jc.probed,
-                reallocs: jc.reallocs,
-                bytes_moved: jc.bytes_moved,
-                join_elapsed,
-                elapsed,
-                saturated: gen_saturated,
-            });
-        };
-
-        if kept.is_empty() || level == hard_cap {
-            finish_level(
-                &mut stats,
-                observer,
-                Duration::ZERO,
-                level_started.elapsed(),
-                current.arena_bytes(),
-                JoinCounters::default(),
-            );
-            break;
-        }
-
-        // Gen(L̂): join pairs with suffix(P1) = prefix(P2) (Section 5.1).
-        let join_started = Instant::now();
-        let runs = prefix_runs(&current, &kept);
-        next.reset(level + 1);
-        let mut jc = JoinCounters::default();
-        generate_candidates(
-            &current,
-            &kept,
-            &runs,
-            gap,
-            0,
-            kept.len(),
-            &mut next,
-            &mut jc,
-            &pruner,
-        );
-        let live = current.arena_bytes() + next.arena_bytes();
-        peak = peak.max(live);
-        check_ceiling(config.max_arena_bytes, live)?;
-        finish_level(
-            &mut stats,
-            observer,
-            join_started.elapsed(),
-            level_started.elapsed(),
-            live,
-            jc,
-        );
-
-        candidates_at_level = next.len() as u128;
-        if next.is_empty() {
-            break;
-        }
-        std::mem::swap(&mut current, &mut next);
-        level += 1;
-    }
-
-    let mut outcome = MineOutcome { frequent, stats };
-    pruner.finish(&mut outcome);
-    Ok((outcome, peak))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lambda::PruneBound;
     use crate::naive::support_dp;
+    use crate::pattern::Pattern;
     use perigap_seq::gen::iid::uniform;
     use perigap_seq::Alphabet;
     use rand::rngs::StdRng;
@@ -523,7 +330,7 @@ mod tests {
     #[test]
     fn check_ceiling_boundary_is_strictly_greater() {
         // The pinned semantics for every ceiling check in the
-        // workspace (the BFS engines here, the DFS `MemGauge`): a live
+        // workspace (the engine's `MemGauge` calls this): a live
         // total exactly at the cap passes, one byte over aborts, and
         // the error reports both sides.
         assert!(check_ceiling(None, usize::MAX).is_ok());

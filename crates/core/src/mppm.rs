@@ -5,19 +5,19 @@
 //! MPPm checks for every `k` up to `l1` whether *any* length-3 pattern
 //! clears the Theorem 2 bound `λ′(k, k−3) · ρs · N_3`. If none does, no
 //! length-`k` frequent pattern can exist; `n` is the largest `k` that
-//! survives. From there the run is exactly MPP — on either the
-//! breadth-first engine ([`mppm`]) or the hybrid BFS→DFS engine
-//! ([`mppm_dfs`], see [`crate::dfs`]).
+//! survives. From there the run is exactly MPP, on the engine in
+//! [`crate::dfs`]: [`mppm`] on one thread, [`mppm_parallel`] on a
+//! worker pool.
 
 use crate::arena::{build_seed, PilSet};
 use crate::counts::OffsetCounts;
 use crate::em::compute_em;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::mpp::{prepare, run_levelwise, MppConfig};
+use crate::mpp::{prepare, MppConfig};
 use crate::parallel::PoolHooks;
 use crate::result::{MineOutcome, MineStats};
-use crate::trace::{AbortEvent, CompleteEvent, EmEvent, MineObserver, NoopObserver, SeedEvent};
+use crate::trace::{EmEvent, MineObserver, NoopObserver, SeedEvent};
 use perigap_math::{BigRatio, BigUint};
 use perigap_seq::Sequence;
 use std::time::Instant;
@@ -51,7 +51,7 @@ pub fn mppm(
 }
 
 /// Everything the MPPm front half (validation, `e_m`, seed supports,
-/// `n` estimation) hands to whichever engine runs the level-wise back
+/// `n` estimation) hands to the engine that runs the level-wise back
 /// half.
 struct MppmPrelude {
     counts: OffsetCounts,
@@ -61,8 +61,7 @@ struct MppmPrelude {
     stats_seed: MineStats,
 }
 
-/// The shared MPPm front half. Emits the [`EmEvent`] and [`SeedEvent`]
-/// so both engines produce identical trace preludes.
+/// The MPPm front half. Emits the [`EmEvent`] and [`SeedEvent`].
 fn mppm_prelude<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
@@ -199,24 +198,13 @@ pub fn mppm_traced<O: MineObserver>(
     config: MppConfig,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
-    let started = Instant::now();
-    let p = mppm_prelude(seq, gap, rho, m, &config, observer)?;
-    let run = run_levelwise(
-        seq,
-        &p.counts,
-        &p.rho_exact,
-        p.n,
-        &config,
-        p.pils,
-        Some(p.stats_seed),
-        observer,
-    );
-    finish(run, started, observer)
+    mppm_parallel_traced(seq, gap, rho, m, config, 1, observer)
 }
 
-/// [`mppm`] on the hybrid BFS→DFS engine: the same `n` estimate and
-/// seed, mined by [`crate::dfs`] with `threads` workers.
-pub fn mppm_dfs(
+/// [`mppm`] on `threads` OS threads (`1` spawns no pool): the same `n`
+/// estimate and seed, mined on the worker pool like
+/// [`crate::parallel::mpp_parallel`]. Byte-identical to [`mppm`].
+pub fn mppm_parallel(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
@@ -224,11 +212,11 @@ pub fn mppm_dfs(
     config: MppConfig,
     threads: usize,
 ) -> Result<MineOutcome, MineError> {
-    mppm_dfs_traced(seq, gap, rho, m, config, threads, &mut NoopObserver)
+    mppm_parallel_traced(seq, gap, rho, m, config, threads, &mut NoopObserver)
 }
 
-/// [`mppm_dfs`] with a [`MineObserver`] attached.
-pub fn mppm_dfs_traced<O: MineObserver>(
+/// [`mppm_parallel`] with a [`MineObserver`] attached.
+pub fn mppm_parallel_traced<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
@@ -237,6 +225,7 @@ pub fn mppm_dfs_traced<O: MineObserver>(
     threads: usize,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
+    assert!(threads >= 1, "need at least one thread");
     let started = Instant::now();
     let p = mppm_prelude(seq, gap, rho, m, &config, observer)?;
     let run = crate::dfs::run_hybrid(
@@ -251,29 +240,7 @@ pub fn mppm_dfs_traced<O: MineObserver>(
         Some(p.stats_seed),
         observer,
     );
-    finish(run, started, observer)
-}
-
-/// Shared MPPm tail: stamp the total wall time and emit the terminal
-/// trace event — [`CompleteEvent`] with the peak, or [`AbortEvent`] on
-/// error.
-fn finish<O: MineObserver>(
-    run: Result<(MineOutcome, usize), MineError>,
-    started: Instant,
-    observer: &mut O,
-) -> Result<MineOutcome, MineError> {
-    let (mut outcome, peak) = match run {
-        Ok(done) => done,
-        Err(e) => {
-            observer.on_abort(&AbortEvent {
-                message: e.to_string(),
-            });
-            return Err(e);
-        }
-    };
-    outcome.stats.total_elapsed = started.elapsed();
-    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
-    Ok(outcome)
+    crate::dfs::finish(run, started, observer)
 }
 
 /// The `n` MPPm would estimate, without running the mining phase —
@@ -365,15 +332,24 @@ mod tests {
 
     #[test]
     fn dfs_engine_matches_bfs_engine() {
+        // MPPm is MPP at the estimated n: the engine at every thread
+        // count must mine exactly what the breadth-first reference
+        // miner mines at that n.
         let s = uniform(&mut StdRng::seed_from_u64(26), Alphabet::Dna, 300);
         let g = gap(1, 3);
         let rho = 0.0008;
-        let bfs = mppm(&s, g, rho, 4, MppConfig::default()).unwrap();
+        let (n, em) = estimate_n(&s, g, rho, 4, MppConfig::default()).unwrap();
+        let bfs = crate::reference::mpp_reference(&s, g, rho, n, MppConfig::default(), 1).unwrap();
+        let serial = mppm(&s, g, rho, 4, MppConfig::default()).unwrap();
         for threads in [1usize, 4] {
-            let dfs = mppm_dfs(&s, g, rho, 4, MppConfig::default(), threads).unwrap();
-            assert_eq!(bfs.frequent, dfs.frequent, "threads = {threads}");
-            assert_eq!(bfs.stats.n_used, dfs.stats.n_used);
-            assert_eq!(bfs.stats.em, dfs.stats.em);
+            let dfs = mppm_parallel(&s, g, rho, 4, MppConfig::default(), threads).unwrap();
+            assert_eq!(serial.frequent, dfs.frequent, "threads = {threads}");
+            assert_eq!(dfs.stats.n_used, n);
+            assert_eq!(dfs.stats.em, Some(em));
+            assert_eq!(bfs.frequent.len(), dfs.frequent.len());
+            for (a, b) in bfs.frequent.iter().zip(&dfs.frequent) {
+                assert_eq!((&a.pattern, a.support), (&b.pattern, b.support));
+            }
         }
     }
 

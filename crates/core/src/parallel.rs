@@ -1,49 +1,38 @@
-//! Parallel candidate evaluation (an engineering extension — the paper
-//! is single-threaded).
+//! The worker pool behind parallel mining (an engineering extension —
+//! the paper is single-threaded), and the threaded MPP entry point.
 //!
-//! The dominant cost of a level is independent per candidate: join two
-//! parent PILs, sum the result. This module runs the level-wise engine
-//! with the join fan-out spread over a **persistent worker pool**: the
-//! threads are spawned once per mine and live for the whole run.
-//! Each level publishes one [`LevelJob`] (the kept generation, its
-//! prefix runs, and an atomic chunk cursor); the main thread and every
-//! worker *steal* chunks of left-parent indices from the cursor until
-//! the level is drained, so a skewed chunk cannot stall the level the
-//! way statically partitioned spawns could.
+//! The threads are spawned once per mine and live for the whole run.
+//! The engine ([`crate::dfs`]) publishes one [`PoolJob`] at a time — the
+//! chunks of left parents of one wide prelude level, or the subtrees of
+//! a component split — and the main thread and every worker *steal*
+//! items off its atomic cursor until the job is drained, so a skewed
+//! item cannot stall the run the way statically partitioned spawns
+//! could.
 //!
-//! Determinism is preserved: chunk results are merged in chunk-index
-//! order (chunks partition the sorted kept slice, so concatenation is
-//! already globally sorted) and the final outcome is sorted exactly
-//! like the serial engine's. Output is byte-identical to
-//! [`crate::mpp::mpp`].
+//! Determinism is preserved: item results are merged in item order
+//! (prelude chunks partition the sorted left parents, so concatenation
+//! is already globally sorted) and the final outcome is sorted exactly
+//! like the serial run's. Output is byte-identical to
+//! [`crate::mpp::mpp`], which is the same engine on one thread.
 //!
 //! ## Failure handling
 //!
-//! The cursor hands each chunk to exactly one thread, so the merge loop
-//! knows exactly how many results are outstanding. Worker-side join
-//! work runs under `catch_unwind`: a panic becomes a
-//! [`WorkerMsg::Failed`] report and the mine aborts with
-//! [`MineError::WorkerFailed`] instead of blocking forever on a chunk
-//! that will never arrive (the deadlock this module shipped with — the
-//! old merge loop did a bare `recv()` while the pool's retained result
-//! sender kept the channel open). A belt-and-braces liveness check
-//! (`JoinHandle::is_finished` during receive timeouts) covers the
-//! pathological case of a worker dying without managing to report.
+//! The cursor hands each item to exactly one thread, so the merge loop
+//! knows exactly how many results are outstanding. Worker-side work
+//! runs under `catch_unwind`: a panic becomes a [`WorkerMsg::Failed`]
+//! report and the mine aborts with [`MineError::WorkerFailed`] instead
+//! of blocking forever on an item that will never arrive (the deadlock
+//! this module shipped with — the old merge loop did a bare `recv()`
+//! while the pool's retained result sender kept the channel open). A
+//! belt-and-braces liveness check (`JoinHandle::is_finished` during
+//! receive timeouts) covers the pathological case of a worker dying
+//! without managing to report.
 
-use crate::arena::{build_seed, generate_candidates, prefix_runs, PilSet};
-use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::lambda::BoundTable;
-use crate::mpp::{check_ceiling, prepare, MppConfig};
-use crate::pattern::Pattern;
-use crate::pil::JoinCounters;
-use crate::prune::Pruner;
-use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
-use crate::trace::{
-    AbortEvent, CompleteEvent, LevelEvent, MineObserver, NoopObserver, PoolLevelEvent, SeedEvent,
-    WorkerLevelStats,
-};
+use crate::mpp::MppConfig;
+use crate::result::MineOutcome;
+use crate::trace::{MineObserver, NoopObserver, PoolLevelEvent, WorkerLevelStats};
 use perigap_seq::Sequence;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -71,8 +60,8 @@ const RECV_TICK: Duration = Duration::from_millis(50);
 /// up with a generic [`MineError::WorkerFailed`].
 const DEAD_WORKER_GRACE: Duration = Duration::from_secs(1);
 
-/// MPP with the candidate-evaluation step parallelized over `threads`
-/// OS threads. Produces byte-identical outcomes to [`crate::mpp::mpp`].
+/// MPP on `threads` OS threads (`1` spawns no pool). Produces
+/// byte-identical outcomes to [`crate::mpp::mpp`].
 pub fn mpp_parallel(
     seq: &Sequence,
     gap: GapRequirement,
@@ -85,9 +74,9 @@ pub fn mpp_parallel(
 }
 
 /// [`mpp_parallel`] with a [`MineObserver`] attached. Beyond the serial
-/// events, every pool-engaged level also emits a
-/// [`PoolLevelEvent`] with the per-worker chunk/candidate/busy-time
-/// breakdown.
+/// events, every pooled job emits a [`PoolLevelEvent`] with the
+/// per-worker item/candidate/busy-time breakdown, and every subtree
+/// task a [`crate::trace::SubtreeEvent`].
 pub fn mpp_parallel_traced<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
@@ -97,41 +86,7 @@ pub fn mpp_parallel_traced<O: MineObserver>(
     threads: usize,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
-    assert!(threads >= 1, "need at least one thread");
-    let started = Instant::now();
-    let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let seed_started = Instant::now();
-    let pils = build_seed(seq, gap, config.start_level);
-    observer.on_seed(&SeedEvent {
-        level: config.start_level,
-        patterns: pils.len(),
-        pil_entries: pils.entry_count(),
-        arena_bytes: pils.arena_bytes(),
-        elapsed: seed_started.elapsed(),
-    });
-    let run = run_parallel(
-        seq,
-        &counts,
-        &rho_exact,
-        n,
-        &config,
-        pils,
-        threads,
-        PoolHooks::default(),
-        observer,
-    );
-    let (mut outcome, peak) = match run {
-        Ok(done) => done,
-        Err(e) => {
-            observer.on_abort(&AbortEvent {
-                message: e.to_string(),
-            });
-            return Err(e);
-        }
-    };
-    outcome.stats.total_elapsed = started.elapsed();
-    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
-    Ok(outcome)
+    crate::dfs::mine_mpp(seq, gap, rho, n, config, threads, observer)
 }
 
 /// Test-only fault injection, carried by every pool job. Outside
@@ -173,10 +128,10 @@ impl PoolHooks {
 }
 
 /// A unit of pool work: a fixed roster of independent items claimed
-/// off an atomic cursor. The breadth-first engine's [`LevelJob`] (items
-/// = chunks of left parents) and the hybrid engine's subtree job
-/// (items = prefix-run components, see [`crate::dfs`]) both implement
-/// this, sharing one pool, one merge loop, and one failure protocol.
+/// off an atomic cursor. The engine's job (items = chunks of left
+/// parents, or prefix-run components, see [`crate::dfs`]) and the
+/// corpus shard fan-out both implement this, sharing one pool, one
+/// merge loop, and one failure protocol.
 pub(crate) trait PoolJob: Send + Sync + 'static {
     /// What one item produces.
     type Out: Send + 'static;
@@ -199,72 +154,6 @@ pub(crate) trait PoolJob: Send + Sync + 'static {
     /// How many candidates `out` contributes to the per-worker
     /// [`WorkerLevelStats`] tally.
     fn out_weight(out: &Self::Out) -> usize;
-}
-
-/// One level's join fan-out, shared with the pool. Workers claim chunk
-/// indices from `cursor` until it passes `n_chunks`.
-struct LevelJob {
-    /// The current (kept-filtered inputs) generation.
-    set: PilSet,
-    /// Indices into `set` that survived the L̂ bound, ascending.
-    kept: Vec<usize>,
-    /// Equal-prefix runs over `kept` (see [`crate::arena::prefix_runs`]).
-    runs: Vec<(usize, usize)>,
-    gap: GapRequirement,
-    next_level: usize,
-    chunk: usize,
-    n_chunks: usize,
-    cursor: AtomicUsize,
-    hooks: PoolHooks,
-    /// Shared pruning state; floor reads inside a chunk see raises from
-    /// every other thread's already-merged levels.
-    pruner: Pruner,
-}
-
-impl PoolJob for LevelJob {
-    type Out = (PilSet, JoinCounters);
-
-    fn n_items(&self) -> usize {
-        self.n_chunks
-    }
-
-    fn cursor(&self) -> &AtomicUsize {
-        &self.cursor
-    }
-
-    fn hooks(&self) -> &PoolHooks {
-        &self.hooks
-    }
-
-    fn progress_level(&self) -> usize {
-        self.next_level
-    }
-
-    /// Generate the candidates whose left parent lies in chunk `c`,
-    /// together with the chunk's join counters (merged level-wide by
-    /// the caller).
-    fn process(&self, c: usize) -> (PilSet, JoinCounters) {
-        let lo = c * self.chunk;
-        let hi = (lo + self.chunk).min(self.kept.len());
-        let mut out = PilSet::new(self.next_level);
-        let mut jc = JoinCounters::default();
-        generate_candidates(
-            &self.set,
-            &self.kept,
-            &self.runs,
-            self.gap,
-            lo,
-            hi,
-            &mut out,
-            &mut jc,
-            &self.pruner,
-        );
-        (out, jc)
-    }
-
-    fn out_weight(out: &(PilSet, JoinCounters)) -> usize {
-        out.0.len()
-    }
 }
 
 /// What a worker sends back for each item it claimed. Exactly one
@@ -489,201 +378,11 @@ impl<J: PoolJob> Drop for WorkerPool<J> {
     }
 }
 
-/// The parallel twin of `run_levelwise`. Kept separate so the serial
-/// engine stays dependency-free and obviously faithful to Figure 3.
-/// Returns the outcome plus the peak live arena bytes, like the serial
-/// engine.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel<O: MineObserver>(
-    seq: &Sequence,
-    counts: &OffsetCounts,
-    rho: &perigap_math::BigRatio,
-    n: usize,
-    config: &MppConfig,
-    seed: PilSet,
-    threads: usize,
-    hooks: PoolHooks,
-    observer: &mut O,
-) -> Result<(MineOutcome, usize), MineError> {
-    let gap = counts.gap();
-    let sigma = seq.alphabet().size() as u128;
-    let start = config.start_level;
-    let n = n.clamp(start, counts.l1().max(start));
-    let hard_cap = config.max_level.unwrap_or(usize::MAX).min(counts.l2());
-
-    // Spawned once; lives until the mine returns.
-    let pool = (threads > 1).then(|| WorkerPool::<LevelJob>::new(threads - 1));
-
-    let mut stats = MineStats {
-        n_used: n,
-        ..MineStats::default()
-    };
-    let pruner = Pruner::new(&config.prune, counts.gap().flexibility());
-    let mut frequent: Vec<FrequentPattern> = Vec::new();
-    let mut bounds = BoundTable::new(counts, rho, n);
-    let mut current = seed;
-    let mut kept: Vec<usize> = Vec::new();
-    let mut level = start;
-    let mut candidates_at_level: u128 = sigma.saturating_pow(start as u32);
-    let mut peak = current.arena_bytes();
-    check_ceiling(config.max_arena_bytes, peak)?;
-
-    while level <= hard_cap {
-        let level_started = Instant::now();
-        if counts.n(level).is_zero() {
-            break;
-        }
-        let row = bounds.row(level);
-
-        kept.clear();
-        let mut frequent_here = 0usize;
-        for i in 0..current.len() {
-            let sup = current.support(i);
-            let admits_exact = row.exact.admits_u128(sup);
-            let admits_lhat = row.lhat.admits_u128(sup);
-            if (admits_exact || admits_lhat) && !pruner.admits_search(sup) {
-                continue;
-            }
-            if admits_exact && pruner.admits_result(current.pattern_codes(i), sup) {
-                frequent.push(FrequentPattern {
-                    pattern: Pattern::from_codes(current.pattern_codes(i).to_vec()),
-                    support: sup,
-                    ratio: sup as f64 / row.n_f64,
-                });
-                frequent_here += 1;
-            }
-            if admits_lhat && pruner.admits_frontier(current.pattern_codes(i)) {
-                kept.push(i);
-            }
-        }
-        let evaluated = current.len();
-        let extended = kept.len();
-        let gen_saturated = current.saturated();
-        stats.support_saturated |= gen_saturated;
-        let finish_level = |stats: &mut MineStats,
-                            observer: &mut O,
-                            join_elapsed: Duration,
-                            elapsed,
-                            arena_bytes: usize,
-                            jc: JoinCounters| {
-            stats.levels.push(LevelStats {
-                level,
-                candidates: candidates_at_level,
-                frequent: frequent_here,
-                extended,
-                elapsed,
-            });
-            observer.on_level(&LevelEvent {
-                level,
-                candidates: candidates_at_level,
-                evaluated,
-                frequent: frequent_here,
-                kept: extended,
-                pruned_bound: evaluated - extended,
-                pruned_support: evaluated - frequent_here,
-                arena_bytes,
-                joins: jc.joins,
-                probed: jc.probed,
-                reallocs: jc.reallocs,
-                bytes_moved: jc.bytes_moved,
-                join_elapsed,
-                elapsed,
-                saturated: gen_saturated,
-            });
-        };
-
-        if kept.is_empty() || level == hard_cap {
-            finish_level(
-                &mut stats,
-                observer,
-                Duration::ZERO,
-                level_started.elapsed(),
-                current.arena_bytes(),
-                JoinCounters::default(),
-            );
-            break;
-        }
-
-        // Join fan-out: stolen in chunks when it is worth the handoff.
-        let join_started = Instant::now();
-        let runs = prefix_runs(&current, &kept);
-        // The parents move into the job below; their size is part of
-        // the live footprint either way.
-        let parent_bytes = current.arena_bytes();
-        let mut level_jc = JoinCounters::default();
-        let next: PilSet = match &pool {
-            Some(pool) if kept.len() >= PARALLEL_THRESHOLD => {
-                let chunk = kept
-                    .len()
-                    .div_ceil(threads * CHUNKS_PER_THREAD)
-                    .max(MIN_CHUNK);
-                let n_chunks = kept.len().div_ceil(chunk);
-                let job = Arc::new(LevelJob {
-                    set: std::mem::take(&mut current),
-                    kept: std::mem::take(&mut kept),
-                    runs,
-                    gap,
-                    next_level: level + 1,
-                    chunk,
-                    n_chunks,
-                    cursor: AtomicUsize::new(0),
-                    hooks,
-                    pruner: pruner.clone(),
-                });
-                let (parts, pool_event) = pool.run(job)?;
-                observer.on_pool(&pool_event);
-                let mut sets = Vec::with_capacity(parts.len());
-                for (set, jc) in parts {
-                    level_jc.absorb(&jc);
-                    sets.push(set);
-                }
-                PilSet::concat(level + 1, sets)
-            }
-            _ => {
-                let mut out = PilSet::new(level + 1);
-                generate_candidates(
-                    &current,
-                    &kept,
-                    &runs,
-                    gap,
-                    0,
-                    kept.len(),
-                    &mut out,
-                    &mut level_jc,
-                    &pruner,
-                );
-                out
-            }
-        };
-        let live = parent_bytes + next.arena_bytes();
-        peak = peak.max(live);
-        check_ceiling(config.max_arena_bytes, live)?;
-        finish_level(
-            &mut stats,
-            observer,
-            join_started.elapsed(),
-            level_started.elapsed(),
-            live,
-            level_jc,
-        );
-
-        candidates_at_level = next.len() as u128;
-        if next.is_empty() {
-            break;
-        }
-        current = next;
-        level += 1;
-    }
-
-    let mut outcome = MineOutcome { frequent, stats };
-    pruner.finish(&mut outcome);
-    Ok((outcome, peak))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpp::mpp;
+    use crate::arena::build_seed;
+    use crate::mpp::{mpp, prepare};
     use crate::trace::MetricsObserver;
     use perigap_seq::gen::iid::uniform;
     use perigap_seq::Alphabet;
@@ -706,7 +405,7 @@ mod tests {
     ) -> Result<MineOutcome, MineError> {
         let (counts, rho_exact) = prepare(seq, g, rho, &config)?;
         let pils = build_seed(seq, g, config.start_level);
-        run_parallel(
+        crate::dfs::run_hybrid(
             seq,
             &counts,
             &rho_exact,
@@ -715,6 +414,7 @@ mod tests {
             pils,
             threads,
             hooks,
+            None,
             &mut NoopObserver,
         )
         .map(|(outcome, _peak)| outcome)

@@ -1,4 +1,4 @@
-//! Pruning front-ends over the level-wise engines: top-k by support and
+//! Pruning front-ends over the mining engine: top-k by support and
 //! targeted mining.
 //!
 //! Both modes promise output *bit-identical* to post-filtering a full
@@ -40,8 +40,8 @@
 //!   the suffix lattice must be materialized in full and a prefix
 //!   target prunes emission alone.
 //!
-//! The engines thread a [`Pruner`] through their level filters, the
-//! candidate generators, and the DFS component dispatch. A default
+//! The engine threads a [`Pruner`] through its seed filter, the eager
+//! candidate evaluation, and the component dispatch. A default
 //! (inactive) pruner leaves every code path byte-identical to a full
 //! mine, which is what keeps the existing differential suites honest.
 
@@ -470,7 +470,6 @@ pub fn select_top_k(frequent: &[FrequentPattern], k: usize) -> Vec<FrequentPatte
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfs::mpp_dfs;
     use crate::gap::GapRequirement;
     use crate::mpp::{mpp, MppConfig};
     use crate::parallel::mpp_parallel;
@@ -545,8 +544,7 @@ mod tests {
 
     /// The tie-heavy regression for the deterministic tie-break: an
     /// AT-repeat where whole levels share one support, with k cutting
-    /// through the middle of a tie group, across all three engines and
-    /// two thread counts.
+    /// through the middle of a tie group, on one and three threads.
     #[test]
     fn top_k_is_bit_stable_across_engines_at_ties() {
         let seq = Sequence::dna("AT".repeat(50).as_str()).unwrap();
@@ -562,14 +560,10 @@ mod tests {
                 ..MppConfig::default()
             };
             let serial = mpp(&seq, gap, rho, n, config.clone()).unwrap();
-            assert_eq!(serial.frequent, expect, "serial BFS k={k}");
+            assert_eq!(serial.frequent, expect, "serial k={k}");
             assert_eq!(serial.stats.top_k, Some(k));
-            for threads in [1usize, 3] {
-                let par = mpp_parallel(&seq, gap, rho, n, config.clone(), threads).unwrap();
-                assert_eq!(par.frequent, expect, "parallel BFS k={k} t={threads}");
-                let dfs = mpp_dfs(&seq, gap, rho, n, config.clone(), threads).unwrap();
-                assert_eq!(dfs.frequent, expect, "DFS k={k} t={threads}");
-            }
+            let par = mpp_parallel(&seq, gap, rho, n, config.clone(), 3).unwrap();
+            assert_eq!(par.frequent, expect, "parallel k={k}");
         }
     }
 
@@ -598,10 +592,8 @@ mod tests {
         assert_eq!(got.frequent, expect);
         assert!(got.stats.pruned_by_target > 0);
         assert_eq!(got.stats.top_k, None);
-        for threads in [1usize, 3] {
-            let dfs = mpp_dfs(&seq, gap, rho, n, config.clone(), threads).unwrap();
-            assert_eq!(dfs.frequent, expect, "DFS t={threads}");
-        }
+        let par = mpp_parallel(&seq, gap, rho, n, config.clone(), 3).unwrap();
+        assert_eq!(par.frequent, expect, "parallel");
     }
 
     #[test]
@@ -687,8 +679,8 @@ mod tests {
             };
             let got = mpp(&seq, gap, rho, n, config.clone()).unwrap();
             assert_eq!(got.frequent, expect, "serial k={k}");
-            let dfs = mpp_dfs(&seq, gap, rho, n, config.clone(), 3).unwrap();
-            assert_eq!(dfs.frequent, expect, "dfs k={k}");
+            let par = mpp_parallel(&seq, gap, rho, n, config.clone(), 3).unwrap();
+            assert_eq!(par.frequent, expect, "parallel k={k}");
         }
     }
 

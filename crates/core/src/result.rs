@@ -40,7 +40,9 @@ pub struct LevelStats {
     /// `|L̂_level|`: candidates meeting the λ-relaxed threshold and thus
     /// carried into candidate generation.
     pub extended: usize,
-    /// Wall-clock time spent on this level.
+    /// Time spent producing this level: the generation that joined
+    /// and evaluated its candidates, summed over the tasks that mined
+    /// it (for the seed level, the seed filter).
     pub elapsed: Duration,
 }
 
@@ -62,9 +64,8 @@ pub struct MineStats {
     /// the run: reported supports are then lower bounds, not exact
     /// counts. Surfaced by the CLI and by `trace::CompleteEvent`.
     pub support_saturated: bool,
-    /// Spill records the DFS engine wrote under the memory ceiling
-    /// (see [`crate::spill`]); zero on the breadth-first engines and on
-    /// unbounded runs. Like every other counter these are deterministic,
+    /// Spill records the engine wrote under the memory ceiling (see
+    /// [`crate::spill`]); zero on unbounded runs. Like every other counter these are deterministic,
     /// but they describe the memory policy, not the mined output — the
     /// spill invariance tests compare stats *minus* these four fields.
     pub spilled_records: u64,

@@ -1,8 +1,8 @@
-//! Spill-to-disk for the DFS engine's cold subtree arenas.
+//! Spill-to-disk for the engine's cold subtree arenas.
 //!
-//! When [`crate::mpp::MppConfig::max_arena_bytes`] is set, the hybrid
-//! engine ([`crate::dfs`]) no longer has to abort the moment the live
-//! arena gauge fills up: at the BFS→DFS handoff it can serialize the
+//! When [`crate::mpp::MppConfig::max_arena_bytes`] is set, the engine
+//! ([`crate::dfs`]) no longer has to abort the moment the live arena
+//! gauge fills up: at the component handoff it can serialize the
 //! not-yet-scheduled component arenas through a [`SpillIo`] backend,
 //! free them from the gauge, and restore each one on the worker that
 //! pops its subtree task. Only the *hot* working set — one restored
@@ -66,7 +66,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Storage backend for spill records.
 ///
-/// The DFS engine writes each cold component as one record, reads it
+/// The engine writes each cold component as one record, reads it
 /// back exactly once when its subtree is scheduled, and removes it
 /// afterwards. [`FsSpillIo`] is the production backend; the trait is
 /// public so tests (and the fault-injection suite) can substitute

@@ -9,9 +9,9 @@
 //!
 //! ## Design
 //!
-//! [`MineObserver`] is a trait with empty default methods. The engines
-//! (`run_levelwise`, `run_parallel`, `mine_collection`) are generic
-//! over `O: MineObserver`, so a run with [`NoopObserver`] monomorphizes
+//! [`MineObserver`] is a trait with empty default methods. The miners
+//! (`dfs::run_hybrid`, `mine_collection`) are generic over
+//! `O: MineObserver`, so a run with [`NoopObserver`] monomorphizes
 //! every callback to an empty inlined body: the compiled hot loop is
 //! identical to the pre-observability one. The public `mpp`/`mppm`/
 //! `mpp_parallel` entry points call the `_traced` variants with
@@ -74,8 +74,8 @@ pub struct SeedEvent {
     pub elapsed: Duration,
 }
 
-/// One level of the level-wise engine: the paper's pruning-power
-/// counters (Figures 4–5, Table 3) plus timings.
+/// One level of the mine: the paper's pruning-power counters
+/// (Figures 4–5, Table 3) plus timings.
 #[derive(Clone, Debug)]
 pub struct LevelEvent {
     /// Pattern length at this level.
@@ -83,7 +83,8 @@ pub struct LevelEvent {
     /// Nominal candidates at this level (`σ^start` for the seed level,
     /// generated-candidate count afterwards) — `LevelStats::candidates`.
     pub candidates: u128,
-    /// Patterns with non-empty PILs actually evaluated.
+    /// Patterns evaluated against the bounds: the seed patterns that
+    /// occur in the sequence, then every generated candidate.
     pub evaluated: usize,
     /// Patterns meeting the exact frequency threshold
     /// (`LevelStats::frequent`).
@@ -95,16 +96,15 @@ pub struct LevelEvent {
     pub pruned_bound: usize,
     /// `evaluated − frequent`: below the exact support threshold.
     pub pruned_support: usize,
-    /// Approximate arena bytes live once this level settled (engine-
-    /// dependent: the breadth-first engines report parent + candidate
-    /// arenas, the hybrid engine the surviving arenas only).
+    /// Approximate bytes of this level's surviving arenas, summed over
+    /// every task that mined the level (the seed level: the whole seed).
     pub arena_bytes: usize,
     /// Join-kernel invocations in the fan-out that generated this
     /// level's members (zero for the seed level, whose PILs come from
     /// the sequence scan). Physical diagnostics: `joins`, `probed`,
-    /// `reallocs` and `bytes_moved` vary with the engine and its
-    /// batching — unlike the candidate counters they are *not* part of
-    /// the engine-invariant `MineStats`.
+    /// `reallocs` and `bytes_moved` vary with the join batching —
+    /// unlike the candidate counters they are *not* part of the
+    /// schedule-invariant `MineStats`.
     pub joins: u64,
     /// Probe positions scanned across those joins (left offsets walked
     /// plus right entries absorbed by the sliding windows).
@@ -113,10 +113,11 @@ pub struct LevelEvent {
     pub reallocs: u64,
     /// Bytes copied by those reallocations.
     pub bytes_moved: u64,
-    /// Time spent in the join fan-out generating the next level (zero
-    /// when the level is terminal).
+    /// Time spent generating and evaluating this level's candidates,
+    /// summed over the tasks that mined it (zero for the seed level).
     pub join_elapsed: Duration,
-    /// Whole-level wall clock (filter + join).
+    /// This level's time: the generation that produced it, or for the
+    /// seed level the seed filter.
     pub elapsed: Duration,
     /// True when a support counter in this generation saturated — the
     /// reported counts are lower bounds (see `MineStats::support_saturated`).
@@ -161,8 +162,8 @@ pub struct EmEvent {
     pub elapsed: Duration,
 }
 
-/// One depth-first subtree task of the hybrid engine
-/// ([`crate::dfs`]): a connected component of the prefix-run graph
+/// One depth-first subtree task of the engine ([`crate::dfs`]): a
+/// connected component of the prefix-run graph
 /// mined to exhaustion by a single worker.
 #[derive(Clone, Debug)]
 pub struct SubtreeEvent {
@@ -189,8 +190,8 @@ pub struct SubtreeEvent {
     pub elapsed: Duration,
 }
 
-/// The DFS engine spilled the cold subtree arenas to disk at the
-/// BFS→DFS handoff because the live gauge crossed the spill watermark
+/// The engine spilled the cold subtree arenas to disk at the component
+/// handoff because the live gauge crossed the spill watermark
 /// (see [`crate::spill`]): one event per handoff batch.
 #[derive(Clone, Debug)]
 pub struct SpillEvent {
@@ -362,17 +363,17 @@ impl CompleteEvent {
 pub trait MineObserver {
     /// The seed generation was built.
     fn on_seed(&mut self, _event: &SeedEvent) {}
-    /// A level finished (filter + join).
+    /// A level finished.
     fn on_level(&mut self, _event: &LevelEvent) {}
     /// A parallel level's worker-pool breakdown.
     fn on_pool(&mut self, _event: &PoolLevelEvent) {}
-    /// A depth-first subtree task completed (hybrid engine only).
+    /// A depth-first subtree task completed.
     fn on_subtree(&mut self, _event: &SubtreeEvent) {}
     /// MPPm computed `e_m`.
     fn on_em(&mut self, _event: &EmEvent) {}
-    /// Cold subtree arenas were spilled at the BFS→DFS handoff.
+    /// Cold subtree arenas were spilled at the component handoff.
     fn on_spill(&mut self, _event: &SpillEvent) {}
-    /// A spill record was restored and mined (hybrid engine only).
+    /// A spill record was restored and mined.
     fn on_restore(&mut self, _event: &RestoreEvent) {}
     /// A corpus shard finished — mined or checkpoint-restored
     /// (sharded corpus mine only).

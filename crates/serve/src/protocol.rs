@@ -467,7 +467,7 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
         }
         Request::MineIncremental { cache, limit } => {
             let seq = mine_source(ctx)?;
-            let selection = EngineSelection::MppBfs { n: index.n_used() };
+            let selection = EngineSelection::Mpp { n: index.n_used() };
             let inc = mine_incremental(
                 seq,
                 index.gap(),

@@ -513,7 +513,7 @@ mod tests {
     /// magic, version, tag byte and trailing FNV-1a digest.
     #[test]
     fn spill_records_honor_the_store_wire_format() {
-        use perigap_core::dfs::mpp_dfs;
+        use perigap_core::mpp::mpp;
         use std::sync::Arc;
 
         let seq = Sequence::dna(&"AT".repeat(50)).unwrap();
@@ -525,7 +525,7 @@ mod tests {
             ..MppConfig::default()
         };
         let gap = GapRequirement::new(1, 1).unwrap();
-        let outcome = mpp_dfs(&seq, gap, 0.4, 20, config, 1).unwrap();
+        let outcome = mpp(&seq, gap, 0.4, 20, config).unwrap();
         assert!(outcome.stats.spilled_records >= 2, "workload must spill");
 
         let captured = io.captured.lock().unwrap();
@@ -630,7 +630,6 @@ mod tests {
         assert_eq!(r.u64().unwrap(), 2, "manifest: min sequences");
         r.u64().unwrap(); // start level
         r.u64().unwrap(); // max level (u64::MAX = none)
-        assert!(r.u8().unwrap() <= 1, "manifest: engine tag");
         let shards = r.u32().unwrap();
         assert_eq!(shards, 3);
         let bitmap = r.bytes(1).unwrap();
@@ -664,7 +663,7 @@ mod tests {
             &seq,
             gap,
             0.01,
-            &EngineSelection::MppBfs { n: 6 },
+            &EngineSelection::Mpp { n: 6 },
             &MppConfig::default(),
             1,
             &cache_path,
@@ -676,7 +675,7 @@ mod tests {
         let bytes = std::fs::read(&cache_path).unwrap();
         let mut r = Reader::new(&bytes[..]);
         assert_eq!(r.bytes(4).unwrap(), MAGIC);
-        assert_eq!(r.u32().unwrap(), 2, "result-cache record version");
+        assert_eq!(r.u32().unwrap(), 3, "result-cache record version");
         assert_eq!(r.u8().unwrap(), TAG_RESULT_CACHE);
         r.u64().unwrap(); // sequence hash
         assert_eq!(r.u64().unwrap(), seq.len() as u64);
@@ -685,7 +684,6 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 1, "gap max");
         assert_eq!(r.u64().unwrap(), 0.01f64.to_bits(), "rho bits");
         assert_eq!(r.u8().unwrap(), 0, "algorithm = mpp");
-        assert_eq!(r.u8().unwrap(), 0, "engine = bfs");
         assert_eq!(r.u64().unwrap(), 6, "engine parameter");
         assert_eq!(r.u8().unwrap(), 0, "prune flag");
         r.u32().unwrap(); // start level

@@ -27,7 +27,7 @@ fn cache_path(name: &str) -> PathBuf {
 fn subject() -> (Sequence, GapRequirement, f64, EngineSelection) {
     let seq = Sequence::dna(&"ACGTT".repeat(30)).unwrap();
     let gap = GapRequirement::new(1, 1).unwrap();
-    (seq, gap, 0.02, EngineSelection::MppBfs { n: 4 })
+    (seq, gap, 0.02, EngineSelection::Mpp { n: 4 })
 }
 
 fn run(
@@ -163,14 +163,14 @@ fn hash_mismatched_sequence_is_a_typed_mismatch() {
 }
 
 /// Every configuration axis in the key invalidates independently: the
-/// same sequence re-mined under a different gap, threshold, engine or
-/// engine parameter is a typed `CacheMismatch` naming the drifted
+/// same sequence re-mined under a different gap, threshold, algorithm
+/// or engine parameter is a typed `CacheMismatch` naming the drifted
 /// field.
 #[test]
 fn stale_config_keys_name_the_drifted_field() {
     let cache = cache_path("stalekey");
     let (seq, gap, rho, engine) = subject();
-    let (_, healthy) = seeded(&cache);
+    seeded(&cache);
 
     let reseed = |cache: &Path| {
         let _ = std::fs::remove_file(cache);
@@ -199,19 +199,20 @@ fn stale_config_keys_name_the_drifted_field() {
         other => panic!("rho: expected CacheMismatch, got {other:?}"),
     }
 
-    // Engine (bfs -> dfs at the same n): the engines agree, so the
-    // cold re-mine must answer exactly what the healthy run did.
+    // Algorithm (mpp -> mppm): the cold re-mine must answer exactly
+    // what a plain MPPm mine does.
     reseed(&cache);
-    let out = run(&seq, gap, rho, &EngineSelection::MppDfs { n: 4 }, &cache);
+    let out = run(&seq, gap, rho, &EngineSelection::Mppm { m: 4 }, &cache);
     match &out.cache_fault {
-        Some(MineError::CacheMismatch { field, .. }) => assert_eq!(*field, "engine"),
-        other => panic!("engine: expected CacheMismatch, got {other:?}"),
+        Some(MineError::CacheMismatch { field, .. }) => assert_eq!(*field, "algorithm"),
+        other => panic!("algorithm: expected CacheMismatch, got {other:?}"),
     }
-    assert_eq!(out.outcome.frequent, healthy.frequent, "must not lie");
+    let cold_mppm = perigap::core::mppm::mppm(&seq, gap, rho, 4, MppConfig::default()).unwrap();
+    assert_eq!(out.outcome.frequent, cold_mppm.frequent, "must not lie");
 
     // Engine parameter (n drift).
     reseed(&cache);
-    let out = run(&seq, gap, rho, &EngineSelection::MppBfs { n: 5 }, &cache);
+    let out = run(&seq, gap, rho, &EngineSelection::Mpp { n: 5 }, &cache);
     match &out.cache_fault {
         Some(MineError::CacheMismatch { field, .. }) => assert_eq!(*field, "engine parameter"),
         other => panic!("param: expected CacheMismatch, got {other:?}"),
@@ -227,25 +228,37 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// A version-1 record (the format that still carried the PIL-layout
-/// and kernel key bytes) is refused as a typed `CacheIo` naming the
-/// version, and recovered by a cold mine.
+/// Byte offsets into a version-3 record: the header (magic, version,
+/// tag), then the key through the algorithm byte, then through the
+/// engine parameter.
+const VERSION_AT: usize = 4;
+const ALGORITHM_END: usize = 4 + 4 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 1;
+const PARAM_END: usize = ALGORITHM_END + 8;
+
+/// Rewrite a healthy version-3 record into an older layout: stamp
+/// `version`, insert `engine` after the algorithm byte and `after_param`
+/// after the engine parameter, and re-sign it.
+fn older_record(bytes: &[u8], version: u32, after_param: &[u8]) -> Vec<u8> {
+    let body = &bytes[..bytes.len() - 8];
+    let mut old = body[..ALGORITHM_END].to_vec();
+    old[VERSION_AT..VERSION_AT + 4].copy_from_slice(&version.to_le_bytes());
+    old.push(1); // engine = dfs
+    old.extend_from_slice(&body[ALGORITHM_END..PARAM_END]);
+    old.extend_from_slice(after_param);
+    old.extend_from_slice(&body[PARAM_END..]);
+    let digest = fnv1a(&old);
+    old.extend_from_slice(&digest.to_le_bytes());
+    old
+}
+
+/// A version-1 record (the format that still carried the engine byte
+/// and the PIL-layout and kernel key bytes) is refused as a typed
+/// `CacheIo` naming the version, and recovered by a cold mine.
 #[test]
 fn version_one_record_is_refused_and_recovered() {
     let cache = cache_path("version1");
     let (bytes, healthy) = seeded(&cache);
-    // Header (magic, version, tag) + key fields through the engine
-    // parameter; version 1 then carried a layout byte and a kernel byte.
-    const VERSION_AT: usize = 4;
-    const PARAM_END: usize = 4 + 4 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 1 + 1 + 8;
-    let body = &bytes[..bytes.len() - 8];
-    let mut v1 = body[..PARAM_END].to_vec();
-    v1[VERSION_AT..VERSION_AT + 4].copy_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&[0, 0]);
-    v1.extend_from_slice(&body[PARAM_END..]);
-    let digest = fnv1a(&v1);
-    v1.extend_from_slice(&digest.to_le_bytes());
-    std::fs::write(&cache, &v1).unwrap();
+    std::fs::write(&cache, older_record(&bytes, 1, &[0, 0])).unwrap();
     match load_result_cache(&cache) {
         Err(MineError::CacheIo { message, .. }) => {
             assert!(message.contains("unsupported version 1"), "{message}");
@@ -253,6 +266,24 @@ fn version_one_record_is_refused_and_recovered() {
         other => panic!("expected CacheIo for a version-1 record, got {other:?}"),
     }
     assert_recovers(&cache, &healthy, "version-1 record");
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// A version-2 record (the format whose key still carried the engine
+/// byte) is refused as a typed `CacheIo` naming the version, and
+/// recovered by a cold mine.
+#[test]
+fn version_two_record_is_refused_and_recovered() {
+    let cache = cache_path("version2");
+    let (bytes, healthy) = seeded(&cache);
+    std::fs::write(&cache, older_record(&bytes, 2, &[])).unwrap();
+    match load_result_cache(&cache) {
+        Err(MineError::CacheIo { message, .. }) => {
+            assert!(message.contains("unsupported version 2"), "{message}");
+        }
+        other => panic!("expected CacheIo for a version-2 record, got {other:?}"),
+    }
+    assert_recovers(&cache, &healthy, "version-2 record");
     let _ = std::fs::remove_file(&cache);
 }
 

@@ -1,13 +1,13 @@
 //! Differential property tests for corpus-scale sharded mining: the
 //! mmap-backed, per-sequence shard fan-out (with and without a
 //! checkpoint pause/resume in the middle) must agree bit-for-bit with
-//! the in-process [`mine_collection`] reference across engines, PIL
-//! representations, thread counts and kill points — plus typed-error
+//! the in-process [`mine_collection`] reference across thread counts
+//! and kill points — plus typed-error
 //! fault coverage for a truncated corpus file, a corrupt manifest, and
 //! a checkpoint directory that belongs to a different corpus.
 
 use perigap::core::corpus::{
-    mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, ShardEngine, MANIFEST_FILE,
+    mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, MANIFEST_FILE,
 };
 use perigap::core::mpp::MppConfig;
 use perigap::prelude::*;
@@ -77,7 +77,6 @@ fn gap_req() -> impl Strategy<Value = GapRequirement> {
 }
 
 fn config_grid(
-    engine: ShardEngine,
     threads: usize,
     min_sequences: usize,
     checkpoint: Option<CheckpointConfig>,
@@ -86,7 +85,6 @@ fn config_grid(
         n: 10,
         min_sequences,
         threads,
-        engine,
         mpp: MppConfig::default(),
         checkpoint,
     }
@@ -105,15 +103,14 @@ fn reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The sharded mmap mine agrees with `mine_collection` across the
-    /// engine × thread-count grid.
+    /// The sharded mmap mine agrees with `mine_collection` at every
+    /// thread count.
     #[test]
     fn corpus_agrees_with_multiseq(
         seqs in collection(),
         gap in gap_req(),
         rho in prop_oneof![Just(0.01), Just(0.05), Just(0.2)],
         min_sequences in 1usize..=3,
-        engine in prop_oneof![Just(ShardEngine::Bfs), Just(ShardEngine::Dfs)],
         threads in 1usize..=3,
     ) {
         let scratch = Scratch::new("agree");
@@ -121,7 +118,7 @@ proptest! {
         Corpus::write(&path, &seqs).unwrap();
         let corpus = Arc::new(Corpus::open(&path).unwrap());
         let want = reference(&seqs, gap, rho, min_sequences);
-        let config = config_grid(engine, threads, min_sequences, None);
+        let config = config_grid(threads, min_sequences, None);
         let got = mine_corpus(&corpus, gap, rho, &config).unwrap();
         prop_assert_eq!(&got.outcome, &want);
         prop_assert_eq!(got.stats.shards, seqs.len());
@@ -129,7 +126,7 @@ proptest! {
     }
 
     /// Pausing after a random number of shards and resuming (possibly
-    /// under a different engine-side thread count) still reproduces the
+    /// under a different thread count) still reproduces the
     /// reference bit-for-bit, and the resumed run restores rather than
     /// re-mines the completed shards.
     #[test]
@@ -137,7 +134,6 @@ proptest! {
         seqs in collection(),
         gap in gap_req(),
         rho in prop_oneof![Just(0.01), Just(0.1)],
-        engine in prop_oneof![Just(ShardEngine::Bfs), Just(ShardEngine::Dfs)],
         kill_after in 0usize..=4,
         resume_threads in 1usize..=3,
     ) {
@@ -151,7 +147,7 @@ proptest! {
         let mut fresh = CheckpointConfig::fresh(&ckpt);
         fresh.stop_after_shards = Some(kill_after.min(seqs.len()));
         // Serial first leg so the pause point is exact.
-        let first = config_grid(engine, 1, 1, Some(fresh));
+        let first = config_grid(1, 1, Some(fresh));
         let paused = mine_corpus(&corpus, gap, rho, &first);
         let restored_floor = match paused {
             Err(MineError::CorpusPaused { completed, total }) => {
@@ -166,12 +162,7 @@ proptest! {
             Err(other) => return Err(TestCaseError::fail(format!("unexpected: {other}"))),
         };
 
-        let second = config_grid(
-            engine,
-            resume_threads,
-            1,
-            Some(CheckpointConfig::resume(&ckpt)),
-        );
+        let second = config_grid(resume_threads, 1, Some(CheckpointConfig::resume(&ckpt)));
         let resumed = mine_corpus(&corpus, gap, rho, &second).unwrap();
         prop_assert_eq!(&resumed.outcome, &want);
         prop_assert!(resumed.stats.restored_shards >= restored_floor);
@@ -199,7 +190,7 @@ fn demo_corpus(scratch: &Scratch, name: &str) -> (PathBuf, Vec<(String, Sequence
 fn mine_at(path: &Path, checkpoint: Option<CheckpointConfig>) -> Result<(), MineError> {
     let corpus = Arc::new(Corpus::open(path)?);
     let gap = GapRequirement::new(1, 3).unwrap();
-    let config = config_grid(ShardEngine::Bfs, 1, 1, checkpoint);
+    let config = config_grid(1, 1, checkpoint);
     mine_corpus(&corpus, gap, 0.005, &config).map(|_| ())
 }
 

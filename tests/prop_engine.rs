@@ -163,8 +163,12 @@ proptest! {
         }
     }
 
+    /// The stats oracle: the engine at 1–4 threads against the
+    /// breadth-first reference miner — frequent set, supports,
+    /// `n_used`, saturation, and every level's candidate, frequent and
+    /// extended counts.
     #[test]
-    fn dfs_engine_agrees_with_bfs_and_reference(
+    fn engine_agrees_with_reference_at_every_thread_count(
         (alpha, codes, (n, m), rho_scale, threads) in
             (alphabet(), codes(60), gap_req(), 1usize..40, 1usize..5)
     ) {
@@ -172,32 +176,24 @@ proptest! {
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
         let config = MppConfig::default();
-        let bfs = mpp(&seq, gap, rho, 8, config.clone());
-        let dfs = mpp_dfs(&seq, gap, rho, 8, config.clone(), threads);
-        prop_assert_eq!(bfs.is_ok(), dfs.is_ok());
-        let Ok(bfs) = bfs else { return Ok(()) };
-        let dfs = dfs.unwrap();
-        // Frequent sets, supports, and every stats counter must be
-        // engine-invariant — only durations and arena bytes may differ.
-        prop_assert_eq!(bfs.frequent.len(), dfs.frequent.len());
-        for (a, b) in bfs.frequent.iter().zip(&dfs.frequent) {
+        let reference = mpp_reference(&seq, gap, rho, 8, config.clone(), 1);
+        let engine = mpp_parallel(&seq, gap, rho, 8, config.clone(), threads);
+        prop_assert_eq!(reference.is_ok(), engine.is_ok());
+        let Ok(reference) = reference else { return Ok(()) };
+        let engine = engine.unwrap();
+        prop_assert_eq!(reference.frequent.len(), engine.frequent.len());
+        for (a, b) in reference.frequent.iter().zip(&engine.frequent) {
             prop_assert_eq!(&a.pattern, &b.pattern);
             prop_assert_eq!(a.support, b.support);
         }
-        prop_assert_eq!(bfs.stats.n_used, dfs.stats.n_used);
-        prop_assert_eq!(bfs.stats.support_saturated, dfs.stats.support_saturated);
-        prop_assert_eq!(bfs.stats.levels.len(), dfs.stats.levels.len());
-        for (a, b) in bfs.stats.levels.iter().zip(&dfs.stats.levels) {
+        prop_assert_eq!(reference.stats.n_used, engine.stats.n_used);
+        prop_assert_eq!(reference.stats.support_saturated, engine.stats.support_saturated);
+        prop_assert_eq!(reference.stats.levels.len(), engine.stats.levels.len());
+        for (a, b) in reference.stats.levels.iter().zip(&engine.stats.levels) {
             prop_assert_eq!(a.level, b.level);
             prop_assert_eq!(a.candidates, b.candidates, "level {}", a.level);
             prop_assert_eq!(a.frequent, b.frequent, "level {}", a.level);
             prop_assert_eq!(a.extended, b.extended, "level {}", a.level);
-        }
-        let reference = mpp_reference(&seq, gap, rho, 8, config.clone(), 1).unwrap();
-        prop_assert_eq!(reference.frequent.len(), dfs.frequent.len());
-        for (a, b) in reference.frequent.iter().zip(&dfs.frequent) {
-            prop_assert_eq!(&a.pattern, &b.pattern);
-            prop_assert_eq!(a.support, b.support);
         }
     }
 }
@@ -243,9 +239,9 @@ fn assert_pruned_equal(
 }
 
 // The pruning differential runs a dozen mines per case (top-k and
-// targeted, through every engine, with and without a spill ceiling),
+// targeted, serial and pooled, with and without a spill ceiling),
 // so it gets a small case budget. Pruned mining is an output
-// contract: whatever the engine, gap regime (rigid `W == 1`, where the
+// contract: whatever the gap regime (rigid `W == 1`, where the
 // rising floor prunes the search itself, or flexible `W > 1`, where
 // only emission is gated), thread count, or memory ceiling,
 // the outcome must be bit-identical to post-filtering the full mine.
@@ -274,8 +270,8 @@ proptest! {
         let rho = rho_scale as f64 * 1e-4;
         let cfg = MppConfig::default();
 
-        // Top-k: every engine must reproduce `select_top_k` over the
-        // full mine — same rank order, same truncation, same ratios.
+        // Top-k: every thread count must reproduce `select_top_k` over
+        // the full mine — same rank order, same truncation, same ratios.
         let full = mpp(&seq, gap, rho, 8, cfg.clone());
         let topk_cfg = MppConfig {
             prune: PruneMode::top_k(k),
@@ -287,11 +283,9 @@ proptest! {
         let topk = topk.unwrap();
         prop_assert_eq!(topk.stats.top_k, Some(k));
         let expect_topk = select_top_k(&full.frequent, k);
-        assert_pruned_equal(&expect_topk, &topk, "top-k bfs")?;
+        assert_pruned_equal(&expect_topk, &topk, "top-k serial")?;
         let par = mpp_parallel(&seq, gap, rho, 8, topk_cfg.clone(), 3).unwrap();
         assert_pruned_equal(&expect_topk, &par, "top-k parallel")?;
-        let dfs = mpp_dfs(&seq, gap, rho, 8, topk_cfg.clone(), 2).unwrap();
-        assert_pruned_equal(&expect_topk, &dfs, "top-k dfs")?;
 
         // Under a memory ceiling the floor drops spilled components
         // outright instead of restoring them; the outcome must not
@@ -302,8 +296,8 @@ proptest! {
             spill_io: Some(Arc::new(MemSpillIo::default()) as Arc<dyn SpillIo>),
             ..topk_cfg.clone()
         };
-        let spilled = mpp_dfs(&seq, gap, rho, 8, spill_cfg, 2).unwrap();
-        assert_pruned_equal(&expect_topk, &spilled, "top-k dfs spill")?;
+        let spilled = mpp_parallel(&seq, gap, rho, 8, spill_cfg, 2).unwrap();
+        assert_pruned_equal(&expect_topk, &spilled, "top-k spill")?;
 
         // Prefix target: emission-filtered only (the self-join needs
         // every window), canonical order preserved.
@@ -324,9 +318,9 @@ proptest! {
             .cloned()
             .collect();
         let run = mpp(&seq, gap, rho, 8, target_cfg(&prefix)).unwrap();
-        assert_pruned_equal(&expect_prefix, &run, "prefix bfs")?;
-        let run = mpp_dfs(&seq, gap, rho, 8, target_cfg(&prefix), 2).unwrap();
-        assert_pruned_equal(&expect_prefix, &run, "prefix dfs")?;
+        assert_pruned_equal(&expect_prefix, &run, "prefix serial")?;
+        let run = mpp_parallel(&seq, gap, rho, 8, target_cfg(&prefix), 2).unwrap();
+        assert_pruned_equal(&expect_prefix, &run, "prefix parallel")?;
 
         // Symbol-set target: window-closed, so whole cones are cut —
         // yet the mined set must still equal masking the full mine.
@@ -339,11 +333,9 @@ proptest! {
             .cloned()
             .collect();
         let run = mpp(&seq, gap, rho, 8, target_cfg(&symbols)).unwrap();
-        assert_pruned_equal(&expect_sym, &run, "symbols bfs")?;
+        assert_pruned_equal(&expect_sym, &run, "symbols serial")?;
         let run = mpp_parallel(&seq, gap, rho, 8, target_cfg(&symbols), 3).unwrap();
         assert_pruned_equal(&expect_sym, &run, "symbols parallel")?;
-        let run = mpp_dfs(&seq, gap, rho, 8, target_cfg(&symbols), 2).unwrap();
-        assert_pruned_equal(&expect_sym, &run, "symbols dfs")?;
 
         // Combined: the floor only ever counts target-admitted
         // patterns, so target-then-top-k is the composition.
@@ -398,8 +390,7 @@ proptest! {
             }),
         )
     ) {
-        use perigap::core::dfs::mpp_dfs_traced;
-        use perigap::core::mppm::mppm_dfs;
+        use perigap::core::parallel::mpp_parallel_traced;
         use perigap::core::spill::{MemSpillIo, SpillIo};
         use perigap::core::trace::MetricsObserver;
         use std::sync::Arc;
@@ -416,15 +407,15 @@ proptest! {
         };
 
         for threads in [1usize, 2] {
-            let free = mpp_dfs(&seq, gap, rho, 8, unbounded_cfg.clone(), threads);
-            let spill = mpp_dfs(&seq, gap, rho, 8, spill_cfg(1 << 30), threads);
+            let free = mpp_parallel(&seq, gap, rho, 8, unbounded_cfg.clone(), threads);
+            let spill = mpp_parallel(&seq, gap, rho, 8, spill_cfg(1 << 30), threads);
             prop_assert_eq!(free.is_ok(), spill.is_ok());
             if let Ok(free) = free {
                 assert_outcome_invariant(&free, &spill.unwrap(), &format!("mpp {threads}t"));
             }
 
-            let free_m = mppm_dfs(&seq, gap, rho, 4, unbounded_cfg.clone(), threads);
-            let spill_m = mppm_dfs(&seq, gap, rho, 4, spill_cfg(1 << 30), threads);
+            let free_m = mppm_parallel(&seq, gap, rho, 4, unbounded_cfg.clone(), threads);
+            let spill_m = mppm_parallel(&seq, gap, rho, 4, spill_cfg(1 << 30), threads);
             prop_assert_eq!(free_m.is_ok(), spill_m.is_ok());
             if let Ok(free_m) = free_m {
                 assert_outcome_invariant(&free_m, &spill_m.unwrap(), &format!("mppm {threads}t"));
@@ -435,10 +426,10 @@ proptest! {
         // spilling run itself reports — it must still complete, with
         // the same outcome.
         let mut metrics = MetricsObserver::new();
-        let traced = mpp_dfs_traced(&seq, gap, rho, 8, spill_cfg(1 << 30), 1, &mut metrics);
+        let traced = mpp_parallel_traced(&seq, gap, rho, 8, spill_cfg(1 << 30), 1, &mut metrics);
         if let Ok(traced) = traced {
             let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes.max(1);
-            let tiny = mpp_dfs(&seq, gap, rho, 8, spill_cfg(peak), 1).unwrap();
+            let tiny = mpp_parallel(&seq, gap, rho, 8, spill_cfg(peak), 1).unwrap();
             assert_outcome_invariant(&traced, &tiny, "tiny cap");
         }
     }

@@ -4,8 +4,8 @@
 //! to a cold mine of the same sequence: same patterns in the same
 //! order, same supports, same ratio bits, same saturation flag.
 //!
-//! The matrix crosses engines (mpp/mppm × bfs/dfs), thread counts (1/4)
-//! and append lengths (0, 1, and longer than the base sequence).
+//! The matrix crosses algorithms (mpp/mppm), thread counts (1–4) and
+//! append lengths (0, 1, and longer than the base sequence).
 
 use perigap::core::trace::NoopObserver;
 use perigap::core::{mine_incremental, EngineSelection, IncrementalMode, IncrementalOutcome};
@@ -32,19 +32,11 @@ fn cold_mine(
     threads: usize,
 ) -> MineOutcome {
     match *engine {
-        EngineSelection::MppBfs { n } => {
-            if threads > 1 {
-                mpp_parallel(seq, gap, rho, n, config.clone(), threads).unwrap()
-            } else {
-                mpp(seq, gap, rho, n, config.clone()).unwrap()
-            }
+        EngineSelection::Mpp { n } => {
+            mpp_parallel(seq, gap, rho, n, config.clone(), threads).unwrap()
         }
-        EngineSelection::MppDfs { n } => {
-            mpp_dfs(seq, gap, rho, n, config.clone(), threads).unwrap()
-        }
-        EngineSelection::MppmBfs { m } => mppm(seq, gap, rho, m, config.clone()).unwrap(),
-        EngineSelection::MppmDfs { m } => {
-            mppm_dfs(seq, gap, rho, m, config.clone(), threads).unwrap()
+        EngineSelection::Mppm { m } => {
+            mppm_parallel(seq, gap, rho, m, config.clone(), threads).unwrap()
         }
     }
 }
@@ -113,15 +105,13 @@ fn incremental_is_bit_identical_across_the_engine_matrix() {
     let gap = GapRequirement::new(2, 2).unwrap();
     let rho = 0.02;
     let engines = [
-        EngineSelection::MppBfs { n: 6 },
-        EngineSelection::MppDfs { n: 6 },
-        EngineSelection::MppmBfs { m: 3 },
-        EngineSelection::MppmDfs { m: 3 },
+        EngineSelection::Mpp { n: 6 },
+        EngineSelection::Mppm { m: 3 },
     ];
     let config = MppConfig::default();
     let mut combo = 0usize;
     for engine in &engines {
-        for &threads in &[1usize, 4] {
+        for threads in 1usize..=4 {
             let cache = cache_path(&format!("matrix-{combo}"));
             combo += 1;
             let base_seq = Sequence::dna(&base).unwrap();
@@ -147,7 +137,7 @@ fn incremental_is_bit_identical_across_the_engine_matrix() {
                     // path; mppm may legitimately fall back when
                     // its estimated n drifts with the append.
                     match (engine, &inc.mode) {
-                        (EngineSelection::MppBfs { .. } | EngineSelection::MppDfs { .. }, mode) => {
+                        (EngineSelection::Mpp { .. }, mode) => {
                             assert_eq!(
                                 *mode,
                                 IncrementalMode::Incremental(suffix.len()),
@@ -179,7 +169,7 @@ fn flexible_gap_appends_fall_back_cold_and_stay_identical() {
     let base = "ACGTT".repeat(40);
     let gap = GapRequirement::new(1, 3).unwrap();
     let rho = 0.02;
-    let engine = EngineSelection::MppBfs { n: 6 };
+    let engine = EngineSelection::Mpp { n: 6 };
     let config = MppConfig::default();
     let cache = cache_path("flexible");
     let base_seq = Sequence::dna(&base).unwrap();
@@ -218,7 +208,7 @@ fn threshold_crossings_diff_exactly() {
     let base = String::from_utf8(base).unwrap();
     let gap = GapRequirement::new(2, 2).unwrap();
     let rho = 0.055;
-    let engine = EngineSelection::MppBfs { n: 4 };
+    let engine = EngineSelection::Mpp { n: 4 };
     let config = MppConfig::default();
     let cache = cache_path("crossing");
     let base_seq = Sequence::dna(&base).unwrap();
@@ -250,7 +240,7 @@ proptest! {
     ) {
         let gap = GapRequirement::new(stride, stride).unwrap();
         let rho = 0.03;
-        let engine = EngineSelection::MppBfs { n: 5 };
+        let engine = EngineSelection::Mpp { n: 5 };
         let config = MppConfig::default();
         let cache = cache_path(&format!("rand-{case}"));
         let base_seq = Sequence::from_codes(Alphabet::Dna, base.clone()).unwrap();

@@ -1,12 +1,12 @@
 //! Differential tests for the `pgmine serve` query path: every served
 //! answer must be bit-identical to post-filtering the mined pattern set
-//! directly, and must not depend on which mining engine produced that
+//! directly, and must not depend on the thread count that mined that
 //! set.
 //!
 //! Three layers of agreement are checked:
 //!
-//! 1. the mined sets themselves are identical across the breadth-first
-//!    and hybrid-DFS engines;
+//! 1. the mined sets themselves are identical on one thread and on the
+//!    worker pool;
 //! 2. the protocol transcript (raw response lines for a fixed workload)
 //!    is byte-identical no matter which variant built the index;
 //! 3. the reference transcript agrees field-by-field with answers
@@ -17,9 +17,9 @@
 //! A live TCP daemon is also driven over the same workload to pin the
 //! socket path to the in-process `serve_line` results.
 
-use perigap::core::dfs::mpp_dfs;
 use perigap::core::mpp::{mpp, MppConfig};
 use perigap::core::naive;
+use perigap::core::parallel::mpp_parallel;
 use perigap::core::trace::{Json, NoopObserver};
 use perigap::core::{GapRequirement, MineOutcome, Pattern};
 use perigap::seq::{Alphabet, Sequence};
@@ -37,17 +37,17 @@ fn workload_input() -> (Sequence, GapRequirement) {
     (seq, gap)
 }
 
-/// Every engine under test, with a label for failure messages.
+/// Every mining schedule under test, with a label for failure messages.
 fn mine_variants(seq: &Sequence, gap: GapRequirement) -> Vec<(String, MineOutcome)> {
     let config = MppConfig::default();
     vec![
         (
-            "bfs".to_string(),
-            mpp(seq, gap, RHO, N, config.clone()).expect("bfs mine"),
+            "1 thread".to_string(),
+            mpp(seq, gap, RHO, N, config.clone()).expect("serial mine"),
         ),
         (
-            "dfs".to_string(),
-            mpp_dfs(seq, gap, RHO, N, config, 2).expect("dfs mine"),
+            "2 threads".to_string(),
+            mpp_parallel(seq, gap, RHO, N, config, 2).expect("pooled mine"),
         ),
     ]
 }

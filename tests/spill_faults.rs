@@ -26,7 +26,7 @@ fn mine_with(io: Arc<dyn SpillIo>, threads: usize) -> Result<MineOutcome, MineEr
         spill_io: Some(io),
         ..MppConfig::default()
     };
-    perigap::core::dfs::mpp_dfs(&seq, gap, 0.4, 20, config, threads)
+    perigap::core::parallel::mpp_parallel(&seq, gap, 0.4, 20, config, threads)
 }
 
 /// The healthy baseline the faulty runs are measured against.
@@ -224,7 +224,7 @@ fn failed_cleanup_is_a_warning_not_an_error() {
         ..MppConfig::default()
     };
     let mut metrics = MetricsObserver::new();
-    let out = perigap::core::dfs::mpp_dfs_traced(&seq, gap, 0.4, 20, config, 1, &mut metrics)
+    let out = perigap::core::mpp::mpp_traced(&seq, gap, 0.4, 20, config, &mut metrics)
         .expect("cleanup failures must not abort the mine");
     assert_eq!(out.frequent, healthy_outcome().frequent);
     assert!(
