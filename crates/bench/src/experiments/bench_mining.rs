@@ -42,10 +42,10 @@
 //! 9. **corpus scale**: the mmap-backed sharded corpus miner
 //!    ([`perigap_core::corpus::mine_corpus`]) under an arena ceiling —
 //!    cold wall-clock and peak RSS (`VmHWM`), then a controlled kill at
-//!    ~50% of shards followed by a `--resume`, with the restart delta
-//!    (resume / cold wall-clock) and checkpoint footprint; the resumed
-//!    outcome is checked bit-identical to the cold mine before any
-//!    timing is trusted.
+//!    ~50% of shards followed by a rerun over the same checkpoint
+//!    directory, with the restart delta (resume / cold wall-clock) and
+//!    checkpoint footprint; the resumed outcome is checked
+//!    bit-identical to the cold mine before any timing is trusted.
 //!
 //! Thread counts are capped at the CPUs the run actually has, so no
 //! row measures oversubscription.
@@ -411,9 +411,11 @@ pub fn corpus_scale(quick: bool) -> String {
     // after `shards / 2` checkpoint commits (the CI smoke job does the
     // same with a real SIGKILL).
     let ckpt = scratch.join("ckpt");
-    let mut fresh = CheckpointConfig::fresh(&ckpt);
-    fresh.stop_after_shards = Some(shards / 2);
-    let (paused, pause_wall) = timed(|| mine_corpus(&corpus, gap, RHO, &config(Some(fresh), 1)));
+    let pausing = CheckpointConfig {
+        stop_after_shards: Some(shards / 2),
+        ..CheckpointConfig::new(&ckpt)
+    };
+    let (paused, pause_wall) = timed(|| mine_corpus(&corpus, gap, RHO, &config(Some(pausing), 1)));
     let paused_shards = match paused {
         Err(perigap_core::MineError::CorpusPaused { completed, .. }) => completed,
         other => panic!("expected a pause, got {other:?}"),
@@ -425,7 +427,7 @@ pub fn corpus_scale(quick: bool) -> String {
             &corpus,
             gap,
             RHO,
-            &config(Some(CheckpointConfig::resume(&ckpt)), threads),
+            &config(Some(CheckpointConfig::new(&ckpt)), threads),
         )
     });
     let resumed = resumed.expect("resumed corpus mine");

@@ -60,8 +60,8 @@ USAGE:
                [--n <len>] [--min-sequences <k>  frequent in ≥ k shards]
                [--threads <k>  shards fan out on a work-stealing pool]
                [--max-arena-bytes <bytes>] [--spill-dir <dir>]
-               [--checkpoint-dir <dir>  persist each finished shard]
-               [--resume  continue from a checkpoint manifest]
+               [--checkpoint-dir <dir>  persist each finished shard; a
+                rerun with the same dir restores them]
                [--stop-after-shards <n>  pause after n checkpoints]
                [--unsharded  reference path: decode all and run the
                 collection miner in one process; rows are identical]
@@ -94,8 +94,6 @@ EXAMPLES:
   pgmine pack --input genomes.fa --output genomes.pgco
   pgmine mine --corpus genomes.pgco --gap 1:3 --rho 0.5% --threads 8 \\
               --min-sequences 2 --checkpoint-dir ckpt
-  pgmine mine --corpus genomes.pgco --gap 1:3 --rho 0.5% --threads 8 \\
-              --min-sequences 2 --checkpoint-dir ckpt --resume
   pgmine scan --input genome.fa --pair AA --max 30
   pgmine serve --input genome.fa --gap 1:3 --rho 0.5% --addr 127.0.0.1:7071
   pgmine query --addr 127.0.0.1:7071 --json '{\"q\": \"topk\", \"k\": 10}'
@@ -143,14 +141,7 @@ pub fn run(raw: impl IntoIterator<Item = String>) -> Result<String, ArgError> {
             "cache-path",
             "baseline",
         ],
-        &[
-            "verify",
-            "metrics",
-            "resume",
-            "closed",
-            "unsharded",
-            "incremental",
-        ],
+        &["verify", "metrics", "closed", "unsharded", "incremental"],
     )?;
     match args.positional().first().map(String::as_str) {
         Some("mine") => mine_command(&args),
@@ -210,12 +201,10 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
             return Err(ArgError(format!("--{key} applies to --corpus mining only")));
         }
     }
-    for flag in ["resume", "unsharded"] {
-        if args.flag(flag) {
-            return Err(ArgError(format!(
-                "--{flag} applies to --corpus mining only"
-            )));
-        }
+    if args.flag("unsharded") {
+        return Err(ArgError(
+            "--unsharded applies to --corpus mining only".into(),
+        ));
     }
     let seq = load_sequence(args)?;
     let rho = parse_rho(args.require("rho")?)?;
@@ -723,8 +712,8 @@ fn pack_command(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `pgmine mine --corpus`: sharded corpus mining with optional
-/// checkpoint/resume, or the `--unsharded` reference path through the
-/// in-process collection miner. Both print identical rows.
+/// per-shard checkpoints, or the `--unsharded` reference path through
+/// the in-process collection miner. Both print identical rows.
 fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
     if args.get("input").is_some() {
         return Err(ArgError(
@@ -783,11 +772,6 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
         ));
     }
     let checkpoint_dir = args.get("checkpoint-dir").map(std::path::PathBuf::from);
-    if args.flag("resume") && checkpoint_dir.is_none() {
-        return Err(ArgError(
-            "--resume needs --checkpoint-dir to know where the manifest lives".into(),
-        ));
-    }
     let stop_after_shards: Option<usize> = match args.get("stop-after-shards") {
         Some(raw) => {
             if checkpoint_dir.is_none() {
@@ -805,7 +789,7 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
         None => None,
     };
     let unsharded = args.flag("unsharded");
-    if unsharded && (checkpoint_dir.is_some() || args.flag("resume")) {
+    if unsharded && checkpoint_dir.is_some() {
         return Err(ArgError(
             "--unsharded is the one-process reference path; it does not checkpoint".into(),
         ));
@@ -844,18 +828,17 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
             mpp: mpp_config,
             checkpoint: checkpoint_dir.map(|dir| CheckpointConfig {
                 dir,
-                resume: args.flag("resume"),
                 stop_after_shards,
             }),
         };
         match mine_corpus(&corpus, gap, rho, &config) {
             Ok(out) => (out.outcome, Some(out.stats)),
             // A requested pause is a successful exit, not a failure:
-            // the checkpoints are durable and --resume picks them up.
+            // the checkpoints are durable and a rerun restores them.
             Err(MineError::CorpusPaused { completed, total }) => {
                 return Ok(format!(
                     "corpus mine paused after {completed} of {total} shards; \
-                     rerun with --resume to finish\n"
+                     rerun with the same --checkpoint-dir to finish\n"
                 ))
             }
             Err(e) => return Err(ArgError(e.to_string())),
@@ -924,8 +907,8 @@ fn render_collection(
         ));
         if stats.checkpoint_records > 0 {
             out.push_str(&format!(
-                "checkpoints: {} records, {} bytes\n",
-                stats.checkpoint_records, stats.checkpoint_bytes
+                "checkpoints: {} records, {} bytes; {} faults recovered\n",
+                stats.checkpoint_records, stats.checkpoint_bytes, stats.checkpoint_faults
             ));
         }
         out.push_str(&format!("corpus hash: {:#018x}\n", stats.corpus_hash));
@@ -2314,20 +2297,33 @@ mod tests {
         ))
         .unwrap();
         assert!(paused.contains("paused after 1 of 3 shards"), "{paused}");
-        assert!(paused.contains("--resume"), "{paused}");
-        let resumed = run_words(&corpus_mine_words(
-            &corpus,
-            &["--checkpoint-dir", &ckpt, "--resume"],
-        ))
-        .unwrap();
+        assert!(paused.contains("same --checkpoint-dir"), "{paused}");
+        let resumed = run_words(&corpus_mine_words(&corpus, &["--checkpoint-dir", &ckpt])).unwrap();
         assert_eq!(cold, resumed, "resumed mine must render the cold rows");
         let metrics = run_words(&corpus_mine_words(
             &corpus,
-            &["--checkpoint-dir", &ckpt, "--resume", "--metrics"],
+            &["--checkpoint-dir", &ckpt, "--metrics"],
         ))
         .unwrap();
-        assert!(metrics.contains("3 restored"), "{metrics}");
+        assert!(metrics.contains("0 mined, 3 restored"), "{metrics}");
         assert!(metrics.contains("corpus hash: 0x"), "{metrics}");
+
+        // A damaged record is mined again, and --metrics counts it.
+        let record = std::path::Path::new(&ckpt).join("shard-00000001.pgrc");
+        let mut bytes = std::fs::read(&record).unwrap();
+        bytes[20] ^= 0x01;
+        std::fs::write(&record, &bytes).unwrap();
+        let healed = run_words(&corpus_mine_words(
+            &corpus,
+            &["--checkpoint-dir", &ckpt, "--metrics"],
+        ))
+        .unwrap();
+        assert!(healed.contains("1 mined, 2 restored"), "{healed}");
+        assert!(healed.contains("1 faults recovered"), "{healed}");
+
+        // Reuse is automatic; there is no --resume option.
+        let err = run_words(&corpus_mine_words(&corpus, &["--resume"])).unwrap_err();
+        assert!(err.0.contains("unknown option --resume"), "{err:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Corpus-scale sharded mining: a memory-mapped packed corpus file,
-//! per-sequence shard fan-out on the work-stealing pool, and
-//! checkpoint/resume.
+//! per-sequence shard fan-out on the work-stealing pool, and per-shard
+//! checkpoints.
 //!
 //! [`multiseq::mine_collection`](crate::multiseq::mine_collection)
 //! walks every sequence of a collection level by level over in-RAM
@@ -27,25 +27,32 @@
 //!    collection outcome bit-identically to `mine_collection`: a
 //!    pattern is collection-frequent iff it is frequent in at least
 //!    `min_sequences` shards, and per-sequence supports for the
-//!    remaining shards are recovered with the exact DP oracle.
-//! 3. **Checkpoint/resume** reuses the PGST wire conventions of
-//!    [`spill`](crate::spill): every completed shard is serialized as
-//!    one checksummed record under the checkpoint directory, a
-//!    manifest pins (corpus hash, gap, ρs, n, engine config, completed
-//!    shard set) and is atomically rewritten after each shard, and a
-//!    resumed run validates the manifest, restores completed shards,
-//!    and mines only the missing ones. Every corruption mode is a
-//!    typed [`MineError`] — the merge never sees state it cannot
-//!    verify.
+//!    remaining shards are recounted exactly, sharing PIL join chains
+//!    across patterns with a common suffix.
+//! 3. **Checkpoints** are result-cache records
+//!    ([`incremental`](crate::incremental)): each shard is a
+//!    standalone MPP mine, so its record is keyed like any other
+//!    (shard sequence hash and length, σ, gap, ρ bits, `n`, level
+//!    window) and written atomically as `shard-{i:08}.pgrc`. Each pool
+//!    job restores its shard when the record decodes under that key,
+//!    and otherwise mines it and rewrites the record. A record that
+//!    does not decode or carries another key is a counted, recovered
+//!    fault; the merge never sees a record it could not verify.
 
 use crate::error::MineError;
 use crate::gap::GapRequirement;
+use crate::incremental::{
+    load_result_cache, outcome_to_cached, request_key, write_result_cache, CachedPattern,
+    EngineSelection, ResultCache,
+};
 use crate::mpp::{mpp, MppConfig};
 use crate::multiseq::{CollectionOutcome, CollectionPattern};
+use crate::naive::support_dp;
 use crate::packed::KeyCodec;
 use crate::parallel::{PoolHooks, PoolJob, WorkerPool};
 use crate::pattern::Pattern;
-use crate::result::CorpusStats;
+use crate::pil::Pil;
+use crate::result::{CorpusStats, MineOutcome};
 use crate::spill::{fnv1a, Take};
 use crate::trace::{CompleteEvent, MineObserver, NoopObserver, ShardEvent};
 use perigap_seq::{pack_codes, packed_len, unpack_codes, Alphabet, Sequence};
@@ -53,7 +60,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CORPUS_MAGIC: &[u8; 4] = b"PGCO";
@@ -63,23 +70,8 @@ const CORPUS_VERSION: u32 = 1;
 const CORPUS_HEADER: usize = 4 + 4 + 1 + 1 + 4;
 const ALPHABET_DNA: u8 = 0;
 const ALPHABET_PROTEIN: u8 = 1;
-
-const PGST_MAGIC: &[u8; 4] = b"PGST";
-const PGST_VERSION: u32 = 1;
-/// Section tag for per-shard checkpoint records — mirrored as
-/// `perigap_store::TAG_CORPUS_CHECKPOINT` (the store crate cannot be
-/// imported from here without inverting the dependency).
-const TAG_CORPUS_CHECKPOINT: u8 = 4;
-/// Section tag for the checkpoint manifest — mirrored as
-/// `perigap_store::TAG_CORPUS_MANIFEST`.
-const TAG_CORPUS_MANIFEST: u8 = 5;
-/// Record id the manifest reports errors under (no shard owns it).
-const MANIFEST_RECORD: u64 = u64::MAX;
-/// Trailing checksum size shared by every record in this module.
+/// Size of the trailing corpus hash.
 const TRAILER: usize = 8;
-
-/// File name of the checkpoint manifest inside `--checkpoint-dir`.
-pub const MANIFEST_FILE: &str = "manifest.pgcm";
 
 fn corpus_err(message: impl Into<String>) -> MineError {
     MineError::CorpusIo {
@@ -89,10 +81,6 @@ fn corpus_err(message: impl Into<String>) -> MineError {
 
 fn corpus_take_err(_record: u64, message: String) -> MineError {
     MineError::CorpusIo { message }
-}
-
-fn ckpt_err(record: u64, message: String) -> MineError {
-    MineError::CheckpointIo { record, message }
 }
 
 // ---------------------------------------------------------------------
@@ -431,7 +419,7 @@ impl Corpus {
         &self.alphabet
     }
 
-    /// The trailing FNV-1a hash — what checkpoint manifests pin.
+    /// The trailing FNV-1a hash of the whole file.
     pub fn hash(&self) -> u64 {
         self.hash
     }
@@ -473,319 +461,39 @@ impl Corpus {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint records and manifest
+// Checkpoints
 // ---------------------------------------------------------------------
 
 /// Checkpointing knobs for [`mine_corpus`].
 #[derive(Clone, Debug)]
 pub struct CheckpointConfig {
-    /// Directory for per-shard records and the manifest (created if
-    /// missing).
+    /// Directory for the per-shard result-cache records (created if
+    /// missing). A shard whose record decodes under a matching key is
+    /// restored instead of mined; any other shard is mined and its
+    /// record (re)written.
     pub dir: PathBuf,
-    /// Resume from an existing manifest instead of starting fresh.
-    /// The manifest must describe this corpus and these mining
-    /// parameters exactly, or the run refuses with
-    /// [`MineError::CheckpointMismatch`].
-    pub resume: bool,
     /// Stop (with [`MineError::CorpusPaused`]) once this many shards
-    /// have been checkpointed this run — the deterministic stand-in
-    /// for a mid-run `SIGKILL` used by benchmarks and tests. With one
-    /// thread the pause point is exact; under a parallel fan-out,
-    /// in-flight shards may still complete (and if every shard was
-    /// claimed before the flag rose, the run simply finishes).
+    /// have been mined and checkpointed this run — the deterministic
+    /// stand-in for a mid-run `SIGKILL` used by benchmarks and tests.
+    /// Restored shards do not count. With one thread the pause point is
+    /// exact; under a parallel fan-out, in-flight shards may still
+    /// complete (and if every shard was claimed before the flag rose,
+    /// the run simply finishes).
     pub stop_after_shards: Option<usize>,
 }
 
 impl CheckpointConfig {
-    /// Checkpoint into `dir`, starting fresh.
-    pub fn fresh(dir: impl Into<PathBuf>) -> CheckpointConfig {
+    /// Checkpoint into, and restore from, `dir`.
+    pub fn new(dir: impl Into<PathBuf>) -> CheckpointConfig {
         CheckpointConfig {
             dir: dir.into(),
-            resume: false,
             stop_after_shards: None,
         }
     }
-
-    /// Resume from the manifest in `dir`.
-    pub fn resume(dir: impl Into<PathBuf>) -> CheckpointConfig {
-        CheckpointConfig {
-            dir: dir.into(),
-            resume: true,
-            stop_after_shards: None,
-        }
-    }
-}
-
-/// Everything a manifest pins about a run. Two runs may merge shard
-/// results only when every field here matches.
-#[derive(Clone, Debug, PartialEq)]
-struct Manifest {
-    corpus_hash: u64,
-    gap_min: u64,
-    gap_max: u64,
-    rho_bits: u64,
-    n: u64,
-    min_sequences: u64,
-    start_level: u64,
-    /// `u64::MAX` encodes "no cap".
-    max_level: u64,
-    completed: Vec<bool>,
-}
-
-fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(PGST_MAGIC);
-    buf.extend_from_slice(&PGST_VERSION.to_le_bytes());
-    buf.push(TAG_CORPUS_MANIFEST);
-    buf.extend_from_slice(&m.corpus_hash.to_le_bytes());
-    buf.extend_from_slice(&m.gap_min.to_le_bytes());
-    buf.extend_from_slice(&m.gap_max.to_le_bytes());
-    buf.extend_from_slice(&m.rho_bits.to_le_bytes());
-    buf.extend_from_slice(&m.n.to_le_bytes());
-    buf.extend_from_slice(&m.min_sequences.to_le_bytes());
-    buf.extend_from_slice(&m.start_level.to_le_bytes());
-    buf.extend_from_slice(&m.max_level.to_le_bytes());
-    buf.extend_from_slice(&(m.completed.len() as u32).to_le_bytes());
-    let mut bitmap = vec![0u8; m.completed.len().div_ceil(8)];
-    for (i, &done) in m.completed.iter().enumerate() {
-        if done {
-            bitmap[i / 8] |= 1 << (i % 8);
-        }
-    }
-    buf.extend_from_slice(&bitmap);
-    let digest = fnv1a(&buf);
-    buf.extend_from_slice(&digest.to_le_bytes());
-    buf
-}
-
-fn decode_manifest(bytes: &[u8]) -> Result<Manifest, MineError> {
-    let err = |m: String| ckpt_err(MANIFEST_RECORD, m);
-    if bytes.len() < TRAILER {
-        return Err(err(format!(
-            "manifest of {} bytes is shorter than its checksum",
-            bytes.len()
-        )));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("exact length"));
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(err(format!(
-            "checksum mismatch: manifest says {stored:#018x}, contents hash to {computed:#018x}"
-        )));
-    }
-    let mut r = Take::new(body, MANIFEST_RECORD, ckpt_err);
-    if r.bytes(4)? != PGST_MAGIC {
-        return Err(err("bad magic".into()));
-    }
-    let version = r.u32()?;
-    if version != PGST_VERSION {
-        return Err(err(format!("unknown version {version}")));
-    }
-    let tag = r.u8()?;
-    if tag != TAG_CORPUS_MANIFEST {
-        return Err(err(format!("unexpected section tag {tag}")));
-    }
-    let corpus_hash = r.u64()?;
-    let gap_min = r.u64()?;
-    let gap_max = r.u64()?;
-    let rho_bits = r.u64()?;
-    let n = r.u64()?;
-    let min_sequences = r.u64()?;
-    let start_level = r.u64()?;
-    let max_level = r.u64()?;
-    // A manifest from before the engine byte was dropped is one byte
-    // longer; the shard count then misreads and, for any run with at
-    // least one shard, the bitmap length check below refuses it.
-    let shards = r.u32()? as usize;
-    let bitmap = r.bytes(shards.div_ceil(8))?;
-    if r.remaining() != 0 {
-        return Err(err(format!(
-            "{} trailing bytes after the completed-shard bitmap",
-            r.remaining()
-        )));
-    }
-    let completed = (0..shards)
-        .map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1)
-        .collect();
-    Ok(Manifest {
-        corpus_hash,
-        gap_min,
-        gap_max,
-        rho_bits,
-        n,
-        min_sequences,
-        start_level,
-        max_level,
-        completed,
-    })
-}
-
-fn encode_shard_record(shard: u64, corpus_hash: u64, patterns: &[(Pattern, u128)]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(PGST_MAGIC);
-    buf.extend_from_slice(&PGST_VERSION.to_le_bytes());
-    buf.push(TAG_CORPUS_CHECKPOINT);
-    buf.extend_from_slice(&shard.to_le_bytes());
-    buf.extend_from_slice(&corpus_hash.to_le_bytes());
-    buf.extend_from_slice(&(patterns.len() as u32).to_le_bytes());
-    for (pattern, support) in patterns {
-        buf.extend_from_slice(&(pattern.len() as u32).to_le_bytes());
-        buf.extend_from_slice(pattern.codes());
-        buf.extend_from_slice(&support.to_le_bytes());
-    }
-    let digest = fnv1a(&buf);
-    buf.extend_from_slice(&digest.to_le_bytes());
-    buf
-}
-
-/// Decode one shard record, validating framing, ownership (`shard`),
-/// provenance (`corpus_hash`), alphabet range, and the canonical
-/// (length, codes) order the engines emit in.
-fn decode_shard_record(
-    shard: u64,
-    corpus_hash: u64,
-    sigma: usize,
-    bytes: &[u8],
-) -> Result<Vec<(Pattern, u128)>, MineError> {
-    let err = |m: String| ckpt_err(shard, m);
-    if bytes.len() < TRAILER {
-        return Err(err(format!(
-            "record of {} bytes is shorter than its checksum",
-            bytes.len()
-        )));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("exact length"));
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(err(format!(
-            "checksum mismatch: record says {stored:#018x}, contents hash to {computed:#018x}"
-        )));
-    }
-    let mut r = Take::new(body, shard, ckpt_err);
-    if r.bytes(4)? != PGST_MAGIC {
-        return Err(err("bad magic".into()));
-    }
-    let version = r.u32()?;
-    if version != PGST_VERSION {
-        return Err(err(format!("unknown version {version}")));
-    }
-    let tag = r.u8()?;
-    if tag != TAG_CORPUS_CHECKPOINT {
-        return Err(err(format!("unexpected section tag {tag}")));
-    }
-    let stored_shard = r.u64()?;
-    if stored_shard != shard {
-        return Err(err(format!(
-            "record belongs to shard {stored_shard}, expected {shard}"
-        )));
-    }
-    let stored_hash = r.u64()?;
-    if stored_hash != corpus_hash {
-        return Err(MineError::CheckpointMismatch {
-            field: "corpus hash",
-            manifest: format!("{stored_hash:#018x}"),
-            requested: format!("{corpus_hash:#018x}"),
-        });
-    }
-    let count = r.u32()? as usize;
-    if count > body.len() / 20 {
-        return Err(err(format!(
-            "pattern count {count} cannot fit in a {}-byte record",
-            body.len()
-        )));
-    }
-    let mut patterns: Vec<(Pattern, u128)> = Vec::with_capacity(count);
-    for i in 0..count {
-        let len = r.u32()? as usize;
-        if len == 0 {
-            return Err(err(format!("pattern {i} has length 0")));
-        }
-        let codes = r.bytes(len)?;
-        if let Some(&bad) = codes.iter().find(|&&c| c as usize >= sigma) {
-            return Err(err(format!(
-                "pattern {i} symbol {bad} is outside the {sigma}-letter alphabet"
-            )));
-        }
-        let support = r.u128()?;
-        if support == 0 {
-            return Err(err(format!("pattern {i} has support 0")));
-        }
-        let pattern = Pattern::from_codes(codes.to_vec());
-        if let Some((prev, _)) = patterns.last() {
-            if (prev.len(), prev.codes()) >= (pattern.len(), pattern.codes()) {
-                return Err(err(format!(
-                    "pattern {i} is out of canonical (length, codes) order"
-                )));
-            }
-        }
-        patterns.push((pattern, support));
-    }
-    if r.remaining() != 0 {
-        return Err(err(format!(
-            "{} trailing bytes after the last pattern",
-            r.remaining()
-        )));
-    }
-    Ok(patterns)
 }
 
 fn shard_record_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard:08}.pgck"))
-}
-
-/// Write `bytes` to `path` atomically (unique tmp + rename), mapping
-/// failures to [`MineError::CheckpointIo`] under `record`.
-fn write_atomic(path: &Path, bytes: &[u8], record: u64) -> Result<(), MineError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, bytes)
-        .map_err(|e| ckpt_err(record, format!("cannot write {}: {e}", tmp.display())))?;
-    fs::rename(&tmp, path).map_err(|e| {
-        ckpt_err(
-            record,
-            format!("cannot rename into {}: {e}", path.display()),
-        )
-    })?;
-    Ok(())
-}
-
-/// Shared checkpoint state: the directory plus the manifest the
-/// workers serialize their completion bits through.
-struct CkptState {
-    dir: PathBuf,
-    corpus_hash: u64,
-    manifest: Mutex<Manifest>,
-}
-
-impl CkptState {
-    /// Persist one completed shard: write its record, then mark it in
-    /// the manifest and rewrite the manifest atomically. Returns the
-    /// record's byte size.
-    fn commit(&self, shard: usize, patterns: &[(Pattern, u128)]) -> Result<u64, MineError> {
-        let bytes = encode_shard_record(shard as u64, self.corpus_hash, patterns);
-        write_atomic(&shard_record_path(&self.dir, shard), &bytes, shard as u64)?;
-        let mut manifest = self.manifest.lock().expect("manifest lock");
-        manifest.completed[shard] = true;
-        write_atomic(
-            &self.dir.join(MANIFEST_FILE),
-            &encode_manifest(&manifest),
-            MANIFEST_RECORD,
-        )?;
-        Ok(bytes.len() as u64)
-    }
-
-    fn completed_count(&self) -> usize {
-        self.manifest
-            .lock()
-            .expect("manifest lock")
-            .completed
-            .iter()
-            .filter(|&&c| c)
-            .count()
-    }
+    dir.join(format!("shard-{shard:08}.pgrc"))
 }
 
 // ---------------------------------------------------------------------
@@ -809,7 +517,7 @@ pub struct CorpusMineConfig {
     /// spill). When a shard spills, it spills under its own
     /// subdirectory of [`MppConfig::spill_dir`].
     pub mpp: MppConfig,
-    /// Optional checkpoint/resume state.
+    /// Optional checkpoint directory.
     pub checkpoint: Option<CheckpointConfig>,
 }
 
@@ -837,17 +545,23 @@ pub struct CorpusOutcome {
 }
 
 /// What one finished shard carries back to the merge.
-struct MinedShard {
-    patterns: Vec<(Pattern, u128)>,
+struct ShardResult {
+    /// The shard's own frequent patterns in (length, codes) order.
+    patterns: Vec<CachedPattern>,
     elapsed: Duration,
-    record_bytes: u64,
+    /// Served from a valid checkpoint record instead of mined.
+    restored: bool,
+    /// A record existed but failed to decode or carried another key.
+    fault: bool,
+    /// Size of the record written this run, if one was.
+    record_bytes: Option<u64>,
 }
 
-/// The pool job: pending shards in longest-first order, claimed off
-/// one atomic cursor by the pool workers plus the calling thread.
+/// The pool job: every shard in longest-first order, claimed off one
+/// atomic cursor by the pool workers plus the calling thread.
 struct ShardJob {
     corpus: Arc<Corpus>,
-    /// Pending shard indices, longest sequence first.
+    /// Shard indices, longest sequence first.
     order: Vec<usize>,
     cursor: AtomicUsize,
     hooks: PoolHooks,
@@ -855,40 +569,93 @@ struct ShardJob {
     rho: f64,
     n: usize,
     mpp: MppConfig,
-    ckpt: Option<Arc<CkptState>>,
+    checkpoint_dir: Option<PathBuf>,
     stop_after: Option<usize>,
-    /// Shards checkpointed this run (drives `stop_after`).
+    /// Shards mined and checkpointed this run (drives `stop_after`).
     done: AtomicUsize,
     /// Once set, remaining claims return `None` (paused).
     stop: AtomicBool,
 }
 
 impl ShardJob {
-    fn mine_one(&self, shard: usize) -> Result<Vec<(Pattern, u128)>, MineError> {
-        let entry = self.corpus.entry(shard);
+    fn mine(&self, shard: usize, seq: &Sequence) -> Result<MineOutcome, MineError> {
         // Too short to hold a start-level pattern: never votes, same
         // as mine_collection's skip.
-        if entry.len < self.gap.min_span(self.mpp.start_level) {
-            return Ok(Vec::new());
+        if seq.len() < self.gap.min_span(self.mpp.start_level) {
+            return Ok(MineOutcome::default());
         }
-        let seq = self.corpus.sequence(shard)?;
         let mut config = self.mpp.clone();
         if let Some(dir) = &config.spill_dir {
             // Each shard gets its own spill namespace; record ids are
             // per-run counters and would collide in a shared directory.
             config.spill_dir = Some(dir.join(format!("shard-{shard:08}")));
         }
-        let outcome = mpp(&seq, self.gap, self.rho, self.n, config)?;
-        Ok(outcome
-            .frequent
-            .into_iter()
-            .map(|f| (f.pattern, f.support))
-            .collect())
+        mpp(seq, self.gap, self.rho, self.n, config)
+    }
+
+    /// Restore `shard` from its checkpoint record when the record
+    /// decodes under this shard's key; otherwise mine it and, when
+    /// checkpointing, write its record.
+    fn restore_or_mine(&self, shard: usize) -> Result<ShardResult, MineError> {
+        let started = Instant::now();
+        let seq = self.corpus.sequence(shard)?;
+        let checkpoint = self.checkpoint_dir.as_ref().map(|dir| {
+            let engine = EngineSelection::Mpp { n: self.n };
+            let key = request_key(&seq, self.gap, self.rho, &engine, &self.mpp);
+            (shard_record_path(dir, shard), key)
+        });
+        // A missing record is simply mined; a record that does not
+        // decode, or was written for other data or settings, is a
+        // recovered fault.
+        let mut fault = false;
+        if let Some((path, key)) = &checkpoint {
+            if path.exists() {
+                match load_result_cache(path) {
+                    Ok(record) if record.key == *key => {
+                        return Ok(ShardResult {
+                            patterns: record.outcome,
+                            elapsed: started.elapsed(),
+                            restored: true,
+                            fault: false,
+                            record_bytes: None,
+                        })
+                    }
+                    _ => fault = true,
+                }
+            }
+        }
+        let outcome = self.mine(shard, &seq)?;
+        let mut patterns = outcome_to_cached(&outcome);
+        let mut record_bytes = None;
+        if let Some((path, key)) = checkpoint {
+            let record = ResultCache {
+                key,
+                n_used: outcome.stats.n_used,
+                em: None,
+                support_saturated: outcome.stats.support_saturated,
+                outcome: patterns,
+                levels: None,
+            };
+            write_result_cache(&path, &record)?;
+            patterns = record.outcome;
+            record_bytes = Some(fs::metadata(&path).map_or(0, |m| m.len()));
+            let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
+            if self.stop_after.is_some_and(|limit| done >= limit) {
+                self.stop.store(true, Ordering::SeqCst);
+            }
+        }
+        Ok(ShardResult {
+            patterns,
+            elapsed: started.elapsed(),
+            restored: false,
+            fault,
+            record_bytes,
+        })
     }
 }
 
 impl PoolJob for ShardJob {
-    type Out = (usize, Result<Option<MinedShard>, MineError>);
+    type Out = (usize, Result<Option<ShardResult>, MineError>);
 
     fn n_items(&self) -> usize {
         self.order.len()
@@ -911,35 +678,12 @@ impl PoolJob for ShardJob {
         if self.stop.load(Ordering::SeqCst) {
             return (shard, Ok(None));
         }
-        let started = Instant::now();
-        let patterns = match self.mine_one(shard) {
-            Ok(p) => p,
-            Err(e) => return (shard, Err(e)),
-        };
-        let mut record_bytes = 0;
-        if let Some(ckpt) = &self.ckpt {
-            record_bytes = match ckpt.commit(shard, &patterns) {
-                Ok(b) => b,
-                Err(e) => return (shard, Err(e)),
-            };
-            let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
-            if self.stop_after.is_some_and(|limit| done >= limit) {
-                self.stop.store(true, Ordering::SeqCst);
-            }
-        }
-        (
-            shard,
-            Ok(Some(MinedShard {
-                patterns,
-                elapsed: started.elapsed(),
-                record_bytes,
-            })),
-        )
+        (shard, self.restore_or_mine(shard).map(Some))
     }
 
     fn out_weight(out: &Self::Out) -> usize {
         match &out.1 {
-            Ok(Some(mined)) => mined.patterns.len(),
+            Ok(Some(result)) => result.patterns.len(),
             _ => 0,
         }
     }
@@ -949,8 +693,7 @@ impl PoolJob for ShardJob {
 /// (ratio ≥ `rho`) in at least `config.min_sequences` shards, with
 /// per-shard supports — bit-identical to
 /// [`mine_collection`](crate::multiseq::mine_collection) over the
-/// decoded sequences, for every thread count and checkpoint/resume
-/// split.
+/// decoded sequences, for every thread count and checkpoint state.
 pub fn mine_corpus(
     corpus: &Arc<Corpus>,
     gap: GapRequirement,
@@ -992,97 +735,26 @@ pub fn mine_corpus_traced<O: MineObserver>(
             stats,
         });
     }
+    if let Some(ck) = &config.checkpoint {
+        fs::create_dir_all(&ck.dir).map_err(|e| MineError::CacheIo {
+            message: format!("cannot create {}: {e}", ck.dir.display()),
+        })?;
+    }
 
-    // Checkpoint setup: restore completed shards on resume, or pin a
-    // fresh manifest for this run.
-    let mut results: Vec<Option<MinedShard>> = (0..n_shards).map(|_| None).collect();
-    let mut restored = vec![false; n_shards];
-    let ckpt: Option<Arc<CkptState>> = match &config.checkpoint {
-        None => None,
-        Some(ck) => {
-            fs::create_dir_all(&ck.dir).map_err(|e| {
-                ckpt_err(
-                    MANIFEST_RECORD,
-                    format!("cannot create {}: {e}", ck.dir.display()),
-                )
-            })?;
-            let template = Manifest {
-                corpus_hash: corpus.hash(),
-                gap_min: gap.min() as u64,
-                gap_max: gap.max() as u64,
-                rho_bits: rho.to_bits(),
-                n: config.n as u64,
-                min_sequences: config.min_sequences as u64,
-                start_level: config.mpp.start_level as u64,
-                max_level: config.mpp.max_level.map_or(u64::MAX, |l| l as u64),
-                completed: vec![false; n_shards],
-            };
-            let manifest_path = ck.dir.join(MANIFEST_FILE);
-            let manifest = if ck.resume {
-                let bytes = fs::read(&manifest_path).map_err(|e| {
-                    ckpt_err(
-                        MANIFEST_RECORD,
-                        format!("cannot read {}: {e}", manifest_path.display()),
-                    )
-                })?;
-                let found = decode_manifest(&bytes)?;
-                check_manifest(&found, &template)?;
-                for (shard, &done) in found.completed.iter().enumerate() {
-                    if !done {
-                        continue;
-                    }
-                    let restore_started = Instant::now();
-                    let path = shard_record_path(&ck.dir, shard);
-                    let bytes = fs::read(&path).map_err(|e| {
-                        ckpt_err(
-                            shard as u64,
-                            format!(
-                                "manifest marks the shard complete but {} is unreadable: {e}",
-                                path.display()
-                            ),
-                        )
-                    })?;
-                    let patterns = decode_shard_record(
-                        shard as u64,
-                        corpus.hash(),
-                        corpus.alphabet().size(),
-                        &bytes,
-                    )?;
-                    results[shard] = Some(MinedShard {
-                        patterns,
-                        elapsed: restore_started.elapsed(),
-                        record_bytes: 0,
-                    });
-                    restored[shard] = true;
-                }
-                found
-            } else {
-                write_atomic(&manifest_path, &encode_manifest(&template), MANIFEST_RECORD)?;
-                template
-            };
-            Some(Arc::new(CkptState {
-                dir: ck.dir.clone(),
-                corpus_hash: corpus.hash(),
-                manifest: Mutex::new(manifest),
-            }))
-        }
-    };
-    stats.restored_shards = restored.iter().filter(|&&r| r).count();
-
-    // Pending shards, longest first: the straggler starts immediately
-    // and the small shards fill the tail.
-    let mut pending: Vec<usize> = (0..n_shards).filter(|&j| results[j].is_none()).collect();
-    pending.sort_by_key(|&j| (usize::MAX - corpus.entry(j).len, j));
+    // Longest first: the straggler starts immediately and the small
+    // shards fill the tail. Restores fan out with the mines.
+    let mut order: Vec<usize> = (0..n_shards).collect();
+    order.sort_by_key(|&j| (usize::MAX - corpus.entry(j).len, j));
     let job = Arc::new(ShardJob {
         corpus: Arc::clone(corpus),
-        order: pending,
+        order,
         cursor: AtomicUsize::new(0),
         hooks: PoolHooks::default(),
         gap,
         rho,
         n: config.n,
         mpp: config.mpp.clone(),
-        ckpt: ckpt.clone(),
+        checkpoint_dir: config.checkpoint.as_ref().map(|ck| ck.dir.clone()),
         stop_after: config
             .checkpoint
             .as_ref()
@@ -1100,42 +772,41 @@ pub fn mine_corpus_traced<O: MineObserver>(
         (0..job.n_items()).map(|i| job.process(i)).collect()
     };
 
-    let mut skipped = 0usize;
+    let mut results: Vec<Option<ShardResult>> = (0..n_shards).map(|_| None).collect();
     for (shard, result) in outs {
-        match result? {
-            Some(mined) => {
-                stats.mined_shards += 1;
-                if mined.record_bytes > 0 {
-                    stats.checkpoint_records += 1;
-                    stats.checkpoint_bytes += mined.record_bytes;
-                }
-                results[shard] = Some(mined);
-            }
-            None => skipped += 1,
+        let Some(result) = result? else { continue };
+        if result.restored {
+            stats.restored_shards += 1;
+        } else {
+            stats.mined_shards += 1;
         }
+        if result.fault {
+            stats.checkpoint_faults += 1;
+        }
+        if let Some(bytes) = result.record_bytes {
+            stats.checkpoint_records += 1;
+            stats.checkpoint_bytes += bytes;
+        }
+        results[shard] = Some(result);
     }
-    if skipped > 0 {
+    let Some(results) = results.into_iter().collect::<Option<Vec<ShardResult>>>() else {
         return Err(MineError::CorpusPaused {
-            completed: ckpt.as_ref().map_or(0, |c| c.completed_count()),
+            completed: stats.restored_shards + stats.checkpoint_records as usize,
             total: n_shards,
         });
-    }
+    };
 
-    for (shard, mined) in results.iter().enumerate() {
-        let mined = mined.as_ref().expect("every shard mined or restored");
+    for (shard, result) in results.iter().enumerate() {
         observer.on_shard(&ShardEvent {
             shard,
             len: corpus.entry(shard).len,
-            patterns: mined.patterns.len(),
-            restored: restored[shard],
-            elapsed: mined.elapsed,
+            patterns: result.patterns.len(),
+            restored: result.restored,
+            elapsed: result.elapsed,
         });
     }
 
-    let per_shard: Vec<Vec<(Pattern, u128)>> = results
-        .into_iter()
-        .map(|r| r.expect("every shard mined or restored").patterns)
-        .collect();
+    let per_shard: Vec<Vec<CachedPattern>> = results.into_iter().map(|r| r.patterns).collect();
     let outcome = merge_shards(corpus, gap, &per_shard, config.min_sequences)?;
     observer.on_complete(&CompleteEvent {
         frequent: outcome.patterns.len(),
@@ -1153,91 +824,27 @@ pub fn mine_corpus_traced<O: MineObserver>(
     Ok(CorpusOutcome { outcome, stats })
 }
 
-/// Refuse to resume under a manifest describing a different run.
-fn check_manifest(found: &Manifest, wanted: &Manifest) -> Result<(), MineError> {
-    let mismatch = |field: &'static str, manifest: String, requested: String| {
-        Err(MineError::CheckpointMismatch {
-            field,
-            manifest,
-            requested,
-        })
-    };
-    if found.corpus_hash != wanted.corpus_hash {
-        return mismatch(
-            "corpus hash",
-            format!("{:#018x}", found.corpus_hash),
-            format!("{:#018x}", wanted.corpus_hash),
-        );
-    }
-    if (found.gap_min, found.gap_max) != (wanted.gap_min, wanted.gap_max) {
-        return mismatch(
-            "gap requirement",
-            format!("[{}, {}]", found.gap_min, found.gap_max),
-            format!("[{}, {}]", wanted.gap_min, wanted.gap_max),
-        );
-    }
-    if found.rho_bits != wanted.rho_bits {
-        return mismatch(
-            "support threshold",
-            format!("{}", f64::from_bits(found.rho_bits)),
-            format!("{}", f64::from_bits(wanted.rho_bits)),
-        );
-    }
-    if found.n != wanted.n {
-        return mismatch("n", found.n.to_string(), wanted.n.to_string());
-    }
-    if found.min_sequences != wanted.min_sequences {
-        return mismatch(
-            "min sequences",
-            found.min_sequences.to_string(),
-            wanted.min_sequences.to_string(),
-        );
-    }
-    if found.start_level != wanted.start_level {
-        return mismatch(
-            "start level",
-            found.start_level.to_string(),
-            wanted.start_level.to_string(),
-        );
-    }
-    if found.max_level != wanted.max_level {
-        return mismatch(
-            "max level",
-            found.max_level.to_string(),
-            wanted.max_level.to_string(),
-        );
-    }
-    if found.completed.len() != wanted.completed.len() {
-        return mismatch(
-            "shard count",
-            found.completed.len().to_string(),
-            wanted.completed.len().to_string(),
-        );
-    }
-    Ok(())
-}
-
 /// Merge per-shard frequent sets into the collection outcome:
-/// frequency votes from shard membership, true supports for
-/// non-frequent shards from the exact DP oracle, canonical
+/// frequency votes from shard membership, exact supports for
+/// non-frequent shards from [`recount_supports`], canonical
 /// (length, codes) order — exactly what `mine_collection` emits.
 fn merge_shards(
     corpus: &Corpus,
     gap: GapRequirement,
-    per_shard: &[Vec<(Pattern, u128)>],
+    per_shard: &[Vec<CachedPattern>],
     min_sequences: usize,
 ) -> Result<CollectionOutcome, MineError> {
     let n = per_shard.len();
-    let mut evidence: HashMap<&Pattern, Vec<(usize, u128)>> = HashMap::new();
+    let mut evidence: HashMap<&[u8], Vec<(usize, u128)>> = HashMap::new();
     for (j, shard) in per_shard.iter().enumerate() {
-        for (pattern, support) in shard {
-            evidence.entry(pattern).or_default().push((j, *support));
+        for p in shard {
+            evidence.entry(&p.codes).or_default().push((j, p.support));
         }
     }
     let mut patterns: Vec<CollectionPattern> = evidence
         .into_iter()
         .filter(|(_, ev)| ev.len() >= min_sequences)
-        .map(|(pattern, ev)| {
+        .map(|(codes, ev)| {
             let mut supports = vec![0u128; n];
             // `ev` was filled in ascending shard order.
             let frequent_in: Vec<usize> = ev
@@ -1248,30 +855,81 @@ fn merge_shards(
                 })
                 .collect();
             CollectionPattern {
-                pattern: pattern.clone(),
+                pattern: Pattern::from_codes(codes.to_vec()),
                 frequent_in,
                 supports,
             }
         })
         .collect();
     for j in 0..n {
-        if patterns
-            .iter()
-            .all(|cp| cp.frequent_in.binary_search(&j).is_ok())
-        {
+        let missing: Vec<usize> = (0..patterns.len())
+            .filter(|&i| patterns[i].frequent_in.binary_search(&j).is_err())
+            .collect();
+        if missing.is_empty() {
             continue;
         }
         let seq = corpus.sequence(j)?;
-        for cp in &mut patterns {
-            if cp.frequent_in.binary_search(&j).is_err() {
-                cp.supports[j] = crate::naive::support_dp(&seq, gap, &cp.pattern);
-            }
+        let queries: Vec<&Pattern> = missing.iter().map(|&i| &patterns[i].pattern).collect();
+        let supports = recount_supports(&seq, gap, &queries);
+        for (i, support) in missing.into_iter().zip(supports) {
+            patterns[i].supports[j] = support;
         }
     }
     patterns.sort_by(|a, b| {
         (a.pattern.len(), a.pattern.codes()).cmp(&(b.pattern.len(), b.pattern.codes()))
     });
     Ok(CollectionOutcome { patterns })
+}
+
+/// Exact supports of `patterns` in `seq`, in input order. Each support
+/// is the [`Pil::join_checked`] fold of
+/// [`support_via_joins`](crate::verify::support_via_joins): level-1
+/// PILs joined right to left. Patterns are visited in reversed-codes
+/// order with a stack of suffix PILs, so patterns that share a suffix
+/// share its join chain. A chain that saturates falls back to the
+/// exact [`support_dp`].
+fn recount_supports(seq: &Sequence, gap: GapRequirement, patterns: &[&Pattern]) -> Vec<u128> {
+    let level1: Vec<Pil> = (0..seq.alphabet().size())
+        .map(|c| Pil::build_level1(seq, c as u8))
+        .collect();
+    let mut order: Vec<usize> = (0..patterns.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (patterns[a].codes(), patterns[b].codes());
+        a.iter().rev().cmp(b.iter().rev())
+    });
+    let mut supports = vec![0u128; patterns.len()];
+    // chain[k]: the PIL of the current pattern's last k + 1 codes, and
+    // whether any join on the way to it saturated.
+    let mut chain: Vec<(Pil, bool)> = Vec::new();
+    let mut prev: &[u8] = &[];
+    for i in order {
+        let codes = patterns[i].codes();
+        let shared = codes
+            .iter()
+            .rev()
+            .zip(prev.iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        chain.truncate(shared);
+        for &c in codes.iter().rev().skip(shared) {
+            let head = &level1[c as usize];
+            let link = match chain.last() {
+                None => (head.clone(), false),
+                Some((suffix, saturated)) => {
+                    let (pil, s) = Pil::join_checked(head, suffix, gap);
+                    (pil, s || *saturated)
+                }
+            };
+            chain.push(link);
+        }
+        supports[i] = match chain.last() {
+            None => 0,
+            Some((pil, false)) => pil.support(),
+            Some((_, true)) => support_dp(seq, gap, patterns[i]),
+        };
+        prev = codes;
+    }
+    supports
 }
 
 #[cfg(test)]
@@ -1494,7 +1152,6 @@ mod tests {
                         threads,
                         checkpoint: Some(CheckpointConfig {
                             dir: ckpt_dir.clone(),
-                            resume: false,
                             stop_after_shards: Some(stop_after),
                         }),
                         ..CorpusMineConfig::default()
@@ -1522,7 +1179,7 @@ mod tests {
                         n: 10,
                         min_sequences: 2,
                         threads,
-                        checkpoint: Some(CheckpointConfig::resume(ckpt_dir)),
+                        checkpoint: Some(CheckpointConfig::new(ckpt_dir)),
                         ..CorpusMineConfig::default()
                     },
                 )
@@ -1551,143 +1208,136 @@ mod tests {
         let config = CorpusMineConfig {
             n: 10,
             min_sequences: 1,
-            checkpoint: Some(CheckpointConfig::fresh(&ckpt_dir)),
+            checkpoint: Some(CheckpointConfig::new(&ckpt_dir)),
             ..CorpusMineConfig::default()
         };
         let cold = mine_corpus(&corpus, g, 0.004, &config).unwrap();
         assert_eq!(cold.stats.checkpoint_records, 3);
         assert!(cold.stats.checkpoint_bytes > 0);
-        let resumed = mine_corpus(
-            &corpus,
-            g,
-            0.004,
-            &CorpusMineConfig {
-                checkpoint: Some(CheckpointConfig::resume(&ckpt_dir)),
-                ..config
-            },
-        )
-        .unwrap();
+        let mut files: Vec<String> = fs::read_dir(&ckpt_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [
+                "shard-00000000.pgrc",
+                "shard-00000001.pgrc",
+                "shard-00000002.pgrc"
+            ]
+        );
+        let resumed = mine_corpus(&corpus, g, 0.004, &config).unwrap();
         assert_eq!(resumed.outcome, cold.outcome);
         assert_eq!(resumed.stats.restored_shards, 3);
         assert_eq!(resumed.stats.mined_shards, 0);
+        assert_eq!(resumed.stats.checkpoint_records, 0);
+        assert_eq!(resumed.stats.checkpoint_faults, 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn resume_faults_are_typed() {
-        let dir = tmp_dir("resume-faults");
+    fn checkpoint_faults_are_recovered() {
+        let dir = tmp_dir("checkpoint-faults");
         let (path, _) = write_fixture(&dir, 3, 29);
         let corpus = Arc::new(Corpus::open(&path).unwrap());
         let g = gap(1, 2);
         let ckpt_dir = dir.join("ckpt");
-        let config = CorpusMineConfig {
+        let config = |min_sequences: usize, checkpoint: bool| CorpusMineConfig {
             n: 10,
-            min_sequences: 1,
-            checkpoint: Some(CheckpointConfig::fresh(&ckpt_dir)),
+            min_sequences,
+            checkpoint: checkpoint.then(|| CheckpointConfig::new(&ckpt_dir)),
             ..CorpusMineConfig::default()
         };
-        mine_corpus(&corpus, g, 0.004, &config).unwrap();
-        let resume_config = CorpusMineConfig {
-            checkpoint: Some(CheckpointConfig::resume(&ckpt_dir)),
-            ..config.clone()
-        };
+        let cold = mine_corpus(&corpus, g, 0.004, &config(1, false)).unwrap();
+        mine_corpus(&corpus, g, 0.004, &config(1, true)).unwrap();
 
-        // Missing manifest.
-        let empty_dir = dir.join("empty-ckpt");
-        fs::create_dir_all(&empty_dir).unwrap();
-        match mine_corpus(
-            &corpus,
-            g,
-            0.004,
-            &CorpusMineConfig {
-                checkpoint: Some(CheckpointConfig::resume(&empty_dir)),
-                ..config.clone()
-            },
-        ) {
-            Err(MineError::CheckpointIo { record, .. }) => assert_eq!(record, u64::MAX),
-            other => panic!("expected CheckpointIo, got {other:?}"),
-        }
-
-        // Corrupt manifest: every sampled bit flip is a typed error.
-        let manifest_path = ckpt_dir.join(MANIFEST_FILE);
-        let manifest_bytes = fs::read(&manifest_path).unwrap();
-        for i in (0..manifest_bytes.len()).step_by(5) {
-            let mut copy = manifest_bytes.clone();
-            copy[i] ^= 0x04;
-            fs::write(&manifest_path, &copy).unwrap();
-            match mine_corpus(&corpus, g, 0.004, &resume_config) {
-                Err(MineError::CheckpointIo { .. }) | Err(MineError::CheckpointMismatch { .. }) => {
-                }
-                other => panic!("manifest flip at {i}: expected typed error, got {other:?}"),
-            }
-        }
-        // A manifest in the layout that still carried an engine byte
-        // after the max level, for either engine, is refused, not
-        // misread.
-        const ENGINE_AT: usize = 4 + 4 + 1 + 8 * 8;
-        for engine in [0u8, 1] {
-            let body = &manifest_bytes[..manifest_bytes.len() - TRAILER];
-            let mut old = body[..ENGINE_AT].to_vec();
-            old.push(engine);
-            old.extend_from_slice(&body[ENGINE_AT..]);
-            let digest = fnv1a(&old);
-            old.extend_from_slice(&digest.to_le_bytes());
-            fs::write(&manifest_path, &old).unwrap();
-            match mine_corpus(&corpus, g, 0.004, &resume_config) {
-                Err(MineError::CheckpointIo { record, .. }) => assert_eq!(record, u64::MAX),
-                other => panic!("old-layout manifest: expected CheckpointIo, got {other:?}"),
-            }
-        }
-        fs::write(&manifest_path, &manifest_bytes).unwrap();
-
-        // Corrupt shard record.
+        // A bit-flipped or truncated record: that shard alone is mined
+        // again, counted as one fault, and its record rewritten.
         let record_path = shard_record_path(&ckpt_dir, 1);
         let record_bytes = fs::read(&record_path).unwrap();
-        let mut torn = record_bytes.clone();
-        let mid = torn.len() / 2;
-        torn[mid] ^= 0x20;
-        fs::write(&record_path, &torn).unwrap();
-        match mine_corpus(&corpus, g, 0.004, &resume_config) {
-            Err(MineError::CheckpointIo { record, .. }) => assert_eq!(record, 1),
-            other => panic!("expected CheckpointIo for shard 1, got {other:?}"),
+        let mut flipped = record_bytes.clone();
+        flipped[record_bytes.len() / 2] ^= 0x20;
+        for damaged in [flipped, record_bytes[..record_bytes.len() - 3].to_vec()] {
+            fs::write(&record_path, &damaged).unwrap();
+            let got = mine_corpus(&corpus, g, 0.004, &config(1, true)).unwrap();
+            assert_eq!(got.outcome, cold.outcome);
+            assert_eq!(got.stats.checkpoint_faults, 1);
+            assert_eq!(got.stats.mined_shards, 1);
+            assert_eq!(got.stats.restored_shards, 2);
+            assert_eq!(fs::read(&record_path).unwrap(), record_bytes);
         }
-        fs::write(&record_path, &record_bytes[..record_bytes.len() - 3]).unwrap();
-        assert!(matches!(
-            mine_corpus(&corpus, g, 0.004, &resume_config),
-            Err(MineError::CheckpointIo { record: 1, .. })
-        ));
-        fs::remove_file(&record_path).unwrap();
-        assert!(matches!(
-            mine_corpus(&corpus, g, 0.004, &resume_config),
-            Err(MineError::CheckpointIo { record: 1, .. })
-        ));
-        fs::write(&record_path, &record_bytes).unwrap();
 
-        // Hash mismatch: resume against a different corpus.
+        // A changed ρ or gap: every key differs, so every shard is mined
+        // again (and rewritten under the new key).
+        for (g2, rho) in [(g, 0.005), (gap(1, 3), 0.004)] {
+            let want = mine_corpus(&corpus, g2, rho, &config(1, false)).unwrap();
+            let got = mine_corpus(&corpus, g2, rho, &config(1, true)).unwrap();
+            assert_eq!(got.outcome, want.outcome);
+            assert_eq!(got.stats.mined_shards, 3);
+            assert_eq!(got.stats.checkpoint_faults, 3);
+        }
+
+        // Records written for another corpus: each shard's sequence hash
+        // differs, so the other corpus is mined cold.
+        mine_corpus(&corpus, g, 0.004, &config(1, true)).unwrap();
         let other_path = dir.join("other.pgco");
         Corpus::write(&other_path, &fixture_seqs(3, 31)).unwrap();
         let other = Arc::new(Corpus::open(&other_path).unwrap());
-        match mine_corpus(&other, g, 0.004, &resume_config) {
-            Err(MineError::CheckpointMismatch { field, .. }) => assert_eq!(field, "corpus hash"),
-            other => panic!("expected CheckpointMismatch, got {other:?}"),
-        }
+        let want = mine_corpus(&other, g, 0.004, &config(1, false)).unwrap();
+        let got = mine_corpus(&other, g, 0.004, &config(1, true)).unwrap();
+        assert_eq!(got.outcome, want.outcome);
+        assert_eq!(got.stats.mined_shards, 3);
+        assert_eq!(got.stats.checkpoint_faults, 3);
 
-        // Parameter mismatches.
-        match mine_corpus(&corpus, g, 0.005, &resume_config) {
-            Err(MineError::CheckpointMismatch { field, .. }) => {
-                assert_eq!(field, "support threshold")
-            }
-            other => panic!("expected CheckpointMismatch, got {other:?}"),
-        }
-        match mine_corpus(&corpus, gap(1, 3), 0.004, &resume_config) {
-            Err(MineError::CheckpointMismatch { field, .. }) => {
-                assert_eq!(field, "gap requirement")
-            }
-            other => panic!("expected CheckpointMismatch, got {other:?}"),
-        }
-        // After restoring everything, resume still works.
-        assert!(mine_corpus(&corpus, g, 0.004, &resume_config).is_ok());
+        // `min_sequences` is not part of the key: after mining at 1,
+        // every record restores at 2 and the vote is applied afresh.
+        mine_corpus(&corpus, g, 0.004, &config(1, true)).unwrap();
+        let want = mine_corpus(&corpus, g, 0.004, &config(2, false)).unwrap();
+        let got = mine_corpus(&corpus, g, 0.004, &config(2, true)).unwrap();
+        assert_eq!(got.outcome, want.outcome);
+        assert_ne!(got.outcome, cold.outcome, "the vote must change the set");
+        assert_eq!(got.stats.restored_shards, 3);
+        assert_eq!(got.stats.checkpoint_faults, 0);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recount_matches_support_dp() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for (len, n, m) in [(1, 0, 0), (60, 0, 2), (150, 1, 3), (200, 0, 9)] {
+            let seq = uniform(&mut rng, Alphabet::Dna, len);
+            let g = gap(n, m);
+            let patterns: Vec<Pattern> = (0..200)
+                .map(|i| {
+                    let codes = uniform(&mut rng, Alphabet::Dna, 1 + i % 6);
+                    Pattern::from_codes(codes.codes().to_vec())
+                })
+                .collect();
+            let queries: Vec<&Pattern> = patterns.iter().collect();
+            let got = recount_supports(&seq, g, &queries);
+            for (p, support) in patterns.iter().zip(got) {
+                assert_eq!(support, support_dp(&seq, g, p), "{p:?} in length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_recount_falls_back_to_support_dp() {
+        let seq = Sequence::dna(&"A".repeat(300)).unwrap();
+        let g = gap(0, 9);
+        let deep = Pattern::from_codes(vec![0; 25]);
+        let shallow = Pattern::from_codes(vec![0; 3]);
+        assert!(
+            crate::verify::support_via_joins(&seq, g, &deep).1,
+            "the join chain must saturate"
+        );
+        let exact = support_dp(&seq, g, &deep);
+        assert!(exact > u64::MAX as u128);
+        assert_eq!(
+            recount_supports(&seq, g, &[&shallow, &deep]),
+            [support_dp(&seq, g, &shallow), exact]
+        );
     }
 
     #[test]

@@ -68,34 +68,13 @@ pub enum MineError {
         /// What went wrong.
         message: String,
     },
-    /// A checkpoint artifact (per-shard record or the manifest) failed
-    /// to read, write, or decode — truncation, bit flips, a missing
-    /// record the manifest claims is complete. The mine aborts; it
-    /// never merges state it cannot verify.
-    CheckpointIo {
-        /// The shard record involved (`u64::MAX` for the manifest).
-        record: u64,
-        /// What went wrong.
-        message: String,
-    },
-    /// A structurally valid checkpoint manifest describes a different
-    /// run — another corpus (hash mismatch) or other mining
-    /// parameters. Resuming would merge incomparable shard results, so
-    /// the mine refuses instead.
-    CheckpointMismatch {
-        /// Which recorded field disagrees.
-        field: &'static str,
-        /// The value the manifest recorded.
-        manifest: String,
-        /// The value this run was invoked with.
-        requested: String,
-    },
-    /// A result-cache record (see [`crate::incremental`]) could not be
-    /// read, written, or decoded — I/O failure, truncation, bad
-    /// magic/version, or a trailing-checksum mismatch. Readers treat
-    /// this as "no usable cache" and fall back to a cold mine; writers
+    /// A result-cache record (see [`crate::incremental`]; corpus
+    /// checkpoints are the same records) could not be read, written, or
+    /// decoded — I/O failure, truncation, bad magic/version, a count or
+    /// ordering the bytes cannot back, or a trailing-checksum mismatch.
+    /// Readers treat this as "no usable cache" and mine cold; writers
     /// surface it, since a mine that cannot persist its cache breaks
-    /// the next incremental run's contract.
+    /// the next run's contract.
     CacheIo {
         /// What went wrong.
         message: String,
@@ -115,9 +94,10 @@ pub enum MineError {
     },
     /// A checkpointed corpus mine stopped early on purpose (the
     /// `stop_after_shards` knob — the deterministic stand-in for a
-    /// mid-run kill). Completed shards are durable; resume to finish.
+    /// mid-run kill). Completed shards are durable; rerun with the same
+    /// checkpoint directory to finish.
     CorpusPaused {
-        /// Shards checkpointed so far.
+        /// Shards that hold a valid checkpoint record after this run.
         completed: usize,
         /// Total shards in the corpus.
         total: usize,
@@ -160,21 +140,6 @@ impl fmt::Display for MineError {
             MineError::CorpusIo { message } => {
                 write!(f, "corpus file rejected: {message}")
             }
-            MineError::CheckpointIo { record, message } => {
-                if *record == u64::MAX {
-                    write!(f, "checkpoint manifest failed: {message}")
-                } else {
-                    write!(f, "checkpoint record for shard {record} failed: {message}")
-                }
-            }
-            MineError::CheckpointMismatch {
-                field,
-                manifest,
-                requested,
-            } => write!(
-                f,
-                "checkpoint manifest is from a different run: {field} was {manifest}, this run has {requested}"
-            ),
             MineError::CacheIo { message } => {
                 write!(f, "result cache rejected: {message}")
             }
@@ -188,7 +153,7 @@ impl fmt::Display for MineError {
             ),
             MineError::CorpusPaused { completed, total } => write!(
                 f,
-                "corpus mine paused after {completed} of {total} shards (checkpoints are durable; resume to finish)"
+                "corpus mine paused after {completed} of {total} shards (checkpoints are durable; rerun with the same checkpoint directory to finish)"
             ),
         }
     }
@@ -245,31 +210,6 @@ mod tests {
         }
         .to_string()
         .contains("corpus file rejected: bad magic"));
-        let ckpt = MineError::CheckpointIo {
-            record: 5,
-            message: "truncated".into(),
-        }
-        .to_string();
-        assert!(
-            ckpt.contains("shard 5") && ckpt.contains("truncated"),
-            "{ckpt}"
-        );
-        assert!(MineError::CheckpointIo {
-            record: u64::MAX,
-            message: "bit flip".into()
-        }
-        .to_string()
-        .contains("manifest failed: bit flip"));
-        let mismatch = MineError::CheckpointMismatch {
-            field: "corpus hash",
-            manifest: "0xaaaa".into(),
-            requested: "0xbbbb".into(),
-        }
-        .to_string();
-        assert!(
-            mismatch.contains("corpus hash") && mismatch.contains("0xbbbb"),
-            "{mismatch}"
-        );
         assert!(MineError::CacheIo {
             message: "trailing hash mismatch".into()
         }

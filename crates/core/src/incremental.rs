@@ -25,16 +25,20 @@
 //!   exact ρ bits, algorithm, the `n`/`m` parameter, prune flag,
 //!   start/max level;
 //! - the **outcome**: every frequent pattern with its exact support and
-//!   the bit-exact ratio, in the engine's emission order, plus
-//!   `n_used`, `e_m` and the saturation flag;
+//!   the bit-exact ratio, in the engine's (length, codes) emission
+//!   order, plus `n_used`, `e_m` and the saturation flag;
 //! - for rigid gaps, the **per-level evaluated-candidate maps**: every
 //!   candidate the level-wise engine would materialise (the seed
 //!   generation and each join product with non-zero support) with its
 //!   exact support. These are what make the delta merge exact — see
 //!   below.
 //!
+//! [`crate::corpus`] writes its per-shard checkpoints in this format
+//! too, with no `e_m` and no level maps.
+//!
 //! Writes are atomic (unique tmp + rename). Every decode failure —
-//! truncation, bit flips, a bad trailer — is a typed
+//! truncation, bit flips, a bad trailer, a count the remaining bytes
+//! cannot hold, an outcome out of order — is a typed
 //! [`MineError::CacheIo`]; a structurally valid record whose key does
 //! not match the request (including a sequence that is *not* an append
 //! of the cached one, detected by hashing the new sequence's first
@@ -99,7 +103,8 @@ const VERSION: u32 = 3;
 
 /// Wire tag of a result-cache record (`perigap-store` re-exports the
 /// same value as `TAG_RESULT_CACHE`; sequence packs use 1, outcome
-/// packs 2, spill records 3, checkpoints 4, corpus manifests 5).
+/// packs 2, spill records 3). Corpus checkpoints are result-cache
+/// records too.
 pub const TAG_RESULT_CACHE: u8 = 6;
 
 fn cache_err(message: String) -> MineError {
@@ -455,14 +460,17 @@ fn decode_cache(bytes: &[u8]) -> Result<ResultCache, MineError> {
         1 => true,
         other => return Err(cache_err(format!("bad saturation flag {other}"))),
     };
+    // Every count is checked against the bytes left before anything is
+    // allocated for it: each outcome pattern takes at least 29 bytes
+    // (length, one code, support, ratio), each level header 12.
     let pattern_count =
         usize::try_from(t.u64()?).map_err(|_| cache_err("pattern count overflow".into()))?;
-    if pattern_count > body.len() {
+    if pattern_count > t.remaining() / 29 {
         return Err(cache_err(format!(
             "pattern count {pattern_count} exceeds the record size"
         )));
     }
-    let mut outcome = Vec::with_capacity(pattern_count);
+    let mut outcome: Vec<CachedPattern> = Vec::with_capacity(pattern_count);
     for _ in 0..pattern_count {
         let len = t.u32()? as usize;
         if len == 0 {
@@ -471,6 +479,16 @@ fn decode_cache(bytes: &[u8]) -> Result<ResultCache, MineError> {
         let codes = t.bytes(len)?.to_vec();
         if codes.iter().any(|&c| c as u32 >= sigma) {
             return Err(cache_err("pattern code outside the alphabet".into()));
+        }
+        // Unpruned mines (the only ones cached) emit in strictly
+        // ascending (length, codes) order; a repeated pattern would
+        // otherwise count twice wherever the outcome is merged.
+        if let Some(prev) = outcome.last() {
+            if (prev.codes.len(), &prev.codes) >= (codes.len(), &codes) {
+                return Err(cache_err(
+                    "outcome patterns out of (length, codes) order".into(),
+                ));
+            }
         }
         let support = t.u128()?;
         if support == 0 {
@@ -487,6 +505,11 @@ fn decode_cache(bytes: &[u8]) -> Result<ResultCache, MineError> {
         0 => None,
         1 => {
             let level_count = t.u32()? as usize;
+            if level_count > t.remaining() / 12 {
+                return Err(cache_err(format!(
+                    "level count {level_count} exceeds the record size"
+                )));
+            }
             let mut levels = Vec::with_capacity(level_count);
             let mut prev_level = 0usize;
             for _ in 0..level_count {
@@ -499,7 +522,7 @@ fn decode_cache(bytes: &[u8]) -> Result<ResultCache, MineError> {
                 prev_level = level;
                 let count = usize::try_from(t.u64()?)
                     .map_err(|_| cache_err("candidate count overflow".into()))?;
-                if count.saturating_mul(level) > body.len() {
+                if count > t.remaining() / (level + 16) {
                     return Err(cache_err(format!(
                         "candidate count {count} at level {level} exceeds the record size"
                     )));
@@ -615,7 +638,7 @@ pub fn write_result_cache(path: &Path, cache: &ResultCache) -> Result<(), MineEr
 // Key construction and checking.
 // ---------------------------------------------------------------------
 
-fn request_key(
+pub(crate) fn request_key(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
@@ -1669,7 +1692,7 @@ fn mine_cold_fallback<O: MineObserver>(
     })
 }
 
-fn outcome_to_cached(outcome: &MineOutcome) -> Vec<CachedPattern> {
+pub(crate) fn outcome_to_cached(outcome: &MineOutcome) -> Vec<CachedPattern> {
     outcome
         .frequent
         .iter()

@@ -186,8 +186,8 @@ impl MineOutcome {
 /// Run-wide statistics of a sharded corpus mine (see
 /// [`crate::corpus::mine_corpus`]). All counters are deterministic for
 /// a given corpus + config + checkpoint state; which shards count as
-/// `restored_shards` vs `mined_shards` depends on what the resumed
-/// checkpoint directory already held.
+/// `restored_shards` vs `mined_shards` depends on what the checkpoint
+/// directory already held.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CorpusStats {
     /// Shards (sequences) in the corpus.
@@ -199,13 +199,16 @@ pub struct CorpusStats {
     /// Checkpoint records written this run (0 when checkpointing is
     /// off).
     pub checkpoint_records: u64,
-    /// Serialized bytes written across those records (manifest
-    /// rewrites excluded).
+    /// Serialized bytes written across those records.
     pub checkpoint_bytes: u64,
+    /// Checkpoint records that existed but did not decode, or carried
+    /// another key; each such shard was mined again and its record
+    /// rewritten.
+    pub checkpoint_faults: usize,
     /// Length in symbols of the longest shard — the straggler the
     /// longest-first schedule front-loads.
     pub longest_shard: usize,
-    /// The corpus file's trailing FNV-1a hash (what the manifest pins).
+    /// The corpus file's trailing FNV-1a hash.
     pub corpus_hash: u64,
 }
 

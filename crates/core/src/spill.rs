@@ -221,9 +221,9 @@ pub(crate) fn encode_record(record: u64, set: &PilSet, members: &[usize]) -> Vec
 
 /// A cursor over record bytes that turns every overrun into a typed
 /// truncation error. The error constructor is injected so spill
-/// records report [`MineError::SpillIo`] while corpus checkpoint
-/// records (see [`crate::corpus`]) report their own variant from the
-/// same cursor.
+/// records report [`MineError::SpillIo`] while corpus files and
+/// result-cache records report their own variants from the same
+/// cursor.
 pub(crate) struct Take<'a> {
     bytes: &'a [u8],
     record: u64,
@@ -354,6 +354,14 @@ pub(crate) fn decode_record(record: u64, bytes: &[u8]) -> Result<PilSet, MineErr
         }
         prev_codes = Some(codes);
         let n_entries = r.u32()? as usize;
+        // Each entry is 12 bytes; refuse a count the record cannot
+        // hold before reserving for it.
+        if n_entries > r.remaining() / 12 {
+            return Err(spill_err(
+                record,
+                format!("PIL entry count {n_entries} exceeds the record size"),
+            ));
+        }
         entries.clear();
         entries.reserve(n_entries);
         let mut prev_offset: Option<u32> = None;

@@ -227,7 +227,7 @@ pub struct RestoreEvent {
 
 /// One corpus shard finished during a sharded corpus mine (see
 /// [`crate::corpus::mine_corpus`]): either mined fresh on a pool
-/// worker or restored from a checkpoint record on resume. Events are
+/// worker or restored from its checkpoint record. Events are
 /// emitted in shard-index order after the fan-out completes, so a
 /// trace is deterministic regardless of worker scheduling.
 #[derive(Clone, Debug)]

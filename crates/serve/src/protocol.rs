@@ -21,7 +21,6 @@
 //! | `overlap`  | `a`, `b` (1-based offsets), `limit`? | patterns with an occurrence overlapping `[a, b]` |
 //! | `mine_topk` | `k` | mine the sequence on demand under a rising top-k support floor |
 //! | `mine_target` | `target` (text), `limit`? | mine on demand restricted to a pattern prefix |
-//! | `mine_incremental` | `cache` (path), `limit`? | mine through a result-cache record, reporting the mode taken |
 //! | `stats`    | — | index and daemon counters |
 //! | `shutdown` | — | acknowledge, then stop the daemon |
 //!
@@ -36,10 +35,8 @@
 
 use crate::cache::{CachedAnswer, ResponseCache};
 use perigap_core::mpp::{mpp, MppConfig};
-use perigap_core::trace::{escape_json, Json, NoopObserver};
-use perigap_core::{
-    mine_incremental, EngineSelection, FrequentPattern, Pattern, PruneMode, TargetSpec,
-};
+use perigap_core::trace::{escape_json, Json};
+use perigap_core::{FrequentPattern, Pattern, PruneMode, TargetSpec};
 use perigap_seq::Sequence;
 use perigap_store::{IndexEntry, PatternIndex};
 
@@ -90,14 +87,6 @@ pub enum Request {
     MineTarget {
         /// Prefix text under the index alphabet.
         target: String,
-        /// Row cap on the response (the mine itself is uncapped).
-        limit: usize,
-    },
-    /// Mine the subject sequence through an on-disk result-cache
-    /// record, serving the cached outcome when the key matches.
-    MineIncremental {
-        /// Path of the `.pgrc` result-cache record.
-        cache: String,
         /// Row cap on the response (the mine itself is uncapped).
         limit: usize,
     },
@@ -248,16 +237,6 @@ pub fn parse_envelope(obj: &Json) -> Result<Envelope, String> {
                 limit: field_usize(obj, "limit")?.unwrap_or(DEFAULT_LIMIT),
             }
         }
-        "mine_incremental" => {
-            let cache = text_field("cache")?;
-            if cache.is_empty() {
-                return Err("query \"mine_incremental\" needs a non-empty \"cache\"".to_string());
-            }
-            Request::MineIncremental {
-                cache,
-                limit: field_usize(obj, "limit")?.unwrap_or(DEFAULT_LIMIT),
-            }
-        }
         "stats" => Request::Stats,
         "shutdown" => Request::Shutdown,
         other => return Err(format!("unknown query kind {other:?}")),
@@ -332,7 +311,6 @@ fn kind_of(request: &Request) -> &'static str {
         Request::Overlap { .. } => "overlap",
         Request::MineTopK { .. } => "mine_topk",
         Request::MineTarget { .. } => "mine_target",
-        Request::MineIncremental { .. } => "mine_incremental",
         Request::Stats => "stats",
         Request::Shutdown => "shutdown",
     }
@@ -351,9 +329,7 @@ fn cache_key(request: &Request) -> Option<String> {
         Request::MineTarget { target, limit } => {
             Some(format!("mine_target\u{0}{target}\u{0}{limit}"))
         }
-        // `mine_incremental` reads AND refreshes the on-disk record, so a
-        // response-cache hit would skip the side effect — never keyed.
-        Request::MineIncremental { .. } | Request::Stats | Request::Shutdown => None,
+        Request::Stats | Request::Shutdown => None,
     }
 }
 
@@ -460,51 +436,6 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
                 format!(
                     ", \"pruned_by_target\": {}, \"total\": {total}, \"patterns\": [{}]}}",
                     outcome.stats.pruned_by_target,
-                    rendered.join(", ")
-                ),
-                n,
-            ))
-        }
-        Request::MineIncremental { cache, limit } => {
-            let seq = mine_source(ctx)?;
-            let selection = EngineSelection::Mpp { n: index.n_used() };
-            let inc = mine_incremental(
-                seq,
-                index.gap(),
-                index.rho(),
-                &selection,
-                &MppConfig::default(),
-                1,
-                std::path::Path::new(cache),
-                &mut NoopObserver,
-            )
-            .map_err(|e| format!("mine failed: {e}"))?;
-            let fault = match &inc.cache_fault {
-                Some(e) => format!("\"{}\"", escape_json(&e.to_string())),
-                None => "null".to_string(),
-            };
-            let diff = match &inc.diff {
-                Some(d) => format!(
-                    "{{\"new\": {}, \"dropped\": {}, \"changed\": {}, \"unchanged\": {}}}",
-                    d.stats.new, d.stats.dropped, d.stats.changed, d.stats.unchanged
-                ),
-                None => "null".to_string(),
-            };
-            let total = inc.outcome.frequent.len();
-            let rendered: Vec<String> = inc
-                .outcome
-                .frequent
-                .iter()
-                .take(*limit)
-                .map(|f| mined_json(f, index))
-                .collect();
-            let n = rendered.len();
-            Ok((
-                format!(
-                    ", \"mode\": \"{}\", \"cache_fault\": {fault}, \"suspect_scans\": {}, \
-                     \"diff\": {diff}, \"total\": {total}, \"patterns\": [{}]}}",
-                    escape_json(inc.mode.label()),
-                    inc.suspect_scans,
                     rendered.join(", ")
                 ),
                 n,
@@ -749,15 +680,6 @@ mod tests {
             }
         );
 
-        let env = parse_request(r#"{"q": "mine_incremental", "cache": "x.pgrc"}"#).unwrap();
-        assert_eq!(
-            env.request,
-            Request::MineIncremental {
-                cache: "x.pgrc".to_string(),
-                limit: DEFAULT_LIMIT
-            }
-        );
-
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"q": "overlap", "a": 0, "b": 4}"#).is_err());
         assert!(parse_request(r#"{"q": "overlap", "a": 9, "b": 4}"#).is_err());
@@ -765,8 +687,8 @@ mod tests {
         assert!(parse_request(r#"{"k": 3}"#).is_err());
         assert!(parse_request(r#"{"q": "mine_topk", "k": 0}"#).is_err());
         assert!(parse_request(r#"{"q": "mine_target", "target": ""}"#).is_err());
-        assert!(parse_request(r#"{"q": "mine_incremental", "cache": ""}"#).is_err());
-        assert!(parse_request(r#"{"q": "mine_incremental"}"#).is_err());
+        // No kind takes a client-supplied file path.
+        assert!(parse_request(r#"{"q": "mine_incremental", "cache": "x.pgrc"}"#).is_err());
     }
 
     #[test]
@@ -914,53 +836,6 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "mine_topk k={k}");
         }
-    }
-
-    #[test]
-    fn mine_incremental_seeds_then_serves_the_cache() {
-        let (seq, gap, rho, n) = subject();
-        let idx = index(true);
-        let cache = ResponseCache::new(8);
-        let ctx = full_ctx(&idx, &seq, &cache);
-        let mut path = std::env::temp_dir();
-        path.push(format!("pgserve-inc-{}.pgrc", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let line = format!(
-            "{{\"q\": \"mine_incremental\", \"cache\": \"{}\", \"limit\": 1000000}}",
-            escape_json(path.to_str().unwrap())
-        );
-
-        // First call is cold and seeds the record; the daemon's subject
-        // sequence never changes, so the second call answers from it.
-        let first = single(serve_request_line(&ctx, &line));
-        assert!(first.ok, "{}", first.response);
-        // Reads and refreshes disk state: never response-cached.
-        assert_eq!(first.cache, None);
-        let parsed = Json::parse(&first.response).unwrap();
-        assert_eq!(parsed.get("mode").and_then(Json::as_str), Some("cold"));
-        let second = single(serve_request_line(&ctx, &line));
-        assert!(second.ok, "{}", second.response);
-        let parsed = Json::parse(&second.response).unwrap();
-        assert_eq!(parsed.get("mode").and_then(Json::as_str), Some("cached"));
-
-        // Both calls carry the full frequent set of a plain mine.
-        let full = mpp(&seq, gap, rho, n, MppConfig::default()).unwrap();
-        for served in [&first, &second] {
-            let parsed = Json::parse(&served.response).unwrap();
-            assert_eq!(
-                parsed.get("total").and_then(Json::as_usize),
-                Some(full.frequent.len()),
-                "{}",
-                served.response
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-
-        // Without the subject sequence the kind refuses, typed.
-        let served = serve_line(&idx, "b", 0, &line);
-        assert!(!served.ok);
-        assert!(served.response.contains("unavailable"));
-        assert_eq!(served.kind, "mine_incremental");
     }
 
     #[test]

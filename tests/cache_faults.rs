@@ -1,7 +1,8 @@
 //! Fault injection for the incremental result cache: whatever happens
 //! to the record on disk — truncation at any byte, flipped bits, a
 //! record seeded from a different sequence, a stale configuration key,
-//! or a record in a retired format version — the loader must fail with
+//! a record in a retired format version, or a re-signed record whose
+//! counts or pattern order were forged — the loader must fail with
 //! a **typed** `MineError` and `mine_incremental` must recover with a
 //! cold mine whose answer is bit-identical to a healthy run. It must
 //! never serve a wrong or partial pattern set. Concurrent writers to
@@ -230,10 +231,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Byte offsets into a version-3 record: the header (magic, version,
 /// tag), then the key through the algorithm byte, then through the
-/// engine parameter.
+/// engine parameter, then the outcome's pattern count (after the prune
+/// flag, the level window, `n_used`, `e_m` and the saturation flag).
 const VERSION_AT: usize = 4;
 const ALGORITHM_END: usize = 4 + 4 + 1 + 8 + 8 + 4 + 4 + 4 + 8 + 1;
 const PARAM_END: usize = ALGORITHM_END + 8;
+const PATTERN_COUNT_AT: usize = PARAM_END + 1 + 4 + 8 + 8 + 8 + 1;
 
 /// Rewrite a healthy version-3 record into an older layout: stamp
 /// `version`, insert `engine` after the algorithm byte and `after_param`
@@ -287,8 +290,80 @@ fn version_two_record_is_refused_and_recovered() {
     let _ = std::fs::remove_file(&cache);
 }
 
-/// Writers racing on one record path — e.g. two incremental serve
-/// queries sharing a cache — must all succeed, and the surviving record
+/// Byte offset of the level-map flag in a version-3 record: just past
+/// the outcome.
+fn level_flag_at(bytes: &[u8]) -> usize {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let mut at = PATTERN_COUNT_AT;
+    let patterns = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    at += 8;
+    for _ in 0..patterns {
+        at += 4 + u32_at(at) as usize + 16 + 8;
+    }
+    at
+}
+
+/// Replace `bytes[at..at + cut]` with `insert` and re-sign the record.
+fn resigned(bytes: &[u8], at: usize, cut: usize, insert: &[u8]) -> Vec<u8> {
+    let body = &bytes[..bytes.len() - 8];
+    let mut out = body[..at].to_vec();
+    out.extend_from_slice(insert);
+    out.extend_from_slice(&body[at + cut..]);
+    let digest = fnv1a(&out);
+    out.extend_from_slice(&digest.to_le_bytes());
+    out
+}
+
+/// A re-signed record whose level-map count claims `u32::MAX` levels is
+/// refused as a typed `CacheIo` before anything is allocated for them,
+/// and recovered by a cold mine.
+#[test]
+fn forged_level_count_is_refused_and_recovered() {
+    let cache = cache_path("levelcount");
+    let (bytes, healthy) = seeded(&cache);
+    let flag = level_flag_at(&bytes);
+    assert_eq!(bytes[flag], 1, "a rigid-gap record carries level maps");
+    std::fs::write(
+        &cache,
+        resigned(&bytes, flag + 1, 4, &u32::MAX.to_le_bytes()),
+    )
+    .unwrap();
+    match load_result_cache(&cache) {
+        Err(MineError::CacheIo { message }) => {
+            assert!(message.contains("level count"), "{message}");
+        }
+        other => panic!("expected CacheIo for a forged level count, got {other:?}"),
+    }
+    assert_recovers(&cache, &healthy, "forged level count");
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// A re-signed record that repeats an outcome pattern breaks the strict
+/// (length, codes) order and is refused: merged, it would vote twice.
+#[test]
+fn repeated_outcome_pattern_is_refused_and_recovered() {
+    let cache = cache_path("repeated");
+    let (bytes, healthy) = seeded(&cache);
+    let count_at = PATTERN_COUNT_AT;
+    let first_at = count_at + 8;
+    let first_len = u32::from_le_bytes(bytes[first_at..first_at + 4].try_into().unwrap());
+    let first = &bytes[first_at..first_at + 4 + first_len as usize + 16 + 8];
+    let count = u64::from_le_bytes(bytes[count_at..count_at + 8].try_into().unwrap());
+    let mut forged = resigned(&bytes, first_at, 0, first);
+    forged = resigned(&forged, count_at, 8, &(count + 1).to_le_bytes());
+    std::fs::write(&cache, &forged).unwrap();
+    match load_result_cache(&cache) {
+        Err(MineError::CacheIo { message }) => {
+            assert!(message.contains("order"), "{message}");
+        }
+        other => panic!("expected CacheIo for a repeated pattern, got {other:?}"),
+    }
+    assert_recovers(&cache, &healthy, "repeated pattern");
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// Writers racing on one record path — e.g. two incremental mines
+/// sharing a cache — must all succeed, and the surviving record
 /// must load whole. A barrier lines the writers up before every round so
 /// their create/write/rename sequences overlap.
 #[test]

@@ -1,13 +1,13 @@
 //! Differential property tests for corpus-scale sharded mining: the
 //! mmap-backed, per-sequence shard fan-out (with and without a
-//! checkpoint pause/resume in the middle) must agree bit-for-bit with
-//! the in-process [`mine_collection`] reference across thread counts
-//! and kill points — plus typed-error
-//! fault coverage for a truncated corpus file, a corrupt manifest, and
-//! a checkpoint directory that belongs to a different corpus.
+//! checkpoint pause and rerun in the middle) must agree bit-for-bit
+//! with the in-process [`mine_collection`] reference across thread
+//! counts and kill points — plus fault coverage: a truncated corpus
+//! file is a typed error, while a corrupt shard record and a checkpoint
+//! directory that belongs to a different corpus are mined again.
 
 use perigap::core::corpus::{
-    mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, MANIFEST_FILE,
+    mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, CorpusOutcome,
 };
 use perigap::core::mpp::MppConfig;
 use perigap::prelude::*;
@@ -125,10 +125,10 @@ proptest! {
         prop_assert_eq!(got.stats.restored_shards, 0);
     }
 
-    /// Pausing after a random number of shards and resuming (possibly
-    /// under a different thread count) still reproduces the
-    /// reference bit-for-bit, and the resumed run restores rather than
-    /// re-mines the completed shards.
+    /// Pausing after a random number of shards and rerunning over the
+    /// same checkpoint directory (possibly under a different thread
+    /// count) still reproduces the reference bit-for-bit, and the rerun
+    /// restores rather than re-mines the completed shards.
     #[test]
     fn corpus_resume_after_kill_point_is_bit_identical(
         seqs in collection(),
@@ -144,10 +144,12 @@ proptest! {
         let want = reference(&seqs, gap, rho, 1);
 
         let ckpt = scratch.path("ckpt");
-        let mut fresh = CheckpointConfig::fresh(&ckpt);
-        fresh.stop_after_shards = Some(kill_after.min(seqs.len()));
+        let pausing = CheckpointConfig {
+            stop_after_shards: Some(kill_after.min(seqs.len())),
+            ..CheckpointConfig::new(&ckpt)
+        };
         // Serial first leg so the pause point is exact.
-        let first = config_grid(1, 1, Some(fresh));
+        let first = config_grid(1, 1, Some(pausing));
         let paused = mine_corpus(&corpus, gap, rho, &first);
         let restored_floor = match paused {
             Err(MineError::CorpusPaused { completed, total }) => {
@@ -162,10 +164,11 @@ proptest! {
             Err(other) => return Err(TestCaseError::fail(format!("unexpected: {other}"))),
         };
 
-        let second = config_grid(resume_threads, 1, Some(CheckpointConfig::resume(&ckpt)));
+        let second = config_grid(resume_threads, 1, Some(CheckpointConfig::new(&ckpt)));
         let resumed = mine_corpus(&corpus, gap, rho, &second).unwrap();
         prop_assert_eq!(&resumed.outcome, &want);
         prop_assert!(resumed.stats.restored_shards >= restored_floor);
+        prop_assert_eq!(resumed.stats.checkpoint_faults, 0);
         prop_assert_eq!(
             resumed.stats.restored_shards + resumed.stats.mined_shards,
             seqs.len()
@@ -187,11 +190,11 @@ fn demo_corpus(scratch: &Scratch, name: &str) -> (PathBuf, Vec<(String, Sequence
     (path, seqs)
 }
 
-fn mine_at(path: &Path, checkpoint: Option<CheckpointConfig>) -> Result<(), MineError> {
-    let corpus = Arc::new(Corpus::open(path)?);
+fn mine_at(path: &Path, checkpoint: Option<CheckpointConfig>) -> CorpusOutcome {
+    let corpus = Arc::new(Corpus::open(path).unwrap());
     let gap = GapRequirement::new(1, 3).unwrap();
     let config = config_grid(1, 1, checkpoint);
-    mine_corpus(&corpus, gap, 0.005, &config).map(|_| ())
+    mine_corpus(&corpus, gap, 0.005, &config).unwrap()
 }
 
 /// A corpus file cut short anywhere — header, table, payload or
@@ -212,39 +215,60 @@ fn truncated_corpus_is_a_typed_error() {
     }
 }
 
-/// Every single-bit corruption of the manifest is caught by its
-/// checksum (or framing) and surfaces as [`MineError::CheckpointIo`]
-/// on the manifest pseudo-record.
+/// Every sampled corruption of one shard record — a flipped bit at
+/// every third byte, header, key, outcome and trailer alike — fails the
+/// record's checksum or key check, so that shard is mined again (one
+/// counted fault) and the output is identical to a cold mine.
 #[test]
-fn corrupt_manifest_is_a_typed_error() {
-    let scratch = Scratch::new("manifest");
+fn corrupt_shard_record_is_re_mined() {
+    let scratch = Scratch::new("record");
     let (path, _) = demo_corpus(&scratch, "c.pgco");
     let ckpt = scratch.path("ckpt");
-    mine_at(&path, Some(CheckpointConfig::fresh(&ckpt))).unwrap();
-    let manifest = ckpt.join(MANIFEST_FILE);
-    let clean = std::fs::read(&manifest).unwrap();
+    let cold = mine_at(&path, None);
+    mine_at(&path, Some(CheckpointConfig::new(&ckpt)));
+    let record = ckpt.join("shard-00000001.pgrc");
+    let clean = std::fs::read(&record).unwrap();
     for byte in (0..clean.len()).step_by(3) {
         let mut bad = clean.clone();
         bad[byte] ^= 0x04;
-        std::fs::write(&manifest, &bad).unwrap();
-        match mine_at(&path, Some(CheckpointConfig::resume(&ckpt))) {
-            Err(MineError::CheckpointIo { record, .. }) => {
-                assert_eq!(record, u64::MAX, "manifest faults report the manifest");
-            }
-            other => panic!("flip at byte {byte} gave {other:?}"),
-        }
+        std::fs::write(&record, &bad).unwrap();
+        let got = mine_at(&path, Some(CheckpointConfig::new(&ckpt)));
+        assert_eq!(got.outcome, cold.outcome, "flip at byte {byte}");
+        assert_eq!(got.stats.checkpoint_faults, 1, "flip at byte {byte}");
+        assert_eq!(got.stats.mined_shards, 1, "flip at byte {byte}");
+        // The re-mine rewrote the record whole.
+        assert_eq!(
+            std::fs::read(&record).unwrap(),
+            clean,
+            "flip at byte {byte}"
+        );
     }
-    // Restoring the pristine bytes restores the resume path.
-    std::fs::write(&manifest, &clean).unwrap();
-    mine_at(&path, Some(CheckpointConfig::resume(&ckpt))).unwrap();
+
+    // A re-signed record whose level map claims u32::MAX levels passes
+    // the checksum; the decoder's count bound must still refuse it
+    // before allocating, and the shard is mined again.
+    let body = &clean[..clean.len() - 8];
+    assert_eq!(body.last(), Some(&0), "checkpoints carry no level maps");
+    let mut forged = body[..body.len() - 1].to_vec();
+    forged.push(1);
+    forged.extend_from_slice(&u32::MAX.to_le_bytes());
+    let digest = forged.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    });
+    forged.extend_from_slice(&digest.to_le_bytes());
+    std::fs::write(&record, &forged).unwrap();
+    let got = mine_at(&path, Some(CheckpointConfig::new(&ckpt)));
+    assert_eq!(got.outcome, cold.outcome);
+    assert_eq!(got.stats.checkpoint_faults, 1);
+    assert_eq!(std::fs::read(&record).unwrap(), clean);
 }
 
-/// Resuming against a checkpoint directory written for a *different*
-/// corpus is refused with a [`MineError::CheckpointMismatch`] naming
-/// the corpus hash — the shard indices would otherwise silently line
-/// up with the wrong sequences.
+/// A checkpoint directory written for a *different* corpus cannot line
+/// shard indices up with the wrong sequences: every record's key pins
+/// its own shard's sequence hash, so each shard is mined again and the
+/// output equals the new corpus's cold mine.
 #[test]
-fn checkpoint_dir_from_another_corpus_is_refused() {
+fn checkpoint_dir_from_another_corpus_is_re_mined() {
     let scratch = Scratch::new("mismatch");
     let (path_a, _) = demo_corpus(&scratch, "a.pgco");
     let other: Vec<(String, Sequence)> = (0..3)
@@ -259,11 +283,11 @@ fn checkpoint_dir_from_another_corpus_is_refused() {
     Corpus::write(&path_b, &other).unwrap();
 
     let ckpt = scratch.path("ckpt");
-    mine_at(&path_a, Some(CheckpointConfig::fresh(&ckpt))).unwrap();
-    match mine_at(&path_b, Some(CheckpointConfig::resume(&ckpt))) {
-        Err(MineError::CheckpointMismatch { field, .. }) => {
-            assert_eq!(field, "corpus hash");
-        }
-        other => panic!("cross-corpus resume gave {other:?}"),
-    }
+    mine_at(&path_a, Some(CheckpointConfig::new(&ckpt)));
+    let cold_b = mine_at(&path_b, None);
+    let got = mine_at(&path_b, Some(CheckpointConfig::new(&ckpt)));
+    assert_eq!(got.outcome, cold_b.outcome);
+    assert_eq!(got.stats.mined_shards, 3);
+    assert_eq!(got.stats.restored_shards, 0);
+    assert_eq!(got.stats.checkpoint_faults, 3);
 }

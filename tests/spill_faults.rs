@@ -125,6 +125,39 @@ impl SpillIo for TornReadIo {
     }
 }
 
+/// Stores faithfully; on restore, forges the first pattern's PIL entry
+/// count to `u32::MAX` and re-signs the record, so only the count check
+/// (not the checksum) can catch it.
+#[derive(Debug, Default)]
+struct ForgedCountIo {
+    inner: MemSpillIo,
+}
+
+impl SpillIo for ForgedCountIo {
+    fn write(&self, record: u64, bytes: &[u8]) -> io::Result<()> {
+        self.inner.write(record, bytes)
+    }
+    fn read(&self, record: u64) -> io::Result<Vec<u8>> {
+        let mut bytes = self.inner.read(record)?;
+        // magic, version, tag, record id, then the level and the
+        // saturation flag ahead of the pattern count.
+        let level = u32::from_le_bytes(bytes[17..21].try_into().unwrap()) as usize;
+        let count_at = 4 + 4 + 1 + 8 + 4 + 1 + 4 + level;
+        bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body = bytes.len() - 8;
+        let digest = bytes[..body]
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+        bytes[body..].copy_from_slice(&digest.to_le_bytes());
+        Ok(bytes)
+    }
+    fn remove(&self, record: u64) -> io::Result<()> {
+        self.inner.remove(record)
+    }
+}
+
 /// Stores faithfully, flips one payload bit on restore.
 #[derive(Debug, Default)]
 struct BitFlipIo {
@@ -171,6 +204,23 @@ fn torn_reads_are_caught_on_restore() {
         let io = Arc::new(TornReadIo::default());
         let label = format!("torn read, {threads} threads");
         assert_fails_typed(mine_with(Arc::clone(&io) as _, threads), &label);
+        assert_backend_empty(&io.inner, &label);
+    }
+}
+
+/// A forged entry count is refused before anything is reserved for it:
+/// a typed error, never an allocation abort.
+#[test]
+fn forged_entry_count_is_caught_on_restore() {
+    for threads in [1usize, 2] {
+        let io = Arc::new(ForgedCountIo::default());
+        let label = format!("forged count, {threads} threads");
+        match mine_with(Arc::clone(&io) as _, threads) {
+            Err(MineError::SpillIo { message, .. }) => {
+                assert!(message.contains("entry count"), "{label}: {message}");
+            }
+            other => panic!("{label}: expected MineError::SpillIo, got {other:?}"),
+        }
         assert_backend_empty(&io.inner, &label);
     }
 }
