@@ -5,10 +5,13 @@
 //! `HashMap`) made the seed scan and the join fan-out allocation-bound.
 //! This module replaces both with one structure per generation:
 //!
-//! - [`PilSet`] holds every pattern of a generation in two flat
-//!   arrays — concatenated pattern codes (stride = level) and one
-//!   contiguous entry arena with per-pattern ranges. Patterns are kept
-//!   in lexicographic code order.
+//! - [`PilSet`] holds every pattern of a generation in flat arrays —
+//!   concatenated pattern codes (stride = level), entry *segments*, and
+//!   one span per pattern naming the slice of one segment that is its
+//!   PIL. Patterns are kept in lexicographic code order. A generation
+//!   built in one pass is one segment; one merged from pooled chunks
+//!   keeps each chunk's segment, so [`PilSet::concat`] moves buffers
+//!   instead of copying entries.
 //! - [`build_seed`] seeds a level directly into a [`PilSet`] using the
 //!   packed keys of [`crate::packed::KeyCodec`]: for small alphabets a
 //!   dense `σ`-ary table indexed by key absorbs every scan event with
@@ -38,29 +41,51 @@ const DENSE_KEY_BITS_MAX: u32 = 20;
 
 /// One generation of patterns with their PILs, in lexicographic code
 /// order, arena-backed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct PilSet {
     level: usize,
     /// Concatenated pattern codes; pattern `i` is
     /// `codes[i*level .. (i+1)*level]`.
     codes: Vec<u8>,
-    /// `entries[bounds[i]..bounds[i+1]]` is pattern `i`'s PIL.
-    bounds: Vec<usize>,
-    /// All `(first offset, count)` pairs of the generation.
-    entries: Vec<(u32, u64)>,
+    /// Per pattern, where its PIL starts in which segment.
+    spans: Vec<Span>,
+    /// The `(first offset, count)` pairs of the generation, in one
+    /// buffer per part it was built from;
+    /// [`push_pattern`](PilSet::push_pattern) appends to the last one.
+    /// A segment holds exactly its patterns' PILs, in pattern order, so
+    /// a PIL ends where the next pattern's begins or at its segment's
+    /// end.
+    segments: Vec<Vec<(u32, u64)>>,
     /// True when any count in this generation clamped at `u64::MAX`
     /// during seeding or joining — supports are then lower bounds.
     saturated: bool,
 }
 
+/// Where one pattern's PIL begins: an index into one segment.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    segment: usize,
+    start: usize,
+}
+
+/// Equal content, however the entries are split into segments.
+impl PartialEq for PilSet {
+    fn eq(&self, other: &PilSet) -> bool {
+        self.level == other.level
+            && self.saturated == other.saturated
+            && self.codes == other.codes
+            && self.len() == other.len()
+            && (0..self.len()).all(|i| self.entries(i) == other.entries(i))
+    }
+}
+
+impl Eq for PilSet {}
+
 impl PilSet {
     pub(crate) fn new(level: usize) -> PilSet {
         PilSet {
             level,
-            codes: Vec::new(),
-            bounds: vec![0],
-            entries: Vec::new(),
-            saturated: false,
+            ..PilSet::default()
         }
     }
 
@@ -79,14 +104,16 @@ impl PilSet {
 
     /// Total PIL entries across all patterns (the arena's payload size).
     pub(crate) fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.segments.iter().map(Vec::len).sum()
     }
 
-    /// Approximate heap bytes held by the generation's buffers.
+    /// Approximate heap bytes held by the generation's buffers: codes,
+    /// entries and the span table. It depends on the content only, not
+    /// on how the entries are split into segments.
     pub(crate) fn arena_bytes(&self) -> usize {
         self.codes.len()
-            + self.entries.len() * std::mem::size_of::<(u32, u64)>()
-            + self.bounds.len() * std::mem::size_of::<usize>()
+            + self.entry_count() * std::mem::size_of::<(u32, u64)>()
+            + self.spans.len() * std::mem::size_of::<Span>()
     }
 
     pub(crate) fn level(&self) -> usize {
@@ -95,7 +122,7 @@ impl PilSet {
 
     /// Number of patterns stored.
     pub(crate) fn len(&self) -> usize {
-        self.bounds.len() - 1
+        self.spans.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -109,7 +136,13 @@ impl PilSet {
 
     /// Pattern `i`'s PIL entries.
     pub(crate) fn entries(&self, i: usize) -> &[(u32, u64)] {
-        &self.entries[self.bounds[i]..self.bounds[i + 1]]
+        let Span { segment, start } = self.spans[i];
+        let buf = &self.segments[segment];
+        let end = match self.spans.get(i + 1) {
+            Some(next) if next.segment == segment => next.start,
+            _ => buf.len(),
+        };
+        &buf[start..end]
     }
 
     /// `sup` of pattern `i` (Property 1: sum of counts).
@@ -124,38 +157,54 @@ impl PilSet {
         (0..self.len()).map(|i| self.support(i)).max().unwrap_or(0)
     }
 
-    /// Append a pattern with pre-built entries. Patterns must arrive in
-    /// strictly ascending code order; callers uphold this.
+    /// Append a pattern with pre-built entries to the last segment.
+    /// Patterns must arrive in strictly ascending code order; callers
+    /// uphold this.
     pub(crate) fn push_pattern(&mut self, codes: &[u8], entries: &[(u32, u64)]) {
         debug_assert_eq!(codes.len(), self.level);
+        if self.segments.is_empty() {
+            self.segments.push(Vec::new());
+        }
+        let segment = self.segments.len() - 1;
+        let buf = &mut self.segments[segment];
+        self.spans.push(Span {
+            segment,
+            start: buf.len(),
+        });
+        buf.extend_from_slice(entries);
         self.codes.extend_from_slice(codes);
-        self.entries.extend_from_slice(entries);
-        self.bounds.push(self.entries.len());
     }
 
-    /// Drop all patterns, keeping the allocations, and set a new level —
-    /// the engine's serial prelude reuses generation buffers this way.
+    /// Drop all patterns and every segment but the first, keeping the
+    /// first segment's allocation, and set a new level — the engine's
+    /// serial prelude reuses generation buffers this way.
     pub(crate) fn reset(&mut self, level: usize) {
         self.level = level;
         self.codes.clear();
-        self.entries.clear();
-        self.bounds.clear();
-        self.bounds.push(0);
+        self.spans.clear();
+        self.segments.truncate(1);
+        if let Some(first) = self.segments.first_mut() {
+            first.clear();
+        }
         self.saturated = false;
     }
 
-    /// Concatenate parts (in order) into one set. Parts must hold
-    /// disjoint ascending code ranges — true for chunked candidate
-    /// generation, where chunk `k` covers left-parent indices before
-    /// chunk `k+1`'s.
+    /// Concatenate parts (in order) into one set, moving each part's
+    /// segments rather than copying its entries: the cost is in the
+    /// codes and spans, O(patterns). Parts must hold disjoint ascending
+    /// code ranges — true for chunked candidate generation, where chunk
+    /// `k` covers left-parent indices before chunk `k+1`'s.
     pub(crate) fn concat(level: usize, parts: impl IntoIterator<Item = PilSet>) -> PilSet {
         let mut out = PilSet::new(level);
         for part in parts {
             debug_assert_eq!(part.level, level);
-            let base = out.entries.len();
+            let base = out.segments.len();
             out.codes.extend_from_slice(&part.codes);
-            out.entries.extend_from_slice(&part.entries);
-            out.bounds.extend(part.bounds[1..].iter().map(|b| base + b));
+            out.spans.extend(part.spans.iter().map(|span| Span {
+                segment: base + span.segment,
+                ..*span
+            }));
+            out.segments.extend(part.segments);
             out.saturated |= part.saturated;
         }
         out
@@ -583,19 +632,64 @@ mod tests {
         assert!(without_partner > 0, "some members must lack a partner run");
     }
 
+    /// `whole` split at `cuts` into parts, each built by `push_pattern`
+    /// in one buffer of its own: a pooled level's chunk outputs.
+    fn split_into_parts(whole: &PilSet, cuts: &[usize]) -> Vec<PilSet> {
+        let mut bounds = vec![0];
+        bounds.extend_from_slice(cuts);
+        bounds.push(whole.len());
+        bounds
+            .windows(2)
+            .map(|w| {
+                let mut part = PilSet::new(whole.level());
+                for i in w[0]..w[1] {
+                    part.push_pattern(whole.pattern_codes(i), whole.entries(i));
+                }
+                part
+            })
+            .collect()
+    }
+
     #[test]
     fn concat_preserves_chunked_generation() {
-        let s = dna("ACGTTGCAACGTTACGGTCA");
-        let g = gap(0, 2);
-        let whole = build_seed(&s, g, 3);
-        let mid = whole.len() / 2;
-        let mut a = PilSet::new(3);
-        let mut b = PilSet::new(3);
-        for i in 0..whole.len() {
-            let part = if i < mid { &mut a } else { &mut b };
-            part.push_pattern(whole.pattern_codes(i), whole.entries(i));
+        let s = dna("ACGTTGCAACGTTACGGTCAAGCTTAGC");
+        let whole = build_seed(&s, gap(0, 2), 3);
+        let n = whole.len();
+        assert!(n >= 8, "fixture needs a few patterns per part");
+        // An empty part in the middle, as a chunk with no survivors: it
+        // never allocated a segment, so it adds none.
+        let merged = PilSet::concat(3, split_into_parts(&whole, &[n / 3, n / 3, 2 * n / 3]));
+        assert_eq!(merged.segments.len(), 3);
+        assert_eq!(merged, whole);
+        assert_eq!(merged.len(), n);
+        for i in 0..n {
+            assert_eq!(merged.pattern_codes(i), whole.pattern_codes(i));
+            assert_eq!(merged.entries(i), whole.entries(i), "pattern {i}");
+            assert_eq!(merged.support(i), whole.support(i), "pattern {i}");
         }
-        assert_eq!(PilSet::concat(3, [a, b]), whole);
+        assert_eq!(merged.max_support(), whole.max_support());
+        assert_eq!(merged.entry_count(), whole.entry_count());
+        assert_eq!(merged.arena_bytes(), whole.arena_bytes());
+        assert_eq!(merged.into_pil_map(), whole.into_pil_map());
+    }
+
+    #[test]
+    fn concat_moves_segments_without_copying() {
+        let s = dna("ACGTTGCAACGTTACGGTCAAGCTTAGC");
+        let whole = build_seed(&s, gap(0, 2), 3);
+        let parts = split_into_parts(&whole, &[whole.len() / 2]);
+        let addresses: Vec<*const (u32, u64)> = parts
+            .iter()
+            .flat_map(|part| (0..part.len()).map(move |k| part.entries(k).as_ptr()))
+            .collect();
+        let merged = PilSet::concat(3, parts);
+        for (i, &address) in addresses.iter().enumerate() {
+            assert_eq!(
+                merged.entries(i).as_ptr(),
+                address,
+                "pattern {i} was copied"
+            );
+        }
     }
 
     #[test]
@@ -640,11 +734,37 @@ mod tests {
         let s = dna("ACGTACGT");
         let mut set = build_seed(&s, gap(0, 1), 2);
         assert!(!set.is_empty());
-        let cap = set.entries.capacity();
+        let cap = set.segments[0].capacity();
         set.reset(3);
         assert!(set.is_empty());
         assert_eq!(set.level(), 3);
-        assert_eq!(set.entries.capacity(), cap);
+        assert_eq!(set.segments[0].capacity(), cap);
+
+        // A pooled generation keeps only its first segment, and the
+        // reused buffer takes the next generation as one segment.
+        let whole = build_seed(&dna("ACGTTGCAACGTTACGGTCAAGCTTAGC"), gap(0, 2), 3);
+        let parts = split_into_parts(&whole, &[whole.len() / 2]);
+        let first_cap = parts[0].segments[0].capacity();
+        let mut merged = PilSet::concat(3, parts);
+        assert_eq!(merged.segments.len(), 2);
+        merged.reset(4);
+        assert!(merged.is_empty());
+        assert_eq!(merged.segments.len(), 1);
+        assert_eq!(merged.segments[0].capacity(), first_cap);
+        merged.push_pattern(&[0, 1, 2, 3], &[(1, 2)]);
+        assert_eq!(merged.entries(0), &[(1, 2)]);
+        assert_eq!(merged.segments.len(), 1);
+    }
+
+    #[test]
+    fn arena_bytes_counts_the_span_table() {
+        let mut set = PilSet::new(2);
+        assert_eq!(set.arena_bytes(), 0);
+        set.push_pattern(&[0, 1], &[(1, 1), (4, 2)]);
+        set.push_pattern(&[0, 2], &[]);
+        let entry = std::mem::size_of::<(u32, u64)>();
+        let span = std::mem::size_of::<Span>();
+        assert_eq!(set.arena_bytes(), 2 * 2 + 2 * entry + 2 * span);
     }
 
     #[test]

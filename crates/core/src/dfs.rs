@@ -7,18 +7,24 @@
 //! are written to the next generation's arena. Nothing is stored for a
 //! candidate that fails both bounds.
 //!
-//! The run starts breadth-first (the *prelude*) and stays so while the
-//! survivor set is one connected prefix-run component. As soon as the
-//! survivors split into two or more components it hands each component
-//! to the worker pool as an independent **depth-first subtree task**.
-//! Inside a subtree the engine keeps a *double-buffered* chain — the
-//! parent generation and the generation under construction — so live
-//! arena bytes along a chain are O(deepest chain), not O(widest level).
+//! The run starts breadth-first (the *prelude*). When the survivors
+//! split into two or more prefix-run components it may *hand off*: each
+//! component goes to the worker pool as an independent **depth-first
+//! subtree task**. Inside a subtree the engine keeps a
+//! *double-buffered* chain — the parent generation and the generation
+//! under construction — so live arena bytes along a chain are
+//! O(deepest chain), not O(widest level).
 //!
-//! Serial mining is `threads = 1`: no pool is spawned and the calling
-//! thread runs every chunk and subtree itself. With more threads, a
-//! wide prelude level is split into chunks of left parents, and the
-//! subtrees of a split are claimed off one shared [`WorkerPool`].
+//! Serial mining is `threads = 1`: no pool is spawned, the calling
+//! thread runs every chunk and subtree itself, and the first split
+//! always hands off. With more threads, a wide prelude level is split
+//! into chunks of left parents on one shared [`WorkerPool`], and a
+//! split hands off only when no component holds more than half of the
+//! survivors: a subtree runs on one worker, so a dominant component
+//! would leave the others idle. A lopsided split stays in the chunked
+//! prelude until a later level splits evenly. A run with a spill
+//! backend hands off at the first split at every thread count, because
+//! that is where spilling is decided.
 //!
 //! All right parents of one left parent share a single walk of the
 //! left PIL ([`crate::pil::join_multi_into`]) instead of re-scanning it
@@ -973,7 +979,19 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                 return Ok(());
             }
             let index = JoinIndex::new(&current, &kept);
-            if let Some(mut comps) = split_components(&kept, &index) {
+            // Hand off by work, not by connectivity: on a pool, a
+            // component holding more than half of the survivors would
+            // run as one subtree on one worker while the others idle,
+            // so the prelude keeps chunking the level. One thread always
+            // hands off (its depth-first chains keep memory low), and so
+            // does a run that may spill, which decides at the first
+            // split at every thread count.
+            let hand_off = |comps: &Vec<Vec<usize>>| {
+                threads == 1
+                    || spill_io.is_some()
+                    || comps.iter().all(|comp| 2 * comp.len() <= kept.len())
+            };
+            if let Some(mut comps) = split_components(&kept, &index).filter(hand_off) {
                 // Subtree tasks allocate their own generations: free the
                 // prelude's spare buffers before they run.
                 drop(std::mem::take(&mut spare));
@@ -1132,8 +1150,11 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                 return Ok(());
             }
 
-            // One component: eager-generate the next level, pooled when
-            // the fan-out is wide enough to pay for chunk handoff.
+            // One component, or a lopsided split on a pool:
+            // eager-generate the next level, pooled when the fan-out is
+            // wide enough to pay for chunk handoff. The prelude never
+            // depended on connectivity; components only make subtrees
+            // independent.
             let gen_started = Instant::now();
             let first_row = bounds.row(level + 1).clone();
             let (next, mut agg) = match &pool {
@@ -1304,7 +1325,7 @@ mod tests {
     use crate::parallel::{mpp_parallel, mpp_parallel_traced};
     use crate::reference::mpp_reference;
     use crate::trace::{MetricsObserver, NoopObserver};
-    use perigap_seq::gen::iid::uniform;
+    use perigap_seq::gen::iid::{uniform, weighted};
     use perigap_seq::Alphabet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1397,6 +1418,109 @@ mod tests {
                 assert!(ev.batches > 0);
             }
         }
+    }
+
+    /// A/T-rich DNA whose survivors first split at level 6, with 2,743
+    /// of the 2,744 in one component (gap 0:5, ρ = 1e-4, `n = 8`).
+    fn lopsided_split_fixture() -> Sequence {
+        let weights = [0.35, 0.15, 0.15, 0.35];
+        weighted(
+            &mut StdRng::seed_from_u64(0),
+            Alphabet::Dna,
+            1_200,
+            &weights,
+        )
+    }
+
+    #[test]
+    fn lopsided_split_stays_on_the_pool() {
+        let seq = lopsided_split_fixture();
+        let (g, rho) = (gap(0, 5), 1e-4);
+        let reference = mpp_reference(&seq, g, rho, 8, MppConfig::default(), 1).unwrap();
+        let mut serial = MetricsObserver::new();
+        let one =
+            mpp_parallel_traced(&seq, g, rho, 8, MppConfig::default(), 1, &mut serial).unwrap();
+        assert_counters_match(&one, &reference, "1 thread");
+        assert!(
+            !serial.subtrees.is_empty(),
+            "one thread still hands the split off"
+        );
+
+        let mut pooled = MetricsObserver::new();
+        let two =
+            mpp_parallel_traced(&seq, g, rho, 8, MppConfig::default(), 2, &mut pooled).unwrap();
+        assert_counters_match(&two, &one, "2 threads");
+        assert_eq!(pooled.levels.len(), serial.levels.len());
+        for (a, b) in pooled.levels.iter().zip(&serial.levels) {
+            let counters = |e: &LevelEvent| {
+                (
+                    e.level,
+                    e.candidates,
+                    e.evaluated,
+                    e.frequent,
+                    e.kept,
+                    e.joins,
+                    e.probed,
+                )
+            };
+            assert_eq!(counters(a), counters(b));
+        }
+        let kept: BTreeMap<usize, usize> =
+            pooled.levels.iter().map(|e| (e.level, e.kept)).collect();
+        for ev in &pooled.subtrees {
+            assert!(
+                2 * ev.patterns <= kept[&ev.level],
+                "subtree {} holds {} of the {} patterns kept at level {}",
+                ev.index,
+                ev.patterns,
+                kept[&ev.level],
+                ev.level
+            );
+        }
+        assert!(
+            pooled.pool.iter().any(|p| p.level == 7),
+            "the lopsided level-6 split must be chunked on the pool"
+        );
+    }
+
+    #[test]
+    fn spill_backend_keeps_the_handoff_at_two_threads() {
+        use crate::spill::MemSpillIo;
+        let seq = lopsided_split_fixture();
+        let (g, rho) = (gap(0, 5), 1e-4);
+        let free = mpp_parallel(&seq, g, rho, 8, MppConfig::default(), 2).unwrap();
+        // A zero watermark spills at the first split; the ceiling is
+        // far above anything the run holds. The spill must happen at
+        // the same split, with the same records, at both thread counts.
+        let mut spills = Vec::new();
+        for threads in [1usize, 2] {
+            let config = MppConfig {
+                max_arena_bytes: Some(1 << 40),
+                spill_watermark: 0.0,
+                spill_io: Some(Arc::new(MemSpillIo::default())),
+                ..MppConfig::default()
+            };
+            let mut metrics = MetricsObserver::new();
+            let spilled =
+                mpp_parallel_traced(&seq, g, rho, 8, config, threads, &mut metrics).unwrap();
+            let label = format!("spill on {threads} threads");
+            assert_counters_match(&spilled, &free, &label);
+            assert!(spilled.stats.spilled_records >= 1, "{label}: must spill");
+            assert_eq!(
+                spilled.stats.restored_records, spilled.stats.spilled_records,
+                "{label}"
+            );
+            assert_eq!(
+                spilled.stats.restored_bytes, spilled.stats.spilled_bytes,
+                "{label}"
+            );
+            let [ev] = &metrics.spills[..] else {
+                panic!("{label}: {} spill events", metrics.spills.len());
+            };
+            spills.push((ev.level, ev.records, ev.bytes));
+        }
+        assert_eq!(spills[0], spills[1], "the spill decision moved");
+        assert_eq!(spills[0].0, 6, "spilled at the first split");
     }
 
     #[test]

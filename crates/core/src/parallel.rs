@@ -10,9 +10,11 @@
 //! could.
 //!
 //! Determinism is preserved: item results are merged in item order
-//! (prelude chunks partition the sorted left parents, so concatenation
-//! is already globally sorted) and the final outcome is sorted exactly
-//! like the serial run's. Output is byte-identical to
+//! (prelude chunks partition the sorted left parents, so their outputs
+//! in chunk order are already globally sorted, and
+//! [`crate::arena::PilSet::concat`] moves their entry buffers into the
+//! next generation without copying them) and the final outcome is
+//! sorted exactly like the serial run's. Output is byte-identical to
 //! [`crate::mpp::mpp`], which is the same engine on one thread.
 //!
 //! ## Failure handling

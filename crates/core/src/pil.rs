@@ -18,8 +18,8 @@
 //!
 //! This type is the public, per-pattern view. The miners do not
 //! traverse `HashMap<Pattern, Pil>` internally: generations live in the
-//! arena-backed [`crate::arena::PilSet`] (one contiguous entry buffer
-//! per generation, patterns as packed integer keys during seeding — see
+//! arena-backed [`crate::arena::PilSet`] (entry buffers shared by a
+//! whole generation, patterns as packed integer keys during seeding — see
 //! [`crate::packed::KeyCodec`]), and [`Pil::build_all`] is a conversion
 //! shell over that engine. [`Pil::join`] short-circuits when either
 //! side is empty and pre-reserves the output from the overlap span of

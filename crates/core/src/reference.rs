@@ -28,7 +28,7 @@ use crate::pil::Pil;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use perigap_seq::Sequence;
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Same threshold as the production engine, so the comparison isolates
 /// engine structure rather than tuning.
@@ -131,9 +131,13 @@ fn run_reference(
     current.sort_by(|a, b| a.0.codes().cmp(b.0.codes()));
     let mut level = start;
     let mut candidates_at_level: u128 = sigma.saturating_pow(start as u32);
+    // The join that produced `level`, charged to that level's row the
+    // way the engine charges each generation to the level it produces
+    // (DESIGN §8), so row `l` of both miners times the same work.
+    let mut produced_in = Duration::ZERO;
 
     while level <= hard_cap {
-        let level_started = Instant::now();
+        let filter_started = Instant::now();
         if counts.n(level).is_zero() {
             break;
         }
@@ -161,22 +165,19 @@ fn run_reference(
                 kept.push((pattern, pil));
             }
         }
-        let extended = kept.len();
-        let push_stats = |stats: &mut MineStats, elapsed| {
-            stats.levels.push(LevelStats {
-                level,
-                candidates: candidates_at_level,
-                frequent: frequent_here,
-                extended,
-                elapsed,
-            });
-        };
+        stats.levels.push(LevelStats {
+            level,
+            candidates: candidates_at_level,
+            frequent: frequent_here,
+            extended: kept.len(),
+            elapsed: produced_in + filter_started.elapsed(),
+        });
         if kept.is_empty() || level == hard_cap {
-            push_stats(&mut stats, level_started.elapsed());
             break;
         }
 
         // Join phase, fanned out with a fresh spawn per level.
+        let join_started = Instant::now();
         let mut by_prefix: HashMap<&[u8], Vec<usize>> = HashMap::new();
         for (idx, (pattern, _)) in kept.iter().enumerate() {
             by_prefix
@@ -210,8 +211,8 @@ fn run_reference(
                     (merged, saturated)
                 })
             };
+        produced_in = join_started.elapsed();
         stats.support_saturated |= joins_saturated;
-        push_stats(&mut stats, level_started.elapsed());
         candidates_at_level = next.len() as u128;
         if next.is_empty() {
             break;

@@ -412,6 +412,18 @@ mod tests {
             let back = decode_record(7, &bytes).unwrap();
             assert_eq!(back, set);
             assert_eq!(back.saturated(), saturated);
+
+            // A pooled generation, whose chunk outputs were merged by
+            // moving their buffers, writes the same record.
+            let mid = set.len() / 2;
+            let mut parts = [PilSet::new(set.level()), PilSet::new(set.level())];
+            for i in 0..set.len() {
+                parts[usize::from(i >= mid)].push_pattern(set.pattern_codes(i), set.entries(i));
+            }
+            let mut merged = PilSet::concat(set.level(), parts);
+            merged.set_saturated(saturated);
+            assert_eq!(encode_record(7, &merged, &members), bytes);
+            assert_eq!(decode_record(7, &bytes).unwrap(), merged);
         }
     }
 

@@ -1334,11 +1334,51 @@ pub struct TraceReport {
     pub aborted: bool,
 }
 
+/// A `pool` event's worker breakdown accounts for the job: the
+/// workers' `chunks` sum to the event's, and every worker reports a
+/// non-negative `busy_ms` and `idle_ms`.
+fn check_pool(value: &Json) -> Result<(), String> {
+    let chunks = value
+        .get("chunks")
+        .and_then(Json::as_usize)
+        .ok_or("without chunks")?;
+    let workers = value
+        .get("workers")
+        .and_then(Json::as_arr)
+        .ok_or("without workers")?;
+    let mut claimed = 0usize;
+    for (w, worker) in workers.iter().enumerate() {
+        let mine = worker
+            .get("chunks")
+            .and_then(Json::as_usize)
+            .ok_or(format!("worker {w} without chunks"))?;
+        claimed = claimed
+            .checked_add(mine)
+            .ok_or("worker chunks overflow a count")?;
+        for key in ["busy_ms", "idle_ms"] {
+            let ms = worker
+                .get(key)
+                .and_then(Json::as_f64)
+                .ok_or(format!("worker {w} without {key}"))?;
+            if ms < 0.0 {
+                return Err(format!("worker {w} {key} {ms} is negative"));
+            }
+        }
+    }
+    if claimed != chunks {
+        return Err(format!(
+            "workers claim {claimed} chunks, the event says {chunks}"
+        ));
+    }
+    Ok(())
+}
+
 /// Validate a JSONL trace against the schema: every line parses as an
 /// object with an `"event"` field; `level` events are strictly
-/// increasing in level; exactly one `summary` line exists, comes last,
-/// and its totals match the level events. A trace may instead end in
-/// one `abort` line (and then carries no `summary`).
+/// increasing in level; every `pool` event's workers account for its
+/// chunks; exactly one `summary` line exists, comes last, and its
+/// totals match the level events. A trace may instead end in one
+/// `abort` line (and then carries no `summary`).
 pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
     let mut report = TraceReport::default();
     let mut last_level: Option<usize> = None;
@@ -1407,7 +1447,8 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
                     .and_then(Json::as_str)
                     .ok_or(format!("line {lineno}: warning event without message"))?;
             }
-            "seed" | "pool" | "subtree" | "em" | "spill" | "restore" | "query" | "diff" => {}
+            "pool" => check_pool(&value).map_err(|e| format!("line {lineno}: pool event {e}"))?,
+            "seed" | "subtree" | "em" | "spill" | "restore" | "query" | "diff" => {}
             other => return Err(format!("line {lineno}: unknown event {other:?}")),
         }
     }
@@ -1666,6 +1707,52 @@ mod tests {
             rendered.contains("query support: 3 served | 1 errors"),
             "{rendered}"
         );
+    }
+
+    #[test]
+    fn validator_checks_pool_events() {
+        let good = r#"{"event": "pool", "level": 4, "chunks": 3, "workers": [{"worker": 0, "chunks": 1, "busy_ms": 1.0, "idle_ms": 0.5}, {"worker": 1, "chunks": 2, "busy_ms": 1.5, "idle_ms": 0}]}"#;
+        let summary = r#"{"event": "summary", "frequent": 0, "total_candidates": 0, "levels": 0}"#;
+        validate_trace(&format!("{good}\n{summary}\n")).unwrap();
+        let bad = [
+            (
+                r#"{"event": "pool", "level": 4, "workers": [{"worker": 0, "chunks": 1, "busy_ms": 1.0, "idle_ms": 0.5}]}"#,
+                "without chunks",
+            ),
+            (
+                r#"{"event": "pool", "level": 4, "chunks": 2, "workers": [{"worker": 0, "chunks": 1, "busy_ms": 1.0, "idle_ms": 0.5}]}"#,
+                "claim 1 chunks",
+            ),
+            (
+                r#"{"event": "pool", "level": 4, "chunks": 1, "workers": [{"worker": 0, "busy_ms": 1.0, "idle_ms": 0.5}]}"#,
+                "worker 0 without chunks",
+            ),
+            (
+                r#"{"event": "pool", "level": 4, "chunks": 1, "workers": [{"worker": 0, "chunks": 18446744073709551615, "busy_ms": 1.0, "idle_ms": 0.5}, {"worker": 1, "chunks": 2, "busy_ms": 1.0, "idle_ms": 0.5}]}"#,
+                "overflow",
+            ),
+            (
+                r#"{"event": "pool", "level": 4, "chunks": 1, "workers": [{"worker": 0, "chunks": 1, "idle_ms": 0.5}]}"#,
+                "without busy_ms",
+            ),
+            (
+                r#"{"event": "pool", "level": 4, "chunks": 1, "workers": [{"worker": 0, "chunks": 1, "busy_ms": 1.0}]}"#,
+                "without idle_ms",
+            ),
+            (
+                r#"{"event": "pool", "level": 4, "chunks": 1, "workers": [{"worker": 0, "chunks": 1, "busy_ms": -1.0, "idle_ms": 0.5}]}"#,
+                "busy_ms -1 is negative",
+            ),
+            (
+                r#"{"event": "pool", "level": 4, "chunks": 1, "workers": [{"worker": 0, "chunks": 1, "busy_ms": 1.0, "idle_ms": -0.5}]}"#,
+                "idle_ms -0.5 is negative",
+            ),
+        ];
+        for (line, want) in bad {
+            let err = validate_trace(&format!("{line}\n{summary}\n")).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+            assert!(err.starts_with("line 1: pool event"), "{err}");
+        }
     }
 
     #[test]
