@@ -6,7 +6,6 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use perigap_bench::data::ax_fragment;
 use perigap_core::mpp::{mpp, MppConfig};
 use perigap_core::mppm::mppm;
-use perigap_core::parallel::mpp_parallel;
 use perigap_core::pil::{join_multi_into, JoinCounters, MultiJoinScratch, Pil};
 use perigap_core::profile::{mine_with_profile, GapProfile};
 use perigap_core::GapRequirement;
@@ -63,12 +62,17 @@ fn bench_parallel_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("mpp_threads");
     group.sample_size(10);
     for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| {
-                mpp_parallel(black_box(&seq), gap(), RHO, 30, MppConfig::default(), t)
-                    .expect("runs")
-            });
-        });
+        let config = MppConfig {
+            threads,
+            ..MppConfig::default()
+        };
+        group.bench_with_input(
+            BenchmarkId::from_parameter(threads),
+            &config,
+            |b, config| {
+                b.iter(|| mpp(black_box(&seq), gap(), RHO, 30, config.clone()).expect("runs"));
+            },
+        );
     }
     group.finish();
 }

@@ -6,7 +6,7 @@
 //!    ([`perigap_core::reference::build_all_reference`]) vs the
 //!    packed-key arena path behind [`Pil::build_all`], DNA, L = 100 000,
 //!    gap `[0, 9]` — the ISSUE-1 acceptance config (≥ 2× required);
-//! 2. **end-to-end mining**: `mpp_parallel` at 8 threads (persistent
+//! 2. **end-to-end mining**: `mpp` at 8 threads (persistent
 //!    pool) vs the seed per-level-spawn miner
 //!    ([`perigap_core::reference::mpp_reference`]) on the same config,
 //!    with per-level wall-clock from both engines;
@@ -55,9 +55,7 @@
 
 use super::timed;
 use crate::data::scaling_sequence;
-use perigap_core::mpp::{mpp, mpp_traced, MppConfig};
-use perigap_core::mppm::mppm_traced;
-use perigap_core::parallel::{mpp_parallel, mpp_parallel_traced};
+use perigap_core::mpp::{mine, mpp, Algorithm, MppConfig};
 use perigap_core::pil::{join_multi_into, JoinCounters, MultiJoinScratch, Pil};
 use perigap_core::reference::{build_all_reference, mpp_reference};
 use perigap_core::result::MineOutcome;
@@ -167,12 +165,15 @@ pub fn run(quick: bool) {
     let corpus_scale = corpus_scale(quick);
     let e2e_seq = scaling_sequence(e2e_len);
     let config = MppConfig::default();
+    let pooled = MppConfig {
+        threads,
+        ..MppConfig::default()
+    };
 
     let mut matrix = String::from("[");
     for (i, &len) in matrix_lens.iter().enumerate() {
         let seq = scaling_sequence(len);
-        let (outcome, total) =
-            timed(|| mpp_parallel(&seq, gap, RHO, N, config.clone(), threads).unwrap());
+        let (outcome, total) = timed(|| mpp(&seq, gap, RHO, N, pooled.clone()).unwrap());
         println!(
             "bench: matrix L = {len}: {:.1} ms over {} levels",
             ms(total),
@@ -201,14 +202,22 @@ pub fn run(quick: bool) {
     let pp_m = 8;
     let pp_seq = scaling_sequence(pp_len);
     let mut lambda_metrics = MetricsObserver::new();
-    let lambda = mpp_traced(&pp_seq, gap, RHO, N, config.clone(), &mut lambda_metrics).unwrap();
-    let mut lambda_prime_metrics = MetricsObserver::new();
-    let lambda_prime = mppm_traced(
+    let lambda = mine(
         &pp_seq,
         gap,
         RHO,
-        pp_m,
-        config.clone(),
+        Algorithm::Mpp { n: N },
+        &config,
+        &mut lambda_metrics,
+    );
+    let lambda = lambda.unwrap();
+    let mut lambda_prime_metrics = MetricsObserver::new();
+    let lambda_prime = mine(
+        &pp_seq,
+        gap,
+        RHO,
+        Algorithm::Mppm { m: pp_m },
+        &config,
         &mut lambda_prime_metrics,
     )
     .unwrap();
@@ -260,7 +269,7 @@ pub fn run(quick: bool) {
     println!("bench: wrote BENCH_mining.json");
 }
 
-/// End-to-end mining on the acceptance config: `mpp_parallel` at
+/// End-to-end mining on the acceptance config: `mpp` at
 /// [`threads`] threads (persistent pool) vs the seed per-level-spawn
 /// reference miner, per-level wall-clock from both. Returns the JSON
 /// fragment for the `end_to_end` key.
@@ -271,12 +280,15 @@ pub fn end_to_end(quick: bool) -> String {
     let reps = if quick { 2 } else { 3 };
     println!("bench: end-to-end mpp, {threads} threads, L = {e2e_len}, rho = {RHO}");
     let e2e_seq = scaling_sequence(e2e_len);
-    let config = MppConfig::default();
+    let config = MppConfig {
+        threads,
+        ..MppConfig::default()
+    };
     let (old_outcome, e2e_ref) = best_of(reps.min(2), || {
         mpp_reference(&e2e_seq, gap, RHO, N, config.clone(), threads).unwrap()
     });
     let (new_outcome, e2e_new) = best_of(reps.min(2), || {
-        mpp_parallel(&e2e_seq, gap, RHO, N, config.clone(), threads).unwrap()
+        mpp(&e2e_seq, gap, RHO, N, config.clone()).unwrap()
     });
     assert_eq!(
         old_outcome.frequent.len(),
@@ -369,12 +381,12 @@ pub fn corpus_scale(quick: bool) -> String {
         .max_by_key(|s| s.len())
         .expect("non-empty corpus");
     let mut peak_metrics = MetricsObserver::new();
-    mpp_traced(
+    mine(
         longest,
         gap,
         RHO,
-        N,
-        MppConfig::default(),
+        Algorithm::Mpp { n: N },
+        &MppConfig::default(),
         &mut peak_metrics,
     )
     .expect("unbounded peak probe");
@@ -387,11 +399,11 @@ pub fn corpus_scale(quick: bool) -> String {
     let config = |checkpoint: Option<CheckpointConfig>, threads: usize| CorpusMineConfig {
         n: N,
         min_sequences: 1,
-        threads,
         mpp: MppConfig {
             max_arena_bytes: Some(ceiling),
             spill_dir: Some(scratch.join("spill")),
             spill_watermark: 0.0,
+            threads,
             ..MppConfig::default()
         },
         checkpoint,
@@ -476,21 +488,22 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
         "bench: spill overhead, {engine_threads} threads, L = {}",
         seq.len()
     );
+    let unbounded = MppConfig {
+        threads: engine_threads,
+        ..MppConfig::default()
+    };
     let mut metrics = MetricsObserver::new();
-    let base = mpp_parallel_traced(
+    let base = mine(
         seq,
         gap,
         RHO,
-        N,
-        MppConfig::default(),
-        engine_threads,
+        Algorithm::Mpp { n: N },
+        &unbounded,
         &mut metrics,
     )
     .unwrap();
     let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes;
-    let (_, unbounded_wall) = best_of(reps, || {
-        mpp_parallel(seq, gap, RHO, N, MppConfig::default(), engine_threads).unwrap()
-    });
+    let (_, unbounded_wall) = best_of(reps, || mpp(seq, gap, RHO, N, unbounded.clone()).unwrap());
     let dir = std::env::temp_dir().join(format!("perigap-bench-spill-{}", std::process::id()));
     let mut rows = Vec::new();
     for pct in [150usize, 100, 75] {
@@ -499,17 +512,15 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
             max_arena_bytes: Some(cap),
             spill_dir: Some(dir.clone()),
             spill_watermark: 0.0,
-            ..MppConfig::default()
+            ..unbounded.clone()
         };
-        match mpp_parallel(seq, gap, RHO, N, config.clone(), engine_threads) {
+        match mpp(seq, gap, RHO, N, config.clone()) {
             Ok(outcome) => {
                 assert_eq!(
                     outcome.frequent, base.frequent,
                     "spilling changed the pattern set at {pct}% ceiling"
                 );
-                let (_, wall) = best_of(reps, || {
-                    mpp_parallel(seq, gap, RHO, N, config.clone(), engine_threads).unwrap()
-                });
+                let (_, wall) = best_of(reps, || mpp(seq, gap, RHO, N, config.clone()).unwrap());
                 let overhead = wall.as_secs_f64() / unbounded_wall.as_secs_f64();
                 println!(
                     "  ceiling {pct}% ({cap} B): {:.1} ms ({overhead:.2}x) | {} records / {} B spilled",
@@ -828,19 +839,19 @@ fn top_k_pruning_at(len: usize, reps: usize) -> String {
             gap.min(),
             gap.max()
         );
-        let config = MppConfig::default();
-        let (full, full_wall) = best_of(reps, || {
-            mpp_parallel(&seq, gap, rho, N, config.clone(), threads).unwrap()
-        });
+        let config = MppConfig {
+            threads,
+            ..MppConfig::default()
+        };
+        let (full, full_wall) = best_of(reps, || mpp(&seq, gap, rho, N, config.clone()).unwrap());
         let mut rows = Vec::new();
         for k in ks {
             let topk_cfg = MppConfig {
                 prune: PruneMode::top_k(k),
                 ..config.clone()
             };
-            let (pruned, topk_wall) = best_of(reps, || {
-                mpp_parallel(&seq, gap, rho, N, topk_cfg.clone(), threads).unwrap()
-            });
+            let (pruned, topk_wall) =
+                best_of(reps, || mpp(&seq, gap, rho, N, topk_cfg.clone()).unwrap());
             // The oracle: post-filter the full mine. Its cost counts
             // toward the baseline the pruned run is up against.
             let (oracle, filter_wall) = best_of(reps, || select_top_k(&full.frequent, k));
@@ -905,7 +916,7 @@ pub fn incremental_speedup(quick: bool) -> String {
 
 fn incremental_speedup_at(len: usize, reps: usize, enforce: bool) -> String {
     use perigap_core::trace::NoopObserver;
-    use perigap_core::{mine_incremental, EngineSelection, IncrementalMode};
+    use perigap_core::{mine_incremental, IncrementalMode};
 
     // Rigid gap: the delta path needs W = 1. The workload is the
     // paper's eukaryote-fragment finding made rigid — a Markov
@@ -918,7 +929,7 @@ fn incremental_speedup_at(len: usize, reps: usize, enforce: bool) -> String {
     // the Markov background dies out by level 4.
     let gap = GapRequirement::new(0, 0).unwrap();
     let rho = 0.008;
-    let engine = EngineSelection::Mpp { n: N };
+    let algorithm = Algorithm::Mpp { n: N };
     let config = MppConfig::default();
     println!("bench: incremental speedup, rigid gap [0, 0], L = {len}, rho = {rho}, n = {N}");
 
@@ -953,9 +964,8 @@ fn incremental_speedup_at(len: usize, reps: usize, enforce: bool) -> String {
         &base,
         gap,
         rho,
-        &engine,
+        algorithm,
         &config,
-        1,
         &cache,
         &mut NoopObserver,
     )
@@ -985,9 +995,8 @@ fn incremental_speedup_at(len: usize, reps: usize, enforce: bool) -> String {
                     &grown,
                     gap,
                     rho,
-                    &engine,
+                    algorithm,
                     &config,
-                    1,
                     &cache,
                     &mut NoopObserver,
                 )
@@ -1068,7 +1077,15 @@ mod tests {
         let seq = scaling_sequence(2_000);
         let gap = GapRequirement::new(0, 2).unwrap();
         let mut metrics = MetricsObserver::new();
-        let outcome = mpp_traced(&seq, gap, 0.001, 5, MppConfig::default(), &mut metrics).unwrap();
+        let outcome = mine(
+            &seq,
+            gap,
+            0.001,
+            Algorithm::Mpp { n: 5 },
+            &MppConfig::default(),
+            &mut metrics,
+        )
+        .unwrap();
         assert_eq!(metrics.levels.len(), outcome.stats.levels.len());
         let json = pruning_json(&metrics.levels);
         assert!(json.contains("\"pruned_bound\""), "{json}");
@@ -1116,7 +1133,17 @@ mod tests {
     fn level_json_shape() {
         let seq = scaling_sequence(2_000);
         let gap = GapRequirement::new(0, 2).unwrap();
-        let outcome = mpp_parallel(&seq, gap, 0.001, 5, MppConfig::default(), 2).unwrap();
+        let outcome = mpp(
+            &seq,
+            gap,
+            0.001,
+            5,
+            MppConfig {
+                threads: 2,
+                ..MppConfig::default()
+            },
+        )
+        .unwrap();
         let json = level_json(&outcome);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"level\": 3"));

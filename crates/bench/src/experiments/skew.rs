@@ -271,14 +271,18 @@ mod tests {
 
     #[test]
     fn real_parallel_trace_round_trips() {
-        use perigap_core::mpp::MppConfig;
-        use perigap_core::parallel::mpp_parallel_traced;
+        use perigap_core::mpp::{mine, Algorithm, MppConfig};
         use perigap_core::trace::JsonlObserver;
         use perigap_core::GapRequirement;
         let seq = crate::data::scaling_sequence(4_000);
         let gap = GapRequirement::new(0, 9).unwrap();
         let mut sink = JsonlObserver::new(Vec::new());
-        mpp_parallel_traced(&seq, gap, 0.003e-2, 8, MppConfig::default(), 4, &mut sink).unwrap();
+        let config = MppConfig {
+            threads: 4,
+            ..MppConfig::default()
+        };
+        let mpp = Algorithm::Mpp { n: 8 };
+        mine(&seq, gap, 0.003e-2, mpp, &config, &mut sink).unwrap();
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         let out = render(&text).unwrap();
         assert!(

@@ -3,14 +3,13 @@
 //! Supports `--key value`, `--key=value` and bare flags; unknown keys
 //! are errors so typos fail loudly.
 
-use std::collections::HashMap;
-
 /// Parsed arguments: positional words plus `--key value` options.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     positional: Vec<String>,
-    options: HashMap<String, String>,
-    flags: Vec<String>,
+    /// Every `--key` in command-line order, with its value; a bare flag
+    /// carries none.
+    given: Vec<(String, Option<String>)>,
 }
 
 /// An argument-parsing error with a user-facing message.
@@ -46,7 +45,7 @@ impl Args {
                     if inline_value.is_some() {
                         return Err(ArgError(format!("--{key} takes no value")));
                     }
-                    out.flags.push(key);
+                    out.given.push((key, None));
                 } else if value_keys.contains(&key.as_str()) {
                     let value = match inline_value {
                         Some(v) => v,
@@ -54,9 +53,10 @@ impl Args {
                             .next()
                             .ok_or_else(|| ArgError(format!("--{key} needs a value")))?,
                     };
-                    if out.options.insert(key.clone(), value).is_some() {
+                    if out.get(&key).is_some() {
                         return Err(ArgError(format!("--{key} given twice")));
                     }
+                    out.given.push((key, Some(value)));
                 } else {
                     return Err(ArgError(format!("unknown option --{key}")));
                 }
@@ -72,14 +72,22 @@ impl Args {
         &self.positional
     }
 
+    /// Every option and flag given, in command-line order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.given.iter().map(|(key, _)| key.as_str())
+    }
+
     /// An option's raw value.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+        self.given
+            .iter()
+            .find(|(k, v)| k == key && v.is_some())
+            .and_then(|(_, v)| v.as_deref())
     }
 
     /// Whether a bare flag was passed.
     pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+        self.given.iter().any(|(k, v)| k == key && v.is_none())
     }
 
     /// A required option.
@@ -155,6 +163,7 @@ mod tests {
         assert_eq!(a.get("rho"), Some("0.003%"));
         assert!(a.flag("verify"));
         assert!(!a.flag("quick"));
+        assert_eq!(a.keys().collect::<Vec<_>>(), ["gap", "rho", "verify"]);
     }
 
     #[test]

@@ -6,13 +6,11 @@ use perigap_core::adaptive::adaptive_mpp;
 use perigap_core::corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig};
 use perigap_core::enumerate::enumerate;
 use perigap_core::mpp::MppConfig;
-use perigap_core::mppm::mppm_parallel_traced;
 use perigap_core::multiseq::{mine_collection, CollectionOutcome};
-use perigap_core::parallel::mpp_parallel_traced;
-use perigap_core::trace::{validate_trace, JsonlObserver, MetricsObserver};
+use perigap_core::trace::{validate_trace, JsonlObserver, MetricsObserver, NoopObserver};
 use perigap_core::verify::verify_outcome;
 use perigap_core::{
-    mine_incremental, BaselineDiff, EngineSelection, GapRequirement, IncrementalMode, MineError,
+    mine, mine_incremental, Algorithm, BaselineDiff, GapRequirement, IncrementalMode, MineError,
     MineOutcome, Pattern, PruneMode, TargetSpec,
 };
 use perigap_seq::fasta::read_fasta;
@@ -25,11 +23,14 @@ use std::io::BufRead;
 pub const USAGE: &str = "\
 pgmine — mine periodic patterns with gap requirements from sequences
 
+Each mode below reads only the options it lists; any other option is
+refused with an error naming the option and the mode.
+
 USAGE:
   pgmine mine  --input <fasta> --gap <N:M> --rho <frac|pct%>
-               [--algorithm mppm|mpp|adaptive|enumerate] [--n <len>]
-               [--profile <N:M,N:M,...>  per-step gaps; overrides --gap]
-               [--m <window>] [--record <id>] [--alphabet dna|protein]
+               [--algorithm mppm|mpp|adaptive|enumerate]
+               [--n <len>  mpp and adaptive] [--m <window>  mppm]
+               [--record <id>] [--alphabet dna|protein]
                [--top <k>] [--max-level <l>]
                [--top-k <k>  keep only the k best-supported patterns;
                 a rigid gap (N:N) also prunes the search itself]
@@ -51,32 +52,46 @@ USAGE:
                [--baseline <path.jsonl>  write the per-pattern diff
                 against the cached baseline as JSONL]
                [--format table|tsv] [--save <path.pgst>] [--verify]
-               [--trace <path.jsonl>  mpp/mppm only] [--metrics]
+               [--trace <path.jsonl>] [--metrics]
+               --top-k, --target, --threads, the arena and spill options,
+               --incremental, --trace and --metrics are mpp/mppm only
+  pgmine mine  --input <fasta> --rho <frac|pct%>
+               --profile <N:M,N:M,...>  per-step gaps in place of --gap
+               [--n <len>] [--top <k>] [--record <id>] [--alphabet dna|protein]
   pgmine pack  --input <fasta> --output <corpus.pgco>
                [--alphabet dna|protein]   pack every FASTA record into
                one mmap-ready corpus file (2-bit DNA / 5-bit protein)
   pgmine mine  --corpus <corpus.pgco> --gap <N:M> --rho <frac|pct%>
                mine the whole corpus, one shard per sequence
                [--n <len>] [--min-sequences <k>  frequent in ≥ k shards]
+               [--max-level <l>]
                [--threads <k>  shards fan out on a work-stealing pool]
                [--max-arena-bytes <bytes>] [--spill-dir <dir>]
+               [--spill-watermark <frac>]
                [--checkpoint-dir <dir>  persist each finished shard; a
                 rerun with the same dir restores them]
                [--stop-after-shards <n>  pause after n checkpoints]
-               [--unsharded  reference path: decode all and run the
-                collection miner in one process; rows are identical]
                [--closed] [--format table|tsv] [--metrics] [--top <k>]
+  pgmine mine  --corpus <corpus.pgco> --unsharded --gap <N:M> --rho <frac|pct%>
+               reference path: decode all and run the collection miner
+               in one process; rows are identical to the sharded mine
+               [--n <len>] [--min-sequences <k>] [--max-level <l>]
+               [--closed] [--format table|tsv] [--top <k>]
   pgmine scan  --input <fasta> --pair <XY> [--min <d>] [--max <d>]
-               [--record <id>]
-  pgmine stats --input <fasta>
-  pgmine show  --input <pgst>     inspect a persisted outcome
+               [--record <id>] [--alphabet dna|protein]
+  pgmine stats --input <fasta> [--record <id>] [--alphabet dna|protein]
+  pgmine show  --input <pgst> [--top <k>]    inspect a persisted outcome
   pgmine serve --store <pgst> [--input <fasta>  enables overlap queries]
+               [--record <id>] [--alphabet dna|protein]
                [--addr <host:port>  default 127.0.0.1:0]
                [--port-file <path>  write the bound address on startup]
                [--trace <path.jsonl>] [--metrics]
   pgmine serve --input <fasta> --gap <N:M> --rho <frac|pct%>  mine, then
                serve (overlap queries available)
-               [--algorithm mppm|mpp] [--n <len>] [--m <window>]
+               [--algorithm mppm|mpp] [--n <len>  mpp] [--m <window>  mppm]
+               [--record <id>] [--alphabet dna|protein]
+               [--addr <host:port>] [--port-file <path>]
+               [--trace <path.jsonl>] [--metrics]
   pgmine query --addr <host:port> --json <request>
                [--timeout-ms <ms>  default 10000]
                a JSON array batches requests; served daemons also answer
@@ -99,64 +114,116 @@ EXAMPLES:
   pgmine query --addr 127.0.0.1:7071 --json '{\"q\": \"topk\", \"k\": 10}'
 ";
 
+/// Every value option `pgmine` knows; each mode reads some of them.
+const VALUES: &str = "input gap rho algorithm n m record alphabet top pair min max max-level \
+    format profile save threads trace max-arena-bytes spill-dir spill-watermark store addr \
+    port-file json timeout-ms top-k target output corpus min-sequences checkpoint-dir \
+    stop-after-shards cache-path baseline";
+/// Every bare flag `pgmine` knows.
+const FLAGS: &str = "verify metrics closed unsharded incremental";
+
 /// Run a full command line (without the binary name). Returns the
 /// rendered output.
 pub fn run(raw: impl IntoIterator<Item = String>) -> Result<String, ArgError> {
-    let args = Args::parse(
-        raw,
-        &[
-            "input",
-            "gap",
-            "rho",
-            "algorithm",
-            "n",
-            "m",
-            "record",
-            "alphabet",
-            "top",
-            "pair",
-            "min",
-            "max",
-            "max-level",
-            "format",
-            "profile",
-            "save",
-            "threads",
-            "trace",
-            "max-arena-bytes",
-            "spill-dir",
-            "spill-watermark",
-            "store",
-            "addr",
-            "port-file",
-            "json",
-            "timeout-ms",
-            "top-k",
-            "target",
-            "output",
-            "corpus",
-            "min-sequences",
-            "checkpoint-dir",
-            "stop-after-shards",
-            "cache-path",
-            "baseline",
-        ],
-        &["verify", "metrics", "closed", "unsharded", "incremental"],
-    )?;
-    match args.positional().first().map(String::as_str) {
-        Some("mine") => mine_command(&args),
-        Some("pack") => pack_command(&args),
-        Some("scan") => scan_command(&args),
-        Some("stats") => stats_command(&args),
-        Some("show") => show_command(&args),
-        Some("serve") => serve_command(&args),
-        Some("query") => query_command(&args),
-        Some("trace-check") => trace_check_command(&args),
-        Some("help") | None => Ok(USAGE.to_string()),
-        Some(other) => Err(ArgError(format!(
-            "unknown command {other:?}; try `pgmine help`"
-        ))),
+    let values: Vec<&str> = VALUES.split_whitespace().collect();
+    let flags: Vec<&str> = FLAGS.split_whitespace().collect();
+    let args = Args::parse(raw, &values, &flags)?;
+    let (mode, reads) = mode(&args)?;
+    if let Some(key) = args
+        .keys()
+        .find(|key| !reads.split_whitespace().any(|r| r == *key))
+    {
+        return Err(ArgError(format!("--{key} does not apply to {mode}")));
     }
+    match args.positional().first().map_or("help", String::as_str) {
+        "mine" => mine_command(&args),
+        "pack" => pack_command(&args),
+        "scan" => scan_command(&args),
+        "stats" => stats_command(&args),
+        "show" => show_command(&args),
+        "serve" => serve_command(&args),
+        "query" => query_command(&args),
+        "trace-check" => trace_check_command(&args),
+        _ => Ok(USAGE.to_string()),
+    }
+}
+
+/// What every mode that reads one FASTA record reads to load it.
+const SEQUENCE: &str = "input record alphabet";
+/// What `mine` reads under every algorithm, besides the input.
+const MINE: &str = "gap rho algorithm max-level top format save verify closed";
+/// What `mine` reads under MPP and MPPm only: the engine's threads and
+/// memory, pruning, the result cache and the observers.
+const ENGINE: &str = "threads max-arena-bytes spill-dir spill-watermark top-k target \
+    incremental cache-path baseline trace metrics";
+/// What both corpus paths read.
+const CORPUS: &str = "corpus gap rho n min-sequences max-level closed format top";
+/// What only the sharded corpus path reads: the fan-out, each shard's
+/// memory, the checkpoints and their counts. `mine_collection` reads
+/// none of these.
+const SHARDED: &str = "threads max-arena-bytes spill-dir spill-watermark checkpoint-dir \
+    stop-after-shards metrics";
+/// What the daemon reads wherever its patterns come from.
+const DAEMON: &str = "addr port-file trace metrics";
+
+/// The mode an invocation selects, named the way its command line
+/// selects it, and every option that mode reads.
+fn mode(args: &Args) -> Result<(String, String), ArgError> {
+    let command = args.positional().first().map_or("help", String::as_str);
+    let algorithm = args.get("algorithm").unwrap_or("mppm");
+    let parameter = match algorithm {
+        "mpp" | "adaptive" => "n",
+        "mppm" => "m",
+        _ => "",
+    };
+    Ok(match command {
+        "mine" if args.get("corpus").is_some() && args.flag("unsharded") => (
+            "mine --corpus --unsharded".into(),
+            format!("{CORPUS} unsharded"),
+        ),
+        "mine" if args.get("corpus").is_some() => {
+            ("mine --corpus".into(), format!("{CORPUS} {SHARDED}"))
+        }
+        "mine" if args.get("profile").is_some() => (
+            "mine --profile".into(),
+            format!("{SEQUENCE} rho profile n top"),
+        ),
+        "mine" => {
+            let engine = match algorithm {
+                "mpp" | "mppm" => ENGINE,
+                "adaptive" | "enumerate" => "",
+                other => return Err(ArgError(format!("unknown algorithm {other:?}"))),
+            };
+            (
+                format!("mine --algorithm {algorithm}"),
+                format!("{SEQUENCE} {MINE} {parameter} {engine}"),
+            )
+        }
+        "serve" if args.get("store").is_some() => {
+            ("serve --store".into(), format!("{SEQUENCE} store {DAEMON}"))
+        }
+        "serve" if matches!(algorithm, "mpp" | "mppm") => (
+            format!("serve --input --algorithm {algorithm}"),
+            format!("{SEQUENCE} gap rho algorithm {parameter} {DAEMON}"),
+        ),
+        "serve" => {
+            return Err(ArgError(format!(
+                "serve mines with --algorithm mppm or mpp (got {algorithm:?})"
+            )))
+        }
+        "pack" => (command.into(), "input output alphabet".into()),
+        "scan" => (command.into(), format!("{SEQUENCE} pair min max")),
+        "stats" => (command.into(), SEQUENCE.into()),
+        "show" => (command.into(), "input top".into()),
+        "query" => (command.into(), "addr json timeout-ms".into()),
+        "trace-check" => (command.into(), "input".into()),
+        "help" => (command.into(), String::new()),
+        other => {
+            return Err(ArgError(format!(
+                "unknown command {other:?}; try `pgmine help`"
+            )))
+        }
+    })
 }
 
 fn load_sequence(args: &Args) -> Result<Sequence, ArgError> {
@@ -192,103 +259,48 @@ fn load_from_reader<R: BufRead>(
     }
 }
 
-fn mine_command(args: &Args) -> Result<String, ArgError> {
-    if args.get("corpus").is_some() {
-        return mine_corpus_command(args);
+/// A count option that must be at least 1; `why` says what 0 would do.
+fn positive(args: &Args, key: &str, why: &str) -> Result<Option<usize>, ArgError> {
+    match args.get(key).map(|raw| (raw, raw.parse::<usize>())) {
+        None => Ok(None),
+        Some((_, Ok(0))) => Err(ArgError(format!("--{key} must be at least 1: {why}"))),
+        Some((_, Ok(v))) => Ok(Some(v)),
+        Some((raw, Err(_))) => Err(ArgError(format!("bad --{key} {raw:?}"))),
     }
-    for key in ["min-sequences", "checkpoint-dir", "stop-after-shards"] {
-        if args.get(key).is_some() {
-            return Err(ArgError(format!("--{key} applies to --corpus mining only")));
-        }
-    }
-    if args.flag("unsharded") {
-        return Err(ArgError(
-            "--unsharded applies to --corpus mining only".into(),
-        ));
-    }
-    let seq = load_sequence(args)?;
-    let rho = parse_rho(args.require("rho")?)?;
+}
 
-    // Per-step gap profile mode (the generalized pattern form).
-    if let Some(spec) = args.get("profile") {
-        return mine_with_profile_command(args, &seq, rho, spec);
-    }
-
-    let (lo, hi) = parse_gap(args.require("gap")?)?;
-    let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
-    let algorithm = args.get("algorithm").unwrap_or("mppm");
-    let m: usize = args.parse_or("m", 4)?;
-    let top: usize = args.parse_or("top", 25)?;
-    // The enumeration baseline explores sigma^l candidates per level and
-    // must be depth-capped to terminate on repetitive inputs.
-    let default_cap = if algorithm == "enumerate" {
-        Some(10)
-    } else {
-        None
+/// The mine request of every mining front end — `mine`,
+/// `mine --incremental`, `mine --corpus` and `serve --input` — in one
+/// place: how `n` is chosen (`--m` for MPPm, default 4; otherwise MPP's
+/// `--n`, default `default_n`) and the engine configuration. The mode
+/// check has already refused every option the mode does not read, so
+/// each option absent here keeps its [`MppConfig::default`] value.
+fn mine_request(
+    args: &Args,
+    alphabet: &Alphabet,
+    algorithm: &str,
+    default_n: usize,
+) -> Result<(Algorithm, MppConfig), ArgError> {
+    let request = match algorithm {
+        "mppm" => Algorithm::Mppm {
+            m: args.parse_or("m", 4)?,
+        },
+        _ => Algorithm::Mpp {
+            n: args.parse_or("n", default_n)?,
+        },
     };
-    let max_level: Option<usize> = match args.get("max-level") {
+    let max_level = match args.get("max-level") {
         Some(raw) => Some(
             raw.parse()
                 .map_err(|_| ArgError(format!("bad --max-level {raw:?}")))?,
         ),
-        None => default_cap,
-    };
-    let max_arena_bytes: Option<usize> = match args.get("max-arena-bytes") {
-        Some(raw) => {
-            let v: usize = raw
-                .parse()
-                .map_err(|_| ArgError(format!("bad --max-arena-bytes {raw:?}")))?;
-            if v == 0 {
-                return Err(ArgError(
-                    "--max-arena-bytes must be at least 1: a zero ceiling would \
-                     abort before the seed level allocates anything"
-                        .into(),
-                ));
-            }
-            Some(v)
-        }
         None => None,
     };
-    let top_k: Option<usize> = match args.get("top-k") {
-        Some(raw) => {
-            let v: usize = raw
-                .parse()
-                .map_err(|_| ArgError(format!("bad --top-k {raw:?}")))?;
-            if v == 0 {
-                return Err(ArgError(
-                    "--top-k must be at least 1: a zero budget keeps no patterns".into(),
-                ));
-            }
-            Some(v)
-        }
-        None => None,
-    };
-    let target: Option<TargetSpec> = match args.get("target") {
-        Some(text) => {
-            let prefix = Pattern::parse(text, seq.alphabet())
-                .map_err(|e| ArgError(format!("bad --target {text:?}: {e}")))?;
-            if prefix.codes().is_empty() {
-                return Err(ArgError(
-                    "--target needs at least one symbol; an empty prefix admits everything".into(),
-                ));
-            }
-            Some(TargetSpec::Prefix(prefix.codes().to_vec()))
-        }
-        None => None,
-    };
-    if (top_k.is_some() || target.is_some()) && !matches!(algorithm, "mpp" | "mppm") {
-        return Err(ArgError(format!(
-            "--top-k/--target apply to --algorithm mpp or mppm only (got {algorithm:?})"
-        )));
-    }
-    let closed = args.flag("closed");
-    if closed && (top_k.is_some() || target.is_some()) {
-        return Err(ArgError(
-            "--closed needs the full frequent set to probe extensions; it does \
-             not compose with --top-k or --target"
-                .into(),
-        ));
-    }
+    let max_arena_bytes = positive(
+        args,
+        "max-arena-bytes",
+        "a zero ceiling would abort before the seed level allocates anything",
+    )?;
     let spill_dir = args.get("spill-dir").map(std::path::PathBuf::from);
     let spill_watermark: f64 = match args.get("spill-watermark") {
         Some(raw) => {
@@ -301,25 +313,84 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
                      negative watermark would spill every handoff unconditionally"
                 )));
             }
+            if spill_dir.is_none() {
+                return Err(ArgError(
+                    "--spill-watermark needs --spill-dir to have any effect".into(),
+                ));
+            }
             v
         }
         None => MppConfig::default().spill_watermark,
     };
-
-    if max_arena_bytes.is_some() && !matches!(algorithm, "mpp" | "mppm") {
-        return Err(ArgError(format!(
-            "--max-arena-bytes applies to --algorithm mpp or mppm only (got {algorithm:?})"
-        )));
-    }
-    if args.get("spill-watermark").is_some() && spill_dir.is_none() {
-        return Err(ArgError(
-            "--spill-watermark needs --spill-dir to have any effect".into(),
-        ));
-    }
     if spill_dir.is_some() && max_arena_bytes.is_none() {
         return Err(ArgError(
             "--spill-dir needs --max-arena-bytes: without a ceiling there \
              is nothing to spill under"
+                .into(),
+        ));
+    }
+    let top_k = positive(args, "top-k", "a zero budget keeps no patterns")?;
+    let target = match args.get("target") {
+        Some(text) => {
+            let prefix = Pattern::parse(text, alphabet)
+                .map_err(|e| ArgError(format!("bad --target {text:?}: {e}")))?;
+            if prefix.codes().is_empty() {
+                return Err(ArgError(
+                    "--target needs at least one symbol; an empty prefix admits everything".into(),
+                ));
+            }
+            Some(TargetSpec::Prefix(prefix.codes().to_vec()))
+        }
+        None => None,
+    };
+    let threads = positive(args, "threads", "no thread would mine")?.unwrap_or(1);
+    let config = MppConfig {
+        max_level,
+        max_arena_bytes,
+        spill_dir,
+        spill_watermark,
+        prune: PruneMode { top_k, target },
+        threads,
+        ..MppConfig::default()
+    };
+    Ok((request, config))
+}
+
+fn mine_command(args: &Args) -> Result<String, ArgError> {
+    if args.get("corpus").is_some() {
+        return mine_corpus_command(args);
+    }
+    let seq = load_sequence(args)?;
+    let rho = parse_rho(args.require("rho")?)?;
+
+    // Per-step gap profile mode (the generalized pattern form).
+    if let Some(spec) = args.get("profile") {
+        return mine_with_profile_command(args, &seq, rho, spec);
+    }
+
+    let (lo, hi) = parse_gap(args.require("gap")?)?;
+    let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
+    let algorithm = args.get("algorithm").unwrap_or("mppm");
+    let top: usize = args.parse_or("top", 25)?;
+    // MPP's `n` defaults to l1; adaptive starts from 10.
+    let default_n = if algorithm == "mpp" {
+        gap.l1(seq.len())
+    } else {
+        10
+    };
+    let (request, mut config) = mine_request(args, seq.alphabet(), algorithm, default_n)?;
+    if algorithm == "enumerate" {
+        // The enumeration baseline explores sigma^l candidates per level
+        // and must be depth-capped to terminate on repetitive inputs.
+        config.max_level.get_or_insert(10);
+    }
+    let top_k = config.prune.top_k;
+    let pruned = !config.prune.is_default();
+    let closed = args.flag("closed");
+    if closed && pruned {
+        return Err(ArgError(
+            "--closed needs the full frequent set to probe extensions; it does \
+             not compose with --top-k or --target"
                 .into(),
         ));
     }
@@ -334,12 +405,7 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
                     .into(),
             ));
         }
-        if !matches!(algorithm, "mpp" | "mppm") {
-            return Err(ArgError(format!(
-                "--incremental applies to --algorithm mpp or mppm only (got {algorithm:?})"
-            )));
-        }
-        if top_k.is_some() || target.is_some() {
+        if pruned {
             return Err(ArgError(
                 "--incremental needs the full frequent set as its baseline; it \
                  does not compose with --top-k or --target"
@@ -351,41 +417,14 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
             "--cache-path/--baseline apply to --incremental mining only".into(),
         ));
     }
-    let config = MppConfig {
-        max_level,
-        max_arena_bytes,
-        spill_dir,
-        spill_watermark,
-        prune: PruneMode {
-            top_k,
-            target: target.clone(),
-        },
-        ..MppConfig::default()
-    };
 
-    let threads: usize = args.parse_or("threads", 1)?;
-    if threads == 0 {
-        return Err(ArgError("--threads must be at least 1".into()));
-    }
-    if threads > 1 && !matches!(algorithm, "mpp" | "mppm") {
-        return Err(ArgError(format!(
-            "--threads applies to --algorithm mpp or mppm only (got {algorithm:?})"
-        )));
-    }
-
-    let trace_path = args.get("trace");
     let want_metrics = args.flag("metrics");
-    if (trace_path.is_some() || want_metrics) && !matches!(algorithm, "mpp" | "mppm") {
-        return Err(ArgError(format!(
-            "--trace/--metrics apply to --algorithm mpp or mppm only (got {algorithm:?})"
-        )));
-    }
     if want_metrics && args.get("format") == Some("tsv") {
         return Err(ArgError(
             "--metrics would corrupt --format tsv output; drop one of them".into(),
         ));
     }
-    let jsonl = match trace_path {
+    let jsonl = match args.get("trace") {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| ArgError(format!("cannot create {path:?}: {e}")))?;
@@ -405,44 +444,20 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         u64,
         Option<BaselineDiff>,
     )> = None;
-    let mined: Result<MineOutcome, _> = if incremental {
-        let selection = match algorithm {
-            "mpp" => EngineSelection::Mpp {
-                n: args.parse_or("n", gap.l1(seq.len()))?,
-            },
-            _ => EngineSelection::Mppm { m },
-        };
-        let cache = std::path::Path::new(cache_path.expect("validated above"));
-        mine_incremental(
-            &seq,
-            gap,
-            rho,
-            &selection,
-            &config,
-            threads,
-            cache,
-            &mut observer,
-        )
-        .map(|inc| {
-            incremental_report = Some((inc.mode, inc.cache_fault, inc.suspect_scans, inc.diff));
-            inc.outcome
-        })
-    } else {
-        match algorithm {
-            "mppm" => mppm_parallel_traced(&seq, gap, rho, m, config, threads, &mut observer),
-            "mpp" => {
-                let n: usize = args.parse_or("n", gap.l1(seq.len()))?;
-                mpp_parallel_traced(&seq, gap, rho, n, config, threads, &mut observer)
-            }
-            "adaptive" => {
-                let n: usize = args.parse_or("n", 10)?;
-                adaptive_mpp(&seq, gap, rho, n, config).map(|a| a.outcome)
-            }
-            "enumerate" => enumerate(&seq, gap, rho, config, 100_000_000),
-            other => return Err(ArgError(format!("unknown algorithm {other:?}"))),
+    let mined: Result<MineOutcome, _> = match (algorithm, request) {
+        ("adaptive", Algorithm::Mpp { n }) => {
+            adaptive_mpp(&seq, gap, rho, n, config).map(|a| a.outcome)
         }
+        ("enumerate", _) => enumerate(&seq, gap, rho, config, 100_000_000),
+        (_, request) if incremental => {
+            let cache = std::path::Path::new(cache_path.expect("validated above"));
+            mine_incremental(&seq, gap, rho, request, &config, cache, &mut observer).map(|inc| {
+                incremental_report = Some((inc.mode, inc.cache_fault, inc.suspect_scans, inc.diff));
+                inc.outcome
+            })
+        }
+        (_, request) => mine(&seq, gap, rho, request, &config, &mut observer),
     };
-
     // Flush the trace before surfacing a mining error: an aborted run's
     // trace (terminal `abort` line) is exactly what post-mortems need.
     let (jsonl, metrics) = observer;
@@ -552,10 +567,9 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
             outcome.stats.floor_raises, outcome.stats.pruned_by_floor
         ));
     }
-    if target.is_some() {
+    if let Some(target) = args.get("target") {
         out.push_str(&format!(
-            "target {}: pruned by target {}\n",
-            args.get("target").unwrap_or("?"),
+            "target {target}: pruned by target {}\n",
             outcome.stats.pruned_by_target
         ));
     }
@@ -634,19 +648,6 @@ fn mine_with_profile_command(
     spec: &str,
 ) -> Result<String, ArgError> {
     use perigap_core::profile::{mine_with_profile, GapProfile};
-    if args.get("top-k").is_some() || args.get("target").is_some() || args.flag("closed") {
-        return Err(ArgError(
-            "--top-k/--target/--closed do not apply to --profile mining".into(),
-        ));
-    }
-    if args.flag("incremental")
-        || args.get("cache-path").is_some()
-        || args.get("baseline").is_some()
-    {
-        return Err(ArgError(
-            "--incremental/--cache-path/--baseline do not apply to --profile mining".into(),
-        ));
-    }
     let steps = spec
         .split(',')
         .map(|part| {
@@ -715,62 +716,10 @@ fn pack_command(args: &Args) -> Result<String, ArgError> {
 /// per-shard checkpoints, or the `--unsharded` reference path through
 /// the in-process collection miner. Both print identical rows.
 fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
-    if args.get("input").is_some() {
-        return Err(ArgError(
-            "--corpus and --input are exclusive: a corpus mine reads the packed file".into(),
-        ));
-    }
-    for key in [
-        "algorithm",
-        "m",
-        "profile",
-        "top-k",
-        "target",
-        "save",
-        "trace",
-        "cache-path",
-        "baseline",
-    ] {
-        if args.get(key).is_some() {
-            return Err(ArgError(format!(
-                "--{key} does not apply to --corpus mining"
-            )));
-        }
-    }
-    if args.flag("incremental") {
-        return Err(ArgError(
-            "--incremental does not apply to --corpus mining".into(),
-        ));
-    }
     let rho = parse_rho(args.require("rho")?)?;
     let (lo, hi) = parse_gap(args.require("gap")?)?;
     let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
-    let n: usize = args.parse_or("n", 10)?;
     let min_sequences: usize = args.parse_or("min-sequences", 1)?;
-    let threads: usize = args.parse_or("threads", 1)?;
-    if threads == 0 {
-        return Err(ArgError("--threads must be at least 1".into()));
-    }
-    let max_arena_bytes: Option<usize> = match args.get("max-arena-bytes") {
-        Some(raw) => {
-            let v: usize = raw
-                .parse()
-                .map_err(|_| ArgError(format!("bad --max-arena-bytes {raw:?}")))?;
-            if v == 0 {
-                return Err(ArgError("--max-arena-bytes must be at least 1".into()));
-            }
-            Some(v)
-        }
-        None => None,
-    };
-    let spill_dir = args.get("spill-dir").map(std::path::PathBuf::from);
-    if spill_dir.is_some() && max_arena_bytes.is_none() {
-        return Err(ArgError(
-            "--spill-dir needs --max-arena-bytes: without a ceiling there \
-             is nothing to spill under"
-                .into(),
-        ));
-    }
     let checkpoint_dir = args.get("checkpoint-dir").map(std::path::PathBuf::from);
     let stop_after_shards: Option<usize> = match args.get("stop-after-shards") {
         Some(raw) => {
@@ -788,13 +737,6 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
         }
         None => None,
     };
-    let unsharded = args.flag("unsharded");
-    if unsharded && checkpoint_dir.is_some() {
-        return Err(ArgError(
-            "--unsharded is the one-process reference path; it does not checkpoint".into(),
-        ));
-    }
-    let closed = args.flag("closed");
     let want_metrics = args.flag("metrics");
     if want_metrics && args.get("format") == Some("tsv") {
         return Err(ArgError(
@@ -805,13 +747,11 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
     let path = std::path::Path::new(args.get("corpus").expect("dispatch checked"));
     let corpus = Corpus::open(path).map_err(|e| ArgError(e.to_string()))?;
     let alphabet = corpus.alphabet().clone();
-    let mpp_config = MppConfig {
-        max_arena_bytes,
-        spill_dir,
-        ..MppConfig::default()
+    let (Algorithm::Mpp { n }, mpp_config) = mine_request(args, &alphabet, "mpp", 10)? else {
+        unreachable!("a corpus mine is an MPP mine");
     };
 
-    let (outcome, stats) = if unsharded {
+    let (outcome, stats) = if args.flag("unsharded") {
         let seqs = (0..corpus.len())
             .map(|j| corpus.sequence(j))
             .collect::<Result<Vec<_>, _>>()
@@ -824,7 +764,6 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
         let config = CorpusMineConfig {
             n,
             min_sequences,
-            threads,
             mpp: mpp_config,
             checkpoint: checkpoint_dir.map(|dir| CheckpointConfig {
                 dir,
@@ -850,7 +789,7 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
         &alphabet,
         gap,
         rho,
-        closed,
+        args.flag("closed"),
         args.parse_or("top", 25)?,
         args.get("format") == Some("tsv"),
         want_metrics.then_some(stats).flatten(),
@@ -1015,20 +954,14 @@ fn show_command(args: &Args) -> Result<String, ArgError> {
 /// input in-process), index it, and serve queries until SIGINT or a
 /// client `shutdown` request.
 fn serve_command(args: &Args) -> Result<String, ArgError> {
-    use perigap_store::{Backend, PatternIndex};
+    use perigap_store::{load_outcome, LoadedOutcome, PatternIndex};
 
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
     let (index, backend_desc, source) = match args.get("store") {
         Some(path) => {
-            for flag in ["gap", "rho", "algorithm", "n", "m"] {
-                if args.get(flag).is_some() {
-                    return Err(ArgError(format!(
-                        "--{flag} comes from the store file; drop it when serving --store"
-                    )));
-                }
-            }
-            let backend = Backend::pgst_file(path);
-            let loaded = backend.load().map_err(|e| ArgError(e.to_string()))?;
+            let file = std::fs::File::open(path)
+                .map_err(|e| ArgError(format!("cannot open {path:?}: {e}")))?;
+            let loaded = load_outcome(file).map_err(|e| ArgError(e.to_string()))?;
             // With the subject sequence alongside, occurrence summaries
             // are recomputed and overlap queries become available.
             let seq = match args.get("input") {
@@ -1040,7 +973,7 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
                 .map(|s| s.alphabet().clone())
                 .unwrap_or(Alphabet::Dna);
             let index = PatternIndex::build(&loaded, alphabet, seq.as_ref());
-            (index, backend.describe(), seq)
+            (index, format!("pgst-file:{path}"), seq)
         }
         None => {
             let seq = load_sequence(args)?;
@@ -1048,26 +981,14 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
             let (lo, hi) = parse_gap(args.require("gap")?)?;
             let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
             let algorithm = args.get("algorithm").unwrap_or("mppm");
-            let outcome = match algorithm {
-                "mppm" => {
-                    let m: usize = args.parse_or("m", 4)?;
-                    perigap_core::mppm::mppm(&seq, gap, rho, m, MppConfig::default())
-                }
-                "mpp" => {
-                    let n: usize = args.parse_or("n", gap.l1(seq.len()))?;
-                    perigap_core::mpp::mpp(&seq, gap, rho, n, MppConfig::default())
-                }
-                other => {
-                    return Err(ArgError(format!(
-                        "serve mines with --algorithm mppm or mpp (got {other:?})"
-                    )))
-                }
-            }
-            .map_err(|e| ArgError(e.to_string()))?;
-            let backend = Backend::memory(outcome, gap, rho);
-            let loaded = backend.load().map_err(|e| ArgError(e.to_string()))?;
+            let (request, config) =
+                mine_request(args, seq.alphabet(), algorithm, gap.l1(seq.len()))?;
+            let outcome = mine(&seq, gap, rho, request, &config, &mut NoopObserver)
+                .map_err(|e| ArgError(e.to_string()))?;
+            let backend = format!("memory:{} patterns", outcome.frequent.len());
+            let loaded = LoadedOutcome { outcome, gap, rho };
             let index = PatternIndex::build(&loaded, seq.alphabet().clone(), Some(&seq));
-            (index, backend.describe(), Some(seq))
+            (index, backend, Some(seq))
         }
     };
     let patterns = index.len();
@@ -1376,7 +1297,7 @@ mod tests {
             "--cache-path",
             cache.as_str(),
         ])
-        .contains("--incremental applies to --algorithm mpp or mppm only"));
+        .contains("--incremental does not apply to mine --algorithm enumerate"));
         assert!(err(&[
             "--incremental",
             "--cache-path",
@@ -1385,14 +1306,22 @@ mod tests {
             "5",
         ])
         .contains("does not compose with --top-k or --target"));
-        assert!(err(&[
+        let profile = [
+            "mine",
+            "--input",
+            f.as_str(),
+            "--rho",
+            "0.5%",
             "--profile",
             "1:2,2:3",
             "--incremental",
             "--cache-path",
             cache.as_str(),
-        ])
-        .contains("do not apply to --profile mining"));
+        ];
+        assert!(run_words(&profile.map(String::from))
+            .unwrap_err()
+            .to_string()
+            .contains("--incremental does not apply to mine --profile"));
         assert!(run_words(&[
             "mine".into(),
             "--corpus".into(),
@@ -1406,7 +1335,7 @@ mod tests {
         ])
         .unwrap_err()
         .to_string()
-        .contains("--cache-path does not apply to --corpus mining"));
+        .contains("--cache-path does not apply to mine --corpus"));
     }
 
     #[test]
@@ -1599,8 +1528,15 @@ mod tests {
         let seq = Sequence::dna(&body).unwrap();
         let gap = GapRequirement::new(0, 3).unwrap();
         let mut metrics = MetricsObserver::new();
-        perigap_core::mpp::mpp_traced(&seq, gap, 0.0003, 8, MppConfig::default(), &mut metrics)
-            .unwrap();
+        mine(
+            &seq,
+            gap,
+            0.0003,
+            Algorithm::Mpp { n: 8 },
+            &MppConfig::default(),
+            &mut metrics,
+        )
+        .unwrap();
         let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes;
         assert!(metrics.levels[0].arena_bytes < peak / 2, "fixture too flat");
 
@@ -1894,9 +1830,28 @@ mod tests {
         assert!(err.to_string().contains("--target"), "{err}");
         // Pruning modes only thread through the mpp/mppm engines.
         let err = run_words(&base(&["--algorithm", "enumerate", "--top-k", "5"])).unwrap_err();
-        assert!(err.to_string().contains("mpp or mppm"), "{err}");
-        let err = run_words(&base(&["--profile", "1:2,2:3", "--target", "AC"])).unwrap_err();
-        assert!(err.to_string().contains("--profile"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("--top-k does not apply to mine --algorithm enumerate"),
+            "{err}"
+        );
+        let profile = [
+            "mine",
+            "--input",
+            f.as_str(),
+            "--rho",
+            "0.5%",
+            "--profile",
+            "1:2,2:3",
+            "--target",
+            "AC",
+        ];
+        let err = run_words(&profile.map(String::from)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("--target does not apply to mine --profile"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1980,7 +1935,18 @@ mod tests {
             "1:2".into(),
         ])
         .unwrap_err();
-        assert!(err.to_string().contains("store file"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("--gap does not apply to serve --store"),
+            "{err}"
+        );
+        let err = run_words(&[
+            "serve".into(),
+            "--store".into(),
+            "/nonexistent/deeply/missing.pgst".into(),
+        ])
+        .unwrap_err();
+        assert!(err.to_string().contains("cannot open"), "{err}");
         let err = run_words(&["query".into(), "--addr".into(), "127.0.0.1:1".into()]).unwrap_err();
         assert!(err.to_string().contains("--json"), "{err}");
     }
@@ -2346,6 +2312,97 @@ mod tests {
             count(&closed),
             "closed filters rows, not the mined total"
         );
+    }
+
+    /// Every mode reads only the options it names: the corpus paths
+    /// honour `--max-level` and `--spill-watermark`, and the one mode
+    /// check refuses every other option with an error naming the option
+    /// and the mode.
+    #[test]
+    fn every_mode_refuses_the_options_it_does_not_read() {
+        let dir = TempDir::new("modes");
+        let corpus = pack_demo_corpus(&dir);
+        let spill = dir.join("spill");
+        let f = fasta_file(&format!(">s\n{}\n", "ACGTT".repeat(30)));
+        // A command line; `C` stands for the corpus, `F` for the FASTA
+        // file and `S` for a spill directory.
+        let words = |line: &str| -> Vec<String> {
+            let word = |w| match w {
+                "C" => corpus.clone(),
+                "F" => f.as_str().to_string(),
+                "S" => spill.clone(),
+                w => w.to_string(),
+            };
+            line.split(' ').map(word).collect()
+        };
+        let length = |row: &str| row.split('\t').nth(1).unwrap().parse::<usize>().unwrap();
+
+        // The capped rows are the uncapped rows up to length 4, on every
+        // corpus path; a shard spill at the given watermark changes
+        // nothing.
+        let corpus_mine = "mine --corpus C --gap 1:3 --rho 0.5% --min-sequences 2 --format tsv";
+        let full = run_words(&words(corpus_mine)).unwrap();
+        assert!(full.lines().skip(1).any(|row| length(row) > 4), "{full}");
+        let want: String = full
+            .lines()
+            .enumerate()
+            .filter(|(i, row)| *i == 0 || length(row) <= 4)
+            .map(|(_, row)| format!("{row}\n"))
+            .collect();
+        for extra in ["", " --unsharded", " --threads 3"] {
+            let capped = words(&format!("{corpus_mine} --max-level 4{extra}"));
+            assert_eq!(run_words(&capped).unwrap(), want, "{extra}");
+        }
+        let spilled = " --max-arena-bytes 1048576 --spill-dir S --spill-watermark 0.000001";
+        let spilled = run_words(&words(&format!("{corpus_mine}{spilled}"))).unwrap();
+        assert_eq!(spilled, full);
+
+        // Each case is a base command line, the options it adds and the
+        // mode it selects; the refused option is the last one added.
+        // Serving binds an address that cannot bind, so a missed refusal
+        // fails instead of serving.
+        let base = |name| match name {
+            "corpus" => corpus_mine.to_string(),
+            "unsharded" => format!("{corpus_mine} --unsharded"),
+            "mine" => "mine --input F --gap 1:3 --rho 0.5%".into(),
+            "profile" => "mine --input F --rho 0.5% --profile 1:3,1:3,1:3,1:3".into(),
+            "serve" => "serve --input F --gap 1:3 --rho 0.5% --addr unbindable".into(),
+            "store" => "serve --store missing.pgst".into(),
+            _ => "stats --input F".into(),
+        };
+        for case in [
+            "corpus --verify => mine --corpus",
+            "corpus --alphabet dna => mine --corpus",
+            "corpus --record s0 => mine --corpus",
+            "corpus --input F => mine --corpus",
+            "unsharded --max-arena-bytes 64 => mine --corpus --unsharded",
+            "unsharded --threads 4 => mine --corpus --unsharded",
+            "unsharded --spill-watermark 0.5 => mine --corpus --unsharded",
+            "unsharded --checkpoint-dir S => mine --corpus --unsharded",
+            "mine --n 5 => mine --algorithm mppm",
+            "mine --algorithm mpp --m 5 => mine --algorithm mpp",
+            "mine --algorithm adaptive --m 5 => mine --algorithm adaptive",
+            "mine --algorithm enumerate --n 5 => mine --algorithm enumerate",
+            "mine --pair AA => mine --algorithm mppm",
+            "mine --addr 127.0.0.1:0 => mine --algorithm mppm",
+            "mine --min 2 => mine --algorithm mppm",
+            "profile --max-level 3 => mine --profile",
+            "profile --threads 4 => mine --profile",
+            "profile --gap 1:3 => mine --profile",
+            "serve --threads 2 => serve --input --algorithm mppm",
+            "serve --max-level 3 => serve --input --algorithm mppm",
+            "store --threads 2 => serve --store",
+            "store --max-level 3 => serve --store",
+            "stats --gap 1:3 => stats",
+            "stats --threads 2 => stats",
+        ] {
+            let (line, mode) = case.split_once(" => ").unwrap();
+            let (name, extra) = line.split_once(' ').unwrap();
+            let words = words(&format!("{} {extra}", base(name)));
+            let option = words.iter().rev().find(|w| w.starts_with("--")).unwrap();
+            let err = run_words(&words).expect_err(&format!("{case} must be refused"));
+            assert_eq!(err.0, format!("{option} does not apply to {mode}"));
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   and duplicate-free.
 //!
 //! Everything here is `pub(crate)`: the public API (`Pil::build_all`,
-//! `mpp`, `mppm`, `mpp_parallel`) is a thin shell over these types.
+//! `mpp::mine` and its `mpp`/`mppm` wrappers) is a thin shell over
+//! these types.
 
 use crate::gap::GapRequirement;
 use crate::packed::KeyCodec;

@@ -43,9 +43,9 @@ use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::incremental::{
     load_result_cache, outcome_to_cached, request_key, write_result_cache, CachedPattern,
-    EngineSelection, ResultCache,
+    ResultCache,
 };
-use crate::mpp::{mpp, MppConfig};
+use crate::mpp::{Algorithm, MppConfig};
 use crate::multiseq::{CollectionOutcome, CollectionPattern};
 use crate::naive::support_dp;
 use crate::packed::KeyCodec;
@@ -54,14 +54,13 @@ use crate::pattern::Pattern;
 use crate::pil::Pil;
 use crate::result::{CorpusStats, MineOutcome};
 use crate::spill::{fnv1a, Take};
-use crate::trace::{CompleteEvent, MineObserver, NoopObserver, ShardEvent};
+use crate::trace::NoopObserver;
 use perigap_seq::{pack_codes, packed_len, unpack_codes, Alphabet, Sequence};
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 const CORPUS_MAGIC: &[u8; 4] = b"PGCO";
 const CORPUS_VERSION: u32 = 1;
@@ -509,13 +508,12 @@ pub struct CorpusMineConfig {
     /// A pattern is corpus-frequent when frequent in at least this
     /// many shards.
     pub min_sequences: usize,
-    /// Threads across shards (worker 0 is the calling thread). Each
-    /// shard mines on one thread: parallelism comes from the shard
-    /// fan-out itself.
-    pub threads: usize,
-    /// Per-shard engine configuration (`start_level`, arena ceiling,
-    /// spill). When a shard spills, it spills under its own
-    /// subdirectory of [`MppConfig::spill_dir`].
+    /// Per-shard engine configuration (levels, arena ceiling, spill).
+    /// [`MppConfig::threads`] is the width of the shard fan-out
+    /// (worker 0 is the calling thread); each shard mines on one
+    /// thread, since parallelism comes from the fan-out itself. When a
+    /// shard spills, it spills under its own subdirectory of
+    /// [`MppConfig::spill_dir`].
     pub mpp: MppConfig,
     /// Optional checkpoint directory.
     pub checkpoint: Option<CheckpointConfig>,
@@ -526,7 +524,6 @@ impl Default for CorpusMineConfig {
         CorpusMineConfig {
             n: 10,
             min_sequences: 1,
-            threads: 1,
             mpp: MppConfig::default(),
             checkpoint: None,
         }
@@ -548,7 +545,6 @@ pub struct CorpusOutcome {
 struct ShardResult {
     /// The shard's own frequent patterns in (length, codes) order.
     patterns: Vec<CachedPattern>,
-    elapsed: Duration,
     /// Served from a valid checkpoint record instead of mined.
     restored: bool,
     /// A record existed but failed to decode or carried another key.
@@ -567,7 +563,8 @@ struct ShardJob {
     hooks: PoolHooks,
     gap: GapRequirement,
     rho: f64,
-    n: usize,
+    /// How each shard is mined: MPP at the corpus `n`, on one thread.
+    algorithm: Algorithm,
     mpp: MppConfig,
     checkpoint_dir: Option<PathBuf>,
     stop_after: Option<usize>,
@@ -590,18 +587,23 @@ impl ShardJob {
             // per-run counters and would collide in a shared directory.
             config.spill_dir = Some(dir.join(format!("shard-{shard:08}")));
         }
-        mpp(seq, self.gap, self.rho, self.n, config)
+        crate::mpp::mine(
+            seq,
+            self.gap,
+            self.rho,
+            self.algorithm,
+            &config,
+            &mut NoopObserver,
+        )
     }
 
     /// Restore `shard` from its checkpoint record when the record
     /// decodes under this shard's key; otherwise mine it and, when
     /// checkpointing, write its record.
     fn restore_or_mine(&self, shard: usize) -> Result<ShardResult, MineError> {
-        let started = Instant::now();
         let seq = self.corpus.sequence(shard)?;
         let checkpoint = self.checkpoint_dir.as_ref().map(|dir| {
-            let engine = EngineSelection::Mpp { n: self.n };
-            let key = request_key(&seq, self.gap, self.rho, &engine, &self.mpp);
+            let key = request_key(&seq, self.gap, self.rho, self.algorithm, &self.mpp);
             (shard_record_path(dir, shard), key)
         });
         // A missing record is simply mined; a record that does not
@@ -614,7 +616,6 @@ impl ShardJob {
                     Ok(record) if record.key == *key => {
                         return Ok(ShardResult {
                             patterns: record.outcome,
-                            elapsed: started.elapsed(),
                             restored: true,
                             fault: false,
                             record_bytes: None,
@@ -646,7 +647,6 @@ impl ShardJob {
         }
         Ok(ShardResult {
             patterns,
-            elapsed: started.elapsed(),
             restored: false,
             fault,
             record_bytes,
@@ -700,28 +700,14 @@ pub fn mine_corpus(
     rho: f64,
     config: &CorpusMineConfig,
 ) -> Result<CorpusOutcome, MineError> {
-    mine_corpus_traced(corpus, gap, rho, config, &mut NoopObserver)
-}
-
-/// [`mine_corpus`] with a [`MineObserver`] attached. One
-/// [`ShardEvent`] per shard is emitted in shard-index order after the
-/// fan-out completes (so traces are deterministic), followed by the
-/// completion event.
-pub fn mine_corpus_traced<O: MineObserver>(
-    corpus: &Arc<Corpus>,
-    gap: GapRequirement,
-    rho: f64,
-    config: &CorpusMineConfig,
-    observer: &mut O,
-) -> Result<CorpusOutcome, MineError> {
-    let started = Instant::now();
     if !(rho > 0.0 && rho <= 1.0) {
         return Err(MineError::InvalidThreshold(rho));
     }
     if config.mpp.start_level == 0 {
         return Err(MineError::InvalidM(0));
     }
-    assert!(config.threads >= 1, "need at least one thread");
+    let threads = config.mpp.threads;
+    assert!(threads >= 1, "need at least one thread");
     let n_shards = corpus.len();
     let mut stats = CorpusStats {
         shards: n_shards,
@@ -752,8 +738,11 @@ pub fn mine_corpus_traced<O: MineObserver>(
         hooks: PoolHooks::default(),
         gap,
         rho,
-        n: config.n,
-        mpp: config.mpp.clone(),
+        algorithm: Algorithm::Mpp { n: config.n },
+        mpp: MppConfig {
+            threads: 1,
+            ..config.mpp.clone()
+        },
         checkpoint_dir: config.checkpoint.as_ref().map(|ck| ck.dir.clone()),
         stop_after: config
             .checkpoint
@@ -763,11 +752,8 @@ pub fn mine_corpus_traced<O: MineObserver>(
         stop: AtomicBool::new(false),
     });
 
-    let outs: Vec<<ShardJob as PoolJob>::Out> = if config.threads >= 2 && job.n_items() >= 2 {
-        let pool = WorkerPool::new(config.threads - 1);
-        let (outs, event) = pool.run(Arc::clone(&job))?;
-        observer.on_pool(&event);
-        outs
+    let outs: Vec<<ShardJob as PoolJob>::Out> = if threads >= 2 && job.n_items() >= 2 {
+        WorkerPool::new(threads - 1).run(Arc::clone(&job))?.0
     } else {
         (0..job.n_items()).map(|i| job.process(i)).collect()
     };
@@ -796,31 +782,8 @@ pub fn mine_corpus_traced<O: MineObserver>(
         });
     };
 
-    for (shard, result) in results.iter().enumerate() {
-        observer.on_shard(&ShardEvent {
-            shard,
-            len: corpus.entry(shard).len,
-            patterns: result.patterns.len(),
-            restored: result.restored,
-            elapsed: result.elapsed,
-        });
-    }
-
     let per_shard: Vec<Vec<CachedPattern>> = results.into_iter().map(|r| r.patterns).collect();
     let outcome = merge_shards(corpus, gap, &per_shard, config.min_sequences)?;
-    observer.on_complete(&CompleteEvent {
-        frequent: outcome.patterns.len(),
-        levels: 0,
-        total_candidates: 0,
-        n_used: config.n,
-        support_saturated: false,
-        peak_arena_bytes: 0,
-        top_k: None,
-        floor_raises: 0,
-        pruned_by_floor: 0,
-        pruned_by_target: 0,
-        total_elapsed: started.elapsed(),
-    });
     Ok(CorpusOutcome { outcome, stats })
 }
 
@@ -1101,7 +1064,10 @@ mod tests {
                 let config = CorpusMineConfig {
                     n: 12,
                     min_sequences,
-                    threads,
+                    mpp: MppConfig {
+                        threads,
+                        ..MppConfig::default()
+                    },
                     ..CorpusMineConfig::default()
                 };
                 let got = mine_corpus(&corpus, g, rho, &config).unwrap();
@@ -1140,23 +1106,22 @@ mod tests {
         .unwrap();
 
         for threads in [1, 3] {
+            let config = |checkpoint| CorpusMineConfig {
+                n: 10,
+                min_sequences: 2,
+                mpp: MppConfig {
+                    threads,
+                    ..MppConfig::default()
+                },
+                checkpoint: Some(checkpoint),
+            };
             for stop_after in [1, 3] {
                 let ckpt_dir = dir.join(format!("ckpt-{threads}-{stop_after}"));
-                let paused = mine_corpus(
-                    &corpus,
-                    g,
-                    rho,
-                    &CorpusMineConfig {
-                        n: 10,
-                        min_sequences: 2,
-                        threads,
-                        checkpoint: Some(CheckpointConfig {
-                            dir: ckpt_dir.clone(),
-                            stop_after_shards: Some(stop_after),
-                        }),
-                        ..CorpusMineConfig::default()
-                    },
-                );
+                let pausing = CheckpointConfig {
+                    dir: ckpt_dir.clone(),
+                    stop_after_shards: Some(stop_after),
+                };
+                let paused = mine_corpus(&corpus, g, rho, &config(pausing));
                 match paused {
                     Err(MineError::CorpusPaused { completed, total }) => {
                         assert!(completed >= stop_after, "checkpointed at least the quota");
@@ -1171,19 +1136,8 @@ mod tests {
                     }
                     Err(other) => panic!("expected CorpusPaused, got {other:?}"),
                 }
-                let resumed = mine_corpus(
-                    &corpus,
-                    g,
-                    rho,
-                    &CorpusMineConfig {
-                        n: 10,
-                        min_sequences: 2,
-                        threads,
-                        checkpoint: Some(CheckpointConfig::new(ckpt_dir)),
-                        ..CorpusMineConfig::default()
-                    },
-                )
-                .unwrap();
+                let resuming = config(CheckpointConfig::new(ckpt_dir));
+                let resumed = mine_corpus(&corpus, g, rho, &resuming).unwrap();
                 assert_eq!(
                     resumed.outcome, cold.outcome,
                     "threads {threads} stop_after {stop_after}"
@@ -1338,47 +1292,6 @@ mod tests {
             recount_supports(&seq, g, &[&shallow, &deep]),
             [support_dp(&seq, g, &shallow), exact]
         );
-    }
-
-    #[test]
-    fn shard_events_are_deterministic_and_complete() {
-        #[derive(Default)]
-        struct Collector {
-            shards: Vec<(usize, bool, usize)>,
-            completes: usize,
-        }
-        impl MineObserver for Collector {
-            fn on_shard(&mut self, event: &ShardEvent) {
-                self.shards.push((event.shard, event.restored, event.len));
-            }
-            fn on_complete(&mut self, _event: &CompleteEvent) {
-                self.completes += 1;
-            }
-        }
-        let dir = tmp_dir("events");
-        let (path, seqs) = write_fixture(&dir, 3, 37);
-        let corpus = Arc::new(Corpus::open(&path).unwrap());
-        let g = gap(1, 2);
-        let mut obs = Collector::default();
-        mine_corpus_traced(
-            &corpus,
-            g,
-            0.004,
-            &CorpusMineConfig {
-                threads: 2,
-                ..CorpusMineConfig::default()
-            },
-            &mut obs,
-        )
-        .unwrap();
-        assert_eq!(obs.completes, 1);
-        assert_eq!(
-            obs.shards,
-            (0..3)
-                .map(|j| (j, false, seqs[j].len()))
-                .collect::<Vec<_>>()
-        );
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The mining engine behind every MPP and MPPm entry point.
+//! The mining engine behind every MPP and MPPm mine ([`crate::mpp::mine`]).
 //!
 //! Figure 3 of the paper counts each candidate's support and tests it
 //! against the level's bounds as the candidate is produced. This engine
@@ -15,7 +15,7 @@
 //! under construction — so live arena bytes along a chain are
 //! O(deepest chain), not O(widest level).
 //!
-//! Serial mining is `threads = 1`: no pool is spawned, the calling
+//! Serial mining is [`MppConfig::threads`] `= 1`: no pool is spawned, the calling
 //! thread runs every chunk and subtree itself, and the first split
 //! always hands off. With more threads, a wide prelude level is split
 //! into chunks of left parents on one shared [`WorkerPool`], and a
@@ -57,12 +57,12 @@
 //! elapsed time is the summed generation+evaluation time that
 //! *produced* it, and `arena_bytes` covers the surviving arenas only.
 
-use crate::arena::{build_seed, partner_runs, prefix_runs, PilSet, NO_PARTNER};
+use crate::arena::{partner_runs, prefix_runs, PilSet, NO_PARTNER};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::lambda::{BoundRow, BoundTable};
-use crate::mpp::{check_ceiling, prepare, MppConfig};
+use crate::mpp::{check_ceiling, clamp_n, MppConfig};
 use crate::parallel::{
     PoolHooks, PoolJob, WorkerPool, CHUNKS_PER_THREAD, MIN_CHUNK, PARALLEL_THRESHOLD,
 };
@@ -72,8 +72,8 @@ use crate::prune::Pruner;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::spill::{self, SpillState};
 use crate::trace::{
-    AbortEvent, CompleteEvent, LevelEvent, MineObserver, PoolLevelEvent, RestoreEvent, SeedEvent,
-    SpillEvent, SubtreeEvent, WarningEvent,
+    AbortEvent, CompleteEvent, LevelEvent, MineObserver, PoolLevelEvent, RestoreEvent, SpillEvent,
+    SubtreeEvent, WarningEvent,
 };
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
@@ -81,45 +81,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// MPP from validated inputs: build the seed, mine it on `threads`
-/// workers, and close the trace. The shared body of
-/// [`crate::mpp::mpp_traced`] and [`crate::parallel::mpp_parallel_traced`].
-pub(crate) fn mine_mpp<O: MineObserver>(
-    seq: &Sequence,
-    gap: GapRequirement,
-    rho: f64,
-    n: usize,
-    config: MppConfig,
-    threads: usize,
-    observer: &mut O,
-) -> Result<MineOutcome, MineError> {
-    assert!(threads >= 1, "need at least one thread");
-    let started = Instant::now();
-    let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let seed_started = Instant::now();
-    let pils = build_seed(seq, gap, config.start_level);
-    observer.on_seed(&SeedEvent {
-        level: config.start_level,
-        patterns: pils.len(),
-        pil_entries: pils.entry_count(),
-        arena_bytes: pils.arena_bytes(),
-        elapsed: seed_started.elapsed(),
-    });
-    let run = run_hybrid(
-        seq,
-        &counts,
-        &rho_exact,
-        n,
-        &config,
-        pils,
-        threads,
-        PoolHooks::default(),
-        None,
-        observer,
-    );
-    finish(run, started, observer)
-}
 
 /// Stamp the total wall time and emit the terminal trace event —
 /// [`CompleteEvent`] with the peak arena bytes, or [`AbortEvent`] on
@@ -856,10 +817,11 @@ fn mine_chain(
     }
 }
 
-/// The engine core shared by every MPP and MPPm entry point:
-/// breadth-first prelude with eager evaluation, component handoff to
-/// depth-first subtree tasks, and engine-wide peak-arena accounting.
-/// Returns the outcome plus peak live arena bytes.
+/// The engine core of every MPP and MPPm mine: breadth-first prelude
+/// with eager evaluation, component handoff to depth-first subtree
+/// tasks, and engine-wide peak-arena accounting, on
+/// `config.threads` threads. Returns the outcome plus peak live arena
+/// bytes.
 ///
 /// The level events are emitted on every exit. An aborted run (memory
 /// ceiling, spill I/O, a failed worker) still reports each level it
@@ -872,19 +834,16 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     n: usize,
     config: &MppConfig,
     seed: PilSet,
-    threads: usize,
     hooks: PoolHooks,
     mut stats_seed: Option<MineStats>,
     observer: &mut O,
 ) -> Result<(MineOutcome, usize), MineError> {
+    let threads = config.threads;
     assert!(threads >= 1, "need at least one thread");
     let gap = counts.gap();
     let sigma = seq.alphabet().size() as u128;
     let start = config.start_level;
-    // Figure 3 line 3: if n > l1, n = l1. Also never below the start
-    // level — the engine cannot prune with a target shorter than the
-    // patterns it begins from.
-    let n = n.clamp(start, counts.l1().max(start));
+    let n = clamp_n(n, start, counts.l1());
     let hard_cap = config.max_level.unwrap_or(usize::MAX).min(counts.l2());
 
     let mut stats = stats_seed.take().unwrap_or_default();
@@ -1321,8 +1280,8 @@ pub(crate) fn run_hybrid<O: MineObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpp::mpp_traced;
-    use crate::parallel::{mpp_parallel, mpp_parallel_traced};
+    use crate::arena::build_seed;
+    use crate::mpp::{mine, prepare, Algorithm};
     use crate::reference::mpp_reference;
     use crate::trace::{MetricsObserver, NoopObserver};
     use perigap_seq::gen::iid::{uniform, weighted};
@@ -1332,6 +1291,20 @@ mod tests {
 
     fn gap(n: usize, m: usize) -> GapRequirement {
         GapRequirement::new(n, m).unwrap()
+    }
+
+    /// MPP at `n` on `threads` threads, with `observer` attached.
+    fn run_mpp<O: MineObserver>(
+        seq: &Sequence,
+        g: GapRequirement,
+        rho: f64,
+        n: usize,
+        config: MppConfig,
+        threads: usize,
+        observer: &mut O,
+    ) -> Result<MineOutcome, MineError> {
+        let config = MppConfig { threads, ..config };
+        mine(seq, g, rho, Algorithm::Mpp { n }, &config, observer)
     }
 
     /// The frequent set, supports, ratios, `n_used`, saturation and
@@ -1366,7 +1339,16 @@ mod tests {
         let rho = 0.0008;
         let bfs = mpp_reference(&seq, g, rho, 12, MppConfig::default(), 1).unwrap();
         for threads in [1usize, 4] {
-            let dfs = mpp_parallel(&seq, g, rho, 12, MppConfig::default(), threads).unwrap();
+            let dfs = run_mpp(
+                &seq,
+                g,
+                rho,
+                12,
+                MppConfig::default(),
+                threads,
+                &mut NoopObserver,
+            )
+            .unwrap();
             assert_counters_match(&dfs, &bfs, &format!("{threads} threads"));
         }
     }
@@ -1378,10 +1360,19 @@ mod tests {
         let seq = uniform(&mut StdRng::seed_from_u64(99), Alphabet::Protein, 3_000);
         let g = gap(0, 2);
         let rho = 1e-6;
-        let serial = mpp_parallel(&seq, g, rho, 6, MppConfig::default(), 1).unwrap();
+        let serial = run_mpp(&seq, g, rho, 6, MppConfig::default(), 1, &mut NoopObserver).unwrap();
         assert!(serial.stats.levels[0].extended >= PARALLEL_THRESHOLD);
         for threads in [2usize, 4] {
-            let pooled = mpp_parallel(&seq, g, rho, 6, MppConfig::default(), threads).unwrap();
+            let pooled = run_mpp(
+                &seq,
+                g,
+                rho,
+                6,
+                MppConfig::default(),
+                threads,
+                &mut NoopObserver,
+            )
+            .unwrap();
             assert_counters_match(&pooled, &serial, &format!("{threads} threads"));
         }
     }
@@ -1396,7 +1387,7 @@ mod tests {
         let bfs = mpp_reference(&seq, g, 0.4, 20, MppConfig::default(), 1).unwrap();
         for threads in [1usize, 2] {
             let mut metrics = MetricsObserver::new();
-            let dfs = mpp_parallel_traced(
+            let dfs = run_mpp(
                 &seq,
                 g,
                 0.4,
@@ -1438,8 +1429,7 @@ mod tests {
         let (g, rho) = (gap(0, 5), 1e-4);
         let reference = mpp_reference(&seq, g, rho, 8, MppConfig::default(), 1).unwrap();
         let mut serial = MetricsObserver::new();
-        let one =
-            mpp_parallel_traced(&seq, g, rho, 8, MppConfig::default(), 1, &mut serial).unwrap();
+        let one = run_mpp(&seq, g, rho, 8, MppConfig::default(), 1, &mut serial).unwrap();
         assert_counters_match(&one, &reference, "1 thread");
         assert!(
             !serial.subtrees.is_empty(),
@@ -1447,8 +1437,7 @@ mod tests {
         );
 
         let mut pooled = MetricsObserver::new();
-        let two =
-            mpp_parallel_traced(&seq, g, rho, 8, MppConfig::default(), 2, &mut pooled).unwrap();
+        let two = run_mpp(&seq, g, rho, 8, MppConfig::default(), 2, &mut pooled).unwrap();
         assert_counters_match(&two, &one, "2 threads");
         assert_eq!(pooled.levels.len(), serial.levels.len());
         for (a, b) in pooled.levels.iter().zip(&serial.levels) {
@@ -1488,7 +1477,7 @@ mod tests {
         use crate::spill::MemSpillIo;
         let seq = lopsided_split_fixture();
         let (g, rho) = (gap(0, 5), 1e-4);
-        let free = mpp_parallel(&seq, g, rho, 8, MppConfig::default(), 2).unwrap();
+        let free = run_mpp(&seq, g, rho, 8, MppConfig::default(), 2, &mut NoopObserver).unwrap();
         // A zero watermark spills at the first split; the ceiling is
         // far above anything the run holds. The spill must happen at
         // the same split, with the same records, at both thread counts.
@@ -1501,8 +1490,7 @@ mod tests {
                 ..MppConfig::default()
             };
             let mut metrics = MetricsObserver::new();
-            let spilled =
-                mpp_parallel_traced(&seq, g, rho, 8, config, threads, &mut metrics).unwrap();
+            let spilled = run_mpp(&seq, g, rho, 8, config, threads, &mut metrics).unwrap();
             let label = format!("spill on {threads} threads");
             assert_counters_match(&spilled, &free, &label);
             assert!(spilled.stats.spilled_records >= 1, "{label}: must spill");
@@ -1533,7 +1521,7 @@ mod tests {
         let g = gap(0, 3);
         let rho = 0.0003;
         let mut metrics = MetricsObserver::new();
-        mpp_traced(&seq, g, rho, 8, MppConfig::default(), &mut metrics).unwrap();
+        run_mpp(&seq, g, rho, 8, MppConfig::default(), 1, &mut metrics).unwrap();
         let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes;
         let survivors: usize = metrics.levels.iter().map(|l| l.arena_bytes).sum();
         let seed = metrics.levels[0].arena_bytes;
@@ -1552,7 +1540,7 @@ mod tests {
             ..MppConfig::default()
         };
         let mut metrics = MetricsObserver::new();
-        let result = mpp_parallel_traced(&seq, gap(0, 3), 0.0008, 10, config, 2, &mut metrics);
+        let result = run_mpp(&seq, gap(0, 3), 0.0008, 10, config, 2, &mut metrics);
         match result {
             Err(MineError::MemoryCeiling { limit, required }) => {
                 assert_eq!(limit, 16);
@@ -1573,7 +1561,7 @@ mod tests {
         let seq = uniform(&mut StdRng::seed_from_u64(43), Alphabet::Dna, 2_000);
         let (g, rho) = (gap(0, 3), 0.0003);
         let mut free = MetricsObserver::new();
-        mpp_traced(&seq, g, rho, 8, MppConfig::default(), &mut free).unwrap();
+        run_mpp(&seq, g, rho, 8, MppConfig::default(), 1, &mut free).unwrap();
         let peak = free.complete.as_ref().unwrap().peak_arena_bytes;
         let seed = free.levels[0].arena_bytes;
         assert!(seed < peak / 2, "fixture needs a peak well above the seed");
@@ -1583,7 +1571,7 @@ mod tests {
                 ..MppConfig::default()
             };
             let mut metrics = MetricsObserver::new();
-            let result = mpp_parallel_traced(&seq, g, rho, 8, config, threads, &mut metrics);
+            let result = run_mpp(&seq, g, rho, 8, config, threads, &mut metrics);
             assert!(matches!(result, Err(MineError::MemoryCeiling { .. })));
             assert!(metrics.abort.is_some());
             assert!(
@@ -1611,7 +1599,10 @@ mod tests {
         std::thread::spawn(move || {
             let seq = Sequence::dna(&"AT".repeat(50)).unwrap();
             let g = gap(1, 1);
-            let config = MppConfig::default();
+            let config = MppConfig {
+                threads: 4,
+                ..MppConfig::default()
+            };
             let hooks = PoolHooks {
                 panic_workers: true,
                 main_no_steal: true,
@@ -1625,7 +1616,6 @@ mod tests {
                     20,
                     &config,
                     pils,
-                    4,
                     hooks,
                     None,
                     &mut NoopObserver,
@@ -1675,7 +1665,7 @@ mod tests {
 
         // Unbounded baseline: record the true peak.
         let mut free_metrics = MetricsObserver::new();
-        let free = mpp_traced(&seq, g, 0.4, 20, MppConfig::default(), &mut free_metrics).unwrap();
+        let free = run_mpp(&seq, g, 0.4, 20, MppConfig::default(), 1, &mut free_metrics).unwrap();
         let peak = free_metrics.complete.as_ref().unwrap().peak_arena_bytes;
         assert!(peak > 0);
         let cap = peak - 1;
@@ -1686,7 +1676,7 @@ mod tests {
             ..MppConfig::default()
         };
         assert!(matches!(
-            mpp_parallel(&seq, g, 0.4, 20, no_spill, 1),
+            run_mpp(&seq, g, 0.4, 20, no_spill, 1, &mut NoopObserver),
             Err(MineError::MemoryCeiling { .. })
         ));
 
@@ -1704,8 +1694,7 @@ mod tests {
                 ..MppConfig::default()
             };
             let mut metrics = MetricsObserver::new();
-            let spilled =
-                mpp_parallel_traced(&seq, g, 0.4, 20, config, threads, &mut metrics).unwrap();
+            let spilled = run_mpp(&seq, g, 0.4, 20, config, threads, &mut metrics).unwrap();
             assert_counters_match(&spilled, &free, &format!("spill on {threads} threads"));
             assert!(spilled.stats.spilled_records >= 2, "handoff must spill");
             assert_eq!(

@@ -79,7 +79,7 @@ use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::lambda::BoundTable;
-use crate::mpp::MppConfig;
+use crate::mpp::{check_inputs, clamp_n, mine, Algorithm, MppConfig};
 use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::spill::{fnv1a, Take};
@@ -120,42 +120,6 @@ fn mismatch(field: &'static str, cached: impl ToString, requested: impl ToString
         field,
         cached: cached.to_string(),
         requested: requested.to_string(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine selection.
-// ---------------------------------------------------------------------
-
-/// Which algorithm an incremental run wraps — part of the cache key,
-/// and the cold-path dispatch target. Either runs on `threads` workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineSelection {
-    /// [`crate::parallel::mpp_parallel`] with this `n`.
-    Mpp {
-        /// The target level `n`.
-        n: usize,
-    },
-    /// [`crate::mppm::mppm_parallel`] with this `m`.
-    Mppm {
-        /// The sampling window `m`.
-        m: usize,
-    },
-}
-
-impl EngineSelection {
-    fn algorithm_id(&self) -> u8 {
-        match self {
-            EngineSelection::Mpp { .. } => 0,
-            EngineSelection::Mppm { .. } => 1,
-        }
-    }
-
-    fn param(&self) -> usize {
-        match *self {
-            EngineSelection::Mpp { n } => n,
-            EngineSelection::Mppm { m } => m,
-        }
     }
 }
 
@@ -642,7 +606,7 @@ pub(crate) fn request_key(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
-    engine: &EngineSelection,
+    algorithm: Algorithm,
     config: &MppConfig,
 ) -> CacheKey {
     CacheKey {
@@ -651,8 +615,8 @@ pub(crate) fn request_key(
         sigma: seq.alphabet().size() as u32,
         gap: (gap.min(), gap.max()),
         rho_bits: rho.to_bits(),
-        algorithm: engine.algorithm_id(),
-        param: engine.param() as u64,
+        algorithm: algorithm.id(),
+        param: algorithm.param() as u64,
         prune: 0,
         start_level: config.start_level,
         max_level: config.max_level,
@@ -1285,9 +1249,6 @@ impl<O: MineObserver> MineObserver for DeferComplete<'_, O> {
     fn on_restore(&mut self, event: &crate::trace::RestoreEvent) {
         self.inner.on_restore(event);
     }
-    fn on_shard(&mut self, event: &crate::trace::ShardEvent) {
-        self.inner.on_shard(event);
-    }
     fn on_warning(&mut self, event: &WarningEvent) {
         self.inner.on_warning(event);
     }
@@ -1309,32 +1270,6 @@ impl<O: MineObserver> MineObserver for DeferComplete<'_, O> {
 // The entry point.
 // ---------------------------------------------------------------------
 
-fn dispatch_cold<O: MineObserver>(
-    seq: &Sequence,
-    gap: GapRequirement,
-    rho: f64,
-    engine: &EngineSelection,
-    config: &MppConfig,
-    threads: usize,
-    observer: &mut O,
-) -> Result<MineOutcome, MineError> {
-    let threads = threads.max(1);
-    match *engine {
-        EngineSelection::Mpp { n } => crate::parallel::mpp_parallel_traced(
-            seq,
-            gap,
-            rho,
-            n,
-            config.clone(),
-            threads,
-            observer,
-        ),
-        EngineSelection::Mppm { m } => {
-            crate::mppm::mppm_parallel_traced(seq, gap, rho, m, config.clone(), threads, observer)
-        }
-    }
-}
-
 /// The `n` the level-wise engine will actually mine toward, given the
 /// request — MPP clamps the user's `n`, MPPm estimates it from the new
 /// sequence (so a drifted estimate is *detected*, not assumed away).
@@ -1342,25 +1277,22 @@ fn resolve_n_used(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
-    engine: &EngineSelection,
+    algorithm: Algorithm,
     config: &MppConfig,
 ) -> Result<(usize, Option<u64>, Duration), MineError> {
-    let counts_l1 = gap.l1(seq.len());
-    let start = config.start_level;
-    match *engine {
-        EngineSelection::Mpp { n } => {
-            Ok((n.clamp(start, counts_l1.max(start)), None, Duration::ZERO))
-        }
-        EngineSelection::Mppm { m } => {
+    let (n, em, em_elapsed) = match algorithm {
+        Algorithm::Mpp { n } => (n, None, Duration::ZERO),
+        Algorithm::Mppm { m } => {
             let em_started = Instant::now();
             let (n_est, em) = crate::mppm::estimate_n(seq, gap, rho, m, config.clone())?;
-            Ok((
-                n_est.clamp(start, counts_l1.max(start)),
-                Some(em),
-                em_started.elapsed(),
-            ))
+            (n_est, Some(em), em_started.elapsed())
         }
-    }
+    };
+    Ok((
+        clamp_n(n, config.start_level, gap.l1(seq.len())),
+        em,
+        em_elapsed,
+    ))
 }
 
 fn cached_outcome(cache: &ResultCache) -> MineOutcome {
@@ -1433,19 +1365,17 @@ fn fast_path_eligible(cache: &ResultCache, gap: GapRequirement) -> Result<(), St
 /// Pruned configurations (`config.prune` non-default) are mined cold
 /// and never touch the cache: a pruned result set is not a valid
 /// baseline for any other request.
-#[allow(clippy::too_many_arguments)]
 pub fn mine_incremental<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
-    engine: &EngineSelection,
+    algorithm: Algorithm,
     config: &MppConfig,
-    threads: usize,
     cache_path: &Path,
     observer: &mut O,
 ) -> Result<IncrementalOutcome, MineError> {
     if !config.prune.is_default() {
-        let outcome = dispatch_cold(seq, gap, rho, engine, config, threads, observer)?;
+        let outcome = mine(seq, gap, rho, algorithm, config, observer)?;
         return Ok(IncrementalOutcome {
             outcome,
             mode: IncrementalMode::ColdFallback("pruned mines are never cached".into()),
@@ -1455,7 +1385,7 @@ pub fn mine_incremental<O: MineObserver>(
         });
     }
 
-    let requested = request_key(seq, gap, rho, engine, config);
+    let requested = request_key(seq, gap, rho, algorithm, config);
 
     // Read phase: a missing file is the expected first run, not a
     // fault; everything else wrong with the record is.
@@ -1486,7 +1416,7 @@ pub fn mine_incremental<O: MineObserver>(
                 inner: observer,
                 complete: None,
             };
-            let outcome = dispatch_cold(seq, gap, rho, engine, config, threads, &mut defer)?;
+            let outcome = mine(seq, gap, rho, algorithm, config, &mut defer)?;
             let complete = defer.complete.take();
             if let Some(c) = complete {
                 observer.on_complete(&c);
@@ -1523,7 +1453,7 @@ pub fn mine_incremental<O: MineObserver>(
             let fast = fast_path_eligible(&cache, gap).and_then(|()| {
                 // The replay reproduces n-dependent thresholds, so the
                 // new mine must target the same n the cache recorded.
-                match resolve_n_used(seq, gap, rho, engine, config) {
+                match resolve_n_used(seq, gap, rho, algorithm, config) {
                     Ok((n_new, em_new, em_elapsed)) => {
                         if n_new != cache.n_used {
                             Err(format!(
@@ -1540,35 +1470,23 @@ pub fn mine_incremental<O: MineObserver>(
 
             match fast {
                 Err(reason) => mine_cold_fallback(
-                    seq, gap, rho, engine, config, threads, cache_path, &requested, &cache, reason,
+                    seq, gap, rho, algorithm, config, cache_path, &requested, &cache, reason,
                     observer,
                 ),
                 Ok((n_used, em, em_elapsed)) => {
                     let started = Instant::now();
                     let rho_exact = BigRatio::from_f64_exact(rho);
-                    // Validate exactly like the engines would —
-                    // `mpp::prepare`'s checks, without paying for the
-                    // offset-count table the cascade builds itself.
-                    if !(rho > 0.0 && rho <= 1.0) {
-                        return Err(MineError::InvalidThreshold(rho));
-                    }
-                    if config.start_level == 0 {
-                        return Err(MineError::InvalidM(0));
-                    }
-                    let needed = gap.min_span(config.start_level);
-                    if seq.len() < needed {
-                        return Err(MineError::SequenceTooShort {
-                            len: seq.len(),
-                            needed,
-                        });
-                    }
+                    // Validate exactly like the engine would, without
+                    // paying for the offset-count table the cascade
+                    // builds itself.
+                    check_inputs(seq, gap, rho, config)?;
                     let mut seeded = false;
                     let mut emit = |evaluated: usize, stats: &LevelStats, kept: usize| {
                         if !seeded {
                             seeded = true;
                             if let Some(em) = em {
                                 observer.on_em(&EmEvent {
-                                    m: engine.param(),
+                                    m: algorithm.param(),
                                     em,
                                     elapsed: em_elapsed,
                                 });
@@ -1614,9 +1532,8 @@ pub fn mine_incremental<O: MineObserver>(
                             seq,
                             gap,
                             rho,
-                            engine,
+                            algorithm,
                             config,
-                            threads,
                             cache_path,
                             &requested,
                             &cache,
@@ -1661,9 +1578,8 @@ fn mine_cold_fallback<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
-    engine: &EngineSelection,
+    algorithm: Algorithm,
     config: &MppConfig,
-    threads: usize,
     cache_path: &Path,
     requested: &CacheKey,
     cache: &ResultCache,
@@ -1674,7 +1590,7 @@ fn mine_cold_fallback<O: MineObserver>(
         inner: observer,
         complete: None,
     };
-    let outcome = dispatch_cold(seq, gap, rho, engine, config, threads, &mut defer)?;
+    let outcome = mine(seq, gap, rho, algorithm, config, &mut defer)?;
     let complete = defer.complete.take();
     let diff = compute_diff(&cache.outcome, &outcome.frequent);
     observer.on_diff(&diff.stats.into());
@@ -1837,9 +1753,8 @@ mod tests {
             seq,
             gap,
             rho,
-            &EngineSelection::Mpp { n },
+            Algorithm::Mpp { n },
             &MppConfig::default(),
-            1,
             path,
             &mut NoopObserver,
         )

@@ -23,6 +23,12 @@
 //! }
 //! ```
 //!
+//! Every MPP and MPPm mine is one call, [`mpp::mine`]: an
+//! [`Algorithm`] says how `n` is chosen, [`mpp::MppConfig`] how the
+//! engine runs (levels, memory, pruning, threads), and an observer
+//! ([`trace`]) what is recorded. `mpp` and `mppm` are its untraced
+//! forms.
+//!
 //! ## Map of the paper
 //!
 //! | Paper | Module |
@@ -73,9 +79,10 @@ pub use error::MineError;
 pub use gap::GapRequirement;
 pub use incremental::{
     load_result_cache, mine_incremental, write_result_cache, BaselineDiff, CacheKey, CachedLevel,
-    CachedPattern, DiffEntry, DiffKind, DiffStats, EngineSelection, IncrementalMode,
-    IncrementalOutcome, ResultCache,
+    CachedPattern, DiffEntry, DiffKind, DiffStats, IncrementalMode, IncrementalOutcome,
+    ResultCache,
 };
+pub use mpp::{mine, Algorithm};
 pub use pattern::Pattern;
 pub use pil::{JoinCounters, Pil};
 pub use prune::{select_top_k, PruneMode, TargetSpec};

@@ -1,25 +1,69 @@
-//! The MPP algorithm (Figure 3) and the configuration shared by every
-//! level-wise run.
+//! The MPP algorithm (Figure 3), the one mining call shared by MPP and
+//! MPPm, and the configuration every level-wise run takes.
 //!
 //! MPP takes a user estimate `n` of the longest frequent pattern
 //! length. Below level `n` it prunes with the Theorem 1 factor
 //! `λ(n, n−i)`; above it the factor degenerates to 1 (a plain
-//! level-wise pass), making longer patterns best-effort. Mining runs on
-//! the engine in [`crate::dfs`], shared with [`crate::mppm`], which
-//! differs only in how `n` is chosen. [`mpp`] is that engine on one
-//! thread; [`crate::parallel::mpp_parallel`] is the same engine on a
-//! worker pool.
+//! level-wise pass), making longer patterns best-effort. MPPm
+//! ([`crate::mppm`]) is MPP at an `n` estimated from `e_m`. Both run
+//! through [`mine`] on the engine in [`crate::dfs`]; the [`Algorithm`]
+//! says how `n` is chosen, [`MppConfig::threads`] how many threads
+//! mine, and the observer what is traced. [`mpp`] is the paper's
+//! untraced call.
 
+use crate::arena::{build_seed, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
+use crate::parallel::PoolHooks;
 use crate::prune::PruneMode;
 use crate::result::MineOutcome;
-use crate::trace::{MineObserver, NoopObserver};
+use crate::trace::{MineObserver, NoopObserver, SeedEvent};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
+
+/// How a mine chooses `n`, the length Theorem 1 prunes toward.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Algorithm {
+    /// MPP (Figure 3) at the user's `n`.
+    Mpp {
+        /// The target level `n`.
+        n: usize,
+    },
+    /// MPPm (§5.2): MPP at the `n` that Theorem 2 estimates from `e_m`.
+    Mppm {
+        /// The sampling window `m`.
+        m: usize,
+    },
+}
+
+impl Algorithm {
+    /// The result-cache key's algorithm byte: 0 for MPP, 1 for MPPm.
+    pub(crate) fn id(&self) -> u8 {
+        match self {
+            Algorithm::Mpp { .. } => 0,
+            Algorithm::Mppm { .. } => 1,
+        }
+    }
+
+    /// `n` for MPP, `m` for MPPm.
+    pub(crate) fn param(&self) -> usize {
+        match *self {
+            Algorithm::Mpp { n } => n,
+            Algorithm::Mppm { m } => m,
+        }
+    }
+}
+
+/// The `n` a mine prunes toward. Figure 3 line 3: an `n` above `l1`
+/// mines as `l1`. It never falls below the start level either, since
+/// the engine cannot prune toward patterns shorter than its seed.
+pub(crate) fn clamp_n(n: usize, start: usize, l1: usize) -> usize {
+    n.clamp(start, l1.max(start))
+}
 
 /// Tuning knobs common to every level-wise run.
 #[derive(Clone, Debug)]
@@ -55,6 +99,12 @@ pub struct MppConfig {
     /// [`crate::prune`]). The default is a plain full mine; any active
     /// mode trades the full frequent set for a (much) smaller search.
     pub prune: PruneMode,
+    /// Threads that mine, counting the calling thread; at least 1, and
+    /// `1` (the default) spawns no pool. Output is byte-identical at every
+    /// thread count, so the result cache leaves it out of its key. A
+    /// corpus mine fans its shards out this wide and mines each shard
+    /// on one thread.
+    pub threads: usize,
 }
 
 impl Default for MppConfig {
@@ -67,6 +117,7 @@ impl Default for MppConfig {
             spill_watermark: 0.5,
             spill_io: None,
             prune: PruneMode::default(),
+            threads: 1,
         }
     }
 }
@@ -83,21 +134,79 @@ pub fn mpp(
     n: usize,
     config: MppConfig,
 ) -> Result<MineOutcome, MineError> {
-    mpp_traced(seq, gap, rho, n, config, &mut NoopObserver)
+    mine(
+        seq,
+        gap,
+        rho,
+        Algorithm::Mpp { n },
+        &config,
+        &mut NoopObserver,
+    )
 }
 
-/// [`mpp`] with a [`MineObserver`] attached. The observer is a generic
-/// parameter, so `mpp` (which passes [`NoopObserver`]) monomorphizes to
-/// the untraced hot path.
-pub fn mpp_traced<O: MineObserver>(
+/// Mine every pattern with support ratio ≥ `rho`, choosing `n` as
+/// `algorithm` says, on `config.threads` threads, with `observer`
+/// attached. Every MPP and MPPm mine is this call. The observer is a
+/// generic parameter, so a mine with [`NoopObserver`] monomorphizes to
+/// the untraced hot path. Output is byte-identical at every thread
+/// count; a pooled run also emits one [`crate::trace::PoolLevelEvent`]
+/// per pooled job.
+///
+/// # Panics
+///
+/// When `config.threads` is 0.
+pub fn mine<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
-    n: usize,
-    config: MppConfig,
+    algorithm: Algorithm,
+    config: &MppConfig,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
-    crate::dfs::mine_mpp(seq, gap, rho, n, config, 1, observer)
+    assert!(config.threads >= 1, "need at least one thread");
+    let started = Instant::now();
+    let (counts, rho_exact, n, seed, stats_seed) = match algorithm {
+        Algorithm::Mpp { n } => {
+            let (counts, rho_exact) = prepare(seq, gap, rho, config)?;
+            let seed = seed_level(seq, gap, config.start_level, observer);
+            (counts, rho_exact, n, seed, None)
+        }
+        Algorithm::Mppm { m } => {
+            let p = crate::mppm::prelude(seq, gap, rho, m, config, observer)?;
+            (p.counts, p.rho_exact, p.n, p.pils, Some(p.stats_seed))
+        }
+    };
+    let run = crate::dfs::run_hybrid(
+        seq,
+        &counts,
+        &rho_exact,
+        n,
+        config,
+        seed,
+        PoolHooks::default(),
+        stats_seed,
+        observer,
+    );
+    crate::dfs::finish(run, started, observer)
+}
+
+/// Build the start-level generation and emit its [`SeedEvent`].
+pub(crate) fn seed_level<O: MineObserver>(
+    seq: &Sequence,
+    gap: GapRequirement,
+    start: usize,
+    observer: &mut O,
+) -> PilSet {
+    let started = Instant::now();
+    let pils = build_seed(seq, gap, start);
+    observer.on_seed(&SeedEvent {
+        level: start,
+        patterns: pils.len(),
+        pil_entries: pils.entry_count(),
+        arena_bytes: pils.arena_bytes(),
+        elapsed: started.elapsed(),
+    });
+    pils
 }
 
 /// Fail with [`MineError::MemoryCeiling`] when `live` arena bytes
@@ -112,13 +221,15 @@ pub(crate) fn check_ceiling(limit: Option<usize>, live: usize) -> Result<(), Min
     }
 }
 
-/// Validate inputs and build the shared counting table.
-pub(crate) fn prepare(
+/// The input checks every mine makes before it counts anything: `rho`
+/// in `(0, 1]`, a start level of at least 1, and a sequence long
+/// enough to hold one start-level pattern.
+pub(crate) fn check_inputs(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
     config: &MppConfig,
-) -> Result<(OffsetCounts, BigRatio), MineError> {
+) -> Result<(), MineError> {
     if !(rho > 0.0 && rho <= 1.0) {
         return Err(MineError::InvalidThreshold(rho));
     }
@@ -132,6 +243,17 @@ pub(crate) fn prepare(
             needed,
         });
     }
+    Ok(())
+}
+
+/// Validate inputs and build the shared counting table.
+pub(crate) fn prepare(
+    seq: &Sequence,
+    gap: GapRequirement,
+    rho: f64,
+    config: &MppConfig,
+) -> Result<(OffsetCounts, BigRatio), MineError> {
+    check_inputs(seq, gap, rho, config)?;
     Ok((
         OffsetCounts::new(seq.len(), gap),
         BigRatio::from_f64_exact(rho),

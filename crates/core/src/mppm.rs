@@ -5,19 +5,18 @@
 //! MPPm checks for every `k` up to `l1` whether *any* length-3 pattern
 //! clears the Theorem 2 bound `λ′(k, k−3) · ρs · N_3`. If none does, no
 //! length-`k` frequent pattern can exist; `n` is the largest `k` that
-//! survives. From there the run is exactly MPP, on the engine in
-//! [`crate::dfs`]: [`mppm`] on one thread, [`mppm_parallel`] on a
-//! worker pool.
+//! survives. From there the run is exactly MPP: [`crate::mpp::mine`]
+//! with [`Algorithm::Mppm`] runs this module's prelude and then the
+//! engine in [`crate::dfs`]. [`mppm`] is the paper's untraced call.
 
-use crate::arena::{build_seed, PilSet};
+use crate::arena::PilSet;
 use crate::counts::OffsetCounts;
 use crate::em::compute_em;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::mpp::{prepare, MppConfig};
-use crate::parallel::PoolHooks;
+use crate::mpp::{mine, prepare, seed_level, Algorithm, MppConfig};
 use crate::result::{MineOutcome, MineStats};
-use crate::trace::{EmEvent, MineObserver, NoopObserver, SeedEvent};
+use crate::trace::{EmEvent, MineObserver, NoopObserver};
 use perigap_math::{BigRatio, BigUint};
 use perigap_seq::Sequence;
 use std::time::Instant;
@@ -47,22 +46,29 @@ pub fn mppm(
     m: usize,
     config: MppConfig,
 ) -> Result<MineOutcome, MineError> {
-    mppm_traced(seq, gap, rho, m, config, &mut NoopObserver)
+    mine(
+        seq,
+        gap,
+        rho,
+        Algorithm::Mppm { m },
+        &config,
+        &mut NoopObserver,
+    )
 }
 
 /// Everything the MPPm front half (validation, `e_m`, seed supports,
 /// `n` estimation) hands to the engine that runs the level-wise back
 /// half.
-struct MppmPrelude {
-    counts: OffsetCounts,
-    rho_exact: BigRatio,
-    n: usize,
-    pils: PilSet,
-    stats_seed: MineStats,
+pub(crate) struct MppmPrelude {
+    pub(crate) counts: OffsetCounts,
+    pub(crate) rho_exact: BigRatio,
+    pub(crate) n: usize,
+    pub(crate) pils: PilSet,
+    pub(crate) stats_seed: MineStats,
 }
 
-/// The MPPm front half. Emits the [`EmEvent`] and [`SeedEvent`].
-fn mppm_prelude<O: MineObserver>(
+/// The MPPm front half. Emits the [`EmEvent`] and the seed event.
+pub(crate) fn prelude<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
@@ -89,15 +95,7 @@ fn mppm_prelude<O: MineObserver>(
 
     // Phase 2: seed-level supports.
     let start = config.start_level;
-    let seed_started = Instant::now();
-    let pils = build_seed(seq, gap, start);
-    observer.on_seed(&SeedEvent {
-        level: start,
-        patterns: pils.len(),
-        pil_entries: pils.entry_count(),
-        arena_bytes: pils.arena_bytes(),
-        elapsed: seed_started.elapsed(),
-    });
+    let pils = seed_level(seq, gap, start, observer);
     let max_sup = pils.max_support();
 
     // Phase 3: estimate n = max { k : some seed pattern clears
@@ -188,61 +186,6 @@ fn theorem2_n(
     n
 }
 
-/// [`mppm`] with a [`MineObserver`] attached; see
-/// [`crate::mpp::mpp_traced`] for the zero-cost argument.
-pub fn mppm_traced<O: MineObserver>(
-    seq: &Sequence,
-    gap: GapRequirement,
-    rho: f64,
-    m: usize,
-    config: MppConfig,
-    observer: &mut O,
-) -> Result<MineOutcome, MineError> {
-    mppm_parallel_traced(seq, gap, rho, m, config, 1, observer)
-}
-
-/// [`mppm`] on `threads` OS threads (`1` spawns no pool): the same `n`
-/// estimate and seed, mined on the worker pool like
-/// [`crate::parallel::mpp_parallel`]. Byte-identical to [`mppm`].
-pub fn mppm_parallel(
-    seq: &Sequence,
-    gap: GapRequirement,
-    rho: f64,
-    m: usize,
-    config: MppConfig,
-    threads: usize,
-) -> Result<MineOutcome, MineError> {
-    mppm_parallel_traced(seq, gap, rho, m, config, threads, &mut NoopObserver)
-}
-
-/// [`mppm_parallel`] with a [`MineObserver`] attached.
-pub fn mppm_parallel_traced<O: MineObserver>(
-    seq: &Sequence,
-    gap: GapRequirement,
-    rho: f64,
-    m: usize,
-    config: MppConfig,
-    threads: usize,
-    observer: &mut O,
-) -> Result<MineOutcome, MineError> {
-    assert!(threads >= 1, "need at least one thread");
-    let started = Instant::now();
-    let p = mppm_prelude(seq, gap, rho, m, &config, observer)?;
-    let run = crate::dfs::run_hybrid(
-        seq,
-        &p.counts,
-        &p.rho_exact,
-        p.n,
-        &config,
-        p.pils,
-        threads,
-        PoolHooks::default(),
-        Some(p.stats_seed),
-        observer,
-    );
-    crate::dfs::finish(run, started, observer)
-}
-
 /// The `n` MPPm would estimate, without running the mining phase —
 /// used by the harness to report the paper's "MPPm estimates n = 22"
 /// style numbers.
@@ -253,7 +196,7 @@ pub fn estimate_n(
     m: usize,
     config: MppConfig,
 ) -> Result<(usize, u64), MineError> {
-    let p = mppm_prelude(seq, gap, rho, m, &config, &mut NoopObserver)?;
+    let p = prelude(seq, gap, rho, m, &config, &mut NoopObserver)?;
     let em = p.stats_seed.em.expect("prelude always records e_m");
     Ok((p.n, em))
 }
@@ -342,7 +285,11 @@ mod tests {
         let bfs = crate::reference::mpp_reference(&s, g, rho, n, MppConfig::default(), 1).unwrap();
         let serial = mppm(&s, g, rho, 4, MppConfig::default()).unwrap();
         for threads in [1usize, 4] {
-            let dfs = mppm_parallel(&s, g, rho, 4, MppConfig::default(), threads).unwrap();
+            let config = MppConfig {
+                threads,
+                ..MppConfig::default()
+            };
+            let dfs = mppm(&s, g, rho, 4, config).unwrap();
             assert_eq!(serial.frequent, dfs.frequent, "threads = {threads}");
             assert_eq!(dfs.stats.n_used, n);
             assert_eq!(dfs.stats.em, Some(em));

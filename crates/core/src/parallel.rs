@@ -1,5 +1,6 @@
 //! The worker pool behind parallel mining (an engineering extension —
-//! the paper is single-threaded), and the threaded MPP entry point.
+//! the paper is single-threaded). A mine runs on it when
+//! [`crate::mpp::MppConfig::threads`] is above 1.
 //!
 //! The threads are spawned once per mine and live for the whole run.
 //! The engine ([`crate::dfs`]) publishes one [`PoolJob`] at a time — the
@@ -15,7 +16,7 @@
 //! [`crate::arena::PilSet::concat`] moves their entry buffers into the
 //! next generation without copying them) and the final outcome is
 //! sorted exactly like the serial run's. Output is byte-identical to
-//! [`crate::mpp::mpp`], which is the same engine on one thread.
+//! the same mine on one thread.
 //!
 //! ## Failure handling
 //!
@@ -31,11 +32,7 @@
 //! without managing to report.
 
 use crate::error::MineError;
-use crate::gap::GapRequirement;
-use crate::mpp::MppConfig;
-use crate::result::MineOutcome;
-use crate::trace::{MineObserver, NoopObserver, PoolLevelEvent, WorkerLevelStats};
-use perigap_seq::Sequence;
+use crate::trace::{PoolLevelEvent, WorkerLevelStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -61,35 +58,6 @@ const RECV_TICK: Duration = Duration::from_millis(50);
 /// draining the channel for an in-flight failure report before giving
 /// up with a generic [`MineError::WorkerFailed`].
 const DEAD_WORKER_GRACE: Duration = Duration::from_secs(1);
-
-/// MPP on `threads` OS threads (`1` spawns no pool). Produces
-/// byte-identical outcomes to [`crate::mpp::mpp`].
-pub fn mpp_parallel(
-    seq: &Sequence,
-    gap: GapRequirement,
-    rho: f64,
-    n: usize,
-    config: MppConfig,
-    threads: usize,
-) -> Result<MineOutcome, MineError> {
-    mpp_parallel_traced(seq, gap, rho, n, config, threads, &mut NoopObserver)
-}
-
-/// [`mpp_parallel`] with a [`MineObserver`] attached. Beyond the serial
-/// events, every pooled job emits a [`PoolLevelEvent`] with the
-/// per-worker item/candidate/busy-time breakdown, and every subtree
-/// task a [`crate::trace::SubtreeEvent`].
-pub fn mpp_parallel_traced<O: MineObserver>(
-    seq: &Sequence,
-    gap: GapRequirement,
-    rho: f64,
-    n: usize,
-    config: MppConfig,
-    threads: usize,
-    observer: &mut O,
-) -> Result<MineOutcome, MineError> {
-    crate::dfs::mine_mpp(seq, gap, rho, n, config, threads, observer)
-}
 
 /// Test-only fault injection, carried by every pool job. Outside
 /// `cfg(test)` this is a zero-sized token whose accessors fold to
@@ -384,10 +352,13 @@ impl<J: PoolJob> Drop for WorkerPool<J> {
 mod tests {
     use super::*;
     use crate::arena::build_seed;
-    use crate::mpp::{mpp, prepare};
-    use crate::trace::MetricsObserver;
+    use crate::gap::GapRequirement;
+    use crate::mpp::{mine, mpp, prepare, Algorithm, MppConfig};
+    use crate::result::MineOutcome;
+    use crate::trace::{MetricsObserver, NoopObserver};
     use perigap_seq::gen::iid::uniform;
     use perigap_seq::Alphabet;
+    use perigap_seq::Sequence;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -395,14 +366,26 @@ mod tests {
         GapRequirement::new(n, m).unwrap()
     }
 
-    /// `mpp_parallel` with fault injection, for the regression tests.
-    fn mpp_parallel_with_hooks(
+    /// `mpp` on `threads` threads.
+    fn mpp_threads(
         seq: &Sequence,
         g: GapRequirement,
         rho: f64,
         n: usize,
         config: MppConfig,
         threads: usize,
+    ) -> Result<MineOutcome, MineError> {
+        mpp(seq, g, rho, n, MppConfig { threads, ..config })
+    }
+
+    /// MPP on `config.threads` threads with fault injection, for the
+    /// regression tests.
+    fn mpp_with_hooks(
+        seq: &Sequence,
+        g: GapRequirement,
+        rho: f64,
+        n: usize,
+        config: MppConfig,
         hooks: PoolHooks,
     ) -> Result<MineOutcome, MineError> {
         let (counts, rho_exact) = prepare(seq, g, rho, &config)?;
@@ -414,7 +397,6 @@ mod tests {
             n,
             &config,
             pils,
-            threads,
             hooks,
             None,
             &mut NoopObserver,
@@ -438,7 +420,7 @@ mod tests {
         let rho = 0.0008;
         let serial = mpp(&seq, g, rho, 12, MppConfig::default()).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            let parallel = mpp_parallel(&seq, g, rho, 12, MppConfig::default(), threads).unwrap();
+            let parallel = mpp_threads(&seq, g, rho, 12, MppConfig::default(), threads).unwrap();
             assert_same_outcome(&parallel, &serial, &format!("{threads} threads"));
         }
     }
@@ -458,7 +440,7 @@ mod tests {
             "test must exercise the pool (kept = {kept_level3})"
         );
         for threads in [2usize, 4, 8] {
-            let parallel = mpp_parallel(&seq, g, rho, 6, MppConfig::default(), threads).unwrap();
+            let parallel = mpp_threads(&seq, g, rho, 6, MppConfig::default(), threads).unwrap();
             assert_same_outcome(&parallel, &serial, &format!("{threads} threads"));
         }
     }
@@ -477,8 +459,11 @@ mod tests {
                 panic_workers: true,
                 main_no_steal: true,
             };
-            let result =
-                mpp_parallel_with_hooks(&seq, gap(0, 2), 1e-6, 6, MppConfig::default(), 4, hooks);
+            let config = MppConfig {
+                threads: 4,
+                ..MppConfig::default()
+            };
+            let result = mpp_with_hooks(&seq, gap(0, 2), 1e-6, 6, config, hooks);
             let _ = tx.send(result);
         });
         let result = rx
@@ -497,13 +482,16 @@ mod tests {
     fn pool_events_account_every_chunk() {
         let seq = uniform(&mut StdRng::seed_from_u64(99), Alphabet::Protein, 3_000);
         let mut metrics = MetricsObserver::new();
-        let outcome = mpp_parallel_traced(
+        let config = MppConfig {
+            threads: 4,
+            ..MppConfig::default()
+        };
+        let outcome = mine(
             &seq,
             gap(0, 2),
             1e-6,
-            6,
-            MppConfig::default(),
-            4,
+            Algorithm::Mpp { n: 6 },
+            &config,
             &mut metrics,
         )
         .unwrap();
@@ -535,8 +523,8 @@ mod tests {
     fn parallel_runs_are_deterministic() {
         let seq = uniform(&mut StdRng::seed_from_u64(96), Alphabet::Dna, 300);
         let g = gap(2, 4);
-        let a = mpp_parallel(&seq, g, 0.001, 10, MppConfig::default(), 4).unwrap();
-        let b = mpp_parallel(&seq, g, 0.001, 10, MppConfig::default(), 4).unwrap();
+        let a = mpp_threads(&seq, g, 0.001, 10, MppConfig::default(), 4).unwrap();
+        let b = mpp_threads(&seq, g, 0.001, 10, MppConfig::default(), 4).unwrap();
         assert_eq!(a.frequent.len(), b.frequent.len());
         for (x, y) in a.frequent.iter().zip(&b.frequent) {
             assert_eq!(x.pattern, y.pattern);
@@ -549,7 +537,7 @@ mod tests {
         // Every level must report a non-degenerate duration, and the
         // sum of level times must not exceed the total.
         let seq = uniform(&mut StdRng::seed_from_u64(101), Alphabet::Dna, 500);
-        let outcome = mpp_parallel(&seq, gap(1, 3), 0.0008, 12, MppConfig::default(), 4).unwrap();
+        let outcome = mpp_threads(&seq, gap(1, 3), 0.0008, 12, MppConfig::default(), 4).unwrap();
         let level_sum: std::time::Duration = outcome.stats.levels.iter().map(|l| l.elapsed).sum();
         assert!(level_sum <= outcome.stats.total_elapsed);
         assert!(!outcome.stats.levels.is_empty());
@@ -559,14 +547,14 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_panics() {
         let seq = uniform(&mut StdRng::seed_from_u64(97), Alphabet::Dna, 100);
-        let _ = mpp_parallel(&seq, gap(1, 2), 0.01, 5, MppConfig::default(), 0);
+        let _ = mpp_threads(&seq, gap(1, 2), 0.01, 5, MppConfig::default(), 0);
     }
 
     #[test]
     fn error_paths_match_serial() {
         let seq = uniform(&mut StdRng::seed_from_u64(98), Alphabet::Dna, 100);
         assert!(matches!(
-            mpp_parallel(&seq, gap(1, 2), 0.0, 5, MppConfig::default(), 2),
+            mpp_threads(&seq, gap(1, 2), 0.0, 5, MppConfig::default(), 2),
             Err(MineError::InvalidThreshold(_))
         ));
     }

@@ -472,8 +472,14 @@ mod tests {
     use super::*;
     use crate::gap::GapRequirement;
     use crate::mpp::{mpp, MppConfig};
-    use crate::parallel::mpp_parallel;
     use perigap_seq::Sequence;
+
+    fn on_three_threads(config: &MppConfig) -> MppConfig {
+        MppConfig {
+            threads: 3,
+            ..config.clone()
+        }
+    }
 
     #[test]
     fn floor_rises_only_when_heap_is_full() {
@@ -562,7 +568,7 @@ mod tests {
             let serial = mpp(&seq, gap, rho, n, config.clone()).unwrap();
             assert_eq!(serial.frequent, expect, "serial k={k}");
             assert_eq!(serial.stats.top_k, Some(k));
-            let par = mpp_parallel(&seq, gap, rho, n, config.clone(), 3).unwrap();
+            let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
             assert_eq!(par.frequent, expect, "parallel k={k}");
         }
     }
@@ -592,7 +598,7 @@ mod tests {
         assert_eq!(got.frequent, expect);
         assert!(got.stats.pruned_by_target > 0);
         assert_eq!(got.stats.top_k, None);
-        let par = mpp_parallel(&seq, gap, rho, n, config.clone(), 3).unwrap();
+        let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
         assert_eq!(par.frequent, expect, "parallel");
     }
 
@@ -619,7 +625,7 @@ mod tests {
         };
         let got = mpp(&seq, gap, rho, n, config.clone()).unwrap();
         assert_eq!(got.frequent, expect);
-        let par = mpp_parallel(&seq, gap, rho, n, config.clone(), 3).unwrap();
+        let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
         assert_eq!(par.frequent, expect);
     }
 
@@ -679,7 +685,7 @@ mod tests {
             };
             let got = mpp(&seq, gap, rho, n, config.clone()).unwrap();
             assert_eq!(got.frequent, expect, "serial k={k}");
-            let par = mpp_parallel(&seq, gap, rho, n, config.clone(), 3).unwrap();
+            let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
             assert_eq!(par.frequent, expect, "parallel k={k}");
         }
     }
@@ -710,7 +716,7 @@ mod tests {
         };
         let got = mpp(&seq, gap, rho, n, config.clone()).unwrap();
         assert_eq!(got.frequent, expect);
-        let par = mpp_parallel(&seq, gap, rho, n, config, 3).unwrap();
+        let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
         assert_eq!(par.frequent, expect);
     }
 }

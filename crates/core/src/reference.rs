@@ -4,8 +4,8 @@
 //! spawns.
 //!
 //! These are **not** used by the production engine
-//! ([`crate::mpp::mpp`] / [`crate::parallel::mpp_parallel`] run on the
-//! packed-key arena in `crate::arena`). They exist so that
+//! ([`crate::mpp::mine`] runs on the packed-key arena in
+//! `crate::arena`). They exist so that
 //!
 //! 1. differential tests (`tests/prop_engine.rs`) can assert the new
 //!    engine agrees with the historical one on arbitrary inputs, and
@@ -86,9 +86,10 @@ fn scan_rec(
     }
 }
 
-/// The seed `mpp_parallel`: `HashMap` pipeline, per-candidate `Vec`
+/// The seed's threaded MPP: `HashMap` pipeline, per-candidate `Vec`
 /// allocation, and a fresh thread spawn per level. Byte-identical
-/// output to [`crate::parallel::mpp_parallel`]; slower machinery.
+/// output to [`crate::mpp::mine`] at any thread count; slower
+/// machinery.
 pub fn mpp_reference(
     seq: &Sequence,
     gap: GapRequirement,
@@ -257,7 +258,7 @@ fn join_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::mpp_parallel;
+    use crate::mpp::mpp;
     use perigap_seq::gen::iid::uniform;
     use perigap_seq::Alphabet;
     use rand::rngs::StdRng;
@@ -285,8 +286,12 @@ mod tests {
         let g = gap(1, 3);
         let rho = 0.0008;
         for threads in [1usize, 4] {
-            let old = mpp_reference(&seq, g, rho, 12, MppConfig::default(), threads).unwrap();
-            let new = mpp_parallel(&seq, g, rho, 12, MppConfig::default(), threads).unwrap();
+            let config = MppConfig {
+                threads,
+                ..MppConfig::default()
+            };
+            let old = mpp_reference(&seq, g, rho, 12, config.clone(), threads).unwrap();
+            let new = mpp(&seq, g, rho, 12, config).unwrap();
             assert_eq!(old.frequent.len(), new.frequent.len());
             for (a, b) in old.frequent.iter().zip(&new.frequent) {
                 assert_eq!(a.pattern, b.pattern);

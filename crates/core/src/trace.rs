@@ -13,9 +13,10 @@
 //! (`dfs::run_hybrid`, `mine_collection`) are generic over
 //! `O: MineObserver`, so a run with [`NoopObserver`] monomorphizes
 //! every callback to an empty inlined body: the compiled hot loop is
-//! identical to the pre-observability one. The public `mpp`/`mppm`/
-//! `mpp_parallel` entry points call the `_traced` variants with
-//! [`NoopObserver`]; attaching a real observer is opt-in.
+//! identical to the pre-observability one. Every MPP and MPPm mine is
+//! one call, [`crate::mpp::mine`], which takes the observer; the
+//! paper's `mpp` and `mppm` pass [`NoopObserver`], so attaching a real
+//! observer is opt-in.
 //!
 //! Two sinks ship with the crate:
 //!
@@ -225,26 +226,6 @@ pub struct RestoreEvent {
     pub elapsed: Duration,
 }
 
-/// One corpus shard finished during a sharded corpus mine (see
-/// [`crate::corpus::mine_corpus`]): either mined fresh on a pool
-/// worker or restored from its checkpoint record. Events are
-/// emitted in shard-index order after the fan-out completes, so a
-/// trace is deterministic regardless of worker scheduling.
-#[derive(Clone, Debug)]
-pub struct ShardEvent {
-    /// Shard index (== sequence index in the corpus directory).
-    pub shard: usize,
-    /// Sequence length in symbols.
-    pub len: usize,
-    /// Patterns frequent within this shard alone.
-    pub patterns: usize,
-    /// True when the shard came back from a checkpoint record instead
-    /// of being mined this run.
-    pub restored: bool,
-    /// Wall-clock time spent mining (or restoring) the shard.
-    pub elapsed: Duration,
-}
-
 /// A mine cut short by an error after events were already emitted —
 /// e.g. [`crate::MineError::MemoryCeiling`]. Terminal: no `summary`
 /// follows.
@@ -375,9 +356,6 @@ pub trait MineObserver {
     fn on_spill(&mut self, _event: &SpillEvent) {}
     /// A spill record was restored and mined.
     fn on_restore(&mut self, _event: &RestoreEvent) {}
-    /// A corpus shard finished — mined or checkpoint-restored
-    /// (sharded corpus mine only).
-    fn on_shard(&mut self, _event: &ShardEvent) {}
     /// A non-fatal anomaly was survived (e.g. spill cleanup failure).
     fn on_warning(&mut self, _event: &WarningEvent) {}
     /// A pattern-store query was served (`pgmine serve` only).
@@ -418,9 +396,6 @@ impl<O: MineObserver + ?Sized> MineObserver for &mut O {
     }
     fn on_restore(&mut self, event: &RestoreEvent) {
         (**self).on_restore(event);
-    }
-    fn on_shard(&mut self, event: &ShardEvent) {
-        (**self).on_shard(event);
     }
     fn on_warning(&mut self, event: &WarningEvent) {
         (**self).on_warning(event);
@@ -467,10 +442,6 @@ impl<A: MineObserver, B: MineObserver> MineObserver for (A, B) {
     fn on_restore(&mut self, event: &RestoreEvent) {
         self.0.on_restore(event);
         self.1.on_restore(event);
-    }
-    fn on_shard(&mut self, event: &ShardEvent) {
-        self.0.on_shard(event);
-        self.1.on_shard(event);
     }
     fn on_warning(&mut self, event: &WarningEvent) {
         self.0.on_warning(event);
@@ -528,11 +499,6 @@ impl<O: MineObserver> MineObserver for Option<O> {
     fn on_restore(&mut self, event: &RestoreEvent) {
         if let Some(o) = self {
             o.on_restore(event);
-        }
-    }
-    fn on_shard(&mut self, event: &ShardEvent) {
-        if let Some(o) = self {
-            o.on_shard(event);
         }
     }
     fn on_warning(&mut self, event: &WarningEvent) {

@@ -3,10 +3,8 @@
 //! `MineOutcome::stats`, across every traced engine (serial MPP,
 //! parallel MPP, MPPm, and the multi-sequence miner).
 
-use perigap_core::mpp::{mpp_traced, MppConfig};
-use perigap_core::mppm::mppm_traced;
+use perigap_core::mpp::{mine, Algorithm, MppConfig};
 use perigap_core::multiseq::mine_collection_traced;
-use perigap_core::parallel::mpp_parallel_traced;
 use perigap_core::result::MineOutcome;
 use perigap_core::trace::{validate_trace, Json, JsonlObserver, MetricsObserver};
 use perigap_core::GapRequirement;
@@ -81,18 +79,22 @@ fn jsonl_totals_match_stats_across_engines() {
     let config = MppConfig::default();
 
     let mut serial_sink = JsonlObserver::new(Vec::new());
-    let serial = mpp_traced(&seq, g, rho, 12, config.clone(), &mut serial_sink).unwrap();
+    let (mpp, mppm) = (Algorithm::Mpp { n: 12 }, Algorithm::Mppm { m: 4 });
+    let serial = mine(&seq, g, rho, mpp, &config, &mut serial_sink).unwrap();
     let serial_text = String::from_utf8(serial_sink.finish().unwrap()).unwrap();
     assert_trace_matches(&serial_text, &serial, "mpp");
 
     let mut parallel_sink = JsonlObserver::new(Vec::new());
-    let parallel =
-        mpp_parallel_traced(&seq, g, rho, 12, config.clone(), 4, &mut parallel_sink).unwrap();
+    let pooled = MppConfig {
+        threads: 4,
+        ..config.clone()
+    };
+    let parallel = mine(&seq, g, rho, mpp, &pooled, &mut parallel_sink).unwrap();
     let parallel_text = String::from_utf8(parallel_sink.finish().unwrap()).unwrap();
-    assert_trace_matches(&parallel_text, &parallel, "mpp_parallel");
+    assert_trace_matches(&parallel_text, &parallel, "mpp on 4 threads");
 
     let mut mppm_sink = JsonlObserver::new(Vec::new());
-    let auto = mppm_traced(&seq, g, rho, 4, config.clone(), &mut mppm_sink).unwrap();
+    let auto = mine(&seq, g, rho, mppm, &config, &mut mppm_sink).unwrap();
     let mppm_text = String::from_utf8(mppm_sink.finish().unwrap()).unwrap();
     assert_trace_matches(&mppm_text, &auto, "mppm");
     assert!(
@@ -111,11 +113,22 @@ fn parallel_trace_engages_pool_with_consistent_worker_totals() {
     // to cross the pool's engagement threshold.
     let seq = uniform(&mut StdRng::seed_from_u64(78), Alphabet::Protein, 3_000);
     let mut sink = (JsonlObserver::new(Vec::new()), MetricsObserver::new());
-    let outcome =
-        mpp_parallel_traced(&seq, gap(0, 2), 1e-6, 6, MppConfig::default(), 4, &mut sink).unwrap();
+    let pooled = MppConfig {
+        threads: 4,
+        ..MppConfig::default()
+    };
+    let outcome = mine(
+        &seq,
+        gap(0, 2),
+        1e-6,
+        Algorithm::Mpp { n: 6 },
+        &pooled,
+        &mut sink,
+    );
+    let outcome = outcome.unwrap();
     let (jsonl, metrics) = sink;
     let text = String::from_utf8(jsonl.finish().unwrap()).unwrap();
-    assert_trace_matches(&text, &outcome, "pooled mpp_parallel");
+    assert_trace_matches(&text, &outcome, "pooled mpp");
 
     // Pool events are present in both sinks and internally consistent.
     let pool_lines: Vec<Json> = text
@@ -176,7 +189,8 @@ fn noop_and_traced_runs_agree() {
     let g = gap(2, 4);
     let plain = perigap_core::mpp::mpp(&seq, g, 0.001, 10, MppConfig::default()).unwrap();
     let mut metrics = MetricsObserver::new();
-    let traced = mpp_traced(&seq, g, 0.001, 10, MppConfig::default(), &mut metrics).unwrap();
+    let mpp = Algorithm::Mpp { n: 10 };
+    let traced = mine(&seq, g, 0.001, mpp, &MppConfig::default(), &mut metrics).unwrap();
     assert_eq!(plain.frequent.len(), traced.frequent.len());
     for (a, b) in plain.frequent.iter().zip(&traced.frequent) {
         assert_eq!(a.pattern, b.pattern);

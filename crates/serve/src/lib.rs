@@ -1,7 +1,7 @@
 //! `pgmine serve`: a pattern-store daemon over mined outcomes.
 //!
 //! A mined pattern set — fresh from the engine or loaded back from a
-//! PGST store file through a [`perigap_store::Backend`] — is indexed
+//! PGST store file with [`perigap_store::load_outcome`] — is indexed
 //! once ([`perigap_store::PatternIndex`]) and served to concurrent
 //! clients over a line-delimited JSON protocol on a TCP socket:
 //!

@@ -17,11 +17,9 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod index;
 pub mod wire;
 
-pub use backend::{Backend, MemoryBackend, PgstFileBackend, StoreBackend};
 pub use index::{IndexEntry, PatternIndex};
 
 use perigap_core::result::{FrequentPattern, MineOutcome, MineStats};
@@ -625,7 +623,8 @@ mod tests {
     /// trailing digest.
     #[test]
     fn result_cache_records_honor_the_store_wire_format() {
-        use perigap_core::incremental::{mine_incremental, EngineSelection};
+        use perigap_core::incremental::mine_incremental;
+        use perigap_core::mpp::Algorithm;
         use perigap_core::trace::NoopObserver;
 
         let dir = std::env::temp_dir().join(format!(
@@ -642,9 +641,8 @@ mod tests {
             &seq,
             gap,
             0.01,
-            &EngineSelection::Mpp { n: 6 },
+            Algorithm::Mpp { n: 6 },
             &MppConfig::default(),
-            1,
             &cache_path,
             &mut NoopObserver,
         )

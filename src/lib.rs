@@ -30,10 +30,9 @@ pub use perigap_store as store;
 pub mod prelude {
     pub use perigap_analysis::{CaseStudyConfig, GenomeReport};
     pub use perigap_core::adaptive::adaptive_mpp;
-    pub use perigap_core::mpp::{mpp, MppConfig};
-    pub use perigap_core::mppm::{mppm, mppm_parallel};
+    pub use perigap_core::mpp::{mine, mpp, Algorithm, MppConfig};
+    pub use perigap_core::mppm::mppm;
     pub use perigap_core::multiseq::{mine_collection, CollectionOutcome};
-    pub use perigap_core::parallel::mpp_parallel;
     pub use perigap_core::profile::{mine_with_profile, GapProfile};
     pub use perigap_core::rigid::{rigid_mine, RigidConfig, RigidPattern};
     pub use perigap_core::windowed::windowed_mine;

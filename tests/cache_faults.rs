@@ -10,8 +10,7 @@
 
 use perigap::core::trace::NoopObserver;
 use perigap::core::{
-    load_result_cache, mine_incremental, write_result_cache, EngineSelection, IncrementalMode,
-    IncrementalOutcome,
+    load_result_cache, mine_incremental, write_result_cache, IncrementalMode, IncrementalOutcome,
 };
 use perigap::prelude::*;
 use std::path::{Path, PathBuf};
@@ -25,26 +24,25 @@ fn cache_path(name: &str) -> PathBuf {
 
 // Small on purpose: the truncation test rewrites the record once per
 // byte, so the subject is sized to keep the record at a few KB.
-fn subject() -> (Sequence, GapRequirement, f64, EngineSelection) {
+fn subject() -> (Sequence, GapRequirement, f64, Algorithm) {
     let seq = Sequence::dna(&"ACGTT".repeat(30)).unwrap();
     let gap = GapRequirement::new(1, 1).unwrap();
-    (seq, gap, 0.02, EngineSelection::Mpp { n: 4 })
+    (seq, gap, 0.02, Algorithm::Mpp { n: 4 })
 }
 
 fn run(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
-    engine: &EngineSelection,
+    algorithm: &Algorithm,
     cache: &Path,
 ) -> IncrementalOutcome {
     mine_incremental(
         seq,
         gap,
         rho,
-        engine,
+        *algorithm,
         &MppConfig::default(),
-        1,
         cache,
         &mut NoopObserver,
     )
@@ -203,7 +201,7 @@ fn stale_config_keys_name_the_drifted_field() {
     // Algorithm (mpp -> mppm): the cold re-mine must answer exactly
     // what a plain MPPm mine does.
     reseed(&cache);
-    let out = run(&seq, gap, rho, &EngineSelection::Mppm { m: 4 }, &cache);
+    let out = run(&seq, gap, rho, &Algorithm::Mppm { m: 4 }, &cache);
     match &out.cache_fault {
         Some(MineError::CacheMismatch { field, .. }) => assert_eq!(*field, "algorithm"),
         other => panic!("algorithm: expected CacheMismatch, got {other:?}"),
@@ -213,7 +211,7 @@ fn stale_config_keys_name_the_drifted_field() {
 
     // Engine parameter (n drift).
     reseed(&cache);
-    let out = run(&seq, gap, rho, &EngineSelection::Mpp { n: 5 }, &cache);
+    let out = run(&seq, gap, rho, &Algorithm::Mpp { n: 5 }, &cache);
     match &out.cache_fault {
         Some(MineError::CacheMismatch { field, .. }) => assert_eq!(*field, "engine parameter"),
         other => panic!("param: expected CacheMismatch, got {other:?}"),

@@ -30,7 +30,11 @@ fn shared_input() -> (Sequence, GapRequirement, f64) {
 fn parallel_equals_serial_on_shared_input() {
     let (seq, gap, rho) = shared_input();
     let serial = mpp(&seq, gap, rho, 12, MppConfig::default()).unwrap();
-    let parallel = mpp_parallel(&seq, gap, rho, 12, MppConfig::default(), 4).unwrap();
+    let pooled = MppConfig {
+        threads: 4,
+        ..MppConfig::default()
+    };
+    let parallel = mpp(&seq, gap, rho, 12, pooled).unwrap();
     assert_eq!(serial.frequent.len(), parallel.frequent.len());
     for (a, b) in serial.frequent.iter().zip(&parallel.frequent) {
         assert_eq!(a.pattern, b.pattern);

@@ -84,8 +84,10 @@ fn config_grid(
     CorpusMineConfig {
         n: 10,
         min_sequences,
-        threads,
-        mpp: MppConfig::default(),
+        mpp: MppConfig {
+            threads,
+            ..MppConfig::default()
+        },
         checkpoint,
     }
 }

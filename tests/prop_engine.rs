@@ -110,7 +110,7 @@ proptest! {
         let rho = rho_scale as f64 * 1e-4;
         let config = MppConfig::default();
         let old = mpp_reference(&seq, gap, rho, 8, config.clone(), threads);
-        let new = mpp_parallel(&seq, gap, rho, 8, config.clone(), threads);
+        let new = mpp(&seq, gap, rho, 8, MppConfig { threads, ..config.clone() });
         // Sequences too short for a level-3 pattern under this gap are
         // rejected; both engines must agree on that too.
         prop_assert_eq!(old.is_ok(), new.is_ok());
@@ -177,7 +177,7 @@ proptest! {
         let rho = rho_scale as f64 * 1e-4;
         let config = MppConfig::default();
         let reference = mpp_reference(&seq, gap, rho, 8, config.clone(), 1);
-        let engine = mpp_parallel(&seq, gap, rho, 8, config.clone(), threads);
+        let engine = mpp(&seq, gap, rho, 8, MppConfig { threads, ..config.clone() });
         prop_assert_eq!(reference.is_ok(), engine.is_ok());
         let Ok(reference) = reference else { return Ok(()) };
         let engine = engine.unwrap();
@@ -284,7 +284,7 @@ proptest! {
         prop_assert_eq!(topk.stats.top_k, Some(k));
         let expect_topk = select_top_k(&full.frequent, k);
         assert_pruned_equal(&expect_topk, &topk, "top-k serial")?;
-        let par = mpp_parallel(&seq, gap, rho, 8, topk_cfg.clone(), 3).unwrap();
+        let par = mpp(&seq, gap, rho, 8, MppConfig { threads: 3, ..topk_cfg.clone() }).unwrap();
         assert_pruned_equal(&expect_topk, &par, "top-k parallel")?;
 
         // Under a memory ceiling the floor drops spilled components
@@ -296,7 +296,7 @@ proptest! {
             spill_io: Some(Arc::new(MemSpillIo::default()) as Arc<dyn SpillIo>),
             ..topk_cfg.clone()
         };
-        let spilled = mpp_parallel(&seq, gap, rho, 8, spill_cfg, 2).unwrap();
+        let spilled = mpp(&seq, gap, rho, 8, MppConfig { threads: 2, ..spill_cfg }).unwrap();
         assert_pruned_equal(&expect_topk, &spilled, "top-k spill")?;
 
         // Prefix target: emission-filtered only (the self-join needs
@@ -319,7 +319,7 @@ proptest! {
             .collect();
         let run = mpp(&seq, gap, rho, 8, target_cfg(&prefix)).unwrap();
         assert_pruned_equal(&expect_prefix, &run, "prefix serial")?;
-        let run = mpp_parallel(&seq, gap, rho, 8, target_cfg(&prefix), 2).unwrap();
+        let run = mpp(&seq, gap, rho, 8, MppConfig { threads: 2, ..target_cfg(&prefix) }).unwrap();
         assert_pruned_equal(&expect_prefix, &run, "prefix parallel")?;
 
         // Symbol-set target: window-closed, so whole cones are cut —
@@ -334,7 +334,7 @@ proptest! {
             .collect();
         let run = mpp(&seq, gap, rho, 8, target_cfg(&symbols)).unwrap();
         assert_pruned_equal(&expect_sym, &run, "symbols serial")?;
-        let run = mpp_parallel(&seq, gap, rho, 8, target_cfg(&symbols), 3).unwrap();
+        let run = mpp(&seq, gap, rho, 8, MppConfig { threads: 3, ..target_cfg(&symbols) }).unwrap();
         assert_pruned_equal(&expect_sym, &run, "symbols parallel")?;
 
         // Combined: the floor only ever counts target-admitted
@@ -390,7 +390,6 @@ proptest! {
             }),
         )
     ) {
-        use perigap::core::parallel::mpp_parallel_traced;
         use perigap::core::spill::{MemSpillIo, SpillIo};
         use perigap::core::trace::MetricsObserver;
         use std::sync::Arc;
@@ -407,15 +406,15 @@ proptest! {
         };
 
         for threads in [1usize, 2] {
-            let free = mpp_parallel(&seq, gap, rho, 8, unbounded_cfg.clone(), threads);
-            let spill = mpp_parallel(&seq, gap, rho, 8, spill_cfg(1 << 30), threads);
+            let free = mpp(&seq, gap, rho, 8, MppConfig { threads, ..unbounded_cfg.clone() });
+            let spill = mpp(&seq, gap, rho, 8, MppConfig { threads, ..spill_cfg(1 << 30) });
             prop_assert_eq!(free.is_ok(), spill.is_ok());
             if let Ok(free) = free {
                 assert_outcome_invariant(&free, &spill.unwrap(), &format!("mpp {threads}t"));
             }
 
-            let free_m = mppm_parallel(&seq, gap, rho, 4, unbounded_cfg.clone(), threads);
-            let spill_m = mppm_parallel(&seq, gap, rho, 4, spill_cfg(1 << 30), threads);
+            let free_m = mppm(&seq, gap, rho, 4, MppConfig { threads, ..unbounded_cfg.clone() });
+            let spill_m = mppm(&seq, gap, rho, 4, MppConfig { threads, ..spill_cfg(1 << 30) });
             prop_assert_eq!(free_m.is_ok(), spill_m.is_ok());
             if let Ok(free_m) = free_m {
                 assert_outcome_invariant(&free_m, &spill_m.unwrap(), &format!("mppm {threads}t"));
@@ -426,10 +425,11 @@ proptest! {
         // spilling run itself reports — it must still complete, with
         // the same outcome.
         let mut metrics = MetricsObserver::new();
-        let traced = mpp_parallel_traced(&seq, gap, rho, 8, spill_cfg(1 << 30), 1, &mut metrics);
+        let mpp8 = Algorithm::Mpp { n: 8 };
+        let traced = mine(&seq, gap, rho, mpp8, &spill_cfg(1 << 30), &mut metrics);
         if let Ok(traced) = traced {
             let peak = metrics.complete.as_ref().unwrap().peak_arena_bytes.max(1);
-            let tiny = mpp_parallel(&seq, gap, rho, 8, spill_cfg(peak), 1).unwrap();
+            let tiny = mpp(&seq, gap, rho, 8, spill_cfg(peak)).unwrap();
             assert_outcome_invariant(&traced, &tiny, "tiny cap");
         }
     }

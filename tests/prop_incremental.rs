@@ -8,7 +8,7 @@
 //! append lengths (0, 1, and longer than the base sequence).
 
 use perigap::core::trace::NoopObserver;
-use perigap::core::{mine_incremental, EngineSelection, IncrementalMode, IncrementalOutcome};
+use perigap::core::{mine_incremental, IncrementalMode, IncrementalOutcome};
 use perigap::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -27,40 +27,31 @@ fn cold_mine(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
-    engine: &EngineSelection,
+    algorithm: &Algorithm,
     config: &MppConfig,
     threads: usize,
 ) -> MineOutcome {
-    match *engine {
-        EngineSelection::Mpp { n } => {
-            mpp_parallel(seq, gap, rho, n, config.clone(), threads).unwrap()
-        }
-        EngineSelection::Mppm { m } => {
-            mppm_parallel(seq, gap, rho, m, config.clone(), threads).unwrap()
-        }
-    }
+    let config = MppConfig {
+        threads,
+        ..config.clone()
+    };
+    mine(seq, gap, rho, *algorithm, &config, &mut NoopObserver).unwrap()
 }
 
 fn incremental_mine(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
-    engine: &EngineSelection,
+    algorithm: &Algorithm,
     config: &MppConfig,
     threads: usize,
     cache: &std::path::Path,
 ) -> IncrementalOutcome {
-    mine_incremental(
-        seq,
-        gap,
-        rho,
-        engine,
-        config,
+    let config = MppConfig {
         threads,
-        cache,
-        &mut NoopObserver,
-    )
-    .unwrap()
+        ..config.clone()
+    };
+    mine_incremental(seq, gap, rho, *algorithm, &config, cache, &mut NoopObserver).unwrap()
 }
 
 /// Bit-identity: every field the paper's answer consists of.
@@ -104,10 +95,7 @@ fn incremental_is_bit_identical_across_the_engine_matrix() {
     ];
     let gap = GapRequirement::new(2, 2).unwrap();
     let rho = 0.02;
-    let engines = [
-        EngineSelection::Mpp { n: 6 },
-        EngineSelection::Mppm { m: 3 },
-    ];
+    let engines = [Algorithm::Mpp { n: 6 }, Algorithm::Mppm { m: 3 }];
     let config = MppConfig::default();
     let mut combo = 0usize;
     for engine in &engines {
@@ -137,7 +125,7 @@ fn incremental_is_bit_identical_across_the_engine_matrix() {
                     // path; mppm may legitimately fall back when
                     // its estimated n drifts with the append.
                     match (engine, &inc.mode) {
-                        (EngineSelection::Mpp { .. }, mode) => {
+                        (Algorithm::Mpp { .. }, mode) => {
                             assert_eq!(
                                 *mode,
                                 IncrementalMode::Incremental(suffix.len()),
@@ -169,7 +157,7 @@ fn flexible_gap_appends_fall_back_cold_and_stay_identical() {
     let base = "ACGTT".repeat(40);
     let gap = GapRequirement::new(1, 3).unwrap();
     let rho = 0.02;
-    let engine = EngineSelection::Mpp { n: 6 };
+    let engine = Algorithm::Mpp { n: 6 };
     let config = MppConfig::default();
     let cache = cache_path("flexible");
     let base_seq = Sequence::dna(&base).unwrap();
@@ -208,7 +196,7 @@ fn threshold_crossings_diff_exactly() {
     let base = String::from_utf8(base).unwrap();
     let gap = GapRequirement::new(2, 2).unwrap();
     let rho = 0.055;
-    let engine = EngineSelection::Mpp { n: 4 };
+    let engine = Algorithm::Mpp { n: 4 };
     let config = MppConfig::default();
     let cache = cache_path("crossing");
     let base_seq = Sequence::dna(&base).unwrap();
@@ -240,7 +228,7 @@ proptest! {
     ) {
         let gap = GapRequirement::new(stride, stride).unwrap();
         let rho = 0.03;
-        let engine = EngineSelection::Mpp { n: 5 };
+        let engine = Algorithm::Mpp { n: 5 };
         let config = MppConfig::default();
         let cache = cache_path(&format!("rand-{case}"));
         let base_seq = Sequence::from_codes(Alphabet::Dna, base.clone()).unwrap();

@@ -19,7 +19,6 @@
 
 use perigap::core::mpp::{mpp, MppConfig};
 use perigap::core::naive;
-use perigap::core::parallel::mpp_parallel;
 use perigap::core::trace::{Json, NoopObserver};
 use perigap::core::{GapRequirement, MineOutcome, Pattern};
 use perigap::seq::{Alphabet, Sequence};
@@ -39,17 +38,16 @@ fn workload_input() -> (Sequence, GapRequirement) {
 
 /// Every mining schedule under test, with a label for failure messages.
 fn mine_variants(seq: &Sequence, gap: GapRequirement) -> Vec<(String, MineOutcome)> {
-    let config = MppConfig::default();
-    vec![
-        (
-            "1 thread".to_string(),
-            mpp(seq, gap, RHO, N, config.clone()).expect("serial mine"),
-        ),
-        (
-            "2 threads".to_string(),
-            mpp_parallel(seq, gap, RHO, N, config, 2).expect("pooled mine"),
-        ),
-    ]
+    [1, 2]
+        .map(|threads| {
+            let config = MppConfig {
+                threads,
+                ..MppConfig::default()
+            };
+            let outcome = mpp(seq, gap, RHO, N, config).expect("mine");
+            (format!("threads = {threads}"), outcome)
+        })
+        .into()
 }
 
 /// Canonical form of a mined set for cross-engine comparison: sorted by

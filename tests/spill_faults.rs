@@ -26,7 +26,7 @@ fn mine_with(io: Arc<dyn SpillIo>, threads: usize) -> Result<MineOutcome, MineEr
         spill_io: Some(io),
         ..MppConfig::default()
     };
-    perigap::core::parallel::mpp_parallel(&seq, gap, 0.4, 20, config, threads)
+    mpp(&seq, gap, 0.4, 20, MppConfig { threads, ..config })
 }
 
 /// The healthy baseline the faulty runs are measured against.
@@ -274,7 +274,8 @@ fn failed_cleanup_is_a_warning_not_an_error() {
         ..MppConfig::default()
     };
     let mut metrics = MetricsObserver::new();
-    let out = perigap::core::mpp::mpp_traced(&seq, gap, 0.4, 20, config, &mut metrics)
+    let algorithm = Algorithm::Mpp { n: 20 };
+    let out = mine(&seq, gap, 0.4, algorithm, &config, &mut metrics)
         .expect("cleanup failures must not abort the mine");
     assert_eq!(out.frequent, healthy_outcome().frequent);
     assert!(
