@@ -77,7 +77,7 @@ pub fn localize(
     let pil = pattern_pil(seq, gap, pattern);
     let mut counts = vec![0u128; bins];
     let bin_width = (seq.len().max(1)).div_ceil(bins);
-    for &(offset, count) in pil.entries() {
+    for (offset, count) in pil.entries() {
         let bin = ((offset as usize - 1) / bin_width).min(bins - 1);
         counts[bin] = counts[bin].saturating_add(count as u128);
     }

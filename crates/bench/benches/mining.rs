@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use perigap_bench::data::ax_fragment;
 use perigap_core::mpp::{mpp, MppConfig};
 use perigap_core::mppm::mppm;
-use perigap_core::pil::{join_multi_into, JoinCounters, MultiJoinScratch, Pil};
+use perigap_core::pil::Pil;
 use perigap_core::profile::{mine_with_profile, GapProfile};
 use perigap_core::GapRequirement;
 
@@ -94,8 +94,8 @@ fn bench_profile_vs_uniform(c: &mut Criterion) {
 }
 
 fn bench_join_kernel(c: &mut Criterion) {
-    // One left parent joined against its whole suffix fan-out:
-    // per-candidate `join_checked` calls vs the batched one-scan walk.
+    // One left parent joined against its whole suffix fan-out, one
+    // `join_checked` call per candidate.
     let seq = ax_fragment(2_000);
     let g = gap();
     let pils: Vec<(Vec<u8>, Pil)> = Pil::build_all(&seq, g, 3)
@@ -118,23 +118,6 @@ fn bench_join_kernel(c: &mut Criterion) {
             for p in &partners {
                 black_box(Pil::join_checked(black_box(left), p, g));
             }
-        });
-    });
-    group.bench_function("batched_multi", |b| {
-        let entries: Vec<&[(u32, u64)]> = partners.iter().map(|p| p.entries()).collect();
-        let mut outs: Vec<Vec<(u32, u64)>> = vec![Vec::new(); entries.len()];
-        let mut scratch = MultiJoinScratch::default();
-        let mut jc = JoinCounters::default();
-        b.iter(|| {
-            join_multi_into(
-                black_box(left.entries()),
-                &entries,
-                g,
-                &mut outs,
-                &mut scratch,
-                &mut jc,
-            );
-            black_box(&outs);
         });
     });
     group.finish();

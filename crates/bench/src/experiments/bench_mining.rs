@@ -1,6 +1,6 @@
 //! `bench` — the engine's perf baseline, written to `BENCH_mining.json`.
 //!
-//! Three measurements, all on deterministic synthetic DNA:
+//! The measurements, all on deterministic synthetic DNA:
 //!
 //! 1. **level-3 seeding**: the seed byte-key `build_all`
 //!    ([`perigap_core::reference::build_all_reference`]) vs the
@@ -12,18 +12,15 @@
 //!    with per-level wall-clock from both engines;
 //! 3. **a size matrix**: per-level wall-clock of the new engine over a
 //!    fixed seed/size grid, so later PRs can diff trajectories;
-//! 4. **join kernel**: per-candidate [`Pil::join_checked`] calls vs the
-//!    batched multi-suffix walk ([`join_multi_into`]) over the same
-//!    shared-parent fan-out;
-//! 5. **single thread**: the serial packed engine vs the seed
+//! 4. **single thread**: the serial packed engine vs the seed
 //!    reference at one thread on L = 50 000 (the ISSUE-6 parity row),
 //!    with per-level wall-clock from both so a late-level regression
 //!    is visible individually;
-//! 6. **query throughput**: the `pgmine serve` daemon over the mined
+//! 5. **query throughput**: the `pgmine serve` daemon over the mined
 //!    pattern set, hammered by 1 / 4 / 16 concurrent clients with a
 //!    mixed support/topk/prefix/overlap workload — queries/sec per
 //!    client count, every response checked `"ok": true`;
-//! 7. **top-k pruning**: `PruneMode::top_k(k)` vs a full mine +
+//! 6. **top-k pruning**: `PruneMode::top_k(k)` vs a full mine +
 //!    [`select_top_k`] post-filter at k ∈ {10, 100, 1000}, in both gap
 //!    regimes — the flexible acceptance gap `[0, 9]` (`W = 10`:
 //!    support is not anti-monotone, the floor gates emission only, so
@@ -32,14 +29,14 @@
 //!    k = 100 on the full-size run). Every pruned outcome is checked
 //!    bit-identical to the post-filter oracle before its timing is
 //!    trusted.
-//! 8. **incremental speedup**: `mine_incremental` re-mining after an
+//! 7. **incremental speedup**: `mine_incremental` re-mining after an
 //!    append of 0.1% / 1% / 10% of L under a rigid gap, against a cold
 //!    mine of the grown sequence (≥ 5× required at the 1% append on
 //!    the full-size run). The record is rewound to the base-sequence
 //!    state before every timed rep, and every incremental outcome is
 //!    checked bit-identical to the cold one before its timing is
 //!    trusted.
-//! 9. **corpus scale**: the mmap-backed sharded corpus miner
+//! 8. **corpus scale**: the mmap-backed sharded corpus miner
 //!    ([`perigap_core::corpus::mine_corpus`]) under an arena ceiling —
 //!    cold wall-clock and peak RSS (`VmHWM`), then a controlled kill at
 //!    ~50% of shards followed by a rerun over the same checkpoint
@@ -56,7 +53,7 @@
 use super::timed;
 use crate::data::scaling_sequence;
 use perigap_core::mpp::{mine, mpp, Algorithm, MppConfig};
-use perigap_core::pil::{join_multi_into, JoinCounters, MultiJoinScratch, Pil};
+use perigap_core::pil::Pil;
 use perigap_core::reference::{build_all_reference, mpp_reference};
 use perigap_core::result::MineOutcome;
 use perigap_core::trace::{LevelEvent, MetricsObserver};
@@ -248,14 +245,13 @@ pub fn run(quick: bool) {
     );
 
     let spill = spill_overhead(&e2e_seq, gap, reps);
-    let join_kernel = join_kernel(&e2e_seq, gap, if quick { 50 } else { 200 });
     let single_thread = single_thread(if quick { 10_000 } else { 50_000 }, gap, reps);
     let query_throughput = query_throughput(gap, quick);
     let top_k_pruning = top_k_pruning(quick);
     let incremental_speedup = incremental_speedup(quick);
 
     let json = format!(
-        "{{\n  \"config\": {{\"alphabet\": \"DNA\", \"gap\": [{}, {}], \"rho\": {RHO}, \"n\": {N}, \"threads\": {threads}, \"quick\": {quick}}},\n  \"seeding_level3\": {{\"length\": {seed_len}, \"patterns\": {}, \"reference_ms\": {:.3}, \"packed_ms\": {:.3}, \"speedup\": {:.3}}},\n  \"end_to_end\": {end_to_end},\n  \"corpus_scale\": {corpus_scale},\n  \"matrix\": {},\n  \"spill\": {spill},\n  \"join_kernel\": {join_kernel},\n  \"single_thread\": {single_thread},\n  \"query_throughput\": {query_throughput},\n  \"top_k_pruning\": {top_k_pruning},\n  \"incremental_speedup\": {incremental_speedup},\n  \"pruning_power\": {}\n}}\n",
+        "{{\n  \"config\": {{\"alphabet\": \"DNA\", \"gap\": [{}, {}], \"rho\": {RHO}, \"n\": {N}, \"threads\": {threads}, \"quick\": {quick}}},\n  \"seeding_level3\": {{\"length\": {seed_len}, \"patterns\": {}, \"reference_ms\": {:.3}, \"packed_ms\": {:.3}, \"speedup\": {:.3}}},\n  \"end_to_end\": {end_to_end},\n  \"corpus_scale\": {corpus_scale},\n  \"matrix\": {},\n  \"spill\": {spill},\n  \"single_thread\": {single_thread},\n  \"query_throughput\": {query_throughput},\n  \"top_k_pruning\": {top_k_pruning},\n  \"incremental_speedup\": {incremental_speedup},\n  \"pruning_power\": {}\n}}\n",
         GAP.0,
         GAP.1,
         packed_pils.len(),
@@ -551,105 +547,6 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
         seq.len(),
         ms(unbounded_wall),
         rows.join(", ")
-    )
-}
-
-/// The batched multi-suffix kernel vs per-candidate joins over the same
-/// work: every level-3 left parent joined against its full suffix
-/// fan-out, `rounds` times. Returns the JSON fragment.
-fn join_kernel(seq: &perigap_seq::Sequence, gap: GapRequirement, rounds: usize) -> String {
-    use std::collections::HashMap;
-    let pils: Vec<(Vec<u8>, Pil)> = {
-        let mut v: Vec<_> = Pil::build_all(seq, gap, 3)
-            .into_iter()
-            .map(|(p, pil)| (p.codes().to_vec(), pil))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    };
-    let by_prefix: HashMap<&[u8], Vec<usize>> = {
-        let mut m: HashMap<&[u8], Vec<usize>> = HashMap::new();
-        for (i, (codes, _)) in pils.iter().enumerate() {
-            m.entry(&codes[..2]).or_default().push(i);
-        }
-        m
-    };
-    let fan_outs: Vec<(usize, Vec<usize>)> = pils
-        .iter()
-        .enumerate()
-        .filter_map(|(i, (codes, _))| {
-            by_prefix
-                .get(&codes[1..])
-                .map(|partners| (i, partners.clone()))
-        })
-        .collect();
-    let candidates: usize = fan_outs.iter().map(|(_, p)| p.len()).sum();
-
-    let (_, per_candidate) = timed(|| {
-        for _ in 0..rounds {
-            for (i, partners) in &fan_outs {
-                for &j in partners {
-                    std::hint::black_box(Pil::join_checked(&pils[*i].1, &pils[j].1, gap));
-                }
-            }
-        }
-    });
-    let mut scratch = MultiJoinScratch::default();
-    let mut outs: Vec<Vec<(u32, u64)>> = Vec::new();
-    let mut jc = JoinCounters::default();
-    let (_, batched) = timed(|| {
-        for _ in 0..rounds {
-            for (i, partners) in &fan_outs {
-                if outs.len() < partners.len() {
-                    outs.resize_with(partners.len(), Vec::new);
-                }
-                let entries: Vec<&[(u32, u64)]> =
-                    partners.iter().map(|&j| pils[j].1.entries()).collect();
-                join_multi_into(
-                    pils[*i].1.entries(),
-                    &entries,
-                    gap,
-                    &mut outs[..entries.len()],
-                    &mut scratch,
-                    &mut jc,
-                );
-                std::hint::black_box(&outs);
-            }
-        }
-    });
-    // Cross-check once: the batched outputs must match the scalar path.
-    for (i, partners) in fan_outs.iter().take(4) {
-        let entries: Vec<&[(u32, u64)]> = partners.iter().map(|&j| pils[j].1.entries()).collect();
-        if outs.len() < entries.len() {
-            outs.resize_with(entries.len(), Vec::new);
-        }
-        join_multi_into(
-            pils[*i].1.entries(),
-            &entries,
-            gap,
-            &mut outs[..entries.len()],
-            &mut scratch,
-            &mut jc,
-        );
-        for (k, &j) in partners.iter().enumerate() {
-            let (scalar, _) = Pil::join_checked(&pils[*i].1, &pils[j].1, gap);
-            assert_eq!(scalar.entries(), &outs[k][..], "kernel mismatch");
-        }
-    }
-    let speedup = per_candidate.as_secs_f64() / batched.as_secs_f64();
-    println!(
-        "bench: join kernel {candidates} candidates x {rounds} rounds: per-candidate {:.1} ms | batched {:.1} ms | speedup {:.2}x",
-        ms(per_candidate),
-        ms(batched),
-        speedup
-    );
-    format!(
-        "{{\"length\": {}, \"parents\": {}, \"candidates\": {candidates}, \"rounds\": {rounds}, \"per_candidate_ms\": {:.3}, \"batched_ms\": {:.3}, \"speedup\": {:.3}}}",
-        seq.len(),
-        fan_outs.len(),
-        ms(per_candidate),
-        ms(batched),
-        speedup
     )
 }
 
@@ -1090,15 +987,6 @@ mod tests {
         let json = pruning_json(&metrics.levels);
         assert!(json.contains("\"pruned_bound\""), "{json}");
         assert!(json.contains("\"level\": 3"), "{json}");
-    }
-
-    #[test]
-    fn join_kernel_fragment_matches_scalar_path() {
-        let seq = scaling_sequence(2_000);
-        let gap = GapRequirement::new(0, 2).unwrap();
-        let json = join_kernel(&seq, gap, 2);
-        assert!(json.contains("\"speedup\""), "{json}");
-        assert!(json.contains("\"candidates\""), "{json}");
     }
 
     #[test]

@@ -289,12 +289,17 @@ fn mine_request(
             n: args.parse_or("n", default_n)?,
         },
     };
-    let max_level = match args.get("max-level") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| ArgError(format!("bad --max-level {raw:?}")))?,
-        ),
+    let seed_level = MppConfig::default().start_level;
+    let max_level = match args.get("max-level").map(|raw| (raw, raw.parse::<usize>())) {
         None => None,
+        Some((_, Ok(level))) if level < seed_level => {
+            return Err(ArgError(format!(
+                "--max-level must be at least {seed_level}, the seed level: mining starts \
+                 there, so a lower cap would mine nothing"
+            )))
+        }
+        Some((_, Ok(level))) => Some(level),
+        Some((raw, Err(_))) => return Err(ArgError(format!("bad --max-level {raw:?}"))),
     };
     let max_arena_bytes = positive(
         args,
@@ -721,22 +726,18 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
     let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
     let min_sequences: usize = args.parse_or("min-sequences", 1)?;
     let checkpoint_dir = args.get("checkpoint-dir").map(std::path::PathBuf::from);
-    let stop_after_shards: Option<usize> = match args.get("stop-after-shards") {
-        Some(raw) => {
-            if checkpoint_dir.is_none() {
-                return Err(ArgError(
-                    "--stop-after-shards needs --checkpoint-dir: a pause without \
-                     checkpoints would just lose work"
-                        .into(),
-                ));
-            }
-            Some(
-                raw.parse()
-                    .map_err(|_| ArgError(format!("bad --stop-after-shards {raw:?}")))?,
-            )
-        }
-        None => None,
-    };
+    let stop_after_shards = positive(
+        args,
+        "stop-after-shards",
+        "the pause is checked after a shard's checkpoint is written, so 0 would still mine one",
+    )?;
+    if stop_after_shards.is_some() && checkpoint_dir.is_none() {
+        return Err(ArgError(
+            "--stop-after-shards needs --checkpoint-dir: a pause without \
+             checkpoints would just lose work"
+                .into(),
+        ));
+    }
     let want_metrics = args.flag("metrics");
     if want_metrics && args.get("format") == Some("tsv") {
         return Err(ArgError(
@@ -1681,6 +1682,18 @@ mod tests {
         let err = run_words(&base(&["--max-arena-bytes", "0"])).unwrap_err();
         assert!(err.to_string().contains("--max-arena-bytes"), "{err}");
 
+        // Mining starts at the seed level: a cap below it mined nothing
+        // and still exited 0. The seed level itself stays legal.
+        for low in ["0", "2"] {
+            let err = run_words(&base(&["--max-level", low])).unwrap_err();
+            assert!(
+                err.to_string().contains("--max-level") && err.to_string().contains("seed level"),
+                "--max-level {low}: {err}"
+            );
+        }
+        let capped = run_words(&base(&["--max-level", "3"])).unwrap();
+        assert!(!capped.contains("\n0 frequent patterns"), "{capped}");
+
         for bad in ["0", "0.0", "-0.5"] {
             let err = run_words(&base(&[
                 "--max-arena-bytes",
@@ -2426,6 +2439,26 @@ mod tests {
                 "expected rejection for {extra:?}"
             );
         }
+        // A zero pause limit used to mine and checkpoint one shard
+        // before pausing: it is refused before any shard runs.
+        let ckpt = dir.join("ckpt-zero");
+        let err = run_words(&corpus_mine_words(
+            &corpus,
+            &["--checkpoint-dir", &ckpt, "--stop-after-shards", "0"],
+        ))
+        .unwrap_err();
+        assert!(
+            err.0.contains("--stop-after-shards must be at least 1"),
+            "{}",
+            err.0
+        );
+        assert!(
+            !std::path::Path::new(&ckpt).exists(),
+            "no shard may be mined"
+        );
+        // A level cap below the seed level mined nothing and exited 0.
+        let err = run_words(&corpus_mine_words(&corpus, &["--max-level", "2"])).unwrap_err();
+        assert!(err.0.contains("seed level"), "{}", err.0);
         // Corpus-only options are rejected on the single-sequence path.
         let f = fasta_file(&format!(">s\n{}\n", "ACGTT".repeat(30)));
         for extra in [

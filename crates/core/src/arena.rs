@@ -8,10 +8,12 @@
 //! - [`PilSet`] holds every pattern of a generation in flat arrays —
 //!   concatenated pattern codes (stride = level), entry *segments*, and
 //!   one span per pattern naming the slice of one segment that is its
-//!   PIL. Patterns are kept in lexicographic code order. A generation
-//!   built in one pass is one segment; one merged from pooled chunks
-//!   keeps each chunk's segment, so [`PilSet::concat`] moves buffers
-//!   instead of copying entries.
+//!   PIL. A segment stores its entries as two parallel arrays, offsets
+//!   (`u32`) and counts (`u64`): 12 bytes an entry, where a
+//!   `(u32, u64)` tuple pads to 16. Patterns are kept in lexicographic
+//!   code order. A generation built in one pass is one segment; one
+//!   merged from pooled chunks keeps each chunk's segment, so
+//!   [`PilSet::concat`] moves buffers instead of copying entries.
 //! - [`build_seed`] seeds a level directly into a [`PilSet`] using the
 //!   packed keys of [`crate::packed::KeyCodec`]: for small alphabets a
 //!   dense `σ`-ary table indexed by key absorbs every scan event with
@@ -31,12 +33,12 @@
 use crate::gap::GapRequirement;
 use crate::packed::KeyCodec;
 use crate::pattern::Pattern;
-use crate::pil::Pil;
+use crate::pil::{support_of, Pil, ENTRY_BYTES};
 use perigap_seq::Sequence;
 use std::collections::HashMap;
 
 /// Above this many key bits the dense seed table would outgrow the
-/// cache benefit (2^20 slots ≈ 24 MB of headers); fall back to hashing
+/// cache benefit (2^20 slots ≈ 48 MB of headers); fall back to hashing
 /// the packed key.
 const DENSE_KEY_BITS_MAX: u32 = 20;
 
@@ -50,13 +52,12 @@ pub(crate) struct PilSet {
     codes: Vec<u8>,
     /// Per pattern, where its PIL starts in which segment.
     spans: Vec<Span>,
-    /// The `(first offset, count)` pairs of the generation, in one
-    /// buffer per part it was built from;
-    /// [`push_pattern`](PilSet::push_pattern) appends to the last one.
-    /// A segment holds exactly its patterns' PILs, in pattern order, so
-    /// a PIL ends where the next pattern's begins or at its segment's
-    /// end.
-    segments: Vec<Vec<(u32, u64)>>,
+    /// The PIL entries of the generation, in one buffer per part it was
+    /// built from; [`push_pattern`](PilSet::push_pattern) appends to the
+    /// last one. A segment holds exactly its patterns' PILs, in pattern
+    /// order, so a PIL ends where the next pattern's begins or at its
+    /// segment's end.
+    segments: Vec<Entries>,
     /// True when any count in this generation clamped at `u64::MAX`
     /// during seeding or joining — supports are then lower bounds.
     saturated: bool,
@@ -67,6 +68,42 @@ pub(crate) struct PilSet {
 struct Span {
     segment: usize,
     start: usize,
+}
+
+/// PIL entries in split layout: `offsets[k]` carries `counts[k]`. One
+/// pattern's list while seeding, or a segment of concatenated lists.
+#[derive(Clone, Debug, Default)]
+struct Entries {
+    offsets: Vec<u32>,
+    counts: Vec<u64>,
+}
+
+impl Entries {
+    fn len(&self) -> usize {
+        self.offsets.len()
+    }
+
+    fn clear(&mut self) {
+        self.offsets.clear();
+        self.counts.clear();
+    }
+
+    /// Accumulate one scan event (an offset sequence starting at
+    /// `start` matching the pattern). Returns `true` when the count was
+    /// already at `u64::MAX` and the event was lost to saturation.
+    #[inline(always)]
+    fn bump(&mut self, start: u32) -> bool {
+        if self.offsets.last() == Some(&start) {
+            let last = self.counts.last_mut().expect("one count per offset");
+            let saturated = *last == u64::MAX;
+            *last = last.saturating_add(1);
+            saturated
+        } else {
+            self.offsets.push(start);
+            self.counts.push(1);
+            false
+        }
+    }
 }
 
 /// Equal content, however the entries are split into segments.
@@ -105,7 +142,7 @@ impl PilSet {
 
     /// Total PIL entries across all patterns (the arena's payload size).
     pub(crate) fn entry_count(&self) -> usize {
-        self.segments.iter().map(Vec::len).sum()
+        self.segments.iter().map(Entries::len).sum()
     }
 
     /// Approximate heap bytes held by the generation's buffers: codes,
@@ -113,7 +150,7 @@ impl PilSet {
     /// on how the entries are split into segments.
     pub(crate) fn arena_bytes(&self) -> usize {
         self.codes.len()
-            + self.entry_count() * std::mem::size_of::<(u32, u64)>()
+            + self.entry_count() * ENTRY_BYTES
             + self.spans.len() * std::mem::size_of::<Span>()
     }
 
@@ -135,22 +172,21 @@ impl PilSet {
         &self.codes[i * self.level..(i + 1) * self.level]
     }
 
-    /// Pattern `i`'s PIL entries.
-    pub(crate) fn entries(&self, i: usize) -> &[(u32, u64)] {
+    /// Pattern `i`'s PIL entries: its offsets and, position for
+    /// position, their counts.
+    pub(crate) fn entries(&self, i: usize) -> (&[u32], &[u64]) {
         let Span { segment, start } = self.spans[i];
         let buf = &self.segments[segment];
         let end = match self.spans.get(i + 1) {
             Some(next) if next.segment == segment => next.start,
             _ => buf.len(),
         };
-        &buf[start..end]
+        (&buf.offsets[start..end], &buf.counts[start..end])
     }
 
     /// `sup` of pattern `i` (Property 1: sum of counts).
     pub(crate) fn support(&self, i: usize) -> u128 {
-        self.entries(i)
-            .iter()
-            .fold(0u128, |acc, &(_, y)| acc.saturating_add(y as u128))
+        support_of(self.entries(i).1)
     }
 
     /// Largest support over all stored patterns (0 when empty).
@@ -158,13 +194,14 @@ impl PilSet {
         (0..self.len()).map(|i| self.support(i)).max().unwrap_or(0)
     }
 
-    /// Append a pattern with pre-built entries to the last segment.
-    /// Patterns must arrive in strictly ascending code order; callers
-    /// uphold this.
-    pub(crate) fn push_pattern(&mut self, codes: &[u8], entries: &[(u32, u64)]) {
+    /// Append a pattern with pre-built entries (offsets and their
+    /// counts) to the last segment. Patterns must arrive in strictly
+    /// ascending code order; callers uphold this.
+    pub(crate) fn push_pattern(&mut self, codes: &[u8], (offsets, counts): (&[u32], &[u64])) {
         debug_assert_eq!(codes.len(), self.level);
+        debug_assert_eq!(offsets.len(), counts.len());
         if self.segments.is_empty() {
-            self.segments.push(Vec::new());
+            self.segments.push(Entries::default());
         }
         let segment = self.segments.len() - 1;
         let buf = &mut self.segments[segment];
@@ -172,12 +209,13 @@ impl PilSet {
             segment,
             start: buf.len(),
         });
-        buf.extend_from_slice(entries);
+        buf.offsets.extend_from_slice(offsets);
+        buf.counts.extend_from_slice(counts);
         self.codes.extend_from_slice(codes);
     }
 
     /// Drop all patterns and every segment but the first, keeping the
-    /// first segment's allocation, and set a new level — the engine's
+    /// first segment's allocations, and set a new level — the engine's
     /// serial prelude reuses generation buffers this way.
     pub(crate) fn reset(&mut self, level: usize) {
         self.level = level;
@@ -216,13 +254,13 @@ impl PilSet {
     pub(crate) fn into_pil_map(self) -> HashMap<Pattern, Pil> {
         let mut map = HashMap::with_capacity(self.len());
         for i in 0..self.len() {
-            let entries = self.entries(i);
-            if entries.is_empty() {
+            let (offsets, counts) = self.entries(i);
+            if offsets.is_empty() {
                 continue;
             }
             map.insert(
                 Pattern::from_codes(self.pattern_codes(i).to_vec()),
-                Pil::from_raw(entries.to_vec()),
+                Pil::from_parts(offsets, counts),
             );
         }
         map
@@ -253,32 +291,13 @@ pub(crate) fn build_seed(seq: &Sequence, gap: GapRequirement, level: usize) -> P
     }
 }
 
-/// Accumulate one scan event (an offset sequence starting at `start`
-/// matching the pattern) into an entry list. Returns `true` when the
-/// count was already at `u64::MAX` and the event was lost to
-/// saturation.
-#[inline(always)]
-fn bump(entries: &mut Vec<(u32, u64)>, start: u32) -> bool {
-    match entries.last_mut() {
-        Some(last) if last.0 == start => {
-            let saturated = last.1 == u64::MAX;
-            last.1 = last.1.saturating_add(1);
-            saturated
-        }
-        _ => {
-            entries.push((start, 1));
-            false
-        }
-    }
-}
-
 fn build_seed_dense(seq: &Sequence, gap: GapRequirement, level: usize, codec: KeyCodec) -> PilSet {
-    let mut slots: Vec<Vec<(u32, u64)>> = vec![Vec::new(); 1usize << codec.key_bits(level)];
+    let mut slots: Vec<Entries> = vec![Entries::default(); 1usize << codec.key_bits(level)];
     let mut saturated = false;
     for start in 1..=seq.len() {
         let key0 = codec.push(0, seq.at1(start));
         scan_keys(seq, gap, start, key0, level - 1, codec, &mut |key| {
-            saturated |= bump(&mut slots[key as usize], start as u32);
+            saturated |= slots[key as usize].bump(start as u32);
         });
     }
     // Ascending slot index == ascending packed key == lexicographic
@@ -286,55 +305,55 @@ fn build_seed_dense(seq: &Sequence, gap: GapRequirement, level: usize, codec: Ke
     let mut set = PilSet::new(level);
     let mut codes = Vec::with_capacity(level);
     for (key, entries) in slots.iter().enumerate() {
-        if entries.is_empty() {
+        if entries.offsets.is_empty() {
             continue;
         }
         codes.clear();
         codec.unpack_into(key as u64, level, &mut codes);
-        set.push_pattern(&codes, entries);
+        set.push_pattern(&codes, (&entries.offsets, &entries.counts));
     }
     set.saturated = saturated;
     set
 }
 
 fn build_seed_sparse(seq: &Sequence, gap: GapRequirement, level: usize, codec: KeyCodec) -> PilSet {
-    let mut map: HashMap<u64, Vec<(u32, u64)>> = HashMap::new();
+    let mut map: HashMap<u64, Entries> = HashMap::new();
     let mut saturated = false;
     for start in 1..=seq.len() {
         let key0 = codec.push(0, seq.at1(start));
         scan_keys(seq, gap, start, key0, level - 1, codec, &mut |key| {
-            saturated |= bump(map.entry(key).or_default(), start as u32);
+            saturated |= map.entry(key).or_default().bump(start as u32);
         });
     }
-    let mut pairs: Vec<(u64, Vec<(u32, u64)>)> = map.into_iter().collect();
+    let mut pairs: Vec<(u64, Entries)> = map.into_iter().collect();
     pairs.sort_unstable_by_key(|&(key, _)| key);
     let mut set = PilSet::new(level);
     let mut codes = Vec::with_capacity(level);
     for (key, entries) in pairs {
         codes.clear();
         codec.unpack_into(key, level, &mut codes);
-        set.push_pattern(&codes, &entries);
+        set.push_pattern(&codes, (&entries.offsets, &entries.counts));
     }
     set.saturated = saturated;
     set
 }
 
 fn build_seed_bytes(seq: &Sequence, gap: GapRequirement, level: usize) -> PilSet {
-    let mut map: HashMap<Vec<u8>, Vec<(u32, u64)>> = HashMap::new();
+    let mut map: HashMap<Vec<u8>, Entries> = HashMap::new();
     let mut chars = Vec::with_capacity(level);
     let mut saturated = false;
     for start in 1..=seq.len() {
         chars.clear();
         chars.push(seq.at1(start));
         scan_codes(seq, gap, level, start, &mut chars, &mut |codes| {
-            saturated |= bump(map.entry(codes.to_vec()).or_default(), start as u32);
+            saturated |= map.entry(codes.to_vec()).or_default().bump(start as u32);
         });
     }
     let mut pairs: Vec<_> = map.into_iter().collect();
     pairs.sort_unstable_by(|a: &(Vec<u8>, _), b| a.0.cmp(&b.0));
     let mut set = PilSet::new(level);
     for (codes, entries) in pairs {
-        set.push_pattern(&codes, &entries);
+        set.push_pattern(&codes, (&entries.offsets, &entries.counts));
     }
     set.saturated = saturated;
     set
@@ -474,7 +493,7 @@ mod tests {
             for i in 0..set.len() {
                 let p = Pattern::from_codes(set.pattern_codes(i).to_vec());
                 assert_eq!(set.support(i), support_dp(&s, g, &p), "level {level}");
-                assert!(!set.entries(i).is_empty());
+                assert!(!set.entries(i).0.is_empty());
             }
         }
     }
@@ -501,7 +520,7 @@ mod tests {
         let i = (0..set.len())
             .find(|&i| set.pattern_codes(i) == act)
             .unwrap();
-        assert_eq!(set.entries(i), &[(1, 3), (2, 2)]);
+        assert_eq!(set.entries(i), (&[1u32, 2][..], &[3u64, 2][..]));
         assert_eq!(set.support(i), 5);
         assert!(set.max_support() >= 5);
     }
@@ -526,6 +545,12 @@ mod tests {
         }
     }
 
+    /// Pattern `i`'s PIL, copied out of the arena.
+    fn pil_of(set: &PilSet, i: usize) -> Pil {
+        let (offsets, counts) = set.entries(i);
+        Pil::from_parts(offsets, counts)
+    }
+
     /// Every candidate `p1 · last(p2)` of `set`, generated through the
     /// partner runs: the engine's join order.
     fn candidates_via_partner_runs(set: &PilSet, g: GapRequirement) -> Vec<(Vec<u8>, Pil)> {
@@ -541,11 +566,7 @@ mod tests {
             for &j in &members[s..e] {
                 let mut codes = set.pattern_codes(i).to_vec();
                 codes.push(set.pattern_codes(j)[set.level() - 1]);
-                let pil = Pil::join(
-                    &Pil::from_raw(set.entries(i).to_vec()),
-                    &Pil::from_raw(set.entries(j).to_vec()),
-                    g,
-                );
+                let pil = Pil::join(&pil_of(set, i), &pil_of(set, j), g);
                 out.push((codes, pil));
             }
         }
@@ -567,11 +588,7 @@ mod tests {
                 if p1[1..] == p2[..2] {
                     let mut codes = p1.to_vec();
                     codes.push(p2[2]);
-                    let pil = Pil::join(
-                        &Pil::from_raw(set.entries(i).to_vec()),
-                        &Pil::from_raw(set.entries(j).to_vec()),
-                        g,
-                    );
+                    let pil = Pil::join(&pil_of(&set, i), &pil_of(&set, j), g);
                     expected.push((codes, pil));
                 }
             }
@@ -618,7 +635,7 @@ mod tests {
             patterns.dedup();
             let mut set = PilSet::new(level);
             for codes in &patterns {
-                set.push_pattern(codes, &[(1, 1)]);
+                set.push_pattern(codes, (&[1], &[1]));
             }
             let members: Vec<usize> = (0..set.len()).filter(|_| rng.gen_bool(0.7)).collect();
             let runs = prefix_runs(&set, &members);
@@ -679,42 +696,44 @@ mod tests {
         let s = dna("ACGTTGCAACGTTACGGTCAAGCTTAGC");
         let whole = build_seed(&s, gap(0, 2), 3);
         let parts = split_into_parts(&whole, &[whole.len() / 2]);
-        let addresses: Vec<*const (u32, u64)> = parts
+        let addresses = |set: &PilSet, k: usize| {
+            let (offsets, counts) = set.entries(k);
+            (offsets.as_ptr(), counts.as_ptr())
+        };
+        let before: Vec<(*const u32, *const u64)> = parts
             .iter()
-            .flat_map(|part| (0..part.len()).map(move |k| part.entries(k).as_ptr()))
+            .flat_map(|part| (0..part.len()).map(move |k| addresses(part, k)))
             .collect();
         let merged = PilSet::concat(3, parts);
-        for (i, &address) in addresses.iter().enumerate() {
-            assert_eq!(
-                merged.entries(i).as_ptr(),
-                address,
-                "pattern {i} was copied"
-            );
+        for (i, &address) in before.iter().enumerate() {
+            assert_eq!(addresses(&merged, i), address, "pattern {i} was copied");
         }
     }
 
     #[test]
     fn saturation_is_flagged_and_propagated() {
         // `bump` loses an event only at the ceiling — and says so.
-        let mut entries = vec![(1u32, u64::MAX - 1)];
-        assert!(!bump(&mut entries, 1));
-        assert!(bump(&mut entries, 1));
-        assert_eq!(entries, vec![(1, u64::MAX)]);
+        let mut entries = Entries {
+            offsets: vec![1],
+            counts: vec![u64::MAX - 1],
+        };
+        assert!(!entries.bump(1));
+        assert!(entries.bump(1));
+        assert_eq!((entries.offsets, entries.counts), (vec![1], vec![u64::MAX]));
         // A join whose window sum overflows says so too.
         let g = gap(1, 2);
-        let mut joined = Vec::new();
-        let prefix = [(1u32, 1u64)];
-        let suffix = [(3u32, u64::MAX), (4u32, 2u64)];
+        let mut joined = Pil::new();
         let mut jc = crate::pil::JoinCounters::default();
         assert!(crate::pil::join_into(
-            &prefix,
-            &suffix,
+            &[1],
+            &[3, 4],
+            &[u64::MAX, 2],
             g,
             &mut joined,
             &mut jc
         ));
         let mut set = PilSet::new(3);
-        set.push_pattern(&[0, 0, 0], &joined);
+        set.push_pattern(&[0, 0, 0], (joined.offsets(), joined.counts()));
         set.set_saturated(true);
         assert!(set.saturated());
         assert!(set.entry_count() > 0);
@@ -735,25 +754,31 @@ mod tests {
         let s = dna("ACGTACGT");
         let mut set = build_seed(&s, gap(0, 1), 2);
         assert!(!set.is_empty());
-        let cap = set.segments[0].capacity();
+        let capacities = |set: &PilSet| {
+            (
+                set.segments[0].offsets.capacity(),
+                set.segments[0].counts.capacity(),
+            )
+        };
+        let caps = capacities(&set);
         set.reset(3);
         assert!(set.is_empty());
         assert_eq!(set.level(), 3);
-        assert_eq!(set.segments[0].capacity(), cap);
+        assert_eq!(capacities(&set), caps);
 
         // A pooled generation keeps only its first segment, and the
         // reused buffer takes the next generation as one segment.
         let whole = build_seed(&dna("ACGTTGCAACGTTACGGTCAAGCTTAGC"), gap(0, 2), 3);
         let parts = split_into_parts(&whole, &[whole.len() / 2]);
-        let first_cap = parts[0].segments[0].capacity();
+        let first_caps = capacities(&parts[0]);
         let mut merged = PilSet::concat(3, parts);
         assert_eq!(merged.segments.len(), 2);
         merged.reset(4);
         assert!(merged.is_empty());
         assert_eq!(merged.segments.len(), 1);
-        assert_eq!(merged.segments[0].capacity(), first_cap);
-        merged.push_pattern(&[0, 1, 2, 3], &[(1, 2)]);
-        assert_eq!(merged.entries(0), &[(1, 2)]);
+        assert_eq!(capacities(&merged), first_caps);
+        merged.push_pattern(&[0, 1, 2, 3], (&[1], &[2]));
+        assert_eq!(merged.entries(0), (&[1u32][..], &[2u64][..]));
         assert_eq!(merged.segments.len(), 1);
     }
 
@@ -761,11 +786,11 @@ mod tests {
     fn arena_bytes_counts_the_span_table() {
         let mut set = PilSet::new(2);
         assert_eq!(set.arena_bytes(), 0);
-        set.push_pattern(&[0, 1], &[(1, 1), (4, 2)]);
-        set.push_pattern(&[0, 2], &[]);
-        let entry = std::mem::size_of::<(u32, u64)>();
+        set.push_pattern(&[0, 1], (&[1, 4], &[1, 2]));
+        set.push_pattern(&[0, 2], (&[], &[]));
+        // Split arrays: 12 bytes an entry, no tuple padding.
         let span = std::mem::size_of::<Span>();
-        assert_eq!(set.arena_bytes(), 2 * 2 + 2 * entry + 2 * span);
+        assert_eq!(set.arena_bytes(), 2 * 2 + 2 * 12 + 2 * span);
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! backend hands off at the first split at every thread count, because
 //! that is where spilling is decided.
 //!
-//! All right parents of one left parent share a single walk of the
-//! left PIL ([`crate::pil::join_multi_into`]) instead of re-scanning it
-//! per candidate, and each level finds every member's join partners
-//! with one forward merge ([`partner_runs`]).
+//! Each candidate is one call of the join kernel
+//! ([`crate::pil::join_into`]) into one reused output list, and each
+//! level finds every member's join partners with one forward merge
+//! ([`partner_runs`]).
 //!
 //! ## Why the component handoff is sound
 //!
@@ -67,7 +67,7 @@ use crate::parallel::{
     PoolHooks, PoolJob, WorkerPool, CHUNKS_PER_THREAD, MIN_CHUNK, PARALLEL_THRESHOLD,
 };
 use crate::pattern::Pattern;
-use crate::pil::{join_multi_into, JoinCounters, MultiJoinScratch};
+use crate::pil::{join_into, JoinCounters, Pil};
 use crate::prune::Pruner;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::spill::{self, SpillState};
@@ -184,18 +184,15 @@ struct EagerStats {
     frequent: usize,
     kept: usize,
     saturated: bool,
-    batches: u64,
-    batch_candidates: u64,
     jc: JoinCounters,
 }
 
 /// Reusable working buffers for [`eager_generate`], bundled so callers
-/// amortise their allocations across generation steps. `outs[j]` maps
-/// position-for-position onto one batch's partner run.
+/// amortise their allocations across generation steps: `out` takes
+/// each candidate's join, `codes` its pattern.
 #[derive(Default)]
 struct EagerBufs {
-    scratch: MultiJoinScratch,
-    outs: Vec<Vec<(u32, u64)>>,
+    out: Pil,
     codes: Vec<u8>,
 }
 
@@ -229,8 +226,8 @@ impl JoinIndex {
 /// pair is counted in `evaluated` (empty joins included): the paper's
 /// per-level candidate count.
 ///
-/// Each batch (one left parent's partner run) shares one batched
-/// sliding-window walk ([`join_multi_into`]).
+/// Each (left parent, partner) pair is one [`join_into`] call into
+/// `bufs.out`; only survivors are copied into `next`.
 #[allow(clippy::too_many_arguments)]
 fn eager_generate(
     set: &PilSet,
@@ -247,7 +244,6 @@ fn eager_generate(
 ) -> EagerStats {
     let level = set.level();
     let mut st = EagerStats::default();
-    let mut partners: Vec<&[(u32, u64)]> = Vec::new();
     for (k, &i) in members.iter().enumerate().take(hi).skip(lo) {
         let p1 = set.pattern_codes(i);
         // Pruned modes: a left parent outside the target cone or under
@@ -258,27 +254,13 @@ fn eager_generate(
         let Some((s, e)) = index.partners_of(k) else {
             continue;
         };
-        let cnt = e - s;
-        if bufs.outs.len() < cnt {
-            bufs.outs.resize_with(cnt, Vec::new);
-        }
-        partners.clear();
-        partners.extend(members[s..e].iter().map(|&m| set.entries(m)));
-        join_multi_into(
-            set.entries(i),
-            &partners,
-            gap,
-            &mut bufs.outs[..cnt],
-            &mut bufs.scratch,
-            &mut st.jc,
-        );
-        st.batches += 1;
-        st.batch_candidates += cnt as u64;
-        for (j, &m) in members[s..e].iter().enumerate() {
+        let (left, _) = set.entries(i);
+        for &m in &members[s..e] {
+            let (offsets, counts) = set.entries(m);
+            bufs.out.clear();
+            st.saturated |= join_into(left, offsets, counts, gap, &mut bufs.out, &mut st.jc);
             st.evaluated += 1;
-            st.saturated |= bufs.scratch.saturated[j];
-            let entries = &bufs.outs[j];
-            let sup: u128 = entries.iter().map(|&(_, c)| c as u128).sum();
+            let sup = bufs.out.support();
             let mut admitted_exact = row.exact.admits_u128(sup);
             let mut admitted_lhat = row.lhat.admits_u128(sup);
             if (admitted_exact || admitted_lhat) && !pruner.admits_search(sup) {
@@ -300,7 +282,7 @@ fn eager_generate(
                 st.frequent += 1;
             }
             if admitted_lhat {
-                next.push_pattern(&bufs.codes, entries);
+                next.push_pattern(&bufs.codes, (bufs.out.offsets(), bufs.out.counts()));
                 st.kept += 1;
             }
         }
@@ -507,8 +489,6 @@ impl DfsJob {
             aggs: BTreeMap::new(),
             frequent: Vec::new(),
             deepest: self.base_level,
-            batches: 0,
-            batch_candidates: 0,
             pruner: self.pruner.clone(),
         };
         descend_split(&mut ctx, &self.base, members, self.base_level)?;
@@ -521,8 +501,6 @@ impl DfsJob {
             evaluated,
             frequent: ctx.frequent.len(),
             peak_arena_bytes: ctx.gauge.task_peak,
-            batches: ctx.batches,
-            batch_candidates: ctx.batch_candidates,
             elapsed: started.elapsed(),
         };
         Ok(TaskOut {
@@ -589,8 +567,6 @@ impl DfsJob {
             aggs: BTreeMap::new(),
             frequent: Vec::new(),
             deepest: self.base_level,
-            batches: 0,
-            batch_candidates: 0,
             pruner: self.pruner.clone(),
         };
         // The restored component is the hot working set: it goes back
@@ -615,8 +591,6 @@ impl DfsJob {
             evaluated,
             frequent: ctx.frequent.len(),
             peak_arena_bytes: ctx.gauge.task_peak,
-            batches: ctx.batches,
-            batch_candidates: ctx.batch_candidates,
             elapsed: started.elapsed(),
         };
         Ok(TaskOut {
@@ -661,8 +635,6 @@ struct TaskCtx<'a> {
     aggs: BTreeMap<usize, LevelAgg>,
     frequent: Vec<FrequentPattern>,
     deepest: usize,
-    batches: u64,
-    batch_candidates: u64,
     pruner: Pruner,
 }
 
@@ -709,8 +681,6 @@ fn descend_split(
         &mut ctx.frequent,
         &ctx.pruner,
     );
-    ctx.batches += st.batches;
-    ctx.batch_candidates += st.batch_candidates;
     if st.evaluated == 0 {
         return Ok(());
     }
@@ -780,8 +750,6 @@ fn mine_chain(
             &mut ctx.frequent,
             &ctx.pruner,
         );
-        ctx.batches += st.batches;
-        ctx.batch_candidates += st.batch_candidates;
         if st.evaluated == 0 {
             ctx.gauge.shrink(cur_bytes);
             return Ok(());
@@ -1406,7 +1374,7 @@ mod tests {
             assert!(dfs.longest_len() >= 10);
             for ev in &metrics.subtrees {
                 assert!(ev.deepest >= ev.level);
-                assert!(ev.batches > 0);
+                assert!(ev.evaluated > 0);
             }
         }
     }

@@ -207,9 +207,9 @@ pub(crate) fn encode_record(record: u64, set: &PilSet, members: &[usize]) -> Vec
     buf.extend_from_slice(&(members.len() as u32).to_le_bytes());
     for &i in members {
         buf.extend_from_slice(set.pattern_codes(i));
-        let entries = set.entries(i);
-        buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for &(offset, count) in entries {
+        let (offsets, counts) = set.entries(i);
+        buf.extend_from_slice(&(offsets.len() as u32).to_le_bytes());
+        for (offset, count) in offsets.iter().zip(counts) {
             buf.extend_from_slice(&offset.to_le_bytes());
             buf.extend_from_slice(&count.to_le_bytes());
         }
@@ -340,7 +340,8 @@ pub(crate) fn decode_record(record: u64, bytes: &[u8]) -> Result<PilSet, MineErr
     };
     let count = r.u32()? as usize;
     let mut set = PilSet::new(level);
-    let mut entries: Vec<(u32, u64)> = Vec::new();
+    let mut offsets: Vec<u32> = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
     let mut prev_codes: Option<&[u8]> = None;
     for _ in 0..count {
         let codes = r.bytes(level)?;
@@ -362,22 +363,23 @@ pub(crate) fn decode_record(record: u64, bytes: &[u8]) -> Result<PilSet, MineErr
                 format!("PIL entry count {n_entries} exceeds the record size"),
             ));
         }
-        entries.clear();
-        entries.reserve(n_entries);
-        let mut prev_offset: Option<u32> = None;
+        offsets.clear();
+        offsets.reserve(n_entries);
+        counts.clear();
+        counts.reserve(n_entries);
         for _ in 0..n_entries {
             let offset = r.u32()?;
             let count = r.u64()?;
-            if prev_offset.is_some_and(|p| p >= offset) {
+            if offsets.last().is_some_and(|&p| p >= offset) {
                 return Err(spill_err(
                     record,
                     "PIL offsets are not strictly ascending".into(),
                 ));
             }
-            prev_offset = Some(offset);
-            entries.push((offset, count));
+            offsets.push(offset);
+            counts.push(count);
         }
-        set.push_pattern(codes, &entries);
+        set.push_pattern(codes, (&offsets, &counts));
     }
     if !r.bytes.is_empty() {
         return Err(spill_err(
@@ -485,7 +487,7 @@ mod tests {
         // Non-ascending pattern codes with a correct trailer: the
         // decoder must catch what the checksum cannot.
         let mut set = PilSet::new(2);
-        set.push_pattern(&[1, 0], &[(1, 1)]);
+        set.push_pattern(&[1, 0], (&[1], &[1]));
         let one = encode_record(0, &set, &[0]);
         // Two copies of the same pattern => equal codes, not ascending.
         let mut body = one[..one.len() - 8].to_vec();

@@ -37,7 +37,7 @@
 //! | `seed` | `level`, `patterns`, `pil_entries`, `arena_bytes`, `elapsed_ms` |
 //! | `level` | `level`, `candidates`, `evaluated`, `frequent`, `kept`, `pruned_bound`, `pruned_support`, `arena_bytes`, `joins`, `probed`, `reallocs`, `bytes_moved`, `join_ms`, `elapsed_ms`, `saturated` |
 //! | `pool` | `level`, `chunks`, `workers` (array of `{worker, chunks, candidates, busy_ms, idle_ms}`) |
-//! | `subtree` | `index`, `level`, `patterns`, `deepest`, `evaluated`, `frequent`, `peak_arena_bytes`, `batches`, `batch_candidates`, `elapsed_ms` |
+//! | `subtree` | `index`, `level`, `patterns`, `deepest`, `evaluated`, `frequent`, `peak_arena_bytes`, `elapsed_ms` |
 //! | `em` | `m`, `em`, `elapsed_ms` |
 //! | `spill` | `level`, `records`, `bytes`, `live_bytes`, `watermark_bytes`, `elapsed_ms` |
 //! | `restore` | `record`, `bytes`, `patterns`, `elapsed_ms` |
@@ -102,10 +102,11 @@ pub struct LevelEvent {
     pub arena_bytes: usize,
     /// Join-kernel invocations in the fan-out that generated this
     /// level's members (zero for the seed level, whose PILs come from
-    /// the sequence scan). Physical diagnostics: `joins`, `probed`,
-    /// `reallocs` and `bytes_moved` vary with the join batching —
-    /// unlike the candidate counters they are *not* part of the
-    /// schedule-invariant `MineStats`.
+    /// the sequence scan): one per candidate. Physical diagnostics:
+    /// `joins` and `probed` are fixed by the candidates, while
+    /// `reallocs` and `bytes_moved` depend on how each task's reused
+    /// output list grew, so they vary with the schedule. None of the
+    /// four is part of `MineStats`.
     pub joins: u64,
     /// Probe positions scanned across those joins (left offsets walked
     /// plus right entries absorbed by the sliding windows).
@@ -183,10 +184,6 @@ pub struct SubtreeEvent {
     pub frequent: usize,
     /// Peak arena bytes attributed to this task's double buffer.
     pub peak_arena_bytes: usize,
-    /// Batched multi-suffix join kernel invocations.
-    pub batches: u64,
-    /// Candidates produced through the batched kernel.
-    pub batch_candidates: u64,
     /// Wall-clock time of the task.
     pub elapsed: Duration,
 }
@@ -639,7 +636,7 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
 
     fn on_subtree(&mut self, e: &SubtreeEvent) {
         self.write_line(&format!(
-            "{{\"event\": \"subtree\", \"index\": {}, \"level\": {}, \"patterns\": {}, \"deepest\": {}, \"evaluated\": {}, \"frequent\": {}, \"peak_arena_bytes\": {}, \"batches\": {}, \"batch_candidates\": {}, \"elapsed_ms\": {:.3}}}",
+            "{{\"event\": \"subtree\", \"index\": {}, \"level\": {}, \"patterns\": {}, \"deepest\": {}, \"evaluated\": {}, \"frequent\": {}, \"peak_arena_bytes\": {}, \"elapsed_ms\": {:.3}}}",
             e.index,
             e.level,
             e.patterns,
@@ -647,8 +644,6 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
             e.evaluated,
             e.frequent,
             e.peak_arena_bytes,
-            e.batches,
-            e.batch_candidates,
             ms(e.elapsed)
         ));
     }
@@ -875,7 +870,7 @@ impl MetricsObserver {
         for s in &self.subtrees {
             let _ = writeln!(
                 out,
-                "  subtree {:>3} @ level {}: {} parents -> depth {} | {} evaluated | {} frequent | peak {} bytes | {} kernel batches | {:.3} ms",
+                "  subtree {:>3} @ level {}: {} parents -> depth {} | {} evaluated | {} frequent | peak {} bytes | {:.3} ms",
                 s.index,
                 s.level,
                 s.patterns,
@@ -883,7 +878,6 @@ impl MetricsObserver {
                 s.evaluated,
                 s.frequent,
                 s.peak_arena_bytes,
-                s.batches,
                 ms(s.elapsed)
             );
         }
@@ -1520,8 +1514,6 @@ mod tests {
             evaluated: 120,
             frequent: 5,
             peak_arena_bytes: 2048,
-            batches: 11,
-            batch_candidates: 120,
             elapsed: Duration::from_millis(2),
         }
     }

@@ -79,7 +79,7 @@ fn section51_pil_example() {
     let gap = GapRequirement::new(1, 2).unwrap();
     let pils = Pil::build_all(&s, gap, 3);
     let pil = &pils[&pat("ACT")];
-    assert_eq!(pil.entries(), &[(1, 3), (2, 2)]);
+    assert_eq!(pil.entries().collect::<Vec<_>>(), [(1, 3), (2, 2)]);
     assert_eq!(pil.support(), 5);
 }
 

@@ -4,7 +4,7 @@
 //! (dense-table DNA, sparse-key protein, and an odd-sized custom set).
 
 use perigap::core::naive::support_dp;
-use perigap::core::pil::{join_multi_into, JoinCounters, MultiJoinScratch, Pil};
+use perigap::core::pil::Pil;
 use perigap::core::reference::{build_all_reference, mpp_reference};
 use perigap::prelude::*;
 use proptest::prelude::*;
@@ -129,8 +129,11 @@ proptest! {
         }
     }
 
+    /// The join kernel against the paper's definition, summed
+    /// directly: for each left offset `x`, the `u128` total of the
+    /// suffix counts at offsets `x'` with `x' − x − 1 ∈ [N, M]`.
     #[test]
-    fn batched_joins_agree_with_per_candidate_joins(
+    fn join_matches_naive_window_sums(
         (a, partners, (n, m)) in (
             pil_entries(),
             collection::vec(pil_entries(), 1..6),
@@ -139,27 +142,30 @@ proptest! {
     ) {
         let gap = GapRequirement::new(n, m).unwrap();
         let prefix = Pil::from_entries(a);
-        let suffixes: Vec<Pil> = partners.into_iter().map(Pil::from_entries).collect();
-        let expected: Vec<(Pil, bool)> = suffixes
-            .iter()
-            .map(|s| Pil::join_checked(&prefix, s, gap))
-            .collect();
-
-        // The batched multi-suffix walk (one pass over the prefix).
-        let views: Vec<&[(u32, u64)]> = suffixes.iter().map(|s| s.entries()).collect();
-        let mut outs: Vec<Vec<(u32, u64)>> = vec![Vec::new(); views.len()];
-        let mut scratch = MultiJoinScratch::default();
-        join_multi_into(
-            prefix.entries(),
-            &views,
-            gap,
-            &mut outs,
-            &mut scratch,
-            &mut JoinCounters::default(),
-        );
-        for (j, (pil, sat)) in expected.iter().enumerate() {
-            prop_assert_eq!(outs[j].as_slice(), pil.entries(), "partner {}", j);
-            prop_assert_eq!(scratch.saturated[j], *sat, "partner {}", j);
+        for (j, b) in partners.into_iter().enumerate() {
+            let oracle: Vec<(u32, u128)> = prefix
+                .offsets()
+                .iter()
+                .map(|&x| {
+                    let window = (x as u64 + n as u64 + 1)..=(x as u64 + m as u64 + 1);
+                    let sum: u128 = b
+                        .iter()
+                        .filter(|&&(y, _)| window.contains(&(y as u64)))
+                        .map(|&(_, c)| c as u128)
+                        .sum();
+                    (x, sum)
+                })
+                .filter(|&(_, sum)| sum > 0)
+                .collect();
+            let (joined, saturated) = Pil::join_checked(&prefix, &Pil::from_entries(b), gap);
+            if oracle.iter().any(|&(_, sum)| sum > u64::MAX as u128) {
+                prop_assert!(saturated, "partner {}: an overflowing window must raise the flag", j);
+            }
+            if !saturated {
+                let got: Vec<(u32, u128)> =
+                    joined.entries().map(|(x, y)| (x, y as u128)).collect();
+                prop_assert_eq!(got, oracle, "partner {}", j);
+            }
         }
     }
 
