@@ -2264,6 +2264,34 @@ mod tests {
         );
     }
 
+    /// A pack whose first shard length is forged to wrap its payload
+    /// span, behind a recomputed trailer, is refused with a typed error
+    /// on both corpus paths instead of panicking mid-mine.
+    #[test]
+    fn forged_corpus_length_is_rejected_not_a_panic() {
+        let dir = TempDir::new("corpus-forged");
+        let f = fasta_file(">a\nACGTACGTACGTAAGGCCTTACGT\n>b\nTTGACCAGTAGGCATACGATCAGT\n");
+        let corpus = dir.join("two.pgco");
+        run_words(&[
+            "pack".into(),
+            "--input".into(),
+            f.as_str().into(),
+            "--output".into(),
+            corpus.clone(),
+        ])
+        .unwrap();
+        let mut bytes = std::fs::read(&corpus).unwrap();
+        bytes[19..27].copy_from_slice(&((1u64 << 63) + 24).to_le_bytes());
+        let body = bytes.len() - 8;
+        let digest = perigap_core::wire::fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&digest.to_le_bytes());
+        std::fs::write(&corpus, &bytes).unwrap();
+        for extra in [&[][..], &["--unsharded"]] {
+            let err = run_words(&corpus_mine_words(&corpus, extra)).unwrap_err();
+            assert!(err.to_string().contains("corpus file rejected"), "{err}");
+        }
+    }
+
     #[test]
     fn corpus_pause_and_resume_through_cli() {
         let dir = TempDir::new("corpus-resume");

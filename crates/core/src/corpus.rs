@@ -13,7 +13,8 @@
 //! 1. **The `PGCO` corpus file** packs every sequence at
 //!    [`KeyCodec`](crate::packed::KeyCodec) width (2 bits/symbol for
 //!    DNA, 5 for protein) behind one offset/ID directory and a
-//!    trailing FNV-1a hash. [`Corpus::open`] memory-maps it read-only,
+//!    trailing FNV-1a hash, framed by the one record codec
+//!    ([`crate::wire`]). [`Corpus::open`] memory-maps it read-only,
 //!    so any number of worker threads share one kernel mapping instead
 //!    of per-thread heap copies; each worker decodes only the shard it
 //!    actually mines.
@@ -53,8 +54,8 @@ use crate::parallel::{PoolHooks, PoolJob, WorkerPool};
 use crate::pattern::Pattern;
 use crate::pil::Pil;
 use crate::result::{CorpusStats, MineOutcome};
-use crate::spill::{fnv1a, Take};
 use crate::trace::NoopObserver;
+use crate::wire::{Frame, Reader, WireError, Writer};
 use perigap_seq::{pack_codes, packed_len, unpack_codes, Alphabet, Sequence};
 use std::collections::HashMap;
 use std::fs;
@@ -62,24 +63,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-const CORPUS_MAGIC: &[u8; 4] = b"PGCO";
-const CORPUS_VERSION: u32 = 1;
-/// Fixed-size corpus header: magic + version + alphabet tag + bit
-/// width + sequence count.
-const CORPUS_HEADER: usize = 4 + 4 + 1 + 1 + 4;
 const ALPHABET_DNA: u8 = 0;
 const ALPHABET_PROTEIN: u8 = 1;
-/// Size of the trailing corpus hash.
-const TRAILER: usize = 8;
 
 fn corpus_err(message: impl Into<String>) -> MineError {
     MineError::CorpusIo {
         message: message.into(),
     }
-}
-
-fn corpus_take_err(_record: u64, message: String) -> MineError {
-    MineError::CorpusIo { message }
 }
 
 // ---------------------------------------------------------------------
@@ -199,10 +189,12 @@ pub struct ShardEntry {
 /// u64 FNV-1a over everything above   ← the "corpus hash"
 /// ```
 ///
-/// The hash is checked on open, payload offsets must tile the payload
-/// region exactly, and the bit width must match the
-/// [`KeyCodec`](crate::packed::KeyCodec) width of the alphabet —
-/// anything else is [`MineError::CorpusIo`].
+/// The file is one [`crate::wire`] frame ([`Frame::CORPUS`]). On open
+/// the sequence count is checked against the bytes that remain, the bit
+/// width must match the [`KeyCodec`](crate::packed::KeyCodec) width of
+/// the alphabet, payload offsets must tile the payload region exactly,
+/// and the hash is checked last — anything else is
+/// [`MineError::CorpusIo`].
 pub struct Corpus {
     backing: Backing,
     alphabet: Alphabet,
@@ -245,17 +237,16 @@ impl Corpus {
             return Err(corpus_err("too many sequences for one corpus"));
         }
         let bits = KeyCodec::new(alphabet.size()).bits();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CORPUS_MAGIC);
-        buf.extend_from_slice(&CORPUS_VERSION.to_le_bytes());
-        buf.push(tag);
-        buf.push(bits as u8);
-        buf.extend_from_slice(&(sequences.len() as u32).to_le_bytes());
+        let mut w = Writer::new(Frame::CORPUS);
+        w.u8(tag);
+        w.u8(bits as u8);
+        w.u32(sequences.len() as u32);
         let dir_bytes: usize = sequences
             .iter()
             .map(|(name, _)| 4 + name.len() + 8 + 8)
             .sum();
-        let mut offset = CORPUS_HEADER + dir_bytes;
+        let payload_start = w.position() + dir_bytes;
+        let mut offset = payload_start;
         for (name, seq) in sequences {
             if seq.alphabet() != &alphabet {
                 return Err(corpus_err(format!(
@@ -265,18 +256,18 @@ impl Corpus {
             if name.len() > u32::MAX as usize {
                 return Err(corpus_err(format!("sequence name of {} bytes", name.len())));
             }
-            buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
-            buf.extend_from_slice(&(seq.len() as u64).to_le_bytes());
-            buf.extend_from_slice(&(offset as u64).to_le_bytes());
+            w.u32(name.len() as u32);
+            w.bytes(name.as_bytes());
+            w.u64(seq.len() as u64);
+            w.u64(offset as u64);
             offset += packed_len(seq.len(), bits);
         }
-        debug_assert_eq!(buf.len(), CORPUS_HEADER + dir_bytes);
+        debug_assert_eq!(w.position(), payload_start);
         for (_, seq) in sequences {
-            buf.extend_from_slice(&pack_codes(seq.codes(), bits));
+            w.bytes(&pack_codes(seq.codes(), bits));
         }
-        let hash = fnv1a(&buf);
-        buf.extend_from_slice(&hash.to_le_bytes());
+        let buf = w.finish();
+        let hash = u64::from_le_bytes(buf[buf.len() - 8..].try_into().expect("8-byte trailer"));
         let tmp = path.with_extension("pgco.tmp");
         fs::write(&tmp, &buf)
             .map_err(|e| corpus_err(format!("cannot write {}: {e}", tmp.display())))?;
@@ -315,86 +306,14 @@ impl Corpus {
     /// Validate the full file image: header, directory, payload
     /// tiling, trailing hash.
     fn validate(backing: Backing) -> Result<Corpus, MineError> {
-        let bytes = backing.bytes();
-        if bytes.len() < CORPUS_HEADER + TRAILER {
-            return Err(corpus_err(format!(
-                "file of {} bytes is shorter than a corpus header",
-                bytes.len()
-            )));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("exact length"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(corpus_err(format!(
-                "hash mismatch: file says {stored:#018x}, contents hash to {computed:#018x} \
-                 (truncated or corrupt corpus)"
-            )));
-        }
-        let mut r = Take::new(body, 0, corpus_take_err);
-        if r.bytes(4)? != CORPUS_MAGIC {
-            return Err(corpus_err("bad magic (not a PGCO corpus file)"));
-        }
-        let version = r.u32()?;
-        if version != CORPUS_VERSION {
-            return Err(corpus_err(format!("unknown corpus version {version}")));
-        }
-        let alphabet = match r.u8()? {
-            ALPHABET_DNA => Alphabet::Dna,
-            ALPHABET_PROTEIN => Alphabet::Protein,
-            other => return Err(corpus_err(format!("unknown alphabet tag {other}"))),
-        };
-        let bits = r.u8()? as u32;
-        let expected_bits = KeyCodec::new(alphabet.size()).bits();
-        if bits != expected_bits {
-            return Err(corpus_err(format!(
-                "bit width {bits} does not match the {expected_bits}-bit codec width of {alphabet:?}"
-            )));
-        }
-        let count = r.u32()? as usize;
-        // Each directory entry is ≥ 20 bytes; refuse nonsense counts
-        // before allocating for them.
-        if count > body.len() / 20 {
-            return Err(corpus_err(format!(
-                "sequence count {count} cannot fit in a {}-byte file",
-                body.len()
-            )));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let name_len = r.u32()? as usize;
-            let name = std::str::from_utf8(r.bytes(name_len)?)
-                .map_err(|_| corpus_err(format!("sequence {i} name is not UTF-8")))?
-                .to_string();
-            let len = r.u64()? as usize;
-            let offset = r.u64()? as usize;
-            entries.push(ShardEntry { name, len, offset });
-        }
-        // Payloads must tile the region between the directory and the
-        // trailer exactly, in order.
-        let mut expected = body.len() - r.remaining();
-        for (i, entry) in entries.iter().enumerate() {
-            if entry.offset != expected {
-                return Err(corpus_err(format!(
-                    "sequence {i} payload offset {} does not tile the payload region \
-                     (expected {expected})",
-                    entry.offset
-                )));
-            }
-            expected += packed_len(entry.len, bits);
-        }
-        if expected != body.len() {
-            return Err(corpus_err(format!(
-                "payload region ends at {expected}, file body has {} bytes",
-                body.len()
-            )));
-        }
+        let (alphabet, bits, entries, hash) =
+            read_corpus(backing.bytes()).map_err(|e| corpus_err(e.to_string()))?;
         Ok(Corpus {
             backing,
             alphabet,
             bits,
             entries,
-            hash: stored,
+            hash,
         })
     }
 
@@ -457,6 +376,65 @@ impl Corpus {
             ))
         })
     }
+}
+
+/// Decode a corpus image: the header, the directory, and payloads
+/// that tile the bytes between the directory and the trailer exactly,
+/// in order.
+fn read_corpus(bytes: &[u8]) -> Result<(Alphabet, u32, Vec<ShardEntry>, u64), WireError> {
+    let mut r = Reader::new(bytes, Frame::CORPUS)?;
+    let alphabet = match r.u8()? {
+        ALPHABET_DNA => Alphabet::Dna,
+        ALPHABET_PROTEIN => Alphabet::Protein,
+        other => return Err(WireError::Corrupt(format!("unknown alphabet tag {other}"))),
+    };
+    let bits = r.u8()? as u32;
+    let expected_bits = KeyCodec::new(alphabet.size()).bits();
+    if bits != expected_bits {
+        return Err(WireError::Corrupt(format!(
+            "bit width {bits} does not match the {expected_bits}-bit codec width of {alphabet:?}"
+        )));
+    }
+    // Each directory entry takes at least 20 bytes.
+    let count = r.u32()?;
+    let count = r.count("sequence count", count.into(), 20)?;
+    r.section("directory");
+    let mut entries = Vec::with_capacity(count);
+    for i in 0..count {
+        let name_len = r.u32()? as usize;
+        let name = std::str::from_utf8(r.bytes(name_len)?)
+            .map_err(|_| WireError::Corrupt(format!("sequence {i} name is not UTF-8")))?
+            .to_string();
+        let len = r.u64()? as usize;
+        let offset = r.u64()? as usize;
+        entries.push(ShardEntry { name, len, offset });
+    }
+    r.section("payloads");
+    for (i, entry) in entries.iter().enumerate() {
+        if entry.offset != r.position() {
+            return Err(WireError::Corrupt(format!(
+                "sequence {i} payload offset {} does not tile the payload region \
+                 (expected {})",
+                entry.offset,
+                r.position()
+            )));
+        }
+        // A forged length must not wrap the span back onto the bytes
+        // that are there.
+        let span = entry
+            .len
+            .checked_mul(bits as usize)
+            .map(|b| b.div_ceil(8))
+            .ok_or_else(|| {
+                WireError::Corrupt(format!(
+                    "sequence {i} length {} overflows its payload span",
+                    entry.len
+                ))
+            })?;
+        r.bytes(span)?;
+    }
+    let hash = r.finish()?;
+    Ok((alphabet, bits, entries, hash))
 }
 
 // ---------------------------------------------------------------------
@@ -985,6 +963,33 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Byte length and FNV-1a digest of a fixed pack (DNA, names of
+    /// several lengths, one empty sequence): any drift in the format
+    /// fails here.
+    #[test]
+    fn pack_format_is_pinned() {
+        let dir = tmp_dir("pinned");
+        let path = dir.join("pinned.pgco");
+        let seqs = [
+            (
+                "a".to_string(),
+                Sequence::dna("ACGTACGTACGTAAGGCCTTACGT").unwrap(),
+            ),
+            (
+                "seq-b".to_string(),
+                Sequence::dna("TTGACCAGTAGGCATACGATCAG").unwrap(),
+            ),
+            ("".to_string(), Sequence::dna("").unwrap()),
+        ];
+        let hash = Corpus::write(&path, &seqs).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(
+            (bytes.len(), hash, crate::wire::fnv1a(&bytes)),
+            (100, 0x0285_05d2_c690_fe4f, 0x32df_0c6b_b8cf_f5fa)
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn write_rejects_bad_inputs() {
         let dir = tmp_dir("write-rejects");
@@ -1025,6 +1030,43 @@ mod tests {
                     Err(MineError::CorpusIo { .. }) => {}
                     other => panic!("keep {keep}: expected CorpusIo, got {other:?}"),
                 }
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A shard length forged so that its packed span wraps back to the
+    /// real payload size, behind a recomputed hash, is refused by both
+    /// opens instead of panicking when the shard is decoded.
+    #[test]
+    fn forged_length_that_wraps_the_span_is_refused() {
+        let dir = tmp_dir("forged-len");
+        let path = dir.join("two.pgco");
+        let seqs = [
+            (
+                "a".to_string(),
+                Sequence::dna("ACGTACGTACGTAAGGCCTTACGT").unwrap(),
+            ),
+            (
+                "b".to_string(),
+                Sequence::dna("TTGACCAGTAGGCATACGATCAGT").unwrap(),
+            ),
+        ];
+        Corpus::write(&path, &seqs).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        // Shard a's u64 length follows the 14-byte header, its name
+        // length and its one-byte name.
+        bytes[19..27].copy_from_slice(&((1u64 << 63) + 24).to_le_bytes());
+        let body = bytes.len() - 8;
+        let digest = crate::wire::fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&digest.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        for result in [Corpus::open(&path), Corpus::open_buffered(&path)] {
+            match result {
+                Err(MineError::CorpusIo { message }) => {
+                    assert!(message.contains("overflows"), "{message}")
+                }
+                other => panic!("expected CorpusIo, got {other:?}"),
             }
         }
         fs::remove_dir_all(&dir).unwrap();

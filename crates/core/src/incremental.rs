@@ -16,10 +16,9 @@
 //!
 //! ## The cache
 //!
-//! [`write_result_cache`] persists one PGST-wire record (magic,
-//! version, `TAG_RESULT_CACHE = 6`, trailing FNV-1a — the same
-//! conventions as [`crate::spill`] and [`crate::packed`], mirrored by
-//! `perigap-store`) holding:
+//! [`write_result_cache`] persists one [`crate::wire`] record
+//! ([`Frame::RESULT_CACHE`]: magic `PGST`, version 3, tag 6, trailing
+//! FNV-1a) holding:
 //!
 //! - the **key**: sequence FNV-1a hash and length, alphabet size, gap,
 //!   exact ρ bits, algorithm, the `n`/`m` parameter, prune flag,
@@ -82,11 +81,11 @@ use crate::lambda::BoundTable;
 use crate::mpp::{check_inputs, clamp_n, mine, Algorithm, MppConfig};
 use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
-use crate::spill::{fnv1a, Take};
 use crate::trace::{
     CompleteEvent, DiffEvent, EmEvent, LevelEvent, MineObserver, SeedEvent, SpillEvent,
     SubtreeEvent, WarningEvent,
 };
+use crate::wire::{fnv1a, Frame, Reader, WireError, Writer};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -95,24 +94,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-const MAGIC: &[u8; 4] = b"PGST";
-/// Bumped whenever the record layout changes: a record of any other
-/// version fails to load as [`MineError::CacheIo`] and is re-mined cold.
-/// Version 3 dropped the engine byte from the key.
-const VERSION: u32 = 3;
-
-/// Wire tag of a result-cache record (`perigap-store` re-exports the
-/// same value as `TAG_RESULT_CACHE`; sequence packs use 1, outcome
-/// packs 2, spill records 3). Corpus checkpoints are result-cache
-/// records too.
-pub const TAG_RESULT_CACHE: u8 = 6;
-
 fn cache_err(message: String) -> MineError {
     MineError::CacheIo { message }
-}
-
-fn cache_take_err(_record: u64, message: String) -> MineError {
-    cache_err(message)
 }
 
 fn mismatch(field: &'static str, cached: impl ToString, requested: impl ToString) -> MineError {
@@ -307,225 +290,185 @@ pub struct ResultCache {
 }
 
 fn encode_cache(cache: &ResultCache) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(TAG_RESULT_CACHE);
+    let mut w = Writer::new(Frame::RESULT_CACHE);
     let k = &cache.key;
-    out.extend_from_slice(&k.seq_hash.to_le_bytes());
-    out.extend_from_slice(&(k.seq_len as u64).to_le_bytes());
-    out.extend_from_slice(&k.sigma.to_le_bytes());
-    out.extend_from_slice(&(k.gap.0 as u32).to_le_bytes());
-    out.extend_from_slice(&(k.gap.1 as u32).to_le_bytes());
-    out.extend_from_slice(&k.rho_bits.to_le_bytes());
-    out.push(k.algorithm);
-    out.extend_from_slice(&k.param.to_le_bytes());
-    out.push(k.prune);
-    out.extend_from_slice(&(k.start_level as u32).to_le_bytes());
-    let max_level = k.max_level.map(|l| l as u64).unwrap_or(u64::MAX);
-    out.extend_from_slice(&max_level.to_le_bytes());
-    out.extend_from_slice(&(cache.n_used as u64).to_le_bytes());
-    out.extend_from_slice(&cache.em.unwrap_or(u64::MAX).to_le_bytes());
-    out.push(cache.support_saturated as u8);
-    out.extend_from_slice(&(cache.outcome.len() as u64).to_le_bytes());
+    w.u64(k.seq_hash);
+    w.u64(k.seq_len as u64);
+    w.u32(k.sigma);
+    w.u32(k.gap.0 as u32);
+    w.u32(k.gap.1 as u32);
+    w.u64(k.rho_bits);
+    w.u8(k.algorithm);
+    w.u64(k.param);
+    w.u8(k.prune);
+    w.u32(k.start_level as u32);
+    w.u64(k.max_level.map_or(u64::MAX, |l| l as u64));
+    w.u64(cache.n_used as u64);
+    w.u64(cache.em.unwrap_or(u64::MAX));
+    w.u8(cache.support_saturated as u8);
+    w.u64(cache.outcome.len() as u64);
     for p in &cache.outcome {
-        out.extend_from_slice(&(p.codes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&p.codes);
-        out.extend_from_slice(&p.support.to_le_bytes());
-        out.extend_from_slice(&p.ratio_bits.to_le_bytes());
+        w.u32(p.codes.len() as u32);
+        w.bytes(&p.codes);
+        w.u128(p.support);
+        w.u64(p.ratio_bits);
     }
     match &cache.levels {
-        None => out.push(0),
+        None => w.u8(0),
         Some(levels) => {
-            out.push(1);
-            out.extend_from_slice(&(levels.len() as u32).to_le_bytes());
+            w.u8(1);
+            w.u32(levels.len() as u32);
             for lv in levels {
-                out.extend_from_slice(&(lv.level as u32).to_le_bytes());
-                out.extend_from_slice(&(lv.candidates.len() as u64).to_le_bytes());
+                w.u32(lv.level as u32);
+                w.u64(lv.candidates.len() as u64);
                 for (codes, sup) in &lv.candidates {
                     // All codes at one level share its length.
-                    out.extend_from_slice(codes);
-                    out.extend_from_slice(&sup.to_le_bytes());
+                    w.bytes(codes);
+                    w.u128(*sup);
                 }
             }
         }
     }
-    let hash = fnv1a(&out);
-    out.extend_from_slice(&hash.to_le_bytes());
-    out
+    w.finish()
 }
 
 fn decode_cache(bytes: &[u8]) -> Result<ResultCache, MineError> {
-    const TRAILER: usize = 8;
-    if bytes.len() < TRAILER {
-        return Err(cache_err(format!(
-            "record of {} bytes is shorter than its checksum",
-            bytes.len()
-        )));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("exact length"));
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(cache_err(format!(
-            "checksum mismatch: record says {stored:#018x}, contents hash to {computed:#018x}"
-        )));
-    }
-    let mut t = Take::new(body, 0, cache_take_err);
-    let magic = t.bytes(4)?;
-    if magic != MAGIC {
-        return Err(cache_err(format!("bad magic {magic:02x?}")));
-    }
-    let version = t.u32()?;
-    if version != VERSION {
-        return Err(cache_err(format!(
-            "unsupported version {version} (expected {VERSION})"
-        )));
-    }
-    let tag = t.u8()?;
-    if tag != TAG_RESULT_CACHE {
-        return Err(cache_err(format!(
-            "wrong record tag {tag} (expected {TAG_RESULT_CACHE})"
-        )));
-    }
-    let seq_hash = t.u64()?;
-    let seq_len = usize::try_from(t.u64()?).map_err(|_| cache_err("seq_len overflow".into()))?;
-    let sigma = t.u32()?;
-    let gap_min = t.u32()? as usize;
-    let gap_max = t.u32()? as usize;
+    read_cache(bytes).map_err(|e| cache_err(e.to_string()))
+}
+
+fn read_cache(bytes: &[u8]) -> Result<ResultCache, WireError> {
+    let mut r = Reader::new(bytes, Frame::RESULT_CACHE)?;
+    r.section("cache key");
+    let seq_hash = r.u64()?;
+    let seq_len =
+        usize::try_from(r.u64()?).map_err(|_| WireError::Corrupt("seq_len overflow".into()))?;
+    let sigma = r.u32()?;
+    let gap_min = r.u32()? as usize;
+    let gap_max = r.u32()? as usize;
     if gap_min > gap_max {
-        return Err(cache_err(format!("invalid gap [{gap_min}, {gap_max}]")));
+        return Err(WireError::Corrupt(format!(
+            "invalid gap [{gap_min}, {gap_max}]"
+        )));
     }
-    let rho_bits = t.u64()?;
-    let algorithm = t.u8()?;
+    let rho_bits = r.u64()?;
+    let algorithm = r.u8()?;
     if algorithm > 1 {
-        return Err(cache_err(format!("unknown algorithm id {algorithm}")));
+        return Err(WireError::Corrupt(format!(
+            "unknown algorithm id {algorithm}"
+        )));
     }
-    let param = t.u64()?;
-    let prune = t.u8()?;
+    let param = r.u64()?;
+    let prune = r.u8()?;
     if prune != 0 {
-        return Err(cache_err(format!("unknown prune flag {prune}")));
+        return Err(WireError::Corrupt(format!("unknown prune flag {prune}")));
     }
-    let start_level = t.u32()? as usize;
+    let start_level = r.u32()? as usize;
     if start_level == 0 {
-        return Err(cache_err("start level 0".into()));
+        return Err(WireError::Corrupt("start level 0".into()));
     }
-    let max_level = match t.u64()? {
+    let max_level = match r.u64()? {
         u64::MAX => None,
-        l => Some(usize::try_from(l).map_err(|_| cache_err("max_level overflow".into()))?),
+        l => Some(usize::try_from(l).map_err(|_| WireError::Corrupt("max_level overflow".into()))?),
     };
-    let n_used = usize::try_from(t.u64()?).map_err(|_| cache_err("n_used overflow".into()))?;
-    let em = match t.u64()? {
+    r.section("outcome");
+    let n_used =
+        usize::try_from(r.u64()?).map_err(|_| WireError::Corrupt("n_used overflow".into()))?;
+    let em = match r.u64()? {
         u64::MAX => None,
         e => Some(e),
     };
-    let support_saturated = match t.u8()? {
+    let support_saturated = match r.u8()? {
         0 => false,
         1 => true,
-        other => return Err(cache_err(format!("bad saturation flag {other}"))),
+        other => return Err(WireError::Corrupt(format!("bad saturation flag {other}"))),
     };
-    // Every count is checked against the bytes left before anything is
-    // allocated for it: each outcome pattern takes at least 29 bytes
-    // (length, one code, support, ratio), each level header 12.
-    let pattern_count =
-        usize::try_from(t.u64()?).map_err(|_| cache_err("pattern count overflow".into()))?;
-    if pattern_count > t.remaining() / 29 {
-        return Err(cache_err(format!(
-            "pattern count {pattern_count} exceeds the record size"
-        )));
-    }
+    // Each outcome pattern takes at least 29 bytes (length, one code,
+    // support, ratio), each level header 12, each candidate its codes
+    // and a support.
+    let pattern_count = r.u64()?;
+    let pattern_count = r.count("pattern count", pattern_count, 29)?;
     let mut outcome: Vec<CachedPattern> = Vec::with_capacity(pattern_count);
     for _ in 0..pattern_count {
-        let len = t.u32()? as usize;
+        let len = r.u32()? as usize;
         if len == 0 {
-            return Err(cache_err("empty pattern in outcome".into()));
+            return Err(WireError::Corrupt("empty pattern in outcome".into()));
         }
-        let codes = t.bytes(len)?.to_vec();
+        let codes = r.bytes(len)?;
         if codes.iter().any(|&c| c as u32 >= sigma) {
-            return Err(cache_err("pattern code outside the alphabet".into()));
+            return Err(WireError::Corrupt(
+                "pattern code outside the alphabet".into(),
+            ));
         }
         // Unpruned mines (the only ones cached) emit in strictly
         // ascending (length, codes) order; a repeated pattern would
         // otherwise count twice wherever the outcome is merged.
         if let Some(prev) = outcome.last() {
-            if (prev.codes.len(), &prev.codes) >= (codes.len(), &codes) {
-                return Err(cache_err(
+            if (prev.codes.len(), prev.codes.as_slice()) >= (codes.len(), codes) {
+                return Err(WireError::Corrupt(
                     "outcome patterns out of (length, codes) order".into(),
                 ));
             }
         }
-        let support = t.u128()?;
+        let support = r.u128()?;
         if support == 0 {
-            return Err(cache_err("zero-support pattern in outcome".into()));
+            return Err(WireError::Corrupt("zero-support pattern in outcome".into()));
         }
-        let ratio_bits = t.u64()?;
+        let ratio_bits = r.u64()?;
         outcome.push(CachedPattern {
-            codes,
+            codes: codes.to_vec(),
             support,
             ratio_bits,
         });
     }
-    let levels = match t.u8()? {
+    r.section("level maps");
+    let levels = match r.u8()? {
         0 => None,
         1 => {
-            let level_count = t.u32()? as usize;
-            if level_count > t.remaining() / 12 {
-                return Err(cache_err(format!(
-                    "level count {level_count} exceeds the record size"
-                )));
-            }
+            let level_count = r.u32()?;
+            let level_count = r.count("level count", level_count.into(), 12)?;
             let mut levels = Vec::with_capacity(level_count);
             let mut prev_level = 0usize;
             for _ in 0..level_count {
-                let level = t.u32()? as usize;
+                let level = r.u32()? as usize;
                 if level == 0 || level <= prev_level {
-                    return Err(cache_err(format!(
+                    return Err(WireError::Corrupt(format!(
                         "level {level} out of order after {prev_level}"
                     )));
                 }
                 prev_level = level;
-                let count = usize::try_from(t.u64()?)
-                    .map_err(|_| cache_err("candidate count overflow".into()))?;
-                if count > t.remaining() / (level + 16) {
-                    return Err(cache_err(format!(
-                        "candidate count {count} at level {level} exceeds the record size"
-                    )));
-                }
-                let mut candidates = Vec::with_capacity(count);
-                let mut prev: Option<Vec<u8>> = None;
+                let count = r.u64()?;
+                let count = r.count("candidate count", count, level.saturating_add(16))?;
+                let mut candidates: Vec<(Vec<u8>, u128)> = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let codes = t.bytes(level)?.to_vec();
+                    let codes = r.bytes(level)?;
                     if codes.iter().any(|&c| c as u32 >= sigma) {
-                        return Err(cache_err("candidate code outside the alphabet".into()));
+                        return Err(WireError::Corrupt(
+                            "candidate code outside the alphabet".into(),
+                        ));
                     }
-                    if let Some(p) = &prev {
-                        if *p >= codes {
-                            return Err(cache_err(format!(
-                                "candidates out of order at level {level}"
-                            )));
-                        }
+                    if candidates
+                        .last()
+                        .is_some_and(|(p, _)| p.as_slice() >= codes)
+                    {
+                        return Err(WireError::Corrupt(format!(
+                            "candidates out of order at level {level}"
+                        )));
                     }
-                    let sup = t.u128()?;
+                    let sup = r.u128()?;
                     if sup == 0 {
-                        return Err(cache_err(format!(
+                        return Err(WireError::Corrupt(format!(
                             "zero-support candidate at level {level}"
                         )));
                     }
-                    prev = Some(codes.clone());
-                    candidates.push((codes, sup));
+                    candidates.push((codes.to_vec(), sup));
                 }
                 levels.push(CachedLevel { level, candidates });
             }
             Some(levels)
         }
-        other => return Err(cache_err(format!("bad level-map flag {other}"))),
+        other => return Err(WireError::Corrupt(format!("bad level-map flag {other}"))),
     };
-    if t.remaining() != 0 {
-        return Err(cache_err(format!(
-            "{} trailing bytes after the record",
-            t.remaining()
-        )));
-    }
+    r.finish()?;
     Ok(ResultCache {
         key: CacheKey {
             seq_hash,
@@ -943,17 +886,14 @@ impl std::hash::Hasher for FnvHasher {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = crate::wire::fnv1a_extend(self.0, bytes);
     }
 }
 
 impl std::hash::BuildHasher for FnvBuild {
     type Hasher = FnvHasher;
     fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
+        FnvHasher(crate::wire::FNV_OFFSET)
     }
 }
 
@@ -1761,9 +1701,9 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn roundtrip_cache_record() {
-        let cache = ResultCache {
+    /// A record with an `e_m` and one level map.
+    fn fixed_cache() -> ResultCache {
+        ResultCache {
             key: CacheKey {
                 seq_hash: 0xdead_beef,
                 seq_len: 1000,
@@ -1788,9 +1728,40 @@ mod tests {
                 level: 3,
                 candidates: vec![(vec![0, 1, 2], 17), (vec![0, 1, 3], 2)],
             }]),
-        };
+        }
+    }
+
+    #[test]
+    fn roundtrip_cache_record() {
+        let cache = fixed_cache();
         let decoded = decode_cache(&encode_cache(&cache)).unwrap();
         assert_eq!(decoded, cache);
+    }
+
+    /// Byte length and FNV-1a digest of two fixed records, one with
+    /// level maps and one without: any drift in the format fails here.
+    #[test]
+    fn cache_format_is_pinned() {
+        let with_levels = encode_cache(&fixed_cache());
+        assert_eq!(
+            (with_levels.len(), fnv1a(&with_levels)),
+            (186, 0x7c3b_f292_9789_723d)
+        );
+        let without = encode_cache(&ResultCache {
+            key: CacheKey {
+                algorithm: 0,
+                max_level: None,
+                ..fixed_cache().key
+            },
+            em: None,
+            support_saturated: true,
+            levels: None,
+            ..fixed_cache()
+        });
+        assert_eq!(
+            (without.len(), fnv1a(&without)),
+            (132, 0x58ea_5238_cf54_3ec4)
+        );
     }
 
     #[test]

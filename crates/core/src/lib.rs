@@ -72,6 +72,7 @@ pub mod spill;
 pub mod trace;
 pub mod verify;
 pub mod windowed;
+pub mod wire;
 
 pub use corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig, CorpusOutcome};
 pub use counts::OffsetCounts;

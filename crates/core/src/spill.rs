@@ -12,12 +12,7 @@
 //!
 //! ## On-disk record layout
 //!
-//! Spill records reuse the `perigap-store` PGST wire conventions
-//! (little-endian integers, magic, version, one tag byte, trailing
-//! unhashed FNV-1a checksum). The store crate depends on this one, so
-//! the conventions are duplicated here rather than imported; the store
-//! reserves the tag (`perigap_store::TAG_SPILL`) and its compat test
-//! decodes a record written here with its own `wire::Reader`.
+//! A spill record is one [`crate::wire`] frame ([`Frame::SPILL`]):
 //!
 //! ```text
 //! magic "PGST" | u32 version | u8 tag=3 | u64 record id
@@ -36,33 +31,12 @@
 
 use crate::arena::PilSet;
 use crate::error::MineError;
+use crate::wire::{Frame, Reader, WireError, Writer};
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-const MAGIC: &[u8; 4] = b"PGST";
-const VERSION: u32 = 1;
-/// Section tag for spill records — mirrored as
-/// `perigap_store::TAG_SPILL` (the store crate cannot be imported from
-/// here without inverting the dependency).
-const TAG_SPILL: u8 = 3;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a over `bytes` — the digest every PGST-framed record in this
-/// crate trails with (spill records here, corpus checkpoint records and
-/// manifests in [`crate::corpus`]).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut state = FNV_OFFSET;
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
 
 /// Storage backend for spill records.
 ///
@@ -197,85 +171,21 @@ pub(crate) fn spill_err(record: u64, message: String) -> MineError {
 /// record. The members form a standalone generation: decoding yields a
 /// compact [`PilSet`] holding exactly those patterns in order.
 pub(crate) fn encode_record(record: u64, set: &PilSet, members: &[usize]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(TAG_SPILL);
-    buf.extend_from_slice(&record.to_le_bytes());
-    buf.extend_from_slice(&(set.level() as u32).to_le_bytes());
-    buf.push(set.saturated() as u8);
-    buf.extend_from_slice(&(members.len() as u32).to_le_bytes());
+    let mut w = Writer::new(Frame::SPILL);
+    w.u64(record);
+    w.u32(set.level() as u32);
+    w.u8(set.saturated() as u8);
+    w.u32(members.len() as u32);
     for &i in members {
-        buf.extend_from_slice(set.pattern_codes(i));
+        w.bytes(set.pattern_codes(i));
         let (offsets, counts) = set.entries(i);
-        buf.extend_from_slice(&(offsets.len() as u32).to_le_bytes());
-        for (offset, count) in offsets.iter().zip(counts) {
-            buf.extend_from_slice(&offset.to_le_bytes());
-            buf.extend_from_slice(&count.to_le_bytes());
+        w.u32(offsets.len() as u32);
+        for (&offset, &count) in offsets.iter().zip(counts) {
+            w.u32(offset);
+            w.u64(count);
         }
     }
-    let digest = fnv1a(&buf);
-    buf.extend_from_slice(&digest.to_le_bytes());
-    buf
-}
-
-/// A cursor over record bytes that turns every overrun into a typed
-/// truncation error. The error constructor is injected so spill
-/// records report [`MineError::SpillIo`] while corpus files and
-/// result-cache records report their own variants from the same
-/// cursor.
-pub(crate) struct Take<'a> {
-    bytes: &'a [u8],
-    record: u64,
-    err: fn(u64, String) -> MineError,
-}
-
-impl<'a> Take<'a> {
-    pub(crate) fn new(bytes: &'a [u8], record: u64, err: fn(u64, String) -> MineError) -> Take<'a> {
-        Take { bytes, record, err }
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], MineError> {
-        if self.bytes.len() < n {
-            return Err((self.err)(
-                self.record,
-                format!(
-                    "truncated record: needed {n} more bytes, {} left",
-                    self.bytes.len()
-                ),
-            ));
-        }
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        Ok(head)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, MineError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, MineError> {
-        Ok(u32::from_le_bytes(
-            self.bytes(4)?.try_into().expect("exact length"),
-        ))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, MineError> {
-        Ok(u64::from_le_bytes(
-            self.bytes(8)?.try_into().expect("exact length"),
-        ))
-    }
-
-    pub(crate) fn u128(&mut self) -> Result<u128, MineError> {
-        Ok(u128::from_le_bytes(
-            self.bytes(16)?.try_into().expect("exact length"),
-        ))
-    }
-
-    /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len()
-    }
+    w.finish()
 }
 
 /// Decode and fully validate a spill record written by
@@ -284,85 +194,50 @@ impl<'a> Take<'a> {
 /// [`MineError::SpillIo`]; a successfully decoded set upholds all
 /// arena invariants.
 pub(crate) fn decode_record(record: u64, bytes: &[u8]) -> Result<PilSet, MineError> {
-    const TRAILER: usize = 8;
-    if bytes.len() < TRAILER {
-        return Err(spill_err(
-            record,
-            format!(
-                "record of {} bytes is shorter than its checksum",
-                bytes.len()
-            ),
-        ));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("exact length"));
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(spill_err(
-            record,
-            format!(
-                "checksum mismatch: record says {stored:#018x}, contents hash to {computed:#018x}"
-            ),
-        ));
-    }
-    let mut r = Take::new(body, record, spill_err);
-    if r.bytes(4)? != MAGIC {
-        return Err(spill_err(record, "bad magic".into()));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(spill_err(record, format!("unknown version {version}")));
-    }
-    let tag = r.u8()?;
-    if tag != TAG_SPILL {
-        return Err(spill_err(record, format!("unexpected section tag {tag}")));
-    }
+    read_record(record, bytes).map_err(|e| spill_err(record, e.to_string()))
+}
+
+fn read_record(record: u64, bytes: &[u8]) -> Result<PilSet, WireError> {
+    let mut r = Reader::new(bytes, Frame::SPILL)?;
+    r.section("record header");
     let stored_id = r.u64()?;
     if stored_id != record {
-        return Err(spill_err(
-            record,
-            format!("record claims to be id {stored_id}"),
-        ));
+        return Err(WireError::Corrupt(format!(
+            "record claims to be id {stored_id}"
+        )));
     }
     let level = r.u32()? as usize;
     if level == 0 {
-        return Err(spill_err(record, "level 0 pattern set".into()));
+        return Err(WireError::Corrupt("level 0 pattern set".into()));
     }
     let saturated = match r.u8()? {
         0 => false,
         1 => true,
         other => {
-            return Err(spill_err(
-                record,
-                format!("saturation flag {other} is neither 0 nor 1"),
-            ))
+            return Err(WireError::Corrupt(format!(
+                "saturation flag {other} is neither 0 nor 1"
+            )))
         }
     };
-    let count = r.u32()? as usize;
+    // Each pattern takes its codes and an entry count; each PIL entry
+    // 12 bytes.
+    let count = r.u32()?;
+    let count = r.count("pattern count", count.into(), level.saturating_add(4))?;
+    r.section("patterns");
     let mut set = PilSet::new(level);
     let mut offsets: Vec<u32> = Vec::new();
     let mut counts: Vec<u64> = Vec::new();
     let mut prev_codes: Option<&[u8]> = None;
     for _ in 0..count {
         let codes = r.bytes(level)?;
-        if let Some(prev) = prev_codes {
-            if prev >= codes {
-                return Err(spill_err(
-                    record,
-                    "pattern codes are not strictly ascending".into(),
-                ));
-            }
-        }
-        prev_codes = Some(codes);
-        let n_entries = r.u32()? as usize;
-        // Each entry is 12 bytes; refuse a count the record cannot
-        // hold before reserving for it.
-        if n_entries > r.remaining() / 12 {
-            return Err(spill_err(
-                record,
-                format!("PIL entry count {n_entries} exceeds the record size"),
+        if prev_codes.is_some_and(|prev| prev >= codes) {
+            return Err(WireError::Corrupt(
+                "pattern codes are not strictly ascending".into(),
             ));
         }
+        prev_codes = Some(codes);
+        let n_entries = r.u32()?;
+        let n_entries = r.count("PIL entry count", n_entries.into(), 12)?;
         offsets.clear();
         offsets.reserve(n_entries);
         counts.clear();
@@ -371,8 +246,7 @@ pub(crate) fn decode_record(record: u64, bytes: &[u8]) -> Result<PilSet, MineErr
             let offset = r.u32()?;
             let count = r.u64()?;
             if offsets.last().is_some_and(|&p| p >= offset) {
-                return Err(spill_err(
-                    record,
+                return Err(WireError::Corrupt(
                     "PIL offsets are not strictly ascending".into(),
                 ));
             }
@@ -381,12 +255,7 @@ pub(crate) fn decode_record(record: u64, bytes: &[u8]) -> Result<PilSet, MineErr
         }
         set.push_pattern(codes, (&offsets, &counts));
     }
-    if !r.bytes.is_empty() {
-        return Err(spill_err(
-            record,
-            format!("{} trailing bytes after the last pattern", r.bytes.len()),
-        ));
-    }
+    r.finish()?;
     set.set_saturated(saturated);
     Ok(set)
 }
@@ -427,6 +296,19 @@ mod tests {
             assert_eq!(encode_record(7, &merged, &members), bytes);
             assert_eq!(decode_record(7, &bytes).unwrap(), merged);
         }
+    }
+
+    /// Byte length and FNV-1a digest of a fixed record: any drift in
+    /// the format fails here.
+    #[test]
+    fn record_format_is_pinned() {
+        let set = sample_set(true);
+        let members: Vec<usize> = (0..set.len()).collect();
+        let bytes = encode_record(7, &set, &members);
+        assert_eq!(
+            (bytes.len(), crate::wire::fnv1a(&bytes)),
+            (1099, 0x028b_6946_e8a8_a4be)
+        );
     }
 
     #[test]
@@ -494,7 +376,7 @@ mod tests {
         let pattern_bytes = &one[26..one.len() - 8]; // codes + entry block
         body.extend_from_slice(pattern_bytes);
         body[22..26].copy_from_slice(&2u32.to_le_bytes()); // pattern count
-        let digest = fnv1a(&body);
+        let digest = crate::wire::fnv1a(&body);
         body.extend_from_slice(&digest.to_le_bytes());
         let err = decode_record(0, &body).unwrap_err();
         assert!(

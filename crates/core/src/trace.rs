@@ -1047,12 +1047,18 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest nesting [`Json::parse`] accepts. The deepest document the
+/// workspace reads has three levels; the cap keeps one hostile line
+/// from recursing the parser off its thread's stack.
+const MAX_JSON_DEPTH: usize = 64;
+
 impl Json {
-    /// Parse one JSON document (must consume the whole input).
+    /// Parse one JSON document (must consume the whole input). Nesting
+    /// deeper than 64 arrays or objects is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -1130,12 +1136,18 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, which sits inside `depth` arrays or
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at offset {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -1188,11 +1200,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             _ => {
-                // Advance one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("empty string tail")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run of plain characters in one step. The run
+                // ends at an ASCII quote or backslash, or at the end of
+                // the input, so it is whole UTF-8.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -1229,7 +1244,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number {text:?}"))
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(bytes, pos);
@@ -1238,7 +1253,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(parse_value(bytes, pos)?);
+        out.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -1251,7 +1266,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut out = Vec::new();
     skip_ws(bytes, pos);
@@ -1264,7 +1279,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         out.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -1768,6 +1783,45 @@ mod tests {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("[1, 2] trailing").is_err());
+    }
+
+    /// Nesting is capped at 64 levels: a document at the cap parses,
+    /// one level deeper is an error, and a 200,000-bracket line fails
+    /// the same way instead of overflowing the stack.
+    #[test]
+    fn json_nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let deep = Json::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(deep.contains("nesting deeper than 64"), "{deep}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\": ".repeat(MAX_JSON_DEPTH + 1),
+            "}".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+    }
+
+    /// Multibyte and escaped strings parse as they did one character at
+    /// a time; a string near the serve line cap parses in one pass.
+    #[test]
+    fn json_strings_keep_multibyte_and_escapes() {
+        let v = Json::parse(r#"["héllo ✓ 𝄞", "a\"b\\c\/d\ne\tf\u0041g", "", "x\u00e9"]"#).unwrap();
+        let strings: Vec<&str> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(strings, ["héllo ✓ 𝄞", "a\"b\\c/d\ne\tfAg", "", "xé"]);
+        assert!(Json::parse(r#""unterminated"#).is_err());
+        assert!(Json::parse(r#""bad \q escape""#).is_err());
+        let long = "é".repeat(500_000);
+        assert_eq!(
+            Json::parse(&format!("\"{long}\"")).unwrap().as_str(),
+            Some(long.as_str())
+        );
     }
 
     #[test]

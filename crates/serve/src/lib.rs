@@ -208,6 +208,28 @@ mod tests {
         )
     }
 
+    /// One line of 200,000 `[` is under the line cap but far over the
+    /// parser's nesting cap: it gets an error response, and the same
+    /// daemon answers the next request.
+    #[test]
+    fn deeply_nested_line_is_refused_and_the_daemon_keeps_serving() {
+        let handle = serve(
+            served_index(),
+            "memory:test".to_string(),
+            "127.0.0.1:0",
+            MetricsObserver::new(),
+        )
+        .unwrap();
+        let mut client = Client::connect(handle.addr(), Duration::from_secs(30)).unwrap();
+        let response = client.roundtrip(&"[".repeat(200_000)).unwrap();
+        assert!(response.contains("\"ok\": false"), "{response}");
+        let stats = client.roundtrip(r#"{"q": "stats"}"#).unwrap();
+        let stats = Json::parse(&stats).unwrap();
+        assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
+        let metrics = handle.shutdown();
+        assert_eq!(metrics.queries["invalid"].errors, 1);
+    }
+
     #[test]
     fn shutdown_request_stops_the_daemon() {
         let handle = serve(

@@ -4,48 +4,31 @@
 //! load subject sequences and mined outcomes. A mining run over a
 //! genome can take minutes; its results should survive the process.
 //!
-//! Format (all integers little-endian):
+//! Each file is one [`perigap_core::wire`] frame (all integers
+//! little-endian):
 //!
 //! ```text
 //! magic "PGST" | u32 version | u8 section tag | section payload … | u64 FNV-1a checksum
 //! ```
 //!
-//! DNA sequences are stored 2-bit packed ([`perigap_seq::PackedDna`]);
-//! other alphabets store raw codes. Every file ends with a checksum of
-//! all preceding bytes, so truncated or corrupted files are rejected
-//! rather than half-loaded.
+//! DNA sequences are stored 2-bit packed ([`perigap_seq::pack_codes`]);
+//! other alphabets store raw codes. A load checks every length against
+//! the bytes that remain and the checksum last, and returns nothing
+//! from a truncated, corrupted or overlong file.
 
 #![warn(missing_docs)]
 
 pub mod index;
-pub mod wire;
 
 pub use index::{IndexEntry, PatternIndex};
 
 use perigap_core::result::{FrequentPattern, MineOutcome, MineStats};
+use perigap_core::wire::{Frame, Reader, WireError, Writer};
 use perigap_core::{GapRequirement, Pattern};
-use perigap_seq::{Alphabet, PackedDna, Sequence};
+use perigap_seq::{pack_codes, unpack_codes, Alphabet, Sequence};
 use std::fmt;
 use std::io::{Read, Write};
-use wire::{Reader, Writer};
 
-const MAGIC: &[u8; 4] = b"PGST";
-const VERSION: u32 = 1;
-const TAG_SEQUENCE: u8 = 1;
-const TAG_OUTCOME: u8 = 2;
-/// Section tag reserved for DFS spill records. The records themselves
-/// are written by `perigap_core::spill` (the dependency points the
-/// other way, so core duplicates the wire conventions), but they use
-/// the same magic, version, and trailing-checksum layout and can be
-/// decoded with [`wire::Reader`].
-pub const TAG_SPILL: u8 = 3;
-/// Section tag for result-cache records (`*.pgrc`), written by
-/// `perigap_core::incremental` for `--incremental` mines and by
-/// `perigap_core::corpus` as per-shard checkpoints, under the same PGST
-/// conventions as [`TAG_SPILL`]: magic, version, tag byte, the cache
-/// key + cached outcome + optional per-level candidate maps, closed by
-/// a trailing FNV-1a digest.
-pub const TAG_RESULT_CACHE: u8 = 6;
 /// Sanity cap for on-disk blobs (1 GiB) — far above any real input,
 /// low enough to refuse nonsense lengths from corrupt files.
 const MAX_BLOB: u64 = 1 << 30;
@@ -76,9 +59,9 @@ pub enum StoreError {
         computed: u64,
     },
     /// The file ended mid-read: a store cut short mid-section or
-    /// mid-checksum. Distinguished from [`StoreError::Io`] so callers
-    /// (and the serve daemon) can tell "partial file" from "disk
-    /// trouble".
+    /// mid-checksum, or a count that claims more than the bytes left.
+    /// Distinguished from [`StoreError::Io`] so callers (and the serve
+    /// daemon) can tell "partial file" from "disk trouble".
     Truncated {
         /// The section being read when the input ran out.
         section: String,
@@ -113,31 +96,29 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-fn write_header<W: Write>(w: &mut Writer<W>, tag: u8) -> Result<(), StoreError> {
-    w.bytes(MAGIC)?;
-    w.u32(VERSION)?;
-    w.u8(tag)
+impl From<WireError> for StoreError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Header(msg) => StoreError::BadHeader(msg),
+            WireError::Truncated { section } | WireError::Count { section, .. } => {
+                StoreError::Truncated {
+                    section: section.to_string(),
+                }
+            }
+            WireError::BlobTooLarge { len, max_len } => StoreError::BlobTooLarge { len, max_len },
+            WireError::Checksum { stored, computed } => {
+                StoreError::ChecksumMismatch { stored, computed }
+            }
+            WireError::Corrupt(msg) => StoreError::Corrupt(msg),
+        }
+    }
 }
 
-fn read_header<R: Read>(r: &mut Reader<R>, expected_tag: u8) -> Result<(), StoreError> {
-    r.section("file header");
-    let magic = r.bytes(4)?;
-    if magic != MAGIC {
-        return Err(StoreError::BadHeader(format!("magic {magic:02x?}")));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(StoreError::BadHeader(format!(
-            "version {version} (this build reads {VERSION})"
-        )));
-    }
-    let tag = r.u8()?;
-    if tag != expected_tag {
-        return Err(StoreError::BadHeader(format!(
-            "section tag {tag} where {expected_tag} was expected"
-        )));
-    }
-    Ok(())
+/// Read a whole store file into memory.
+fn read_all<R: Read>(mut source: R) -> Result<Vec<u8>, StoreError> {
+    let mut bytes = Vec::new();
+    source.read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// Alphabet encoding on disk.
@@ -162,95 +143,77 @@ fn alphabet_from_code(code: u8, letters: &[u8]) -> Result<Alphabet, StoreError> 
 }
 
 /// Save a sequence. DNA payloads are 2-bit packed.
-pub fn save_sequence<W: Write>(sink: W, seq: &Sequence) -> Result<W, StoreError> {
-    let mut w = Writer::new(sink);
-    write_header(&mut w, TAG_SEQUENCE)?;
+pub fn save_sequence<W: Write>(mut sink: W, seq: &Sequence) -> Result<W, StoreError> {
+    let mut w = Writer::new(Frame::SEQUENCE);
     let (code, letters) = alphabet_code(seq.alphabet());
-    w.u8(code)?;
-    w.blob(&letters)?;
-    w.u64(seq.len() as u64)?;
+    w.u8(code);
+    w.blob(&letters);
+    w.u64(seq.len() as u64);
     if *seq.alphabet() == Alphabet::Dna {
-        let packed = PackedDna::from_sequence(seq);
-        // Re-collect the packed payload bytes.
-        let mut payload = Vec::with_capacity(seq.len().div_ceil(4));
-        let mut cur = 0u8;
-        for (i, code) in packed.iter().enumerate() {
-            cur |= code << (2 * (i % 4));
-            if i % 4 == 3 {
-                payload.push(cur);
-                cur = 0;
-            }
-        }
-        if !seq.len().is_multiple_of(4) {
-            payload.push(cur);
-        }
-        w.blob(&payload)?;
+        w.blob(&pack_codes(seq.codes(), 2));
     } else {
-        w.blob(seq.codes())?;
+        w.blob(seq.codes());
     }
-    w.finish()
+    sink.write_all(&w.finish())?;
+    Ok(sink)
 }
 
 /// Load a sequence saved by [`save_sequence`].
 pub fn load_sequence<R: Read>(source: R) -> Result<Sequence, StoreError> {
-    let mut r = Reader::new(source);
-    read_header(&mut r, TAG_SEQUENCE)?;
+    let bytes = read_all(source)?;
+    let mut r = Reader::new(&bytes, Frame::SEQUENCE)?;
     r.section("alphabet");
     let code = r.u8()?;
     let letters = r.blob(256)?;
-    let alphabet = alphabet_from_code(code, &letters)?;
+    let alphabet = alphabet_from_code(code, letters)?;
     r.section("sequence length");
-    let len = r.u64()? as usize;
+    let len = r.u64()?;
     r.section("sequence payload");
-    let seq = if alphabet == Alphabet::Dna {
-        let payload = r.blob(MAX_BLOB)?;
-        if payload.len() != len.div_ceil(4) {
+    let payload = r.blob(MAX_BLOB)?;
+    let codes = if alphabet == Alphabet::Dna {
+        if payload.len() as u64 != len.div_ceil(4) {
             return Err(StoreError::Corrupt(format!(
                 "packed payload holds {} bytes for {len} bases",
                 payload.len()
             )));
         }
-        let mut codes = Vec::with_capacity(len);
-        for i in 0..len {
-            codes.push((payload[i / 4] >> (2 * (i % 4))) & 0b11);
-        }
-        Sequence::from_codes(Alphabet::Dna, codes).expect("2-bit codes are valid")
+        unpack_codes(payload, 2, len as usize)
     } else {
-        let codes = r.blob(MAX_BLOB)?;
-        if codes.len() != len {
+        if payload.len() as u64 != len {
             return Err(StoreError::Corrupt(format!(
                 "payload holds {} codes for stated length {len}",
-                codes.len()
+                payload.len()
             )));
         }
-        Sequence::from_codes(alphabet, codes)
-            .map_err(|e| StoreError::Corrupt(format!("invalid codes: {e}")))?
+        payload.to_vec()
     };
-    r.verify_checksum()?;
+    let seq = Sequence::from_codes(alphabet, codes)
+        .map_err(|e| StoreError::Corrupt(format!("invalid codes: {e}")))?;
+    r.finish()?;
     Ok(seq)
 }
 
 /// Save a mined outcome together with the run parameters that produced
 /// it (gap requirement and ρs), so a loaded file is self-describing.
 pub fn save_outcome<W: Write>(
-    sink: W,
+    mut sink: W,
     outcome: &MineOutcome,
     gap: GapRequirement,
     rho: f64,
 ) -> Result<W, StoreError> {
-    let mut w = Writer::new(sink);
-    write_header(&mut w, TAG_OUTCOME)?;
-    w.u64(gap.min() as u64)?;
-    w.u64(gap.max() as u64)?;
-    w.f64(rho)?;
-    w.u64(outcome.stats.n_used as u64)?;
-    w.u64(outcome.frequent.len() as u64)?;
+    let mut w = Writer::new(Frame::OUTCOME);
+    w.u64(gap.min() as u64);
+    w.u64(gap.max() as u64);
+    w.f64(rho);
+    w.u64(outcome.stats.n_used as u64);
+    w.u64(outcome.frequent.len() as u64);
     for f in &outcome.frequent {
-        w.blob(f.pattern.codes())?;
-        w.u128(f.support)?;
-        w.f64(f.ratio)?;
+        w.blob(f.pattern.codes());
+        w.u128(f.support);
+        w.f64(f.ratio);
     }
-    w.finish()
+    sink.write_all(&w.finish())?;
+    Ok(sink)
 }
 
 /// A loaded outcome with its run parameters.
@@ -266,8 +229,8 @@ pub struct LoadedOutcome {
 
 /// Load an outcome saved by [`save_outcome`].
 pub fn load_outcome<R: Read>(source: R) -> Result<LoadedOutcome, StoreError> {
-    let mut r = Reader::new(source);
-    read_header(&mut r, TAG_OUTCOME)?;
+    let bytes = read_all(source)?;
+    let mut r = Reader::new(&bytes, Frame::OUTCOME)?;
     r.section("run parameters");
     let gap_min = r.u64()? as usize;
     let gap_max = r.u64()? as usize;
@@ -283,10 +246,11 @@ pub fn load_outcome<R: Read>(source: R) -> Result<LoadedOutcome, StoreError> {
     if count > 100_000_000 {
         return Err(StoreError::Corrupt(format!("absurd pattern count {count}")));
     }
+    // Each pattern takes a blob length, at least one code, a support
+    // and a ratio.
     r.section("pattern table");
-    // The count is attacker-controlled until the checksum verifies:
-    // cap the up-front reservation and let the vector grow normally.
-    let mut frequent = Vec::with_capacity((count as usize).min(4096));
+    let count = r.count("pattern count", count, 8 + 1 + 16 + 8)?;
+    let mut frequent = Vec::with_capacity(count);
     for _ in 0..count {
         let codes = r.blob(4096)?;
         if codes.is_empty() {
@@ -295,12 +259,12 @@ pub fn load_outcome<R: Read>(source: R) -> Result<LoadedOutcome, StoreError> {
         let support = r.u128()?;
         let ratio = r.f64()?;
         frequent.push(FrequentPattern {
-            pattern: Pattern::from_codes(codes),
+            pattern: Pattern::from_codes(codes.to_vec()),
             support,
             ratio,
         });
     }
-    r.verify_checksum()?;
+    r.finish()?;
     let outcome = MineOutcome {
         frequent,
         stats: MineStats {
@@ -316,6 +280,7 @@ mod tests {
     use super::*;
     use perigap_core::mpp::MppConfig;
     use perigap_core::mppm::mppm;
+    use perigap_core::wire::fnv1a;
     use perigap_seq::gen::iid::uniform;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -352,6 +317,43 @@ mod tests {
         let buf = save_sequence(Vec::new(), &seq).unwrap();
         // Header + packed payload + checksum: ~2,500 payload bytes, not 10,000.
         assert!(buf.len() < 2_700, "file is {} bytes", buf.len());
+    }
+
+    /// Byte length and FNV-1a digest of a fixed DNA and a fixed protein
+    /// sequence file: any drift in the format fails here.
+    #[test]
+    fn sequence_format_is_pinned() {
+        let dna = save_sequence(Vec::new(), &Sequence::dna("ACGTTGCAACGTTAC").unwrap()).unwrap();
+        assert_eq!((dna.len(), fnv1a(&dna)), (46, 0x1388_4f73_afec_c145));
+        let protein = Sequence::protein("MKWVTFISLLLLFSSAYS").unwrap();
+        let protein = save_sequence(Vec::new(), &protein).unwrap();
+        assert_eq!(
+            (protein.len(), fnv1a(&protein)),
+            (60, 0x42db_0cfd_ea81_c398)
+        );
+    }
+
+    /// Byte length and FNV-1a digest of a fixed outcome file.
+    #[test]
+    fn outcome_format_is_pinned() {
+        let pattern = |codes: &[u8], support: u128, ratio: f64| FrequentPattern {
+            pattern: Pattern::from_codes(codes.to_vec()),
+            support,
+            ratio,
+        };
+        let outcome = MineOutcome {
+            frequent: vec![
+                pattern(&[0, 1, 2], 42, 0.25),
+                pattern(&[3, 3, 0, 1], u128::MAX, 1.0),
+            ],
+            stats: MineStats {
+                n_used: 9,
+                ..MineStats::default()
+            },
+        };
+        let gap = GapRequirement::new(1, 3).unwrap();
+        let bytes = save_outcome(Vec::new(), &outcome, gap, 0.005).unwrap();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (128, 0x2970_f8ec_cb49_033d));
     }
 
     #[test]
@@ -496,10 +498,9 @@ mod tests {
         }
     }
 
-    /// Spill records are written by `perigap_core::spill` (this crate
-    /// sits above core, so core cannot call our writer), but they must
-    /// stay decodable with the plain PGST [`wire::Reader`] — same
-    /// magic, version, tag byte and trailing FNV-1a digest.
+    /// Spill records are written by `perigap_core::spill` through the
+    /// same codec as this crate's files: a field-by-field walk with the
+    /// codec's [`Reader`] pins their layout from outside core.
     #[test]
     fn spill_records_honor_the_store_wire_format() {
         use perigap_core::mpp::mpp;
@@ -520,10 +521,7 @@ mod tests {
         let captured = io.captured.lock().unwrap();
         assert_eq!(captured.len() as u64, outcome.stats.spilled_records);
         for (record, bytes) in captured.iter() {
-            let mut r = Reader::new(&bytes[..]);
-            assert_eq!(r.bytes(4).unwrap(), MAGIC, "record {record}");
-            assert_eq!(r.u32().unwrap(), VERSION, "record {record}");
-            assert_eq!(r.u8().unwrap(), TAG_SPILL, "record {record}");
+            let mut r = Reader::new(bytes, Frame::SPILL).unwrap();
             assert_eq!(r.u64().unwrap(), *record);
             let level = r.u32().unwrap() as usize;
             assert!(level >= 1, "record {record}");
@@ -538,15 +536,14 @@ mod tests {
                     let _count = r.u64().unwrap();
                 }
             }
-            r.verify_checksum()
-                .expect("digest must match the store convention");
+            r.finish().expect("digest must match");
         }
     }
 
     /// Corpus checkpoints are result-cache records written by
     /// `perigap_core::corpus`: every file a checkpointed mine leaves in
-    /// its directory must be a `shard-*.pgrc` that reads as a PGST
-    /// header under [`TAG_RESULT_CACHE`] with a valid trailing digest.
+    /// its directory must be a `shard-*.pgrc` that reads as a
+    /// [`Frame::RESULT_CACHE`] record with a valid trailing digest.
     #[test]
     fn corpus_checkpoints_honor_the_store_wire_format() {
         use perigap_core::corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig};
@@ -595,13 +592,9 @@ mod tests {
                 "unexpected checkpoint file {name}"
             );
             let bytes = std::fs::read(&path).unwrap();
-            let mut r = Reader::new(&bytes[..]);
-            assert_eq!(r.bytes(4).unwrap(), MAGIC, "{name}");
-            assert_eq!(r.u32().unwrap(), 3, "{name}: result-cache record version");
-            assert_eq!(r.u8().unwrap(), TAG_RESULT_CACHE, "{name}");
+            let mut r = Reader::new(&bytes, Frame::RESULT_CACHE).expect(&name);
             r.bytes(bytes.len() - 9 - 8).unwrap(); // key and outcome
-            r.verify_checksum()
-                .expect("record digest must match the store convention");
+            r.finish().expect("record digest must match");
             names.push(name);
         }
         names.sort();
@@ -617,10 +610,9 @@ mod tests {
     }
 
     /// Incremental result-cache records are written by
-    /// `perigap_core::incremental`, but must stay decodable with the
-    /// plain PGST [`wire::Reader`] under the tag this crate reserves
-    /// for them — full walk: key, outcome, per-level candidate maps,
-    /// trailing digest.
+    /// `perigap_core::incremental` through the same codec — a full walk
+    /// (key, outcome, per-level candidate maps, trailing digest) with
+    /// the codec's [`Reader`] pins their layout from outside core.
     #[test]
     fn result_cache_records_honor_the_store_wire_format() {
         use perigap_core::incremental::mine_incremental;
@@ -650,10 +642,7 @@ mod tests {
         assert!(!run.outcome.frequent.is_empty(), "fixture must mine");
 
         let bytes = std::fs::read(&cache_path).unwrap();
-        let mut r = Reader::new(&bytes[..]);
-        assert_eq!(r.bytes(4).unwrap(), MAGIC);
-        assert_eq!(r.u32().unwrap(), 3, "result-cache record version");
-        assert_eq!(r.u8().unwrap(), TAG_RESULT_CACHE);
+        let mut r = Reader::new(&bytes, Frame::RESULT_CACHE).unwrap();
         r.u64().unwrap(); // sequence hash
         assert_eq!(r.u64().unwrap(), seq.len() as u64);
         assert_eq!(r.u32().unwrap(), 4, "alphabet size");
@@ -691,8 +680,7 @@ mod tests {
                 assert!(r.u128().unwrap() >= 1, "candidate support");
             }
         }
-        r.verify_checksum()
-            .expect("record digest must match the store convention");
+        r.finish().expect("record digest must match");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,6 +9,7 @@
 //! one record path must all succeed.
 
 use perigap::core::trace::NoopObserver;
+use perigap::core::wire::fnv1a;
 use perigap::core::{
     load_result_cache, mine_incremental, write_result_cache, IncrementalMode, IncrementalOutcome,
 };
@@ -218,13 +219,6 @@ fn stale_config_keys_name_the_drifted_field() {
     }
 
     let _ = std::fs::remove_file(&cache);
-}
-
-/// 64-bit FNV-1a, the PGST record digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |state, &b| {
-        (state ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 /// Byte offsets into a version-3 record: the header (magic, version,

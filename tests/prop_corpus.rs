@@ -254,9 +254,7 @@ fn corrupt_shard_record_is_re_mined() {
     let mut forged = body[..body.len() - 1].to_vec();
     forged.push(1);
     forged.extend_from_slice(&u32::MAX.to_le_bytes());
-    let digest = forged.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    });
+    let digest = perigap::core::wire::fnv1a(&forged);
     forged.extend_from_slice(&digest.to_le_bytes());
     std::fs::write(&record, &forged).unwrap();
     let got = mine_at(&path, Some(CheckpointConfig::new(&ckpt)));

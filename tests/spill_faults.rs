@@ -145,11 +145,7 @@ impl SpillIo for ForgedCountIo {
         let count_at = 4 + 4 + 1 + 8 + 4 + 1 + 4 + level;
         bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let body = bytes.len() - 8;
-        let digest = bytes[..body]
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-            });
+        let digest = perigap::core::wire::fnv1a(&bytes[..body]);
         bytes[body..].copy_from_slice(&digest.to_le_bytes());
         Ok(bytes)
     }
