@@ -22,7 +22,7 @@
 //!   end-to-end just the end_to_end section of `bench`, printed as its
 //!              JSON fragment (not in `all`)
 //!   corpus     just the corpus_scale section of `bench` — sharded
-//!              mmap mining with a controlled mid-run kill and resume
+//!              corpus mining with a controlled mid-run kill and resume
 //!              — printed as its JSON fragment (not in `all`)
 //!   skew       per-worker utilization table from a --trace JSONL file
 //!   all        everything above except `bench`/`skew`, in order

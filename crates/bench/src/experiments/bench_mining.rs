@@ -36,7 +36,7 @@
 //!    state before every timed rep, and every incremental outcome is
 //!    checked bit-identical to the cold one before its timing is
 //!    trusted.
-//! 8. **corpus scale**: the mmap-backed sharded corpus miner
+//! 8. **corpus scale**: the sharded corpus miner
 //!    ([`perigap_core::corpus::mine_corpus`]) under an arena ceiling —
 //!    cold wall-clock and peak RSS (`VmHWM`), then a controlled kill at
 //!    ~50% of shards followed by a rerun over the same checkpoint
@@ -339,10 +339,12 @@ fn reset_vm_hwm() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-/// Corpus-scale sharded mining: pack a multi-sequence corpus, mine it
+/// Corpus-scale sharded mining: pack a multi-sequence corpus, open it
+/// (one heap read of the whole pack, shared by every worker), mine it
 /// cold through the shard fan-out under a DFS arena ceiling, then
 /// replay the checkpoint story — pause at ~50% of shards, resume, and
-/// report the restart delta. Peak RSS (VmHWM) brackets each leg.
+/// report the restart delta. Peak RSS (VmHWM) brackets each leg and
+/// includes the pack's buffer.
 /// Returns the JSON fragment for the `corpus_scale` key.
 pub fn corpus_scale(quick: bool) -> String {
     use perigap_core::corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig};

@@ -60,7 +60,7 @@ USAGE:
                [--n <len>] [--top <k>] [--record <id>] [--alphabet dna|protein]
   pgmine pack  --input <fasta> --output <corpus.pgco>
                [--alphabet dna|protein]   pack every FASTA record into
-               one mmap-ready corpus file (2-bit DNA / 5-bit protein)
+               one packed corpus file (2-bit DNA / 5-bit protein)
   pgmine mine  --corpus <corpus.pgco> --gap <N:M> --rho <frac|pct%>
                mine the whole corpus, one shard per sequence
                [--n <len>] [--min-sequences <k>  frequent in ≥ k shards]
@@ -686,8 +686,8 @@ fn mine_with_profile_command(
     Ok(out)
 }
 
-/// `pgmine pack`: read every FASTA record and write one mmap-ready
-/// packed corpus file.
+/// `pgmine pack`: read every FASTA record and write one packed corpus
+/// file.
 fn pack_command(args: &Args) -> Result<String, ArgError> {
     let input = args.require("input")?;
     let output = args.require("output")?;

@@ -1,6 +1,5 @@
-//! Corpus-scale sharded mining: a memory-mapped packed corpus file,
-//! per-sequence shard fan-out on the work-stealing pool, and per-shard
-//! checkpoints.
+//! Corpus-scale sharded mining: a packed corpus file, per-sequence
+//! shard fan-out on the work-stealing pool, and per-shard checkpoints.
 //!
 //! [`multiseq::mine_collection`](crate::multiseq::mine_collection)
 //! walks every sequence of a collection level by level over in-RAM
@@ -14,10 +13,10 @@
 //!    [`KeyCodec`](crate::packed::KeyCodec) width (2 bits/symbol for
 //!    DNA, 5 for protein) behind one offset/ID directory and a
 //!    trailing FNV-1a hash, framed by the one record codec
-//!    ([`crate::wire`]). [`Corpus::open`] memory-maps it read-only,
-//!    so any number of worker threads share one kernel mapping instead
-//!    of per-thread heap copies; each worker decodes only the shard it
-//!    actually mines.
+//!    ([`crate::wire`]). [`Corpus::open`] reads it into one heap
+//!    buffer (it reads every byte anyway, to check the hash), and the
+//!    pool shares that one `Arc<Corpus>` instead of per-thread copies;
+//!    each worker decodes only the shard it actually mines.
 //! 2. **Sharded mining** ([`mine_corpus`]) turns each sequence into a
 //!    unit of work fanned out on the existing
 //!    [`parallel`](crate::parallel) work-stealing pool,
@@ -73,96 +72,6 @@ fn corpus_err(message: impl Into<String>) -> MineError {
 }
 
 // ---------------------------------------------------------------------
-// Read-only file mapping
-// ---------------------------------------------------------------------
-
-/// A read-only `mmap` of a whole file, declared raw (no libc crate —
-/// the same idiom as the SIGINT shim in `perigap-serve`). The mapping
-/// is immutable and lives as long as the [`Corpus`], so sharing it
-/// across worker threads is sound.
-#[cfg(unix)]
-struct Mapping {
-    ptr: *mut u8,
-    len: usize,
-}
-
-#[cfg(unix)]
-unsafe impl Send for Mapping {}
-#[cfg(unix)]
-unsafe impl Sync for Mapping {}
-
-#[cfg(unix)]
-impl Mapping {
-    fn map(file: &fs::File, len: usize) -> Option<Mapping> {
-        use std::os::unix::io::AsRawFd;
-        extern "C" {
-            fn mmap(
-                addr: *mut u8,
-                len: usize,
-                prot: i32,
-                flags: i32,
-                fd: i32,
-                offset: i64,
-            ) -> *mut u8;
-        }
-        const PROT_READ: i32 = 1;
-        const MAP_PRIVATE: i32 = 2;
-        if len == 0 {
-            return None;
-        }
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ,
-                MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr as isize == -1 || ptr.is_null() {
-            return None;
-        }
-        Some(Mapping { ptr, len })
-    }
-
-    fn bytes(&self) -> &[u8] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-#[cfg(unix)]
-impl Drop for Mapping {
-    fn drop(&mut self) {
-        extern "C" {
-            fn munmap(addr: *mut u8, len: usize) -> i32;
-        }
-        unsafe {
-            munmap(self.ptr, self.len);
-        }
-    }
-}
-
-/// Where the corpus bytes live: a shared kernel mapping (the zero-copy
-/// production path) or one heap buffer (the portable fallback and the
-/// `open_buffered` test path).
-enum Backing {
-    #[cfg(unix)]
-    Mapped(Mapping),
-    Heap(Vec<u8>),
-}
-
-impl Backing {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            Backing::Mapped(m) => m.bytes(),
-            Backing::Heap(v) => v,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The corpus file
 // ---------------------------------------------------------------------
 
@@ -177,8 +86,8 @@ pub struct ShardEntry {
     offset: usize,
 }
 
-/// An opened `PGCO` corpus: validated directory over (usually) a
-/// memory-mapped packed payload.
+/// An opened `PGCO` corpus: the whole file read into one buffer, with
+/// its directory validated.
 ///
 /// File layout, all integers little-endian:
 ///
@@ -196,7 +105,7 @@ pub struct ShardEntry {
 /// and the hash is checked last — anything else is
 /// [`MineError::CorpusIo`].
 pub struct Corpus {
-    backing: Backing,
+    bytes: Vec<u8>,
     alphabet: Alphabet,
     bits: u32,
     entries: Vec<ShardEntry>,
@@ -210,7 +119,6 @@ impl std::fmt::Debug for Corpus {
             .field("bits", &self.bits)
             .field("sequences", &self.entries.len())
             .field("hash", &format_args!("{:#018x}", self.hash))
-            .field("mapped", &self.is_mapped())
             .finish()
     }
 }
@@ -276,40 +184,17 @@ impl Corpus {
         Ok(hash)
     }
 
-    /// Open a corpus zero-copy: memory-map the file read-only and
-    /// validate the directory and trailing hash against the mapping.
-    /// Falls back to one heap read where `mmap` is unavailable.
+    /// Open a corpus: read the whole file into one buffer and validate
+    /// the header, directory, payload tiling and trailing hash. The
+    /// buffer is private, so a later change to the file (a truncation
+    /// or an in-place overwrite) cannot reach a shard decode.
     pub fn open(path: &Path) -> Result<Corpus, MineError> {
-        let file = fs::File::open(path)
-            .map_err(|e| corpus_err(format!("cannot open {}: {e}", path.display())))?;
-        let len = file
-            .metadata()
-            .map_err(|e| corpus_err(format!("cannot stat {}: {e}", path.display())))?
-            .len() as usize;
-        #[cfg(unix)]
-        if let Some(mapping) = Mapping::map(&file, len) {
-            return Corpus::validate(Backing::Mapped(mapping));
-        }
-        drop(file);
-        Corpus::open_buffered(path)
-    }
-
-    /// Open a corpus through one heap read instead of a mapping — the
-    /// portable fallback, kept public so tests can pin the non-mmap
-    /// path. Validation and mining behaviour are identical.
-    pub fn open_buffered(path: &Path) -> Result<Corpus, MineError> {
         let bytes = fs::read(path)
             .map_err(|e| corpus_err(format!("cannot read {}: {e}", path.display())))?;
-        Corpus::validate(Backing::Heap(bytes))
-    }
-
-    /// Validate the full file image: header, directory, payload
-    /// tiling, trailing hash.
-    fn validate(backing: Backing) -> Result<Corpus, MineError> {
         let (alphabet, bits, entries, hash) =
-            read_corpus(backing.bytes()).map_err(|e| corpus_err(e.to_string()))?;
+            read_corpus(&bytes).map_err(|e| corpus_err(e.to_string()))?;
         Ok(Corpus {
-            backing,
+            bytes,
             alphabet,
             bits,
             entries,
@@ -347,19 +232,9 @@ impl Corpus {
         self.entries.iter().map(|e| e.len).sum()
     }
 
-    /// Total bytes of the backing file image.
+    /// Total bytes of the file image.
     pub fn file_bytes(&self) -> usize {
-        self.backing.bytes().len()
-    }
-
-    /// True when the corpus is served from a kernel mapping rather
-    /// than a heap buffer.
-    pub fn is_mapped(&self) -> bool {
-        match self.backing {
-            #[cfg(unix)]
-            Backing::Mapped(_) => true,
-            Backing::Heap(_) => false,
-        }
+        self.bytes.len()
     }
 
     /// Decode shard `i` into a byte-coded [`Sequence`] — the only
@@ -367,7 +242,7 @@ impl Corpus {
     pub fn sequence(&self, i: usize) -> Result<Sequence, MineError> {
         let entry = &self.entries[i];
         let span = packed_len(entry.len, self.bits);
-        let payload = &self.backing.bytes()[entry.offset..entry.offset + span];
+        let payload = &self.bytes[entry.offset..entry.offset + span];
         let codes = unpack_codes(payload, self.bits, entry.len);
         Sequence::from_codes(self.alphabet.clone(), codes).map_err(|e| {
             corpus_err(format!(
@@ -945,20 +820,46 @@ mod tests {
         ] {
             let path = dir.join(format!("{label}.pgco"));
             let hash = Corpus::write(&path, &seqs).unwrap();
-            for corpus in [
-                Corpus::open(&path).unwrap(),
-                Corpus::open_buffered(&path).unwrap(),
-            ] {
-                assert_eq!(corpus.hash(), hash, "{label}");
-                assert_eq!(corpus.len(), seqs.len(), "{label}");
-                for (i, (name, seq)) in seqs.iter().enumerate() {
-                    assert_eq!(&corpus.entry(i).name, name, "{label}");
-                    assert_eq!(corpus.entry(i).len, seq.len(), "{label}");
-                    assert_eq!(&corpus.sequence(i).unwrap(), seq, "{label}");
-                }
+            let corpus = Corpus::open(&path).unwrap();
+            assert_eq!(corpus.hash(), hash, "{label}");
+            assert_eq!(corpus.len(), seqs.len(), "{label}");
+            for (i, (name, seq)) in seqs.iter().enumerate() {
+                assert_eq!(&corpus.entry(i).name, name, "{label}");
+                assert_eq!(corpus.entry(i).len, seq.len(), "{label}");
+                assert_eq!(&corpus.sequence(i).unwrap(), seq, "{label}");
             }
-            #[cfg(unix)]
-            assert!(Corpus::open(&path).unwrap().is_mapped(), "{label}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Truncating or overwriting a pack in place (`cp new.pgco
+    /// old.pgco` does both) while it is open must not reach the open
+    /// corpus: every shard still decodes to the sequence that was
+    /// written. A corpus that mapped the file would die here with
+    /// SIGBUS.
+    #[test]
+    fn truncating_an_open_pack_leaves_its_shards_intact() {
+        let dir = tmp_dir("truncate-open");
+        let path = dir.join("open.pgco");
+        let mut seqs = fixture_seqs(3, 29);
+        seqs.push((
+            "long".to_string(),
+            uniform(&mut StdRng::seed_from_u64(31), Alphabet::Dna, 200_000),
+        ));
+        Corpus::write(&path, &seqs).unwrap();
+        let corpus = Corpus::open(&path).unwrap();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        for (i, (_, seq)) in seqs.iter().enumerate() {
+            assert_eq!(&corpus.sequence(i).unwrap(), seq, "shard {i}");
+        }
+        fs::write(&path, b"PGCO overwritten in place").unwrap();
+        for (i, (_, seq)) in seqs.iter().enumerate() {
+            assert_eq!(&corpus.sequence(i).unwrap(), seq, "shard {i}");
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1025,19 +926,17 @@ mod tests {
         let cut = dir.join("cut.pgco");
         for keep in (0..bytes.len()).step_by(7).chain([bytes.len() - 1]) {
             fs::write(&cut, &bytes[..keep]).unwrap();
-            for result in [Corpus::open(&cut), Corpus::open_buffered(&cut)] {
-                match result {
-                    Err(MineError::CorpusIo { .. }) => {}
-                    other => panic!("keep {keep}: expected CorpusIo, got {other:?}"),
-                }
+            match Corpus::open(&cut) {
+                Err(MineError::CorpusIo { .. }) => {}
+                other => panic!("keep {keep}: expected CorpusIo, got {other:?}"),
             }
         }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A shard length forged so that its packed span wraps back to the
-    /// real payload size, behind a recomputed hash, is refused by both
-    /// opens instead of panicking when the shard is decoded.
+    /// real payload size, behind a recomputed hash, is refused by the
+    /// open instead of panicking when the shard is decoded.
     #[test]
     fn forged_length_that_wraps_the_span_is_refused() {
         let dir = tmp_dir("forged-len");
@@ -1061,13 +960,11 @@ mod tests {
         let digest = crate::wire::fnv1a(&bytes[..body]);
         bytes[body..].copy_from_slice(&digest.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
-        for result in [Corpus::open(&path), Corpus::open_buffered(&path)] {
-            match result {
-                Err(MineError::CorpusIo { message }) => {
-                    assert!(message.contains("overflows"), "{message}")
-                }
-                other => panic!("expected CorpusIo, got {other:?}"),
+        match Corpus::open(&path) {
+            Err(MineError::CorpusIo { message }) => {
+                assert!(message.contains("overflows"), "{message}")
             }
+            other => panic!("expected CorpusIo, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -72,8 +72,8 @@ use crate::prune::Pruner;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::spill::{self, SpillState};
 use crate::trace::{
-    AbortEvent, CompleteEvent, LevelEvent, MineObserver, PoolLevelEvent, RestoreEvent, SpillEvent,
-    SubtreeEvent, WarningEvent,
+    AbortEvent, CompleteEvent, Event, LevelEvent, MineObserver, PoolLevelEvent, RestoreEvent,
+    SpillEvent, SubtreeEvent, WarningEvent,
 };
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
@@ -93,14 +93,16 @@ pub(crate) fn finish<O: MineObserver>(
     let (mut outcome, peak) = match run {
         Ok(done) => done,
         Err(e) => {
-            observer.on_abort(&AbortEvent {
+            observer.on(Event::Abort(&AbortEvent {
                 message: e.to_string(),
-            });
+            }));
             return Err(e);
         }
     };
     outcome.stats.total_elapsed = started.elapsed();
-    observer.on_complete(&CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak));
+    observer.on(Event::Complete(
+        &CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak),
+    ));
     Ok(outcome)
 }
 
@@ -614,12 +616,12 @@ fn sweep_spill_records<O: MineObserver>(job: &DfsJob, stats: &mut MineStats, obs
     for record in 0..job.tasks.len() as u64 {
         if let Err(e) = state.io.remove(record) {
             stats.spill_cleanup_failures += 1;
-            observer.on_warning(&WarningEvent {
+            observer.on(Event::Warning(&WarningEvent {
                 kind: "spill-cleanup".into(),
                 message: format!(
                     "orphan spill record {record} could not be removed in the abort sweep: {e}"
                 ),
-            });
+            }));
         }
     }
 }
@@ -953,12 +955,12 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                             for done in 0..r as u64 {
                                 if let Err(re) = io.remove(done) {
                                     stats.spill_cleanup_failures += 1;
-                                    observer.on_warning(&WarningEvent {
+                                    observer.on(Event::Warning(&WarningEvent {
                                         kind: "spill-cleanup".into(),
                                         message: format!(
                                             "spill record {done} could not be removed after record {r} failed to write: {re}"
                                         ),
-                                    });
+                                    }));
                                 }
                             }
                             return Err(spill::spill_err(r as u64, e.to_string()));
@@ -1061,10 +1063,10 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                     }
                     if let Some(message) = t.cleanup_failure {
                         stats.spill_cleanup_failures += 1;
-                        observer.on_warning(&WarningEvent {
+                        observer.on(Event::Warning(&WarningEvent {
                             kind: "spill-cleanup".into(),
                             message,
-                        });
+                        }));
                     }
                 }
                 if let Some(e) = first_err {
@@ -1205,7 +1207,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             extended: agg.kept,
             elapsed: agg.elapsed,
         });
-        observer.on_level(&LevelEvent {
+        observer.on(Event::Level(&LevelEvent {
             level,
             candidates: agg.candidates,
             evaluated: agg.evaluated,
@@ -1221,21 +1223,21 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             join_elapsed: agg.join_elapsed,
             elapsed: agg.elapsed,
             saturated: agg.saturated,
-        });
+        }));
     }
     if let Some(ev) = &spill_event {
-        observer.on_spill(ev);
+        observer.on(Event::Spill(ev));
     }
     for ev in &pool_events {
-        observer.on_pool(ev);
+        observer.on(Event::Pool(ev));
     }
     subtree_events.sort_by_key(|e| e.index);
     for ev in &subtree_events {
-        observer.on_subtree(ev);
+        observer.on(Event::Subtree(ev));
     }
     restore_events.sort_by_key(|e| e.record);
     for ev in &restore_events {
-        observer.on_restore(ev);
+        observer.on(Event::Restore(ev));
     }
     run?;
 

@@ -82,8 +82,7 @@ use crate::mpp::{check_inputs, clamp_n, mine, Algorithm, MppConfig};
 use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::trace::{
-    CompleteEvent, DiffEvent, EmEvent, LevelEvent, MineObserver, SeedEvent, SpillEvent,
-    SubtreeEvent, WarningEvent,
+    CompleteEvent, DiffEvent, EmEvent, Event, LevelEvent, MineObserver, SeedEvent, WarningEvent,
 };
 use crate::wire::{fnv1a, Frame, Reader, WireError, Writer};
 use perigap_math::BigRatio;
@@ -1168,41 +1167,11 @@ struct DeferComplete<'a, O: MineObserver> {
 }
 
 impl<O: MineObserver> MineObserver for DeferComplete<'_, O> {
-    fn on_seed(&mut self, event: &SeedEvent) {
-        self.inner.on_seed(event);
-    }
-    fn on_level(&mut self, event: &LevelEvent) {
-        self.inner.on_level(event);
-    }
-    fn on_pool(&mut self, event: &crate::trace::PoolLevelEvent) {
-        self.inner.on_pool(event);
-    }
-    fn on_subtree(&mut self, event: &SubtreeEvent) {
-        self.inner.on_subtree(event);
-    }
-    fn on_em(&mut self, event: &EmEvent) {
-        self.inner.on_em(event);
-    }
-    fn on_spill(&mut self, event: &SpillEvent) {
-        self.inner.on_spill(event);
-    }
-    fn on_restore(&mut self, event: &crate::trace::RestoreEvent) {
-        self.inner.on_restore(event);
-    }
-    fn on_warning(&mut self, event: &WarningEvent) {
-        self.inner.on_warning(event);
-    }
-    fn on_query(&mut self, event: &crate::trace::QueryEvent) {
-        self.inner.on_query(event);
-    }
-    fn on_diff(&mut self, event: &DiffEvent) {
-        self.inner.on_diff(event);
-    }
-    fn on_abort(&mut self, event: &crate::trace::AbortEvent) {
-        self.inner.on_abort(event);
-    }
-    fn on_complete(&mut self, event: &CompleteEvent) {
-        self.complete = Some(event.clone());
+    fn on(&mut self, event: Event<'_>) {
+        match event {
+            Event::Complete(e) => self.complete = Some(e.clone()),
+            other => self.inner.on(other),
+        }
     }
 }
 
@@ -1337,10 +1306,10 @@ pub fn mine_incremental<O: MineObserver>(
         }) {
             Ok(c) => Some(c),
             Err(fault) => {
-                observer.on_warning(&WarningEvent {
+                observer.on(Event::Warning(&WarningEvent {
                     kind: "cache-fault".into(),
                     message: fault.to_string(),
-                });
+                }));
                 cache_fault = Some(fault);
                 None
             }
@@ -1359,7 +1328,7 @@ pub fn mine_incremental<O: MineObserver>(
             let outcome = mine(seq, gap, rho, algorithm, config, &mut defer)?;
             let complete = defer.complete.take();
             if let Some(c) = complete {
-                observer.on_complete(&c);
+                observer.on(Event::Complete(&c));
             }
             let record = build_cache_record(seq, gap, rho, &requested, config, &outcome)?;
             write_result_cache(cache_path, &record)?;
@@ -1379,8 +1348,8 @@ pub fn mine_incremental<O: MineObserver>(
                 outcome.stats.total_elapsed = started.elapsed();
                 emit_synthetic_trace(&outcome, config, observer);
                 let diff = compute_diff(&cache.outcome, &outcome.frequent);
-                observer.on_diff(&diff.stats.into());
-                observer.on_complete(&CompleteEvent::from_outcome(&outcome));
+                observer.on(Event::Diff(&diff.stats.into()));
+                observer.on(Event::Complete(&CompleteEvent::from_outcome(&outcome)));
                 return Ok(IncrementalOutcome {
                     outcome,
                     mode: IncrementalMode::Cached,
@@ -1425,21 +1394,19 @@ pub fn mine_incremental<O: MineObserver>(
                         if !seeded {
                             seeded = true;
                             if let Some(em) = em {
-                                observer.on_em(&EmEvent {
+                                observer.on(Event::Em(&EmEvent {
                                     m: algorithm.param(),
                                     em,
                                     elapsed: em_elapsed,
-                                });
+                                }));
                             }
-                            observer.on_seed(&SeedEvent {
+                            observer.on(Event::Seed(&SeedEvent {
                                 level: config.start_level,
                                 patterns: evaluated,
-                                pil_entries: 0,
-                                arena_bytes: 0,
-                                elapsed: Duration::ZERO,
-                            });
+                                ..SeedEvent::default()
+                            }));
                         }
-                        observer.on_level(&LevelEvent {
+                        observer.on(Event::Level(&LevelEvent {
                             level: stats.level,
                             candidates: stats.candidates,
                             evaluated,
@@ -1447,15 +1414,9 @@ pub fn mine_incremental<O: MineObserver>(
                             kept,
                             pruned_bound: evaluated - kept,
                             pruned_support: evaluated - stats.frequent,
-                            arena_bytes: 0,
-                            joins: 0,
-                            probed: 0,
-                            reallocs: 0,
-                            bytes_moved: 0,
-                            join_elapsed: Duration::ZERO,
                             elapsed: stats.elapsed,
-                            saturated: false,
-                        });
+                            ..LevelEvent::default()
+                        }));
                     };
                     let run = cascade(
                         seq,
@@ -1485,8 +1446,9 @@ pub fn mine_incremental<O: MineObserver>(
                             run.outcome.stats.em_elapsed = em_elapsed;
                             run.outcome.stats.total_elapsed = started.elapsed();
                             let diff = compute_diff(&cache.outcome, &run.outcome.frequent);
-                            observer.on_diff(&diff.stats.into());
-                            observer.on_complete(&CompleteEvent::from_outcome(&run.outcome));
+                            observer.on(Event::Diff(&diff.stats.into()));
+                            observer
+                                .on(Event::Complete(&CompleteEvent::from_outcome(&run.outcome)));
                             let record = ResultCache {
                                 key: requested,
                                 n_used,
@@ -1533,9 +1495,9 @@ fn mine_cold_fallback<O: MineObserver>(
     let outcome = mine(seq, gap, rho, algorithm, config, &mut defer)?;
     let complete = defer.complete.take();
     let diff = compute_diff(&cache.outcome, &outcome.frequent);
-    observer.on_diff(&diff.stats.into());
+    observer.on(Event::Diff(&diff.stats.into()));
     if let Some(c) = complete {
-        observer.on_complete(&c);
+        observer.on(Event::Complete(&c));
     }
     let record = build_cache_record(seq, gap, rho, requested, config, &outcome)?;
     write_result_cache(cache_path, &record)?;
@@ -1626,31 +1588,20 @@ fn emit_synthetic_trace<O: MineObserver>(
     config: &MppConfig,
     observer: &mut O,
 ) {
-    observer.on_seed(&SeedEvent {
+    observer.on(Event::Seed(&SeedEvent {
         level: config.start_level,
-        patterns: 0,
-        pil_entries: 0,
-        arena_bytes: 0,
-        elapsed: Duration::ZERO,
-    });
+        ..SeedEvent::default()
+    }));
     for l in &outcome.stats.levels {
-        observer.on_level(&LevelEvent {
+        observer.on(Event::Level(&LevelEvent {
             level: l.level,
             candidates: l.candidates,
             evaluated: l.frequent,
             frequent: l.frequent,
             kept: l.extended,
             pruned_bound: l.frequent - l.extended,
-            pruned_support: 0,
-            arena_bytes: 0,
-            joins: 0,
-            probed: 0,
-            reallocs: 0,
-            bytes_moved: 0,
-            join_elapsed: Duration::ZERO,
-            elapsed: Duration::ZERO,
-            saturated: false,
-        });
+            ..LevelEvent::default()
+        }));
     }
 }
 

@@ -41,6 +41,7 @@
 //! | §6 enumeration baseline, adaptive-n | [`enumerate`], [`adaptive`] |
 //! | §2 related-work models (extensions) | [`windowed`], [`multiseq`] |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;

@@ -18,7 +18,7 @@ use crate::gap::GapRequirement;
 use crate::parallel::PoolHooks;
 use crate::prune::PruneMode;
 use crate::result::MineOutcome;
-use crate::trace::{MineObserver, NoopObserver, SeedEvent};
+use crate::trace::{Event, MineObserver, NoopObserver, SeedEvent};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::path::PathBuf;
@@ -199,13 +199,13 @@ pub(crate) fn seed_level<O: MineObserver>(
 ) -> PilSet {
     let started = Instant::now();
     let pils = build_seed(seq, gap, start);
-    observer.on_seed(&SeedEvent {
+    observer.on(Event::Seed(&SeedEvent {
         level: start,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
         elapsed: started.elapsed(),
-    });
+    }));
     pils
 }
 

@@ -16,7 +16,7 @@ use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::mpp::{mine, prepare, seed_level, Algorithm, MppConfig};
 use crate::result::{MineOutcome, MineStats};
-use crate::trace::{EmEvent, MineObserver, NoopObserver};
+use crate::trace::{EmEvent, Event, MineObserver, NoopObserver};
 use perigap_math::{BigRatio, BigUint};
 use perigap_seq::Sequence;
 use std::time::Instant;
@@ -87,11 +87,11 @@ pub(crate) fn prelude<O: MineObserver>(
     // loosens λ′ and is therefore sound.
     let em = compute_em(seq, gap, m).max(1);
     let em_elapsed = em_started.elapsed();
-    observer.on_em(&EmEvent {
+    observer.on(Event::Em(&EmEvent {
         m,
         em,
         elapsed: em_elapsed,
-    });
+    }));
 
     // Phase 2: seed-level supports.
     let start = config.start_level;

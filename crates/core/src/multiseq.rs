@@ -23,7 +23,7 @@ use crate::lambda::PruneBound;
 use crate::mpp::MppConfig;
 use crate::pattern::Pattern;
 use crate::pil::Pil;
-use crate::trace::{CompleteEvent, LevelEvent, MineObserver, NoopObserver};
+use crate::trace::{CompleteEvent, Event, LevelEvent, MineObserver, NoopObserver};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::collections::HashMap;
@@ -158,19 +158,11 @@ pub fn mine_collection_traced<O: MineObserver>(
         return Err(MineError::InvalidThreshold(rho));
     }
     if sequences.is_empty() || min_sequences == 0 || min_sequences > sequences.len() {
-        observer.on_complete(&CompleteEvent {
-            frequent: 0,
-            levels: 0,
-            total_candidates: 0,
+        observer.on(Event::Complete(&CompleteEvent {
             n_used: n,
-            support_saturated: false,
-            peak_arena_bytes: 0,
-            top_k: None,
-            floor_raises: 0,
-            pruned_by_floor: 0,
-            pruned_by_target: 0,
             total_elapsed: started.elapsed(),
-        });
+            ..CompleteEvent::default()
+        }));
         return Ok(CollectionOutcome::default());
     }
     let alphabet = sequences[0].alphabet();
@@ -285,7 +277,7 @@ pub fn mine_collection_traced<O: MineObserver>(
             }
         }
         let emit_level = |observer: &mut O, join_elapsed: Duration, elapsed: Duration| {
-            observer.on_level(&LevelEvent {
+            observer.on(Event::Level(&LevelEvent {
                 level,
                 candidates: evaluated as u128,
                 evaluated,
@@ -293,15 +285,10 @@ pub fn mine_collection_traced<O: MineObserver>(
                 kept: kept.len(),
                 pruned_bound: evaluated - kept.len(),
                 pruned_support: evaluated - frequent_here,
-                arena_bytes: 0,
-                joins: 0,
-                probed: 0,
-                reallocs: 0,
-                bytes_moved: 0,
                 join_elapsed,
                 elapsed,
-                saturated: false,
-            });
+                ..LevelEvent::default()
+            }));
         };
         level_events += 1;
         total_candidates += evaluated as u128;
@@ -350,19 +337,14 @@ pub fn mine_collection_traced<O: MineObserver>(
     out.sort_by(|a, b| {
         (a.pattern.len(), a.pattern.codes()).cmp(&(b.pattern.len(), b.pattern.codes()))
     });
-    observer.on_complete(&CompleteEvent {
+    observer.on(Event::Complete(&CompleteEvent {
         frequent: out.len(),
         levels: level_events,
         total_candidates,
         n_used: n,
-        support_saturated: false,
-        peak_arena_bytes: 0,
-        top_k: None,
-        floor_raises: 0,
-        pruned_by_floor: 0,
-        pruned_by_target: 0,
         total_elapsed: started.elapsed(),
-    });
+        ..CompleteEvent::default()
+    }));
     Ok(CollectionOutcome { patterns: out })
 }
 

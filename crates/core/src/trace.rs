@@ -9,10 +9,12 @@
 //!
 //! ## Design
 //!
-//! [`MineObserver`] is a trait with empty default methods. The miners
-//! (`dfs::run_hybrid`, `mine_collection`) are generic over
+//! [`MineObserver`] is a trait with one method, `on`, which receives
+//! every [`Event`]: a `Copy` enum with one variant per event kind,
+//! each borrowing the struct that carries the event's fields. The
+//! miners (`dfs::run_hybrid`, `mine_collection`) are generic over
 //! `O: MineObserver`, so a run with [`NoopObserver`] monomorphizes
-//! every callback to an empty inlined body: the compiled hot loop is
+//! every emission to an empty inlined body: the compiled hot loop is
 //! identical to the pre-observability one. Every MPP and MPPm mine is
 //! one call, [`crate::mpp::mine`], which takes the observer; the
 //! paper's `mpp` and `mppm` pass [`NoopObserver`], so attaching a real
@@ -61,7 +63,7 @@ use std::time::Duration;
 
 /// Seed construction: the level-`start` scan that feeds the level-wise
 /// engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SeedEvent {
     /// The start level (pattern length of the seed generation).
     pub level: usize,
@@ -77,7 +79,7 @@ pub struct SeedEvent {
 
 /// One level of the mine: the paper's pruning-power counters
 /// (Figures 4–5, Table 3) plus timings.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LevelEvent {
     /// Pattern length at this level.
     pub level: usize,
@@ -281,7 +283,7 @@ pub struct DiffEvent {
 }
 
 /// Mine completion: run-wide totals.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CompleteEvent {
     /// Frequent patterns found.
     pub frequent: usize,
@@ -335,192 +337,72 @@ impl CompleteEvent {
     }
 }
 
-/// Receiver of mining events. All methods default to no-ops, so an
-/// observer implements only what it cares about — and [`NoopObserver`]
-/// monomorphizes to nothing at all.
-pub trait MineObserver {
+/// One event of a mine, borrowed from its emitter: what
+/// [`MineObserver::on`] receives. Each variant holds the event struct
+/// that carries its fields.
+#[derive(Clone, Copy, Debug)]
+pub enum Event<'a> {
     /// The seed generation was built.
-    fn on_seed(&mut self, _event: &SeedEvent) {}
+    Seed(&'a SeedEvent),
     /// A level finished.
-    fn on_level(&mut self, _event: &LevelEvent) {}
+    Level(&'a LevelEvent),
     /// A parallel level's worker-pool breakdown.
-    fn on_pool(&mut self, _event: &PoolLevelEvent) {}
+    Pool(&'a PoolLevelEvent),
     /// A depth-first subtree task completed.
-    fn on_subtree(&mut self, _event: &SubtreeEvent) {}
+    Subtree(&'a SubtreeEvent),
     /// MPPm computed `e_m`.
-    fn on_em(&mut self, _event: &EmEvent) {}
+    Em(&'a EmEvent),
     /// Cold subtree arenas were spilled at the component handoff.
-    fn on_spill(&mut self, _event: &SpillEvent) {}
+    Spill(&'a SpillEvent),
     /// A spill record was restored and mined.
-    fn on_restore(&mut self, _event: &RestoreEvent) {}
+    Restore(&'a RestoreEvent),
     /// A non-fatal anomaly was survived (e.g. spill cleanup failure).
-    fn on_warning(&mut self, _event: &WarningEvent) {}
+    Warning(&'a WarningEvent),
     /// A pattern-store query was served (`pgmine serve` only).
-    fn on_query(&mut self, _event: &QueryEvent) {}
+    Query(&'a QueryEvent),
     /// An incremental re-mine diffed its result against the cached
     /// baseline (incremental mines only).
-    fn on_diff(&mut self, _event: &DiffEvent) {}
+    Diff(&'a DiffEvent),
     /// The mine aborted after partial progress (terminal).
-    fn on_abort(&mut self, _event: &AbortEvent) {}
-    /// The mine finished.
-    fn on_complete(&mut self, _event: &CompleteEvent) {}
+    Abort(&'a AbortEvent),
+    /// The mine finished (terminal).
+    Complete(&'a CompleteEvent),
+}
+
+/// Receiver of mining events: one call per [`Event`]. An observer
+/// matches on the variants it cares about, and [`NoopObserver`]
+/// monomorphizes to nothing at all.
+pub trait MineObserver {
+    /// Receive one event.
+    fn on(&mut self, event: Event<'_>);
 }
 
 /// The do-nothing observer: the default for every untraced mine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopObserver;
 
-impl MineObserver for NoopObserver {}
+impl MineObserver for NoopObserver {
+    #[inline]
+    fn on(&mut self, _event: Event<'_>) {}
+}
 
 impl<O: MineObserver + ?Sized> MineObserver for &mut O {
-    fn on_seed(&mut self, event: &SeedEvent) {
-        (**self).on_seed(event);
-    }
-    fn on_level(&mut self, event: &LevelEvent) {
-        (**self).on_level(event);
-    }
-    fn on_pool(&mut self, event: &PoolLevelEvent) {
-        (**self).on_pool(event);
-    }
-    fn on_subtree(&mut self, event: &SubtreeEvent) {
-        (**self).on_subtree(event);
-    }
-    fn on_em(&mut self, event: &EmEvent) {
-        (**self).on_em(event);
-    }
-    fn on_spill(&mut self, event: &SpillEvent) {
-        (**self).on_spill(event);
-    }
-    fn on_restore(&mut self, event: &RestoreEvent) {
-        (**self).on_restore(event);
-    }
-    fn on_warning(&mut self, event: &WarningEvent) {
-        (**self).on_warning(event);
-    }
-    fn on_query(&mut self, event: &QueryEvent) {
-        (**self).on_query(event);
-    }
-    fn on_diff(&mut self, event: &DiffEvent) {
-        (**self).on_diff(event);
-    }
-    fn on_abort(&mut self, event: &AbortEvent) {
-        (**self).on_abort(event);
-    }
-    fn on_complete(&mut self, event: &CompleteEvent) {
-        (**self).on_complete(event);
+    fn on(&mut self, event: Event<'_>) {
+        (**self).on(event);
     }
 }
 
 impl<A: MineObserver, B: MineObserver> MineObserver for (A, B) {
-    fn on_seed(&mut self, event: &SeedEvent) {
-        self.0.on_seed(event);
-        self.1.on_seed(event);
-    }
-    fn on_level(&mut self, event: &LevelEvent) {
-        self.0.on_level(event);
-        self.1.on_level(event);
-    }
-    fn on_pool(&mut self, event: &PoolLevelEvent) {
-        self.0.on_pool(event);
-        self.1.on_pool(event);
-    }
-    fn on_subtree(&mut self, event: &SubtreeEvent) {
-        self.0.on_subtree(event);
-        self.1.on_subtree(event);
-    }
-    fn on_em(&mut self, event: &EmEvent) {
-        self.0.on_em(event);
-        self.1.on_em(event);
-    }
-    fn on_spill(&mut self, event: &SpillEvent) {
-        self.0.on_spill(event);
-        self.1.on_spill(event);
-    }
-    fn on_restore(&mut self, event: &RestoreEvent) {
-        self.0.on_restore(event);
-        self.1.on_restore(event);
-    }
-    fn on_warning(&mut self, event: &WarningEvent) {
-        self.0.on_warning(event);
-        self.1.on_warning(event);
-    }
-    fn on_query(&mut self, event: &QueryEvent) {
-        self.0.on_query(event);
-        self.1.on_query(event);
-    }
-    fn on_diff(&mut self, event: &DiffEvent) {
-        self.0.on_diff(event);
-        self.1.on_diff(event);
-    }
-    fn on_abort(&mut self, event: &AbortEvent) {
-        self.0.on_abort(event);
-        self.1.on_abort(event);
-    }
-    fn on_complete(&mut self, event: &CompleteEvent) {
-        self.0.on_complete(event);
-        self.1.on_complete(event);
+    fn on(&mut self, event: Event<'_>) {
+        self.0.on(event);
+        self.1.on(event);
     }
 }
 
 impl<O: MineObserver> MineObserver for Option<O> {
-    fn on_seed(&mut self, event: &SeedEvent) {
+    fn on(&mut self, event: Event<'_>) {
         if let Some(o) = self {
-            o.on_seed(event);
-        }
-    }
-    fn on_level(&mut self, event: &LevelEvent) {
-        if let Some(o) = self {
-            o.on_level(event);
-        }
-    }
-    fn on_pool(&mut self, event: &PoolLevelEvent) {
-        if let Some(o) = self {
-            o.on_pool(event);
-        }
-    }
-    fn on_subtree(&mut self, event: &SubtreeEvent) {
-        if let Some(o) = self {
-            o.on_subtree(event);
-        }
-    }
-    fn on_em(&mut self, event: &EmEvent) {
-        if let Some(o) = self {
-            o.on_em(event);
-        }
-    }
-    fn on_spill(&mut self, event: &SpillEvent) {
-        if let Some(o) = self {
-            o.on_spill(event);
-        }
-    }
-    fn on_restore(&mut self, event: &RestoreEvent) {
-        if let Some(o) = self {
-            o.on_restore(event);
-        }
-    }
-    fn on_warning(&mut self, event: &WarningEvent) {
-        if let Some(o) = self {
-            o.on_warning(event);
-        }
-    }
-    fn on_query(&mut self, event: &QueryEvent) {
-        if let Some(o) = self {
-            o.on_query(event);
-        }
-    }
-    fn on_diff(&mut self, event: &DiffEvent) {
-        if let Some(o) = self {
-            o.on_diff(event);
-        }
-    }
-    fn on_abort(&mut self, event: &AbortEvent) {
-        if let Some(o) = self {
-            o.on_abort(event);
-        }
-    }
-    fn on_complete(&mut self, event: &CompleteEvent) {
-        if let Some(o) = self {
-            o.on_complete(event);
+            o.on(event);
         }
     }
 }
@@ -583,164 +465,140 @@ impl<W: io::Write> JsonlObserver<W> {
 }
 
 impl<W: io::Write> MineObserver for JsonlObserver<W> {
-    fn on_seed(&mut self, e: &SeedEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"seed\", \"level\": {}, \"patterns\": {}, \"pil_entries\": {}, \"arena_bytes\": {}, \"elapsed_ms\": {:.3}}}",
-            e.level, e.patterns, e.pil_entries, e.arena_bytes, ms(e.elapsed)
-        ));
-    }
-
-    fn on_level(&mut self, e: &LevelEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"level\", \"level\": {}, \"candidates\": {}, \"evaluated\": {}, \"frequent\": {}, \"kept\": {}, \"pruned_bound\": {}, \"pruned_support\": {}, \"arena_bytes\": {}, \"joins\": {}, \"probed\": {}, \"reallocs\": {}, \"bytes_moved\": {}, \"join_ms\": {:.3}, \"elapsed_ms\": {:.3}, \"saturated\": {}}}",
-            e.level,
-            e.candidates,
-            e.evaluated,
-            e.frequent,
-            e.kept,
-            e.pruned_bound,
-            e.pruned_support,
-            e.arena_bytes,
-            e.joins,
-            e.probed,
-            e.reallocs,
-            e.bytes_moved,
-            ms(e.join_elapsed),
-            ms(e.elapsed),
-            e.saturated
-        ));
-    }
-
-    fn on_pool(&mut self, e: &PoolLevelEvent) {
-        let mut workers = String::from("[");
-        for (i, w) in e.workers.iter().enumerate() {
-            if i > 0 {
-                workers.push_str(", ");
+    fn on(&mut self, event: Event<'_>) {
+        let line = match event {
+            Event::Seed(e) => format!(
+                "{{\"event\": \"seed\", \"level\": {}, \"patterns\": {}, \"pil_entries\": {}, \"arena_bytes\": {}, \"elapsed_ms\": {:.3}}}",
+                e.level, e.patterns, e.pil_entries, e.arena_bytes, ms(e.elapsed)
+            ),
+            Event::Level(e) => format!(
+                "{{\"event\": \"level\", \"level\": {}, \"candidates\": {}, \"evaluated\": {}, \"frequent\": {}, \"kept\": {}, \"pruned_bound\": {}, \"pruned_support\": {}, \"arena_bytes\": {}, \"joins\": {}, \"probed\": {}, \"reallocs\": {}, \"bytes_moved\": {}, \"join_ms\": {:.3}, \"elapsed_ms\": {:.3}, \"saturated\": {}}}",
+                e.level,
+                e.candidates,
+                e.evaluated,
+                e.frequent,
+                e.kept,
+                e.pruned_bound,
+                e.pruned_support,
+                e.arena_bytes,
+                e.joins,
+                e.probed,
+                e.reallocs,
+                e.bytes_moved,
+                ms(e.join_elapsed),
+                ms(e.elapsed),
+                e.saturated
+            ),
+            Event::Pool(e) => {
+                let mut workers = String::from("[");
+                for (i, w) in e.workers.iter().enumerate() {
+                    if i > 0 {
+                        workers.push_str(", ");
+                    }
+                    let _ = write!(
+                        workers,
+                        "{{\"worker\": {}, \"chunks\": {}, \"candidates\": {}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}}}",
+                        w.worker,
+                        w.chunks,
+                        w.candidates,
+                        ms(w.busy),
+                        ms(w.idle)
+                    );
+                }
+                workers.push(']');
+                format!(
+                    "{{\"event\": \"pool\", \"level\": {}, \"chunks\": {}, \"workers\": {workers}}}",
+                    e.level, e.chunks
+                )
             }
-            let _ = write!(
-                workers,
-                "{{\"worker\": {}, \"chunks\": {}, \"candidates\": {}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}}}",
-                w.worker,
-                w.chunks,
-                w.candidates,
-                ms(w.busy),
-                ms(w.idle)
-            );
-        }
-        workers.push(']');
-        self.write_line(&format!(
-            "{{\"event\": \"pool\", \"level\": {}, \"chunks\": {}, \"workers\": {workers}}}",
-            e.level, e.chunks
-        ));
-    }
-
-    fn on_subtree(&mut self, e: &SubtreeEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"subtree\", \"index\": {}, \"level\": {}, \"patterns\": {}, \"deepest\": {}, \"evaluated\": {}, \"frequent\": {}, \"peak_arena_bytes\": {}, \"elapsed_ms\": {:.3}}}",
-            e.index,
-            e.level,
-            e.patterns,
-            e.deepest,
-            e.evaluated,
-            e.frequent,
-            e.peak_arena_bytes,
-            ms(e.elapsed)
-        ));
-    }
-
-    fn on_em(&mut self, e: &EmEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"em\", \"m\": {}, \"em\": {}, \"elapsed_ms\": {:.3}}}",
-            e.m,
-            e.em,
-            ms(e.elapsed)
-        ));
-    }
-
-    fn on_spill(&mut self, e: &SpillEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"spill\", \"level\": {}, \"records\": {}, \"bytes\": {}, \"live_bytes\": {}, \"watermark_bytes\": {}, \"elapsed_ms\": {:.3}}}",
-            e.level,
-            e.records,
-            e.bytes,
-            e.live_bytes,
-            e.watermark_bytes,
-            ms(e.elapsed)
-        ));
-    }
-
-    fn on_restore(&mut self, e: &RestoreEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"restore\", \"record\": {}, \"bytes\": {}, \"patterns\": {}, \"elapsed_ms\": {:.3}}}",
-            e.record,
-            e.bytes,
-            e.patterns,
-            ms(e.elapsed)
-        ));
-    }
-
-    fn on_warning(&mut self, e: &WarningEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"warning\", \"kind\": \"{}\", \"message\": \"{}\"}}",
-            escape_json(&e.kind),
-            escape_json(&e.message)
-        ));
-    }
-
-    fn on_query(&mut self, e: &QueryEvent) {
-        let cache = match e.cache {
-            Some(hit) => format!(", \"cache_hit\": {hit}"),
-            None => String::new(),
+            Event::Subtree(e) => format!(
+                "{{\"event\": \"subtree\", \"index\": {}, \"level\": {}, \"patterns\": {}, \"deepest\": {}, \"evaluated\": {}, \"frequent\": {}, \"peak_arena_bytes\": {}, \"elapsed_ms\": {:.3}}}",
+                e.index,
+                e.level,
+                e.patterns,
+                e.deepest,
+                e.evaluated,
+                e.frequent,
+                e.peak_arena_bytes,
+                ms(e.elapsed)
+            ),
+            Event::Em(e) => format!(
+                "{{\"event\": \"em\", \"m\": {}, \"em\": {}, \"elapsed_ms\": {:.3}}}",
+                e.m,
+                e.em,
+                ms(e.elapsed)
+            ),
+            Event::Spill(e) => format!(
+                "{{\"event\": \"spill\", \"level\": {}, \"records\": {}, \"bytes\": {}, \"live_bytes\": {}, \"watermark_bytes\": {}, \"elapsed_ms\": {:.3}}}",
+                e.level,
+                e.records,
+                e.bytes,
+                e.live_bytes,
+                e.watermark_bytes,
+                ms(e.elapsed)
+            ),
+            Event::Restore(e) => format!(
+                "{{\"event\": \"restore\", \"record\": {}, \"bytes\": {}, \"patterns\": {}, \"elapsed_ms\": {:.3}}}",
+                e.record,
+                e.bytes,
+                e.patterns,
+                ms(e.elapsed)
+            ),
+            Event::Warning(e) => format!(
+                "{{\"event\": \"warning\", \"kind\": \"{}\", \"message\": \"{}\"}}",
+                escape_json(&e.kind),
+                escape_json(&e.message)
+            ),
+            Event::Query(e) => {
+                let cache = match e.cache {
+                    Some(hit) => format!(", \"cache_hit\": {hit}"),
+                    None => String::new(),
+                };
+                format!(
+                    "{{\"event\": \"query\", \"kind\": \"{}\", \"ok\": {}, \"results\": {}, \"latency_ms\": {:.3}{}}}",
+                    escape_json(&e.kind),
+                    e.ok,
+                    e.results,
+                    ms(e.latency),
+                    cache
+                )
+            }
+            Event::Diff(e) => format!(
+                "{{\"event\": \"diff\", \"new\": {}, \"dropped\": {}, \"changed\": {}, \"unchanged\": {}}}",
+                e.new, e.dropped, e.changed, e.unchanged
+            ),
+            Event::Abort(e) => format!(
+                "{{\"event\": \"abort\", \"message\": \"{}\"}}",
+                escape_json(&e.message)
+            ),
+            Event::Complete(e) => {
+                // Pruning fields appear only on runs that used them,
+                // keeping full-mine traces byte-stable.
+                let mut prune = String::new();
+                if let Some(k) = e.top_k {
+                    let _ = write!(
+                        prune,
+                        ", \"top_k\": {}, \"floor_raises\": {}, \"pruned_by_floor\": {}",
+                        k, e.floor_raises, e.pruned_by_floor
+                    );
+                }
+                if e.pruned_by_target > 0 {
+                    let _ = write!(prune, ", \"pruned_by_target\": {}", e.pruned_by_target);
+                }
+                format!(
+                    "{{\"event\": \"summary\", \"frequent\": {}, \"levels\": {}, \"total_candidates\": {}, \"n_used\": {}, \"support_saturated\": {}, \"peak_arena_bytes\": {}{}, \"total_ms\": {:.3}}}",
+                    e.frequent,
+                    e.levels,
+                    e.total_candidates,
+                    e.n_used,
+                    e.support_saturated,
+                    e.peak_arena_bytes,
+                    prune,
+                    ms(e.total_elapsed)
+                )
+            }
         };
-        self.write_line(&format!(
-            "{{\"event\": \"query\", \"kind\": \"{}\", \"ok\": {}, \"results\": {}, \"latency_ms\": {:.3}{}}}",
-            escape_json(&e.kind),
-            e.ok,
-            e.results,
-            ms(e.latency),
-            cache
-        ));
-    }
-
-    fn on_diff(&mut self, e: &DiffEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"diff\", \"new\": {}, \"dropped\": {}, \"changed\": {}, \"unchanged\": {}}}",
-            e.new, e.dropped, e.changed, e.unchanged
-        ));
-    }
-
-    fn on_abort(&mut self, e: &AbortEvent) {
-        self.write_line(&format!(
-            "{{\"event\": \"abort\", \"message\": \"{}\"}}",
-            escape_json(&e.message)
-        ));
-    }
-
-    fn on_complete(&mut self, e: &CompleteEvent) {
-        // Pruning fields appear only on runs that used them, keeping
-        // full-mine traces byte-stable.
-        let mut prune = String::new();
-        if let Some(k) = e.top_k {
-            let _ = write!(
-                prune,
-                ", \"top_k\": {}, \"floor_raises\": {}, \"pruned_by_floor\": {}",
-                k, e.floor_raises, e.pruned_by_floor
-            );
-        }
-        if e.pruned_by_target > 0 {
-            let _ = write!(prune, ", \"pruned_by_target\": {}", e.pruned_by_target);
-        }
-        self.write_line(&format!(
-            "{{\"event\": \"summary\", \"frequent\": {}, \"levels\": {}, \"total_candidates\": {}, \"n_used\": {}, \"support_saturated\": {}, \"peak_arena_bytes\": {}{}, \"total_ms\": {:.3}}}",
-            e.frequent,
-            e.levels,
-            e.total_candidates,
-            e.n_used,
-            e.support_saturated,
-            e.peak_arena_bytes,
-            prune,
-            ms(e.total_elapsed)
-        ));
+        self.write_line(&line);
     }
 }
 
@@ -971,53 +829,35 @@ impl MetricsObserver {
 }
 
 impl MineObserver for MetricsObserver {
-    fn on_seed(&mut self, event: &SeedEvent) {
-        self.seed = Some(event.clone());
-    }
-    fn on_level(&mut self, event: &LevelEvent) {
-        self.levels.push(event.clone());
-    }
-    fn on_pool(&mut self, event: &PoolLevelEvent) {
-        self.pool.push(event.clone());
-    }
-    fn on_subtree(&mut self, event: &SubtreeEvent) {
-        self.subtrees.push(event.clone());
-    }
-    fn on_em(&mut self, event: &EmEvent) {
-        self.em = Some(event.clone());
-    }
-    fn on_spill(&mut self, event: &SpillEvent) {
-        self.spills.push(event.clone());
-    }
-    fn on_restore(&mut self, event: &RestoreEvent) {
-        self.restores.push(event.clone());
-    }
-    fn on_warning(&mut self, event: &WarningEvent) {
-        self.warnings.push(event.clone());
-    }
-    fn on_query(&mut self, event: &QueryEvent) {
-        let q = self.queries.entry(event.kind.clone()).or_default();
-        q.count += 1;
-        if !event.ok {
-            q.errors += 1;
+    fn on(&mut self, event: Event<'_>) {
+        match event {
+            Event::Seed(e) => self.seed = Some(e.clone()),
+            Event::Level(e) => self.levels.push(e.clone()),
+            Event::Pool(e) => self.pool.push(e.clone()),
+            Event::Subtree(e) => self.subtrees.push(e.clone()),
+            Event::Em(e) => self.em = Some(e.clone()),
+            Event::Spill(e) => self.spills.push(e.clone()),
+            Event::Restore(e) => self.restores.push(e.clone()),
+            Event::Warning(e) => self.warnings.push(e.clone()),
+            Event::Query(e) => {
+                let q = self.queries.entry(e.kind.clone()).or_default();
+                q.count += 1;
+                if !e.ok {
+                    q.errors += 1;
+                }
+                q.results += e.results as u64;
+                q.total_latency += e.latency;
+                q.max_latency = q.max_latency.max(e.latency);
+                match e.cache {
+                    Some(true) => q.cache_hits += 1,
+                    Some(false) => q.cache_misses += 1,
+                    None => {}
+                }
+            }
+            Event::Diff(e) => self.diff = Some(e.clone()),
+            Event::Abort(e) => self.abort = Some(e.clone()),
+            Event::Complete(e) => self.complete = Some(e.clone()),
         }
-        q.results += event.results as u64;
-        q.total_latency += event.latency;
-        q.max_latency = q.max_latency.max(event.latency);
-        match event.cache {
-            Some(true) => q.cache_hits += 1,
-            Some(false) => q.cache_misses += 1,
-            None => {}
-        }
-    }
-    fn on_diff(&mut self, event: &DiffEvent) {
-        self.diff = Some(event.clone());
-    }
-    fn on_abort(&mut self, event: &AbortEvent) {
-        self.abort = Some(event.clone());
-    }
-    fn on_complete(&mut self, event: &CompleteEvent) {
-        self.complete = Some(event.clone());
     }
 }
 
@@ -1533,18 +1373,215 @@ mod tests {
         }
     }
 
+    /// One fixed instance of every event kind, plus the optional
+    /// branches: a query with and without a cache flag, and a summary
+    /// with and without the pruning fields.
+    fn feed_pinned_events<O: MineObserver>(o: &mut O) {
+        o.on(Event::Seed(&SeedEvent {
+            level: 3,
+            patterns: 64,
+            pil_entries: 12_345,
+            arena_bytes: 98_304,
+            elapsed: Duration::from_micros(1_234),
+        }));
+        o.on(Event::Em(&EmEvent {
+            m: 4,
+            em: 17,
+            elapsed: Duration::from_micros(2_500),
+        }));
+        o.on(Event::Level(&LevelEvent {
+            level: 3,
+            candidates: 64,
+            evaluated: 60,
+            frequent: 10,
+            kept: 20,
+            pruned_bound: 40,
+            pruned_support: 50,
+            arena_bytes: 4_096,
+            elapsed: Duration::from_micros(750),
+            ..LevelEvent::default()
+        }));
+        o.on(Event::Level(&LevelEvent {
+            level: 4,
+            candidates: 80,
+            evaluated: 80,
+            frequent: 7,
+            kept: 9,
+            pruned_bound: 71,
+            pruned_support: 73,
+            arena_bytes: 2_048,
+            joins: 80,
+            probed: 1_600,
+            reallocs: 3,
+            bytes_moved: 768,
+            join_elapsed: Duration::from_micros(1_500),
+            elapsed: Duration::from_micros(1_999),
+            saturated: true,
+        }));
+        o.on(Event::Pool(&PoolLevelEvent {
+            level: 4,
+            chunks: 5,
+            workers: vec![
+                WorkerLevelStats {
+                    worker: 0,
+                    chunks: 3,
+                    candidates: 50,
+                    busy: Duration::from_micros(900),
+                    idle: Duration::from_micros(100),
+                },
+                WorkerLevelStats {
+                    worker: 1,
+                    chunks: 2,
+                    candidates: 30,
+                    busy: Duration::from_micros(600),
+                    idle: Duration::from_micros(400),
+                },
+            ],
+        }));
+        o.on(Event::Subtree(&SubtreeEvent {
+            index: 0,
+            level: 4,
+            patterns: 9,
+            deepest: 7,
+            evaluated: 120,
+            frequent: 5,
+            peak_arena_bytes: 2_048,
+            elapsed: Duration::from_micros(3_003),
+        }));
+        o.on(Event::Spill(&SpillEvent {
+            level: 4,
+            records: 2,
+            bytes: 640,
+            live_bytes: 900,
+            watermark_bytes: 512,
+            elapsed: Duration::from_micros(1_001),
+        }));
+        o.on(Event::Restore(&RestoreEvent {
+            record: 1,
+            bytes: 320,
+            patterns: 4,
+            elapsed: Duration::from_micros(100),
+        }));
+        o.on(Event::Warning(&WarningEvent {
+            kind: "spill-cleanup".into(),
+            message: "record \"1\"\n\tnot removed \u{1}".into(),
+        }));
+        for (kind, ok, results, micros, cache) in [
+            ("topk", true, 5, 420, Some(false)),
+            ("support", false, 0, 80, None),
+            ("support", true, 1, 120, Some(true)),
+        ] {
+            o.on(Event::Query(&QueryEvent {
+                kind: kind.into(),
+                ok,
+                results,
+                latency: Duration::from_micros(micros),
+                cache,
+            }));
+        }
+        o.on(Event::Diff(&DiffEvent {
+            new: 3,
+            dropped: 1,
+            changed: 2,
+            unchanged: 11,
+        }));
+        o.on(Event::Abort(&AbortEvent {
+            message: "arena memory ceiling of 10 bytes exceeded".into(),
+        }));
+        let plain = CompleteEvent {
+            frequent: 17,
+            levels: 2,
+            total_candidates: 144,
+            n_used: 8,
+            peak_arena_bytes: 8_192,
+            total_elapsed: Duration::from_micros(5_678),
+            ..CompleteEvent::default()
+        };
+        o.on(Event::Complete(&plain));
+        o.on(Event::Complete(&CompleteEvent {
+            frequent: 5,
+            support_saturated: true,
+            top_k: Some(5),
+            floor_raises: 2,
+            pruned_by_floor: 6,
+            pruned_by_target: 4,
+            ..plain
+        }));
+    }
+
+    /// The exact JSONL text of every event kind. The benchmark reads
+    /// trace fields by name, so a change here is a schema change.
+    #[test]
+    fn jsonl_format_is_pinned() {
+        let mut sink = JsonlObserver::new(Vec::new());
+        feed_pinned_events(&mut sink);
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        let want = [
+            r#"{"event": "seed", "level": 3, "patterns": 64, "pil_entries": 12345, "arena_bytes": 98304, "elapsed_ms": 1.234}"#,
+            r#"{"event": "em", "m": 4, "em": 17, "elapsed_ms": 2.500}"#,
+            r#"{"event": "level", "level": 3, "candidates": 64, "evaluated": 60, "frequent": 10, "kept": 20, "pruned_bound": 40, "pruned_support": 50, "arena_bytes": 4096, "joins": 0, "probed": 0, "reallocs": 0, "bytes_moved": 0, "join_ms": 0.000, "elapsed_ms": 0.750, "saturated": false}"#,
+            r#"{"event": "level", "level": 4, "candidates": 80, "evaluated": 80, "frequent": 7, "kept": 9, "pruned_bound": 71, "pruned_support": 73, "arena_bytes": 2048, "joins": 80, "probed": 1600, "reallocs": 3, "bytes_moved": 768, "join_ms": 1.500, "elapsed_ms": 1.999, "saturated": true}"#,
+            r#"{"event": "pool", "level": 4, "chunks": 5, "workers": [{"worker": 0, "chunks": 3, "candidates": 50, "busy_ms": 0.900, "idle_ms": 0.100}, {"worker": 1, "chunks": 2, "candidates": 30, "busy_ms": 0.600, "idle_ms": 0.400}]}"#,
+            r#"{"event": "subtree", "index": 0, "level": 4, "patterns": 9, "deepest": 7, "evaluated": 120, "frequent": 5, "peak_arena_bytes": 2048, "elapsed_ms": 3.003}"#,
+            r#"{"event": "spill", "level": 4, "records": 2, "bytes": 640, "live_bytes": 900, "watermark_bytes": 512, "elapsed_ms": 1.001}"#,
+            r#"{"event": "restore", "record": 1, "bytes": 320, "patterns": 4, "elapsed_ms": 0.100}"#,
+            r#"{"event": "warning", "kind": "spill-cleanup", "message": "record \"1\"\n\tnot removed \u0001"}"#,
+            r#"{"event": "query", "kind": "topk", "ok": true, "results": 5, "latency_ms": 0.420, "cache_hit": false}"#,
+            r#"{"event": "query", "kind": "support", "ok": false, "results": 0, "latency_ms": 0.080}"#,
+            r#"{"event": "query", "kind": "support", "ok": true, "results": 1, "latency_ms": 0.120, "cache_hit": true}"#,
+            r#"{"event": "diff", "new": 3, "dropped": 1, "changed": 2, "unchanged": 11}"#,
+            r#"{"event": "abort", "message": "arena memory ceiling of 10 bytes exceeded"}"#,
+            r#"{"event": "summary", "frequent": 17, "levels": 2, "total_candidates": 144, "n_used": 8, "support_saturated": false, "peak_arena_bytes": 8192, "total_ms": 5.678}"#,
+            r#"{"event": "summary", "frequent": 5, "levels": 2, "total_candidates": 144, "n_used": 8, "support_saturated": true, "peak_arena_bytes": 8192, "top_k": 5, "floor_raises": 2, "pruned_by_floor": 6, "pruned_by_target": 4, "total_ms": 5.678}"#,
+        ];
+        let got: Vec<&str> = text.lines().collect();
+        assert_eq!(got.len(), want.len(), "{text}");
+        for (got, want) in got.iter().zip(want) {
+            assert_eq!(*got, want);
+        }
+        assert!(text.ends_with('\n'));
+    }
+
+    /// The exact `--metrics` text for the same events.
+    #[test]
+    fn metrics_render_is_pinned() {
+        let mut m = MetricsObserver::new();
+        feed_pinned_events(&mut m);
+        let want = "mining metrics
+  seed: level 3 | 64 patterns | 12345 PIL entries | 98304 arena bytes | 1.234 ms
+  e_m: m = 4 -> e_m = 17 in 2.500 ms
+  level | candidates | evaluated | frequent | kept | pruned_bound | pruned_support | joins | probed | reallocs | moved_bytes | join_ms | total_ms
+      3 |         64 |        60 |       10 |   20 |           40 |             50 |     0 |      0 |        0 |           0 |   0.000 |    0.750
+      4 |         80 |        80 |        7 |    9 |           71 |             73 |    80 |   1600 |        3 |         768 |   1.500 |    1.999  [saturated]
+  pool @ level 4: 5 chunks
+    worker  0:    3 chunks |       50 candidates | busy    0.900 ms | idle    0.100 ms
+    worker  1:    2 chunks |       30 candidates | busy    0.600 ms | idle    0.400 ms
+  subtree   0 @ level 4: 9 parents -> depth 7 | 120 evaluated | 5 frequent | peak 2048 bytes | 3.003 ms
+  spill @ level 4: 2 records | 640 bytes | live 900 over watermark 512 | 1.001 ms
+  restore record 1: 320 bytes | 4 patterns | 0.100 ms
+  warning [spill-cleanup]: record \"1\"\n\tnot removed \u{1}
+  query support: 2 served | 1 errors | 1 rows | mean 0.100 ms | max 0.120 ms | cache 1 hit / 0 miss
+  query topk: 1 served | 0 errors | 5 rows | mean 0.420 ms | max 0.420 ms | cache 0 hit / 1 miss
+  baseline diff: 3 new | 1 dropped | 2 changed | 11 unchanged
+  ABORTED: arena memory ceiling of 10 bytes exceeded
+  total: 5 frequent over 2 levels | 144 candidates | n = 8 | peak 8192 arena bytes | 5.678 ms | SUPPORT SATURATED
+  pruning: top_k 5 | floor_raises 2 | pruned_by_floor 6 | pruned_by_target 4
+";
+        assert_eq!(m.render(), want);
+    }
+
     #[test]
     fn jsonl_round_trips_through_validator() {
         let mut sink = JsonlObserver::new(Vec::new());
-        sink.on_seed(&SeedEvent {
+        sink.on(Event::Seed(&SeedEvent {
             level: 3,
             patterns: 64,
             pil_entries: 1000,
             arena_bytes: 16_192,
             elapsed: Duration::from_millis(2),
-        });
-        sink.on_level(&level_event(3));
-        sink.on_pool(&PoolLevelEvent {
+        }));
+        sink.on(Event::Level(&level_event(3)));
+        sink.on(Event::Pool(&PoolLevelEvent {
             level: 4,
             chunks: 8,
             workers: vec![WorkerLevelStats {
@@ -1554,29 +1591,29 @@ mod tests {
                 busy: Duration::from_millis(1),
                 idle: Duration::ZERO,
             }],
-        });
-        sink.on_level(&level_event(4));
-        sink.on_subtree(&subtree_event(0));
-        sink.on_em(&EmEvent {
+        }));
+        sink.on(Event::Level(&level_event(4)));
+        sink.on(Event::Subtree(&subtree_event(0)));
+        sink.on(Event::Em(&EmEvent {
             m: 8,
             em: 12,
             elapsed: Duration::from_millis(1),
-        });
-        sink.on_spill(&SpillEvent {
+        }));
+        sink.on(Event::Spill(&SpillEvent {
             level: 4,
             records: 3,
             bytes: 900,
             live_bytes: 5000,
             watermark_bytes: 4096,
             elapsed: Duration::from_millis(1),
-        });
-        sink.on_restore(&RestoreEvent {
+        }));
+        sink.on(Event::Restore(&RestoreEvent {
             record: 2,
             bytes: 300,
             patterns: 7,
             elapsed: Duration::from_micros(200),
-        });
-        sink.on_complete(&complete_event(2));
+        }));
+        sink.on(Event::Complete(&complete_event(2)));
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         assert!(text.contains("\"arena_bytes\": 4096"), "{text}");
         assert!(text.contains("\"peak_arena_bytes\": 8192"), "{text}");
@@ -1603,10 +1640,10 @@ mod tests {
     #[test]
     fn aborted_trace_validates_without_summary() {
         let mut sink = JsonlObserver::new(Vec::new());
-        sink.on_level(&level_event(3));
-        sink.on_abort(&AbortEvent {
+        sink.on(Event::Level(&level_event(3)));
+        sink.on(Event::Abort(&AbortEvent {
             message: "arena memory ceiling of 10 bytes exceeded: \"boom\"\n".into(),
-        });
+        }));
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         let report = validate_trace(&text).unwrap();
         assert!(report.aborted);
@@ -1615,10 +1652,10 @@ mod tests {
 
         // Nothing may follow the abort line.
         let mut sink = JsonlObserver::new(Vec::new());
-        sink.on_abort(&AbortEvent {
+        sink.on(Event::Abort(&AbortEvent {
             message: "x".into(),
-        });
-        sink.on_level(&level_event(3));
+        }));
+        sink.on(Event::Level(&level_event(3)));
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         let err = validate_trace(&text).unwrap_err();
         assert!(err.contains("after the abort"), "{err}");
@@ -1627,19 +1664,19 @@ mod tests {
     #[test]
     fn warning_and_query_events_flow_through_sinks_and_validator() {
         let mut sink = JsonlObserver::new(Vec::new());
-        sink.on_level(&level_event(3));
-        sink.on_warning(&WarningEvent {
+        sink.on(Event::Level(&level_event(3)));
+        sink.on(Event::Warning(&WarningEvent {
             kind: "spill-cleanup".into(),
             message: "failed to remove \"spill-00000001.pgsp\"".into(),
-        });
-        sink.on_query(&QueryEvent {
+        }));
+        sink.on(Event::Query(&QueryEvent {
             kind: "topk".into(),
             ok: true,
             results: 5,
             latency: Duration::from_micros(420),
             cache: None,
-        });
-        sink.on_complete(&complete_event(1));
+        }));
+        sink.on(Event::Complete(&complete_event(1)));
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         assert!(
             text.contains("\"event\": \"warning\", \"kind\": \"spill-cleanup\""),
@@ -1656,18 +1693,18 @@ mod tests {
         assert!(validate_trace("{\"event\": \"warning\"}\n").is_err());
 
         let mut m = MetricsObserver::new();
-        m.on_warning(&WarningEvent {
+        m.on(Event::Warning(&WarningEvent {
             kind: "spill-cleanup".into(),
             message: "orphan".into(),
-        });
+        }));
         for ok in [true, true, false] {
-            m.on_query(&QueryEvent {
+            m.on(Event::Query(&QueryEvent {
                 kind: "support".into(),
                 ok,
                 results: usize::from(ok),
                 latency: Duration::from_micros(100),
                 cache: Some(ok),
-            });
+            }));
         }
         let stats = &m.queries["support"];
         assert_eq!((stats.count, stats.errors, stats.results), (3, 1, 2));
@@ -1731,9 +1768,9 @@ mod tests {
     #[test]
     fn validator_rejects_non_monotone_levels() {
         let mut sink = JsonlObserver::new(Vec::new());
-        sink.on_level(&level_event(4));
-        sink.on_level(&level_event(3));
-        sink.on_complete(&complete_event(2));
+        sink.on(Event::Level(&level_event(4)));
+        sink.on(Event::Level(&level_event(3)));
+        sink.on(Event::Complete(&complete_event(2)));
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         let err = validate_trace(&text).unwrap_err();
         assert!(err.contains("not above"), "{err}");
@@ -1742,10 +1779,10 @@ mod tests {
     #[test]
     fn validator_rejects_mismatched_totals() {
         let mut sink = JsonlObserver::new(Vec::new());
-        sink.on_level(&level_event(3));
+        sink.on(Event::Level(&level_event(3)));
         let mut complete = complete_event(1);
         complete.frequent = 999;
-        sink.on_complete(&complete);
+        sink.on(Event::Complete(&complete));
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         let err = validate_trace(&text).unwrap_err();
         assert!(err.contains("frequent"), "{err}");
@@ -1754,8 +1791,8 @@ mod tests {
     #[test]
     fn validator_requires_summary_last() {
         let mut sink = JsonlObserver::new(Vec::new());
-        sink.on_complete(&complete_event(0));
-        sink.on_level(&level_event(3));
+        sink.on(Event::Complete(&complete_event(0)));
+        sink.on(Event::Level(&level_event(3)));
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         assert!(validate_trace(&text).is_err());
         assert!(validate_trace("").is_err(), "no summary at all");
@@ -1827,18 +1864,18 @@ mod tests {
     #[test]
     fn composed_observers_fan_out() {
         let mut pair = (MetricsObserver::new(), Some(MetricsObserver::new()));
-        pair.on_level(&level_event(3));
-        pair.on_complete(&complete_event(1));
+        pair.on(Event::Level(&level_event(3)));
+        pair.on(Event::Complete(&complete_event(1)));
         assert_eq!(pair.0.levels.len(), 1);
         assert_eq!(pair.1.as_ref().unwrap().levels.len(), 1);
         assert!(pair.0.complete.is_some());
         let mut none: Option<MetricsObserver> = None;
-        none.on_level(&level_event(3)); // no-op, must not panic
+        none.on(Event::Level(&level_event(3))); // no-op, must not panic
         let mut by_ref = MetricsObserver::new();
         {
             let r = &mut by_ref;
             fn takes_observer<O: MineObserver>(o: &mut O, e: &LevelEvent) {
-                o.on_level(e);
+                o.on(Event::Level(e));
             }
             takes_observer(&mut &mut *r, &level_event(3));
         }
@@ -1848,27 +1885,27 @@ mod tests {
     #[test]
     fn metrics_render_mentions_key_numbers() {
         let mut m = MetricsObserver::new();
-        m.on_em(&EmEvent {
+        m.on(Event::Em(&EmEvent {
             m: 8,
             em: 42,
             elapsed: Duration::from_millis(1),
-        });
-        m.on_level(&level_event(3));
-        m.on_spill(&SpillEvent {
+        }));
+        m.on(Event::Level(&level_event(3)));
+        m.on(Event::Spill(&SpillEvent {
             level: 3,
             records: 2,
             bytes: 640,
             live_bytes: 900,
             watermark_bytes: 512,
             elapsed: Duration::from_millis(1),
-        });
-        m.on_restore(&RestoreEvent {
+        }));
+        m.on(Event::Restore(&RestoreEvent {
             record: 0,
             bytes: 320,
             patterns: 4,
             elapsed: Duration::from_micros(100),
-        });
-        m.on_complete(&complete_event(1));
+        }));
+        m.on(Event::Complete(&complete_event(1)));
         let text = m.render();
         assert!(text.contains("e_m = 42"), "{text}");
         assert!(text.contains("10 frequent"), "{text}");

@@ -12,18 +12,13 @@
 //! * [`BigUint`] — arbitrary-precision unsigned integers (exact counts),
 //! * [`BigRatio`] — exact rationals (threshold comparisons that must not
 //!   flip with floating-point rounding),
-//! * [`LogNum`] — log-space floats (the fast path for λ-style ratios),
-//! * [`combinatorics`] — factorials / binomials / powers for null models,
-//! * [`stats`] — streaming descriptive statistics for the harness.
+//! * [`combinatorics`] — factorials / binomials / powers for null models.
 
 #![warn(missing_docs)]
 
 pub mod biguint;
 pub mod combinatorics;
-pub mod logspace;
 pub mod rational;
-pub mod stats;
 
 pub use biguint::BigUint;
-pub use logspace::LogNum;
 pub use rational::BigRatio;

@@ -2,7 +2,7 @@
 //! checked against `u128` arithmetic on the range where both are defined,
 //! and against algebraic laws beyond it.
 
-use perigap_math::{BigRatio, BigUint, LogNum};
+use perigap_math::{BigRatio, BigUint};
 use proptest::prelude::*;
 
 fn big(v: u128) -> BigUint {
@@ -134,17 +134,5 @@ proptest! {
             rho.le_scaled(&BigUint::from_u64(count), &BigUint::from_u64(total)),
             expected
         );
-    }
-
-    #[test]
-    fn lognum_mul_matches_f64(a in 1e-10f64..1e10, b in 1e-10f64..1e10) {
-        let prod = LogNum::from_f64(a).mul(LogNum::from_f64(b)).to_f64();
-        prop_assert!((prod - a * b).abs() <= (a * b) * 1e-9);
-    }
-
-    #[test]
-    fn lognum_add_matches_f64(a in 1e-5f64..1e5, b in 1e-5f64..1e5) {
-        let sum = LogNum::from_f64(a).add(LogNum::from_f64(b)).to_f64();
-        prop_assert!((sum - (a + b)).abs() <= (a + b) * 1e-9);
     }
 }

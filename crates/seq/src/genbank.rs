@@ -24,9 +24,10 @@ pub struct GenBankRecord {
 
 /// Parse every record from a GenBank reader.
 ///
-/// Errors on records with no `ORIGIN` data, on characters outside the
-/// alphabet, and on a stated length that contradicts the ORIGIN block
-/// (truncated downloads are a real failure mode worth catching).
+/// Errors on records with no `ORIGIN` data, on an `ORIGIN` block that
+/// no `LOCUS` line opened, on characters outside the alphabet, and on a
+/// stated length that contradicts the ORIGIN block (truncated downloads
+/// are a real failure mode worth catching).
 pub fn read_genbank<R: BufRead>(
     reader: R,
     alphabet: &Alphabet,
@@ -78,6 +79,13 @@ pub fn read_genbank<R: BufRead>(
                 .and_then(|w| w[0].parse().ok());
             locus = Some((name, stated_len));
         } else if line.starts_with("ORIGIN") {
+            // Sequence data outside a record would otherwise be
+            // prepended to the next record's ORIGIN block.
+            if locus.is_none() {
+                return Err(SeqError::Io(
+                    "GenBank ORIGIN block outside a record (no LOCUS line opened one)".into(),
+                ));
+            }
             in_origin = true;
         } else if line.trim_start().starts_with("//") {
             in_origin = false;
@@ -170,5 +178,21 @@ ORIGIN
         let recs = parse_genbank(text, &Alphabet::Dna).unwrap();
         assert_eq!(recs[0].stated_len, None);
         assert_eq!(recs[0].sequence.len(), 4);
+    }
+
+    /// ORIGIN letters outside a record must not reach the next one:
+    /// without the check this input parses as one record `x` of length
+    /// 8, `AAAACGCG`.
+    #[test]
+    fn origin_outside_a_record_is_an_error() {
+        let text = "ORIGIN\n        1 aaaa\n//\nLOCUS       x\nORIGIN\n        1 cgcg\n//\n";
+        let err = parse_genbank(text, &Alphabet::Dna).unwrap_err();
+        assert!(
+            matches!(&err, SeqError::Io(msg) if msg.contains("outside a record")),
+            "{err:?}"
+        );
+        // After a record closes, a stray ORIGIN block is refused too.
+        let after = format!("{SAMPLE}ORIGIN\n        1 acgt\n//\n");
+        assert!(parse_genbank(&after, &Alphabet::Dna).is_err());
     }
 }

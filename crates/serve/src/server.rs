@@ -9,7 +9,7 @@
 
 use crate::cache::ResponseCache;
 use crate::protocol::{self, LineOutcome, ServeContext, MAX_LINE_BYTES};
-use perigap_core::trace::{MineObserver, QueryEvent, WarningEvent};
+use perigap_core::trace::{Event, MineObserver, QueryEvent, WarningEvent};
 use perigap_seq::Sequence;
 use perigap_store::PatternIndex;
 use std::io::{self, Read, Write};
@@ -198,10 +198,10 @@ fn warn<O: MineObserver>(shared: &Shared<O>, kind: &str, message: &str) {
         .observer
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    observer.on_warning(&WarningEvent {
+    observer.on(Event::Warning(&WarningEvent {
         kind: kind.to_string(),
         message: message.to_string(),
-    });
+    }));
 }
 
 fn handle_connection<O: MineObserver>(stream: TcpStream, shared: Arc<Shared<O>>) {
@@ -313,12 +313,12 @@ fn observe<O: MineObserver>(shared: &Shared<O>, served: &[protocol::Served], lat
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     for s in served {
-        observer.on_query(&QueryEvent {
+        observer.on(Event::Query(&QueryEvent {
             kind: s.kind.to_string(),
             ok: s.ok,
             results: s.results,
             latency,
             cache: s.cache,
-        });
+        }));
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! Re-exports the member crates under stable paths:
 //!
-//! * [`math`] — big integers, exact rationals, log-space floats;
+//! * [`math`] — big integers, exact rationals, combinatorics;
 //! * [`seq`] — alphabets, sequences, FASTA, synthetic generators;
 //! * [`core`] — the mining algorithms (MPP, MPPm, baselines);
 //! * [`analysis`] — case-study composition analysis and null models;

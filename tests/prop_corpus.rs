@@ -1,5 +1,5 @@
 //! Differential property tests for corpus-scale sharded mining: the
-//! mmap-backed, per-sequence shard fan-out (with and without a
+//! per-sequence shard fan-out (with and without a
 //! checkpoint pause and rerun in the middle) must agree bit-for-bit
 //! with the in-process [`mine_collection`] reference across thread
 //! counts and kill points — plus fault coverage: a truncated corpus
@@ -105,7 +105,7 @@ fn reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The sharded mmap mine agrees with `mine_collection` at every
+    /// The sharded mine agrees with `mine_collection` at every
     /// thread count.
     #[test]
     fn corpus_agrees_with_multiseq(
