@@ -56,9 +56,11 @@ use perigap_core::mpp::{mine, mpp, Algorithm, MppConfig};
 use perigap_core::pil::Pil;
 use perigap_core::reference::{build_all_reference, mpp_reference};
 use perigap_core::result::MineOutcome;
+use perigap_core::spill::FsSpillIo;
 use perigap_core::trace::{LevelEvent, MetricsObserver};
 use perigap_core::{select_top_k, GapRequirement, PruneMode};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The acceptance configuration: DNA, gap `[0, 9]`, ρs = 0.003%.
@@ -348,7 +350,6 @@ fn reset_vm_hwm() {
 /// Returns the JSON fragment for the `corpus_scale` key.
 pub fn corpus_scale(quick: bool) -> String {
     use perigap_core::corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig};
-    use std::sync::Arc;
 
     let gap = GapRequirement::new(GAP.0, GAP.1).unwrap();
     let shards = if quick { 4 } else { 8 };
@@ -399,7 +400,7 @@ pub fn corpus_scale(quick: bool) -> String {
         min_sequences: 1,
         mpp: MppConfig {
             max_arena_bytes: Some(ceiling),
-            spill_dir: Some(scratch.join("spill")),
+            spill: Some(Arc::new(FsSpillIo::new(scratch.join("spill")))),
             spill_watermark: 0.0,
             threads,
             ..MppConfig::default()
@@ -508,7 +509,7 @@ fn spill_overhead(seq: &perigap_seq::Sequence, gap: GapRequirement, reps: usize)
         let cap = (peak * pct / 100).max(1);
         let config = MppConfig {
             max_arena_bytes: Some(cap),
-            spill_dir: Some(dir.clone()),
+            spill: Some(Arc::new(FsSpillIo::new(&dir))),
             spill_watermark: 0.0,
             ..unbounded.clone()
         };
@@ -605,7 +606,6 @@ fn single_thread(len: usize, gap: GapRequirement, reps: usize) -> String {
 fn query_throughput(gap: GapRequirement, quick: bool) -> String {
     use perigap_serve::Client;
     use perigap_store::{LoadedOutcome, PatternIndex};
-    use std::sync::Arc;
 
     // A bounded mine of its own: occurrence summaries cost O(n·l·w) per
     // pattern, so the throughput section caps the pattern set with a

@@ -1,7 +1,7 @@
 //! The Section 7 case study on synthetic genome panels.
 //!
 //! Paper protocol: segment each genome into 100 kb fragments, mine each
-//! with gap [10,12] and ρs = 0.006%, and tabulate the composition of
+//! with gap `[10,12]` and ρs = 0.006%, and tabulate the composition of
 //! the frequent length-8 patterns. Expected findings:
 //!
 //! * bacteria: on average ≈ 250 of the 256 A/T-only length-8 patterns

@@ -4,7 +4,7 @@
 //! (b) MPPm vs MPP best case (`n = no(ρs)`, the true longest frequent
 //! pattern length).
 //!
-//! Paper configuration: L = 1000, gap [9,12], m = 10. Expected shapes:
+//! Paper configuration: L = 1000, gap `[9,12]`, m = 10. Expected shapes:
 //! times fall as ρs rises; MPPm beats the worst case by an order of
 //! magnitude or more (paper: 16–30×) and trails the best case by a
 //! small factor (paper: 1.5–3.7×).

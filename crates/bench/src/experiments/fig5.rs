@@ -1,6 +1,6 @@
 //! Figure 5: MPP execution time as a function of the user input `n`.
 //!
-//! Paper configuration: L = 1000, gap [9,12], ρs = 0.003%. Expected
+//! Paper configuration: L = 1000, gap `[9,12]`, ρs = 0.003%. Expected
 //! shape: time grows with `n` (worse estimates prune less); an
 //! under-estimate (`n` below `no(ρs)`) is fastest of all but forfeits
 //! the completeness guarantee. The `--adaptive` variant additionally

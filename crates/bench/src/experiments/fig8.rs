@@ -1,6 +1,6 @@
 //! Figure 8: MPPm execution time vs subject sequence length `L`.
 //!
-//! Paper configuration: gap [9,12], m = 10, ρs = 0.003%, L from 1,000
+//! Paper configuration: gap `[9,12]`, m = 10, ρs = 0.003%, L from 1,000
 //! to 10,000. Expected shape: linear scaling in L.
 
 use super::{paper, timed_median};

@@ -1,6 +1,6 @@
 //! Table 2: the `K_r` walk-through on `S = ACGTCCGT`.
 //!
-//! Gap [1,2], m = 2. The paper's values are
+//! Gap `[1,2]`, m = 2. The paper's values are
 //! `K = [2, 1, 2, 1, 0, 0, 0, 0]` with `e_m = 2`.
 
 use perigap_analysis::report::TextTable;

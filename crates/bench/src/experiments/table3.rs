@@ -1,6 +1,6 @@
 //! Table 3: candidates counted per level by the four miners.
 //!
-//! Paper configuration: L = 1000, gap [9,12], ρs = 0.003%, m = 10.
+//! Paper configuration: L = 1000, gap `[9,12]`, ρs = 0.003%, m = 10.
 //! Columns: the enumeration baseline (4^i analytically — actually
 //! running it is the point of the table: it cannot), MPP worst case
 //! (n = l1), MPPm, and MPP best case (n = no(ρs)). Expected shape:

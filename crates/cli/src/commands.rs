@@ -7,6 +7,7 @@ use perigap_core::corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConf
 use perigap_core::enumerate::enumerate;
 use perigap_core::mpp::MppConfig;
 use perigap_core::multiseq::{mine_collection, CollectionOutcome};
+use perigap_core::spill::{FsSpillIo, SpillIo};
 use perigap_core::trace::{validate_trace, JsonlObserver, MetricsObserver, NoopObserver};
 use perigap_core::verify::verify_outcome;
 use perigap_core::{
@@ -18,6 +19,7 @@ use perigap_seq::oscillation::correlation_spectrum;
 use perigap_seq::stats::{gc_content, shannon_entropy};
 use perigap_seq::{Alphabet, Sequence};
 use std::io::BufRead;
+use std::sync::Arc;
 
 /// Usage text shown by `pgmine help`.
 pub const USAGE: &str = "\
@@ -352,7 +354,7 @@ fn mine_request(
     let config = MppConfig {
         max_level,
         max_arena_bytes,
-        spill_dir,
+        spill: spill_dir.map(|dir| Arc::new(FsSpillIo::new(dir)) as Arc<dyn SpillIo>),
         spill_watermark,
         prune: PruneMode { top_k, target },
         threads,
@@ -633,7 +635,8 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
 
 /// Validate a `--trace` JSONL file against the schema (see
 /// `perigap_core::trace`): every line parses, level events are strictly
-/// increasing, and the summary totals match the level events.
+/// increasing, and the summary totals match the level events. A
+/// `pgmine serve --trace` file holds query and warning lines only.
 fn trace_check_command(args: &Args) -> Result<String, ArgError> {
     let path = args.require("input")?;
     let text = std::fs::read_to_string(path)
@@ -641,8 +644,8 @@ fn trace_check_command(args: &Args) -> Result<String, ArgError> {
     let report =
         validate_trace(&text).map_err(|e| ArgError(format!("invalid trace {path:?}: {e}")))?;
     Ok(format!(
-        "trace OK: {} lines, {} level events, {} frequent patterns, {} candidates\n",
-        report.lines, report.level_events, report.frequent, report.total_candidates
+        "trace OK: {} lines, {} level events, {} frequent patterns, {} candidates, {} queries\n",
+        report.lines, report.level_events, report.frequent, report.total_candidates, report.queries
     ))
 }
 
@@ -761,7 +764,7 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
             .map_err(|e| ArgError(e.to_string()))?;
         (outcome, None)
     } else {
-        let corpus = std::sync::Arc::new(corpus);
+        let corpus = Arc::new(corpus);
         let config = CorpusMineConfig {
             n,
             min_sequences,
@@ -1007,7 +1010,7 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
     // With the subject sequence in hand the daemon also answers the
     // on-demand mine_topk/mine_target query kinds.
     let handle = perigap_serve::serve_with(
-        std::sync::Arc::new(index),
+        Arc::new(index),
         backend_desc.clone(),
         source,
         addr,

@@ -163,10 +163,6 @@ impl PilSet {
         self.spans.len()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Pattern `i`'s codes.
     pub(crate) fn pattern_codes(&self, i: usize) -> &[u8] {
         &self.codes[i * self.level..(i + 1) * self.level]
@@ -753,7 +749,7 @@ mod tests {
     fn reset_reuses_buffers() {
         let s = dna("ACGTACGT");
         let mut set = build_seed(&s, gap(0, 1), 2);
-        assert!(!set.is_empty());
+        assert!(set.len() > 0);
         let capacities = |set: &PilSet| {
             (
                 set.segments[0].offsets.capacity(),
@@ -762,7 +758,7 @@ mod tests {
         };
         let caps = capacities(&set);
         set.reset(3);
-        assert!(set.is_empty());
+        assert_eq!(set.len(), 0);
         assert_eq!(set.level(), 3);
         assert_eq!(capacities(&set), caps);
 
@@ -774,7 +770,7 @@ mod tests {
         let mut merged = PilSet::concat(3, parts);
         assert_eq!(merged.segments.len(), 2);
         merged.reset(4);
-        assert!(merged.is_empty());
+        assert_eq!(merged.len(), 0);
         assert_eq!(merged.segments.len(), 1);
         assert_eq!(capacities(&merged), first_caps);
         merged.push_pattern(&[0, 1, 2, 3], (&[1], &[2]));

@@ -53,6 +53,7 @@ use crate::parallel::{PoolHooks, PoolJob, WorkerPool};
 use crate::pattern::Pattern;
 use crate::pil::Pil;
 use crate::result::{CorpusStats, MineOutcome};
+use crate::spill::ScopedSpillIo;
 use crate::trace::NoopObserver;
 use crate::wire::{Frame, Reader, WireError, Writer};
 use perigap_seq::{pack_codes, packed_len, unpack_codes, Alphabet, Sequence};
@@ -365,8 +366,8 @@ pub struct CorpusMineConfig {
     /// [`MppConfig::threads`] is the width of the shard fan-out
     /// (worker 0 is the calling thread); each shard mines on one
     /// thread, since parallelism comes from the fan-out itself. When a
-    /// shard spills, it spills under its own subdirectory of
-    /// [`MppConfig::spill_dir`].
+    /// shard spills, it spills into [`MppConfig::spill`] under its own
+    /// record namespace.
     pub mpp: MppConfig,
     /// Optional checkpoint directory.
     pub checkpoint: Option<CheckpointConfig>,
@@ -435,10 +436,11 @@ impl ShardJob {
             return Ok(MineOutcome::default());
         }
         let mut config = self.mpp.clone();
-        if let Some(dir) = &config.spill_dir {
-            // Each shard gets its own spill namespace; record ids are
-            // per-run counters and would collide in a shared directory.
-            config.spill_dir = Some(dir.join(format!("shard-{shard:08}")));
+        if let Some(io) = config.spill.take() {
+            // Shards mine at once over one backend: each gets its own
+            // record namespace (a pack holds at most `u32::MAX` shards).
+            let scope = u32::try_from(shard).expect("shard index fits the pack's u32 count");
+            config.spill = Some(Arc::new(ScopedSpillIo::new(io, scope)));
         }
         crate::mpp::mine(
             seq,

@@ -7,13 +7,24 @@
 //! are written to the next generation's arena. Nothing is stored for a
 //! candidate that fails both bounds.
 //!
+//! Figure 3's loop body is one function, `TaskCtx::step`: it produces
+//! level `l + 1` from a generation's members, records the level's
+//! counters, charges the child to the arena gauge and releases the
+//! parent. The prelude and every subtree step through it; only the
+//! `Producer` differs — one `eager_generate` call, or, for a wide
+//! prelude level on a pool, chunk tasks whose parts `PilSet::concat`
+//! merges. The seed filter and every joined candidate pass one
+//! admission rule (`admit`).
+//!
 //! The run starts breadth-first (the *prelude*). When the survivors
 //! split into two or more prefix-run components it may *hand off*: each
 //! component goes to the worker pool as an independent **depth-first
-//! subtree task**. Inside a subtree the engine keeps a
-//! *double-buffered* chain — the parent generation and the generation
-//! under construction — so live arena bytes along a chain are
-//! O(deepest chain), not O(widest level).
+//! subtree task**. A subtree is one *chain* (`descend`) that keeps two
+//! generations, the parent and the child under construction: the child
+//! is charged before the parent is released, so live arena bytes along
+//! a chain are O(deepest chain), not O(widest level). Where a chain's
+//! generation splits again, each component descends as a chain of its
+//! own while the split generation stays live.
 //!
 //! Serial mining is [`MppConfig::threads`] `= 1`: no pool is spawned, the calling
 //! thread runs every chunk and subtree itself, and the first split
@@ -78,6 +89,7 @@ use crate::trace::{
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,7 +120,9 @@ pub(crate) fn finish<O: MineObserver>(
 
 /// Per-level counter totals, merged across the prelude, chunk tasks,
 /// and subtree tasks. Field-for-field the ingredients of one
-/// [`LevelEvent`]/[`LevelStats`] pair.
+/// [`LevelEvent`]/[`LevelStats`] pair. [`eager_generate`] and the seed
+/// filter count into one; the arena bytes and durations are stamped by
+/// whoever produced the whole level.
 #[derive(Clone, Default)]
 struct LevelAgg {
     candidates: u128,
@@ -122,18 +136,19 @@ struct LevelAgg {
     elapsed: Duration,
 }
 
-/// Merge `add` into the slot for `level`.
-fn absorb(aggs: &mut BTreeMap<usize, LevelAgg>, level: usize, add: LevelAgg) {
-    let a = aggs.entry(level).or_default();
-    a.candidates += add.candidates;
-    a.evaluated += add.evaluated;
-    a.frequent += add.frequent;
-    a.kept += add.kept;
-    a.saturated |= add.saturated;
-    a.arena_bytes += add.arena_bytes;
-    a.jc.absorb(&add.jc);
-    a.join_elapsed += add.join_elapsed;
-    a.elapsed += add.elapsed;
+impl LevelAgg {
+    /// Merge another task's totals for the same level.
+    fn absorb(&mut self, add: LevelAgg) {
+        self.candidates += add.candidates;
+        self.evaluated += add.evaluated;
+        self.frequent += add.frequent;
+        self.kept += add.kept;
+        self.saturated |= add.saturated;
+        self.arena_bytes += add.arena_bytes;
+        self.jc.absorb(&add.jc);
+        self.join_elapsed += add.join_elapsed;
+        self.elapsed += add.elapsed;
+    }
 }
 
 /// Shared live/peak arena accounting. `grow` charges bytes against the
@@ -179,16 +194,6 @@ impl MemGauge<'_> {
     }
 }
 
-/// Counters from one [`eager_generate`] call.
-#[derive(Default)]
-struct EagerStats {
-    evaluated: usize,
-    frequent: usize,
-    kept: usize,
-    saturated: bool,
-    jc: JoinCounters,
-}
-
 /// Reusable working buffers for [`eager_generate`], bundled so callers
 /// amortise their allocations across generation steps: `out` takes
 /// each candidate's join, `codes` its pattern.
@@ -221,12 +226,45 @@ impl JoinIndex {
     }
 }
 
+/// The admission rule every evaluated pattern passes, at the seed level
+/// and for each joined candidate. A pattern that the exact bound of
+/// `row` admits is frequent if the pruner takes it as a result, and one
+/// that the λ̂ bound admits is kept if the pruner keeps it on the join
+/// frontier. A support that neither bound admits, or that the search
+/// floor cuts, settles both as false before `codes` builds the pattern.
+/// A frequent pattern is pushed to `frequent`. Returns
+/// `(frequent, kept)`.
+#[inline]
+fn admit<'c>(
+    row: &BoundRow,
+    pruner: &Pruner,
+    sup: u128,
+    codes: impl FnOnce() -> &'c [u8],
+    frequent: &mut Vec<FrequentPattern>,
+) -> (bool, bool) {
+    let exact = row.exact.admits_u128(sup);
+    let lhat = row.lhat.admits_u128(sup);
+    if !(exact || lhat) || !pruner.admits_search(sup) {
+        return (false, false);
+    }
+    let codes = codes();
+    let is_frequent = exact && pruner.admits_result(codes, sup);
+    if is_frequent {
+        frequent.push(FrequentPattern {
+            pattern: Pattern::from_codes(codes.to_vec()),
+            support: sup,
+            ratio: sup as f64 / row.n_f64,
+        });
+    }
+    (is_frequent, lhat && pruner.admits_frontier(codes))
+}
+
 /// Generate the level `set.level() + 1` candidates whose left parent is
-/// `members[lo..hi]`, evaluating each against `row` the moment it is
+/// `members[parents]`, evaluating each against `row` the moment it is
 /// produced. Frequent candidates are appended to `frequent`; candidates
 /// passing the extension bound are appended to `next`. Every partner
-/// pair is counted in `evaluated` (empty joins included): the paper's
-/// per-level candidate count.
+/// pair is counted in `evaluated` and `candidates` (empty joins
+/// included): the paper's per-level candidate count.
 ///
 /// Each (left parent, partner) pair is one [`join_into`] call into
 /// `bufs.out`; only survivors are copied into `next`.
@@ -235,18 +273,17 @@ fn eager_generate(
     set: &PilSet,
     members: &[usize],
     index: &JoinIndex,
-    lo: usize,
-    hi: usize,
-    gap: GapRequirement,
+    parents: Range<usize>,
+    env: &RunEnv,
     row: &BoundRow,
     next: &mut PilSet,
     bufs: &mut EagerBufs,
     frequent: &mut Vec<FrequentPattern>,
-    pruner: &Pruner,
-) -> EagerStats {
-    let level = set.level();
-    let mut st = EagerStats::default();
-    for (k, &i) in members.iter().enumerate().take(hi).skip(lo) {
+) -> LevelAgg {
+    let (level, pruner) = (set.level(), &env.pruner);
+    let mut st = LevelAgg::default();
+    for k in parents {
+        let i = members[k];
         let p1 = set.pattern_codes(i);
         // Pruned modes: a left parent outside the target cone or under
         // the top-k floor cannot contribute an admissible candidate.
@@ -260,35 +297,29 @@ fn eager_generate(
         for &m in &members[s..e] {
             let (offsets, counts) = set.entries(m);
             bufs.out.clear();
-            st.saturated |= join_into(left, offsets, counts, gap, &mut bufs.out, &mut st.jc);
+            st.saturated |= join_into(left, offsets, counts, env.gap, &mut bufs.out, &mut st.jc);
             st.evaluated += 1;
-            let sup = bufs.out.support();
-            let mut admitted_exact = row.exact.admits_u128(sup);
-            let mut admitted_lhat = row.lhat.admits_u128(sup);
-            if (admitted_exact || admitted_lhat) && !pruner.admits_search(sup) {
-                continue;
-            }
-            if admitted_exact || admitted_lhat {
-                bufs.codes.clear();
-                bufs.codes.extend_from_slice(p1);
-                bufs.codes.push(set.pattern_codes(m)[level - 1]);
-                admitted_exact = admitted_exact && pruner.admits_result(&bufs.codes, sup);
-                admitted_lhat = admitted_lhat && pruner.admits_frontier(&bufs.codes);
-            }
-            if admitted_exact {
-                frequent.push(FrequentPattern {
-                    pattern: Pattern::from_codes(bufs.codes.clone()),
-                    support: sup,
-                    ratio: sup as f64 / row.n_f64,
-                });
-                st.frequent += 1;
-            }
-            if admitted_lhat {
+            let codes = &mut bufs.codes;
+            let (is_frequent, is_kept) = admit(
+                row,
+                pruner,
+                bufs.out.support(),
+                move || {
+                    codes.clear();
+                    codes.extend_from_slice(p1);
+                    codes.push(set.pattern_codes(m)[level - 1]);
+                    codes
+                },
+                frequent,
+            );
+            st.frequent += usize::from(is_frequent);
+            if is_kept {
                 next.push_pattern(&bufs.codes, (bufs.out.offsets(), bufs.out.counts()));
                 st.kept += 1;
             }
         }
     }
+    st.candidates = st.evaluated as u128;
     st
 }
 
@@ -336,13 +367,198 @@ fn split_components(members: &[usize], index: &JoinIndex) -> Option<Vec<Vec<usiz
     Some(comps)
 }
 
+/// What every task of one run shares: the mining parameters, the
+/// pruning state and the engine-wide arena gauge.
+struct RunEnv {
+    gap: GapRequirement,
+    seq_len: usize,
+    n: usize,
+    rho: BigRatio,
+    /// The deepest level mined.
+    hard_cap: usize,
+    /// The arena ceiling, and the live and peak arena bytes of every task.
+    limit: Option<usize>,
+    live: AtomicUsize,
+    peak: AtomicUsize,
+    hooks: PoolHooks,
+    /// Shared pruning state (floor + target) across every task.
+    pruner: Pruner,
+}
+
+impl RunEnv {
+    /// The context of one task that mines over `counts`: the prelude, or
+    /// a subtree.
+    fn task_ctx<'a>(&'a self, counts: &'a OffsetCounts) -> TaskCtx<'a> {
+        TaskCtx {
+            env: self,
+            counts,
+            bounds: BoundTable::new(counts, &self.rho, self.n),
+            gauge: MemGauge::new(&self.live, &self.peak, self.limit),
+            bufs: EagerBufs::default(),
+            aggs: BTreeMap::new(),
+            frequent: Vec::new(),
+        }
+    }
+}
+
+/// Mutable state of one task: the prelude, or one subtree with its
+/// recursion. Each task has its own buffers, bound rows and gauge view.
+struct TaskCtx<'a> {
+    env: &'a RunEnv,
+    counts: &'a OffsetCounts,
+    bounds: BoundTable<'a>,
+    gauge: MemGauge<'a>,
+    bufs: EagerBufs,
+    aggs: BTreeMap<usize, LevelAgg>,
+    frequent: Vec<FrequentPattern>,
+}
+
+/// How a [`TaskCtx::step`] produces the next generation.
+enum Producer<'p> {
+    /// `(set, members, index, next)`: one [`eager_generate`] call over
+    /// every member of `set`, writing the survivors into `next`.
+    Serial(&'p PilSet, &'p [usize], &'p JoinIndex, PilSet),
+    /// A wide prelude level on the pool: the job's chunk tasks, whose
+    /// parts [`PilSet::concat`] merges in order. The job holds the
+    /// parent generation; the pool's event goes to `events`.
+    Pooled {
+        pool: &'p WorkerPool<DfsJob>,
+        job: Arc<DfsJob>,
+        events: &'p mut Vec<PoolLevelEvent>,
+    },
+}
+
+impl TaskCtx<'_> {
+    /// Can a generation at `level` be extended? Not at the level cap,
+    /// and not when no level-`level + 1` offset sequence exists.
+    fn extends(&self, level: usize) -> bool {
+        level < self.env.hard_cap && !self.counts.n(level + 1).is_zero()
+    }
+
+    /// The one level step: produce level `level + 1`, record its
+    /// counters, charge the child to the gauge and release the parent's
+    /// `parent_bytes` (0 when the parent is on another frame's account).
+    /// The child is charged before the parent is released. Returns the
+    /// child and its bytes, or `None` when the chain ends here: no
+    /// candidate was evaluated (and nothing is recorded), or none
+    /// survived.
+    fn step(
+        &mut self,
+        level: usize,
+        parent_bytes: usize,
+        producer: Producer<'_>,
+    ) -> Result<Option<(PilSet, usize)>, MineError> {
+        let started = Instant::now();
+        let (next, mut agg) = match producer {
+            Producer::Serial(set, members, index, mut next) => {
+                let st = eager_generate(
+                    set,
+                    members,
+                    index,
+                    0..members.len(),
+                    self.env,
+                    self.bounds.row(level + 1),
+                    &mut next,
+                    &mut self.bufs,
+                    &mut self.frequent,
+                );
+                (next, st)
+            }
+            Producer::Pooled { pool, job, events } => {
+                let (outs, event) = pool.run(job)?;
+                events.push(event);
+                let mut agg = LevelAgg::default();
+                let mut parts = Vec::with_capacity(outs.len());
+                for out in outs {
+                    let t = out?;
+                    for (l, a) in t.aggs {
+                        debug_assert_eq!(l, level + 1);
+                        agg.absorb(a);
+                    }
+                    self.frequent.extend(t.frequent);
+                    parts.extend(t.part);
+                }
+                (PilSet::concat(level + 1, parts), agg)
+            }
+        };
+        if agg.evaluated == 0 {
+            self.gauge.shrink(parent_bytes);
+            return Ok(None);
+        }
+        let elapsed = started.elapsed();
+        let bytes = next.arena_bytes();
+        agg.arena_bytes = bytes;
+        agg.join_elapsed = elapsed;
+        agg.elapsed = elapsed;
+        let survivors = agg.kept;
+        self.aggs.entry(level + 1).or_default().absorb(agg);
+        if survivors == 0 {
+            self.gauge.shrink(parent_bytes);
+            return Ok(None);
+        }
+        self.gauge.grow(bytes)?;
+        self.gauge.shrink(parent_bytes);
+        Ok(Some((next, bytes)))
+    }
+}
+
+/// Mine the subtree under `members` of `set` (at `level`) as one chain.
+/// `set` is owned by the caller and its bytes are on the caller's
+/// account; each generation the chain steps to is this frame's, and is
+/// released once its child is charged. A split hands each component to
+/// a `descend` of its own while the split generation stays live.
+fn descend(
+    ctx: &mut TaskCtx<'_>,
+    set: &PilSet,
+    members: &[usize],
+    level: usize,
+) -> Result<(), MineError> {
+    // Pruned modes: a component with no member inside the target cone
+    // and above the floor cannot contribute — its whole subtree dies
+    // here (this is also where a restored spill component is dropped
+    // when the floor climbed past it while it sat on disk).
+    if members.is_empty() || !ctx.extends(level) || !ctx.env.pruner.component_viable(set, members) {
+        return Ok(());
+    }
+    // The chain's own generation with all its members, and its bytes.
+    let mut own: Option<(PilSet, Vec<usize>)> = None;
+    let mut own_bytes = 0;
+    let mut level = level;
+    loop {
+        let (cur, cur_members) = match &own {
+            Some((child, all)) => (child, &all[..]),
+            None => (set, members),
+        };
+        let index = JoinIndex::new(cur, cur_members);
+        if let Some(comps) = split_components(cur_members, &index) {
+            for comp in &comps {
+                descend(ctx, cur, comp, level)?;
+            }
+            ctx.gauge.shrink(own_bytes);
+            return Ok(());
+        }
+        let producer = Producer::Serial(cur, cur_members, &index, PilSet::new(level + 1));
+        let Some((next, bytes)) = ctx.step(level, own_bytes, producer)? else {
+            return Ok(());
+        };
+        level += 1;
+        own_bytes = bytes;
+        let all = (0..next.len()).collect();
+        own = Some((next, all));
+        if !ctx.extends(level) {
+            ctx.gauge.shrink(own_bytes);
+            return Ok(());
+        }
+    }
+}
+
 /// One pool item of the engine.
 enum DfsTask {
-    /// Prelude chunk: eager-generate for left parents
-    /// `members[lo..hi]` of the shared base generation.
-    Chunk { lo: usize, hi: usize },
+    /// Prelude chunk: eager-generate for the left parents
+    /// `members[parents]` of the shared base generation.
+    Chunk(Range<usize>),
     /// Depth-first subtree over one component's base-level members.
-    Subtree { members: Vec<usize> },
+    Subtree(Vec<usize>),
     /// A subtree whose base component was serialized to the spill
     /// backend at handoff; the processing worker restores it first.
     /// `best` is the component's best cone-admissible support at spill
@@ -353,6 +569,7 @@ enum DfsTask {
 
 /// What one [`DfsTask`] returns (inside `Ok`; a task that trips the
 /// memory ceiling returns the error as its output value).
+#[derive(Default)]
 struct TaskOut {
     /// Chunk tasks: the surviving slice of the next generation.
     part: Option<PilSet>,
@@ -373,31 +590,21 @@ struct TaskOut {
 /// A roster of [`DfsTask`]s over one shared base generation, claimed
 /// off the common [`WorkerPool`] cursor.
 struct DfsJob {
+    env: Arc<RunEnv>,
+    /// The base generation (empty once spilled; its level stays).
     base: PilSet,
     /// Survivor indices into `base`, ascending.
     members: Vec<usize>,
     /// The join index over `members`.
     index: JoinIndex,
-    tasks: Vec<DfsTask>,
-    gap: GapRequirement,
-    seq_len: usize,
-    base_level: usize,
-    n: usize,
-    rho: BigRatio,
-    hard_cap: usize,
-    limit: Option<usize>,
-    live: Arc<AtomicUsize>,
-    peak: Arc<AtomicUsize>,
-    /// The `base_level + 1` bound row, built once on the main thread so
-    /// chunk tasks skip per-task bound construction.
+    /// The `base.level() + 1` bound row, built once on the main thread
+    /// so chunk tasks skip per-task bound construction.
     first_row: BoundRow,
+    tasks: Vec<DfsTask>,
     /// Present when the base generation was spilled: the backend plus
     /// the once-only claim guard for each record.
     spill: Option<SpillState>,
     cursor: AtomicUsize,
-    hooks: PoolHooks,
-    /// Shared pruning state (floor + target) across every task.
-    pruner: Pruner,
 }
 
 impl PoolJob for DfsJob {
@@ -412,17 +619,19 @@ impl PoolJob for DfsJob {
     }
 
     fn hooks(&self) -> &PoolHooks {
-        &self.hooks
+        &self.env.hooks
     }
 
     fn progress_level(&self) -> usize {
-        self.base_level + 1
+        self.base.level() + 1
     }
 
     fn process(&self, item: usize) -> Self::Out {
         match &self.tasks[item] {
-            DfsTask::Chunk { lo, hi } => self.process_chunk(*lo, *hi),
-            DfsTask::Subtree { members } => self.process_subtree(item, members),
+            DfsTask::Chunk(parents) => self.process_chunk(parents.clone()),
+            DfsTask::Subtree(members) => {
+                self.run_subtree(item, &self.base, members, None, Instant::now())
+            }
             DfsTask::SpilledSubtree { record, best } => self.process_spilled(item, *record, *best),
         }
     }
@@ -436,91 +645,101 @@ impl PoolJob for DfsJob {
 }
 
 impl DfsJob {
-    fn process_chunk(&self, lo: usize, hi: usize) -> Result<TaskOut, MineError> {
-        let started = Instant::now();
-        let mut next = PilSet::new(self.base_level + 1);
-        let mut bufs = EagerBufs::default();
+    /// A job over `base`, whose `first_row` comes from `bounds`.
+    fn new(
+        env: &Arc<RunEnv>,
+        bounds: &mut BoundTable<'_>,
+        base: PilSet,
+        members: Vec<usize>,
+        index: JoinIndex,
+        tasks: Vec<DfsTask>,
+        spill: Option<SpillState>,
+    ) -> Arc<DfsJob> {
+        let first_row = bounds.row(base.level() + 1).clone();
+        Arc::new(DfsJob {
+            env: Arc::clone(env),
+            base,
+            members,
+            index,
+            first_row,
+            tasks,
+            spill,
+            cursor: AtomicUsize::new(0),
+        })
+    }
+
+    fn process_chunk(&self, parents: Range<usize>) -> Result<TaskOut, MineError> {
+        let level = self.base.level() + 1;
+        let mut next = PilSet::new(level);
         let mut frequent: Vec<FrequentPattern> = Vec::new();
         let st = eager_generate(
             &self.base,
             &self.members,
             &self.index,
-            lo,
-            hi,
-            self.gap,
+            parents,
+            &self.env,
             &self.first_row,
             &mut next,
-            &mut bufs,
+            &mut EagerBufs::default(),
             &mut frequent,
-            &self.pruner,
         );
-        let elapsed = started.elapsed();
-        let agg = LevelAgg {
-            candidates: st.evaluated as u128,
-            evaluated: st.evaluated,
-            frequent: st.frequent,
-            kept: st.kept,
-            saturated: st.saturated,
-            arena_bytes: next.arena_bytes(),
-            jc: st.jc,
-            join_elapsed: elapsed,
-            elapsed,
-        };
         Ok(TaskOut {
             part: Some(next),
-            aggs: vec![(self.base_level + 1, agg)],
+            aggs: vec![(level, st)],
             frequent,
-            subtree: None,
-            restore: None,
-            cleanup_failure: None,
+            ..TaskOut::default()
         })
     }
 
-    fn process_subtree(&self, item: usize, members: &[usize]) -> Result<TaskOut, MineError> {
-        let started = Instant::now();
+    /// Mine `members` of `set` as subtree task `item`, timed from
+    /// `started`. A restored component passes its arena bytes as
+    /// `restored`: it is the hot working set, so it goes back on the
+    /// gauge for the task's length, and if even that overflows the
+    /// ceiling the run aborts with `MemoryCeiling` — spilling never
+    /// hides a working set that genuinely does not fit.
+    fn run_subtree(
+        &self,
+        item: usize,
+        set: &PilSet,
+        members: &[usize],
+        restored: Option<usize>,
+        started: Instant,
+    ) -> Result<TaskOut, MineError> {
         // `OffsetCounts` caches are `!Sync`, so each task builds its own
         // (cheap: the tables are lazy and shallow at mining depths).
-        let counts = OffsetCounts::new(self.seq_len, self.gap);
-        let mut ctx = TaskCtx {
-            gap: self.gap,
-            hard_cap: self.hard_cap,
-            counts: &counts,
-            bounds: BoundTable::new(&counts, &self.rho, self.n),
-            gauge: MemGauge::new(&self.live, &self.peak, self.limit),
-            bufs: EagerBufs::default(),
-            aggs: BTreeMap::new(),
-            frequent: Vec::new(),
-            deepest: self.base_level,
-            pruner: self.pruner.clone(),
-        };
-        descend_split(&mut ctx, &self.base, members, self.base_level)?;
-        let evaluated: usize = ctx.aggs.values().map(|a| a.evaluated).sum();
+        let counts = OffsetCounts::new(self.env.seq_len, self.env.gap);
+        let level = self.base.level();
+        let mut ctx = self.env.task_ctx(&counts);
+        if let Some(bytes) = restored {
+            ctx.gauge.grow(bytes)?;
+        }
+        let res = descend(&mut ctx, set, members, level);
+        ctx.gauge.shrink(restored.unwrap_or(0));
+        res?;
         let event = SubtreeEvent {
             index: item,
-            level: self.base_level,
+            level,
             patterns: members.len(),
-            deepest: ctx.deepest,
-            evaluated,
+            // Every step that evaluated a candidate recorded its level.
+            deepest: ctx.aggs.keys().next_back().map_or(level, |&l| l),
+            evaluated: ctx.aggs.values().map(|a| a.evaluated).sum(),
             frequent: ctx.frequent.len(),
             peak_arena_bytes: ctx.gauge.task_peak,
             elapsed: started.elapsed(),
         };
         Ok(TaskOut {
-            part: None,
             aggs: ctx.aggs.into_iter().collect(),
             frequent: ctx.frequent,
             subtree: Some(event),
-            restore: None,
-            cleanup_failure: None,
+            ..TaskOut::default()
         })
     }
 
-    /// Restore one spilled component and mine it like
-    /// [`process_subtree`]. The record is claimed exactly once across
-    /// the pool (a stealing worker that re-dispatches a task can never
-    /// restore the same bytes twice), its arena is re-charged to the
-    /// shared gauge before any join runs, and the backing file is
-    /// removed only after the subtree finished cleanly.
+    /// Restore one spilled component and mine it as a subtree. The
+    /// record is claimed exactly once across the pool (a stealing
+    /// worker that re-dispatches a task can never restore the same
+    /// bytes twice), and the backing file is removed only after the
+    /// subtree finished cleanly.
     fn process_spilled(&self, item: usize, record: u64, best: u128) -> Result<TaskOut, MineError> {
         let started = Instant::now();
         let state = self
@@ -531,79 +750,42 @@ impl DfsJob {
         // Top-k: if the floor climbed past the component's best support
         // while the record sat on disk, the whole subtree is dead —
         // drop the record without reading it back.
-        if !self.pruner.admits_search(best) {
-            let cleanup_failure = state.io.remove(record).err().map(|e| {
-                format!(
-                    "spill record {record} could not be removed after its subtree was pruned: {e}"
-                )
-            });
-            return Ok(TaskOut {
-                part: None,
-                aggs: Vec::new(),
-                frequent: Vec::new(),
-                subtree: None,
-                restore: None,
-                cleanup_failure,
-            });
-        }
-        let bytes = state
-            .io
-            .read(record)
-            .map_err(|e| spill::spill_err(record, e.to_string()))?;
-        let set = spill::decode_record(record, &bytes)?;
-        let restore = RestoreEvent {
-            record,
-            bytes: bytes.len() as u64,
-            patterns: set.len(),
-            elapsed: started.elapsed(),
+        let (mut out, done) = if self.env.pruner.admits_search(best) {
+            let bytes = state
+                .io
+                .read(record)
+                .map_err(|e| spill::spill_err(record, e.to_string()))?;
+            let set = spill::decode_record(record, &bytes)?;
+            let restore = RestoreEvent {
+                record,
+                bytes: bytes.len() as u64,
+                patterns: set.len(),
+                elapsed: started.elapsed(),
+            };
+            drop(bytes);
+            let members: Vec<usize> = (0..set.len()).collect();
+            let mut out =
+                self.run_subtree(item, &set, &members, Some(set.arena_bytes()), started)?;
+            out.restore = Some(restore);
+            (out, "mined")
+        } else {
+            (TaskOut::default(), "pruned")
         };
-        drop(bytes);
-        let counts = OffsetCounts::new(self.seq_len, self.gap);
-        let mut ctx = TaskCtx {
-            gap: self.gap,
-            hard_cap: self.hard_cap,
-            counts: &counts,
-            bounds: BoundTable::new(&counts, &self.rho, self.n),
-            gauge: MemGauge::new(&self.live, &self.peak, self.limit),
-            bufs: EagerBufs::default(),
-            aggs: BTreeMap::new(),
-            frequent: Vec::new(),
-            deepest: self.base_level,
-            pruner: self.pruner.clone(),
-        };
-        // The restored component is the hot working set: it goes back
-        // on the gauge, and if even that overflows the ceiling the run
-        // aborts with `MemoryCeiling` — spilling never hides a working
-        // set that genuinely does not fit.
-        let arena = set.arena_bytes();
-        ctx.gauge.grow(arena)?;
-        let members: Vec<usize> = (0..set.len()).collect();
-        let res = descend_split(&mut ctx, &set, &members, self.base_level);
-        ctx.gauge.shrink(arena);
-        res?;
-        let cleanup_failure = state.io.remove(record).err().map(|e| {
-            format!("spill record {record} could not be removed after its subtree was mined: {e}")
+        out.cleanup_failure = state.io.remove(record).err().map(|e| {
+            format!("spill record {record} could not be removed after its subtree was {done}: {e}")
         });
-        let evaluated: usize = ctx.aggs.values().map(|a| a.evaluated).sum();
-        let event = SubtreeEvent {
-            index: item,
-            level: self.base_level,
-            patterns: set.len(),
-            deepest: ctx.deepest,
-            evaluated,
-            frequent: ctx.frequent.len(),
-            peak_arena_bytes: ctx.gauge.task_peak,
-            elapsed: started.elapsed(),
-        };
-        Ok(TaskOut {
-            part: None,
-            aggs: ctx.aggs.into_iter().collect(),
-            frequent: ctx.frequent,
-            subtree: Some(event),
-            restore: Some(restore),
-            cleanup_failure,
-        })
+        Ok(out)
     }
+}
+
+/// Count a spill record that could not be removed, and report it as a
+/// `spill-cleanup` warning: it costs disk, not correctness.
+fn cleanup_failed<O: MineObserver>(stats: &mut MineStats, observer: &mut O, message: String) {
+    stats.spill_cleanup_failures += 1;
+    observer.on(Event::Warning(&WarningEvent {
+        kind: "spill-cleanup".into(),
+        message,
+    }));
 }
 
 /// Best-effort removal of every spill record a job may have left
@@ -615,175 +797,11 @@ fn sweep_spill_records<O: MineObserver>(job: &DfsJob, stats: &mut MineStats, obs
     let Some(state) = &job.spill else { return };
     for record in 0..job.tasks.len() as u64 {
         if let Err(e) = state.io.remove(record) {
-            stats.spill_cleanup_failures += 1;
-            observer.on(Event::Warning(&WarningEvent {
-                kind: "spill-cleanup".into(),
-                message: format!(
-                    "orphan spill record {record} could not be removed in the abort sweep: {e}"
-                ),
-            }));
+            let message = format!(
+                "orphan spill record {record} could not be removed in the abort sweep: {e}"
+            );
+            cleanup_failed(stats, observer, message);
         }
-    }
-}
-
-/// Mutable state threaded through one subtree task's recursion.
-struct TaskCtx<'a> {
-    gap: GapRequirement,
-    hard_cap: usize,
-    counts: &'a OffsetCounts,
-    bounds: BoundTable<'a>,
-    gauge: MemGauge<'a>,
-    bufs: EagerBufs,
-    aggs: BTreeMap<usize, LevelAgg>,
-    frequent: Vec<FrequentPattern>,
-    deepest: usize,
-    pruner: Pruner,
-}
-
-/// Split `members` of `set` (at `level`) into components and mine each;
-/// a single component takes one generation step and continues as a
-/// [`mine_chain`]. `set` is owned by the caller — its bytes are on the
-/// caller's account, not this frame's.
-fn descend_split(
-    ctx: &mut TaskCtx<'_>,
-    set: &PilSet,
-    members: &[usize],
-    level: usize,
-) -> Result<(), MineError> {
-    if members.is_empty() || level >= ctx.hard_cap || ctx.counts.n(level + 1).is_zero() {
-        return Ok(());
-    }
-    // Pruned modes: a component with no member inside the target cone
-    // and above the floor cannot contribute — its whole subtree dies
-    // here (this is also where a restored spill component is dropped
-    // when the floor climbed past it while it sat on disk).
-    if !ctx.pruner.component_viable(set, members) {
-        return Ok(());
-    }
-    let index = JoinIndex::new(set, members);
-    if let Some(comps) = split_components(members, &index) {
-        for comp in &comps {
-            descend_split(ctx, set, comp, level)?;
-        }
-        return Ok(());
-    }
-    let gen_started = Instant::now();
-    let mut next = PilSet::new(level + 1);
-    let row = ctx.bounds.row(level + 1).clone();
-    let st = eager_generate(
-        set,
-        members,
-        &index,
-        0,
-        members.len(),
-        ctx.gap,
-        &row,
-        &mut next,
-        &mut ctx.bufs,
-        &mut ctx.frequent,
-        &ctx.pruner,
-    );
-    if st.evaluated == 0 {
-        return Ok(());
-    }
-    let elapsed = gen_started.elapsed();
-    let next_bytes = next.arena_bytes();
-    absorb(
-        &mut ctx.aggs,
-        level + 1,
-        LevelAgg {
-            candidates: st.evaluated as u128,
-            evaluated: st.evaluated,
-            frequent: st.frequent,
-            kept: st.kept,
-            saturated: st.saturated,
-            arena_bytes: next_bytes,
-            jc: st.jc,
-            join_elapsed: elapsed,
-            elapsed,
-        },
-    );
-    ctx.deepest = ctx.deepest.max(level + 1);
-    if next.is_empty() {
-        return Ok(());
-    }
-    ctx.gauge.grow(next_bytes)?;
-    mine_chain(ctx, next, next_bytes, level + 1)
-}
-
-/// The double-buffered depth-first chain: `current` (charged to the
-/// gauge by the caller) is extended one level at a time, freeing each
-/// parent the moment its child generation survives — live bytes along
-/// the chain are O(parent + child). A split hands the components back
-/// to [`descend_split`] while `current` stays live underneath them.
-fn mine_chain(
-    ctx: &mut TaskCtx<'_>,
-    mut current: PilSet,
-    mut cur_bytes: usize,
-    mut level: usize,
-) -> Result<(), MineError> {
-    loop {
-        if level >= ctx.hard_cap || ctx.counts.n(level + 1).is_zero() {
-            ctx.gauge.shrink(cur_bytes);
-            return Ok(());
-        }
-        let members: Vec<usize> = (0..current.len()).collect();
-        let index = JoinIndex::new(&current, &members);
-        if let Some(comps) = split_components(&members, &index) {
-            for comp in &comps {
-                descend_split(ctx, &current, comp, level)?;
-            }
-            ctx.gauge.shrink(cur_bytes);
-            return Ok(());
-        }
-        let gen_started = Instant::now();
-        let mut next = PilSet::new(level + 1);
-        let row = ctx.bounds.row(level + 1).clone();
-        let st = eager_generate(
-            &current,
-            &members,
-            &index,
-            0,
-            members.len(),
-            ctx.gap,
-            &row,
-            &mut next,
-            &mut ctx.bufs,
-            &mut ctx.frequent,
-            &ctx.pruner,
-        );
-        if st.evaluated == 0 {
-            ctx.gauge.shrink(cur_bytes);
-            return Ok(());
-        }
-        let elapsed = gen_started.elapsed();
-        let next_bytes = next.arena_bytes();
-        absorb(
-            &mut ctx.aggs,
-            level + 1,
-            LevelAgg {
-                candidates: st.evaluated as u128,
-                evaluated: st.evaluated,
-                frequent: st.frequent,
-                kept: st.kept,
-                saturated: st.saturated,
-                arena_bytes: next_bytes,
-                jc: st.jc,
-                join_elapsed: elapsed,
-                elapsed,
-            },
-        );
-        ctx.deepest = ctx.deepest.max(level + 1);
-        if next.is_empty() {
-            ctx.gauge.shrink(cur_bytes);
-            return Ok(());
-        }
-        // Double buffer: charge the child, release the parent, step.
-        ctx.gauge.grow(next_bytes)?;
-        ctx.gauge.shrink(cur_bytes);
-        current = next;
-        cur_bytes = next_bytes;
-        level += 1;
     }
 }
 
@@ -814,97 +832,79 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     let sigma = seq.alphabet().size() as u128;
     let start = config.start_level;
     let n = clamp_n(n, start, counts.l1());
-    let hard_cap = config.max_level.unwrap_or(usize::MAX).min(counts.l2());
+    let env = Arc::new(RunEnv {
+        gap,
+        seq_len: seq.len(),
+        n,
+        rho: rho.clone(),
+        hard_cap: config.max_level.unwrap_or(usize::MAX).min(counts.l2()),
+        limit: config.max_arena_bytes,
+        live: AtomicUsize::new(0),
+        peak: AtomicUsize::new(0),
+        hooks,
+        pruner: Pruner::new(&config.prune, gap.flexibility()),
+    });
+    let pruner = &env.pruner;
 
     let mut stats = stats_seed.take().unwrap_or_default();
     stats.n_used = n;
-    let pruner = Pruner::new(&config.prune, gap.flexibility());
-    let mut frequent: Vec<FrequentPattern> = Vec::new();
-    let mut aggs: BTreeMap<usize, LevelAgg> = BTreeMap::new();
     let mut pool_events: Vec<PoolLevelEvent> = Vec::new();
     let mut subtree_events: Vec<SubtreeEvent> = Vec::new();
     let mut restore_events: Vec<RestoreEvent> = Vec::new();
     let mut spill_event: Option<SpillEvent> = None;
 
     // Spilling needs both a ceiling (otherwise there is nothing to
-    // stay under) and a backend: an injected `spill_io` wins over
-    // `spill_dir` so tests and callers can capture the raw records.
-    let spill_io: Option<Arc<dyn spill::SpillIo>> = if config.max_arena_bytes.is_some() {
-        config.spill_io.clone().or_else(|| {
-            config
-                .spill_dir
-                .as_ref()
-                .map(|dir| Arc::new(spill::FsSpillIo::new(dir)) as Arc<dyn spill::SpillIo>)
-        })
-    } else {
-        None
-    };
+    // stay under) and a backend.
+    let spill_io = config
+        .spill
+        .clone()
+        .filter(|_| config.max_arena_bytes.is_some());
     let watermark_bytes = config
         .max_arena_bytes
         .map(|cap| (cap as f64 * config.spill_watermark) as usize);
 
-    let live = Arc::new(AtomicUsize::new(0));
-    let peak_shared = Arc::new(AtomicUsize::new(0));
-    let mut gauge = MemGauge::new(&live, &peak_shared, config.max_arena_bytes);
     let pool = (threads > 1).then(|| WorkerPool::<DfsJob>::new(threads - 1));
-    let mut bounds = BoundTable::new(counts, rho, n);
+    let mut ctx = env.task_ctx(counts);
 
     let mine = || -> Result<(), MineError> {
-        if hard_cap < start || counts.n(start).is_zero() {
+        if env.hard_cap < start || counts.n(start).is_zero() {
             return Ok(());
         }
         let mut current = seed;
         let mut cur_bytes = current.arena_bytes();
-        gauge.grow(cur_bytes)?;
+        ctx.gauge.grow(cur_bytes)?;
 
         // Seed filter — the only level whose members were not already
         // evaluated at generation time.
         let filter_started = Instant::now();
-        let row = bounds.row(start).clone();
+        let row = ctx.bounds.row(start).clone();
+        let mut seed_level = LevelAgg {
+            candidates: sigma.saturating_pow(start as u32),
+            evaluated: current.len(),
+            saturated: current.saturated(),
+            arena_bytes: cur_bytes,
+            ..LevelAgg::default()
+        };
         let mut kept: Vec<usize> = Vec::new();
-        let mut frequent_here = 0usize;
         for i in 0..current.len() {
-            let sup = current.support(i);
-            let admits_exact = row.exact.admits_u128(sup);
-            let admits_lhat = row.lhat.admits_u128(sup);
-            if (admits_exact || admits_lhat) && !pruner.admits_search(sup) {
-                continue;
-            }
-            if admits_exact && pruner.admits_result(current.pattern_codes(i), sup) {
-                frequent.push(FrequentPattern {
-                    pattern: Pattern::from_codes(current.pattern_codes(i).to_vec()),
-                    support: sup,
-                    ratio: sup as f64 / row.n_f64,
-                });
-                frequent_here += 1;
-            }
-            if admits_lhat && pruner.admits_frontier(current.pattern_codes(i)) {
+            let codes = || current.pattern_codes(i);
+            let (is_frequent, is_kept) =
+                admit(&row, pruner, current.support(i), codes, &mut ctx.frequent);
+            seed_level.frequent += usize::from(is_frequent);
+            if is_kept {
                 kept.push(i);
             }
         }
-        absorb(
-            &mut aggs,
-            start,
-            LevelAgg {
-                candidates: sigma.saturating_pow(start as u32),
-                evaluated: current.len(),
-                frequent: frequent_here,
-                kept: kept.len(),
-                saturated: current.saturated(),
-                arena_bytes: cur_bytes,
-                jc: JoinCounters::default(),
-                join_elapsed: Duration::ZERO,
-                elapsed: filter_started.elapsed(),
-            },
-        );
+        seed_level.kept = kept.len();
+        seed_level.elapsed = filter_started.elapsed();
+        ctx.aggs.insert(start, seed_level);
 
-        let mut bufs = EagerBufs::default();
         // The serial prelude writes each generation into the buffers
         // the generation before last left behind.
         let mut spare = PilSet::new(start);
         let mut level = start;
         loop {
-            if kept.is_empty() || level >= hard_cap || counts.n(level + 1).is_zero() {
+            if kept.is_empty() || !ctx.extends(level) {
                 return Ok(());
             }
             let index = JoinIndex::new(&current, &kept);
@@ -918,7 +918,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             let hand_off = |comps: &Vec<Vec<usize>>| {
                 threads == 1
                     || spill_io.is_some()
-                    || comps.iter().all(|comp| 2 * comp.len() <= kept.len())
+                    || comps.iter().all(|c| 2 * c.len() <= kept.len())
             };
             if let Some(mut comps) = split_components(&kept, &index).filter(hand_off) {
                 // Subtree tasks allocate their own generations: free the
@@ -926,46 +926,40 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                 drop(std::mem::take(&mut spare));
                 // Pruned modes: drop dead components before they become
                 // tasks (or spill records). The handoff proceeds even if
-                // only one — or zero — components stay viable.
-                if pruner.is_active() {
-                    comps.retain(|comp| pruner.component_viable(&current, comp));
-                    if comps.is_empty() {
-                        gauge.shrink(cur_bytes);
-                        return Ok(());
-                    }
+                // only one component stays viable.
+                comps.retain(|comp| pruner.component_viable(&current, comp));
+                if comps.is_empty() {
+                    ctx.gauge.shrink(cur_bytes);
+                    return Ok(());
                 }
                 // Handoff: every component is an independent subtree.
                 // Only the main thread has grown the gauge so far, so
                 // `live == cur_bytes` here and the spill decision is
                 // deterministic across thread counts.
-                let first_row = bounds.row(level + 1).clone();
                 let spilling = spill_io.is_some()
-                    && watermark_bytes.is_some_and(|wm| live.load(Ordering::Relaxed) >= wm);
-                let (tasks, spill_state): (Vec<DfsTask>, Option<SpillState>) = if spilling {
+                    && watermark_bytes.is_some_and(|wm| env.live.load(Ordering::Relaxed) >= wm);
+                let (tasks, state): (Vec<DfsTask>, Option<SpillState>) = if spilling {
                     let io = Arc::clone(spill_io.as_ref().expect("spill decision needs a backend"));
                     let spill_started = Instant::now();
                     let mut bytes_written = 0u64;
-                    let mut bests: Vec<u128> = Vec::with_capacity(comps.len());
+                    let mut tasks = Vec::with_capacity(comps.len());
                     for (r, comp) in comps.iter().enumerate() {
-                        bests.push(pruner.component_best(&current, comp));
-                        let bytes = spill::encode_record(r as u64, &current, comp);
-                        if let Err(e) = io.write(r as u64, &bytes) {
+                        let record = r as u64;
+                        let bytes = spill::encode_record(record, &current, comp);
+                        if let Err(e) = io.write(record, &bytes) {
                             // Best-effort cleanup of records already on
                             // disk before surfacing the typed error.
-                            for done in 0..r as u64 {
+                            for done in 0..record {
                                 if let Err(re) = io.remove(done) {
-                                    stats.spill_cleanup_failures += 1;
-                                    observer.on(Event::Warning(&WarningEvent {
-                                        kind: "spill-cleanup".into(),
-                                        message: format!(
-                                            "spill record {done} could not be removed after record {r} failed to write: {re}"
-                                        ),
-                                    }));
+                                    let message = format!("spill record {done} could not be removed after record {r} failed to write: {re}");
+                                    cleanup_failed(&mut stats, observer, message);
                                 }
                             }
-                            return Err(spill::spill_err(r as u64, e.to_string()));
+                            return Err(spill::spill_err(record, e.to_string()));
                         }
                         bytes_written += bytes.len() as u64;
+                        let best = pruner.component_best(&current, comp);
+                        tasks.push(DfsTask::SpilledSubtree { record, best });
                     }
                     let records = comps.len() as u64;
                     stats.spilled_records = records;
@@ -974,56 +968,21 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                         level,
                         records,
                         bytes: bytes_written,
-                        live_bytes: live.load(Ordering::Relaxed),
+                        live_bytes: env.live.load(Ordering::Relaxed),
                         watermark_bytes: watermark_bytes.unwrap_or(0),
                         elapsed: spill_started.elapsed(),
                     });
                     // Release the cold base before any subtree runs:
                     // each worker re-charges only the component it is
                     // actively restoring.
-                    gauge.shrink(cur_bytes);
+                    ctx.gauge.shrink(cur_bytes);
                     current = PilSet::new(level);
                     kept = Vec::new();
-                    (
-                        bests
-                            .into_iter()
-                            .enumerate()
-                            .map(|(record, best)| DfsTask::SpilledSubtree {
-                                record: record as u64,
-                                best,
-                            })
-                            .collect(),
-                        Some(SpillState::new(io, records as usize)),
-                    )
+                    (tasks, Some(SpillState::new(io, records as usize)))
                 } else {
-                    (
-                        comps
-                            .into_iter()
-                            .map(|members| DfsTask::Subtree { members })
-                            .collect(),
-                        None,
-                    )
+                    (comps.into_iter().map(DfsTask::Subtree).collect(), None)
                 };
-                let job = Arc::new(DfsJob {
-                    base: current,
-                    members: kept,
-                    index,
-                    tasks,
-                    gap,
-                    seq_len: seq.len(),
-                    base_level: level,
-                    n,
-                    rho: rho.clone(),
-                    hard_cap,
-                    limit: config.max_arena_bytes,
-                    live: Arc::clone(&live),
-                    peak: Arc::clone(&peak_shared),
-                    first_row,
-                    spill: spill_state,
-                    cursor: AtomicUsize::new(0),
-                    hooks,
-                    pruner: pruner.clone(),
-                });
+                let job = DfsJob::new(&env, &mut ctx.bounds, current, kept, index, tasks, state);
                 let outs = match &pool {
                     Some(pool) => match pool.run(Arc::clone(&job)) {
                         Ok((outs, event)) => {
@@ -1050,9 +1009,9 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                         }
                     };
                     for (l, a) in t.aggs {
-                        absorb(&mut aggs, l, a);
+                        ctx.aggs.entry(l).or_default().absorb(a);
                     }
-                    frequent.extend(t.frequent);
+                    ctx.frequent.extend(t.frequent);
                     if let Some(ev) = t.subtree {
                         subtree_events.push(ev);
                     }
@@ -1062,11 +1021,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                         restore_events.push(ev);
                     }
                     if let Some(message) = t.cleanup_failure {
-                        stats.spill_cleanup_failures += 1;
-                        observer.on(Event::Warning(&WarningEvent {
-                            kind: "spill-cleanup".into(),
-                            message,
-                        }));
+                        cleanup_failed(&mut stats, observer, message);
                     }
                 }
                 if let Some(e) = first_err {
@@ -1074,121 +1029,42 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                     return Err(e);
                 }
                 if !spilling {
-                    gauge.shrink(cur_bytes);
+                    ctx.gauge.shrink(cur_bytes);
                 }
                 return Ok(());
             }
 
-            // One component, or a lopsided split on a pool:
-            // eager-generate the next level, pooled when the fan-out is
-            // wide enough to pay for chunk handoff. The prelude never
-            // depended on connectivity; components only make subtrees
-            // independent.
-            let gen_started = Instant::now();
-            let first_row = bounds.row(level + 1).clone();
-            let (next, mut agg) = match &pool {
+            // One component, or a lopsided split on a pool: step to the
+            // next level, on chunk tasks when the fan-out is wide enough
+            // to pay for the handoff. The prelude never depended on
+            // connectivity; components only make subtrees independent.
+            let producer = match &pool {
                 Some(pool) if kept.len() >= PARALLEL_THRESHOLD => {
                     let chunk = kept
                         .len()
                         .div_ceil(threads * CHUNKS_PER_THREAD)
                         .max(MIN_CHUNK);
-                    let n_chunks = kept.len().div_ceil(chunk);
-                    let tasks: Vec<DfsTask> = (0..n_chunks)
-                        .map(|c| {
-                            let lo = c * chunk;
-                            DfsTask::Chunk {
-                                lo,
-                                hi: (lo + chunk).min(kept.len()),
-                            }
-                        })
+                    let tasks = (0..kept.len())
+                        .step_by(chunk)
+                        .map(|lo| DfsTask::Chunk(lo..(lo + chunk).min(kept.len())))
                         .collect();
-                    let job = Arc::new(DfsJob {
-                        base: std::mem::take(&mut current),
-                        members: std::mem::take(&mut kept),
-                        index,
-                        tasks,
-                        gap,
-                        seq_len: seq.len(),
-                        base_level: level,
-                        n,
-                        rho: rho.clone(),
-                        hard_cap,
-                        limit: config.max_arena_bytes,
-                        live: Arc::clone(&live),
-                        peak: Arc::clone(&peak_shared),
-                        first_row,
-                        spill: None,
-                        cursor: AtomicUsize::new(0),
-                        hooks,
-                        pruner: pruner.clone(),
-                    });
-                    let (outs, event) = pool.run(Arc::clone(&job))?;
-                    pool_events.push(event);
-                    let mut parts = Vec::with_capacity(outs.len());
-                    let mut merged = LevelAgg::default();
-                    for out in outs {
-                        let t = out?;
-                        for (l, a) in t.aggs {
-                            debug_assert_eq!(l, level + 1);
-                            merged.candidates += a.candidates;
-                            merged.evaluated += a.evaluated;
-                            merged.frequent += a.frequent;
-                            merged.kept += a.kept;
-                            merged.saturated |= a.saturated;
-                            merged.jc.absorb(&a.jc);
-                        }
-                        frequent.extend(t.frequent);
-                        if let Some(p) = t.part {
-                            parts.push(p);
-                        }
+                    let base = std::mem::take(&mut current);
+                    let members = std::mem::take(&mut kept);
+                    Producer::Pooled {
+                        pool,
+                        job: DfsJob::new(&env, &mut ctx.bounds, base, members, index, tasks, None),
+                        events: &mut pool_events,
                     }
-                    (PilSet::concat(level + 1, parts), merged)
                 }
                 _ => {
                     let mut next = std::mem::take(&mut spare);
                     next.reset(level + 1);
-                    let st = eager_generate(
-                        &current,
-                        &kept,
-                        &index,
-                        0,
-                        kept.len(),
-                        gap,
-                        &first_row,
-                        &mut next,
-                        &mut bufs,
-                        &mut frequent,
-                        &pruner,
-                    );
-                    let agg = LevelAgg {
-                        candidates: st.evaluated as u128,
-                        evaluated: st.evaluated,
-                        frequent: st.frequent,
-                        kept: st.kept,
-                        saturated: st.saturated,
-                        jc: st.jc,
-                        ..LevelAgg::default()
-                    };
-                    (next, agg)
+                    Producer::Serial(&current, &kept, &index, next)
                 }
             };
-            if agg.evaluated == 0 {
-                gauge.shrink(cur_bytes);
+            let Some((next, next_bytes)) = ctx.step(level, cur_bytes, producer)? else {
                 return Ok(());
-            }
-            let elapsed = gen_started.elapsed();
-            let next_bytes = next.arena_bytes();
-            agg.arena_bytes = next_bytes;
-            agg.join_elapsed = elapsed;
-            agg.elapsed = elapsed;
-            let survivors = agg.kept;
-            absorb(&mut aggs, level + 1, agg);
-            if survivors == 0 {
-                gauge.shrink(cur_bytes);
-                return Ok(());
-            }
-            gauge.grow(next_bytes)?;
-            gauge.shrink(cur_bytes);
+            };
             spare = std::mem::replace(&mut current, next);
             cur_bytes = next_bytes;
             kept.clear();
@@ -1197,6 +1073,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
         }
     };
     let run = mine();
+    let TaskCtx { aggs, frequent, .. } = ctx;
 
     for (&level, agg) in &aggs {
         stats.support_saturated |= agg.saturated;
@@ -1241,7 +1118,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     }
     run?;
 
-    let peak = peak_shared.load(Ordering::Relaxed);
+    let peak = env.peak.load(Ordering::Relaxed);
     let mut outcome = MineOutcome { frequent, stats };
     pruner.finish(&mut outcome);
     Ok((outcome, peak))
@@ -1456,7 +1333,7 @@ mod tests {
             let config = MppConfig {
                 max_arena_bytes: Some(1 << 40),
                 spill_watermark: 0.0,
-                spill_io: Some(Arc::new(MemSpillIo::default())),
+                spill: Some(Arc::new(MemSpillIo::default())),
                 ..MppConfig::default()
             };
             let mut metrics = MetricsObserver::new();
@@ -1660,7 +1537,7 @@ mod tests {
             let config = MppConfig {
                 max_arena_bytes: Some(cap),
                 spill_watermark: 0.0,
-                spill_io: Some(io),
+                spill: Some(io),
                 ..MppConfig::default()
             };
             let mut metrics = MetricsObserver::new();

@@ -145,7 +145,7 @@ pub struct DiffEntry {
     pub new_support: Option<u128>,
 }
 
-/// Rollup of a baseline diff — what [`MineObserver::on_diff`] carries.
+/// Rollup of a baseline diff — what [`crate::trace::Event::Diff`] carries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiffStats {
     /// Patterns frequent now but not in the baseline.

@@ -21,7 +21,6 @@ use crate::result::MineOutcome;
 use crate::trace::{Event, MineObserver, NoopObserver, SeedEvent};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -80,21 +79,18 @@ pub struct MppConfig {
     /// aborts with [`MineError::MemoryCeiling`] instead of thrashing;
     /// `None` is unlimited. With a spill backend the engine can finish
     /// under the ceiling anyway by spilling cold subtrees — see
-    /// [`MppConfig::spill_dir`].
+    /// [`MppConfig::spill`].
     pub max_arena_bytes: Option<usize>,
-    /// Directory for spill records (see [`crate::spill`]). `Some` arms
-    /// spill-to-disk when `max_arena_bytes` is also set. Ignored when
-    /// [`MppConfig::spill_io`] supplies a backend directly.
-    pub spill_dir: Option<PathBuf>,
+    /// Backend for spill records (see [`crate::spill`]): `Some` arms
+    /// spilling when `max_arena_bytes` is also set. The CLI's
+    /// `--spill-dir` is a [`crate::spill::FsSpillIo`]; mining results
+    /// are identical for any correct backend.
+    pub spill: Option<Arc<dyn crate::spill::SpillIo>>,
     /// Fraction of `max_arena_bytes` at which the engine starts
     /// spilling cold subtree arenas (`0.0` spills at every handoff,
     /// `1.0` only at the ceiling itself). Only consulted when a spill
     /// backend is configured. Default `0.5`.
     pub spill_watermark: f64,
-    /// Spill backend override for tests and benchmarks. Takes
-    /// precedence over [`MppConfig::spill_dir`]; mining results are
-    /// identical for any correct backend.
-    pub spill_io: Option<Arc<dyn crate::spill::SpillIo>>,
     /// Pruning mode: top-k by support and/or a mining target (see
     /// [`crate::prune`]). The default is a plain full mine; any active
     /// mode trades the full frequent set for a (much) smaller search.
@@ -113,9 +109,8 @@ impl Default for MppConfig {
             start_level: 3,
             max_level: None,
             max_arena_bytes: None,
-            spill_dir: None,
+            spill: None,
             spill_watermark: 0.5,
-            spill_io: None,
             prune: PruneMode::default(),
             threads: 1,
         }

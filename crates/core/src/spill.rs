@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex};
 /// afterwards. [`FsSpillIo`] is the production backend; the trait is
 /// public so tests (and the fault-injection suite) can substitute
 /// in-memory or misbehaving implementations via
-/// [`crate::mpp::MppConfig::spill_io`].
+/// [`crate::mpp::MppConfig::spill`].
 ///
 /// Implementations must be safe to call from multiple worker threads
 /// at once, but the engine never reads a record it has not finished
@@ -128,6 +128,46 @@ impl SpillIo for MemSpillIo {
     fn remove(&self, record: u64) -> io::Result<()> {
         self.records.lock().expect("spill map lock").remove(&record);
         Ok(())
+    }
+}
+
+/// One backend shared by several mines that run at once, each in its
+/// own record namespace: scope `s`'s record `r` is the backend's record
+/// `s · 2^32 + r`. A corpus mine gives each shard a scope, since record
+/// ids are per-run counters and would collide.
+#[derive(Debug)]
+pub(crate) struct ScopedSpillIo {
+    inner: Arc<dyn SpillIo>,
+    scope: u32,
+}
+
+impl ScopedSpillIo {
+    pub(crate) fn new(inner: Arc<dyn SpillIo>, scope: u32) -> ScopedSpillIo {
+        ScopedSpillIo { inner, scope }
+    }
+
+    fn id(&self, record: u64) -> io::Result<u64> {
+        if record > u64::from(u32::MAX) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("record {record} does not fit a scoped record id"),
+            ));
+        }
+        Ok((u64::from(self.scope) << 32) | record)
+    }
+}
+
+impl SpillIo for ScopedSpillIo {
+    fn write(&self, record: u64, bytes: &[u8]) -> io::Result<()> {
+        self.inner.write(self.id(record)?, bytes)
+    }
+
+    fn read(&self, record: u64) -> io::Result<Vec<u8>> {
+        self.inner.read(self.id(record)?)
+    }
+
+    fn remove(&self, record: u64) -> io::Result<()> {
+        self.inner.remove(self.id(record)?)
     }
 }
 

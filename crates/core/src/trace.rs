@@ -1147,6 +1147,8 @@ pub struct TraceReport {
     /// True when the trace ends in an `abort` line instead of a
     /// `summary` (the mine was cut short; totals are partial).
     pub aborted: bool,
+    /// Query events (a `pgmine serve --trace` file holds these).
+    pub queries: usize,
 }
 
 /// A `pool` event's worker breakdown accounts for the job: the
@@ -1191,9 +1193,12 @@ fn check_pool(value: &Json) -> Result<(), String> {
 /// Validate a JSONL trace against the schema: every line parses as an
 /// object with an `"event"` field; `level` events are strictly
 /// increasing in level; every `pool` event's workers account for its
-/// chunks; exactly one `summary` line exists, comes last, and its
-/// totals match the level events. A trace may instead end in one
-/// `abort` line (and then carries no `summary`).
+/// chunks; every `query` event carries its `kind`, `ok` and
+/// `latency_ms`; exactly one `summary` line exists, comes last, and its
+/// totals match the level events. A mine's trace may instead end in one
+/// `abort` line (and then carries no `summary`). A serve trace holds
+/// only `query` and `warning` lines, at least one of them a query, and
+/// no summary.
 pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
     let mut report = TraceReport::default();
     let mut last_level: Option<usize> = None;
@@ -1201,6 +1206,8 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
     let mut level_candidates = 0u128;
     let mut summary: Option<(usize, Json)> = None;
     let mut aborted = false;
+    // Every line so far is a `query` or `warning` event.
+    let mut serve_only = true;
 
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -1220,6 +1227,7 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
         if aborted {
             return Err(format!("line {lineno}: events after the abort line"));
         }
+        serve_only &= matches!(event.as_str(), "query" | "warning");
         match event.as_str() {
             "level" => {
                 let level = value
@@ -1263,7 +1271,22 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
                     .ok_or(format!("line {lineno}: warning event without message"))?;
             }
             "pool" => check_pool(&value).map_err(|e| format!("line {lineno}: pool event {e}"))?,
-            "seed" | "subtree" | "em" | "spill" | "restore" | "query" | "diff" => {}
+            "query" => {
+                value
+                    .get("kind")
+                    .and_then(Json::as_str)
+                    .ok_or(format!("line {lineno}: query event without kind"))?;
+                value
+                    .get("ok")
+                    .and_then(Json::as_bool)
+                    .ok_or(format!("line {lineno}: query event without ok"))?;
+                value
+                    .get("latency_ms")
+                    .and_then(Json::as_f64)
+                    .ok_or(format!("line {lineno}: query event without latency_ms"))?;
+                report.queries += 1;
+            }
+            "seed" | "subtree" | "em" | "spill" | "restore" | "diff" => {}
             other => return Err(format!("line {lineno}: unknown event {other:?}")),
         }
     }
@@ -1274,6 +1297,9 @@ pub fn validate_trace(text: &str) -> Result<TraceReport, String> {
         report.frequent = level_frequent;
         report.total_candidates = level_candidates;
         report.aborted = true;
+        return Ok(report);
+    }
+    if summary.is_none() && serve_only && report.queries > 0 {
         return Ok(report);
     }
     let (lineno, summary) = summary.ok_or("trace has no summary line")?;
@@ -1659,6 +1685,67 @@ mod tests {
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         let err = validate_trace(&text).unwrap_err();
         assert!(err.contains("after the abort"), "{err}");
+    }
+
+    #[test]
+    fn serve_trace_validates_without_summary() {
+        let query = |kind: &str, ok: bool| QueryEvent {
+            kind: kind.into(),
+            ok,
+            results: 1,
+            latency: Duration::from_micros(120),
+            cache: Some(false),
+        };
+        let mut sink = JsonlObserver::new(Vec::new());
+        sink.on(Event::Query(&query("support", true)));
+        sink.on(Event::Warning(&WarningEvent {
+            kind: "serve".into(),
+            message: "client went away".into(),
+        }));
+        sink.on(Event::Query(&query("topk", false)));
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        let report = validate_trace(&text).unwrap();
+        assert_eq!((report.lines, report.queries), (3, 2));
+        assert_eq!(report.level_events, 0);
+        assert!(!report.aborted);
+
+        // Each query line carries its kind, ok and latency.
+        for (field, line) in [
+            (
+                "kind",
+                r#"{"event": "query", "ok": true, "latency_ms": 0.1}"#,
+            ),
+            (
+                "ok",
+                r#"{"event": "query", "kind": "topk", "latency_ms": 0.1}"#,
+            ),
+            (
+                "ok",
+                r#"{"event": "query", "kind": "topk", "ok": 1, "latency_ms": 0.1}"#,
+            ),
+            (
+                "latency_ms",
+                r#"{"event": "query", "kind": "topk", "ok": true}"#,
+            ),
+        ] {
+            let err = validate_trace(&format!("{line}\n")).unwrap_err();
+            assert!(
+                err.contains(&format!("query event without {field}")),
+                "{err}"
+            );
+        }
+
+        // A mine's trace without its summary is still an error, query
+        // lines or not; so is a trace of warnings alone, or no lines.
+        let mut sink = JsonlObserver::new(Vec::new());
+        sink.on(Event::Level(&level_event(3)));
+        sink.on(Event::Query(&query("support", true)));
+        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+        let err = validate_trace(&text).unwrap_err();
+        assert!(err.contains("no summary"), "{err}");
+        let warning = r#"{"event": "warning", "kind": "serve", "message": "x"}"#;
+        assert!(validate_trace(&format!("{warning}\n")).is_err());
+        assert!(validate_trace("").is_err());
     }
 
     #[test]

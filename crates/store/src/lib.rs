@@ -511,7 +511,7 @@ mod tests {
         let config = MppConfig {
             max_arena_bytes: Some(1 << 20),
             spill_watermark: 0.0,
-            spill_io: Some(Arc::clone(&io) as Arc<dyn perigap_core::spill::SpillIo>),
+            spill: Some(Arc::clone(&io) as Arc<dyn perigap_core::spill::SpillIo>),
             ..MppConfig::default()
         };
         let gap = GapRequirement::new(1, 1).unwrap();

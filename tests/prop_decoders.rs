@@ -384,7 +384,7 @@ fn mine_through(io: MutatingIo, threads: usize) -> Result<(), TestCaseError> {
     let config = MppConfig {
         max_arena_bytes: Some(1 << 20),
         spill_watermark: 0.0,
-        spill_io: Some(Arc::new(io)),
+        spill: Some(Arc::new(io)),
         threads,
         ..MppConfig::default()
     };
@@ -483,7 +483,7 @@ fn fixtures_decode_and_walk_to_the_trailer() {
     let config = MppConfig {
         max_arena_bytes: Some(1 << 20),
         spill_watermark: 0.0,
-        spill_io: Some(Arc::new(MutatingIo::default())),
+        spill: Some(Arc::new(MutatingIo::default())),
         ..MppConfig::default()
     };
     let out = mpp(&seq, GapRequirement::new(1, 1).unwrap(), 0.4, 20, config).unwrap();

@@ -299,7 +299,7 @@ proptest! {
         let spill_cfg = MppConfig {
             max_arena_bytes: Some(1 << 30),
             spill_watermark: 0.5,
-            spill_io: Some(Arc::new(MemSpillIo::default()) as Arc<dyn SpillIo>),
+            spill: Some(Arc::new(MemSpillIo::default()) as Arc<dyn SpillIo>),
             ..topk_cfg.clone()
         };
         let spilled = mpp(&seq, gap, rho, 8, MppConfig { threads: 2, ..spill_cfg }).unwrap();
@@ -407,7 +407,7 @@ proptest! {
         let spill_cfg = |cap: usize| MppConfig {
             max_arena_bytes: Some(cap),
             spill_watermark: watermark,
-            spill_io: Some(Arc::new(MemSpillIo::default()) as Arc<dyn SpillIo>),
+            spill: Some(Arc::new(MemSpillIo::default()) as Arc<dyn SpillIo>),
             ..MppConfig::default()
         };
 

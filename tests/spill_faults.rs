@@ -11,7 +11,7 @@
 use perigap::core::spill::{MemSpillIo, SpillIo};
 use perigap::prelude::*;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// The workload every test mines: `ATATAT…` under gap `[1,1]` splits
@@ -23,7 +23,7 @@ fn mine_with(io: Arc<dyn SpillIo>, threads: usize) -> Result<MineOutcome, MineEr
     let config = MppConfig {
         max_arena_bytes: Some(1 << 20),
         spill_watermark: 0.0,
-        spill_io: Some(io),
+        spill: Some(io),
         ..MppConfig::default()
     };
     mpp(&seq, gap, 0.4, 20, MppConfig { threads, ..config })
@@ -266,7 +266,7 @@ fn failed_cleanup_is_a_warning_not_an_error() {
     let config = MppConfig {
         max_arena_bytes: Some(1 << 20),
         spill_watermark: 0.0,
-        spill_io: Some(Arc::new(StickyRemoveIo::default())),
+        spill: Some(Arc::new(StickyRemoveIo::default())),
         ..MppConfig::default()
     };
     let mut metrics = MetricsObserver::new();
@@ -334,4 +334,78 @@ fn panic_during_restore_drains_the_pool_instead_of_hanging() {
         Ok(_) => panic!("a worker died mid-restore; the run cannot have drained cleanly"),
         Err(other) => panic!("expected WorkerFailed, got {other:?}"),
     }
+}
+
+/// Holds every restore until two restores have started (or a deadline
+/// passes): a mine writes all of its records before it restores any,
+/// so two mines sharing the backend both have their records in it at
+/// once.
+#[derive(Debug, Default)]
+struct RendezvousIo {
+    inner: MemSpillIo,
+    reads: Mutex<usize>,
+    arrived: Condvar,
+}
+
+impl SpillIo for RendezvousIo {
+    fn write(&self, record: u64, bytes: &[u8]) -> io::Result<()> {
+        self.inner.write(record, bytes)
+    }
+    fn read(&self, record: u64) -> io::Result<Vec<u8>> {
+        let mut reads = self.reads.lock().unwrap();
+        *reads += 1;
+        self.arrived.notify_all();
+        let deadline = Duration::from_secs(5);
+        drop(self.arrived.wait_timeout_while(reads, deadline, |n| *n < 2));
+        self.inner.read(record)
+    }
+    fn remove(&self, record: u64) -> io::Result<()> {
+        self.inner.remove(record)
+    }
+}
+
+/// Two shards of one corpus mine spill into one backend at the same
+/// time. Record ids count from 0 in every mine, so each shard must
+/// spill into its own record namespace: before it did, a shard restored
+/// the other shard's record (a wrong answer reported as success) or
+/// found its own already removed (a spill error).
+#[test]
+fn corpus_shards_spill_into_separate_record_namespaces() {
+    use perigap::core::corpus::{mine_corpus, Corpus, CorpusMineConfig};
+
+    let dir = std::env::temp_dir().join(format!("perigap-spill-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corpus.pgco");
+    let sequences: Vec<(String, Sequence)> = [("AT", 50), ("CG", 60), ("AG", 55), ("TC", 45)]
+        .into_iter()
+        .map(|(unit, n)| (unit.to_string(), Sequence::dna(&unit.repeat(n)).unwrap()))
+        .collect();
+    Corpus::write(&path, &sequences).unwrap();
+    let corpus = Arc::new(Corpus::open(&path).unwrap());
+    let gap = GapRequirement::new(1, 1).unwrap();
+    let mine = |spill: Option<Arc<dyn SpillIo>>| {
+        let config = CorpusMineConfig {
+            n: 20,
+            mpp: MppConfig {
+                max_arena_bytes: Some(1 << 20),
+                spill_watermark: 0.0,
+                spill,
+                threads: 2,
+                ..MppConfig::default()
+            },
+            ..CorpusMineConfig::default()
+        };
+        mine_corpus(&corpus, gap, 0.4, &config)
+    };
+    let unspilled = mine(None).unwrap();
+    let io = Arc::new(RendezvousIo::default());
+    let spilled = mine(Some(Arc::clone(&io) as Arc<dyn SpillIo>));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(spilled.unwrap().outcome, unspilled.outcome);
+    assert!(!unspilled.outcome.patterns.is_empty());
+    assert_eq!(
+        *io.reads.lock().unwrap(),
+        8,
+        "every shard spills and restores two records"
+    );
 }
