@@ -283,7 +283,7 @@ pub fn end_to_end(quick: bool) -> String {
         ..MppConfig::default()
     };
     let (old_outcome, e2e_ref) = best_of(reps.min(2), || {
-        mpp_reference(&e2e_seq, gap, RHO, N, config.clone(), threads).unwrap()
+        mpp_reference(&e2e_seq, gap, RHO, N, config.clone()).unwrap()
     });
     let (new_outcome, e2e_new) = best_of(reps.min(2), || {
         mpp(&e2e_seq, gap, RHO, N, config.clone()).unwrap()
@@ -564,7 +564,7 @@ fn single_thread(len: usize, gap: GapRequirement, reps: usize) -> String {
     let config = MppConfig::default();
     println!("bench: single-thread parity, L = {len}");
     let (ref_outcome, ref_wall) = best_of(reps, || {
-        mpp_reference(&seq, gap, RHO, N, config.clone(), 1).unwrap()
+        mpp_reference(&seq, gap, RHO, N, config.clone()).unwrap()
     });
     let (new_outcome, new_wall) = best_of(reps, || mpp(&seq, gap, RHO, N, config.clone()).unwrap());
     assert_eq!(

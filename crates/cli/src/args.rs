@@ -101,12 +101,20 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|e| ArgError(format!("--{key} {raw:?}: {e}"))),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
+    }
+
+    /// Parse an option as `T`, `None` when absent.
+    pub fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get(key)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|e| ArgError(format!("--{key} {raw:?}: {e}")))
+            })
+            .transpose()
     }
 }
 

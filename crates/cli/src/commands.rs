@@ -12,7 +12,7 @@ use perigap_core::trace::{validate_trace, JsonlObserver, MetricsObserver, NoopOb
 use perigap_core::verify::verify_outcome;
 use perigap_core::{
     mine, mine_incremental, Algorithm, BaselineDiff, GapRequirement, IncrementalMode, MineError,
-    MineOutcome, Pattern, PruneMode, TargetSpec,
+    MineOutcome, Pattern, PruneMode,
 };
 use perigap_seq::fasta::read_fasta;
 use perigap_seq::oscillation::correlation_spectrum;
@@ -43,7 +43,7 @@ USAGE:
                [--spill-dir <dir>  spill cold subtrees to disk instead of
                 aborting at the ceiling]
                [--spill-watermark <frac>  spill once live arenas reach
-                frac * ceiling (default 0.5)]
+                frac * ceiling, 0.0 to 1.0 (default 0.5)]
                [--closed  keep only closed patterns: drop any pattern a
                 one-longer frequent extension matches at equal support]
                [--incremental  mpp/mppm: consult and refresh a result
@@ -65,7 +65,7 @@ USAGE:
                one packed corpus file (2-bit DNA / 5-bit protein)
   pgmine mine  --corpus <corpus.pgco> --gap <N:M> --rho <frac|pct%>
                mine the whole corpus, one shard per sequence
-               [--n <len>] [--min-sequences <k>  frequent in ≥ k shards]
+               [--n <len>] [--min-sequences <k>  frequent in ≥ k ≥ 1 shards]
                [--max-level <l>]
                [--threads <k>  shards fan out on a work-stealing pool]
                [--max-arena-bytes <bytes>] [--spill-dir <dir>]
@@ -261,13 +261,20 @@ fn load_from_reader<R: BufRead>(
     }
 }
 
-/// A count option that must be at least 1; `why` says what 0 would do.
-fn positive(args: &Args, key: &str, why: &str) -> Result<Option<usize>, ArgError> {
-    match args.get(key).map(|raw| (raw, raw.parse::<usize>())) {
-        None => Ok(None),
-        Some((_, Ok(0))) => Err(ArgError(format!("--{key} must be at least 1: {why}"))),
-        Some((_, Ok(v))) => Ok(Some(v)),
-        Some((raw, Err(_))) => Err(ArgError(format!("bad --{key} {raw:?}"))),
+/// A mine error as `pgmine` reports it: a setting the mine refused
+/// ([`MppConfig::check`] and the corpus and incremental rules) under
+/// the flag that sets it.
+fn mine_error(e: MineError) -> ArgError {
+    match e {
+        MineError::InvalidConfig { setting, reason } => {
+            let flag = match setting {
+                "spill" => "spill-dir".to_string(),
+                "prefix" => "target".to_string(),
+                field => field.replace('_', "-"),
+            };
+            ArgError(format!("--{flag} {reason}"))
+        }
+        e => ArgError(e.to_string()),
     }
 }
 
@@ -276,7 +283,8 @@ fn positive(args: &Args, key: &str, why: &str) -> Result<Option<usize>, ArgError
 /// place: how `n` is chosen (`--m` for MPPm, default 4; otherwise MPP's
 /// `--n`, default `default_n`) and the engine configuration. The mode
 /// check has already refused every option the mode does not read, so
-/// each option absent here keeps its [`MppConfig::default`] value.
+/// each option absent here keeps its [`MppConfig::default`] value; the
+/// mine itself refuses values it cannot honour.
 fn mine_request(
     args: &Args,
     alphabet: &Alphabet,
@@ -291,79 +299,43 @@ fn mine_request(
             n: args.parse_or("n", default_n)?,
         },
     };
-    let seed_level = MppConfig::default().start_level;
-    let max_level = match args.get("max-level").map(|raw| (raw, raw.parse::<usize>())) {
-        None => None,
-        Some((_, Ok(level))) if level < seed_level => {
-            return Err(ArgError(format!(
-                "--max-level must be at least {seed_level}, the seed level: mining starts \
-                 there, so a lower cap would mine nothing"
-            )))
-        }
-        Some((_, Ok(level))) => Some(level),
-        Some((raw, Err(_))) => return Err(ArgError(format!("bad --max-level {raw:?}"))),
-    };
-    let max_arena_bytes = positive(
-        args,
-        "max-arena-bytes",
-        "a zero ceiling would abort before the seed level allocates anything",
-    )?;
-    let spill_dir = args.get("spill-dir").map(std::path::PathBuf::from);
-    let spill_watermark: f64 = match args.get("spill-watermark") {
-        Some(raw) => {
-            let v: f64 = raw
-                .parse()
-                .map_err(|_| ArgError(format!("bad --spill-watermark {raw:?}")))?;
-            if !(v > 0.0 && v <= 1.0) {
-                return Err(ArgError(format!(
-                    "--spill-watermark must be in (0.0, 1.0] (got {raw}); a zero or \
-                     negative watermark would spill every handoff unconditionally"
-                )));
-            }
-            if spill_dir.is_none() {
-                return Err(ArgError(
-                    "--spill-watermark needs --spill-dir to have any effect".into(),
-                ));
-            }
-            v
-        }
-        None => MppConfig::default().spill_watermark,
-    };
-    if spill_dir.is_some() && max_arena_bytes.is_none() {
+    let spill_dir = args.get("spill-dir");
+    if args.get("spill-watermark").is_some() && spill_dir.is_none() {
         return Err(ArgError(
-            "--spill-dir needs --max-arena-bytes: without a ceiling there \
-             is nothing to spill under"
-                .into(),
+            "--spill-watermark needs --spill-dir to have any effect".into(),
         ));
     }
-    let top_k = positive(args, "top-k", "a zero budget keeps no patterns")?;
-    let target = match args.get("target") {
-        Some(text) => {
-            let prefix = Pattern::parse(text, alphabet)
-                .map_err(|e| ArgError(format!("bad --target {text:?}: {e}")))?;
-            if prefix.codes().is_empty() {
-                return Err(ArgError(
-                    "--target needs at least one symbol; an empty prefix admits everything".into(),
-                ));
-            }
-            Some(TargetSpec::Prefix(prefix.codes().to_vec()))
-        }
+    let prefix = match args.get("target") {
+        Some(text) => Some(
+            Pattern::parse(text, alphabet)
+                .map_err(|e| ArgError(format!("bad --target {text:?}: {e}")))?
+                .codes()
+                .to_vec(),
+        ),
         None => None,
     };
-    let threads = positive(args, "threads", "no thread would mine")?.unwrap_or(1);
+    let defaults = MppConfig::default();
     let config = MppConfig {
-        max_level,
-        max_arena_bytes,
+        max_level: args.parse_opt("max-level")?,
+        max_arena_bytes: args.parse_opt("max-arena-bytes")?,
         spill: spill_dir.map(|dir| Arc::new(FsSpillIo::new(dir)) as Arc<dyn SpillIo>),
-        spill_watermark,
-        prune: PruneMode { top_k, target },
-        threads,
-        ..MppConfig::default()
+        spill_watermark: args.parse_or("spill-watermark", defaults.spill_watermark)?,
+        prune: PruneMode {
+            top_k: args.parse_opt("top-k")?,
+            prefix,
+        },
+        threads: args.parse_or("threads", defaults.threads)?,
     };
     Ok((request, config))
 }
 
 fn mine_command(args: &Args) -> Result<String, ArgError> {
+    let want_metrics = args.flag("metrics");
+    if want_metrics && args.get("format") == Some("tsv") {
+        return Err(ArgError(
+            "--metrics would corrupt --format tsv output; drop one of them".into(),
+        ));
+    }
     if args.get("corpus").is_some() {
         return mine_corpus_command(args);
     }
@@ -392,9 +364,8 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         config.max_level.get_or_insert(10);
     }
     let top_k = config.prune.top_k;
-    let pruned = !config.prune.is_default();
     let closed = args.flag("closed");
-    if closed && pruned {
+    if closed && !config.prune.is_default() {
         return Err(ArgError(
             "--closed needs the full frequent set to probe extensions; it does \
              not compose with --top-k or --target"
@@ -404,33 +375,19 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
     let incremental = args.flag("incremental");
     let cache_path = args.get("cache-path");
     let baseline_path = args.get("baseline");
-    if incremental {
-        if cache_path.is_none() {
-            return Err(ArgError(
-                "--incremental needs --cache-path: the result cache is where \
-                 the previous run's answer lives"
-                    .into(),
-            ));
-        }
-        if pruned {
-            return Err(ArgError(
-                "--incremental needs the full frequent set as its baseline; it \
-                 does not compose with --top-k or --target"
-                    .into(),
-            ));
-        }
-    } else if cache_path.is_some() || baseline_path.is_some() {
+    if incremental && cache_path.is_none() {
+        return Err(ArgError(
+            "--incremental needs --cache-path: the result cache is where \
+             the previous run's answer lives"
+                .into(),
+        ));
+    }
+    if !incremental && (cache_path.is_some() || baseline_path.is_some()) {
         return Err(ArgError(
             "--cache-path/--baseline apply to --incremental mining only".into(),
         ));
     }
 
-    let want_metrics = args.flag("metrics");
-    if want_metrics && args.get("format") == Some("tsv") {
-        return Err(ArgError(
-            "--metrics would corrupt --format tsv output; drop one of them".into(),
-        ));
-    }
     let jsonl = match args.get("trace") {
         Some(path) => {
             let file = std::fs::File::create(path)
@@ -472,7 +429,7 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         sink.finish()
             .map_err(|e| ArgError(format!("trace write failed: {e}")))?;
     }
-    let outcome = mined.map_err(|e| ArgError(e.to_string()))?;
+    let outcome = mined.map_err(mine_error)?;
     // The closed filter is an output mode: everything downstream
     // (save, tsv, table, verify) sees only the closed subset.
     let (outcome, closed_dropped) = if closed {
@@ -729,22 +686,12 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
     let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
     let min_sequences: usize = args.parse_or("min-sequences", 1)?;
     let checkpoint_dir = args.get("checkpoint-dir").map(std::path::PathBuf::from);
-    let stop_after_shards = positive(
-        args,
-        "stop-after-shards",
-        "the pause is checked after a shard's checkpoint is written, so 0 would still mine one",
-    )?;
+    let stop_after_shards = args.parse_opt("stop-after-shards")?;
     if stop_after_shards.is_some() && checkpoint_dir.is_none() {
         return Err(ArgError(
             "--stop-after-shards needs --checkpoint-dir: a pause without \
              checkpoints would just lose work"
                 .into(),
-        ));
-    }
-    let want_metrics = args.flag("metrics");
-    if want_metrics && args.get("format") == Some("tsv") {
-        return Err(ArgError(
-            "--metrics would corrupt --format tsv output; drop one of them".into(),
         ));
     }
 
@@ -760,8 +707,8 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
             .map(|j| corpus.sequence(j))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| ArgError(e.to_string()))?;
-        let outcome = mine_collection(&seqs, gap, rho, min_sequences, n, mpp_config)
-            .map_err(|e| ArgError(e.to_string()))?;
+        let outcome =
+            mine_collection(&seqs, gap, rho, min_sequences, n, mpp_config).map_err(mine_error)?;
         (outcome, None)
     } else {
         let corpus = Arc::new(corpus);
@@ -784,7 +731,7 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
                      rerun with the same --checkpoint-dir to finish\n"
                 ))
             }
-            Err(e) => return Err(ArgError(e.to_string())),
+            Err(e) => return Err(mine_error(e)),
         }
     };
 
@@ -796,7 +743,7 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
         args.flag("closed"),
         args.parse_or("top", 25)?,
         args.get("format") == Some("tsv"),
-        want_metrics.then_some(stats).flatten(),
+        args.flag("metrics").then_some(stats).flatten(),
     )
 }
 
@@ -987,8 +934,8 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
             let algorithm = args.get("algorithm").unwrap_or("mppm");
             let (request, config) =
                 mine_request(args, seq.alphabet(), algorithm, gap.l1(seq.len()))?;
-            let outcome = mine(&seq, gap, rho, request, &config, &mut NoopObserver)
-                .map_err(|e| ArgError(e.to_string()))?;
+            let outcome =
+                mine(&seq, gap, rho, request, &config, &mut NoopObserver).map_err(mine_error)?;
             let backend = format!("memory:{} patterns", outcome.frequent.len());
             let loaded = LoadedOutcome { outcome, gap, rho };
             let index = PatternIndex::build(&loaded, seq.alphabet().clone(), Some(&seq));
@@ -1302,14 +1249,17 @@ mod tests {
             cache.as_str(),
         ])
         .contains("--incremental does not apply to mine --algorithm enumerate"));
-        assert!(err(&[
+        let pruned = err(&[
             "--incremental",
             "--cache-path",
             cache.as_str(),
             "--top-k",
             "5",
-        ])
-        .contains("does not compose with --top-k or --target"));
+        ]);
+        assert!(
+            pruned.contains("--top-k") && pruned.contains("incremental mine"),
+            "{pruned}"
+        );
         let profile = [
             "mine",
             "--input",
@@ -1640,7 +1590,10 @@ mod tests {
 
         // Gating: each spill flag demands the context it needs.
         let err = run_words(&base(&["--spill-dir", "/tmp/x"])).unwrap_err();
-        assert!(err.to_string().contains("--max-arena-bytes"), "{err}");
+        assert!(
+            err.to_string().contains("--spill-dir") && err.to_string().contains("arena ceiling"),
+            "{err}"
+        );
         let err = run_words(&base(&["--spill-watermark", "0.5"])).unwrap_err();
         assert!(err.to_string().contains("--spill-dir"), "{err}");
         let err = run_words(&base(&[
@@ -1652,13 +1605,14 @@ mod tests {
             "1.5",
         ]))
         .unwrap_err();
-        assert!(err.to_string().contains("(0.0, 1.0]"), "{err}");
+        assert!(err.to_string().contains("[0.0, 1.0]"), "{err}");
     }
 
     /// Each resource flag rejects its degenerate value with a message
     /// naming the flag, instead of silently misbehaving (`--threads 0`
-    /// deadlocked-by-construction, `--spill-watermark 0` spilled every
-    /// handoff, `--max-arena-bytes 0` aborted before mining anything).
+    /// deadlocked-by-construction, `--max-arena-bytes 0` aborted before
+    /// mining anything). A watermark of 0 spills at every handoff and
+    /// stays legal.
     #[test]
     fn degenerate_resource_flags_are_rejected() {
         let body = "ACGTT".repeat(40);
@@ -1697,7 +1651,7 @@ mod tests {
         let capped = run_words(&base(&["--max-level", "3"])).unwrap();
         assert!(!capped.contains("\n0 frequent patterns"), "{capped}");
 
-        for bad in ["0", "0.0", "-0.5"] {
+        for bad in ["-0.5", "1.5", "NaN"] {
             let err = run_words(&base(&[
                 "--max-arena-bytes",
                 "1048576",
@@ -1708,23 +1662,25 @@ mod tests {
             .unwrap_err();
             assert!(
                 err.to_string().contains("--spill-watermark")
-                    && err.to_string().contains("(0.0, 1.0]"),
+                    && err.to_string().contains("[0.0, 1.0]"),
                 "watermark {bad}: {err}"
             );
         }
-        // The boundary that stays legal: spill exactly at the ceiling.
-        let valid = run_words(&base(&[
-            "--max-arena-bytes",
-            "1048576",
-            "--spill-dir",
-            std::env::temp_dir()
-                .join(format!("pgmine-wm1-{}", std::process::id()))
-                .to_str()
-                .unwrap(),
-            "--spill-watermark",
-            "1.0",
-        ]));
-        assert!(valid.is_ok(), "{valid:?}");
+        // The boundaries that stay legal: spill at every handoff, or
+        // exactly at the ceiling.
+        for (i, edge) in ["0", "0.0", "1.0"].into_iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!("pgmine-wm{i}-{}", std::process::id()));
+            let valid = run_words(&base(&[
+                "--max-arena-bytes",
+                "1048576",
+                "--spill-dir",
+                dir.to_str().unwrap(),
+                "--spill-watermark",
+                edge,
+            ]));
+            assert!(valid.is_ok(), "watermark {edge}: {valid:?}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

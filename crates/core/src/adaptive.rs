@@ -15,7 +15,7 @@
 
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::mpp::{mpp, MppConfig};
+use crate::mpp::{clamp_n, mpp, MppConfig};
 use crate::result::MineOutcome;
 use perigap_seq::Sequence;
 use std::time::Instant;
@@ -44,15 +44,12 @@ pub fn adaptive_mpp(
 ) -> Result<AdaptiveOutcome, MineError> {
     let started = Instant::now();
     let l1 = gap.l1(seq.len());
-    let mut n = initial_n
-        .max(config.start_level)
-        .min(l1.max(config.start_level));
+    let mut n = clamp_n(initial_n, l1);
     let mut trajectory = vec![n];
     let mut outcome = mpp(seq, gap, rho, n, config.clone())?;
     loop {
-        let longest = outcome.longest_len().max(config.start_level);
         // Refine: the next n must cover everything seen so far.
-        let next_n = longest.min(l1.max(config.start_level));
+        let next_n = clamp_n(outcome.longest_len(), l1);
         if next_n <= n {
             break;
         }

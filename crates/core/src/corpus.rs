@@ -45,8 +45,8 @@ use crate::incremental::{
     load_result_cache, outcome_to_cached, request_key, write_result_cache, CachedPattern,
     ResultCache,
 };
-use crate::mpp::{Algorithm, MppConfig};
-use crate::multiseq::{CollectionOutcome, CollectionPattern};
+use crate::mpp::{check_rho, Algorithm, MppConfig, SEED_LEVEL};
+use crate::multiseq::{check_min_sequences, CollectionOutcome, CollectionPattern};
 use crate::naive::support_dp;
 use crate::packed::KeyCodec;
 use crate::parallel::{PoolHooks, PoolJob, WorkerPool};
@@ -331,7 +331,7 @@ pub struct CheckpointConfig {
     /// Restored shards do not count. With one thread the pause point is
     /// exact; under a parallel fan-out, in-flight shards may still
     /// complete (and if every shard was claimed before the flag rose,
-    /// the run simply finishes).
+    /// the run simply finishes). At least 1.
     pub stop_after_shards: Option<usize>,
 }
 
@@ -360,7 +360,7 @@ pub struct CorpusMineConfig {
     /// that shard's `l1` exactly as `mine_collection` clamps it.
     pub n: usize,
     /// A pattern is corpus-frequent when frequent in at least this
-    /// many shards.
+    /// many shards; at least 1.
     pub min_sequences: usize,
     /// Per-shard engine configuration (levels, arena ceiling, spill).
     /// [`MppConfig::threads`] is the width of the shard fan-out
@@ -430,9 +430,9 @@ struct ShardJob {
 
 impl ShardJob {
     fn mine(&self, shard: usize, seq: &Sequence) -> Result<MineOutcome, MineError> {
-        // Too short to hold a start-level pattern: never votes, same
+        // Too short to hold a seed-level pattern: never votes, same
         // as mine_collection's skip.
-        if seq.len() < self.gap.min_span(self.mpp.start_level) {
+        if seq.len() < self.gap.min_span(SEED_LEVEL) {
             return Ok(MineOutcome::default());
         }
         let mut config = self.mpp.clone();
@@ -549,20 +549,30 @@ impl PoolJob for ShardJob {
 /// per-shard supports — bit-identical to
 /// [`mine_collection`](crate::multiseq::mine_collection) over the
 /// decoded sequences, for every thread count and checkpoint state.
+/// `min_sequences` 0, `stop_after_shards` 0 and the settings
+/// [`MppConfig::check`] refuses fail with [`MineError::InvalidConfig`].
 pub fn mine_corpus(
     corpus: &Arc<Corpus>,
     gap: GapRequirement,
     rho: f64,
     config: &CorpusMineConfig,
 ) -> Result<CorpusOutcome, MineError> {
-    if !(rho > 0.0 && rho <= 1.0) {
-        return Err(MineError::InvalidThreshold(rho));
-    }
-    if config.mpp.start_level == 0 {
-        return Err(MineError::InvalidM(0));
+    check_rho(rho)?;
+    config.mpp.check()?;
+    check_min_sequences(config.min_sequences)?;
+    let stop_after = config
+        .checkpoint
+        .as_ref()
+        .and_then(|ck| ck.stop_after_shards);
+    if stop_after == Some(0) {
+        return Err(MineError::InvalidConfig {
+            setting: "stop_after_shards",
+            reason: "must be at least 1: the pause is checked after a shard's checkpoint \
+                     is written, so 0 would still mine one"
+                .into(),
+        });
     }
     let threads = config.mpp.threads;
-    assert!(threads >= 1, "need at least one thread");
     let n_shards = corpus.len();
     let mut stats = CorpusStats {
         shards: n_shards,
@@ -570,7 +580,7 @@ pub fn mine_corpus(
         corpus_hash: corpus.hash(),
         ..CorpusStats::default()
     };
-    if n_shards == 0 || config.min_sequences == 0 || config.min_sequences > n_shards {
+    if n_shards == 0 || config.min_sequences > n_shards {
         return Ok(CorpusOutcome {
             outcome: CollectionOutcome::default(),
             stats,
@@ -599,10 +609,7 @@ pub fn mine_corpus(
             ..config.mpp.clone()
         },
         checkpoint_dir: config.checkpoint.as_ref().map(|ck| ck.dir.clone()),
-        stop_after: config
-            .checkpoint
-            .as_ref()
-            .and_then(|ck| ck.stop_after_shards),
+        stop_after,
         done: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
     });
@@ -1245,19 +1252,20 @@ mod tests {
             mine_corpus(&corpus, g, 0.0, &CorpusMineConfig::default()),
             Err(MineError::InvalidThreshold(_))
         ));
-        for min_sequences in [0, 3] {
-            let out = mine_corpus(
-                &corpus,
-                g,
-                0.01,
-                &CorpusMineConfig {
-                    min_sequences,
-                    ..CorpusMineConfig::default()
-                },
-            )
-            .unwrap();
-            assert!(out.outcome.patterns.is_empty());
-        }
+        let with_min = |min_sequences| CorpusMineConfig {
+            min_sequences,
+            ..CorpusMineConfig::default()
+        };
+        // Zero is refused by both; above the corpus size mines nothing.
+        assert!(matches!(
+            mine_corpus(&corpus, g, 0.01, &with_min(0)),
+            Err(MineError::InvalidConfig {
+                setting: "min_sequences",
+                ..
+            })
+        ));
+        let out = mine_corpus(&corpus, g, 0.01, &with_min(3)).unwrap();
+        assert!(out.outcome.patterns.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -73,7 +73,7 @@ use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::lambda::{BoundRow, BoundTable};
-use crate::mpp::{check_ceiling, clamp_n, MppConfig};
+use crate::mpp::{check_ceiling, clamp_n, MppConfig, SEED_LEVEL};
 use crate::parallel::{
     PoolHooks, PoolJob, WorkerPool, CHUNKS_PER_THREAD, MIN_CHUNK, PARALLEL_THRESHOLD,
 };
@@ -90,7 +90,7 @@ use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -194,6 +194,15 @@ impl MemGauge<'_> {
     }
 }
 
+/// A task that fails mid-chain returns without shrinking: its gauge
+/// releases what it still holds here, so the engine-wide total never
+/// keeps a dead task's charges.
+impl Drop for MemGauge<'_> {
+    fn drop(&mut self) {
+        self.live.fetch_sub(self.held, Ordering::Relaxed);
+    }
+}
+
 /// Reusable working buffers for [`eager_generate`], bundled so callers
 /// amortise their allocations across generation steps: `out` takes
 /// each candidate's join, `codes` its pattern.
@@ -229,9 +238,9 @@ impl JoinIndex {
 /// The admission rule every evaluated pattern passes, at the seed level
 /// and for each joined candidate. A pattern that the exact bound of
 /// `row` admits is frequent if the pruner takes it as a result, and one
-/// that the λ̂ bound admits is kept if the pruner keeps it on the join
-/// frontier. A support that neither bound admits, or that the search
-/// floor cuts, settles both as false before `codes` builds the pattern.
+/// that the λ̂ bound admits is kept on the join frontier. A support
+/// that neither bound admits, or that the search floor cuts, settles
+/// both as false before `codes` builds the pattern.
 /// A frequent pattern is pushed to `frequent`. Returns
 /// `(frequent, kept)`.
 #[inline]
@@ -256,7 +265,7 @@ fn admit<'c>(
             ratio: sup as f64 / row.n_f64,
         });
     }
-    (is_frequent, lhat && pruner.admits_frontier(codes))
+    (is_frequent, lhat)
 }
 
 /// Generate the level `set.level() + 1` candidates whose left parent is
@@ -285,9 +294,9 @@ fn eager_generate(
     for k in parents {
         let i = members[k];
         let p1 = set.pattern_codes(i);
-        // Pruned modes: a left parent outside the target cone or under
-        // the top-k floor cannot contribute an admissible candidate.
-        if !pruner.admits_parent(p1, || set.support(i)) {
+        // Top-k: a left parent under the rigid-gap floor cannot
+        // contribute an admissible candidate.
+        if !pruner.admits_parent(|| set.support(i)) {
             continue;
         }
         let Some((s, e)) = index.partners_of(k) else {
@@ -513,10 +522,10 @@ fn descend(
     members: &[usize],
     level: usize,
 ) -> Result<(), MineError> {
-    // Pruned modes: a component with no member inside the target cone
-    // and above the floor cannot contribute — its whole subtree dies
-    // here (this is also where a restored spill component is dropped
-    // when the floor climbed past it while it sat on disk).
+    // Top-k: a component with no member above the rigid-gap floor
+    // cannot contribute — its whole subtree dies here (this is also
+    // where a restored spill component is dropped when the floor
+    // climbed past it while it sat on disk).
     if members.is_empty() || !ctx.extends(level) || !ctx.env.pruner.component_viable(set, members) {
         return Ok(());
     }
@@ -605,6 +614,9 @@ struct DfsJob {
     /// the once-only claim guard for each record.
     spill: Option<SpillState>,
     cursor: AtomicUsize,
+    /// Set by the first task that fails; a hint that guards no data,
+    /// so relaxed ordering suffices.
+    failed: AtomicBool,
 }
 
 impl PoolJob for DfsJob {
@@ -627,13 +639,22 @@ impl PoolJob for DfsJob {
     }
 
     fn process(&self, item: usize) -> Self::Out {
-        match &self.tasks[item] {
+        // Once a task failed the run is over: a task that starts later
+        // returns at once instead of mining a result nobody reads.
+        if self.failed.load(Ordering::Relaxed) {
+            return Ok(TaskOut::default());
+        }
+        let out = match &self.tasks[item] {
             DfsTask::Chunk(parents) => self.process_chunk(parents.clone()),
             DfsTask::Subtree(members) => {
                 self.run_subtree(item, &self.base, members, None, Instant::now())
             }
             DfsTask::SpilledSubtree { record, best } => self.process_spilled(item, *record, *best),
+        };
+        if out.is_err() {
+            self.failed.store(true, Ordering::Relaxed);
         }
+        out
     }
 
     fn out_weight(out: &Self::Out) -> usize {
@@ -665,6 +686,7 @@ impl DfsJob {
             tasks,
             spill,
             cursor: AtomicUsize::new(0),
+            failed: AtomicBool::new(false),
         })
     }
 
@@ -710,12 +732,11 @@ impl DfsJob {
         let counts = OffsetCounts::new(self.env.seq_len, self.env.gap);
         let level = self.base.level();
         let mut ctx = self.env.task_ctx(&counts);
+        // The gauge releases the restored bytes when `ctx` drops.
         if let Some(bytes) = restored {
             ctx.gauge.grow(bytes)?;
         }
-        let res = descend(&mut ctx, set, members, level);
-        ctx.gauge.shrink(restored.unwrap_or(0));
-        res?;
+        descend(&mut ctx, set, members, level)?;
         let event = SubtreeEvent {
             index: item,
             level,
@@ -827,11 +848,10 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     observer: &mut O,
 ) -> Result<(MineOutcome, usize), MineError> {
     let threads = config.threads;
-    assert!(threads >= 1, "need at least one thread");
     let gap = counts.gap();
     let sigma = seq.alphabet().size() as u128;
-    let start = config.start_level;
-    let n = clamp_n(n, start, counts.l1());
+    let start = SEED_LEVEL;
+    let n = clamp_n(n, counts.l1());
     let env = Arc::new(RunEnv {
         gap,
         seq_len: seq.len(),
@@ -853,12 +873,8 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     let mut restore_events: Vec<RestoreEvent> = Vec::new();
     let mut spill_event: Option<SpillEvent> = None;
 
-    // Spilling needs both a ceiling (otherwise there is nothing to
-    // stay under) and a backend.
-    let spill_io = config
-        .spill
-        .clone()
-        .filter(|_| config.max_arena_bytes.is_some());
+    // `MppConfig::check` refuses a spill backend without a ceiling.
+    let spill_io = config.spill.clone();
     let watermark_bytes = config
         .max_arena_bytes
         .map(|cap| (cap as f64 * config.spill_watermark) as usize);
@@ -994,7 +1010,18 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                             return Err(e);
                         }
                     },
-                    None => (0..job.n_items()).map(|i| job.process(i)).collect(),
+                    // One thread: run the tasks in order, up to the first
+                    // that fails.
+                    None => {
+                        let mut outs = Vec::with_capacity(job.n_items());
+                        for i in 0..job.n_items() {
+                            outs.push(job.process(i));
+                            if outs[i].is_err() {
+                                break;
+                            }
+                        }
+                        outs
+                    }
                 };
                 // Consume every task result before surfacing a failure:
                 // an early return here would skip the spill sweep and
@@ -1184,7 +1211,7 @@ mod tests {
         let seq = uniform(&mut StdRng::seed_from_u64(95), Alphabet::Dna, 400);
         let g = gap(1, 3);
         let rho = 0.0008;
-        let bfs = mpp_reference(&seq, g, rho, 12, MppConfig::default(), 1).unwrap();
+        let bfs = mpp_reference(&seq, g, rho, 12, MppConfig::default()).unwrap();
         for threads in [1usize, 4] {
             let dfs = run_mpp(
                 &seq,
@@ -1231,7 +1258,7 @@ mod tests {
         // mines as its own depth-first subtree.
         let seq = Sequence::dna(&"AT".repeat(50)).unwrap();
         let g = gap(1, 1);
-        let bfs = mpp_reference(&seq, g, 0.4, 20, MppConfig::default(), 1).unwrap();
+        let bfs = mpp_reference(&seq, g, 0.4, 20, MppConfig::default()).unwrap();
         for threads in [1usize, 2] {
             let mut metrics = MetricsObserver::new();
             let dfs = run_mpp(
@@ -1274,7 +1301,7 @@ mod tests {
     fn lopsided_split_stays_on_the_pool() {
         let seq = lopsided_split_fixture();
         let (g, rho) = (gap(0, 5), 1e-4);
-        let reference = mpp_reference(&seq, g, rho, 8, MppConfig::default(), 1).unwrap();
+        let reference = mpp_reference(&seq, g, rho, 8, MppConfig::default()).unwrap();
         let mut serial = MetricsObserver::new();
         let one = run_mpp(&seq, g, rho, 8, MppConfig::default(), 1, &mut serial).unwrap();
         assert_counters_match(&one, &reference, "1 thread");
@@ -1455,7 +1482,7 @@ mod tests {
                 main_no_steal: true,
             };
             let result = prepare(&seq, g, 0.4, &config).and_then(|(counts, rho_exact)| {
-                let pils = build_seed(&seq, g, config.start_level);
+                let pils = build_seed(&seq, g, SEED_LEVEL);
                 run_hybrid(
                     &seq,
                     &counts,
@@ -1502,6 +1529,11 @@ mod tests {
             101,
             "peak records the overshoot"
         );
+        // A gauge dropped mid-chain (a failed task) releases what it
+        // still holds; the peak stays.
+        drop(gauge);
+        assert_eq!(live.load(Ordering::Relaxed), 0);
+        assert_eq!(peak.load(Ordering::Relaxed), 101);
     }
 
     #[test]

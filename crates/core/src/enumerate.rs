@@ -14,7 +14,7 @@
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::lambda::PruneBound;
-use crate::mpp::{prepare, MppConfig};
+use crate::mpp::{prepare, MppConfig, SEED_LEVEL};
 use crate::pil::Pil;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use std::collections::HashMap;
@@ -37,7 +37,7 @@ pub fn enumerate(
     let started = Instant::now();
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
     let sigma = seq.alphabet().size() as u128;
-    let start = config.start_level;
+    let start = SEED_LEVEL;
     let hard_cap = config.max_level.unwrap_or(usize::MAX).min(counts.l2());
 
     let mut stats = MineStats {

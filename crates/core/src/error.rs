@@ -26,6 +26,15 @@ pub enum MineError {
     },
     /// The `m` parameter of MPPm must be at least 1.
     InvalidM(usize),
+    /// A mine's settings cannot be honoured (see
+    /// [`crate::mpp::MppConfig::check`]): `setting` names the field,
+    /// `reason` what it must be.
+    InvalidConfig {
+        /// The refused setting, by its field name (`max_level`, `top_k`, …).
+        setting: &'static str,
+        /// What the setting must be, and why.
+        reason: String,
+    },
     /// The enumeration baseline would exceed its candidate budget.
     EnumerationBudget {
         /// Candidates the next level would require.
@@ -119,6 +128,7 @@ impl fmt::Display for MineError {
                 "sequence of length {len} cannot contain any pattern (needs ≥ {needed})"
             ),
             MineError::InvalidM(m) => write!(f, "MPPm parameter m must be ≥ 1, got {m}"),
+            MineError::InvalidConfig { setting, reason } => write!(f, "{setting} {reason}"),
             MineError::EnumerationBudget { required, budget } => write!(
                 f,
                 "enumeration would generate {required} candidates, over the budget of {budget}"
@@ -175,6 +185,11 @@ mod tests {
             .to_string()
             .contains('9'));
         assert!(MineError::InvalidM(0).to_string().contains("m must be"));
+        let config = MineError::InvalidConfig {
+            setting: "top_k",
+            reason: "must be at least 1".into(),
+        };
+        assert_eq!(config.to_string(), "top_k must be at least 1");
         let ceiling = MineError::MemoryCeiling {
             limit: 1024,
             required: 4096,

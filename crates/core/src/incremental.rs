@@ -78,7 +78,7 @@ use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::lambda::BoundTable;
-use crate::mpp::{check_inputs, clamp_n, mine, Algorithm, MppConfig};
+use crate::mpp::{check_inputs, clamp_n, mine, Algorithm, MppConfig, SEED_LEVEL};
 use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::trace::{
@@ -243,8 +243,6 @@ pub struct CacheKey {
     pub param: u64,
     /// Always 0: pruned (top-k / targeted) mines are never cached.
     pub prune: u8,
-    /// `MppConfig::start_level`.
-    pub start_level: usize,
     /// `MppConfig::max_level` (`None` ⇒ mine to `l2`).
     pub max_level: Option<usize>,
 }
@@ -300,7 +298,8 @@ fn encode_cache(cache: &ResultCache) -> Vec<u8> {
     w.u8(k.algorithm);
     w.u64(k.param);
     w.u8(k.prune);
-    w.u32(k.start_level as u32);
+    // The start-level field: every mine seeds at the same level.
+    w.u32(SEED_LEVEL as u32);
     w.u64(k.max_level.map_or(u64::MAX, |l| l as u64));
     w.u64(cache.n_used as u64);
     w.u64(cache.em.unwrap_or(u64::MAX));
@@ -361,9 +360,11 @@ fn read_cache(bytes: &[u8]) -> Result<ResultCache, WireError> {
     if prune != 0 {
         return Err(WireError::Corrupt(format!("unknown prune flag {prune}")));
     }
-    let start_level = r.u32()? as usize;
-    if start_level == 0 {
-        return Err(WireError::Corrupt("start level 0".into()));
+    let seed_level = r.u32()?;
+    if seed_level != SEED_LEVEL as u32 {
+        return Err(WireError::Corrupt(format!(
+            "seed level {seed_level}: every mine seeds at {SEED_LEVEL}"
+        )));
     }
     let max_level = match r.u64()? {
         u64::MAX => None,
@@ -478,7 +479,6 @@ fn read_cache(bytes: &[u8]) -> Result<ResultCache, WireError> {
             algorithm,
             param,
             prune,
-            start_level,
             max_level,
         },
         n_used,
@@ -560,7 +560,6 @@ pub(crate) fn request_key(
         algorithm: algorithm.id(),
         param: algorithm.param() as u64,
         prune: 0,
-        start_level: config.start_level,
         max_level: config.max_level,
     }
 }
@@ -599,13 +598,6 @@ fn check_key(cached: &CacheKey, requested: &CacheKey, seq: &Sequence) -> Result<
     }
     if cached.param != requested.param {
         return Err(mismatch("engine parameter", cached.param, requested.param));
-    }
-    if cached.start_level != requested.start_level {
-        return Err(mismatch(
-            "start level",
-            cached.start_level,
-            requested.start_level,
-        ));
     }
     if cached.max_level != requested.max_level {
         return Err(mismatch(
@@ -969,7 +961,7 @@ fn cascade(
         .map(|ls| ls.iter().map(|l| (l.level, l)).collect())
         .unwrap_or_default();
 
-    let start = config.start_level;
+    let start = SEED_LEVEL;
     let hard_cap = config.max_level.unwrap_or(usize::MAX).min(counts.l2());
     let sigma = seq.alphabet().size() as u128;
     let mut suspect_budget: u64 = 1_000_000u64.max(16 * seq.len() as u64);
@@ -1197,11 +1189,7 @@ fn resolve_n_used(
             (n_est, Some(em), em_started.elapsed())
         }
     };
-    Ok((
-        clamp_n(n, config.start_level, gap.l1(seq.len())),
-        em,
-        em_elapsed,
-    ))
+    Ok((clamp_n(n, gap.l1(seq.len())), em, em_elapsed))
 }
 
 fn cached_outcome(cache: &ResultCache) -> MineOutcome {
@@ -1271,8 +1259,9 @@ fn fast_path_eligible(cache: &ResultCache, gap: GapRequirement) -> Result<(), St
 /// case leave a fresh cache behind and report the outcome bit-identical
 /// to a cold mine. See the module docs for the full decision table.
 ///
-/// Pruned configurations (`config.prune` non-default) are mined cold
-/// and never touch the cache: a pruned result set is not a valid
+/// The settings [`MppConfig::check`] refuses fail with
+/// [`MineError::InvalidConfig`], and so does a pruned configuration
+/// (`config.prune` non-default): a pruned result set is not a valid
 /// baseline for any other request.
 pub fn mine_incremental<O: MineObserver>(
     seq: &Sequence,
@@ -1283,14 +1272,18 @@ pub fn mine_incremental<O: MineObserver>(
     cache_path: &Path,
     observer: &mut O,
 ) -> Result<IncrementalOutcome, MineError> {
-    if !config.prune.is_default() {
-        let outcome = mine(seq, gap, rho, algorithm, config, observer)?;
-        return Ok(IncrementalOutcome {
-            outcome,
-            mode: IncrementalMode::ColdFallback("pruned mines are never cached".into()),
-            cache_fault: None,
-            suspect_scans: 0,
-            diff: None,
+    config.check()?;
+    let prune = &config.prune;
+    let pruned = prune
+        .top_k
+        .map(|_| "top_k")
+        .or(prune.prefix.as_ref().map(|_| "prefix"));
+    if let Some(setting) = pruned {
+        return Err(MineError::InvalidConfig {
+            setting,
+            reason: "cannot be set for an incremental mine: its result cache holds the \
+                     full frequent set"
+                .into(),
         });
     }
 
@@ -1346,7 +1339,7 @@ pub fn mine_incremental<O: MineObserver>(
                 let started = Instant::now();
                 let mut outcome = cached_outcome(&cache);
                 outcome.stats.total_elapsed = started.elapsed();
-                emit_synthetic_trace(&outcome, config, observer);
+                emit_synthetic_trace(&outcome, observer);
                 let diff = compute_diff(&cache.outcome, &outcome.frequent);
                 observer.on(Event::Diff(&diff.stats.into()));
                 observer.on(Event::Complete(&CompleteEvent::from_outcome(&outcome)));
@@ -1401,7 +1394,7 @@ pub fn mine_incremental<O: MineObserver>(
                                 }));
                             }
                             observer.on(Event::Seed(&SeedEvent {
-                                level: config.start_level,
+                                level: SEED_LEVEL,
                                 patterns: evaluated,
                                 ..SeedEvent::default()
                             }));
@@ -1583,13 +1576,9 @@ fn build_cache_record(
 
 /// Emit the seed + level events a cache-served outcome synthesises (the
 /// summary is emitted by the caller after the diff).
-fn emit_synthetic_trace<O: MineObserver>(
-    outcome: &MineOutcome,
-    config: &MppConfig,
-    observer: &mut O,
-) {
+fn emit_synthetic_trace<O: MineObserver>(outcome: &MineOutcome, observer: &mut O) {
     observer.on(Event::Seed(&SeedEvent {
-        level: config.start_level,
+        level: SEED_LEVEL,
         ..SeedEvent::default()
     }));
     for l in &outcome.stats.levels {
@@ -1664,7 +1653,6 @@ mod tests {
                 algorithm: 1,
                 param: 5,
                 prune: 0,
-                start_level: 3,
                 max_level: Some(9),
             },
             n_used: 7,

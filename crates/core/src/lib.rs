@@ -87,5 +87,5 @@ pub use incremental::{
 pub use mpp::{mine, Algorithm};
 pub use pattern::Pattern;
 pub use pil::{JoinCounters, Pil};
-pub use prune::{select_top_k, PruneMode, TargetSpec};
+pub use prune::{select_top_k, PruneMode};
 pub use result::{CorpusStats, FrequentPattern, MineOutcome, MineStats};

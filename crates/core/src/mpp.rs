@@ -57,39 +57,42 @@ impl Algorithm {
     }
 }
 
+/// The pattern length every mine seeds at: Figure 3 (line 9) starts
+/// from `C_3`, because over a 4-letter alphabet shorter patterns are
+/// always frequent and thus uninteresting.
+pub const SEED_LEVEL: usize = 3;
+
 /// The `n` a mine prunes toward. Figure 3 line 3: an `n` above `l1`
-/// mines as `l1`. It never falls below the start level either, since
+/// mines as `l1`. It never falls below the seed level either, since
 /// the engine cannot prune toward patterns shorter than its seed.
-pub(crate) fn clamp_n(n: usize, start: usize, l1: usize) -> usize {
-    n.clamp(start, l1.max(start))
+pub(crate) fn clamp_n(n: usize, l1: usize) -> usize {
+    n.clamp(SEED_LEVEL, l1.max(SEED_LEVEL))
 }
 
-/// Tuning knobs common to every level-wise run.
+/// Tuning knobs common to every level-wise run. [`MppConfig::check`]
+/// says which values a mine can honour; every function that takes a
+/// config calls it first.
 #[derive(Clone, Debug)]
 pub struct MppConfig {
-    /// First mined pattern length. The paper starts at 3 because over a
-    /// 4-letter alphabet shorter patterns are always frequent and thus
-    /// uninteresting.
-    pub start_level: usize,
     /// Hard cap on the deepest level (safety valve; `None` runs to
-    /// `l2`).
+    /// `l2`). At least [`SEED_LEVEL`].
     pub max_level: Option<usize>,
     /// Ceiling on live arena bytes (every surviving generation the
     /// engine holds at once). When mining would exceed it the run
     /// aborts with [`MineError::MemoryCeiling`] instead of thrashing;
-    /// `None` is unlimited. With a spill backend the engine can finish
-    /// under the ceiling anyway by spilling cold subtrees — see
-    /// [`MppConfig::spill`].
+    /// `None` is unlimited, and 0 is refused. With a spill backend the
+    /// engine can finish under the ceiling anyway by spilling cold
+    /// subtrees — see [`MppConfig::spill`].
     pub max_arena_bytes: Option<usize>,
     /// Backend for spill records (see [`crate::spill`]): `Some` arms
-    /// spilling when `max_arena_bytes` is also set. The CLI's
+    /// spilling, and needs `max_arena_bytes` set. The CLI's
     /// `--spill-dir` is a [`crate::spill::FsSpillIo`]; mining results
     /// are identical for any correct backend.
     pub spill: Option<Arc<dyn crate::spill::SpillIo>>,
     /// Fraction of `max_arena_bytes` at which the engine starts
     /// spilling cold subtree arenas (`0.0` spills at every handoff,
-    /// `1.0` only at the ceiling itself). Only consulted when a spill
-    /// backend is configured. Default `0.5`.
+    /// `1.0` only at the ceiling itself), in `[0.0, 1.0]`. Only
+    /// consulted when a spill backend is configured. Default `0.5`.
     pub spill_watermark: f64,
     /// Pruning mode: top-k by support and/or a mining target (see
     /// [`crate::prune`]). The default is a plain full mine; any active
@@ -106,7 +109,6 @@ pub struct MppConfig {
 impl Default for MppConfig {
     fn default() -> Self {
         MppConfig {
-            start_level: 3,
             max_level: None,
             max_arena_bytes: None,
             spill: None,
@@ -114,6 +116,64 @@ impl Default for MppConfig {
             prune: PruneMode::default(),
             threads: 1,
         }
+    }
+}
+
+impl MppConfig {
+    /// The one rule set for a mine's settings: every function that
+    /// takes a config calls this first, and every front end reports
+    /// what it refuses. Refused, each as [`MineError::InvalidConfig`]
+    /// naming the field: `threads` 0; a `max_level` below
+    /// [`SEED_LEVEL`]; `max_arena_bytes` 0; a `spill` backend without
+    /// `max_arena_bytes`; a `spill_watermark` outside `[0.0, 1.0]` (NaN
+    /// included); a `prune.top_k` of 0; an empty `prune.prefix`.
+    pub fn check(&self) -> Result<(), MineError> {
+        let refuse = |setting, reason: String| Err(MineError::InvalidConfig { setting, reason });
+        if self.threads == 0 {
+            return refuse("threads", "must be at least 1: no thread would mine".into());
+        }
+        if self.max_level.is_some_and(|l| l < SEED_LEVEL) {
+            return refuse(
+                "max_level",
+                format!(
+                    "must be at least {SEED_LEVEL}, the seed level: mining starts there, \
+                     so a lower cap would mine nothing"
+                ),
+            );
+        }
+        if self.max_arena_bytes == Some(0) {
+            return refuse(
+                "max_arena_bytes",
+                "must be at least 1: a zero ceiling would abort before the seed level \
+                 allocates anything"
+                    .into(),
+            );
+        }
+        if self.spill.is_some() && self.max_arena_bytes.is_none() {
+            return refuse(
+                "spill",
+                "needs an arena ceiling: without one there is nothing to spill under".into(),
+            );
+        }
+        if !(0.0..=1.0).contains(&self.spill_watermark) {
+            return refuse(
+                "spill_watermark",
+                format!("must be in [0.0, 1.0] (got {})", self.spill_watermark),
+            );
+        }
+        if self.prune.top_k == Some(0) {
+            return refuse(
+                "top_k",
+                "must be at least 1: a zero budget keeps no patterns".into(),
+            );
+        }
+        if self.prune.prefix.as_ref().is_some_and(Vec::is_empty) {
+            return refuse(
+                "prefix",
+                "needs at least one symbol: an empty prefix admits everything".into(),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -145,11 +205,8 @@ pub fn mpp(
 /// generic parameter, so a mine with [`NoopObserver`] monomorphizes to
 /// the untraced hot path. Output is byte-identical at every thread
 /// count; a pooled run also emits one [`crate::trace::PoolLevelEvent`]
-/// per pooled job.
-///
-/// # Panics
-///
-/// When `config.threads` is 0.
+/// per pooled job. Settings [`MppConfig::check`] refuses fail with
+/// [`MineError::InvalidConfig`].
 pub fn mine<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
@@ -158,12 +215,11 @@ pub fn mine<O: MineObserver>(
     config: &MppConfig,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
-    assert!(config.threads >= 1, "need at least one thread");
     let started = Instant::now();
     let (counts, rho_exact, n, seed, stats_seed) = match algorithm {
         Algorithm::Mpp { n } => {
             let (counts, rho_exact) = prepare(seq, gap, rho, config)?;
-            let seed = seed_level(seq, gap, config.start_level, observer);
+            let seed = seed_level(seq, gap, observer);
             (counts, rho_exact, n, seed, None)
         }
         Algorithm::Mppm { m } => {
@@ -185,17 +241,16 @@ pub fn mine<O: MineObserver>(
     crate::dfs::finish(run, started, observer)
 }
 
-/// Build the start-level generation and emit its [`SeedEvent`].
+/// Build the seed generation and emit its [`SeedEvent`].
 pub(crate) fn seed_level<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
-    start: usize,
     observer: &mut O,
 ) -> PilSet {
     let started = Instant::now();
-    let pils = build_seed(seq, gap, start);
+    let pils = build_seed(seq, gap, SEED_LEVEL);
     observer.on(Event::Seed(&SeedEvent {
-        level: start,
+        level: SEED_LEVEL,
         patterns: pils.len(),
         pil_entries: pils.entry_count(),
         arena_bytes: pils.arena_bytes(),
@@ -216,22 +271,27 @@ pub(crate) fn check_ceiling(limit: Option<usize>, live: usize) -> Result<(), Min
     }
 }
 
-/// The input checks every mine makes before it counts anything: `rho`
-/// in `(0, 1]`, a start level of at least 1, and a sequence long
-/// enough to hold one start-level pattern.
+/// Refuse a support threshold outside `(0, 1]`.
+pub(crate) fn check_rho(rho: f64) -> Result<(), MineError> {
+    if rho > 0.0 && rho <= 1.0 {
+        Ok(())
+    } else {
+        Err(MineError::InvalidThreshold(rho))
+    }
+}
+
+/// The input checks every mine makes before it counts anything: the
+/// settings ([`MppConfig::check`]), `rho` in `(0, 1]`, and a sequence
+/// long enough to hold one seed-level pattern.
 pub(crate) fn check_inputs(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
     config: &MppConfig,
 ) -> Result<(), MineError> {
-    if !(rho > 0.0 && rho <= 1.0) {
-        return Err(MineError::InvalidThreshold(rho));
-    }
-    if config.start_level == 0 {
-        return Err(MineError::InvalidM(0));
-    }
-    let needed = gap.min_span(config.start_level);
+    config.check()?;
+    check_rho(rho)?;
+    let needed = gap.min_span(SEED_LEVEL);
     if seq.len() < needed {
         return Err(MineError::SequenceTooShort {
             len: seq.len(),

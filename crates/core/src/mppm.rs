@@ -14,7 +14,7 @@ use crate::counts::OffsetCounts;
 use crate::em::compute_em;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::mpp::{mine, prepare, seed_level, Algorithm, MppConfig};
+use crate::mpp::{mine, prepare, seed_level, Algorithm, MppConfig, SEED_LEVEL};
 use crate::result::{MineOutcome, MineStats};
 use crate::trace::{EmEvent, Event, MineObserver, NoopObserver};
 use perigap_math::{BigRatio, BigUint};
@@ -94,14 +94,13 @@ pub(crate) fn prelude<O: MineObserver>(
     }));
 
     // Phase 2: seed-level supports.
-    let start = config.start_level;
-    let pils = seed_level(seq, gap, start, observer);
+    let pils = seed_level(seq, gap, observer);
     let max_sup = pils.max_support();
 
     // Phase 3: estimate n = max { k : some seed pattern clears
     // λ′(k, k−3)·ρs·N_3 }. Only the best-supported seed pattern matters,
     // since the bound is a fixed threshold per k.
-    let n = theorem2_n(&counts, &rho_exact, start, m, em, max_sup);
+    let n = theorem2_n(&counts, &rho_exact, SEED_LEVEL, m, em, max_sup);
 
     let stats_seed = MineStats {
         em: Some(em),
@@ -282,7 +281,7 @@ mod tests {
         let g = gap(1, 3);
         let rho = 0.0008;
         let (n, em) = estimate_n(&s, g, rho, 4, MppConfig::default()).unwrap();
-        let bfs = crate::reference::mpp_reference(&s, g, rho, n, MppConfig::default(), 1).unwrap();
+        let bfs = crate::reference::mpp_reference(&s, g, rho, n, MppConfig::default()).unwrap();
         let serial = mppm(&s, g, rho, 4, MppConfig::default()).unwrap();
         for threads in [1usize, 4] {
             let config = MppConfig {

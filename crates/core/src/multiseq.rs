@@ -20,7 +20,7 @@ use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::lambda::PruneBound;
-use crate::mpp::MppConfig;
+use crate::mpp::{check_rho, clamp_n, MppConfig, SEED_LEVEL};
 use crate::pattern::Pattern;
 use crate::pil::Pil;
 use crate::trace::{CompleteEvent, Event, LevelEvent, MineObserver, NoopObserver};
@@ -103,11 +103,29 @@ impl CollectionOutcome {
     }
 }
 
+/// Refuse a `min_sequences` of 0: every pattern is frequent in at
+/// least zero sequences, so the vote would admit patterns no sequence
+/// supports.
+pub(crate) fn check_min_sequences(min_sequences: usize) -> Result<(), MineError> {
+    if min_sequences == 0 {
+        return Err(MineError::InvalidConfig {
+            setting: "min_sequences",
+            reason: "must be at least 1: a pattern frequent in no sequence is no \
+                     collection pattern"
+                .into(),
+        });
+    }
+    Ok(())
+}
+
 /// Mine patterns frequent (ratio ≥ `rho`) in at least `min_sequences`
 /// of `sequences`, with Theorem 1 pruning driven by `n` per sequence.
 ///
 /// All sequences must share one alphabet. Sequences too short to hold a
-/// start-level pattern simply never vote.
+/// seed-level pattern simply never vote. `min_sequences` 0 and the
+/// settings [`MppConfig::check`] refuses fail with
+/// [`MineError::InvalidConfig`]; a `min_sequences` above the
+/// collection size mines nothing.
 ///
 /// Each sequence's verdicts are independent of the rest of the
 /// collection: a pattern is reported frequent in sequence `j` exactly
@@ -154,10 +172,10 @@ pub fn mine_collection_traced<O: MineObserver>(
     observer: &mut O,
 ) -> Result<CollectionOutcome, MineError> {
     let started = Instant::now();
-    if !(rho > 0.0 && rho <= 1.0) {
-        return Err(MineError::InvalidThreshold(rho));
-    }
-    if sequences.is_empty() || min_sequences == 0 || min_sequences > sequences.len() {
+    check_rho(rho)?;
+    config.check()?;
+    check_min_sequences(min_sequences)?;
+    if sequences.is_empty() || min_sequences > sequences.len() {
         observer.on(Event::Complete(&CompleteEvent {
             n_used: n,
             total_elapsed: started.elapsed(),
@@ -171,17 +189,14 @@ pub fn mine_collection_traced<O: MineObserver>(
         "collection sequences must share an alphabet"
     );
     let rho_exact = BigRatio::from_f64_exact(rho);
-    let start = config.start_level;
+    let start = SEED_LEVEL;
 
     // Per-sequence counting tables and clamped pruning targets.
     let counts: Vec<OffsetCounts> = sequences
         .iter()
         .map(|s| OffsetCounts::new(s.len(), gap))
         .collect();
-    let targets: Vec<usize> = counts
-        .iter()
-        .map(|c| n.clamp(start, c.l1().max(start)))
-        .collect();
+    let targets: Vec<usize> = counts.iter().map(|c| clamp_n(n, c.l1())).collect();
     let hard_cap = config
         .max_level
         .unwrap_or(usize::MAX)
@@ -468,11 +483,15 @@ mod tests {
             .patterns
             .is_empty());
         let seqs = random_seqs(2, 50, 500);
-        // min_sequences of 0 or more than the collection size → empty.
-        assert!(mine_collection(&seqs, g, 0.01, 0, 5, MppConfig::default())
-            .unwrap()
-            .patterns
-            .is_empty());
+        // min_sequences 0 is refused; more than the collection size
+        // mines nothing.
+        assert!(matches!(
+            mine_collection(&seqs, g, 0.01, 0, 5, MppConfig::default()),
+            Err(MineError::InvalidConfig {
+                setting: "min_sequences",
+                ..
+            })
+        ));
         assert!(mine_collection(&seqs, g, 0.01, 3, 5, MppConfig::default())
             .unwrap()
             .patterns

@@ -353,7 +353,7 @@ mod tests {
     use super::*;
     use crate::arena::build_seed;
     use crate::gap::GapRequirement;
-    use crate::mpp::{mine, mpp, prepare, Algorithm, MppConfig};
+    use crate::mpp::{mine, mpp, prepare, Algorithm, MppConfig, SEED_LEVEL};
     use crate::result::MineOutcome;
     use crate::trace::{MetricsObserver, NoopObserver};
     use perigap_seq::gen::iid::uniform;
@@ -389,7 +389,7 @@ mod tests {
         hooks: PoolHooks,
     ) -> Result<MineOutcome, MineError> {
         let (counts, rho_exact) = prepare(seq, g, rho, &config)?;
-        let pils = build_seed(seq, g, config.start_level);
+        let pils = build_seed(seq, g, SEED_LEVEL);
         crate::dfs::run_hybrid(
             seq,
             &counts,
@@ -544,10 +544,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_panics() {
+    fn zero_threads_are_refused() {
         let seq = uniform(&mut StdRng::seed_from_u64(97), Alphabet::Dna, 100);
-        let _ = mpp_threads(&seq, gap(1, 2), 0.01, 5, MppConfig::default(), 0);
+        match mpp_threads(&seq, gap(1, 2), 0.01, 5, MppConfig::default(), 0) {
+            Err(MineError::InvalidConfig { setting, .. }) => assert_eq!(setting, "threads"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

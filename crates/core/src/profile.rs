@@ -19,6 +19,7 @@
 
 use crate::error::MineError;
 use crate::gap::GapRequirement;
+use crate::mpp::check_rho;
 use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use perigap_math::{BigRatio, BigUint};
@@ -38,7 +39,10 @@ impl GapProfile {
     /// up to `steps.len() + 1` characters.
     pub fn new(steps: Vec<GapRequirement>) -> Result<GapProfile, MineError> {
         if steps.is_empty() {
-            return Err(MineError::InvalidM(0));
+            return Err(MineError::InvalidConfig {
+                setting: "steps",
+                reason: "needs at least one gap requirement".into(),
+            });
         }
         Ok(GapProfile { steps })
     }
@@ -180,11 +184,12 @@ pub fn mine_with_profile(
     n: usize,
     start_level: usize,
 ) -> Result<MineOutcome, MineError> {
-    if !(rho > 0.0 && rho <= 1.0) {
-        return Err(MineError::InvalidThreshold(rho));
-    }
+    check_rho(rho)?;
     if start_level == 0 {
-        return Err(MineError::InvalidM(0));
+        return Err(MineError::InvalidConfig {
+            setting: "start_level",
+            reason: "must be at least 1".into(),
+        });
     }
     let started = Instant::now();
     let max_len = profile.max_pattern_len();
@@ -483,7 +488,20 @@ mod tests {
         let seq = Sequence::dna("ACGT").unwrap();
         let profile = GapProfile::uniform(gap(1, 2), 5);
         assert!(mine_with_profile(&seq, &profile, 0.0, 5, 3).is_err());
-        assert!(GapProfile::new(vec![]).is_err());
+        assert!(matches!(
+            GapProfile::new(vec![]),
+            Err(MineError::InvalidConfig {
+                setting: "steps",
+                ..
+            })
+        ));
+        assert!(matches!(
+            mine_with_profile(&seq, &profile, 0.1, 5, 0),
+            Err(MineError::InvalidConfig {
+                setting: "start_level",
+                ..
+            })
+        ));
         // Sequence too short for the start level.
         let tiny = Sequence::dna("AC").unwrap();
         assert!(matches!(

@@ -26,19 +26,14 @@
 //!   support floor can soundly cut a join. The pruner therefore
 //!   branch-and-bounds the lattice only under rigid gaps and falls back
 //!   to emission gating elsewhere.
-//! * **Targeted mining.** A [`TargetSpec`] — a code prefix or a symbol
-//!   mask — restricts the result set, and results are verified against
-//!   the spec as they are admitted. How much of the lattice that lets
-//!   us skip differs sharply between the two spec shapes, because the
-//!   Apriori self-join needs every contiguous *window* of a result
-//!   alive at its level, not just the result's own prefix chain. A
-//!   symbol mask is window-closed — every window of an admissible
-//!   pattern is itself admissible — so the whole out-of-mask cone
-//!   (parents, frontier, DFS components) is pruned before a single
-//!   join runs. A prefix constrains windows only at shift 0: the
-//!   window of a deep result starting past the prefix is arbitrary, so
-//!   the suffix lattice must be materialized in full and a prefix
-//!   target prunes emission alone.
+//! * **Targeted mining.** A code prefix restricts the result set, and
+//!   results are verified against it as they are admitted. That lets
+//!   us skip nothing of the lattice: the Apriori self-join needs every
+//!   contiguous *window* of a result alive at its level, not just the
+//!   result's own prefix chain, and a prefix constrains windows only at
+//!   shift 0. The window of a deep result starting past the prefix is
+//!   arbitrary, so the suffix lattice must be materialized in full and
+//!   a prefix target prunes emission alone.
 //!
 //! The engine threads a [`Pruner`] through its seed filter, the eager
 //! candidate evaluation, and the component dispatch. A default
@@ -52,114 +47,39 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Which part of the pattern tree a targeted mine should materialize.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TargetSpec {
-    /// Only patterns whose code sequence starts with this prefix.
-    Prefix(Vec<u8>),
-    /// Only patterns drawn entirely from the masked symbol set;
-    /// `mask[code] == true` admits the code.
-    Symbols(Vec<bool>),
-}
-
-impl TargetSpec {
-    /// A prefix target from raw symbol codes.
-    pub fn prefix(codes: Vec<u8>) -> TargetSpec {
-        TargetSpec::Prefix(codes)
-    }
-
-    /// A symbol-set target admitting exactly `allowed` out of an
-    /// alphabet of `alphabet_size` codes.
-    pub fn symbols(allowed: &[u8], alphabet_size: usize) -> TargetSpec {
-        let mut mask = vec![false; alphabet_size];
-        for &code in allowed {
-            if let Some(slot) = mask.get_mut(code as usize) {
-                *slot = true;
-            }
-        }
-        TargetSpec::Symbols(mask)
-    }
-
-    /// Does a finished pattern satisfy the spec?
-    pub fn admits_pattern(&self, codes: &[u8]) -> bool {
-        match self {
-            TargetSpec::Prefix(prefix) => {
-                codes.len() >= prefix.len() && codes[..prefix.len()] == prefix[..]
-            }
-            TargetSpec::Symbols(mask) => Self::all_masked(mask, codes),
-        }
-    }
-
-    /// Cone check: may `codes` still take part in building an
-    /// admissible result — as a left join parent, a window of a deeper
-    /// descendant, or a DFS component member?
-    ///
-    /// The self-join derives a result from *every* contiguous window of
-    /// it, level by level, so a pattern can only be cut when no
-    /// admissible result could contain it as a window. A symbol mask is
-    /// closed under windows (each window symbol is a result symbol), so
-    /// one masked-out code kills the whole subtree. A prefix is not: a
-    /// window starting at shift ≥ the prefix length is unconstrained,
-    /// so any pattern might be a window of a long-enough cone result
-    /// and nothing can be cut from the search.
-    pub fn admits_cone(&self, codes: &[u8]) -> bool {
-        match self {
-            TargetSpec::Prefix(_) => true,
-            TargetSpec::Symbols(mask) => Self::all_masked(mask, codes),
-        }
-    }
-
-    /// May the pattern stay on the join frontier as a *right* partner?
-    /// Prefix targets constrain nothing here — the right parent only
-    /// contributes suffix positions past the shared core, which the
-    /// prefix may or may not reach — while a masked-out symbol in any
-    /// parent is fatal to every candidate containing it.
-    pub fn admits_frontier(&self, codes: &[u8]) -> bool {
-        match self {
-            TargetSpec::Prefix(_) => true,
-            TargetSpec::Symbols(mask) => Self::all_masked(mask, codes),
-        }
-    }
-
-    fn all_masked(mask: &[bool], codes: &[u8]) -> bool {
-        codes
-            .iter()
-            .all(|&c| mask.get(c as usize).copied().unwrap_or(false))
-    }
-}
-
 /// Pruning configuration carried by `MppConfig`. The default (no top-k,
-/// no target) is a full mine and leaves the engines byte-identical to
+/// no prefix) is a full mine and leaves the engines byte-identical to
 /// their unpruned behavior.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PruneMode {
     /// Keep only the `k` best-supported patterns (rank order:
     /// support desc, then length asc, then codes asc).
     pub top_k: Option<usize>,
-    /// Mine only the patterns admitted by this spec.
-    pub target: Option<TargetSpec>,
+    /// Mine only the patterns whose codes start with this prefix.
+    pub prefix: Option<Vec<u8>>,
 }
 
 impl PruneMode {
-    /// Top-k mode with no target.
+    /// Top-k mode with no prefix.
     pub fn top_k(k: usize) -> PruneMode {
         PruneMode {
             top_k: Some(k),
-            target: None,
+            prefix: None,
         }
     }
 
-    /// Targeted mode with no support bound beyond ρs.
-    pub fn targeted(spec: TargetSpec) -> PruneMode {
+    /// Targeted mode: the patterns that start with `codes`, with no
+    /// support bound beyond ρs.
+    pub fn prefix(codes: Vec<u8>) -> PruneMode {
         PruneMode {
             top_k: None,
-            target: Some(spec),
+            prefix: Some(codes),
         }
     }
 
     /// True when no pruning is configured (a plain full mine).
     pub fn is_default(&self) -> bool {
-        self.top_k.is_none() && self.target.is_none()
+        self.top_k.is_none() && self.prefix.is_none()
     }
 }
 
@@ -241,7 +161,7 @@ impl FloorState {
 }
 
 struct TargetState {
-    spec: TargetSpec,
+    prefix: Vec<u8>,
     pruned: AtomicU64,
 }
 
@@ -266,20 +186,14 @@ impl Pruner {
     pub(crate) fn new(mode: &PruneMode, flexibility: usize) -> Pruner {
         Pruner {
             floor: mode.top_k.map(|k| Arc::new(FloorState::new(k))),
-            target: mode.target.clone().map(|spec| {
+            target: mode.prefix.clone().map(|prefix| {
                 Arc::new(TargetState {
-                    spec,
+                    prefix,
                     pruned: AtomicU64::new(0),
                 })
             }),
             search_floor: mode.top_k.is_some() && flexibility <= 1,
         }
-    }
-
-    /// False for the default pruner, whose checks all admit everything.
-    #[inline]
-    pub(crate) fn is_active(&self) -> bool {
-        self.floor.is_some() || self.target.is_some()
     }
 
     /// Search-space floor test: may a pattern with this support stay in
@@ -304,8 +218,8 @@ impl Pruner {
         }
     }
 
-    /// Emission check for an exact-frequent pattern: target
-    /// verification, then the top-k offer, then the floor's emission
+    /// Emission check for an exact-frequent pattern: the prefix
+    /// test, then the top-k offer, then the floor's emission
     /// gate (sound at any gap — a result below the floor can never be
     /// in the top k). The offer sits between the two so the floor only
     /// ever reflects target-admissible supports; raising it on
@@ -314,7 +228,7 @@ impl Pruner {
     #[inline]
     pub(crate) fn admits_result(&self, codes: &[u8], sup: u128) -> bool {
         if let Some(target) = &self.target {
-            if !target.spec.admits_pattern(codes) {
+            if !codes.starts_with(&target.prefix) {
                 target.pruned.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
@@ -329,97 +243,47 @@ impl Pruner {
         true
     }
 
-    /// May the pattern stay on the join frontier (as a right partner)?
+    /// May the pattern act as a *left* join parent? Rechecks the
+    /// rigid-gap floor, which may have risen since the level filter
+    /// ran; `sup` is only evaluated when that regime is on. Counts a
+    /// floor prune on failure.
     #[inline]
-    pub(crate) fn admits_frontier(&self, codes: &[u8]) -> bool {
-        match &self.target {
-            None => true,
-            Some(target) => target.spec.admits_frontier(codes),
-        }
-    }
-
-    /// May the pattern act as a *left* join parent? Checks the target
-    /// cone first, then rechecks the rigid-gap floor (which may have
-    /// risen since the level filter ran); `sup` is only evaluated when
-    /// that regime is on. Counts whichever prune fired.
-    #[inline]
-    pub(crate) fn admits_parent(&self, codes: &[u8], sup: impl FnOnce() -> u128) -> bool {
-        if let Some(target) = &self.target {
-            if !target.spec.admits_cone(codes) {
-                target.pruned.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-        }
-        if self.search_floor {
-            if let Some(floor) = &self.floor {
-                if !floor.admits(sup()) {
-                    floor.pruned.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-            }
-        }
-        true
+    pub(crate) fn admits_parent(&self, sup: impl FnOnce() -> u128) -> bool {
+        !self.search_floor || self.admits_search(sup())
     }
 
     /// Can any member of a DFS component still seed an admissible
     /// candidate? Every descendant of the component keeps one of the
     /// members as its base-level prefix (the left-ancestor chain stays
-    /// inside the component), so a component with no member passing the
-    /// cone + floor checks is dead and its whole subtree — spilled or
-    /// resident — can be dropped. Counts one prune per member when the
-    /// component is dropped.
+    /// inside the component), so under the rigid-gap floor a component
+    /// with no member above the floor is dead and its whole subtree —
+    /// spilled or resident — can be dropped. Counts one prune per
+    /// member when the component is dropped.
     pub(crate) fn component_viable(&self, set: &PilSet, members: &[usize]) -> bool {
-        if !self.is_active() {
-            return true;
-        }
-        let mut in_cone = false;
-        for &m in members {
-            let cone = match &self.target {
-                None => true,
-                Some(target) => target.spec.admits_cone(set.pattern_codes(m)),
-            };
-            if cone {
-                in_cone = true;
-                match &self.floor {
-                    Some(floor) if self.search_floor => {
-                        if floor.admits(set.support(m)) {
-                            return true;
-                        }
-                    }
-                    _ => return true,
+        match &self.floor {
+            Some(floor) if self.search_floor => {
+                if members.iter().any(|&m| floor.admits(set.support(m))) {
+                    return true;
                 }
+                floor
+                    .pruned
+                    .fetch_add(members.len() as u64, Ordering::Relaxed);
+                false
             }
+            _ => true,
         }
-        let dropped = members.len() as u64;
-        if !in_cone {
-            if let Some(target) = &self.target {
-                target.pruned.fetch_add(dropped, Ordering::Relaxed);
-            }
-        } else if let Some(floor) = &self.floor {
-            floor.pruned.fetch_add(dropped, Ordering::Relaxed);
-        }
-        false
     }
 
-    /// Best support among a component's cone-admissible members — the
-    /// value a spilled component's floor recheck keys on at restore
-    /// time (cone membership is fixed; only the floor moves while a
-    /// record sits on disk). `u128::MAX` when the rigid-gap floor
-    /// regime is off, so the recheck is a no-op on full, targeted, and
-    /// wide-gap top-k runs.
+    /// Best support among a component's members — the value a spilled
+    /// component's floor recheck keys on at restore time (only the
+    /// floor moves while a record sits on disk). `u128::MAX` when the
+    /// rigid-gap floor regime is off, so the recheck is a no-op on
+    /// full, targeted, and wide-gap top-k runs.
     pub(crate) fn component_best(&self, set: &PilSet, members: &[usize]) -> u128 {
         if !self.search_floor || self.floor.is_none() {
             return u128::MAX;
         }
-        members
-            .iter()
-            .filter(|&&m| match &self.target {
-                None => true,
-                Some(target) => target.spec.admits_cone(set.pattern_codes(m)),
-            })
-            .map(|&m| set.support(m))
-            .max()
-            .unwrap_or(0)
+        members.iter().map(|&m| set.support(m)).max().unwrap_or(0)
     }
 
     /// Fold the pruning counters into the outcome's stats and put the
@@ -510,30 +374,22 @@ mod tests {
 
     #[test]
     fn prefix_spec_admission_rules() {
-        let spec = TargetSpec::prefix(vec![0, 2]);
-        assert!(spec.admits_pattern(&[0, 2]));
-        assert!(spec.admits_pattern(&[0, 2, 3]));
-        assert!(!spec.admits_pattern(&[0])); // too short
-        assert!(!spec.admits_pattern(&[0, 1, 2]));
+        let pruner = Pruner::new(&PruneMode::prefix(vec![0, 2]), 3);
+        assert!(pruner.admits_result(&[0, 2], 1));
+        assert!(pruner.admits_result(&[0, 2, 3], 1));
+        assert!(!pruner.admits_result(&[0], 1)); // too short
+        assert!(!pruner.admits_result(&[0, 1, 2], 1));
         // A prefix cannot cut the search: any pattern may be a window
-        // (at shift ≥ prefix length) of a deep cone result, so cone and
-        // frontier admit everything and only emission filters.
-        assert!(spec.admits_cone(&[0, 2, 1]));
-        assert!(spec.admits_cone(&[1]));
-        assert!(spec.admits_frontier(&[3, 3, 3]));
-    }
-
-    #[test]
-    fn symbols_spec_admission_rules() {
-        let spec = TargetSpec::symbols(&[0, 3], 4);
-        assert!(spec.admits_pattern(&[0, 3, 0]));
-        assert!(!spec.admits_pattern(&[0, 1]));
-        assert!(!spec.admits_cone(&[2]));
-        // A masked-out code is fatal on either side of the join.
-        assert!(!spec.admits_frontier(&[0, 1]));
-        assert!(spec.admits_frontier(&[3, 0]));
-        // Codes outside the mask's range are never admitted.
-        assert!(!spec.admits_pattern(&[9]));
+        // (at shift ≥ prefix length) of a deep result, so parents,
+        // components and the search floor admit everything and only
+        // emission filters.
+        assert!(pruner.admits_parent(|| 0));
+        assert!(pruner.admits_search(0));
+        assert!(pruner.component_viable(&PilSet::new(3), &[]));
+        assert_eq!(pruner.component_best(&PilSet::new(3), &[]), u128::MAX);
+        let mut outcome = MineOutcome::default();
+        pruner.finish(&mut outcome);
+        assert_eq!(outcome.stats.pruned_by_target, 2);
     }
 
     #[test]
@@ -580,18 +436,18 @@ mod tests {
         let rho = 0.005;
         let n = 8;
         let full = mpp(&seq, gap, rho, n, MppConfig::default()).unwrap();
-        let spec = TargetSpec::prefix(vec![1, 0]); // "CA" under ACGT coding
+        let prefix = vec![1, 0]; // "CA" under ACGT coding
         let mut expect: Vec<FrequentPattern> = full
             .frequent
             .iter()
-            .filter(|f| spec.admits_pattern(f.pattern.codes()))
+            .filter(|f| f.pattern.codes().starts_with(&prefix))
             .cloned()
             .collect();
         expect.sort_by(|a, b| {
             (a.pattern.len(), a.pattern.codes()).cmp(&(b.pattern.len(), b.pattern.codes()))
         });
         let config = MppConfig {
-            prune: PruneMode::targeted(spec),
+            prune: PruneMode::prefix(prefix),
             ..MppConfig::default()
         };
         let got = mpp(&seq, gap, rho, n, config.clone()).unwrap();
@@ -600,33 +456,6 @@ mod tests {
         assert_eq!(got.stats.top_k, None);
         let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
         assert_eq!(par.frequent, expect, "parallel");
-    }
-
-    #[test]
-    fn targeted_symbols_matches_post_filtered_full_mine() {
-        let seq = Sequence::dna("ACGTT".repeat(40).as_str()).unwrap();
-        let gap = GapRequirement::new(1, 3).unwrap();
-        let rho = 0.005;
-        let n = 8;
-        let full = mpp(&seq, gap, rho, n, MppConfig::default()).unwrap();
-        let spec = TargetSpec::symbols(&[1, 3], 4); // {C, T}
-        let mut expect: Vec<FrequentPattern> = full
-            .frequent
-            .iter()
-            .filter(|f| spec.admits_pattern(f.pattern.codes()))
-            .cloned()
-            .collect();
-        expect.sort_by(|a, b| {
-            (a.pattern.len(), a.pattern.codes()).cmp(&(b.pattern.len(), b.pattern.codes()))
-        });
-        let config = MppConfig {
-            prune: PruneMode::targeted(spec),
-            ..MppConfig::default()
-        };
-        let got = mpp(&seq, gap, rho, n, config.clone()).unwrap();
-        assert_eq!(got.frequent, expect);
-        let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
-        assert_eq!(par.frequent, expect);
     }
 
     #[test]
@@ -690,27 +519,33 @@ mod tests {
         }
     }
 
-    /// A combined `--top-k --target` run ranks only within the target
-    /// cone: the floor must rise on admitted patterns alone.
+    /// A combined `--top-k --target` run ranks only among the patterns
+    /// the prefix admits: the floor must rise on admitted patterns alone.
     #[test]
     fn top_k_of_a_targeted_mine_ranks_within_the_cone() {
         let seq = Sequence::dna("ACGTT".repeat(40).as_str()).unwrap();
         let gap = GapRequirement::new(1, 3).unwrap();
         let rho = 0.005;
         let n = 8;
-        let spec = TargetSpec::symbols(&[1, 3], 4); // {C, T}
+        let prefix = vec![1]; // "C"
         let full = mpp(&seq, gap, rho, n, MppConfig::default()).unwrap();
         let cone: Vec<FrequentPattern> = full
             .frequent
             .iter()
-            .filter(|f| spec.admits_pattern(f.pattern.codes()))
+            .filter(|f| f.pattern.codes().starts_with(&prefix))
             .cloned()
             .collect();
+        assert!(cone.len() > 5, "fixture must admit more than k patterns");
         let expect = select_top_k(&cone, 5);
+        assert_ne!(
+            expect,
+            select_top_k(&full.frequent, 5),
+            "the prefix must matter"
+        );
         let config = MppConfig {
             prune: PruneMode {
                 top_k: Some(5),
-                target: Some(spec),
+                prefix: Some(prefix),
             },
             ..MppConfig::default()
         };

@@ -22,7 +22,7 @@ use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::lambda::PruneBound;
-use crate::mpp::{prepare, MppConfig};
+use crate::mpp::{clamp_n, prepare, MppConfig, SEED_LEVEL};
 use crate::pattern::Pattern;
 use crate::pil::Pil;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
@@ -86,23 +86,21 @@ fn scan_rec(
     }
 }
 
-/// The seed's threaded MPP: `HashMap` pipeline, per-candidate `Vec`
-/// allocation, and a fresh thread spawn per level. Byte-identical
-/// output to [`crate::mpp::mine`] at any thread count; slower
-/// machinery.
+/// The seed's threaded MPP on `config.threads` threads: `HashMap`
+/// pipeline, per-candidate `Vec` allocation, and a fresh thread spawn
+/// per level. Byte-identical output to [`crate::mpp::mine`] at any
+/// thread count; slower machinery.
 pub fn mpp_reference(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
     n: usize,
     config: MppConfig,
-    threads: usize,
 ) -> Result<MineOutcome, MineError> {
-    assert!(threads >= 1, "need at least one thread");
     let started = Instant::now();
     let (counts, rho_exact) = prepare(seq, gap, rho, &config)?;
-    let pils = build_all_reference(seq, gap, config.start_level);
-    let mut outcome = run_reference(seq, &counts, &rho_exact, n, &config, pils, threads);
+    let pils = build_all_reference(seq, gap, SEED_LEVEL);
+    let mut outcome = run_reference(seq, &counts, &rho_exact, n, &config, pils);
     outcome.stats.total_elapsed = started.elapsed();
     Ok(outcome)
 }
@@ -114,12 +112,11 @@ fn run_reference(
     n: usize,
     config: &MppConfig,
     seed_pils: HashMap<Pattern, Pil>,
-    threads: usize,
 ) -> MineOutcome {
     let gap = counts.gap();
     let sigma = seq.alphabet().size() as u128;
-    let start = config.start_level;
-    let n = n.clamp(start, counts.l1().max(start));
+    let start = SEED_LEVEL;
+    let n = clamp_n(n, counts.l1());
     let hard_cap = config.max_level.unwrap_or(usize::MAX).min(counts.l2());
 
     let mut stats = MineStats {
@@ -187,10 +184,10 @@ fn run_reference(
                 .push(idx);
         }
         let (next, joins_saturated): (Vec<(Pattern, Pil)>, bool) =
-            if threads <= 1 || kept.len() < PARALLEL_THRESHOLD {
+            if config.threads <= 1 || kept.len() < PARALLEL_THRESHOLD {
                 join_range(&kept, &by_prefix, gap, 0, kept.len())
             } else {
-                let workers = threads.min(kept.len());
+                let workers = config.threads.min(kept.len());
                 let chunk = kept.len().div_ceil(workers);
                 let kept_ref = &kept;
                 let by_prefix_ref = &by_prefix;
@@ -290,7 +287,7 @@ mod tests {
                 threads,
                 ..MppConfig::default()
             };
-            let old = mpp_reference(&seq, g, rho, 12, config.clone(), threads).unwrap();
+            let old = mpp_reference(&seq, g, rho, 12, config.clone()).unwrap();
             let new = mpp(&seq, g, rho, 12, config).unwrap();
             assert_eq!(old.frequent.len(), new.frequent.len());
             for (a, b) in old.frequent.iter().zip(&new.frequent) {

@@ -94,8 +94,8 @@ pub struct MineStats {
     /// Patterns and join parents pruned by the rising support floor
     /// (schedule-dependent; see [`MineStats::floor_raises`]).
     pub pruned_by_floor: u64,
-    /// Join parents, components, and post-verified results pruned by
-    /// the [`crate::prune::TargetSpec`] of a targeted run.
+    /// Frequent patterns a targeted run left out because they do not
+    /// start with its [`crate::prune::PruneMode::prefix`].
     pub pruned_by_target: u64,
 }
 

@@ -143,14 +143,18 @@ pub struct RigidConfig {
 
 impl RigidConfig {
     fn validate(&self) -> Result<(), MineError> {
-        if self.density_l < 2 || self.density_w < self.density_l {
-            return Err(MineError::InvalidGap {
-                min: self.density_l,
-                max: self.density_w,
-            });
+        let refuse = |setting, reason: String| Err(MineError::InvalidConfig { setting, reason });
+        if self.density_l < 2 {
+            return refuse("density_l", "must be at least 2".into());
+        }
+        if self.density_w < self.density_l {
+            return refuse(
+                "density_w",
+                format!("must be at least density_l ({})", self.density_l),
+            );
         }
         if self.min_support == 0 {
-            return Err(MineError::InvalidThreshold(0.0));
+            return refuse("min_support", "must be at least 1".into());
         }
         Ok(())
     }
@@ -391,28 +395,30 @@ mod tests {
     #[test]
     fn invalid_configs_are_rejected() {
         let seq = Sequence::dna("ACGT").unwrap();
-        assert!(rigid_mine(&seq, config(1, 4, 1)).is_err());
-        assert!(rigid_mine(
-            &seq,
-            RigidConfig {
+        let refused = |config| match rigid_mine(&seq, config) {
+            Err(MineError::InvalidConfig { setting, .. }) => setting,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        assert_eq!(refused(config(1, 4, 1)), "density_l");
+        assert_eq!(
+            refused(RigidConfig {
                 density_l: 3,
                 density_w: 2,
                 min_support: 1,
                 min_solids: 2,
                 max_solids: 5,
-            }
-        )
-        .is_err());
-        assert!(rigid_mine(
-            &seq,
-            RigidConfig {
+            }),
+            "density_w"
+        );
+        assert_eq!(
+            refused(RigidConfig {
                 density_l: 2,
                 density_w: 4,
                 min_support: 0,
                 min_solids: 2,
                 max_solids: 5,
-            }
-        )
-        .is_err());
+            }),
+            "min_support"
+        );
     }
 }

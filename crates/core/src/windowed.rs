@@ -13,7 +13,7 @@
 
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::mpp::MppConfig;
+use crate::mpp::{MppConfig, SEED_LEVEL};
 use crate::pattern::Pattern;
 use crate::pil::Pil;
 use crate::result::MineOutcome;
@@ -73,10 +73,11 @@ pub fn windowed_mine(
     min_windows: usize,
     config: MppConfig,
 ) -> Result<WindowedOutcome, MineError> {
+    config.check()?;
     if window == 0 {
-        return Err(MineError::SequenceTooShort {
-            len: seq.len(),
-            needed: 1,
+        return Err(MineError::InvalidConfig {
+            setting: "window",
+            reason: "must be at least 1".into(),
         });
     }
     let wins = fragments(seq, window, 1);
@@ -87,7 +88,7 @@ pub fn windowed_mine(
             windows: total,
         });
     }
-    let start = config.start_level;
+    let start = SEED_LEVEL;
     let hard_cap = config.max_level.unwrap_or(usize::MAX);
 
     // Per-window PILs at the seed level, reduced to window-occurrence
@@ -205,18 +206,23 @@ mod tests {
 
     #[test]
     fn counts_windows_not_occurrences() {
-        // Two windows; pattern occurs 3 times in window 0, once in 1.
-        let seq = Sequence::dna("AACCAACCAA_AACC".replace('_', "G").as_str()).unwrap();
+        // Two windows, AACCAACC and AAGAACC; AAC occurs twice in the
+        // first and five times in the second.
+        let seq = Sequence::dna("AACCAACCAAGAACC").unwrap();
         let g = gap(1, 2);
         let config = MppConfig {
-            start_level: 2,
             max_level: Some(3),
             ..MppConfig::default()
         };
+        let wins = fragments(&seq, 8, 1);
+        let aac = Pattern::from_codes(vec![0, 0, 1]);
+        let occurrences: Vec<u128> = wins
+            .iter()
+            .map(|w| support_dp(&w.sequence, g, &aac))
+            .collect();
+        assert_eq!(occurrences, [2, 5]);
         let outcome = windowed_mine(&seq, g, 8, 2, config.clone()).unwrap();
-        // AC occurs in both windows → window_count 2.
-        let ac = Pattern::from_codes(vec![0, 1]);
-        let found = outcome.get(&ac).expect("AC spans both windows");
+        let found = outcome.get(&aac).expect("AAC occurs in both windows");
         assert_eq!(found.window_count, 2);
     }
 
@@ -225,7 +231,6 @@ mod tests {
         let seq = uniform(&mut StdRng::seed_from_u64(1), Alphabet::Dna, 300);
         let g = gap(1, 2);
         let config = MppConfig {
-            start_level: 3,
             max_level: Some(5),
             ..MppConfig::default()
         };
@@ -243,7 +248,6 @@ mod tests {
         let seq = uniform(&mut StdRng::seed_from_u64(2), Alphabet::Dna, 240);
         let g = gap(1, 3);
         let config = MppConfig {
-            start_level: 3,
             max_level: Some(4),
             ..MppConfig::default()
         };
@@ -276,7 +280,6 @@ mod tests {
         assert!(support_dp(&seq, g, &aaa) >= 3);
 
         let config = MppConfig {
-            start_level: 3,
             max_level: Some(3),
             ..MppConfig::default()
         };
@@ -300,7 +303,13 @@ mod tests {
         let seq = Sequence::dna("ACGTACGT").unwrap();
         let g = gap(1, 2);
         let config = MppConfig::default();
-        assert!(windowed_mine(&seq, g, 0, 1, config.clone()).is_err());
+        assert!(matches!(
+            windowed_mine(&seq, g, 0, 1, config.clone()),
+            Err(MineError::InvalidConfig {
+                setting: "window",
+                ..
+            })
+        ));
         let out = windowed_mine(&seq, g, 4, 3, config.clone()).unwrap();
         assert!(out.patterns.is_empty(), "min_windows above window count");
         assert_eq!(out.windows, 2);

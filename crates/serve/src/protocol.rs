@@ -36,7 +36,7 @@
 use crate::cache::{CachedAnswer, ResponseCache};
 use perigap_core::mpp::{mpp, MppConfig};
 use perigap_core::trace::{escape_json, Json};
-use perigap_core::{FrequentPattern, Pattern, PruneMode, TargetSpec};
+use perigap_core::{FrequentPattern, Pattern, PruneMode};
 use perigap_seq::Sequence;
 use perigap_store::{IndexEntry, PatternIndex};
 
@@ -219,24 +219,13 @@ pub fn parse_envelope(obj: &Json) -> Result<Envelope, String> {
                 limit: field_usize(obj, "limit")?.unwrap_or(DEFAULT_LIMIT),
             }
         }
-        "mine_topk" => {
-            let k =
-                field_usize(obj, "k")?.ok_or("query \"mine_topk\" needs an integer field \"k\"")?;
-            if k == 0 {
-                return Err("query \"mine_topk\" needs k >= 1".to_string());
-            }
-            Request::MineTopK { k }
-        }
-        "mine_target" => {
-            let target = text_field("target")?;
-            if target.is_empty() {
-                return Err("query \"mine_target\" needs a non-empty \"target\"".to_string());
-            }
-            Request::MineTarget {
-                target,
-                limit: field_usize(obj, "limit")?.unwrap_or(DEFAULT_LIMIT),
-            }
-        }
+        "mine_topk" => Request::MineTopK {
+            k: field_usize(obj, "k")?.ok_or("query \"mine_topk\" needs an integer field \"k\"")?,
+        },
+        "mine_target" => Request::MineTarget {
+            target: text_field("target")?,
+            limit: field_usize(obj, "limit")?.unwrap_or(DEFAULT_LIMIT),
+        },
         "stats" => Request::Stats,
         "shutdown" => Request::Shutdown,
         other => return Err(format!("unknown query kind {other:?}")),
@@ -419,7 +408,7 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
             let prefix = Pattern::parse(target, index.alphabet())
                 .map_err(|e| format!("bad target {target:?}: {e}"))?;
             let config = MppConfig {
-                prune: PruneMode::targeted(TargetSpec::Prefix(prefix.codes().to_vec())),
+                prune: PruneMode::prefix(prefix.codes().to_vec()),
                 ..MppConfig::default()
             };
             let outcome = mpp(seq, index.gap(), index.rho(), index.n_used(), config)
@@ -685,8 +674,11 @@ mod tests {
         assert!(parse_request(r#"{"q": "overlap", "a": 9, "b": 4}"#).is_err());
         assert!(parse_request(r#"{"q": "nope"}"#).is_err());
         assert!(parse_request(r#"{"k": 3}"#).is_err());
-        assert!(parse_request(r#"{"q": "mine_topk", "k": 0}"#).is_err());
-        assert!(parse_request(r#"{"q": "mine_target", "target": ""}"#).is_err());
+        // A zero k and an empty target parse: the mine refuses them
+        // (see `mine_topk_matches_the_indexed_ranking`).
+        let env = parse_request(r#"{"q": "mine_topk", "k": 0}"#).unwrap();
+        assert_eq!(env.request, Request::MineTopK { k: 0 });
+        assert!(parse_request(r#"{"q": "mine_target", "target": ""}"#).is_ok());
         // No kind takes a client-supplied file path.
         assert!(parse_request(r#"{"q": "mine_incremental", "cache": "x.pgrc"}"#).is_err());
     }
@@ -835,6 +827,15 @@ mod tests {
                 .map(|f| f.pattern.display(&Alphabet::Dna))
                 .collect();
             assert_eq!(got, want, "mine_topk k={k}");
+        }
+        // Settings the mine cannot honour answer an error naming them.
+        for (line, setting) in [
+            (r#"{"q": "mine_topk", "k": 0}"#, "top_k"),
+            (r#"{"q": "mine_target", "target": ""}"#, "prefix"),
+        ] {
+            let served = single(serve_request_line(&ctx, line));
+            assert!(!served.ok, "{line}");
+            assert!(served.response.contains(setting), "{}", served.response);
         }
     }
 

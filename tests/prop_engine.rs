@@ -109,8 +109,9 @@ proptest! {
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
         let config = MppConfig::default();
-        let old = mpp_reference(&seq, gap, rho, 8, config.clone(), threads);
-        let new = mpp(&seq, gap, rho, 8, MppConfig { threads, ..config.clone() });
+        let threaded = MppConfig { threads, ..config.clone() };
+        let old = mpp_reference(&seq, gap, rho, 8, threaded.clone());
+        let new = mpp(&seq, gap, rho, 8, threaded);
         // Sequences too short for a level-3 pattern under this gap are
         // rejected; both engines must agree on that too.
         prop_assert_eq!(old.is_ok(), new.is_ok());
@@ -182,7 +183,7 @@ proptest! {
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
         let config = MppConfig::default();
-        let reference = mpp_reference(&seq, gap, rho, 8, config.clone(), 1);
+        let reference = mpp_reference(&seq, gap, rho, 8, config.clone());
         let engine = mpp(&seq, gap, rho, 8, MppConfig { threads, ..config.clone() });
         prop_assert_eq!(reference.is_ok(), engine.is_ok());
         let Ok(reference) = reference else { return Ok(()) };
@@ -256,21 +257,19 @@ proptest! {
 
     #[test]
     fn topk_and_targeted_pruning_match_post_filtering(
-        (alpha, codes, (n, m), rho_scale, k, mask_bits) in (
+        (alpha, codes, (n, m), rho_scale, k) in (
             alphabet(),
             codes(60),
             gap_req(), // biased toward N == M: both floor regimes occur
             1usize..40,
             1usize..12,
-            1u8..8, // symbol mask over codes {0, 1, 2}; never empty
         )
     ) {
         use perigap::core::mppm::mppm;
         use perigap::core::spill::{MemSpillIo, SpillIo};
-        use perigap::core::{select_top_k, PruneMode, TargetSpec};
+        use perigap::core::{select_top_k, PruneMode};
         use std::sync::Arc;
 
-        let alpha_size = alpha.size();
         let seq = Sequence::from_codes(alpha, codes).unwrap();
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
@@ -307,54 +306,40 @@ proptest! {
 
         // Prefix target: emission-filtered only (the self-join needs
         // every window), canonical order preserved.
-        let target_cfg = |spec: &TargetSpec| MppConfig {
-            prune: PruneMode::targeted(spec.clone()),
-            ..cfg.clone()
-        };
-        let prefix_codes: Vec<u8> = full
+        let prefix: Vec<u8> = full
             .frequent
             .first()
             .map(|f| f.pattern.codes()[..f.pattern.len().min(2)].to_vec())
             .unwrap_or_else(|| vec![0]);
-        let prefix = TargetSpec::prefix(prefix_codes);
+        let target_cfg = MppConfig {
+            prune: PruneMode::prefix(prefix.clone()),
+            ..cfg.clone()
+        };
         let expect_prefix: Vec<FrequentPattern> = full
             .frequent
             .iter()
-            .filter(|f| prefix.admits_pattern(f.pattern.codes()))
+            .filter(|f| f.pattern.codes().starts_with(&prefix))
             .cloned()
             .collect();
-        let run = mpp(&seq, gap, rho, 8, target_cfg(&prefix)).unwrap();
+        let run = mpp(&seq, gap, rho, 8, target_cfg.clone()).unwrap();
         assert_pruned_equal(&expect_prefix, &run, "prefix serial")?;
-        let run = mpp(&seq, gap, rho, 8, MppConfig { threads: 2, ..target_cfg(&prefix) }).unwrap();
+        let run = mpp(&seq, gap, rho, 8, MppConfig { threads: 2, ..target_cfg }).unwrap();
         assert_pruned_equal(&expect_prefix, &run, "prefix parallel")?;
-
-        // Symbol-set target: window-closed, so whole cones are cut —
-        // yet the mined set must still equal masking the full mine.
-        let allowed: Vec<u8> = (0u8..3).filter(|c| mask_bits >> c & 1 == 1).collect();
-        let symbols = TargetSpec::symbols(&allowed, alpha_size);
-        let expect_sym: Vec<FrequentPattern> = full
-            .frequent
-            .iter()
-            .filter(|f| symbols.admits_pattern(f.pattern.codes()))
-            .cloned()
-            .collect();
-        let run = mpp(&seq, gap, rho, 8, target_cfg(&symbols)).unwrap();
-        assert_pruned_equal(&expect_sym, &run, "symbols serial")?;
-        let run = mpp(&seq, gap, rho, 8, MppConfig { threads: 3, ..target_cfg(&symbols) }).unwrap();
-        assert_pruned_equal(&expect_sym, &run, "symbols parallel")?;
 
         // Combined: the floor only ever counts target-admitted
         // patterns, so target-then-top-k is the composition.
         let combined = MppConfig {
             prune: PruneMode {
                 top_k: Some(k),
-                target: Some(symbols.clone()),
+                prefix: Some(prefix),
             },
             ..cfg.clone()
         };
-        let expect_combined = select_top_k(&expect_sym, k);
-        let run = mpp(&seq, gap, rho, 8, combined).unwrap();
+        let expect_combined = select_top_k(&expect_prefix, k);
+        let run = mpp(&seq, gap, rho, 8, combined.clone()).unwrap();
         assert_pruned_equal(&expect_combined, &run, "combined")?;
+        let run = mpp(&seq, gap, rho, 8, MppConfig { threads: 3, ..combined }).unwrap();
+        assert_pruned_equal(&expect_combined, &run, "combined parallel")?;
 
         // The multi-sequence-normalized engine honors the same
         // contract.
