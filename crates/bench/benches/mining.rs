@@ -88,7 +88,7 @@ fn bench_profile_vs_uniform(c: &mut Criterion) {
     });
     group.bench_function("eil_profile_uniform", |b| {
         let profile = GapProfile::uniform(gap(), 12);
-        b.iter(|| mine_with_profile(black_box(&seq), &profile, RHO, 12, 3).expect("runs"));
+        b.iter(|| mine_with_profile(black_box(&seq), &profile, RHO, 12).expect("runs"));
     });
     group.finish();
 }

@@ -118,7 +118,7 @@ pub fn run(seq_len: usize) {
         GapRequirement::new(9, 12).expect("static"),
     ])
     .expect("non-empty profile");
-    let mined = mine_with_profile(&seq, &profile, paper::RHO, 5, 3).expect("runs");
+    let mined = mine_with_profile(&seq, &profile, paper::RHO, 5).expect("runs");
     println!(
         "profile [9,12] [9,12] [20,26] [9,12]: {} frequent patterns, longest = {}",
         mined.frequent.len(),

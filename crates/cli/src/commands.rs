@@ -623,8 +623,7 @@ fn mine_with_profile_command(
     let profile = GapProfile::new(steps).map_err(|e| ArgError(e.to_string()))?;
     let n: usize = args.parse_or("n", profile.max_pattern_len())?;
     let top: usize = args.parse_or("top", 25)?;
-    let outcome =
-        mine_with_profile(seq, &profile, rho, n, 3).map_err(|e| ArgError(e.to_string()))?;
+    let outcome = mine_with_profile(seq, &profile, rho, n).map_err(|e| ArgError(e.to_string()))?;
     let mut out = format!(
         "sequence: {} chars; profile {:?}; rho {:.6}%\n{} frequent patterns; longest = {}\n\n",
         seq.len(),

@@ -3,9 +3,9 @@
 //! Figure 3 of the paper counts each candidate's support and tests it
 //! against the level's bounds as the candidate is produced. This engine
 //! does the same: a candidate is evaluated against the exact and
-//! Theorem 1 bounds the moment its join finishes, and only survivors
-//! are written to the next generation's arena. Nothing is stored for a
-//! candidate that fails both bounds.
+//! Theorem 1 bounds the moment its support is counted, and only
+//! survivors are joined and written to the next generation's arena.
+//! Nothing is built or stored for a candidate that fails both bounds.
 //!
 //! Figure 3's loop body is one function, `TaskCtx::step`: it produces
 //! level `l + 1` from a generation's members, records the level's
@@ -13,7 +13,7 @@
 //! parent. The prelude and every subtree step through it; only the
 //! `Producer` differs — one `eager_generate` call, or, for a wide
 //! prelude level on a pool, chunk tasks whose parts `PilSet::concat`
-//! merges. The seed filter and every joined candidate pass one
+//! merges. The seed filter and every generated candidate pass one
 //! admission rule (`admit`).
 //!
 //! The run starts breadth-first (the *prelude*). When the survivors
@@ -37,10 +37,13 @@
 //! backend hands off at the first split at every thread count, because
 //! that is where spilling is decided.
 //!
-//! Each candidate is one call of the join kernel
-//! ([`crate::pil::join_into`]) into one reused output list, and each
-//! level finds every member's join partners with one forward merge
-//! ([`partner_runs`]).
+//! Each level finds every member's join partners with one forward merge
+//! (`arena::partner_runs`). A candidate's support is counted before it
+//! is joined, from its right parent's PIL and the run's
+//! [`WindowTable`] (built once per mine, `σ·(L+1)` `u32` counts, shared
+//! read-only by every task). Only a candidate the bounds keep is joined:
+//! one call of the join kernel (`pil::join_into`) into one reused output
+//! list.
 //!
 //! ## Why the component handoff is sound
 //!
@@ -78,7 +81,7 @@ use crate::parallel::{
     PoolHooks, PoolJob, WorkerPool, CHUNKS_PER_THREAD, MIN_CHUNK, PARALLEL_THRESHOLD,
 };
 use crate::pattern::Pattern;
-use crate::pil::{join_into, JoinCounters, Pil};
+use crate::pil::{extension_support, join_into, JoinCounters, Pil, WindowTable};
 use crate::prune::Pruner;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::spill::{self, SpillState};
@@ -205,7 +208,7 @@ impl Drop for MemGauge<'_> {
 
 /// Reusable working buffers for [`eager_generate`], bundled so callers
 /// amortise their allocations across generation steps: `out` takes
-/// each candidate's join, `codes` its pattern.
+/// each kept candidate's join, `codes` its pattern.
 #[derive(Default)]
 struct EagerBufs {
     out: Pil,
@@ -236,11 +239,11 @@ impl JoinIndex {
 }
 
 /// The admission rule every evaluated pattern passes, at the seed level
-/// and for each joined candidate. A pattern that the exact bound of
-/// `row` admits is frequent if the pruner takes it as a result, and one
-/// that the λ̂ bound admits is kept on the join frontier. A support
-/// that neither bound admits, or that the search floor cuts, settles
-/// both as false before `codes` builds the pattern.
+/// and for each generated candidate before it is joined. A pattern that
+/// the exact bound of `row` admits is frequent if the pruner takes it
+/// as a result, and one that the λ̂ bound admits is kept on the join
+/// frontier. A support that neither bound admits, or that the search
+/// floor cuts, settles both as false before `codes` builds the pattern.
 /// A frequent pattern is pushed to `frequent`. Returns
 /// `(frequent, kept)`.
 #[inline]
@@ -272,11 +275,14 @@ fn admit<'c>(
 /// `members[parents]`, evaluating each against `row` the moment it is
 /// produced. Frequent candidates are appended to `frequent`; candidates
 /// passing the extension bound are appended to `next`. Every partner
-/// pair is counted in `evaluated` and `candidates` (empty joins
+/// pair is counted in `evaluated` and `candidates` (empty ones
 /// included): the paper's per-level candidate count.
 ///
-/// Each (left parent, partner) pair is one [`join_into`] call into
-/// `bufs.out`; only survivors are copied into `next`.
+/// A candidate `a·K·x` (left parent `a·K`, partner `m = K·x`) is counted
+/// before it is joined: its support is `m`'s entries dotted with row `a`
+/// of the run's [`WindowTable`]. Only a candidate that `admit` keeps is
+/// joined, by one [`join_into`] call into `bufs.out`, and copied into
+/// `next`.
 #[allow(clippy::too_many_arguments)]
 fn eager_generate(
     set: &PilSet,
@@ -303,16 +309,16 @@ fn eager_generate(
             continue;
         };
         let (left, _) = set.entries(i);
+        let occ = env.window.row(p1[0]);
         for &m in &members[s..e] {
             let (offsets, counts) = set.entries(m);
-            bufs.out.clear();
-            st.saturated |= join_into(left, offsets, counts, env.gap, &mut bufs.out, &mut st.jc);
             st.evaluated += 1;
+            st.jc.probed += offsets.len() as u64;
             let codes = &mut bufs.codes;
             let (is_frequent, is_kept) = admit(
                 row,
                 pruner,
-                bufs.out.support(),
+                extension_support(occ, offsets, counts),
                 move || {
                     codes.clear();
                     codes.extend_from_slice(p1);
@@ -323,6 +329,9 @@ fn eager_generate(
             );
             st.frequent += usize::from(is_frequent);
             if is_kept {
+                bufs.out.clear();
+                st.saturated |=
+                    join_into(left, offsets, counts, env.gap, &mut bufs.out, &mut st.jc);
                 next.push_pattern(&bufs.codes, (bufs.out.offsets(), bufs.out.counts()));
                 st.kept += 1;
             }
@@ -377,10 +386,13 @@ fn split_components(members: &[usize], index: &JoinIndex) -> Option<Vec<Vec<usiz
 }
 
 /// What every task of one run shares: the mining parameters, the
-/// pruning state and the engine-wide arena gauge.
+/// sequence's window table, the pruning state and the engine-wide arena
+/// gauge.
 struct RunEnv {
     gap: GapRequirement,
     seq_len: usize,
+    /// Read-only by every task; not charged to the arena gauge.
+    window: WindowTable,
     n: usize,
     rho: BigRatio,
     /// The deepest level mined.
@@ -855,6 +867,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     let env = Arc::new(RunEnv {
         gap,
         seq_len: seq.len(),
+        window: WindowTable::new(seq, gap),
         n,
         rho: rho.clone(),
         hard_cap: config.max_level.unwrap_or(usize::MAX).min(counts.l2()),
@@ -1156,6 +1169,7 @@ mod tests {
     use super::*;
     use crate::arena::build_seed;
     use crate::mpp::{mine, prepare, Algorithm};
+    use crate::naive::support_dp;
     use crate::reference::mpp_reference;
     use crate::trace::{MetricsObserver, NoopObserver};
     use perigap_seq::gen::iid::{uniform, weighted};
@@ -1224,6 +1238,34 @@ mod tests {
             )
             .unwrap();
             assert_counters_match(&dfs, &bfs, &format!("{threads} threads"));
+        }
+    }
+
+    #[test]
+    fn saturated_counts_are_flagged_and_bound_the_support() {
+        // 80 × A under gap 0:3: the count of A^l's offset sequences from
+        // one offset first passes 2⁶⁴ at level 34, where the kept
+        // candidate's join clamps. Its support is still exact there,
+        // counted from level 33's exact counts; deeper supports are
+        // counted from clamped counts and fall short (here level 35
+        // misses the threshold, although every A^l has ratio 1).
+        let seq = Sequence::dna(&"A".repeat(80)).unwrap();
+        let g = gap(0, 3);
+        for threads in [1usize, 2] {
+            let mut metrics = MetricsObserver::new();
+            let config = MppConfig::default();
+            let out = run_mpp(&seq, g, 0.5, 80, config, threads, &mut metrics).unwrap();
+            assert!(out.stats.support_saturated, "{threads} threads");
+            let first_clamp = metrics.levels.iter().find(|e| e.saturated).map(|e| e.level);
+            assert_eq!(first_clamp, Some(34), "{threads} threads");
+            assert!(out.longest_len() >= 34, "{threads} threads");
+            for f in &out.frequent {
+                let exact = support_dp(&seq, g, &f.pattern);
+                assert!(f.support <= exact, "length {}", f.len());
+                if f.len() <= 34 {
+                    assert_eq!(f.support, exact, "length {}", f.len());
+                }
+            }
         }
     }
 

@@ -121,8 +121,8 @@ pub(crate) fn check_min_sequences(min_sequences: usize) -> Result<(), MineError>
 /// Mine patterns frequent (ratio ≥ `rho`) in at least `min_sequences`
 /// of `sequences`, with Theorem 1 pruning driven by `n` per sequence.
 ///
-/// All sequences must share one alphabet. Sequences too short to hold a
-/// seed-level pattern simply never vote. `min_sequences` 0 and the
+/// Sequences too short to hold a seed-level pattern simply never vote.
+/// Sequences that do not share one alphabet, `min_sequences` 0 and the
 /// settings [`MppConfig::check`] refuses fail with
 /// [`MineError::InvalidConfig`]; a `min_sequences` above the
 /// collection size mines nothing.
@@ -175,6 +175,15 @@ pub fn mine_collection_traced<O: MineObserver>(
     check_rho(rho)?;
     config.check()?;
     check_min_sequences(min_sequences)?;
+    if sequences
+        .windows(2)
+        .any(|pair| pair[0].alphabet() != pair[1].alphabet())
+    {
+        return Err(MineError::InvalidConfig {
+            setting: "sequences",
+            reason: "must share one alphabet".into(),
+        });
+    }
     if sequences.is_empty() || min_sequences > sequences.len() {
         observer.on(Event::Complete(&CompleteEvent {
             n_used: n,
@@ -183,11 +192,6 @@ pub fn mine_collection_traced<O: MineObserver>(
         }));
         return Ok(CollectionOutcome::default());
     }
-    let alphabet = sequences[0].alphabet();
-    assert!(
-        sequences.iter().all(|s| s.alphabet() == alphabet),
-        "collection sequences must share an alphabet"
-    );
     let rho_exact = BigRatio::from_f64_exact(rho);
     let start = SEED_LEVEL;
 
@@ -497,6 +501,24 @@ mod tests {
             .patterns
             .is_empty());
         assert!(mine_collection(&seqs, g, 0.0, 1, 5, MppConfig::default()).is_err());
+    }
+
+    #[test]
+    fn mixed_alphabets_are_refused() {
+        let g = gap(1, 2);
+        let seqs = vec![
+            Sequence::dna("ACGTACGTACGT").unwrap(),
+            Sequence::protein("ACDEFGHIKLMN").unwrap(),
+        ];
+        for min_sequences in [1, 3] {
+            assert!(matches!(
+                mine_collection(&seqs, g, 0.01, min_sequences, 5, MppConfig::default()),
+                Err(MineError::InvalidConfig {
+                    setting: "sequences",
+                    ..
+                })
+            ));
+        }
     }
 
     /// Differential oracle for the collection closed filter: the

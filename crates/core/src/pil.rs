@@ -14,6 +14,10 @@
 //! The join here improves on the paper's quadratic pseudo-code with a
 //! sliding-window sum over the sorted suffix list (`O(|A| + |B|)`).
 //!
+//! A support alone needs less than a join: [`WindowTable`] counts
+//! `sup(a·m)` from `PIL(m)` and one per-sequence table, so the miner
+//! joins only the candidates its bounds keep.
+//!
 //! ## Performance notes
 //!
 //! A list is stored as two parallel arrays, offsets (`u32`) and counts
@@ -49,10 +53,13 @@ pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<u32>() + std::mem::siz
 /// attributable without an external profiler.
 ///
 /// Semantics:
-/// - `joins` — join kernel invocations, one per candidate.
-/// - `probed` — probe positions scanned: left offsets examined after
-///   overlap clipping plus suffix entries absorbed into the sliding
-///   window.
+/// - `joins` — join kernel invocations. The mining engine calls the
+///   kernel only for a candidate its bounds keep, so this is the kept
+///   count, not the candidate count.
+/// - `probed` — positions read: in the kernel, left offsets examined
+///   after overlap clipping plus suffix entries absorbed into the
+///   sliding window; in the engine, also every partner entry a
+///   [`WindowTable`] support count reads, one per entry per candidate.
 /// - `reallocs` — output-buffer growth events observed across a kernel
 ///   call (a lower bound on the allocator's actual reallocations).
 /// - `bytes_moved` — bytes of live buffer content, at 12 bytes an
@@ -62,7 +69,7 @@ pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<u32>() + std::mem::siz
 pub struct JoinCounters {
     /// Join kernel invocations.
     pub joins: u64,
-    /// Probe positions scanned (see type docs for the exact rule).
+    /// Positions read (see type docs for the exact rule).
     pub probed: u64,
     /// Observed output-buffer growth events.
     pub reallocs: u64,
@@ -268,7 +275,7 @@ impl Pil {
     }
 
     /// Empty the list, keeping both arrays' allocations — the engine
-    /// joins every candidate into one reused output list.
+    /// joins every kept candidate into one reused output list.
     pub(crate) fn clear(&mut self) {
         self.offsets.clear();
         self.counts.clear();
@@ -372,6 +379,94 @@ pub(crate) fn join_into(
     saturated
 }
 
+/// Per-symbol window counts of one sequence under one gap: the support
+/// of every front extension `a·m` from `PIL(m)` alone.
+///
+/// In the join, the left parent only filters. A match of `P = a·m` from
+/// `x` is `S[x] = a` followed by a match of `m` from some `c` with
+/// `c − x − 1 ∈ [N, M]`, so
+/// `PIL(P)[x] = [S[x] = a] · Σ_{c ∈ [x+N+1, x+M+1]} PIL(m)[c]`.
+/// Summed over `x`, `sup(P) = Σ_{(c, y) ∈ PIL(m)} y · occ_a(c)`, where
+/// `occ_a(c) = #{x ∈ [c−M−1, c−N−1], x ≥ 1 : S[x] = a}` depends only on
+/// `S` and the gap. The table holds `occ_a(c)` for every symbol `a` and
+/// every `c ∈ 0..=L`, symbol-major: `σ·(L+1)` `u32` counts, built by one
+/// sweep of `S` per symbol. A count is at most `L`, and offsets are
+/// `u32`, so every count fits.
+///
+/// ```
+/// use perigap_core::pil::WindowTable;
+/// use perigap_core::{GapRequirement, Pattern, Pil};
+/// use perigap_seq::{Alphabet, Sequence};
+///
+/// // The paper's Section 5.1 example: sup(ACT) from PIL(CT) alone.
+/// let s = Sequence::dna("AACCGTT")?;
+/// let gap = GapRequirement::new(1, 2)?;
+/// let ct = Pattern::parse("CT", &Alphabet::Dna)?;
+/// let table = WindowTable::new(&s, gap);
+/// assert_eq!(table.extension_support(0, &Pil::build_all(&s, gap, 2)[&ct]), 5);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct WindowTable {
+    /// `L + 1`: the length of one symbol's row.
+    stride: usize,
+    /// Row `a` is `occ[a·stride .. (a+1)·stride]`.
+    occ: Vec<u32>,
+}
+
+impl WindowTable {
+    /// The table of `seq` under `gap`.
+    pub fn new(seq: &Sequence, gap: GapRequirement) -> WindowTable {
+        let codes = seq.codes();
+        let stride = codes.len() + 1;
+        let (lo, hi) = (gap.min_step(), gap.max_step());
+        let mut occ = vec![0u32; seq.alphabet().size() * stride];
+        for (a, row) in occ.chunks_exact_mut(stride).enumerate() {
+            // First the prefix counts `#{x ≤ i : S[x] = a}` ...
+            let mut seen = 0u32;
+            for (i, &s) in codes.iter().enumerate() {
+                seen += u32::from(usize::from(s) == a);
+                row[i + 1] = seen;
+            }
+            // ... then each window as a difference of two of them,
+            // descending: both reads sit below `c`, not yet overwritten.
+            for c in (0..stride).rev() {
+                row[c] = match c.checked_sub(lo) {
+                    Some(top) => row[top] - row[c.saturating_sub(hi + 1)],
+                    None => 0,
+                };
+            }
+        }
+        WindowTable { stride, occ }
+    }
+
+    /// `occ_a(c)` for every `c ∈ 0..=L`.
+    pub(crate) fn row(&self, a: u8) -> &[u32] {
+        let start = usize::from(a) * self.stride;
+        &self.occ[start..start + self.stride]
+    }
+
+    /// `sup(a·m)` from `suffix = PIL(m)`, without joining.
+    ///
+    /// # Panics
+    /// Panics if `a` is not a code of the sequence's alphabet, or if
+    /// `suffix` holds an offset past the sequence's end (a list of
+    /// another sequence).
+    pub fn extension_support(&self, a: u8, suffix: &Pil) -> u128 {
+        extension_support(self.row(a), &suffix.offsets, &suffix.counts)
+    }
+}
+
+/// `Σ y · occ[c]` over the entries `(c, y)` of a list, in `u128`: fewer
+/// than 2³² entries, each product below 2⁹⁶, so the sum cannot
+/// overflow. `occ` is one [`WindowTable::row`].
+#[inline]
+pub(crate) fn extension_support(occ: &[u32], offsets: &[u32], counts: &[u64]) -> u128 {
+    offsets.iter().zip(counts).fold(0u128, |acc, (&c, &y)| {
+        acc + u128::from(y) * u128::from(occ[c as usize])
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,6 +564,19 @@ mod tests {
             }
             assert!(total_patterns <= 4usize.pow(level as u32));
         }
+    }
+
+    #[test]
+    fn window_table_counts_by_hand() {
+        // S = AACCGTT, gap [1,2]: occ_A(c) counts the A's at
+        // x ∈ [c − 3, c − 2], and S has A at 1 and 2.
+        let s = Sequence::dna("AACCGTT").unwrap();
+        let table = WindowTable::new(&s, gap(1, 2));
+        assert_eq!(table.row(0), [0, 0, 0, 1, 2, 1, 0, 0]);
+        // T at 6 and 7 is seen from c = 8 and 9 only, past the end.
+        assert_eq!(table.row(3), [0; 8]);
+        // sup(AC) from PIL(C) = {(3,1), (4,1)}: 1·1 + 1·2.
+        assert_eq!(table.extension_support(0, &Pil::build_level1(&s, 1)), 3);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::error::MineError;
 use crate::gap::GapRequirement;
-use crate::mpp::check_rho;
+use crate::mpp::{check_rho, SEED_LEVEL};
 use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use perigap_math::{BigRatio, BigUint};
@@ -173,7 +173,9 @@ fn eil_support(eil: &Eil) -> u128 {
 }
 
 /// Mine frequent patterns under a gap profile, complete for lengths up
-/// to `n` (clamped to the profile's capacity).
+/// to `n` (clamped to the profile's capacity). Like every mine, it
+/// reports patterns from [`SEED_LEVEL`] on, or from the profile's
+/// longest pattern if that is shorter.
 ///
 /// `rho` is the usual support-ratio threshold against the profile's own
 /// `N_l` ([`profile_n`]).
@@ -182,18 +184,11 @@ pub fn mine_with_profile(
     profile: &GapProfile,
     rho: f64,
     n: usize,
-    start_level: usize,
 ) -> Result<MineOutcome, MineError> {
     check_rho(rho)?;
-    if start_level == 0 {
-        return Err(MineError::InvalidConfig {
-            setting: "start_level",
-            reason: "must be at least 1".into(),
-        });
-    }
     let started = Instant::now();
     let max_len = profile.max_pattern_len();
-    let start = start_level.min(max_len);
+    let start = SEED_LEVEL.min(max_len);
     if seq.len() < profile.min_span(start) {
         return Err(MineError::SequenceTooShort {
             len: seq.len(),
@@ -361,7 +356,7 @@ mod tests {
         let n = 10;
         let reference = mpp(&seq, g, rho, n, MppConfig::default()).unwrap();
         let profile = GapProfile::uniform(g, 15);
-        let mined = mine_with_profile(&seq, &profile, rho, n, 3).unwrap();
+        let mined = mine_with_profile(&seq, &profile, rho, n).unwrap();
         assert_eq!(mined.frequent.len(), reference.frequent.len());
         for f in &reference.frequent {
             let found = mined.get(&f.pattern).expect("profile miner finds it");
@@ -421,7 +416,7 @@ mod tests {
         }
         let seq = Sequence::from_codes(Alphabet::Dna, codes).unwrap();
         let profile = GapProfile::new(vec![gap(2, 2), gap(1, 1)]).unwrap();
-        let mined = mine_with_profile(&seq, &profile, 0.05, 3, 3).unwrap();
+        let mined = mine_with_profile(&seq, &profile, 0.05, 3).unwrap();
         let aaa = Pattern::from_codes(vec![0, 0, 0]);
         let found = mined.get(&aaa).expect("planted AAA under the profile");
         assert_eq!(found.support, 9);
@@ -435,7 +430,7 @@ mod tests {
         let seq = uniform(&mut StdRng::seed_from_u64(83), Alphabet::Dna, 150);
         let profile =
             GapProfile::new(vec![gap(1, 2), gap(2, 3), gap(0, 1), gap(1, 1), gap(2, 2)]).unwrap();
-        let mined = mine_with_profile(&seq, &profile, 0.003, 6, 3).unwrap();
+        let mined = mine_with_profile(&seq, &profile, 0.003, 6).unwrap();
         assert!(!mined.frequent.is_empty());
         for f in &mined.frequent {
             assert_eq!(f.support, support_dp_profile(&seq, &profile, &f.pattern));
@@ -447,10 +442,10 @@ mod tests {
         let seq = uniform(&mut StdRng::seed_from_u64(84), Alphabet::Dna, 70);
         let profile = GapProfile::new(vec![gap(1, 2), gap(0, 2), gap(1, 3)]).unwrap();
         let rho = 0.01;
-        let mined = mine_with_profile(&seq, &profile, rho, 4, 2).unwrap();
-        // Brute force every pattern of lengths 2..=4.
+        let mined = mine_with_profile(&seq, &profile, rho, 4).unwrap();
+        // Brute force every pattern of lengths 3..=4.
         let rho_exact = BigRatio::from_f64_exact(rho);
-        for l in 2..=4usize {
+        for l in 3..=4usize {
             let n_l = profile_n(70, &profile, l);
             let mut stack = vec![0u8; l];
             loop {
@@ -487,7 +482,7 @@ mod tests {
     fn degenerate_inputs() {
         let seq = Sequence::dna("ACGT").unwrap();
         let profile = GapProfile::uniform(gap(1, 2), 5);
-        assert!(mine_with_profile(&seq, &profile, 0.0, 5, 3).is_err());
+        assert!(mine_with_profile(&seq, &profile, 0.0, 5).is_err());
         assert!(matches!(
             GapProfile::new(vec![]),
             Err(MineError::InvalidConfig {
@@ -495,17 +490,10 @@ mod tests {
                 ..
             })
         ));
-        assert!(matches!(
-            mine_with_profile(&seq, &profile, 0.1, 5, 0),
-            Err(MineError::InvalidConfig {
-                setting: "start_level",
-                ..
-            })
-        ));
         // Sequence too short for the start level.
         let tiny = Sequence::dna("AC").unwrap();
         assert!(matches!(
-            mine_with_profile(&tiny, &profile, 0.1, 5, 3),
+            mine_with_profile(&tiny, &profile, 0.1, 5),
             Err(MineError::SequenceTooShort { .. })
         ));
     }

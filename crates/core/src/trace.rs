@@ -104,14 +104,18 @@ pub struct LevelEvent {
     pub arena_bytes: usize,
     /// Join-kernel invocations in the fan-out that generated this
     /// level's members (zero for the seed level, whose PILs come from
-    /// the sequence scan): one per candidate. Physical diagnostics:
-    /// `joins` and `probed` are fixed by the candidates, while
-    /// `reallocs` and `bytes_moved` depend on how each task's reused
-    /// output list grew, so they vary with the schedule. None of the
-    /// four is part of `MineStats`.
+    /// the sequence scan). A candidate's support is counted before any
+    /// join, so only a kept candidate is joined: `joins` equals `kept`
+    /// on every level past the seed. Physical diagnostics: `joins` and
+    /// `probed` are fixed by the candidates, while `reallocs` and
+    /// `bytes_moved` depend on how each task's reused output list grew,
+    /// so they vary with the schedule. None of the four is part of
+    /// `MineStats`.
     pub joins: u64,
-    /// Probe positions scanned across those joins (left offsets walked
-    /// plus right entries absorbed by the sliding windows).
+    /// Positions read to produce this level: every partner entry the
+    /// candidates' support counts read, plus, in each join, the left
+    /// offsets walked and the right entries absorbed by the sliding
+    /// window.
     pub probed: u64,
     /// Output-buffer reallocations the joins triggered.
     pub reallocs: u64,

@@ -80,9 +80,17 @@ pub fn windowed_mine(
             reason: "must be at least 1".into(),
         });
     }
+    // Every pattern occurs in at least zero windows: there is no
+    // answer to give.
+    if min_windows == 0 {
+        return Err(MineError::InvalidConfig {
+            setting: "min_windows",
+            reason: "must be at least 1".into(),
+        });
+    }
     let wins = fragments(seq, window, 1);
     let total = wins.len();
-    if total == 0 || min_windows == 0 || min_windows > total {
+    if total == 0 || min_windows > total {
         return Ok(WindowedOutcome {
             patterns: Vec::new(),
             windows: total,
@@ -307,6 +315,13 @@ mod tests {
             windowed_mine(&seq, g, 0, 1, config.clone()),
             Err(MineError::InvalidConfig {
                 setting: "window",
+                ..
+            })
+        ));
+        assert!(matches!(
+            windowed_mine(&seq, g, 4, 0, config.clone()),
+            Err(MineError::InvalidConfig {
+                setting: "min_windows",
                 ..
             })
         ));

@@ -195,10 +195,10 @@ fn two_threads_chunk_the_lopsided_levels() {
 
 const HANDOFF_T1: &str = r#"{"event": "seed", "level": 3, "patterns": 64, "pil_entries": 15778, "arena_bytes": 190552, "elapsed_ms": _}
 {"event": "level", "level": 3, "candidates": 64, "evaluated": 64, "frequent": 64, "kept": 64, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 190552, "joins": 0, "probed": 0, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 569060, "joins": 256, "probed": 125934, "reallocs": 1, "bytes_moved": 1632, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1024, "kept": 1024, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 1724184, "joins": 1024, "probed": 374872, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 6, "candidates": 4096, "evaluated": 4096, "frequent": 554, "kept": 566, "pruned_bound": 3530, "pruned_support": 3542, "arena_bytes": 805976, "joins": 4096, "probed": 1130973, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 7, "candidates": 1056, "evaluated": 1056, "frequent": 0, "kept": 0, "pruned_bound": 1056, "pruned_support": 1056, "arena_bytes": 0, "joins": 1056, "probed": 248228, "reallocs": 5, "bytes_moved": 5052, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 569060, "joins": 256, "probed": 189046, "reallocs": 1, "bytes_moved": 1632, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1024, "kept": 1024, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 1724184, "joins": 1024, "probed": 562852, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 6, "candidates": 4096, "evaluated": 4096, "frequent": 554, "kept": 566, "pruned_bound": 3530, "pruned_support": 3542, "arena_bytes": 805976, "joins": 566, "probed": 735738, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 7, "candidates": 1056, "evaluated": 1056, "frequent": 0, "kept": 0, "pruned_bound": 1056, "pruned_support": 1056, "arena_bytes": 0, "joins": 0, "probed": 125259, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
 {"event": "subtree", "index": 0, "level": 6, "patterns": 547, "deepest": 7, "evaluated": 1048, "frequent": 0, "peak_arena_bytes": 0, "elapsed_ms": _}
 {"event": "subtree", "index": 1, "level": 6, "patterns": 1, "deepest": 6, "evaluated": 0, "frequent": 0, "peak_arena_bytes": 0, "elapsed_ms": _}
 {"event": "subtree", "index": 2, "level": 6, "patterns": 3, "deepest": 7, "evaluated": 2, "frequent": 0, "peak_arena_bytes": 0, "elapsed_ms": _}
@@ -215,13 +215,13 @@ const HANDOFF_T1: &str = r#"{"event": "seed", "level": 3, "patterns": 64, "pil_e
 "#;
 const SPILL_T1: &str = r#"{"event": "seed", "level": 3, "patterns": 64, "pil_entries": 12135, "arena_bytes": 146836, "elapsed_ms": _}
 {"event": "level", "level": 3, "candidates": 64, "evaluated": 64, "frequent": 64, "kept": 64, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 146836, "joins": 0, "probed": 0, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 496460, "joins": 256, "probed": 96568, "reallocs": 1, "bytes_moved": 3912, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1012, "kept": 1013, "pruned_bound": 11, "pruned_support": 12, "arena_bytes": 1701093, "joins": 1024, "probed": 325822, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 6, "candidates": 4018, "evaluated": 4018, "frequent": 2734, "kept": 2744, "pruned_bound": 1274, "pruned_support": 1284, "arena_bytes": 4913756, "joins": 4018, "probed": 1110049, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 7, "candidates": 9593, "evaluated": 9593, "frequent": 3127, "kept": 3142, "pruned_bound": 6451, "pruned_support": 6466, "arena_bytes": 7217594, "joins": 9593, "probed": 2922144, "reallocs": 2, "bytes_moved": 6264, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 8, "candidates": 8664, "evaluated": 8664, "frequent": 632, "kept": 632, "pruned_bound": 8032, "pruned_support": 8032, "arena_bytes": 1885692, "joins": 8664, "probed": 3382204, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 9, "candidates": 1173, "evaluated": 1173, "frequent": 30, "kept": 30, "pruned_bound": 1143, "pruned_support": 1143, "arena_bytes": 94662, "joins": 1173, "probed": 591119, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 10, "candidates": 26, "evaluated": 26, "frequent": 0, "kept": 0, "pruned_bound": 26, "pruned_support": 26, "arena_bytes": 0, "joins": 26, "probed": 13382, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 496460, "joins": 256, "probed": 145108, "reallocs": 1, "bytes_moved": 3912, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1012, "kept": 1013, "pruned_bound": 11, "pruned_support": 12, "arena_bytes": 1701093, "joins": 1013, "probed": 488445, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 6, "candidates": 4018, "evaluated": 4018, "frequent": 2734, "kept": 2744, "pruned_bound": 1274, "pruned_support": 1284, "arena_bytes": 4913756, "joins": 2744, "probed": 1466556, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 7, "candidates": 9593, "evaluated": 9593, "frequent": 3127, "kept": 3142, "pruned_bound": 6451, "pruned_support": 6466, "arena_bytes": 7217594, "joins": 3142, "probed": 2765070, "reallocs": 2, "bytes_moved": 6264, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 8, "candidates": 8664, "evaluated": 8664, "frequent": 632, "kept": 632, "pruned_bound": 8032, "pruned_support": 8032, "arena_bytes": 1885692, "joins": 632, "probed": 2071228, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 9, "candidates": 1173, "evaluated": 1173, "frequent": 30, "kept": 30, "pruned_bound": 1143, "pruned_support": 1143, "arena_bytes": 94662, "joins": 30, "probed": 320932, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 10, "candidates": 26, "evaluated": 26, "frequent": 0, "kept": 0, "pruned_bound": 26, "pruned_support": 26, "arena_bytes": 0, "joins": 0, "probed": 6756, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
 {"event": "spill", "level": 6, "records": 2, "bytes": 4880896, "live_bytes": 4913756, "watermark_bytes": 0, "elapsed_ms": _}
 {"event": "subtree", "index": 0, "level": 6, "patterns": 2743, "deepest": 10, "evaluated": 19456, "frequent": 3789, "peak_arena_bytes": 14110878, "elapsed_ms": _}
 {"event": "subtree", "index": 1, "level": 6, "patterns": 1, "deepest": 6, "evaluated": 0, "frequent": 0, "peak_arena_bytes": 826, "elapsed_ms": _}
@@ -231,33 +231,33 @@ const SPILL_T1: &str = r#"{"event": "seed", "level": 3, "patterns": 64, "pil_ent
 "#;
 const TOP_K_T1: &str = r#"{"event": "seed", "level": 3, "patterns": 58, "pil_entries": 294, "arena_bytes": 4630, "elapsed_ms": _}
 {"event": "level", "level": 3, "candidates": 64, "evaluated": 58, "frequent": 47, "kept": 47, "pruned_bound": 11, "pruned_support": 11, "arena_bytes": 4630, "joins": 0, "probed": 0, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 4, "candidates": 113, "evaluated": 113, "frequent": 18, "kept": 18, "pruned_bound": 95, "pruned_support": 95, "arena_bytes": 1296, "joins": 113, "probed": 1192, "reallocs": 2, "bytes_moved": 108, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 5, "candidates": 7, "evaluated": 7, "frequent": 0, "kept": 0, "pruned_bound": 7, "pruned_support": 7, "arena_bytes": 0, "joins": 7, "probed": 50, "reallocs": 1, "bytes_moved": 48, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 4, "candidates": 113, "evaluated": 113, "frequent": 18, "kept": 18, "pruned_bound": 95, "pruned_support": 95, "arena_bytes": 1296, "joins": 18, "probed": 1033, "reallocs": 2, "bytes_moved": 108, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 5, "candidates": 7, "evaluated": 7, "frequent": 0, "kept": 0, "pruned_bound": 7, "pruned_support": 7, "arena_bytes": 0, "joins": 0, "probed": 31, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
 {"event": "subtree", "index": 0, "level": 4, "patterns": 15, "deepest": 5, "evaluated": 7, "frequent": 0, "peak_arena_bytes": 0, "elapsed_ms": _}
 {"event": "summary", "frequent": 30, "levels": 3, "total_candidates": 184, "n_used": 8, "support_saturated": false, "peak_arena_bytes": 5926, "top_k": 30, "floor_raises": 4, "pruned_by_floor": 121, "total_ms": _}
 "#;
 const ABORT_T1: &str = r#"{"event": "seed", "level": 3, "patterns": 64, "pil_entries": 15778, "arena_bytes": 190552, "elapsed_ms": _}
 {"event": "level", "level": 3, "candidates": 64, "evaluated": 64, "frequent": 64, "kept": 64, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 190552, "joins": 0, "probed": 0, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 569060, "joins": 256, "probed": 125934, "reallocs": 1, "bytes_moved": 1632, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1024, "kept": 1024, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 1724184, "joins": 1024, "probed": 374872, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 569060, "joins": 256, "probed": 189046, "reallocs": 1, "bytes_moved": 1632, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1024, "kept": 1024, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 1724184, "joins": 1024, "probed": 562852, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
 {"event": "abort", "message": "arena memory ceiling of 1265080 bytes exceeded: mining would need 2293244 bytes"}
 "#;
 const SUBTREE_ABORT_T1: &str = r#"{"event": "seed", "level": 3, "patterns": 64, "pil_entries": 12135, "arena_bytes": 146836, "elapsed_ms": _}
 {"event": "level", "level": 3, "candidates": 64, "evaluated": 64, "frequent": 64, "kept": 64, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 146836, "joins": 0, "probed": 0, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 496460, "joins": 256, "probed": 96568, "reallocs": 1, "bytes_moved": 3912, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1012, "kept": 1013, "pruned_bound": 11, "pruned_support": 12, "arena_bytes": 1701093, "joins": 1024, "probed": 325822, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 6, "candidates": 4018, "evaluated": 4018, "frequent": 2734, "kept": 2744, "pruned_bound": 1274, "pruned_support": 1284, "arena_bytes": 4913756, "joins": 4018, "probed": 1110049, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": 496460, "joins": 256, "probed": 145108, "reallocs": 1, "bytes_moved": 3912, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1012, "kept": 1013, "pruned_bound": 11, "pruned_support": 12, "arena_bytes": 1701093, "joins": 1013, "probed": 488445, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 6, "candidates": 4018, "evaluated": 4018, "frequent": 2734, "kept": 2744, "pruned_bound": 1274, "pruned_support": 1284, "arena_bytes": 4913756, "joins": 2744, "probed": 1466556, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
 {"event": "abort", "message": "arena memory ceiling of 12000000 bytes exceeded: mining would need 12131350 bytes"}
 "#;
 const LOPSIDED_T2: &str = r#"{"event": "seed", "level": 3, "patterns": 64, "pil_entries": 12135, "arena_bytes": _, "elapsed_ms": _}
 {"event": "level", "level": 3, "candidates": 64, "evaluated": 64, "frequent": 64, "kept": 64, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": _, "joins": 0, "probed": 0, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": _, "joins": 256, "probed": 96568, "reallocs": 1, "bytes_moved": 3912, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1012, "kept": 1013, "pruned_bound": 11, "pruned_support": 12, "arena_bytes": _, "joins": 1024, "probed": 325822, "reallocs": 13, "bytes_moved": 29712, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 6, "candidates": 4018, "evaluated": 4018, "frequent": 2734, "kept": 2744, "pruned_bound": 1274, "pruned_support": 1284, "arena_bytes": _, "joins": 4018, "probed": 1110049, "reallocs": 24, "bytes_moved": 49320, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 7, "candidates": 9593, "evaluated": 9593, "frequent": 3127, "kept": 3142, "pruned_bound": 6451, "pruned_support": 6466, "arena_bytes": _, "joins": 9593, "probed": 2922144, "reallocs": 34, "bytes_moved": 67596, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 8, "candidates": 8664, "evaluated": 8664, "frequent": 632, "kept": 632, "pruned_bound": 8032, "pruned_support": 8032, "arena_bytes": _, "joins": 8664, "probed": 3382204, "reallocs": 31, "bytes_moved": 79104, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 9, "candidates": 1173, "evaluated": 1173, "frequent": 30, "kept": 30, "pruned_bound": 1143, "pruned_support": 1143, "arena_bytes": _, "joins": 1173, "probed": 591119, "reallocs": 26, "bytes_moved": 75756, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 10, "candidates": 26, "evaluated": 26, "frequent": 0, "kept": 0, "pruned_bound": 26, "pruned_support": 26, "arena_bytes": _, "joins": 26, "probed": 13382, "reallocs": 4, "bytes_moved": 13008, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": _, "joins": 256, "probed": 145108, "reallocs": 1, "bytes_moved": 3912, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1012, "kept": 1013, "pruned_bound": 11, "pruned_support": 12, "arena_bytes": _, "joins": 1013, "probed": 488445, "reallocs": 13, "bytes_moved": 29712, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 6, "candidates": 4018, "evaluated": 4018, "frequent": 2734, "kept": 2744, "pruned_bound": 1274, "pruned_support": 1284, "arena_bytes": _, "joins": 2744, "probed": 1466556, "reallocs": 24, "bytes_moved": 49320, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 7, "candidates": 9593, "evaluated": 9593, "frequent": 3127, "kept": 3142, "pruned_bound": 6451, "pruned_support": 6466, "arena_bytes": _, "joins": 3142, "probed": 2765070, "reallocs": 31, "bytes_moved": 66036, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 8, "candidates": 8664, "evaluated": 8664, "frequent": 632, "kept": 632, "pruned_bound": 8032, "pruned_support": 8032, "arena_bytes": _, "joins": 632, "probed": 2071228, "reallocs": 29, "bytes_moved": 80988, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 9, "candidates": 1173, "evaluated": 1173, "frequent": 30, "kept": 30, "pruned_bound": 1143, "pruned_support": 1143, "arena_bytes": _, "joins": 30, "probed": 320932, "reallocs": 10, "bytes_moved": 32508, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 10, "candidates": 26, "evaluated": 26, "frequent": 0, "kept": 0, "pruned_bound": 26, "pruned_support": 26, "arena_bytes": _, "joins": 0, "probed": 6756, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
 {"event": "pool", "level": 5, "chunks": 8, "workers": _}
 {"event": "pool", "level": 6, "chunks": 16, "workers": _}
 {"event": "pool", "level": 7, "chunks": 16, "workers": _}
@@ -273,10 +273,10 @@ const LOPSIDED_T2: &str = r#"{"event": "seed", "level": 3, "patterns": 64, "pil_
 "#;
 const HANDOFF_T2: &str = r#"{"event": "seed", "level": 3, "patterns": 64, "pil_entries": 15778, "arena_bytes": _, "elapsed_ms": _}
 {"event": "level", "level": 3, "candidates": 64, "evaluated": 64, "frequent": 64, "kept": 64, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": _, "joins": 0, "probed": 0, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": _, "joins": 256, "probed": 125934, "reallocs": 1, "bytes_moved": 1632, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1024, "kept": 1024, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": _, "joins": 1024, "probed": 374872, "reallocs": 15, "bytes_moved": 22200, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 6, "candidates": 4096, "evaluated": 4096, "frequent": 554, "kept": 566, "pruned_bound": 3530, "pruned_support": 3542, "arena_bytes": _, "joins": 4096, "probed": 1130973, "reallocs": 35, "bytes_moved": 42216, "join_ms": _, "elapsed_ms": _, "saturated": false}
-{"event": "level", "level": 7, "candidates": 1056, "evaluated": 1056, "frequent": 0, "kept": 0, "pruned_bound": 1056, "pruned_support": 1056, "arena_bytes": _, "joins": 1056, "probed": 248228, "reallocs": 17, "bytes_moved": 18396, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 4, "candidates": 256, "evaluated": 256, "frequent": 256, "kept": 256, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": _, "joins": 256, "probed": 189046, "reallocs": 1, "bytes_moved": 1632, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 5, "candidates": 1024, "evaluated": 1024, "frequent": 1024, "kept": 1024, "pruned_bound": 0, "pruned_support": 0, "arena_bytes": _, "joins": 1024, "probed": 562852, "reallocs": 15, "bytes_moved": 22200, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 6, "candidates": 4096, "evaluated": 4096, "frequent": 554, "kept": 566, "pruned_bound": 3530, "pruned_support": 3542, "arena_bytes": _, "joins": 566, "probed": 735738, "reallocs": 31, "bytes_moved": 45900, "join_ms": _, "elapsed_ms": _, "saturated": false}
+{"event": "level", "level": 7, "candidates": 1056, "evaluated": 1056, "frequent": 0, "kept": 0, "pruned_bound": 1056, "pruned_support": 1056, "arena_bytes": _, "joins": 0, "probed": 125259, "reallocs": 0, "bytes_moved": 0, "join_ms": _, "elapsed_ms": _, "saturated": false}
 {"event": "pool", "level": 5, "chunks": 8, "workers": _}
 {"event": "pool", "level": 6, "chunks": 16, "workers": _}
 {"event": "pool", "level": 7, "chunks": 16, "workers": _}

@@ -47,7 +47,7 @@ fn uniform_profile_equals_reference_on_shared_input() {
     let (seq, gap, rho) = shared_input();
     let reference = mpp(&seq, gap, rho, 10, MppConfig::default()).unwrap();
     let profile = GapProfile::uniform(gap, 14);
-    let mined = mine_with_profile(&seq, &profile, rho, 10, 3).unwrap();
+    let mined = mine_with_profile(&seq, &profile, rho, 10).unwrap();
     assert_eq!(reference.frequent.len(), mined.frequent.len());
     for f in &reference.frequent {
         assert_eq!(mined.get(&f.pattern).unwrap().support, f.support);

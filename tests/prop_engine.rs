@@ -4,7 +4,7 @@
 //! (dense-table DNA, sparse-key protein, and an odd-sized custom set).
 
 use perigap::core::naive::support_dp;
-use perigap::core::pil::Pil;
+use perigap::core::pil::{Pil, WindowTable};
 use perigap::core::reference::{build_all_reference, mpp_reference};
 use perigap::prelude::*;
 use proptest::prelude::*;
@@ -167,6 +167,33 @@ proptest! {
                     joined.entries().map(|(x, y)| (x, y as u128)).collect();
                 prop_assert_eq!(got, oracle, "partner {}", j);
             }
+        }
+    }
+
+    /// Support before join: for `P = a·m`, the entries of `PIL(m)`
+    /// dotted with row `a` of the sequence's window table give
+    /// `sup(P)`, equal to the DP oracle and to the support of the join
+    /// of `PIL(a·prefix(m))` with `PIL(m)`, for every symbol `a`.
+    #[test]
+    fn window_table_support_matches_dp_and_join(
+        (alpha, codes, (n, m), tail) in
+            (alphabet(), codes(60), gap_req(), collection::vec(0u8..3, 2..=5))
+    ) {
+        let seq = Sequence::from_codes(alpha, codes).unwrap();
+        let gap = GapRequirement::new(n, m).unwrap();
+        let table = WindowTable::new(&seq, gap);
+        let pils = Pil::build_all(&seq, gap, tail.len());
+        let empty = Pil::new();
+        let pil_of =
+            |codes: &[u8]| pils.get(&Pattern::from_codes(codes.to_vec())).unwrap_or(&empty);
+        for a in 0..seq.alphabet().size() as u8 {
+            let pattern: Vec<u8> = std::iter::once(a).chain(tail.iter().copied()).collect();
+            let got = table.extension_support(a, pil_of(&tail));
+            let dp = support_dp(&seq, gap, &Pattern::from_codes(pattern.clone()));
+            prop_assert_eq!(got, dp, "a = {}", a);
+            let left = pil_of(&pattern[..tail.len()]);
+            let (joined, _) = Pil::join_checked(left, pil_of(&tail), gap);
+            prop_assert_eq!(got, joined.support(), "a = {}", a);
         }
     }
 
