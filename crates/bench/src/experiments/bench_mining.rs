@@ -267,8 +267,8 @@ pub fn run(quick: bool) {
     println!("bench: wrote BENCH_mining.json");
 }
 
-/// End-to-end mining on the acceptance config: `mpp` at
-/// [`threads`] threads (persistent pool) vs the seed per-level-spawn
+/// End-to-end mining on the acceptance config: `mpp` at 8 threads,
+/// capped at the available CPUs (persistent pool), vs the seed per-level-spawn
 /// reference miner, per-level wall-clock from both. Returns the JSON
 /// fragment for the `end_to_end` key.
 pub fn end_to_end(quick: bool) -> String {
@@ -607,7 +607,8 @@ fn query_throughput(gap: GapRequirement, quick: bool) -> String {
     use perigap_serve::Client;
     use perigap_store::{LoadedOutcome, PatternIndex};
 
-    // A bounded mine of its own: occurrence summaries cost O(n·l·w) per
+    // A bounded mine of its own: every pattern holds an occurrence
+    // summary of about L/σ starts and every overlap query scans every
     // pattern, so the throughput section caps the pattern set with a
     // tighter rho instead of indexing the huge acceptance-config set.
     let len = if quick { 5_000 } else { 20_000 };

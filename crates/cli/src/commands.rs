@@ -82,9 +82,12 @@ USAGE:
   pgmine scan  --input <fasta> --pair <XY> [--min <d>] [--max <d>]
                [--record <id>] [--alphabet dna|protein]
   pgmine stats --input <fasta> [--record <id>] [--alphabet dna|protein]
-  pgmine show  --input <pgst> [--top <k>]    inspect a persisted outcome
+  pgmine show  --input <pgst> [--top <k>] [--alphabet dna|protein]
+               inspect a persisted outcome, rendered under the alphabet
+               it was mined under (default dna)
   pgmine serve --store <pgst> [--input <fasta>  enables overlap queries]
-               [--record <id>] [--alphabet dna|protein]
+               [--record <id>] [--alphabet dna|protein  the store's and
+                the input's alphabet (default dna)]
                [--addr <host:port>  default 127.0.0.1:0]
                [--port-file <path>  write the bound address on startup]
                [--trace <path.jsonl>] [--metrics]
@@ -216,7 +219,7 @@ fn mode(args: &Args) -> Result<(String, String), ArgError> {
         "pack" => (command.into(), "input output alphabet".into()),
         "scan" => (command.into(), format!("{SEQUENCE} pair min max")),
         "stats" => (command.into(), SEQUENCE.into()),
-        "show" => (command.into(), "input top".into()),
+        "show" => (command.into(), "input top alphabet".into()),
         "query" => (command.into(), "addr json timeout-ms".into()),
         "trace-check" => (command.into(), "input".into()),
         "help" => (command.into(), String::new()),
@@ -228,13 +231,35 @@ fn mode(args: &Args) -> Result<(String, String), ArgError> {
     })
 }
 
+/// The `--alphabet` a mode reads, DNA by default.
+fn alphabet(args: &Args) -> Result<Alphabet, ArgError> {
+    match args.get("alphabet").unwrap_or("dna") {
+        "dna" => Ok(Alphabet::Dna),
+        "protein" => Ok(Alphabet::Protein),
+        other => Err(ArgError(format!("unknown alphabet {other:?}"))),
+    }
+}
+
+/// Load a PGST outcome file and check that `alphabet` has a letter for
+/// every code it holds.
+fn load_outcome_under(
+    path: &str,
+    alphabet: &Alphabet,
+) -> Result<perigap_store::LoadedOutcome, ArgError> {
+    let file =
+        std::fs::File::open(path).map_err(|e| ArgError(format!("cannot open {path:?}: {e}")))?;
+    let loaded = perigap_store::load_outcome(file).map_err(|e| ArgError(e.to_string()))?;
+    loaded.check_alphabet(alphabet).map_err(|e| {
+        ArgError(format!(
+            "{path:?}: {e}; name the alphabet it was mined under with --alphabet"
+        ))
+    })?;
+    Ok(loaded)
+}
+
 fn load_sequence(args: &Args) -> Result<Sequence, ArgError> {
     let path = args.require("input")?;
-    let alphabet = match args.get("alphabet").unwrap_or("dna") {
-        "dna" => Alphabet::Dna,
-        "protein" => Alphabet::Protein,
-        other => return Err(ArgError(format!("unknown alphabet {other:?}"))),
-    };
+    let alphabet = alphabet(args)?;
     let file =
         std::fs::File::open(path).map_err(|e| ArgError(format!("cannot open {path:?}: {e}")))?;
     let reader = std::io::BufReader::new(file);
@@ -650,11 +675,7 @@ fn mine_with_profile_command(
 fn pack_command(args: &Args) -> Result<String, ArgError> {
     let input = args.require("input")?;
     let output = args.require("output")?;
-    let alphabet = match args.get("alphabet").unwrap_or("dna") {
-        "dna" => Alphabet::Dna,
-        "protein" => Alphabet::Protein,
-        other => return Err(ArgError(format!("unknown alphabet {other:?}"))),
-    };
+    let alphabet = alphabet(args)?;
     let file =
         std::fs::File::open(input).map_err(|e| ArgError(format!("cannot open {input:?}: {e}")))?;
     let records = read_fasta(std::io::BufReader::new(file), &alphabet)
@@ -875,9 +896,8 @@ fn scan_command(args: &Args) -> Result<String, ArgError> {
 fn show_command(args: &Args) -> Result<String, ArgError> {
     let path = args.require("input")?;
     let top: usize = args.parse_or("top", 25)?;
-    let file =
-        std::fs::File::open(path).map_err(|e| ArgError(format!("cannot open {path:?}: {e}")))?;
-    let loaded = perigap_store::load_outcome(file).map_err(|e| ArgError(e.to_string()))?;
+    let alphabet = alphabet(args)?;
+    let loaded = load_outcome_under(path, &alphabet)?;
     let mut out = format!(
         "persisted outcome: gap {}, rho {:.6}%, n = {}, {} patterns (longest {})\n\n",
         loaded.gap,
@@ -886,7 +906,6 @@ fn show_command(args: &Args) -> Result<String, ArgError> {
         loaded.outcome.frequent.len(),
         loaded.outcome.longest_len()
     );
-    let alphabet = Alphabet::Dna; // codes render as DNA; raw codes shown too
     let mut table = TextTable::new(&["pattern", "len", "support", "ratio"]);
     for f in loaded.outcome.frequent.iter().rev().take(top) {
         table.row(&[
@@ -904,24 +923,19 @@ fn show_command(args: &Args) -> Result<String, ArgError> {
 /// input in-process), index it, and serve queries until SIGINT or a
 /// client `shutdown` request.
 fn serve_command(args: &Args) -> Result<String, ArgError> {
-    use perigap_store::{load_outcome, LoadedOutcome, PatternIndex};
+    use perigap_store::{LoadedOutcome, PatternIndex};
 
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
     let (index, backend_desc, source) = match args.get("store") {
         Some(path) => {
-            let file = std::fs::File::open(path)
-                .map_err(|e| ArgError(format!("cannot open {path:?}: {e}")))?;
-            let loaded = load_outcome(file).map_err(|e| ArgError(e.to_string()))?;
+            let alphabet = alphabet(args)?;
+            let loaded = load_outcome_under(path, &alphabet)?;
             // With the subject sequence alongside, occurrence summaries
             // are recomputed and overlap queries become available.
             let seq = match args.get("input") {
                 Some(_) => Some(load_sequence(args)?),
                 None => None,
             };
-            let alphabet = seq
-                .as_ref()
-                .map(|s| s.alphabet().clone())
-                .unwrap_or(Alphabet::Dna);
             let index = PatternIndex::build(&loaded, alphabet, seq.as_ref());
             (index, format!("pgst-file:{path}"), seq)
         }
@@ -2068,6 +2082,98 @@ mod tests {
         std::fs::remove_file(&out_path).ok();
         // Showing a non-store file fails loudly.
         assert!(run_words(&["show".into(), "--input".into(), f.as_str().into()]).is_err());
+    }
+
+    /// A protein FASTA and the PGST store mined from it, in `dir`. The
+    /// store's largest code is 19 (`Y`).
+    fn protein_store(dir: &TempDir) -> (String, String) {
+        let (input, store) = (dir.join("p.fa"), dir.join("p.pgst"));
+        std::fs::write(&input, format!(">p\n{}\n", "MKWVTFISLLLLFSSAYS".repeat(6))).unwrap();
+        let mine = "--alphabet protein --gap 1:1 --rho 1% --max-level 4";
+        run(format!("mine --input {input} {mine} --save {store}")
+            .split(' ')
+            .map(String::from))
+        .unwrap();
+        (input, store)
+    }
+
+    /// The refusal of a protein store read as DNA: exit 2, naming the
+    /// code, the alphabet and the option that fixes it.
+    fn assert_refused_as_dna(line: &str) {
+        let err = run(line.split(' ').map(String::from)).expect_err(line).0;
+        assert!(
+            err.contains("holds code 19, but the DNA alphabet has 4 letters"),
+            "{line}: {err}"
+        );
+        assert!(err.contains("--alphabet"), "{line}: {err}");
+    }
+
+    /// `show` renders a protein store under `--alphabet protein`, and
+    /// refuses it under the default DNA alphabet instead of panicking.
+    #[test]
+    fn show_reads_the_store_alphabet() {
+        let dir = TempDir::new("show-protein");
+        let (_, store) = protein_store(&dir);
+        let line = format!("show --input {store} --alphabet protein");
+        let shown = run(line.split(' ').map(String::from)).unwrap();
+        assert!(shown.contains("persisted outcome"), "{shown}");
+        assert!(shown.contains('W'), "{shown}");
+        assert_refused_as_dna(&format!("show --input {store}"));
+    }
+
+    /// `serve --store` reads `--alphabet` with or without `--input`. Under
+    /// the default DNA alphabet it refuses a protein store before it
+    /// binds; under `--alphabet protein`, without the sequence, its top
+    /// rows render as rows of `show`.
+    #[test]
+    fn serve_store_reads_the_store_alphabet() {
+        let dir = TempDir::new("serve-protein");
+        let (input, store) = protein_store(&dir);
+        assert_refused_as_dna(&format!("serve --store {store} --addr unbindable"));
+        assert_refused_as_dna(&format!(
+            "serve --store {store} --input {input} --addr unbindable"
+        ));
+
+        let line = format!("show --input {store} --alphabet protein --top 100000");
+        let shown = run(line.split(' ').map(String::from)).unwrap();
+        // Show's rows: pattern, length, support, ratio.
+        let rows: Vec<(&str, &str)> = shown
+            .lines()
+            .skip(4)
+            .filter_map(|row| {
+                let cells: Vec<&str> = row.split_whitespace().collect();
+                (cells.len() == 4).then(|| (cells[0], cells[2]))
+            })
+            .collect();
+        let port_file = dir.join("port");
+        let line = format!(
+            "serve --store {store} --alphabet protein --addr 127.0.0.1:0 --port-file {port_file}"
+        );
+        let daemon = std::thread::spawn(move || run(line.split(' ').map(String::from)));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let addr = loop {
+            match std::fs::read_to_string(&port_file) {
+                Ok(text) if !text.is_empty() => break text,
+                _ => assert!(std::time::Instant::now() < deadline, "no port file"),
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        let query = |json: &str| {
+            let words = ["query", "--addr", &addr, "--json", json];
+            run(words.map(String::from)).unwrap()
+        };
+        let topk = query(r#"{"q": "topk", "k": 3}"#);
+        let answer = perigap_core::trace::Json::parse(topk.trim()).unwrap();
+        let served = answer.get("patterns").and_then(|p| p.as_arr()).unwrap();
+        assert_eq!(served.len(), 3, "{topk}");
+        for row in served {
+            let pattern = row.get("pattern").and_then(|p| p.as_str()).unwrap();
+            let support = row.get("support").and_then(|s| s.as_u128()).unwrap();
+            let row = (pattern, support.to_string());
+            assert!(rows.contains(&(row.0, &row.1)), "{topk} vs {shown}");
+        }
+        assert!(query(r#"{"q": "shutdown"}"#).contains("\"stopping\": true"));
+        daemon.join().unwrap().unwrap();
     }
 
     #[test]

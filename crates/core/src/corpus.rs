@@ -10,7 +10,7 @@
 //! cap that survives a kill":
 //!
 //! 1. **The `PGCO` corpus file** packs every sequence at
-//!    [`KeyCodec`](crate::packed::KeyCodec) width (2 bits/symbol for
+//!    [`KeyCodec`] width (2 bits/symbol for
 //!    DNA, 5 for protein) behind one offset/ID directory and a
 //!    trailing FNV-1a hash, framed by the one record codec
 //!    ([`crate::wire`]). [`Corpus::open`] reads it into one heap
@@ -101,7 +101,7 @@ pub struct ShardEntry {
 ///
 /// The file is one [`crate::wire`] frame ([`Frame::CORPUS`]). On open
 /// the sequence count is checked against the bytes that remain, the bit
-/// width must match the [`KeyCodec`](crate::packed::KeyCodec) width of
+/// width must match the [`KeyCodec`] width of
 /// the alphabet, payload offsets must tile the payload region exactly,
 /// and the hash is checked last — anything else is
 /// [`MineError::CorpusIo`].

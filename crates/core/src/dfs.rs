@@ -29,7 +29,7 @@
 //! Serial mining is [`MppConfig::threads`] `= 1`: no pool is spawned, the calling
 //! thread runs every chunk and subtree itself, and the first split
 //! always hands off. With more threads, a wide prelude level is split
-//! into chunks of left parents on one shared [`WorkerPool`], and a
+//! into chunks of left parents on one shared `WorkerPool`, and a
 //! split hands off only when no component holds more than half of the
 //! survivors: a subtree runs on one worker, so a dominant component
 //! would leave the others idle. A lopsided split stays in the chunked
@@ -66,7 +66,7 @@
 //! (candidates, evaluated, frequent, kept, pruned, saturated) is the
 //! paper's level-wise count, identical at every thread count and to
 //! the breadth-first reference miner in [`crate::reference`]: the same
-//! [`BoundTable`] rows are consulted for the same partner pairs.
+//! `BoundTable` rows are consulted for the same partner pairs.
 //! Durations and `arena_bytes` are schedule-dependent: a level's
 //! elapsed time is the summed generation+evaluation time that
 //! *produced* it, and `arena_bytes` covers the surviving arenas only.

@@ -49,7 +49,7 @@
 //! ## The delta merge
 //!
 //! For an append of `d ≥ 1` symbols under a rigid gap, the re-mine
-//! replays the level-wise engine's exact loop (same [`BoundTable`]
+//! replays the level-wise engine's exact loop (same `BoundTable`
 //! thresholds, same break conditions, same candidate join) but computes
 //! supports without touching the old region:
 //!

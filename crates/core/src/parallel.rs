@@ -3,7 +3,7 @@
 //! [`crate::mpp::MppConfig::threads`] is above 1.
 //!
 //! The threads are spawned once per mine and live for the whole run.
-//! The engine ([`crate::dfs`]) publishes one [`PoolJob`] at a time — the
+//! The engine ([`crate::dfs`]) publishes one `PoolJob` at a time — the
 //! chunks of left parents of one wide prelude level, or the subtrees of
 //! a component split — and the main thread and every worker *steal*
 //! items off its atomic cursor until the job is drained, so a skewed
@@ -13,7 +13,7 @@
 //! Determinism is preserved: item results are merged in item order
 //! (prelude chunks partition the sorted left parents, so their outputs
 //! in chunk order are already globally sorted, and
-//! [`crate::arena::PilSet::concat`] moves their entry buffers into the
+//! `PilSet::concat` moves their entry buffers into the
 //! next generation without copying them) and the final outcome is
 //! sorted exactly like the serial run's. Output is byte-identical to
 //! the same mine on one thread.
@@ -22,7 +22,7 @@
 //!
 //! The cursor hands each item to exactly one thread, so the merge loop
 //! knows exactly how many results are outstanding. Worker-side work
-//! runs under `catch_unwind`: a panic becomes a [`WorkerMsg::Failed`]
+//! runs under `catch_unwind`: a panic becomes a `WorkerMsg::Failed`
 //! report and the mine aborts with [`MineError::WorkerFailed`] instead
 //! of blocking forever on an item that will never arrive (the deadlock
 //! this module shipped with — the old merge loop did a bare `recv()`

@@ -27,11 +27,11 @@
 //!
 //! This type is the public, per-pattern view. The miners do not
 //! traverse `HashMap<Pattern, Pil>` internally: generations live in the
-//! arena-backed [`crate::arena::PilSet`] (entry buffers shared by a
+//! arena-backed `PilSet` (entry buffers shared by a
 //! whole generation, patterns as packed integer keys during seeding — see
 //! [`crate::packed::KeyCodec`]), and [`Pil::build_all`] is a conversion
 //! shell over that engine. Both run the one join kernel,
-//! [`join_into`]. [`Pil::join`] short-circuits when either side is
+//! `join_into`. [`Pil::join`] short-circuits when either side is
 //! empty and pre-reserves the output from the overlap span of the two
 //! lists under the gap window (at most one entry per prefix offset, and
 //! none for prefix offsets whose window cannot reach the suffix range).

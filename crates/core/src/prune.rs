@@ -35,7 +35,7 @@
 //!   arbitrary, so the suffix lattice must be materialized in full and
 //!   a prefix target prunes emission alone.
 //!
-//! The engine threads a [`Pruner`] through its seed filter, the eager
+//! The engine threads a `Pruner` through its seed filter, the eager
 //! candidate evaluation, and the component dispatch. A default
 //! (inactive) pruner leaves every code path byte-identical to a full
 //! mine, which is what keeps the existing differential suites honest.

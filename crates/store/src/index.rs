@@ -13,15 +13,24 @@
 //!   break deterministically;
 //! * **overlap** — an optional per-pattern occurrence summary computed
 //!   from the subject sequence: the ascending list of 1-based start
-//!   offsets together with a running prefix-maximum of each start's
-//!   furthest reachable match end. A pattern has an occurrence
-//!   overlapping `[a, b]` iff some start `s ≤ b` reaches an end `≥ a`,
-//!   which one binary search plus one prefix-max probe answers.
+//!   offsets together with each start's furthest reachable match end.
+//!   That end never decreases as the start moves right (see
+//!   `OccSummary::extend`), so a pattern has an occurrence
+//!   overlapping `[a, b]` iff the last start `s ≤ b` reaches an end
+//!   `≥ a`, which one binary search and one probe answer.
 //!
 //! The occurrence summary needs the subject sequence (PGST outcome
-//!   files persist supports, not offset lists); an index built from a
+//! files persist supports, not offset lists); an index built from a
 //! file alone serves the other three kinds and reports overlap queries
 //! as unavailable.
+//!
+//! The summaries are built in one pass over the patterns in
+//! reversed-code order, the shape of the paper's Section 5.1 PIL join: a
+//! pattern's summary comes from its one-shorter suffix's summary and
+//! the positions of its first symbol, and patterns that share a suffix
+//! share its summaries on a stack. The pass costs `O(L/σ + |suffix|)`
+//! per distinct suffix, where a dense dynamic program per pattern cost
+//! `O(L·l·w)` and shared nothing.
 
 use crate::LoadedOutcome;
 use perigap_core::{GapRequirement, Pattern};
@@ -47,13 +56,14 @@ impl IndexEntry {
 }
 
 /// Per-pattern occurrence summary for overlap queries.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct OccSummary {
     /// Ascending 1-based offsets where a match starts.
     starts: Vec<u32>,
-    /// `prefix_max_end[i]` = the furthest 1-based end offset reachable
-    /// from any start in `starts[..=i]`.
-    prefix_max_end: Vec<u32>,
+    /// `ends[i]` = the furthest 1-based end offset of a match from
+    /// `starts[i]`. Non-decreasing, so it is also the furthest end
+    /// reachable from any start in `starts[..=i]`.
+    ends: Vec<u32>,
 }
 
 impl OccSummary {
@@ -61,7 +71,58 @@ impl OccSummary {
     fn overlaps(&self, a: u32, b: u32) -> bool {
         // Last start ≤ b.
         let idx = self.starts.partition_point(|&s| s <= b);
-        idx > 0 && self.prefix_max_end[idx - 1] >= a
+        idx > 0 && self.ends[idx - 1] >= a
+    }
+
+    /// The summary of a one-symbol pattern: each occurrence is its own
+    /// start and end.
+    fn symbol(positions: &[u32]) -> OccSummary {
+        OccSummary {
+            starts: positions.to_vec(),
+            ends: positions.to_vec(),
+        }
+    }
+
+    /// The summary of `a·m`, given the ascending `positions` of `a` and
+    /// `suffix`, the summary of `m`. A match of `a·m` from `x` continues
+    /// with a match of `m` from some start `c ∈ [x+N+1, x+M+1]`, so its
+    /// furthest end is the largest `suffix` end in that window.
+    ///
+    /// The ends of `suffix` never decrease as its start moves right:
+    /// true of a one-symbol summary, and kept by this step, since the
+    /// window slides right with `x`. The largest end in a window is then
+    /// the end of its last entry, and the furthest end from `x` is the
+    /// end of the last `suffix` entry at or before `x+M+1`, if that
+    /// entry starts at or after `x+N+1`. One two-pointer walk over both
+    /// lists finds it for every `x`.
+    fn extend(positions: &[u32], suffix: &OccSummary, gap: GapRequirement) -> OccSummary {
+        // Steps in u64, saturated: a stored gap may be as wide as usize.
+        let min_step = (gap.min() as u64).saturating_add(1);
+        let max_step = (gap.max() as u64).saturating_add(1);
+        let mut out = OccSummary {
+            starts: Vec::with_capacity(positions.len()),
+            ends: Vec::with_capacity(positions.len()),
+        };
+        // Suffix entries that start at or before x + M + 1.
+        let mut reach = 0;
+        for &x in positions {
+            let x64 = u64::from(x);
+            let last = x64.saturating_add(max_step);
+            while reach < suffix.starts.len() && u64::from(suffix.starts[reach]) <= last {
+                reach += 1;
+            }
+            match reach.checked_sub(1) {
+                Some(k) if u64::from(suffix.starts[k]) >= x64.saturating_add(min_step) => {
+                    out.starts.push(x);
+                    out.ends.push(suffix.ends[k]);
+                }
+                // Every suffix entry is passed and starts too early for
+                // this x, so for every later x too.
+                _ if reach == suffix.starts.len() => break,
+                _ => {}
+            }
+        }
+        out
     }
 }
 
@@ -82,7 +143,8 @@ pub struct PatternIndex {
 impl PatternIndex {
     /// Build an index over a loaded outcome. When `seq` is given, the
     /// per-pattern occurrence summaries are computed from it and
-    /// overlap queries become available.
+    /// overlap queries become available. A pattern code outside the
+    /// sequence's alphabet never matches.
     pub fn build(
         loaded: &LoadedOutcome,
         alphabet: Alphabet,
@@ -97,11 +159,18 @@ impl PatternIndex {
                 pattern: f.pattern.clone(),
                 support: f.support,
                 ratio: f.ratio,
-                occ: seq.map(|s| occurrence_summary(s, gap, f.pattern.codes())),
+                occ: None,
             })
             .collect();
         entries.sort_by(|a, b| a.pattern.codes().cmp(b.pattern.codes()));
         entries.dedup_by(|a, b| a.pattern.codes() == b.pattern.codes());
+        if let Some(seq) = seq {
+            let codes: Vec<&[u8]> = entries.iter().map(|e| e.pattern.codes()).collect();
+            let summaries = occurrence_summaries(seq, gap, &codes);
+            for (entry, occ) in entries.iter_mut().zip(summaries) {
+                entry.occ = Some(occ);
+            }
+        }
         let mut by_support: Vec<u32> = (0..entries.len() as u32).collect();
         by_support.sort_by(|&i, &j| {
             let (a, b) = (&entries[i as usize], &entries[j as usize]);
@@ -214,60 +283,50 @@ impl PatternIndex {
     }
 }
 
-/// Compute a pattern's occurrence summary over `seq` by a backward
-/// dynamic program: walking pattern positions last-to-first, a position
-/// `i` matches pattern position `j` iff the codes agree and some
-/// position in the gap window `[i + min_step, i + max_step]` matches
-/// position `j + 1`; `max_end` carries the furthest reachable final
-/// offset alongside. One `O(n · l · w)` pass (window width
-/// `w = max_step − min_step + 1`) replaces per-query rematching.
-fn occurrence_summary(seq: &Sequence, gap: GapRequirement, codes: &[u8]) -> OccSummary {
-    let n = seq.len();
-    let l = codes.len();
-    if l == 0 || n == 0 {
-        return OccSummary {
-            starts: Vec::new(),
-            prefix_max_end: Vec::new(),
-        };
+/// The occurrence summary of every pattern in `patterns` over `seq`, in
+/// the order given, from one pass in reversed-code order. `stack[k]`
+/// holds the summary of the current pattern's last `k + 1` codes; each
+/// pattern pops the stack to the suffix it shares with the one before
+/// and pushes only its new suffixes, each by one [`OccSummary::extend`].
+fn occurrence_summaries(
+    seq: &Sequence,
+    gap: GapRequirement,
+    patterns: &[&[u8]],
+) -> Vec<OccSummary> {
+    // positions[c]: the ascending 1-based offsets of symbol c. Offsets
+    // are u32, as query ranges are, so symbols past u32::MAX are left out.
+    let mut positions: Vec<Vec<u32>> = vec![Vec::new(); seq.alphabet().size()];
+    for (at, &c) in (1..=u32::MAX).zip(seq.codes()) {
+        positions[c as usize].push(at);
     }
-    let data = seq.codes();
-    // reach[i] = Some(furthest 1-based end) when a match of the current
-    // suffix of the pattern starts at 0-based position i.
-    let mut reach: Vec<Option<u32>> = data
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c == codes[l - 1]).then_some(i as u32 + 1))
-        .collect();
-    let (lo_step, hi_step) = (gap.min_step(), gap.max_step());
-    for &code in codes[..l - 1].iter().rev() {
-        let mut next: Vec<Option<u32>> = vec![None; n];
-        for i in 0..n {
-            if data[i] != code {
-                continue;
-            }
-            let lo = i + lo_step;
-            if lo >= n {
-                continue;
-            }
-            let hi = (i + hi_step).min(n - 1);
-            next[i] = reach[lo..=hi].iter().flatten().copied().max();
+    let positions_of = |c: u8| positions.get(c as usize).map_or(&[][..], Vec::as_slice);
+    let mut order: Vec<usize> = (0..patterns.len()).collect();
+    order.sort_by(|&a, &b| patterns[a].iter().rev().cmp(patterns[b].iter().rev()));
+    let mut summaries = vec![OccSummary::default(); patterns.len()];
+    let mut stack: Vec<OccSummary> = Vec::new();
+    let mut prev: &[u8] = &[];
+    for i in order {
+        let codes = patterns[i];
+        let shared = codes
+            .iter()
+            .rev()
+            .zip(prev.iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        stack.truncate(shared);
+        for &c in codes.iter().rev().skip(shared) {
+            let next = match stack.last() {
+                None => OccSummary::symbol(positions_of(c)),
+                Some(suffix) => OccSummary::extend(positions_of(c), suffix, gap),
+            };
+            stack.push(next);
         }
-        reach = next;
-    }
-    let mut starts = Vec::new();
-    let mut prefix_max_end = Vec::new();
-    let mut running = 0u32;
-    for (i, e) in reach.iter().enumerate() {
-        if let Some(e) = e {
-            starts.push(i as u32 + 1);
-            running = running.max(*e);
-            prefix_max_end.push(running);
+        if let Some(top) = stack.last() {
+            summaries[i] = top.clone();
         }
+        prev = codes;
     }
-    OccSummary {
-        starts,
-        prefix_max_end,
-    }
+    summaries
 }
 
 #[cfg(test)]
@@ -277,6 +336,58 @@ mod tests {
     use perigap_core::naive;
     use perigap_core::result::{MineOutcome, MineStats};
     use perigap_core::FrequentPattern;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference: a pattern's occurrence summary by a backward
+    /// dynamic program. Walking pattern positions last-to-first, a
+    /// position `i` matches pattern position `j` iff the codes agree
+    /// and some position in the gap window `[i + min_step, i +
+    /// max_step]` matches position `j + 1`; the furthest reachable end
+    /// rides along, and the ends are reported as a running prefix
+    /// maximum. `O(n · l · w)` per pattern.
+    fn dp_summary(seq: &Sequence, gap: GapRequirement, codes: &[u8]) -> OccSummary {
+        let n = seq.len();
+        let l = codes.len();
+        if l == 0 || n == 0 {
+            return OccSummary::default();
+        }
+        let data = seq.codes();
+        // reach[i] = Some(furthest 1-based end) when a match of the
+        // current suffix of the pattern starts at 0-based position i.
+        let mut reach: Vec<Option<u32>> = data
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (c == codes[l - 1]).then_some(i as u32 + 1))
+            .collect();
+        let (lo_step, hi_step) = (gap.min_step(), gap.max_step());
+        for &code in codes[..l - 1].iter().rev() {
+            let mut next: Vec<Option<u32>> = vec![None; n];
+            for i in 0..n {
+                if data[i] != code {
+                    continue;
+                }
+                let lo = i + lo_step;
+                if lo >= n {
+                    continue;
+                }
+                let hi = (i + hi_step).min(n - 1);
+                next[i] = reach[lo..=hi].iter().flatten().copied().max();
+            }
+            reach = next;
+        }
+        let mut out = OccSummary::default();
+        let mut running = 0u32;
+        for (i, e) in reach.iter().enumerate() {
+            if let Some(e) = e {
+                out.starts.push(i as u32 + 1);
+                running = running.max(*e);
+                out.ends.push(running);
+            }
+        }
+        out
+    }
 
     fn loaded_from(outcome: MineOutcome, gap: GapRequirement, rho: f64) -> LoadedOutcome {
         LoadedOutcome { outcome, gap, rho }
@@ -406,5 +517,228 @@ mod tests {
         let (hits, total) = index.overlap(1, 3, 8).unwrap();
         assert!(hits.is_empty());
         assert_eq!(total, 0);
+    }
+
+    /// A DNA or protein sequence of `len` uniform codes.
+    fn random_sequence(rng: &mut StdRng, protein: bool, len: usize) -> Sequence {
+        let alphabet = if protein {
+            Alphabet::Protein
+        } else {
+            Alphabet::Dna
+        };
+        let sigma = alphabet.size() as u8;
+        let codes = (0..len).map(|_| rng.gen_range(0..sigma)).collect();
+        Sequence::from_codes(alphabet, codes).unwrap()
+    }
+
+    /// Up to `count` patterns of 1 to `max_len` codes over `seq`: walks
+    /// through `seq` under `gap` (so they occur), earlier patterns
+    /// behind a new front (shared suffixes), exact duplicates, patterns
+    /// holding a code at or past σ, and uniform codes.
+    fn pattern_set(
+        rng: &mut StdRng,
+        seq: &Sequence,
+        gap: GapRequirement,
+        count: usize,
+        max_len: usize,
+    ) -> Vec<Vec<u8>> {
+        let sigma = seq.alphabet().size() as u8;
+        let mut set: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..rng.gen_range(1..=count) {
+            let len = rng.gen_range(1..=max_len);
+            let uniform = |rng: &mut StdRng| -> Vec<u8> {
+                (0..len).map(|_| rng.gen_range(0..sigma)).collect()
+            };
+            let pattern = match rng.gen_range(0..5) {
+                0 if !seq.is_empty() => {
+                    let mut at = rng.gen_range(0..seq.len());
+                    let mut codes = vec![seq.codes()[at]];
+                    while codes.len() < len {
+                        at += rng.gen_range(gap.min_step()..=gap.max_step());
+                        match seq.codes().get(at) {
+                            Some(&c) => codes.push(c),
+                            None => break,
+                        }
+                    }
+                    codes
+                }
+                1 if !set.is_empty() => {
+                    let base = &set[rng.gen_range(0..set.len())];
+                    let mut codes: Vec<u8> = (0..rng.gen_range(1..=3))
+                        .map(|_| rng.gen_range(0..sigma))
+                        .collect();
+                    codes.extend(base);
+                    codes[codes.len().saturating_sub(max_len)..].to_vec()
+                }
+                2 if !set.is_empty() => set[rng.gen_range(0..set.len())].clone(),
+                3 => {
+                    let mut codes = uniform(rng);
+                    codes[rng.gen_range(0..len)] = rng.gen_range(sigma..=u8::MAX);
+                    codes
+                }
+                _ => uniform(rng),
+            };
+            set.push(pattern);
+        }
+        set
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass summaries equal the per-pattern DP entry for
+        /// entry, over DNA and protein, rigid and wide gaps, and spans
+        /// longer than the sequence.
+        #[test]
+        fn summaries_equal_the_dp(
+            protein: bool,
+            len in prop_oneof![0usize..12, 0usize..=400],
+            min in 0usize..6,
+            width in prop_oneof![Just(0usize), 1usize..4, 4usize..40, 40usize..400],
+            seed: u64,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let seq = random_sequence(&mut rng, protein, len);
+            let gap = GapRequirement::new(min, min + width).unwrap();
+            let set = pattern_set(&mut rng, &seq, gap, 24, 10);
+            let codes: Vec<&[u8]> = set.iter().map(Vec::as_slice).collect();
+            let got = occurrence_summaries(&seq, gap, &codes);
+            prop_assert_eq!(got.len(), set.len());
+            for (pattern, summary) in set.iter().zip(&got) {
+                prop_assert_eq!(
+                    summary,
+                    &dp_summary(&seq, gap, pattern),
+                    "pattern {:?} under {} over L = {}",
+                    pattern,
+                    gap,
+                    seq.len()
+                );
+            }
+        }
+
+        /// Served overlap rows and totals equal the exponential match
+        /// enumerator's on short inputs.
+        #[test]
+        fn overlap_equals_the_naive_enumerator(
+            protein: bool,
+            len in 0usize..=30,
+            min in 0usize..3,
+            width in prop_oneof![Just(0usize), 1usize..4],
+            seed: u64,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let seq = random_sequence(&mut rng, protein, len);
+            let gap = GapRequirement::new(min, min + width).unwrap();
+            let set = pattern_set(&mut rng, &seq, gap, 16, 5);
+            let outcome = MineOutcome {
+                frequent: set
+                    .iter()
+                    .enumerate()
+                    .map(|(i, codes)| FrequentPattern {
+                        pattern: Pattern::from_codes(codes.clone()),
+                        support: (i % 3) as u128,
+                        ratio: 0.5,
+                    })
+                    .collect(),
+                stats: MineStats::default(),
+            };
+            let index = PatternIndex::build(&loaded_from(outcome, gap, 0.5), seq.alphabet().clone(), Some(&seq));
+            // Each pattern in rank order, with the (first, last) offsets
+            // of every match.
+            let ranked: Vec<&[u8]> = index.top_k(usize::MAX).map(|e| e.pattern.codes()).collect();
+            let spans: Vec<Vec<(u32, u32)>> = index
+                .top_k(usize::MAX)
+                .map(|e| {
+                    naive::enumerate_matches(&seq, gap, &e.pattern)
+                        .iter()
+                        .map(|m| (m[0] as u32, *m.last().unwrap() as u32))
+                        .collect()
+                })
+                .collect();
+            for _ in 0..8 {
+                let a = rng.gen_range(1..=len as u32 + 2);
+                let b = rng.gen_range(a..=len as u32 + 2);
+                let want: Vec<&[u8]> = ranked
+                    .iter()
+                    .zip(&spans)
+                    .filter(|(_, spans)| spans.iter().any(|&(s, e)| s <= b && e >= a))
+                    .map(|(codes, _)| *codes)
+                    .collect();
+                let (rows, total) = index.overlap(a, b, usize::MAX).unwrap();
+                let rows: Vec<&[u8]> = rows.iter().map(|e| e.pattern.codes()).collect();
+                prop_assert_eq!(&rows, &want, "[{}, {}] under {}", a, b, gap);
+                prop_assert_eq!(total, want.len());
+            }
+        }
+    }
+
+    /// Every `(first, last)` offset pair of a match of `codes`, by
+    /// trying every next offset under [`GapRequirement::admits`], which
+    /// never forms a step and so holds for any gap.
+    fn brute_spans(seq: &Sequence, gap: GapRequirement, codes: &[u8]) -> Vec<(u32, u32)> {
+        fn walk(
+            seq: &Sequence,
+            gap: GapRequirement,
+            rest: &[u8],
+            first: usize,
+            at: usize,
+            out: &mut Vec<(u32, u32)>,
+        ) {
+            let Some((&code, rest)) = rest.split_first() else {
+                return out.push((first as u32, at as u32));
+            };
+            for next in at + 1..=seq.len() {
+                if gap.admits(at, next) && seq.at1(next) == code {
+                    walk(seq, gap, rest, first, next, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for start in 1..=seq.len() {
+            if codes.first() == Some(&seq.at1(start)) {
+                walk(seq, gap, &codes[1..], start, start, &mut out);
+            }
+        }
+        out
+    }
+
+    /// A gap as wide as `usize` allows, and a code past the alphabet,
+    /// neither overflow a step nor panic the build.
+    #[test]
+    fn extreme_gaps_and_foreign_codes_are_harmless() {
+        let seq = Sequence::dna("ACGTTGCA").unwrap();
+        let patterns = [
+            vec![0u8],
+            vec![0, 3],
+            vec![1, 2, 0],
+            vec![7],
+            vec![0, 200, 1],
+        ];
+        for (min, max) in [(0, usize::MAX), (usize::MAX, usize::MAX), (3, usize::MAX)] {
+            let gap = GapRequirement::new(min, max).unwrap();
+            let outcome = MineOutcome {
+                frequent: patterns
+                    .iter()
+                    .map(|codes| FrequentPattern {
+                        pattern: Pattern::from_codes(codes.clone()),
+                        support: 1,
+                        ratio: 0.5,
+                    })
+                    .collect(),
+                stats: MineStats::default(),
+            };
+            let index =
+                PatternIndex::build(&loaded_from(outcome, gap, 0.5), Alphabet::Dna, Some(&seq));
+            for (a, b) in [(1u32, 1u32), (1, 8), (4, 6), (8, 8), (9, u32::MAX)] {
+                let (rows, _) = index.overlap(a, b, usize::MAX).unwrap();
+                for codes in &patterns {
+                    let oracle = brute_spans(&seq, gap, codes)
+                        .iter()
+                        .any(|&(s, e)| s <= b && e >= a);
+                    let served = rows.iter().any(|e| e.pattern.codes() == &codes[..]);
+                    assert_eq!(served, oracle, "{codes:?} over [{a}, {b}] under {gap}");
+                }
+            }
+        }
     }
 }

@@ -66,6 +66,15 @@ pub enum StoreError {
         /// The section being read when the input ran out.
         section: String,
     },
+    /// A stored pattern holds a code the alphabet has no letter for:
+    /// the outcome was mined under a larger alphabet than the one it is
+    /// read under.
+    CodeOutsideAlphabet {
+        /// The largest code the outcome holds.
+        code: u8,
+        /// The alphabet the outcome was read under.
+        alphabet: Alphabet,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -83,6 +92,18 @@ impl fmt::Display for StoreError {
             ),
             StoreError::Truncated { section } => {
                 write!(f, "truncated store: input ended while reading {section}")
+            }
+            StoreError::CodeOutsideAlphabet { code, alphabet } => {
+                let name = match alphabet {
+                    Alphabet::Dna => "DNA",
+                    Alphabet::Protein => "protein",
+                    Alphabet::Custom(_) => "custom",
+                };
+                write!(
+                    f,
+                    "a stored pattern holds code {code}, but the {name} alphabet has {} letters",
+                    alphabet.size()
+                )
             }
         }
     }
@@ -225,6 +246,30 @@ pub struct LoadedOutcome {
     pub gap: GapRequirement,
     /// Support threshold of the original run.
     pub rho: f64,
+}
+
+impl LoadedOutcome {
+    /// Check that every stored code has a letter in `alphabet`, so
+    /// every pattern renders under it. Outcome files do not record the
+    /// alphabet they were mined under; a reader names it, and this is
+    /// the check that it named one large enough.
+    pub fn check_alphabet(&self, alphabet: &Alphabet) -> Result<(), StoreError> {
+        let largest = self
+            .outcome
+            .frequent
+            .iter()
+            .flat_map(|f| f.pattern.codes())
+            .max();
+        match largest {
+            Some(&code) if code as usize >= alphabet.size() => {
+                Err(StoreError::CodeOutsideAlphabet {
+                    code,
+                    alphabet: alphabet.clone(),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Load an outcome saved by [`save_outcome`].
@@ -374,6 +419,36 @@ mod tests {
             assert_eq!(a.support, b.support);
             assert_eq!(a.ratio, b.ratio);
         }
+    }
+
+    #[test]
+    fn codes_outside_the_alphabet_are_a_typed_error() {
+        let pattern = |codes: &[u8]| FrequentPattern {
+            pattern: Pattern::from_codes(codes.to_vec()),
+            support: 1,
+            ratio: 0.5,
+        };
+        let loaded = |frequent| LoadedOutcome {
+            outcome: MineOutcome {
+                frequent,
+                stats: MineStats::default(),
+            },
+            gap: GapRequirement::new(1, 1).unwrap(),
+            rho: 0.5,
+        };
+        let protein = loaded(vec![pattern(&[0, 3]), pattern(&[7, 19, 2])]);
+        match protein.check_alphabet(&Alphabet::Dna) {
+            Err(e @ StoreError::CodeOutsideAlphabet { code: 19, .. }) => assert_eq!(
+                e.to_string(),
+                "a stored pattern holds code 19, but the DNA alphabet has 4 letters"
+            ),
+            other => panic!("expected CodeOutsideAlphabet(19), got {other:?}"),
+        }
+        protein.check_alphabet(&Alphabet::Protein).unwrap();
+        loaded(vec![pattern(&[3, 3])])
+            .check_alphabet(&Alphabet::Dna)
+            .unwrap();
+        loaded(Vec::new()).check_alphabet(&Alphabet::Dna).unwrap();
     }
 
     #[test]
