@@ -3,13 +3,13 @@
 //!
 //! 1. λ-pruning (MPP with a good `n`) vs none (`n` at the start level,
 //!    which degenerates to a plain level-wise pass with ρs thresholds);
-//! 2. exact e_m (branch-and-bound DFS) vs the sampled estimate;
-//! 3. PIL join vs recounting a candidate's support from scratch with
+//! 2. PIL join vs recounting a candidate's support from scratch with
 //!    the position DP.
+//!
+//! The exact `e_m` search is timed in `primitives.rs` (`em/exact`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use perigap_bench::data::ax_fragment;
-use perigap_core::em::{compute_em, estimate_em};
 use perigap_core::mpp::{mpp, MppConfig};
 use perigap_core::naive::support_dp;
 use perigap_core::pil::Pil;
@@ -38,19 +38,6 @@ fn ablate_lambda_pruning(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablate_em_strategy(c: &mut Criterion) {
-    let seq = ax_fragment(1_000);
-    let mut group = c.benchmark_group("em_strategy");
-    group.sample_size(10);
-    group.bench_function("exact", |b| {
-        b.iter(|| compute_em(black_box(&seq), gap(), 8));
-    });
-    group.bench_function("sampled_16", |b| {
-        b.iter(|| estimate_em(black_box(&seq), gap(), 8, 16));
-    });
-    group.finish();
-}
-
 fn ablate_pil_vs_recount(c: &mut Criterion) {
     // Computing one level-6 candidate's support: join two level-5 PILs
     // vs recount from the sequence with the DP.
@@ -74,10 +61,5 @@ fn ablate_pil_vs_recount(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    ablate_lambda_pruning,
-    ablate_em_strategy,
-    ablate_pil_vs_recount
-);
+criterion_group!(benches, ablate_lambda_pruning, ablate_pil_vs_recount);
 criterion_main!(benches);

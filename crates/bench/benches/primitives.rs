@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use perigap_bench::data::ax_fragment;
 use perigap_core::counts::OffsetCounts;
-use perigap_core::em::{compute_em, estimate_em};
+use perigap_core::em::compute_em;
 use perigap_core::pil::Pil;
 use perigap_core::{GapRequirement, Pattern};
 
@@ -71,9 +71,6 @@ fn bench_em(c: &mut Criterion) {
     for m in [4usize, 8] {
         group.bench_with_input(BenchmarkId::new("exact", m), &m, |b, &m| {
             b.iter(|| compute_em(black_box(&seq), gap(), m));
-        });
-        group.bench_with_input(BenchmarkId::new("sampled_32", m), &m, |b, &m| {
-            b.iter(|| estimate_em(black_box(&seq), gap(), m, 32));
         });
     }
     group.finish();

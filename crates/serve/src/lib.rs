@@ -63,7 +63,7 @@ mod tests {
     use perigap_core::trace::{Json, MetricsObserver};
     use perigap_core::GapRequirement;
     use perigap_seq::{Alphabet, Sequence};
-    use perigap_store::{LoadedOutcome, PatternIndex};
+    use perigap_store::{LoadedOutcome, PatternIndex, StoreError};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -228,6 +228,72 @@ mod tests {
         assert_eq!(stats.get("ok").and_then(Json::as_bool), Some(true));
         let metrics = handle.shutdown();
         assert_eq!(metrics.queries["invalid"].errors, 1);
+    }
+
+    /// A protein mine indexed under the DNA alphabet (a store does not
+    /// record its alphabet): every row holding a protein code answers
+    /// `"ok": false` naming the code, and the daemon refuses the index
+    /// before it binds.
+    #[test]
+    fn an_index_under_too_small_an_alphabet_is_refused() {
+        let seq = Sequence::protein(&"WYAC".repeat(25)).unwrap();
+        let gap = GapRequirement::new(0, 2).unwrap();
+        let outcome = mpp(&seq, gap, 0.001, 8, MppConfig::default()).unwrap();
+        let loaded = LoadedOutcome {
+            outcome,
+            gap,
+            rho: 0.001,
+        };
+        let index = PatternIndex::build(&loaded, Alphabet::Dna, None);
+        let refusal = "but the DNA alphabet has 4 letters";
+        for line in [
+            r#"{"q": "topk", "k": 3}"#,
+            r#"{"q": "prefix", "prefix": "A"}"#,
+        ] {
+            let served = serve_line(&index, "memory:x", 0, line);
+            assert!(!served.ok, "{line} -> {}", served.response);
+            assert!(served.response.contains(refusal), "{}", served.response);
+        }
+        let ctx = ServeContext {
+            index: &index,
+            backend: "memory:x",
+            queries: 0,
+            source: Some(&seq),
+            cache: None,
+        };
+        match serve_request_line(&ctx, r#"{"q": "mine_topk", "k": 3}"#) {
+            LineOutcome::Single(served) => {
+                assert!(
+                    !served.ok && served.response.contains(refusal),
+                    "{}",
+                    served.response
+                )
+            }
+            LineOutcome::Batch(_) => panic!("one request, one answer"),
+        }
+
+        let refused = serve(
+            Arc::new(index),
+            "memory:x".to_string(),
+            "127.0.0.1:0",
+            MetricsObserver::new(),
+        );
+        let error = refused.err().expect("the index is refused");
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(
+            matches!(
+                error.get_ref().and_then(|e| e.downcast_ref::<StoreError>()),
+                Some(StoreError::CodeOutsideAlphabet {
+                    code: 19,
+                    alphabet: Alphabet::Dna
+                })
+            ),
+            "{error}"
+        );
+        assert_eq!(
+            error.to_string(),
+            "a stored pattern holds code 19, but the DNA alphabet has 4 letters"
+        );
     }
 
     #[test]

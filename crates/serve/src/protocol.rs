@@ -36,9 +36,9 @@
 use crate::cache::{CachedAnswer, ResponseCache};
 use perigap_core::mpp::{mpp, MppConfig};
 use perigap_core::trace::{escape_json, Json};
-use perigap_core::{FrequentPattern, Pattern, PruneMode};
+use perigap_core::{Pattern, PruneMode};
 use perigap_seq::Sequence;
-use perigap_store::{IndexEntry, PatternIndex};
+use perigap_store::{check_codes, IndexEntry, PatternIndex};
 
 /// Row cap applied when a `prefix`/`overlap`/`mine_target` request
 /// carries no `limit`. The `total` field always reports the uncapped
@@ -254,22 +254,20 @@ pub fn error_line(message: &str) -> String {
     error_response(&None, message)
 }
 
-fn entry_json(e: &IndexEntry, index: &PatternIndex) -> String {
-    format!(
-        "{{\"pattern\": \"{}\", \"support\": {}, \"ratio\": {}}}",
-        escape_json(&e.display(index.alphabet())),
-        e.support,
-        json_f64(e.ratio)
-    )
-}
-
-fn mined_json(f: &FrequentPattern, index: &PatternIndex) -> String {
-    format!(
-        "{{\"pattern\": \"{}\", \"support\": {}, \"ratio\": {}}}",
-        escape_json(&f.pattern.display(index.alphabet())),
-        f.support,
-        json_f64(f.ratio)
-    )
+/// One result row, or the error naming a code the index alphabet has
+/// no letter for (an index built under too small an alphabet).
+fn row_json(
+    pattern: &Pattern,
+    support: u128,
+    ratio: f64,
+    index: &PatternIndex,
+) -> Result<String, String> {
+    check_codes([pattern], index.alphabet()).map_err(|e| e.to_string())?;
+    Ok(format!(
+        "{{\"pattern\": \"{}\", \"support\": {support}, \"ratio\": {}}}",
+        escape_json(&pattern.display(index.alphabet())),
+        json_f64(ratio)
+    ))
 }
 
 /// Render a finite float as a JSON number (`NaN`/`inf` cannot occur in
@@ -283,12 +281,15 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn rows_tail(rows: &[&IndexEntry], total: usize, index: &PatternIndex) -> String {
-    let rendered: Vec<String> = rows.iter().map(|e| entry_json(e, index)).collect();
-    format!(
+fn rows_tail(rows: &[&IndexEntry], total: usize, index: &PatternIndex) -> Result<String, String> {
+    let rendered = rows
+        .iter()
+        .map(|e| row_json(&e.pattern, e.support, e.ratio, index))
+        .collect::<Result<Vec<String>, String>>()?;
+    Ok(format!(
         ", \"total\": {total}, \"patterns\": [{}]}}",
         rendered.join(", ")
-    )
+    ))
 }
 
 /// The metrics kind label for a request.
@@ -351,7 +352,7 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
         Request::TopK { k } => {
             let rows: Vec<&IndexEntry> = index.top_k(*k).collect();
             let n = rows.len();
-            Ok((rows_tail(&rows, n, index), n))
+            Ok((rows_tail(&rows, n, index)?, n))
         }
         Request::Prefix { prefix, limit } => {
             // An empty prefix matches everything; otherwise it must
@@ -365,7 +366,7 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
             };
             let (rows, total) = index.prefix(&codes, *limit);
             let n = rows.len();
-            Ok((rows_tail(&rows, total, index), n))
+            Ok((rows_tail(&rows, total, index)?, n))
         }
         Request::Overlap { a, b, limit } => match index.overlap(*a, *b, *limit) {
             None => Err(
@@ -375,7 +376,7 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
             ),
             Some((rows, total)) => {
                 let n = rows.len();
-                Ok((rows_tail(&rows, total, index), n))
+                Ok((rows_tail(&rows, total, index)?, n))
             }
         },
         Request::MineTopK { k } => {
@@ -386,11 +387,11 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
             };
             let outcome = mpp(seq, index.gap(), index.rho(), index.n_used(), config)
                 .map_err(|e| format!("mine failed: {e}"))?;
-            let rendered: Vec<String> = outcome
+            let rendered = outcome
                 .frequent
                 .iter()
-                .map(|f| mined_json(f, index))
-                .collect();
+                .map(|f| row_json(&f.pattern, f.support, f.ratio, index))
+                .collect::<Result<Vec<String>, String>>()?;
             let n = rendered.len();
             Ok((
                 format!(
@@ -414,12 +415,12 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
             let outcome = mpp(seq, index.gap(), index.rho(), index.n_used(), config)
                 .map_err(|e| format!("mine failed: {e}"))?;
             let total = outcome.frequent.len();
-            let rendered: Vec<String> = outcome
+            let rendered = outcome
                 .frequent
                 .iter()
                 .take(*limit)
-                .map(|f| mined_json(f, index))
-                .collect();
+                .map(|f| row_json(&f.pattern, f.support, f.ratio, index))
+                .collect::<Result<Vec<String>, String>>()?;
             let n = rendered.len();
             Ok((
                 format!(

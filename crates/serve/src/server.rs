@@ -125,6 +125,11 @@ where
 /// daemon answers the on-demand `mine_topk`/`mine_target` query kinds
 /// by re-running the engine against it; without it those kinds refuse
 /// with a typed error (like `overlap` on a sequence-less index).
+///
+/// An index holding a code its alphabet has no letter for is refused
+/// before binding: the error is [`io::ErrorKind::InvalidInput`] around
+/// the [`perigap_store::StoreError::CodeOutsideAlphabet`] that
+/// [`PatternIndex::check_alphabet`] returns.
 pub fn serve_with<O, A>(
     index: Arc<PatternIndex>,
     backend: String,
@@ -136,6 +141,9 @@ where
     O: MineObserver + Send + 'static,
     A: ToSocketAddrs,
 {
+    index
+        .check_alphabet()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;

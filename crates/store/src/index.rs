@@ -32,7 +32,7 @@
 //! per distinct suffix, where a dense dynamic program per pattern cost
 //! `O(L·l·w)` and shared nothing.
 
-use crate::LoadedOutcome;
+use crate::{check_codes, LoadedOutcome, StoreError};
 use perigap_core::{GapRequirement, Pattern};
 use perigap_seq::{Alphabet, Sequence};
 
@@ -203,6 +203,12 @@ impl PatternIndex {
     /// The alphabet patterns render under.
     pub fn alphabet(&self) -> &Alphabet {
         &self.alphabet
+    }
+
+    /// Check that every indexed pattern renders under the index's
+    /// alphabet, by [`LoadedOutcome::check_alphabet`]'s rule.
+    pub fn check_alphabet(&self) -> Result<(), StoreError> {
+        check_codes(self.entries.iter().map(|e| &e.pattern), &self.alphabet)
     }
 
     /// Gap requirement of the mine the index was built from.

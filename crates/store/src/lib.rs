@@ -254,21 +254,22 @@ impl LoadedOutcome {
     /// alphabet they were mined under; a reader names it, and this is
     /// the check that it named one large enough.
     pub fn check_alphabet(&self, alphabet: &Alphabet) -> Result<(), StoreError> {
-        let largest = self
-            .outcome
-            .frequent
-            .iter()
-            .flat_map(|f| f.pattern.codes())
-            .max();
-        match largest {
-            Some(&code) if code as usize >= alphabet.size() => {
-                Err(StoreError::CodeOutsideAlphabet {
-                    code,
-                    alphabet: alphabet.clone(),
-                })
-            }
-            _ => Ok(()),
-        }
+        check_codes(self.outcome.frequent.iter().map(|f| &f.pattern), alphabet)
+    }
+}
+
+/// Check that `alphabet` has a letter for every code of `patterns`, so
+/// each renders under it; the error names the largest code.
+pub fn check_codes<'a>(
+    patterns: impl IntoIterator<Item = &'a Pattern>,
+    alphabet: &Alphabet,
+) -> Result<(), StoreError> {
+    match patterns.into_iter().flat_map(|p| p.codes()).max() {
+        Some(&code) if code as usize >= alphabet.size() => Err(StoreError::CodeOutsideAlphabet {
+            code,
+            alphabet: alphabet.clone(),
+        }),
+        _ => Ok(()),
     }
 }
 
