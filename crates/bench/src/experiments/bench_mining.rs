@@ -3,8 +3,8 @@
 //! The measurements, all on deterministic synthetic DNA:
 //!
 //! 1. **level-3 seeding**: the seed byte-key `build_all`
-//!    ([`perigap_core::reference::build_all_reference`]) vs the
-//!    packed-key arena path behind [`Pil::build_all`], DNA, L = 100 000,
+//!    ([`perigap_core::reference::build_all_reference`]) vs the arena
+//!    seed's bucket refinement behind [`Pil::build_all`], DNA, L = 100 000,
 //!    gap `[0, 9]` — the ISSUE-1 acceptance config (≥ 2× required);
 //! 2. **end-to-end mining**: `mpp` at 8 threads (persistent
 //!    pool) vs the seed per-level-spawn miner
@@ -12,7 +12,7 @@
 //!    with per-level wall-clock from both engines;
 //! 3. **a size matrix**: per-level wall-clock of the new engine over a
 //!    fixed seed/size grid, so later PRs can diff trajectories;
-//! 4. **single thread**: the serial packed engine vs the seed
+//! 4. **single thread**: the serial arena engine vs the seed
 //!    reference at one thread on L = 50 000 (the ISSUE-6 parity row),
 //!    with per-level wall-clock from both so a late-level regression
 //!    is visible individually;

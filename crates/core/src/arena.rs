@@ -14,10 +14,11 @@
 //!   code order. A generation built in one pass is one segment; one
 //!   merged from pooled chunks keeps each chunk's segment, so
 //!   [`PilSet::concat`] moves buffers instead of copying entries.
-//! - [`build_seed`] seeds a level directly into a [`PilSet`] using the
-//!   packed keys of [`crate::packed::KeyCodec`]: for small alphabets a
-//!   dense `σ`-ary table indexed by key absorbs every scan event with
-//!   zero hashing and zero per-event allocation.
+//! - [`build_seed`] seeds a level directly into a [`PilSet`] by one
+//!   stable bucket refinement for every alphabet and level: offset
+//!   sequences are counting-sorted by the symbol each step reaches, so
+//!   the patterns come out in code order with no key packed or hashed,
+//!   and no buffer is sized by `σ^level`.
 //! - Candidate generation exploits the sort order: all patterns sharing
 //!   a `(level−1)`-prefix form a contiguous *run*, so the prefix-group
 //!   `HashMap` of the old pipeline reduces to run detection
@@ -31,16 +32,10 @@
 //! these types.
 
 use crate::gap::GapRequirement;
-use crate::packed::KeyCodec;
 use crate::pattern::Pattern;
 use crate::pil::{support_of, Pil, ENTRY_BYTES};
 use perigap_seq::Sequence;
 use std::collections::HashMap;
-
-/// Above this many key bits the dense seed table would outgrow the
-/// cache benefit (2^20 slots ≈ 48 MB of headers); fall back to hashing
-/// the packed key.
-const DENSE_KEY_BITS_MAX: u32 = 20;
 
 /// One generation of patterns with their PILs, in lexicographic code
 /// order, arena-backed.
@@ -59,7 +54,7 @@ pub(crate) struct PilSet {
     /// segment's end.
     segments: Vec<Entries>,
     /// True when any count in this generation clamped at `u64::MAX`
-    /// during seeding or joining — supports are then lower bounds.
+    /// in a join — supports are then lower bounds. A seed never clamps.
     saturated: bool,
 }
 
@@ -88,20 +83,17 @@ impl Entries {
         self.counts.clear();
     }
 
-    /// Accumulate one scan event (an offset sequence starting at
-    /// `start` matching the pattern). Returns `true` when the count was
-    /// already at `u64::MAX` and the event was lost to saturation.
+    /// Count one more offset sequence from `start`. Starts arrive in
+    /// ascending order, so a repeat extends the last entry. A count is
+    /// at most the number of extension events the seed visits, so it
+    /// cannot overflow.
     #[inline(always)]
-    fn bump(&mut self, start: u32) -> bool {
+    fn bump(&mut self, start: u32) {
         if self.offsets.last() == Some(&start) {
-            let last = self.counts.last_mut().expect("one count per offset");
-            let saturated = *last == u64::MAX;
-            *last = last.saturating_add(1);
-            saturated
+            *self.counts.last_mut().expect("one count per offset") += 1;
         } else {
             self.offsets.push(start);
             self.counts.push(1);
-            false
         }
     }
 }
@@ -266,149 +258,177 @@ impl PilSet {
 /// Build the PILs of every length-`level` pattern occurring in `seq` —
 /// the engine behind [`Pil::build_all`] — as a sorted [`PilSet`].
 ///
-/// Strategy by alphabet size `σ` and level:
-/// - `level · ⌈log₂ σ⌉ ≤ 20` bits: dense table of `2^bits` slots
-///   indexed by the packed key (DNA level 3 = 64 slots; protein
-///   level 3 = 32768). No hashing, no per-event allocation.
-/// - key fits a `u64`: hash the packed key (still allocation-free per
-///   event).
-/// - otherwise: hash the code string (the original pipeline's shape).
+/// A stable bucket refinement. A *state* `(start, end)` is one offset
+/// sequence matching the current prefix, and a prefix's bucket holds
+/// its states in ascending start order. Every position is placed into
+/// the bucket of its symbol; each bucket, in code order, extends its
+/// states by every gap step and places them by the symbol reached, one
+/// reused buffer per depth. The last symbol is counted, not placed,
+/// into `σ` reused entry lists. DESIGN.md §7 gives the bounds: work
+/// `O(L·W^(level−1))` plus `O(σ)` per inner bucket, and at level 3 at
+/// most `L + L·W` states.
 pub(crate) fn build_seed(seq: &Sequence, gap: GapRequirement, level: usize) -> PilSet {
     assert!(level >= 1, "level must be at least 1");
-    let codec = KeyCodec::new(seq.alphabet().size());
-    if codec.fits(level) {
-        if codec.key_bits(level) <= DENSE_KEY_BITS_MAX {
-            build_seed_dense(seq, gap, level, codec)
-        } else {
-            build_seed_sparse(seq, gap, level, codec)
-        }
+    let mut seeder = Seeder {
+        codes: seq.codes(),
+        gap,
+        prefix: Vec::with_capacity(level),
+        lists: vec![Entries::default(); seq.alphabet().size()],
+        set: PilSet::new(level),
+    };
+    let mut deeper: Vec<Buckets<(u32, u32)>> = (2..level).map(|_| Buckets::default()).collect();
+    if level == 1 {
+        seeder.count(None::<&[u32]>);
     } else {
-        build_seed_bytes(seq, gap, level)
+        seeder.refine(&mut Buckets::<u32>::default(), None::<&[u32]>, &mut deeper);
     }
+    seeder.set
 }
 
-fn build_seed_dense(seq: &Sequence, gap: GapRequirement, level: usize, codec: KeyCodec) -> PilSet {
-    let mut slots: Vec<Entries> = vec![Entries::default(); 1usize << codec.key_bits(level)];
-    let mut saturated = false;
-    for start in 1..=seq.len() {
-        let key0 = codec.push(0, seq.at1(start));
-        scan_keys(seq, gap, start, key0, level - 1, codec, &mut |key| {
-            saturated |= slots[key as usize].bump(start as u32);
-        });
-    }
-    // Ascending slot index == ascending packed key == lexicographic
-    // code order, so the set comes out sorted for free.
-    let mut set = PilSet::new(level);
-    let mut codes = Vec::with_capacity(level);
-    for (key, entries) in slots.iter().enumerate() {
-        if entries.offsets.is_empty() {
-            continue;
-        }
-        codes.clear();
-        codec.unpack_into(key as u64, level, &mut codes);
-        set.push_pattern(&codes, (&entries.offsets, &entries.counts));
-    }
-    set.saturated = saturated;
-    set
-}
-
-fn build_seed_sparse(seq: &Sequence, gap: GapRequirement, level: usize, codec: KeyCodec) -> PilSet {
-    let mut map: HashMap<u64, Entries> = HashMap::new();
-    let mut saturated = false;
-    for start in 1..=seq.len() {
-        let key0 = codec.push(0, seq.at1(start));
-        scan_keys(seq, gap, start, key0, level - 1, codec, &mut |key| {
-            saturated |= map.entry(key).or_default().bump(start as u32);
-        });
-    }
-    let mut pairs: Vec<(u64, Entries)> = map.into_iter().collect();
-    pairs.sort_unstable_by_key(|&(key, _)| key);
-    let mut set = PilSet::new(level);
-    let mut codes = Vec::with_capacity(level);
-    for (key, entries) in pairs {
-        codes.clear();
-        codec.unpack_into(key, level, &mut codes);
-        set.push_pattern(&codes, (&entries.offsets, &entries.counts));
-    }
-    set.saturated = saturated;
-    set
-}
-
-fn build_seed_bytes(seq: &Sequence, gap: GapRequirement, level: usize) -> PilSet {
-    let mut map: HashMap<Vec<u8>, Entries> = HashMap::new();
-    let mut chars = Vec::with_capacity(level);
-    let mut saturated = false;
-    for start in 1..=seq.len() {
-        chars.clear();
-        chars.push(seq.at1(start));
-        scan_codes(seq, gap, level, start, &mut chars, &mut |codes| {
-            saturated |= map.entry(codes.to_vec()).or_default().bump(start as u32);
-        });
-    }
-    let mut pairs: Vec<_> = map.into_iter().collect();
-    pairs.sort_unstable_by(|a: &(Vec<u8>, _), b| a.0.cmp(&b.0));
-    let mut set = PilSet::new(level);
-    for (codes, entries) in pairs {
-        set.push_pattern(&codes, (&entries.offsets, &entries.counts));
-    }
-    set.saturated = saturated;
-    set
-}
-
-/// Depth-first scan over gap-admissible offset chains, carrying the
-/// packed key of the characters seen so far. `remaining` counts the
-/// symbols still to append.
-fn scan_keys(
-    seq: &Sequence,
+/// The seed refinement's input and its reused output buffers.
+struct Seeder<'a> {
+    codes: &'a [u8],
     gap: GapRequirement,
-    pos: usize,
-    key: u64,
-    remaining: usize,
-    codec: KeyCodec,
-    sink: &mut impl FnMut(u64),
-) {
-    if remaining == 0 {
-        sink(key);
-        return;
-    }
-    for step in gap.steps() {
-        let next = pos + step;
-        if next > seq.len() {
-            break;
+    /// The codes of the bucket being refined.
+    prefix: Vec<u8>,
+    /// List `c` collects the PIL of `prefix · c`.
+    lists: Vec<Entries>,
+    set: PilSet,
+}
+
+impl Seeder<'_> {
+    /// Place the extensions of `parent` (every position, for the root)
+    /// into the buckets of `here`, then extend each bucket in code order:
+    /// through the next depth, or at the last symbol into the lists.
+    fn refine<P: State, S: State>(
+        &mut self,
+        here: &mut Buckets<S>,
+        parent: Option<&[P]>,
+        deeper: &mut [Buckets<(u32, u32)>],
+    ) {
+        let sigma = self.lists.len();
+        here.place(self.codes, self.gap, parent, sigma);
+        for c in 0..sigma {
+            let bucket = &here.states[here.bounds[c]..here.bounds[c + 1]];
+            if !bucket.is_empty() {
+                self.prefix.push(c as u8);
+                match deeper.split_first_mut() {
+                    Some((next, rest)) => self.refine(next, Some(bucket), rest),
+                    None => self.count(Some(bucket)),
+                }
+                self.prefix.pop();
+            }
         }
-        scan_keys(
-            seq,
-            gap,
-            next,
-            codec.push(key, seq.at1(next)),
-            remaining - 1,
-            codec,
-            sink,
-        );
+    }
+
+    /// Count the extensions of `parent` (every position, for the root)
+    /// into the entry lists by the symbol reached, then emit every
+    /// non-empty list.
+    fn count<P: State>(&mut self, parent: Option<&[P]>) {
+        let lists = &mut self.lists;
+        extend(self.codes, self.gap, parent, |start, _, c| {
+            lists[c].bump(start)
+        });
+        for (c, list) in self.lists.iter_mut().enumerate() {
+            if !list.offsets.is_empty() {
+                self.prefix.push(c as u8);
+                self.set
+                    .push_pattern(&self.prefix, (&list.offsets, &list.counts));
+                self.prefix.pop();
+                list.clear();
+            }
+        }
     }
 }
 
-/// Byte-string twin of [`scan_keys`] for patterns too long to pack.
-fn scan_codes(
-    seq: &Sequence,
-    gap: GapRequirement,
-    level: usize,
-    pos: usize,
-    chars: &mut Vec<u8>,
-    sink: &mut impl FnMut(&[u8]),
-) {
-    if chars.len() == level {
-        sink(chars);
-        return;
+/// A state of the seed refinement: one offset sequence, by its first
+/// and last offsets. A depth-1 state is one position, which is both, so
+/// it is stored as that position alone: 4 bytes, not 8.
+trait State: Copy + Default {
+    fn new(start: u32, end: u32) -> Self;
+    fn span(self) -> (u32, u32);
+}
+
+impl State for u32 {
+    fn new(_: u32, end: u32) -> u32 {
+        end
     }
-    for step in gap.steps() {
-        let next = pos + step;
-        if next > seq.len() {
-            break;
+
+    fn span(self) -> (u32, u32) {
+        (self, self)
+    }
+}
+
+impl State for (u32, u32) {
+    fn new(start: u32, end: u32) -> (u32, u32) {
+        (start, end)
+    }
+
+    fn span(self) -> (u32, u32) {
+        self
+    }
+}
+
+/// One depth of the seed refinement: one parent bucket's children,
+/// child `c` at `states[bounds[c]..bounds[c + 1]]`.
+#[derive(Default)]
+struct Buckets<S> {
+    states: Vec<S>,
+    bounds: Vec<usize>,
+}
+
+impl<S: State> Buckets<S> {
+    /// Counting-sort the extensions of `parent` into `sigma` buckets by
+    /// the symbol reached, each in start order.
+    fn place<P: State>(
+        &mut self,
+        codes: &[u8],
+        gap: GapRequirement,
+        parent: Option<&[P]>,
+        sigma: usize,
+    ) {
+        // Count symbol `c` at `c + 2`; after the prefix sum, `bounds[c + 1]`
+        // is where bucket `c` starts, and placing advances it to where
+        // bucket `c` ends, which is where `c + 1` starts.
+        self.bounds.clear();
+        self.bounds.resize(sigma + 2, 0);
+        extend(codes, gap, parent, |_, _, c| self.bounds[c + 2] += 1);
+        for c in 2..sigma + 2 {
+            self.bounds[c] += self.bounds[c - 1];
         }
-        chars.push(seq.at1(next));
-        scan_codes(seq, gap, level, next, chars, sink);
-        chars.pop();
+        self.states.resize(self.bounds[sigma + 1], S::default());
+        extend(codes, gap, parent, |start, end, c| {
+            self.states[self.bounds[c + 1]] = S::new(start, end);
+            self.bounds[c + 1] += 1;
+        });
+    }
+}
+
+/// Visit every one-symbol extension of `states` as `(start, end, c)`:
+/// the state's start, the 1-based position reached, and its symbol. The
+/// root (`None`) extends to every position. A state's steps are taken
+/// lazily and stop at the sequence end, and states are visited in
+/// order, so starts never decrease.
+#[inline(always)]
+fn extend<P: State>(
+    codes: &[u8],
+    gap: GapRequirement,
+    states: Option<&[P]>,
+    mut visit: impl FnMut(u32, u32, usize),
+) {
+    let Some(states) = states else {
+        for (i, &c) in codes.iter().enumerate() {
+            visit(i as u32 + 1, i as u32 + 1, usize::from(c));
+        }
+        return;
+    };
+    for &state in states {
+        let (start, end) = state.span();
+        let room = codes.len() - end as usize;
+        for step in gap.steps().take_while(|&step| step <= room) {
+            let next = end as usize + step;
+            visit(start, next as u32, usize::from(codes[next - 1]));
+        }
     }
 }
 
@@ -479,32 +499,23 @@ mod tests {
 
     #[test]
     fn seed_is_sorted_and_matches_dp() {
-        let s = dna("ACGTACGTTGCAACGT");
-        let g = gap(1, 3);
-        for level in 1..=3 {
-            let set = build_seed(&s, g, level);
-            for i in 1..set.len() {
-                assert!(set.pattern_codes(i - 1) < set.pattern_codes(i), "sorted");
-            }
-            for i in 0..set.len() {
-                let p = Pattern::from_codes(set.pattern_codes(i).to_vec());
-                assert_eq!(set.support(i), support_dp(&s, g, &p), "level {level}");
-                assert!(!set.entries(i).0.is_empty());
+        let repeats = "ACGGTTA".repeat(30);
+        for (text, g) in [("ACGTACGTTGCAACGT", gap(1, 3)), (&*repeats, gap(0, 1))] {
+            let s = dna(text);
+            for level in 1..=3 {
+                let set = build_seed(&s, g, level);
+                for i in 1..set.len() {
+                    assert!(set.pattern_codes(i - 1) < set.pattern_codes(i), "sorted");
+                }
+                for i in 0..set.len() {
+                    let p = Pattern::from_codes(set.pattern_codes(i).to_vec());
+                    assert_eq!(set.support(i), support_dp(&s, g, &p), "level {level}");
+                    assert!(!set.entries(i).0.is_empty());
+                }
+                let reference = crate::reference::build_all_reference(&s, g, level);
+                assert_eq!(set.into_pil_map(), reference, "level {level}");
             }
         }
-    }
-
-    #[test]
-    fn all_seed_strategies_agree() {
-        // Force each strategy on the same data by varying the level so
-        // the key width crosses the dense and u64 thresholds.
-        let s = dna(&"ACGGTTA".repeat(30));
-        let g = gap(0, 1);
-        let dense = build_seed(&s, g, 3); // 6 key bits
-        let sparse = build_seed_sparse(&s, g, 3, KeyCodec::new(4));
-        let bytes = build_seed_bytes(&s, g, 3);
-        assert_eq!(dense, sparse);
-        assert_eq!(dense, bytes);
     }
 
     #[test]
@@ -708,15 +719,7 @@ mod tests {
 
     #[test]
     fn saturation_is_flagged_and_propagated() {
-        // `bump` loses an event only at the ceiling — and says so.
-        let mut entries = Entries {
-            offsets: vec![1],
-            counts: vec![u64::MAX - 1],
-        };
-        assert!(!entries.bump(1));
-        assert!(entries.bump(1));
-        assert_eq!((entries.offsets, entries.counts), (vec![1], vec![u64::MAX]));
-        // A join whose window sum overflows says so too.
+        // A join whose window sum overflows says so.
         let g = gap(1, 2);
         let mut joined = Pil::new();
         let mut jc = crate::pil::JoinCounters::default();
@@ -741,8 +744,6 @@ mod tests {
         assert!(merged.saturated());
         merged.reset(4);
         assert!(!merged.saturated());
-        // An ordinary seed never saturates.
-        assert!(!build_seed(&dna("ACGTACGT"), g, 2).saturated());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! cap that survives a kill":
 //!
 //! 1. **The `PGCO` corpus file** packs every sequence at
-//!    [`KeyCodec`] width (2 bits/symbol for
-//!    DNA, 5 for protein) behind one offset/ID directory and a
+//!    [`bits_per_symbol`] width, `⌈log₂ σ⌉` (2 bits/symbol for
+//!    DNA, 5 for protein), behind one offset/ID directory and a
 //!    trailing FNV-1a hash, framed by the one record codec
 //!    ([`crate::wire`]). [`Corpus::open`] reads it into one heap
 //!    buffer (it reads every byte anyway, to check the hash), and the
@@ -48,7 +48,6 @@ use crate::incremental::{
 use crate::mpp::{check_rho, Algorithm, MppConfig, SEED_LEVEL};
 use crate::multiseq::{check_min_sequences, CollectionOutcome, CollectionPattern};
 use crate::naive::support_dp;
-use crate::packed::KeyCodec;
 use crate::parallel::{PoolHooks, PoolJob, WorkerPool};
 use crate::pattern::Pattern;
 use crate::pil::Pil;
@@ -56,7 +55,7 @@ use crate::result::{CorpusStats, MineOutcome};
 use crate::spill::ScopedSpillIo;
 use crate::trace::NoopObserver;
 use crate::wire::{Frame, Reader, WireError, Writer};
-use perigap_seq::{pack_codes, packed_len, unpack_codes, Alphabet, Sequence};
+use perigap_seq::{bits_per_symbol, pack_codes, packed_len, unpack_codes, Alphabet, Sequence};
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -101,7 +100,7 @@ pub struct ShardEntry {
 ///
 /// The file is one [`crate::wire`] frame ([`Frame::CORPUS`]). On open
 /// the sequence count is checked against the bytes that remain, the bit
-/// width must match the [`KeyCodec`] width of
+/// width must match the [`bits_per_symbol`] width of
 /// the alphabet, payload offsets must tile the payload region exactly,
 /// and the hash is checked last — anything else is
 /// [`MineError::CorpusIo`].
@@ -145,7 +144,7 @@ impl Corpus {
         if sequences.len() > u32::MAX as usize {
             return Err(corpus_err("too many sequences for one corpus"));
         }
-        let bits = KeyCodec::new(alphabet.size()).bits();
+        let bits = bits_per_symbol(alphabet.size());
         let mut w = Writer::new(Frame::CORPUS);
         w.u8(tag);
         w.u8(bits as u8);
@@ -265,10 +264,10 @@ fn read_corpus(bytes: &[u8]) -> Result<(Alphabet, u32, Vec<ShardEntry>, u64), Wi
         other => return Err(WireError::Corrupt(format!("unknown alphabet tag {other}"))),
     };
     let bits = r.u8()? as u32;
-    let expected_bits = KeyCodec::new(alphabet.size()).bits();
+    let expected_bits = bits_per_symbol(alphabet.size());
     if bits != expected_bits {
         return Err(WireError::Corrupt(format!(
-            "bit width {bits} does not match the {expected_bits}-bit codec width of {alphabet:?}"
+            "bit width {bits} does not match the {expected_bits}-bit pack width of {alphabet:?}"
         )));
     }
     // Each directory entry takes at least 20 bytes.

@@ -60,7 +60,6 @@ pub mod mpp;
 pub mod mppm;
 pub mod multiseq;
 pub mod naive;
-pub mod packed;
 pub mod parallel;
 pub mod pattern;
 pub mod pil;

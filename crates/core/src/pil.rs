@@ -27,14 +27,14 @@
 //!
 //! This type is the public, per-pattern view. The miners do not
 //! traverse `HashMap<Pattern, Pil>` internally: generations live in the
-//! arena-backed `PilSet` (entry buffers shared by a
-//! whole generation, patterns as packed integer keys during seeding — see
-//! [`crate::packed::KeyCodec`]), and [`Pil::build_all`] is a conversion
-//! shell over that engine. Both run the one join kernel,
-//! `join_into`. [`Pil::join`] short-circuits when either side is
-//! empty and pre-reserves the output from the overlap span of the two
-//! lists under the gap window (at most one entry per prefix offset, and
-//! none for prefix offsets whose window cannot reach the suffix range).
+//! arena-backed `PilSet` (entry buffers shared by a whole generation,
+//! seeded by one bucket refinement in code order), and
+//! [`Pil::build_all`] is a conversion shell over that engine. Both run
+//! the one join kernel, `join_into`. [`Pil::join`] short-circuits when
+//! either side is empty and pre-reserves the output from the overlap
+//! span of the two lists under the gap window (at most one entry per
+//! prefix offset, and none for prefix offsets whose window cannot reach
+//! the suffix range).
 
 use crate::gap::GapRequirement;
 use crate::pattern::Pattern;
@@ -235,11 +235,12 @@ impl Pil {
     }
 
     /// [`Pil::join`] with the saturation flag surfaced: the second
-    /// element is `true` when the running window sum clamped at
-    /// `u64::MAX`, making the returned counts lower bounds rather than
-    /// exact. Callers that compare supports (the reference engine, the
-    /// verifiers) must check it instead of silently trusting clamped
-    /// counts.
+    /// element is `true` when a window sum exceeded `u64::MAX` and its
+    /// count was clamped there, making the returned counts lower bounds
+    /// rather than exact. Every offset with a nonzero window is kept
+    /// either way. Callers that compare supports (the reference engine,
+    /// the verifiers) must check it instead of silently trusting
+    /// clamped counts.
     pub fn join_checked(prefix: &Pil, suffix: &Pil, gap: GapRequirement) -> (Pil, bool) {
         if prefix.is_empty() || suffix.is_empty() {
             return (Pil::new(), false);
@@ -261,9 +262,10 @@ impl Pil {
     }
 
     /// Build `PIL(P)` for every length-`level` pattern that occurs in
-    /// `seq` at all, by a single scan with `level − 1` nested gap steps
-    /// (`O(L · W^(level−1))` work). Patterns with empty PILs are absent
-    /// from the map.
+    /// `seq` at all, by one scan that extends every offset sequence one
+    /// gap step at a time and groups them by the symbols they spell
+    /// (`O(L · W^(level−1))` work, the same for every alphabet).
+    /// Patterns with empty PILs are absent from the map.
     ///
     /// This is how the miner seeds level 3 ("scan S to compute the PILs
     /// of all patterns in C3", Figure 3 line 9).
@@ -317,9 +319,9 @@ fn overlap_range(a: &[u32], b: &[u32], gap: GapRequirement) -> (usize, usize) {
 /// per task, [`Pil::join_checked`] into a fresh one. See [`Pil::join`]
 /// for the algorithm.
 ///
-/// Returns `true` when the running window sum hit `u64::MAX`: from that
-/// point the emitted counts are lower bounds, not exact (and later
-/// window subtractions can only drift further below the true value).
+/// The window sum runs in `u64`; a join whose sum overflows is redone
+/// in `u128`. Returns `true` when an emitted count exceeded `u64::MAX`
+/// and was clamped there: that count is a lower bound, not exact.
 /// Callers that report supports must surface the flag — the arena
 /// engine ORs it into [`crate::arena::PilSet`] and the miners raise
 /// `MineStats::support_saturated`.
@@ -344,39 +346,62 @@ pub(crate) fn join_into(
     }
     let b_counts = &b_counts[..b.len()];
     let caps_before = out.capacities();
+    let mark = out.len();
+    let (absorbed, saturated) = window_join(a, b, b_counts, gap, out, u64::checked_add)
+        .unwrap_or_else(|| {
+            out.offsets.truncate(mark);
+            out.counts.truncate(mark);
+            // Fewer than 2³² entries of at most 2⁶⁴ each: no overflow.
+            let add = |window: u128, count: u64| Some(window + u128::from(count));
+            window_join(a, b, b_counts, gap, out, add).expect("a u128 window sum cannot overflow")
+        });
+    counters.probed += (a.len() + absorbed) as u64;
+    counters.note_growth(out, caps_before);
+    saturated
+}
+
+/// The kernel body over the clipped left run `a`, with the window sum
+/// in `W`. Returns `None` as soon as `add` finds the sum does not fit;
+/// otherwise the number of suffix entries absorbed into the window, and
+/// whether an emitted count was clamped to `u64::MAX`.
+#[inline(always)]
+fn window_join<W>(
+    a: &[u32],
+    b: &[u32],
+    b_counts: &[u64],
+    gap: GapRequirement,
+    out: &mut Pil,
+    add: impl Fn(W, u64) -> Option<W>,
+) -> Option<(usize, bool)>
+where
+    W: Copy + PartialEq + From<u64> + std::ops::Sub<Output = W>,
+    u64: TryFrom<W>,
+{
     let min_step = gap.min_step() as u64;
     let max_step = gap.max_step() as u64;
     let (mut lo, mut hi) = (0usize, 0usize); // window is b[lo..hi]
-    let mut window: u64 = 0;
-    let mut saturated = false;
+    let mut window = W::from(0);
+    let mut clamped = false;
     for &x in a {
         let min_pos = x as u64 + min_step;
         let max_pos = x as u64 + max_step;
         while hi < b.len() && (b[hi] as u64) <= max_pos {
-            window = match window.checked_add(b_counts[hi]) {
-                Some(w) => w,
-                None => {
-                    saturated = true;
-                    u64::MAX
-                }
-            };
+            window = add(window, b_counts[hi])?;
             hi += 1;
         }
         while lo < hi && (b[lo] as u64) < min_pos {
-            // Saturating: once the window has clamped, the running sum
-            // sits below the true total and an exact subtraction could
-            // wrap through zero.
-            window = window.saturating_sub(b_counts[lo]);
+            window = window - W::from(b_counts[lo]);
             lo += 1;
         }
-        if window > 0 {
+        if window != W::from(0) {
             out.offsets.push(x);
-            out.counts.push(window);
+            out.counts.push(u64::try_from(window).unwrap_or_else(|_| {
+                clamped = true;
+                u64::MAX
+            }));
         }
     }
-    counters.probed += (a.len() + hi) as u64;
-    counters.note_growth(out, caps_before);
-    saturated
+    Some((hi, clamped))
 }
 
 /// Per-symbol window counts of one sequence under one gap: the support
@@ -631,6 +656,26 @@ mod tests {
         assert_eq!(joined.support(), 7);
         // Pil::join stays the unchecked view of the same result.
         assert_eq!(pairs(&Pil::join(&a, &b, g)), [(1, u64::MAX)]);
+    }
+
+    #[test]
+    fn clamped_join_keeps_every_offset() {
+        // At x = 2 the window is (u64::MAX) + 1 = 2⁶⁴: clamped, not
+        // dropped, although a running u64 sum clamped at x = 1 would
+        // read 0 once x = 1's first partner leaves the window.
+        let a = Pil::from_entries(vec![(1, 1), (2, 1)]);
+        let b = Pil::from_entries(vec![(2, u64::MAX), (3, u64::MAX), (4, 1)]);
+        let (joined, saturated) = Pil::join_checked(&a, &b, gap(0, 1));
+        assert!(saturated);
+        assert_eq!(pairs(&joined), [(1, u64::MAX), (2, u64::MAX)]);
+        // A running sum that overflows only between emissions: at x = 3
+        // it reads u64::MAX + 1 before x = 1's partner leaves. Every
+        // emitted window fits, so the join is exact and unflagged.
+        let b = Pil::from_entries(vec![(2, u64::MAX), (4, 1)]);
+        let a = Pil::from_entries(vec![(1, 1), (3, 1)]);
+        let (joined, saturated) = Pil::join_checked(&a, &b, gap(0, 0));
+        assert!(!saturated);
+        assert_eq!(pairs(&joined), [(1, u64::MAX), (3, 1)]);
     }
 
     #[test]

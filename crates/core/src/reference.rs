@@ -4,8 +4,8 @@
 //! spawns.
 //!
 //! These are **not** used by the production engine
-//! ([`crate::mpp::mine`] runs on the packed-key arena in
-//! `crate::arena`). They exist so that
+//! ([`crate::mpp::mine`] runs on the arena in `crate::arena`). They
+//! exist so that
 //!
 //! 1. differential tests (`tests/prop_engine.rs`) can assert the new
 //!    engine agrees with the historical one on arbitrary inputs, and

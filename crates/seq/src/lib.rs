@@ -34,5 +34,5 @@ pub mod translate;
 
 pub use alphabet::Alphabet;
 pub use error::SeqError;
-pub use packed::{pack_codes, packed_len, unpack_codes, PackedDna};
+pub use packed::{bits_per_symbol, pack_codes, packed_len, unpack_codes, PackedDna};
 pub use sequence::Sequence;

@@ -6,6 +6,9 @@
 //! The mining algorithms operate on byte-coded sequences (random access
 //! is hotter than footprint there); the packed form is the at-rest and
 //! I/O representation for large inputs.
+//!
+//! [`pack_codes`] is the same bit stream for any alphabet, at
+//! [`bits_per_symbol`] bits a symbol: the store and the corpus pack use it.
 
 use crate::alphabet::Alphabet;
 use crate::error::SeqError;
@@ -123,6 +126,16 @@ impl PackedDna {
         let codes: Vec<u8> = self.iter().collect();
         Sequence::from_codes(Alphabet::Dna, codes).expect("packed codes are always valid")
     }
+}
+
+/// Bits per symbol that pack an alphabet of `sigma` symbols:
+/// `⌈log₂ σ⌉`, at least 1 (2 for DNA, 5 for protein).
+///
+/// # Panics
+/// Panics if `sigma` is 0.
+pub fn bits_per_symbol(sigma: usize) -> u32 {
+    assert!(sigma > 0, "alphabet cannot be empty");
+    (usize::BITS - (sigma - 1).leading_zeros()).max(1)
 }
 
 /// Bytes needed to pack `len` symbols at `bits` bits per symbol.
@@ -252,6 +265,16 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.to_sequence().len(), 0);
         assert_eq!(p.payload_bytes(), 0);
+    }
+
+    #[test]
+    fn bits_cover_the_alphabet() {
+        assert_eq!(bits_per_symbol(1), 1);
+        assert_eq!(bits_per_symbol(2), 1);
+        assert_eq!(bits_per_symbol(4), 2);
+        assert_eq!(bits_per_symbol(5), 3);
+        assert_eq!(bits_per_symbol(20), 5);
+        assert_eq!(bits_per_symbol(256), 8);
     }
 
     #[test]

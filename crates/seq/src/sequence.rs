@@ -177,11 +177,12 @@ impl fmt::Display for Sequence {
 
 impl fmt::Debug for Sequence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // One char a symbol, but a custom letter from 0x80 up takes two
+        // bytes: cut after the 40th char, not the 40th byte.
         let text = self.to_text();
-        if text.len() <= 40 {
-            write!(f, "Sequence({text:?})")
-        } else {
-            write!(f, "Sequence({:?}… len={})", &text[..40], self.len())
+        match text.char_indices().nth(40) {
+            None => write!(f, "Sequence({text:?})"),
+            Some((cut, _)) => write!(f, "Sequence({:?}… len={})", &text[..cut], self.len()),
         }
     }
 }
@@ -242,6 +243,22 @@ mod tests {
     fn from_codes_validates() {
         assert!(Sequence::from_codes(Alphabet::Dna, vec![0, 1, 2, 3]).is_ok());
         assert!(Sequence::from_codes(Alphabet::Dna, vec![0, 4]).is_err());
+    }
+
+    #[test]
+    fn debug_cuts_long_text_after_forty_symbols() {
+        let s = Sequence::dna(&"ACGT".repeat(11)).unwrap();
+        assert_eq!(
+            format!("{s:?}"),
+            format!("Sequence({:?}… len=44)", "ACGT".repeat(10))
+        );
+        // Letters from 0x80 up print as two-byte chars.
+        let wide = Alphabet::custom(&[b'A', 0xE9]).unwrap();
+        let s = Sequence::from_codes(wide, [0, 1].repeat(30)).unwrap();
+        assert_eq!(
+            format!("{s:?}"),
+            format!("Sequence({:?}… len=60)", "Aé".repeat(20))
+        );
     }
 
     #[test]

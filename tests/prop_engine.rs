@@ -1,7 +1,8 @@
-//! Differential property tests: the packed-key arena engine vs the
-//! seed reference implementation, across random sequences, gap
-//! requirements (including the degenerate `N == M`) and alphabets
-//! (dense-table DNA, sparse-key protein, and an odd-sized custom set).
+//! Differential property tests: the arena engine vs the seed reference
+//! implementation, across random sequences, gap requirements (including
+//! the degenerate `N == M`) and alphabets. The seed properties draw
+//! every code of DNA, protein, a 3-letter and a 255-letter custom
+//! alphabet; the mining properties draw codes 0..3 of each.
 
 use perigap::core::naive::support_dp;
 use perigap::core::pil::{Pil, WindowTable};
@@ -9,9 +10,7 @@ use perigap::core::reference::{build_all_reference, mpp_reference};
 use perigap::prelude::*;
 use proptest::prelude::*;
 
-/// Strategy: an alphabet whose size exercises all three seeding paths —
-/// 4 (dense, 2 bits/symbol), 20 (dense at level 3, sparse higher), and
-/// a 3-letter custom alphabet (non-power-of-two bit width).
+/// Strategy: DNA, protein, or a 3-letter custom alphabet.
 fn alphabet() -> impl Strategy<Value = Alphabet> {
     (0u8..3).prop_map(|which| match which {
         0 => Alphabet::Dna,
@@ -23,6 +22,24 @@ fn alphabet() -> impl Strategy<Value = Alphabet> {
 /// Strategy: codes valid for any of the alphabets above (< 3 always).
 fn codes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..3, 5..max_len)
+}
+
+/// Strategy: a sequence over the alphabets above or a 255-letter custom
+/// one, drawing codes from the alphabet's whole range.
+fn sequence(max_len: usize) -> impl Strategy<Value = Sequence> {
+    let wide = Alphabet::custom(&(0..=254).collect::<Vec<u8>>()).unwrap();
+    (0u8..4)
+        .prop_map(move |which| match which {
+            0 => Alphabet::Dna,
+            1 => Alphabet::Protein,
+            2 => Alphabet::custom(b"xyz").unwrap(),
+            _ => wide.clone(),
+        })
+        .prop_flat_map(move |alpha| {
+            let sigma = alpha.size() as u8;
+            collection::vec(0..sigma, 5..max_len)
+                .prop_map(move |codes| Sequence::from_codes(alpha.clone(), codes).unwrap())
+        })
 }
 
 /// Strategy: a gap requirement, biased to include `N == M`.
@@ -56,12 +73,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn packed_seed_matches_reference(
-        (alpha, codes, (n, m)) in (alphabet(), codes(60), gap_req())
-    ) {
-        let seq = Sequence::from_codes(alpha, codes).unwrap();
+    fn seed_matches_reference((seq, (n, m)) in (sequence(60), gap_req())) {
         let gap = GapRequirement::new(n, m).unwrap();
-        for level in 1..=4usize {
+        for level in 1..=5usize {
             let engine = Pil::build_all(&seq, gap, level);
             let reference = build_all_reference(&seq, gap, level);
             prop_assert_eq!(engine.len(), reference.len(), "level {}", level);
@@ -72,10 +86,7 @@ proptest! {
     }
 
     #[test]
-    fn packed_seed_matches_dp_oracle(
-        (alpha, codes, (n, m)) in (alphabet(), codes(40), gap_req())
-    ) {
-        let seq = Sequence::from_codes(alpha, codes).unwrap();
+    fn seed_matches_dp_oracle((seq, (n, m)) in (sequence(40), gap_req())) {
         let gap = GapRequirement::new(n, m).unwrap();
         for level in 1..=3usize {
             for (pattern, pil) in &Pil::build_all(&seq, gap, level) {
@@ -132,7 +143,9 @@ proptest! {
 
     /// The join kernel against the paper's definition, summed
     /// directly: for each left offset `x`, the `u128` total of the
-    /// suffix counts at offsets `x'` with `x' − x − 1 ∈ [N, M]`.
+    /// suffix counts at offsets `x'` with `x' − x − 1 ∈ [N, M]`. Every
+    /// offset with a nonzero total is kept, its count clamped at
+    /// `u64::MAX`, and the flag is raised exactly when one clamps.
     #[test]
     fn join_matches_naive_window_sums(
         (a, partners, (n, m)) in (
@@ -159,14 +172,14 @@ proptest! {
                 .filter(|&(_, sum)| sum > 0)
                 .collect();
             let (joined, saturated) = Pil::join_checked(&prefix, &Pil::from_entries(b), gap);
-            if oracle.iter().any(|&(_, sum)| sum > u64::MAX as u128) {
-                prop_assert!(saturated, "partner {}: an overflowing window must raise the flag", j);
-            }
-            if !saturated {
-                let got: Vec<(u32, u128)> =
-                    joined.entries().map(|(x, y)| (x, y as u128)).collect();
-                prop_assert_eq!(got, oracle, "partner {}", j);
-            }
+            let clamps = oracle.iter().any(|&(_, sum)| sum > u64::MAX as u128);
+            prop_assert_eq!(saturated, clamps, "partner {}", j);
+            let got: Vec<(u32, u128)> = joined.entries().map(|(x, y)| (x, y as u128)).collect();
+            let clamped: Vec<(u32, u128)> = oracle
+                .into_iter()
+                .map(|(x, sum)| (x, sum.min(u64::MAX as u128)))
+                .collect();
+            prop_assert_eq!(got, clamped, "partner {}", j);
         }
     }
 
