@@ -20,7 +20,7 @@
 //!    pattern set, hammered by 1 / 4 / 16 concurrent clients with a
 //!    mixed support/topk/prefix/overlap workload — queries/sec per
 //!    client count, every response checked `"ok": true`;
-//! 6. **top-k pruning**: `PruneMode::top_k(k)` vs a full mine +
+//! 6. **top-k pruning**: `mine_top_k` vs a full mine +
 //!    [`select_top_k`] post-filter at k ∈ {10, 100, 1000}, in both gap
 //!    regimes — the flexible acceptance gap `[0, 9]` (`W = 10`:
 //!    support is not anti-monotone, the floor gates emission only, so
@@ -52,13 +52,13 @@
 
 use super::timed;
 use crate::data::scaling_sequence;
-use perigap_core::mpp::{mine, mpp, Algorithm, MppConfig};
+use perigap_core::mpp::{mine, mine_top_k, mpp, Algorithm, MppConfig};
 use perigap_core::pil::Pil;
 use perigap_core::reference::{build_all_reference, mpp_reference};
 use perigap_core::result::MineOutcome;
 use perigap_core::spill::FsSpillIo;
-use perigap_core::trace::{LevelEvent, MetricsObserver};
-use perigap_core::{select_top_k, GapRequirement, PruneMode};
+use perigap_core::trace::{LevelEvent, MetricsObserver, NoopObserver};
+use perigap_core::{select_top_k, GapRequirement};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -650,7 +650,7 @@ fn query_throughput(gap: GapRequirement, quick: bool) -> String {
         Arc::clone(&index),
         "bench:memory".to_string(),
         "127.0.0.1:0",
-        perigap_core::trace::NoopObserver,
+        NoopObserver,
     )
     .expect("bench server binds loopback");
     let addr = handle.addr();
@@ -746,12 +746,10 @@ fn top_k_pruning_at(len: usize, reps: usize) -> String {
         let (full, full_wall) = best_of(reps, || mpp(&seq, gap, rho, N, config.clone()).unwrap());
         let mut rows = Vec::new();
         for k in ks {
-            let topk_cfg = MppConfig {
-                prune: PruneMode::top_k(k),
-                ..config.clone()
-            };
-            let (pruned, topk_wall) =
-                best_of(reps, || mpp(&seq, gap, rho, N, topk_cfg.clone()).unwrap());
+            let (pruned, topk_wall) = best_of(reps, || {
+                let n = Algorithm::Mpp { n: N };
+                mine_top_k(&seq, gap, rho, n, k, &config, &mut NoopObserver).unwrap()
+            });
             // The oracle: post-filter the full mine. Its cost counts
             // toward the baseline the pruned run is up against.
             let (oracle, filter_wall) = best_of(reps, || select_top_k(&full.frequent, k));
@@ -815,7 +813,6 @@ pub fn incremental_speedup(quick: bool) -> String {
 }
 
 fn incremental_speedup_at(len: usize, reps: usize, enforce: bool) -> String {
-    use perigap_core::trace::NoopObserver;
     use perigap_core::{mine_incremental, IncrementalMode};
 
     // Rigid gap: the delta path needs W = 1. The workload is the

@@ -11,14 +11,15 @@ use perigap_core::spill::{FsSpillIo, SpillIo};
 use perigap_core::trace::{validate_trace, JsonlObserver, MetricsObserver, NoopObserver};
 use perigap_core::verify::verify_outcome;
 use perigap_core::{
-    mine, mine_incremental, Algorithm, BaselineDiff, GapRequirement, IncrementalMode, MineError,
-    MineOutcome, Pattern, PruneMode,
+    mine, mine_incremental, mine_top_k, select_top_k, Algorithm, BaselineDiff, GapRequirement,
+    IncrementalMode, MineError, MineOutcome, Pattern,
 };
 use perigap_seq::fasta::read_fasta;
 use perigap_seq::oscillation::correlation_spectrum;
 use perigap_seq::stats::{gc_content, shannon_entropy};
 use perigap_seq::{Alphabet, Sequence};
 use std::io::BufRead;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Usage text shown by `pgmine help`.
@@ -36,8 +37,9 @@ USAGE:
                [--top <k>] [--max-level <l>]
                [--top-k <k>  keep only the k best-supported patterns;
                 a rigid gap (N:N) also prunes the search itself]
-               [--target <pattern>  mine only patterns starting with
-                this prefix; join cones stay intact, emission filters]
+               [--target <pattern>  keep only patterns starting with this
+                prefix: filters the mined output; with --top-k, target
+                first, then rank]
                [--threads <k>  mpp/mppm worker threads]
                [--max-arena-bytes <bytes>  abort if live arenas exceed]
                [--spill-dir <dir>  spill cold subtrees to disk instead of
@@ -56,7 +58,8 @@ USAGE:
                [--format table|tsv] [--save <path.pgst>] [--verify]
                [--trace <path.jsonl>] [--metrics]
                --top-k, --target, --threads, the arena and spill options,
-               --incremental, --trace and --metrics are mpp/mppm only
+               --incremental, --trace and --metrics are mpp/mppm only;
+               --top-k and --target do not apply to --incremental
   pgmine mine  --input <fasta> --rho <frac|pct%>
                --profile <N:M,N:M,...>  per-step gaps in place of --gap
                [--n <len>] [--top <k>] [--record <id>] [--alphabet dna|protein]
@@ -99,8 +102,8 @@ USAGE:
                [--trace <path.jsonl>] [--metrics]
   pgmine query --addr <host:port> --json <request>
                [--timeout-ms <ms>  default 10000]
-               a JSON array batches requests; served daemons also answer
-               mine_topk/mine_target query kinds on demand
+               a JSON array batches requests; kinds: support, topk,
+               prefix, overlap, stats, shutdown
   pgmine trace-check --input <trace.jsonl>   validate a --trace file
   pgmine help
 
@@ -158,9 +161,11 @@ const SEQUENCE: &str = "input record alphabet";
 /// What `mine` reads under every algorithm, besides the input.
 const MINE: &str = "gap rho algorithm max-level top format save verify closed";
 /// What `mine` reads under MPP and MPPm only: the engine's threads and
-/// memory, pruning, the result cache and the observers.
-const ENGINE: &str = "threads max-arena-bytes spill-dir spill-watermark top-k target \
-    incremental cache-path baseline trace metrics";
+/// memory, and the observers.
+const ENGINE: &str = "threads max-arena-bytes spill-dir spill-watermark trace metrics";
+/// What `mine --incremental` reads beside [`ENGINE`]: the result cache.
+/// The cache holds full mines, so `--top-k` and `--target` are not read.
+const CACHE: &str = "incremental cache-path baseline";
 /// What both corpus paths read.
 const CORPUS: &str = "corpus gap rho n min-sequences max-level closed format top";
 /// What only the sharded corpus path reads: the fan-out, each shard's
@@ -193,10 +198,14 @@ fn mode(args: &Args) -> Result<(String, String), ArgError> {
             "mine --profile".into(),
             format!("{SEQUENCE} rho profile n top"),
         ),
+        "mine" if args.flag("incremental") && matches!(algorithm, "mpp" | "mppm") => (
+            "mine --incremental".into(),
+            format!("{SEQUENCE} {MINE} {parameter} {ENGINE} {CACHE}"),
+        ),
         "mine" => {
             let engine = match algorithm {
-                "mpp" | "mppm" => ENGINE,
-                "adaptive" | "enumerate" => "",
+                "mpp" | "mppm" => format!("{ENGINE} top-k target"),
+                "adaptive" | "enumerate" => String::new(),
                 other => return Err(ArgError(format!("unknown algorithm {other:?}"))),
             };
             (
@@ -294,7 +303,6 @@ fn mine_error(e: MineError) -> ArgError {
         MineError::InvalidConfig { setting, reason } => {
             let flag = match setting {
                 "spill" => "spill-dir".to_string(),
-                "prefix" => "target".to_string(),
                 field => field.replace('_', "-"),
             };
             ArgError(format!("--{flag} {reason}"))
@@ -312,7 +320,6 @@ fn mine_error(e: MineError) -> ArgError {
 /// mine itself refuses values it cannot honour.
 fn mine_request(
     args: &Args,
-    alphabet: &Alphabet,
     algorithm: &str,
     default_n: usize,
 ) -> Result<(Algorithm, MppConfig), ArgError> {
@@ -330,25 +337,12 @@ fn mine_request(
             "--spill-watermark needs --spill-dir to have any effect".into(),
         ));
     }
-    let prefix = match args.get("target") {
-        Some(text) => Some(
-            Pattern::parse(text, alphabet)
-                .map_err(|e| ArgError(format!("bad --target {text:?}: {e}")))?
-                .codes()
-                .to_vec(),
-        ),
-        None => None,
-    };
     let defaults = MppConfig::default();
     let config = MppConfig {
         max_level: args.parse_opt("max-level")?,
         max_arena_bytes: args.parse_opt("max-arena-bytes")?,
         spill: spill_dir.map(|dir| Arc::new(FsSpillIo::new(dir)) as Arc<dyn SpillIo>),
         spill_watermark: args.parse_or("spill-watermark", defaults.spill_watermark)?,
-        prune: PruneMode {
-            top_k: args.parse_opt("top-k")?,
-            prefix,
-        },
         threads: args.parse_or("threads", defaults.threads)?,
     };
     Ok((request, config))
@@ -382,15 +376,32 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
     } else {
         10
     };
-    let (request, mut config) = mine_request(args, seq.alphabet(), algorithm, default_n)?;
+    let (request, mut config) = mine_request(args, algorithm, default_n)?;
     if algorithm == "enumerate" {
         // The enumeration baseline explores sigma^l candidates per level
         // and must be depth-capped to terminate on repetitive inputs.
         config.max_level.get_or_insert(10);
     }
-    let top_k = config.prune.top_k;
+    // `--top-k` and `--target` shape the output. A top-k mine ranks
+    // and truncates inside the engine; a target filters the mined
+    // outcome, and with `--top-k` as well ranks inside the target.
+    let top_k = args
+        .parse_opt::<NonZeroUsize>("top-k")?
+        .map(NonZeroUsize::get);
+    let target = match args.get("target") {
+        Some("") => {
+            return Err(ArgError(
+                "--target needs at least one symbol: an empty prefix admits everything".into(),
+            ))
+        }
+        Some(text) => Some(
+            Pattern::parse(text, seq.alphabet())
+                .map_err(|e| ArgError(format!("bad --target {text:?}: {e}")))?,
+        ),
+        None => None,
+    };
     let closed = args.flag("closed");
-    if closed && !config.prune.is_default() {
+    if closed && (top_k.is_some() || target.is_some()) {
         return Err(ArgError(
             "--closed needs the full frequent set to probe extensions; it does \
              not compose with --top-k or --target"
@@ -405,11 +416,6 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
             "--incremental needs --cache-path: the result cache is where \
              the previous run's answer lives"
                 .into(),
-        ));
-    }
-    if !incremental && (cache_path.is_some() || baseline_path.is_some()) {
-        return Err(ArgError(
-            "--cache-path/--baseline apply to --incremental mining only".into(),
         ));
     }
 
@@ -445,7 +451,12 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
                 inc.outcome
             })
         }
-        (_, request) => mine(&seq, gap, rho, request, &config, &mut observer),
+        // A target ranks among its own rows: a top-k mine's floor would
+        // rise on patterns outside it.
+        (_, request) => match top_k.filter(|_| target.is_none()) {
+            Some(k) => mine_top_k(&seq, gap, rho, request, k, &config, &mut observer),
+            None => mine(&seq, gap, rho, request, &config, &mut observer),
+        },
     };
     // Flush the trace before surfacing a mining error: an aborted run's
     // trace (terminal `abort` line) is exactly what post-mortems need.
@@ -454,9 +465,21 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         sink.finish()
             .map_err(|e| ArgError(format!("trace write failed: {e}")))?;
     }
-    let outcome = mined.map_err(mine_error)?;
-    // The closed filter is an output mode: everything downstream
-    // (save, tsv, table, verify) sees only the closed subset.
+    let mut outcome = mined.map_err(mine_error)?;
+    // The target and the closed filter are output modes: everything
+    // downstream (save, tsv, table, verify) sees only the rows they
+    // keep.
+    let target_dropped = target.map(|prefix| {
+        let mined = outcome.frequent.len();
+        outcome
+            .frequent
+            .retain(|f| f.pattern.codes().starts_with(prefix.codes()));
+        let dropped = mined - outcome.frequent.len();
+        if let Some(k) = top_k {
+            outcome.frequent = select_top_k(&outcome.frequent, k);
+        }
+        dropped
+    });
     let (outcome, closed_dropped) = if closed {
         let kept = outcome.closed_frequent();
         let dropped = outcome.frequent.len() - kept.len();
@@ -556,11 +579,8 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
             outcome.stats.floor_raises, outcome.stats.pruned_by_floor
         ));
     }
-    if let Some(target) = args.get("target") {
-        out.push_str(&format!(
-            "target {target}: pruned by target {}\n",
-            outcome.stats.pruned_by_target
-        ));
+    if let (Some(text), Some(dropped)) = (args.get("target"), target_dropped) {
+        out.push_str(&format!("target {text}: pruned by target {dropped}\n"));
     }
     out.push('\n');
     let mut table = TextTable::new(&["pattern", "len", "support", "ratio"]);
@@ -718,7 +738,7 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
     let path = std::path::Path::new(args.get("corpus").expect("dispatch checked"));
     let corpus = Corpus::open(path).map_err(|e| ArgError(e.to_string()))?;
     let alphabet = corpus.alphabet().clone();
-    let (Algorithm::Mpp { n }, mpp_config) = mine_request(args, &alphabet, "mpp", 10)? else {
+    let (Algorithm::Mpp { n }, mpp_config) = mine_request(args, "mpp", 10)? else {
         unreachable!("a corpus mine is an MPP mine");
     };
 
@@ -926,7 +946,9 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
     use perigap_store::{LoadedOutcome, PatternIndex};
 
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
-    let (index, backend_desc, source) = match args.get("store") {
+    // The daemon answers from the index alone: the sequence is dropped
+    // once the index is built.
+    let (index, backend_desc) = match args.get("store") {
         Some(path) => {
             let alphabet = alphabet(args)?;
             let loaded = load_outcome_under(path, &alphabet)?;
@@ -937,7 +959,7 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
                 None => None,
             };
             let index = PatternIndex::build(&loaded, alphabet, seq.as_ref());
-            (index, format!("pgst-file:{path}"), seq)
+            (index, format!("pgst-file:{path}"))
         }
         None => {
             let seq = load_sequence(args)?;
@@ -945,14 +967,13 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
             let (lo, hi) = parse_gap(args.require("gap")?)?;
             let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
             let algorithm = args.get("algorithm").unwrap_or("mppm");
-            let (request, config) =
-                mine_request(args, seq.alphabet(), algorithm, gap.l1(seq.len()))?;
+            let (request, config) = mine_request(args, algorithm, gap.l1(seq.len()))?;
             let outcome =
                 mine(&seq, gap, rho, request, &config, &mut NoopObserver).map_err(mine_error)?;
             let backend = format!("memory:{} patterns", outcome.frequent.len());
             let loaded = LoadedOutcome { outcome, gap, rho };
             let index = PatternIndex::build(&loaded, seq.alphabet().clone(), Some(&seq));
-            (index, backend, Some(seq))
+            (index, backend)
         }
     };
     let patterns = index.len();
@@ -967,16 +988,8 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
     };
     let observer = (jsonl, args.flag("metrics").then(MetricsObserver::new));
 
-    // With the subject sequence in hand the daemon also answers the
-    // on-demand mine_topk/mine_target query kinds.
-    let handle = perigap_serve::serve_with(
-        Arc::new(index),
-        backend_desc.clone(),
-        source,
-        addr,
-        observer,
-    )
-    .map_err(|e| ArgError(format!("cannot bind {addr:?}: {e}")))?;
+    let handle = perigap_serve::serve(Arc::new(index), backend_desc.clone(), addr, observer)
+        .map_err(|e| ArgError(format!("cannot bind {addr:?}: {e}")))?;
     if let Some(path) = args.get("port-file") {
         std::fs::write(path, handle.addr().to_string())
             .map_err(|e| ArgError(format!("cannot write port file {path:?}: {e}")))?;
@@ -1253,7 +1266,7 @@ mod tests {
 
         assert!(err(&["--incremental"]).contains("--incremental needs --cache-path"));
         assert!(err(&["--cache-path", cache.as_str()])
-            .contains("--cache-path/--baseline apply to --incremental mining only"));
+            .contains("--cache-path does not apply to mine --algorithm mppm"));
         assert!(err(&[
             "--algorithm",
             "enumerate",
@@ -1270,7 +1283,7 @@ mod tests {
             "5",
         ]);
         assert!(
-            pruned.contains("--top-k") && pruned.contains("incremental mine"),
+            pruned.contains("--top-k does not apply to mine --incremental"),
             "{pruned}"
         );
         let profile = [
@@ -1745,45 +1758,64 @@ mod tests {
         assert!(out.contains("pruning: top_k 3"), "{out}");
     }
 
+    /// `--target` filters the full mine's rows; with `--top-k` as well
+    /// the target's rows are rank-sorted and truncated to k, under a
+    /// rigid and a flexible gap, on one thread and on two.
     #[test]
     fn mine_target_filters_and_counts_prunes() {
         let body = "ACGTT".repeat(60);
         let f = fasta_file(&format!(">frag\n{body}\n"));
-        let base = |extra: &[&str]| {
-            let mut words: Vec<String> = vec![
-                "mine".into(),
-                "--input".into(),
-                f.as_str().into(),
-                "--gap".into(),
-                "1:3".into(),
-                "--rho".into(),
-                "0.5%".into(),
-                "--algorithm".into(),
-                "mpp".into(),
-                "--format".into(),
-                "tsv".into(),
-            ];
-            words.extend(extra.iter().map(|s| s.to_string()));
+        let base = |gap: &str, extra: &[&str]| {
+            let mut words: Vec<String> = ["mine", "--input", f.as_str(), "--gap", gap]
+                .iter()
+                .chain(&["--rho", "0.5%", "--algorithm", "mpp"])
+                .chain(extra)
+                .map(|s| s.to_string())
+                .collect();
+            words.extend(["--format", "tsv"].map(String::from));
             words
         };
-        let full = run_words(&base(&[])).unwrap();
-        let rows = perigap_analysis::export::parse_outcome_tsv(&full).unwrap();
-        let got = run_words(&base(&["--target", "AG"])).unwrap();
-        let got_rows = perigap_analysis::export::parse_outcome_tsv(&got).unwrap();
-        let want: Vec<_> = rows
-            .iter()
-            .filter(|r| r.0.starts_with("AG"))
-            .cloned()
-            .collect();
-        assert!(!want.is_empty(), "workload must mine AG-prefixed patterns");
-        assert_eq!(got_rows, want, "targeted mine must equal post-filtering");
-        // The table view names the target and its prune counter.
-        let mut words = base(&["--target", "AG"]);
-        let tsv_at = words.iter().position(|w| w == "tsv").unwrap();
-        words.remove(tsv_at);
-        words.remove(tsv_at - 1);
-        let out = run_words(&words).unwrap();
-        assert!(out.contains("target AG: pruned by target"), "{out}");
+        let tsv = |words: &[String]| {
+            perigap_analysis::export::parse_outcome_tsv(&run_words(words).unwrap()).unwrap()
+        };
+        for gap in ["1:1", "1:3"] {
+            let rows = tsv(&base(gap, &[]));
+            let mut want: Vec<_> = rows
+                .iter()
+                .filter(|r| r.0.starts_with("AG"))
+                .cloned()
+                .collect();
+            assert!(
+                want.len() > 3,
+                "{gap}: workload must mine AG-prefixed patterns"
+            );
+            let got = tsv(&base(gap, &["--target", "AG"]));
+            assert_eq!(got, want, "{gap}: --target must equal post-filtering");
+            want.sort_by(|a, b| {
+                b.1.cmp(&a.1)
+                    .then(a.0.len().cmp(&b.0.len()))
+                    .then(a.0.cmp(&b.0))
+            });
+            for (k, threads) in [("1", "1"), ("3", "1"), ("3", "2")] {
+                let extra = ["--target", "AG", "--top-k", k, "--threads", threads];
+                let got = tsv(&base(gap, &extra));
+                let k: usize = k.parse().unwrap();
+                assert_eq!(
+                    got,
+                    want[..k],
+                    "{gap}: top-{k} of the target, {threads} threads"
+                );
+            }
+            // The table view names the target and the rows it dropped.
+            let mut words = base(gap, &["--target", "AG"]);
+            words.truncate(words.len() - 2); // drop --format tsv
+            let out = run_words(&words).unwrap();
+            let dropped = rows.len() - want.len();
+            assert!(
+                out.contains(&format!("target AG: pruned by target {dropped}\n")),
+                "{out}"
+            );
+        }
     }
 
     #[test]
@@ -1803,8 +1835,10 @@ mod tests {
             words.extend(extra.iter().map(|s| s.to_string()));
             words
         };
-        let err = run_words(&base(&["--top-k", "0"])).unwrap_err();
-        assert!(err.to_string().contains("--top-k"), "{err}");
+        for extra in [&["--top-k", "0"][..], &["--top-k", "0", "--target", "AC"]] {
+            let err = run_words(&base(extra)).unwrap_err();
+            assert!(err.to_string().starts_with("--top-k "), "{err}");
+        }
         let err = run_words(&base(&["--top-k", "x"])).unwrap_err();
         assert!(err.to_string().contains("--top-k"), "{err}");
         // Z is not a DNA symbol; the error names the flag and the text.

@@ -1,12 +1,12 @@
-//! One rule set for a mine's settings: the library, `pgmine` and the
-//! daemon refuse the same invalid values and name the same setting —
-//! the library by its field, `pgmine` by the flag that sets it, the
-//! daemon in its error line — and every boundary value that stays
-//! legal mines.
+//! One rule set for a mine's settings: the library and `pgmine` refuse
+//! the same invalid values and name the same setting — the library by
+//! its field, `pgmine` by the flag that sets it — and every boundary
+//! value that stays legal mines.
 //!
-//! `pgmine serve --input` reads none of these settings (its mine runs
-//! on the defaults), so the daemon's rows are its `mine_topk` and
-//! `mine_target` kinds, which set `top_k` and the prefix.
+//! Top-k is `mine_top_k`'s argument, not a config field, so its rows
+//! run through that call alone. `--target` is an output filter of
+//! `pgmine mine`, so its row has no library side. Neither applies to
+//! `mine --incremental`, whose result cache holds full mines.
 
 use perigap_cli::commands::run;
 use perigap_core::adaptive::adaptive_mpp;
@@ -19,10 +19,8 @@ use perigap_core::reference::mpp_reference;
 use perigap_core::spill::{MemSpillIo, SpillIo};
 use perigap_core::trace::NoopObserver;
 use perigap_core::windowed::windowed_mine;
-use perigap_core::{mine, mine_incremental, Algorithm, GapRequirement, MineError};
-use perigap_seq::{Alphabet, Sequence};
-use perigap_serve::{serve_request_line, LineOutcome, ServeContext};
-use perigap_store::{LoadedOutcome, PatternIndex};
+use perigap_core::{mine, mine_incremental, mine_top_k, Algorithm, GapRequirement, MineError};
+use perigap_seq::Sequence;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -69,20 +67,8 @@ const EVERY_LIB: &[Lib] = &[
     Lib::Collection,
     Lib::Corpus,
 ];
-/// Every entry point but the incremental one, which refuses any pruned
-/// mine.
-const UNCACHED_LIB: &[Lib] = &[
-    Lib::Mine,
-    Lib::MineMppm,
-    Lib::Mpp,
-    Lib::Mppm,
-    Lib::Adaptive,
-    Lib::Enumerate,
-    Lib::Windowed,
-    Lib::Reference,
-    Lib::Collection,
-    Lib::Corpus,
-];
+/// The entry points a top-k row reaches, through `mine_top_k`.
+const TOP_K_LIB: &[Lib] = &[Lib::Mine, Lib::MineMppm];
 const CORPUS_LIB: &[Lib] = &[Lib::Collection, Lib::Corpus];
 
 /// The modes that read the engine's threads, memory and spill options.
@@ -94,7 +80,8 @@ const LEVEL_CLI: &[Cli] = &[
     Cli::Corpus,
     Cli::Unsharded,
 ];
-const PRUNE_CLI: &[Cli] = &[Cli::Mpp, Cli::Mppm, Cli::Incremental];
+/// The modes that read `--top-k` and `--target`.
+const OUTPUT_CLI: &[Cli] = &[Cli::Mpp, Cli::Mppm];
 const CORPUS_CLI: &[Cli] = &[Cli::Corpus, Cli::Unsharded];
 
 /// What a row sets.
@@ -105,8 +92,12 @@ enum Set {
     MinSequences(usize),
     /// A checkpointed corpus mine's `stop_after_shards`.
     StopAfterShards(usize),
+    /// The `k` of a top-k mine.
+    TopK(usize),
+    /// Nothing the library reads: a `pgmine` output option.
+    Output,
 }
-use Set::{Engine, MinSequences, StopAfterShards};
+use Set::{Engine, MinSequences, Output, StopAfterShards, TopK};
 
 /// One setting's value on every path that reads it.
 struct Row {
@@ -118,8 +109,6 @@ struct Row {
     /// stands for a fresh scratch directory.
     words: Vec<&'static str>,
     cli: &'static [Cli],
-    /// The value as a daemon request.
-    serve: Option<&'static str>,
 }
 
 impl Row {
@@ -137,14 +126,6 @@ impl Row {
             lib,
             words,
             cli,
-            serve: None,
-        }
-    }
-
-    fn serve(self, line: &'static str) -> Row {
-        Row {
-            serve: Some(line),
-            ..self
         }
     }
 
@@ -188,17 +169,14 @@ fn refused_rows() -> Vec<Row> {
         no("spill_watermark", Engine(|c| c.spill_watermark = -0.5), EVERY_LIB, &watermark("-0.5"), ENGINE_CLI),
         no("spill_watermark", Engine(|c| c.spill_watermark = 1.5), EVERY_LIB, &watermark("1.5"), ENGINE_CLI),
         no("spill_watermark", Engine(|c| c.spill_watermark = f64::NAN), EVERY_LIB, &watermark("NaN"), ENGINE_CLI),
-        no("top_k", Engine(|c| c.prune.top_k = Some(0)), EVERY_LIB, &["--top-k", "0"], PRUNE_CLI)
-            .serve(r#"{"q": "mine_topk", "k": 0}"#),
-        no("prefix", Engine(|c| c.prune.prefix = Some(Vec::new())), EVERY_LIB, &["--target", ""], PRUNE_CLI)
-            .serve(r#"{"q": "mine_target", "target": ""}"#),
+        no("top_k", TopK(0), TOP_K_LIB, &["--top-k", "0"], OUTPUT_CLI),
+        no("target", Output, &[], &["--target", ""], OUTPUT_CLI),
         no("min_sequences", MinSequences(0), CORPUS_LIB, &["--min-sequences", "0"], CORPUS_CLI),
         no("stop_after_shards", StopAfterShards(0), &[Lib::Corpus],
             &["--checkpoint-dir", "{dir}", "--stop-after-shards", "0"], &[Cli::Corpus]),
-        // A pruned incremental mine: legal settings, but the result
-        // cache holds the full frequent set.
-        no("top_k", Engine(|c| c.prune.top_k = Some(5)), &[Lib::Incremental], &["--top-k", "5"], &[Cli::Incremental]),
-        no("prefix", Engine(|c| c.prune.prefix = Some(vec![0])), &[Lib::Incremental], &["--target", "A"], &[Cli::Incremental]),
+        // Legal values, but the result cache holds full mines.
+        no("top_k", Output, &[], &["--top-k", "5"], &[Cli::Incremental]),
+        no("target", Output, &[], &["--target", "A"], &[Cli::Incremental]),
     ]
 }
 
@@ -210,8 +188,8 @@ fn legal_rows() -> Vec<Row> {
         ok(Engine(|c| { spilling(c); c.spill_watermark = 0.0 }), EVERY_LIB, &watermark("0"), ENGINE_CLI),
         ok(Engine(|c| { spilling(c); c.spill_watermark = 1.0 }), EVERY_LIB, &watermark("1.0"), ENGINE_CLI),
         ok(Engine(|c| c.threads = 1), EVERY_LIB, &["--threads", "1"], ENGINE_CLI),
-        ok(Engine(|c| c.prune.top_k = Some(1)), UNCACHED_LIB, &["--top-k", "1"], &[Cli::Mpp, Cli::Mppm])
-            .serve(r#"{"q": "mine_topk", "k": 1}"#),
+        ok(TopK(1), TOP_K_LIB, &["--top-k", "1"], OUTPUT_CLI),
+        ok(Output, &[], &["--target", "A"], OUTPUT_CLI),
         // The corpus below holds three sequences.
         ok(MinSequences(3), CORPUS_LIB, &["--min-sequences", "3"], CORPUS_CLI),
     ]
@@ -275,17 +253,23 @@ impl Fixture {
             max_level: Some(5),
             ..MppConfig::default()
         };
-        let (mut min_sequences, mut stop_after) = (1, None);
+        let (mut min_sequences, mut stop_after, mut top_k) = (1, None, None);
         match row.set {
             Set::Engine(set) => set(&mut config),
             Set::MinSequences(k) => min_sequences = k,
             Set::StopAfterShards(k) => stop_after = Some(k),
+            Set::TopK(k) => top_k = Some(k),
+            Set::Output => unreachable!("an output option has no library side"),
         }
         let (seq, gap, rho) = (&self.seq, self.gap, self.rho);
         let (c, observer) = (config.clone(), &mut NoopObserver);
+        let engine = |algorithm| match top_k {
+            Some(k) => mine_top_k(seq, gap, rho, algorithm, k, &config, &mut NoopObserver),
+            None => mine(seq, gap, rho, algorithm, &config, &mut NoopObserver),
+        };
         match via {
-            Lib::Mine => mine(seq, gap, rho, MPP, &c, observer).map(drop),
-            Lib::MineMppm => mine(seq, gap, rho, MPPM, &c, observer).map(drop),
+            Lib::Mine => engine(MPP).map(drop),
+            Lib::MineMppm => engine(MPPM).map(drop),
             Lib::Mpp => mpp(seq, gap, rho, 6, c).map(drop),
             Lib::Mppm => mppm(seq, gap, rho, 4, c).map(drop),
             Lib::Adaptive => adaptive_mpp(seq, gap, rho, 4, c).map(drop),
@@ -345,27 +329,6 @@ impl Fixture {
         }
         run(words).map_err(|e| e.0)
     }
-
-    fn serve(&self, line: &str) -> (bool, String) {
-        let outcome = mpp(&self.seq, self.gap, self.rho, 6, MppConfig::default()).unwrap();
-        let loaded = LoadedOutcome {
-            outcome,
-            gap: self.gap,
-            rho: self.rho,
-        };
-        let index = PatternIndex::build(&loaded, Alphabet::Dna, Some(&self.seq));
-        let ctx = ServeContext {
-            index: &index,
-            backend: "memory:settings",
-            queries: 0,
-            source: Some(&self.seq),
-            cache: None,
-        };
-        match serve_request_line(&ctx, line) {
-            LineOutcome::Single(served) => (served.ok, served.response),
-            LineOutcome::Batch(_) => panic!("one request, one answer"),
-        }
-    }
 }
 
 impl Drop for Fixture {
@@ -400,14 +363,6 @@ fn every_path_refuses_an_invalid_setting_under_one_name() {
                 row.words
             );
         }
-        if let Some(line) = row.serve {
-            let (ok, response) = fx.serve(line);
-            assert!(!ok, "{line}: {response}");
-            assert!(
-                response.contains(&format!("mine failed: {setting} ")),
-                "{line}: {response}"
-            );
-        }
     }
 }
 
@@ -426,10 +381,6 @@ fn every_path_mines_a_boundary_value_that_stays_legal() {
                 "pgmine {via:?} under {:?}: {mined:?}",
                 row.words
             );
-        }
-        if let Some(line) = row.serve {
-            let (ok, response) = fx.serve(line);
-            assert!(ok, "{line}: {response}");
         }
     }
 }

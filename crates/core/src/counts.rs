@@ -36,6 +36,13 @@ use std::cell::RefCell;
 pub struct OffsetCounts {
     seq_len: usize,
     gap: GapRequirement,
+    /// `gap` with `M` clamped to `max(N, L − 2)`, the widest gap two
+    /// offsets of the sequence can straddle. A wider step matches
+    /// nothing, so `N_l` is the same under both, and counting under the
+    /// clamp keeps the `f` rows at most `(l−1)·L` wide however wide the
+    /// requested gap. `l1`, [`OffsetCounts::gap`] and with them λ and
+    /// λ′ keep the requested gap.
+    reach: GapRequirement,
     l1: usize,
     l2: usize,
     cache: RefCell<Vec<Option<BigUint>>>,
@@ -51,9 +58,13 @@ impl OffsetCounts {
     pub fn new(seq_len: usize, gap: GapRequirement) -> OffsetCounts {
         let l1 = gap.l1(seq_len);
         let l2 = gap.l2(seq_len);
+        let widest = gap.min().max(seq_len.saturating_sub(2));
+        let reach =
+            GapRequirement::new(gap.min(), gap.max().min(widest)).expect("N ≤ the clamp ≤ M");
         OffsetCounts {
             seq_len,
             gap,
+            reach,
             l1,
             l2,
             // Grown on demand: `l2` is O(L) under narrow gaps, and most
@@ -161,23 +172,27 @@ impl OffsetCounts {
         n
     }
 
-    /// Case 3: `N_l = Σ_{i = maxspan(l)−L}^{(l−1)(W−1)} f(l, i)`.
+    /// Case 3: `N_l = Σ_{i = maxspan(l)−L}^{(l−1)(W−1)} f(l, i)`, under
+    /// the clamped gap. The sum holds for any `l`; past the requested
+    /// `l1`, `maxspan(l) − L` under the clamp is at least 0.
     fn n_boundary(&self, l: usize) -> BigUint {
-        let w = self.gap.flexibility();
-        let lo = self.gap.max_span(l) - self.seq_len; // ≥ 1 since l > l1
-        let hi = (l - 1) * (w - 1);
+        let w = self.reach.flexibility();
+        let lo = self.reach.max_span(l) as i64 - self.seq_len as i64;
+        let hi = ((l - 1) * (w - 1)) as i64;
         let mut total = BigUint::zero();
         for i in lo..=hi {
-            total.add_assign_ref(&self.f(l, i as i64));
+            total.add_assign_ref(&self.f(l, i));
         }
         total
     }
 
     /// `f(l, i)`: the number of length-`l` offset sequences starting at
-    /// offset 1 in a sequence of length `maxspan(l) − i` (Appendix).
+    /// offset 1 in a sequence of length `maxspan(l) − i` (Appendix),
+    /// under the gap with `M` clamped to the sequence (the same as the
+    /// requested gap unless `M > L − 2`).
     pub fn f(&self, l: usize, i: i64) -> BigUint {
         assert!(l >= 1, "f(l, i) needs l ≥ 1");
-        let w = self.gap.flexibility();
+        let w = self.reach.flexibility();
         if i <= 0 {
             return BigUint::from_u64(w as u64).pow((l - 1) as u32);
         }
@@ -193,7 +208,7 @@ impl OffsetCounts {
     /// using a sliding-window sum so each row costs `O(band)` additions.
     fn ensure_f_rows(&self, l: usize) {
         let mut rows = self.f_rows.borrow_mut();
-        let w = self.gap.flexibility();
+        let w = self.reach.flexibility();
         while rows.len() < l {
             let k = rows.len() + 1; // building row for length k
             let band = (k - 1) * (w - 1);
@@ -234,7 +249,7 @@ impl OffsetCounts {
     /// `(l−1)/2 · (W−1) · W^(l−1)`. Exposed for tests and for the
     /// `repro counts` harness.
     pub fn theorem3_sum(&self, l: usize) -> (BigUint, BigUint) {
-        let w = self.gap.flexibility();
+        let w = self.reach.flexibility();
         let band = (l - 1) * (w - 1);
         let mut sum = BigUint::zero();
         for i in 1..=band as i64 {
@@ -371,6 +386,30 @@ mod tests {
                     "N_{l} mismatch for L={len}, gap=[{n},{m}]"
                 );
             }
+        }
+    }
+
+    /// A gap wider than the sequence: the `f` rows are sized by the
+    /// steps `L` admits, not by `W`, and `N_l` still matches the DP.
+    #[test]
+    fn gap_wider_than_the_sequence_matches_dp() {
+        use crate::gap::MAX_GAP;
+        for (n, m, len) in [(0, 22, 24), (0, 23, 24), (0, 100_000, 24), (3, MAX_GAP, 24)] {
+            let gap = GapRequirement::new(n, m).unwrap();
+            let c = OffsetCounts::new(len, gap);
+            assert_eq!(c.l1(), gap.l1(len), "l1 keeps the requested gap");
+            for l in 1..=(c.l2() + 1) {
+                assert_eq!(
+                    c.n(l),
+                    n_by_position_dp(len, gap, l),
+                    "N_{l} mismatch for L={len}, gap=[{n},{m}]"
+                );
+            }
+            let widest = c.f_rows.borrow().iter().map(Vec::len).max().unwrap_or(0);
+            assert!(
+                widest <= c.l2() * len,
+                "f rows {widest} wide for gap [{n},{m}]"
+            );
         }
     }
 

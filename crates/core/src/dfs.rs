@@ -240,8 +240,8 @@ impl JoinIndex {
 
 /// The admission rule every evaluated pattern passes, at the seed level
 /// and for each generated candidate before it is joined. A pattern that
-/// the exact bound of `row` admits is frequent if the pruner takes it
-/// as a result, and one that the λ̂ bound admits is kept on the join
+/// the exact bound of `row` admits is frequent if the top-k floor takes
+/// it as a result, and one that the λ̂ bound admits is kept on the join
 /// frontier. A support that neither bound admits, or that the search
 /// floor cuts, settles both as false before `codes` builds the pattern.
 /// A frequent pattern is pushed to `frequent`. Returns
@@ -260,7 +260,7 @@ fn admit<'c>(
         return (false, false);
     }
     let codes = codes();
-    let is_frequent = exact && pruner.admits_result(codes, sup);
+    let is_frequent = exact && pruner.admits_result(sup);
     if is_frequent {
         frequent.push(FrequentPattern {
             pattern: Pattern::from_codes(codes.to_vec()),
@@ -402,7 +402,7 @@ struct RunEnv {
     live: AtomicUsize,
     peak: AtomicUsize,
     hooks: PoolHooks,
-    /// Shared pruning state (floor + target) across every task.
+    /// The top-k floor, shared across every task.
     pruner: Pruner,
 }
 
@@ -841,8 +841,8 @@ fn sweep_spill_records<O: MineObserver>(job: &DfsJob, stats: &mut MineStats, obs
 /// The engine core of every MPP and MPPm mine: breadth-first prelude
 /// with eager evaluation, component handoff to depth-first subtree
 /// tasks, and engine-wide peak-arena accounting, on
-/// `config.threads` threads. Returns the outcome plus peak live arena
-/// bytes.
+/// `config.threads` threads, keeping the `top_k` best patterns when
+/// set. Returns the outcome plus peak live arena bytes.
 ///
 /// The level events are emitted on every exit. An aborted run (memory
 /// ceiling, spill I/O, a failed worker) still reports each level it
@@ -853,6 +853,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     counts: &OffsetCounts,
     rho: &BigRatio,
     n: usize,
+    top_k: Option<usize>,
     config: &MppConfig,
     seed: PilSet,
     hooks: PoolHooks,
@@ -875,7 +876,7 @@ pub(crate) fn run_hybrid<O: MineObserver>(
         live: AtomicUsize::new(0),
         peak: AtomicUsize::new(0),
         hooks,
-        pruner: Pruner::new(&config.prune, gap.flexibility()),
+        pruner: Pruner::new(top_k, gap.flexibility()),
     });
     let pruner = &env.pruner;
 
@@ -952,8 +953,8 @@ pub(crate) fn run_hybrid<O: MineObserver>(
                 // Subtree tasks allocate their own generations: free the
                 // prelude's spare buffers before they run.
                 drop(std::mem::take(&mut spare));
-                // Pruned modes: drop dead components before they become
-                // tasks (or spill records). The handoff proceeds even if
+                // Top-k: drop dead components before they become tasks
+                // (or spill records). The handoff proceeds even if
                 // only one component stays viable.
                 comps.retain(|comp| pruner.component_viable(&current, comp));
                 if comps.is_empty() {
@@ -1530,6 +1531,7 @@ mod tests {
                     &counts,
                     &rho_exact,
                     20,
+                    None,
                     &config,
                     pils,
                     hooks,

@@ -5,7 +5,8 @@ use std::fmt;
 /// Errors produced while configuring or running the miner.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MineError {
-    /// A gap requirement with `min > max`.
+    /// A gap requirement with `min > max`, or a `max` above
+    /// [`crate::gap::MAX_GAP`].
     InvalidGap {
         /// Requested minimum gap.
         min: usize,
@@ -116,9 +117,14 @@ pub enum MineError {
 impl fmt::Display for MineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MineError::InvalidGap { min, max } => {
+            MineError::InvalidGap { min, max } if min > max => {
                 write!(f, "invalid gap requirement [{min}, {max}]: min exceeds max")
             }
+            MineError::InvalidGap { min, max } => write!(
+                f,
+                "invalid gap requirement [{min}, {max}]: max exceeds {}, the widest gap",
+                crate::gap::MAX_GAP
+            ),
             MineError::InvalidThreshold(t) => {
                 write!(f, "support threshold must be in (0, 1], got {t}")
             }
@@ -179,7 +185,13 @@ mod tests {
     fn display_messages() {
         assert!(MineError::InvalidGap { min: 5, max: 3 }
             .to_string()
-            .contains("[5, 3]"));
+            .contains("[5, 3]: min exceeds max"));
+        assert!(MineError::InvalidGap {
+            min: 0,
+            max: 1 << 32
+        }
+        .to_string()
+        .ends_with("[0, 4294967296]: max exceeds 4294967295, the widest gap"));
         assert!(MineError::InvalidThreshold(1.5).to_string().contains("1.5"));
         assert!(MineError::SequenceTooShort { len: 3, needed: 9 }
             .to_string()

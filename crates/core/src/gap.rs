@@ -3,6 +3,11 @@
 
 use crate::error::MineError;
 
+/// The widest gap `M` a requirement may name: the result cache records
+/// each bound as a `u32`, and PIL offsets are `u32`, so no sequence a
+/// mine can hold spans a wider one.
+pub const MAX_GAP: usize = u32::MAX as usize;
+
 /// A gap requirement `g(N, M)`: between two consecutive pattern
 /// characters there must be between `N` and `M` wild-cards (inclusive).
 ///
@@ -29,10 +34,11 @@ pub struct GapRequirement {
 impl GapRequirement {
     /// Build a gap requirement `[N, M]`.
     ///
-    /// `N ≤ M` is required; `N = M` (a rigid period) is allowed, as is
-    /// `N = 0` (adjacent characters permitted).
+    /// `N ≤ M ≤` [`MAX_GAP`] is required; `N = M` (a rigid period) is
+    /// allowed, as is `N = 0` (adjacent characters permitted). Anything
+    /// else is [`MineError::InvalidGap`].
     pub fn new(min: usize, max: usize) -> Result<GapRequirement, MineError> {
-        if min > max {
+        if min > max || max > MAX_GAP {
             return Err(MineError::InvalidGap { min, max });
         }
         Ok(GapRequirement { min, max })
@@ -128,6 +134,15 @@ mod tests {
         assert_eq!(g.flexibility(), 4);
         assert_eq!(g.to_string(), "[9, 12]");
         assert!(GapRequirement::new(5, 4).is_err());
+        // The widest gap is u32::MAX; one past it (or usize::MAX, where
+        // `M + 1` would wrap) is refused.
+        assert_eq!(GapRequirement::new(0, MAX_GAP).unwrap().max(), MAX_GAP);
+        for (min, max) in [(0, MAX_GAP + 1), (0, usize::MAX), (usize::MAX, usize::MAX)] {
+            assert_eq!(
+                GapRequirement::new(min, max),
+                Err(MineError::InvalidGap { min, max })
+            );
+        }
         // Rigid gap is fine.
         assert_eq!(GapRequirement::new(3, 3).unwrap().flexibility(), 1);
     }

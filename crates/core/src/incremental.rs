@@ -21,8 +21,8 @@
 //! FNV-1a) holding:
 //!
 //! - the **key**: sequence FNV-1a hash and length, alphabet size, gap,
-//!   exact ρ bits, algorithm, the `n`/`m` parameter, prune flag,
-//!   start/max level;
+//!   exact ρ bits, algorithm, the `n`/`m` parameter, a prune byte
+//!   (always 0: only full mines are cached), start/max level;
 //! - the **outcome**: every frequent pattern with its exact support and
 //!   the bit-exact ratio, in the engine's (length, codes) emission
 //!   order, plus `n_used`, `e_m` and the saturation flag;
@@ -69,8 +69,7 @@
 //! Everything the replay cannot prove equivalent falls back cold:
 //! flexible gaps (`W > 1`, where an append extends *old* chains and
 //! per-offset counts change), an `n`/`e_m` estimate that drifted with
-//! the sequence, a saturated cached run, a non-default prune mode, or a
-//! blown suspect budget. The differential battery in
+//! the sequence, a saturated cached run, or a blown suspect budget. The differential battery in
 //! `tests/prop_incremental.rs` proves every path bit-identical to a
 //! cold mine.
 
@@ -241,8 +240,6 @@ pub struct CacheKey {
     pub algorithm: u8,
     /// `n` (MPP) or `m` (MPPm).
     pub param: u64,
-    /// Always 0: pruned (top-k / targeted) mines are never cached.
-    pub prune: u8,
     /// `MppConfig::max_level` (`None` ⇒ mine to `l2`).
     pub max_level: Option<usize>,
 }
@@ -297,7 +294,8 @@ fn encode_cache(cache: &ResultCache) -> Vec<u8> {
     w.u64(k.rho_bits);
     w.u8(k.algorithm);
     w.u64(k.param);
-    w.u8(k.prune);
+    // The prune byte: only full mines are cached.
+    w.u8(0);
     // The start-level field: every mine seeds at the same level.
     w.u32(SEED_LEVEL as u32);
     w.u64(k.max_level.map_or(u64::MAX, |l| l as u64));
@@ -478,7 +476,6 @@ fn read_cache(bytes: &[u8]) -> Result<ResultCache, WireError> {
             rho_bits,
             algorithm,
             param,
-            prune,
             max_level,
         },
         n_used,
@@ -559,7 +556,6 @@ pub(crate) fn request_key(
         rho_bits: rho.to_bits(),
         algorithm: algorithm.id(),
         param: algorithm.param() as u64,
-        prune: 0,
         max_level: config.max_level,
     }
 }
@@ -1260,9 +1256,7 @@ fn fast_path_eligible(cache: &ResultCache, gap: GapRequirement) -> Result<(), St
 /// to a cold mine. See the module docs for the full decision table.
 ///
 /// The settings [`MppConfig::check`] refuses fail with
-/// [`MineError::InvalidConfig`], and so does a pruned configuration
-/// (`config.prune` non-default): a pruned result set is not a valid
-/// baseline for any other request.
+/// [`MineError::InvalidConfig`].
 pub fn mine_incremental<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
@@ -1273,20 +1267,6 @@ pub fn mine_incremental<O: MineObserver>(
     observer: &mut O,
 ) -> Result<IncrementalOutcome, MineError> {
     config.check()?;
-    let prune = &config.prune;
-    let pruned = prune
-        .top_k
-        .map(|_| "top_k")
-        .or(prune.prefix.as_ref().map(|_| "prefix"));
-    if let Some(setting) = pruned {
-        return Err(MineError::InvalidConfig {
-            setting,
-            reason: "cannot be set for an incremental mine: its result cache holds the \
-                     full frequent set"
-                .into(),
-        });
-    }
-
     let requested = request_key(seq, gap, rho, algorithm, config);
 
     // Read phase: a missing file is the expected first run, not a
@@ -1652,7 +1632,6 @@ mod tests {
                 rho_bits: 0.01f64.to_bits(),
                 algorithm: 1,
                 param: 5,
-                prune: 0,
                 max_level: Some(9),
             },
             n_used: 7,

@@ -25,9 +25,9 @@
 //!
 //! Every MPP and MPPm mine is one call, [`mpp::mine`]: an
 //! [`Algorithm`] says how `n` is chosen, [`mpp::MppConfig`] how the
-//! engine runs (levels, memory, pruning, threads), and an observer
-//! ([`trace`]) what is recorded. `mpp` and `mppm` are its untraced
-//! forms.
+//! engine runs (levels, memory, threads), and an observer ([`trace`])
+//! what is recorded. `mpp` and `mppm` are its untraced forms, and
+//! [`mpp::mine_top_k`] its top-k form.
 //!
 //! ## Map of the paper
 //!
@@ -83,8 +83,8 @@ pub use incremental::{
     CachedPattern, DiffEntry, DiffKind, DiffStats, IncrementalMode, IncrementalOutcome,
     ResultCache,
 };
-pub use mpp::{mine, Algorithm};
+pub use mpp::{mine, mine_top_k, Algorithm};
 pub use pattern::Pattern;
 pub use pil::{JoinCounters, Pil};
-pub use prune::{select_top_k, PruneMode};
+pub use prune::select_top_k;
 pub use result::{CorpusStats, FrequentPattern, MineOutcome, MineStats};

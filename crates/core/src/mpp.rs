@@ -8,15 +8,15 @@
 //! ([`crate::mppm`]) is MPP at an `n` estimated from `e_m`. Both run
 //! through [`mine`] on the engine in [`crate::dfs`]; the [`Algorithm`]
 //! says how `n` is chosen, [`MppConfig::threads`] how many threads
-//! mine, and the observer what is traced. [`mpp`] is the paper's
-//! untraced call.
+//! mine, and the observer what is traced. [`mine_top_k`] is the same
+//! mine keeping only the `k` best-supported patterns (see
+//! [`crate::prune`]). [`mpp`] is the paper's untraced call.
 
 use crate::arena::{build_seed, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::parallel::PoolHooks;
-use crate::prune::PruneMode;
 use crate::result::MineOutcome;
 use crate::trace::{Event, MineObserver, NoopObserver, SeedEvent};
 use perigap_math::BigRatio;
@@ -69,9 +69,11 @@ pub(crate) fn clamp_n(n: usize, l1: usize) -> usize {
     n.clamp(SEED_LEVEL, l1.max(SEED_LEVEL))
 }
 
-/// Tuning knobs common to every level-wise run. [`MppConfig::check`]
-/// says which values a mine can honour; every function that takes a
-/// config calls it first.
+/// Tuning knobs common to every level-wise run: how deep it mines, how
+/// much memory it may hold and where it spills, and on how many
+/// threads. A top-k mine is a call of its own ([`mine_top_k`]), not a
+/// setting. [`MppConfig::check`] says which values a mine can honour;
+/// every function that takes a config calls it first.
 #[derive(Clone, Debug)]
 pub struct MppConfig {
     /// Hard cap on the deepest level (safety valve; `None` runs to
@@ -94,10 +96,6 @@ pub struct MppConfig {
     /// `1.0` only at the ceiling itself), in `[0.0, 1.0]`. Only
     /// consulted when a spill backend is configured. Default `0.5`.
     pub spill_watermark: f64,
-    /// Pruning mode: top-k by support and/or a mining target (see
-    /// [`crate::prune`]). The default is a plain full mine; any active
-    /// mode trades the full frequent set for a (much) smaller search.
-    pub prune: PruneMode,
     /// Threads that mine, counting the calling thread; at least 1, and
     /// `1` (the default) spawns no pool. Output is byte-identical at every
     /// thread count, so the result cache leaves it out of its key. A
@@ -113,7 +111,6 @@ impl Default for MppConfig {
             max_arena_bytes: None,
             spill: None,
             spill_watermark: 0.5,
-            prune: PruneMode::default(),
             threads: 1,
         }
     }
@@ -126,7 +123,7 @@ impl MppConfig {
     /// naming the field: `threads` 0; a `max_level` below
     /// [`SEED_LEVEL`]; `max_arena_bytes` 0; a `spill` backend without
     /// `max_arena_bytes`; a `spill_watermark` outside `[0.0, 1.0]` (NaN
-    /// included); a `prune.top_k` of 0; an empty `prune.prefix`.
+    /// included).
     pub fn check(&self) -> Result<(), MineError> {
         let refuse = |setting, reason: String| Err(MineError::InvalidConfig { setting, reason });
         if self.threads == 0 {
@@ -159,18 +156,6 @@ impl MppConfig {
             return refuse(
                 "spill_watermark",
                 format!("must be in [0.0, 1.0] (got {})", self.spill_watermark),
-            );
-        }
-        if self.prune.top_k == Some(0) {
-            return refuse(
-                "top_k",
-                "must be at least 1: a zero budget keeps no patterns".into(),
-            );
-        }
-        if self.prune.prefix.as_ref().is_some_and(Vec::is_empty) {
-            return refuse(
-                "prefix",
-                "needs at least one symbol: an empty prefix admits everything".into(),
             );
         }
         Ok(())
@@ -215,6 +200,44 @@ pub fn mine<O: MineObserver>(
     config: &MppConfig,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
+    mine_with(seq, gap, rho, algorithm, None, config, observer)
+}
+
+/// [`mine`], keeping only the `k` best-supported frequent patterns, in
+/// rank order (support descending, then length, then codes): exactly
+/// [`crate::prune::select_top_k`] of the full mine, at every thread
+/// count. A rising support floor gates emission, and under a rigid gap
+/// (`N = M`) it also cuts the search. A `k` of 0 fails with
+/// [`MineError::InvalidConfig`] naming `top_k`.
+pub fn mine_top_k<O: MineObserver>(
+    seq: &Sequence,
+    gap: GapRequirement,
+    rho: f64,
+    algorithm: Algorithm,
+    k: usize,
+    config: &MppConfig,
+    observer: &mut O,
+) -> Result<MineOutcome, MineError> {
+    if k == 0 {
+        return Err(MineError::InvalidConfig {
+            setting: "top_k",
+            reason: "must be at least 1: a zero budget keeps no patterns".into(),
+        });
+    }
+    mine_with(seq, gap, rho, algorithm, Some(k), config, observer)
+}
+
+/// The body of [`mine`] and [`mine_top_k`]: a full mine when `top_k`
+/// is `None`.
+fn mine_with<O: MineObserver>(
+    seq: &Sequence,
+    gap: GapRequirement,
+    rho: f64,
+    algorithm: Algorithm,
+    top_k: Option<usize>,
+    config: &MppConfig,
+    observer: &mut O,
+) -> Result<MineOutcome, MineError> {
     let started = Instant::now();
     let (counts, rho_exact, n, seed, stats_seed) = match algorithm {
         Algorithm::Mpp { n } => {
@@ -232,6 +255,7 @@ pub fn mine<O: MineObserver>(
         &counts,
         &rho_exact,
         n,
+        top_k,
         config,
         seed,
         PoolHooks::default(),

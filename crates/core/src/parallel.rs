@@ -395,6 +395,7 @@ mod tests {
             &counts,
             &rho_exact,
             n,
+            None,
             &config,
             pils,
             hooks,

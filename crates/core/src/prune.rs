@@ -1,44 +1,45 @@
-//! Pruning front-ends over the mining engine: top-k by support and
-//! targeted mining.
+//! Top-k by support: the engine's own pruned mine,
+//! [`crate::mpp::mine_top_k`].
 //!
-//! Both modes promise output *bit-identical* to post-filtering a full
-//! mine, so every prune below has to be airtight against the support
-//! algebra this codebase actually implements. That algebra is **not**
-//! the textbook anti-monotone one: support is the occurrence-*count*
-//! sum over a pattern's PIL, and each extension step can multiply a
-//! chain count by up to the gap flexibility `W = M − N + 1` (Theorem 1
-//! is exactly the statement `sup(child) ≤ W · sup(parent)`). Two
-//! regimes follow:
+//! A top-k mine promises output *bit-identical* to ranking a full mine
+//! ([`select_top_k`]), so every prune below has to be airtight against
+//! the support algebra this codebase actually implements. That algebra
+//! is **not** the textbook anti-monotone one: support is the
+//! occurrence-*count* sum over a pattern's PIL, and each extension step
+//! can multiply a chain count by up to the gap flexibility
+//! `W = M − N + 1` (Theorem 1 is exactly the statement
+//! `sup(child) ≤ W · sup(parent)`).
 //!
-//! * **Top-k by support.** A bounded min-heap of the best `k` supports
-//!   seen so far defines a monotone-rising *support floor*, always ≤
-//!   the true k-th largest support of the final frequent set. Gating
-//!   *emission* on `sup ≥ floor` is sound at any gap — a pattern below
-//!   the floor can never re-enter the top k — and a final rank sort +
-//!   truncate makes the output exact regardless of the floor's
-//!   (inherently schedule-dependent) raise history. Pruning the *search
-//!   space* — join parents, the kept frontier, DFS components, spilled
-//!   subtrees — additionally requires that no pruned pattern has a
-//!   descendant above the floor. That holds exactly when `W == 1`
-//!   (chains cannot branch, so counts collapse to distinct offsets and
-//!   support is anti-monotone); for `W > 1` a descendant `Δ` levels
-//!   down may reach `sup · W^Δ` with no a-priori depth bound, so no
-//!   support floor can soundly cut a join. The pruner therefore
-//!   branch-and-bounds the lattice only under rigid gaps and falls back
-//!   to emission gating elsewhere.
-//! * **Targeted mining.** A code prefix restricts the result set, and
-//!   results are verified against it as they are admitted. That lets
-//!   us skip nothing of the lattice: the Apriori self-join needs every
-//!   contiguous *window* of a result alive at its level, not just the
-//!   result's own prefix chain, and a prefix constrains windows only at
-//!   shift 0. The window of a deep result starting past the prefix is
-//!   arbitrary, so the suffix lattice must be materialized in full and
-//!   a prefix target prunes emission alone.
+//! A bounded min-heap of the best `k` supports seen so far defines a
+//! monotone-rising *support floor*, always ≤ the true k-th largest
+//! support of the final frequent set. Gating *emission* on
+//! `sup ≥ floor` is sound at any gap — a pattern below the floor can
+//! never re-enter the top k — and a final rank sort + truncate makes the
+//! output exact regardless of the floor's (inherently
+//! schedule-dependent) raise history. Pruning the *search space* — join
+//! parents, the kept frontier, DFS components, spilled subtrees —
+//! additionally requires that no pruned pattern has a descendant above
+//! the floor. That holds exactly when `W == 1` (chains cannot branch, so
+//! counts collapse to distinct offsets and support is anti-monotone);
+//! for `W > 1` a descendant `Δ` levels down may reach `sup · W^Δ` with
+//! no a-priori depth bound, so no support floor can soundly cut a join.
+//! The pruner therefore branch-and-bounds the lattice only under rigid
+//! gaps and falls back to emission gating elsewhere.
+//!
+//! A code prefix (`pgmine mine --target`) cannot prune at all, so it is
+//! an output filter over a full mine, not a mode of this module. The
+//! Apriori self-join needs every contiguous *window* of a result alive
+//! at its level, not just the result's own prefix chain, and under the
+//! paper's offset-count support a prefix constrains windows only at
+//! shift 0: the window of a deep result starting past the prefix is
+//! arbitrary, so the whole suffix lattice must be materialized anyway.
+//! Target-then-rank is the composition with `--top-k`: the floor of a
+//! top-k mine would rise on patterns outside the target.
 //!
 //! The engine threads a `Pruner` through its seed filter, the eager
-//! candidate evaluation, and the component dispatch. A default
-//! (inactive) pruner leaves every code path byte-identical to a full
-//! mine, which is what keeps the existing differential suites honest.
+//! candidate evaluation, and the component dispatch. A full mine's
+//! (inactive) pruner leaves every code path byte-identical to the
+//! unpruned engine, which is what keeps the differential suites honest.
 
 use crate::arena::PilSet;
 use crate::result::{FrequentPattern, MineOutcome};
@@ -46,42 +47,6 @@ use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Pruning configuration carried by `MppConfig`. The default (no top-k,
-/// no prefix) is a full mine and leaves the engines byte-identical to
-/// their unpruned behavior.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PruneMode {
-    /// Keep only the `k` best-supported patterns (rank order:
-    /// support desc, then length asc, then codes asc).
-    pub top_k: Option<usize>,
-    /// Mine only the patterns whose codes start with this prefix.
-    pub prefix: Option<Vec<u8>>,
-}
-
-impl PruneMode {
-    /// Top-k mode with no prefix.
-    pub fn top_k(k: usize) -> PruneMode {
-        PruneMode {
-            top_k: Some(k),
-            prefix: None,
-        }
-    }
-
-    /// Targeted mode: the patterns that start with `codes`, with no
-    /// support bound beyond ρs.
-    pub fn prefix(codes: Vec<u8>) -> PruneMode {
-        PruneMode {
-            top_k: None,
-            prefix: Some(codes),
-        }
-    }
-
-    /// True when no pruning is configured (a plain full mine).
-    pub fn is_default(&self) -> bool {
-        self.top_k.is_none() && self.prefix.is_none()
-    }
-}
 
 /// The shared rising support floor for a top-k run.
 ///
@@ -113,9 +78,6 @@ impl FloorState {
     /// Offer a freshly admitted frequent pattern's support; raises the
     /// floor once the heap holds k entries and `sup` beats the minimum.
     fn offer(&self, sup: u128) {
-        if self.k == 0 {
-            return;
-        }
         // A non-zero floor means the heap already holds k entries and
         // the floor *is* the heap minimum, so a support below it could
         // never be pushed — skip the lock on this hot reject path
@@ -160,18 +122,12 @@ impl FloorState {
     }
 }
 
-struct TargetState {
-    prefix: Vec<u8>,
-    pruned: AtomicU64,
-}
-
 /// Engine-side handle over the active pruning state. Cloning shares
 /// the same floor/heap and counters, which is how the worker pools see
 /// each other's raises.
 #[derive(Clone, Default)]
 pub(crate) struct Pruner {
     floor: Option<Arc<FloorState>>,
-    target: Option<Arc<TargetState>>,
     /// True when the floor may cut the *search space* (parents, kept
     /// frontier, components, spill restores), not just emission. Only
     /// sound under a rigid gap (`W == 1`), where support is
@@ -181,18 +137,13 @@ pub(crate) struct Pruner {
 }
 
 impl Pruner {
-    /// Build the pruning state for a run under a gap of the given
+    /// Build the pruning state for a mine that keeps the `top_k` best
+    /// patterns (`None`: a full mine) under a gap of the given
     /// `flexibility` (`W = M − N + 1`).
-    pub(crate) fn new(mode: &PruneMode, flexibility: usize) -> Pruner {
+    pub(crate) fn new(top_k: Option<usize>, flexibility: usize) -> Pruner {
         Pruner {
-            floor: mode.top_k.map(|k| Arc::new(FloorState::new(k))),
-            target: mode.prefix.clone().map(|prefix| {
-                Arc::new(TargetState {
-                    prefix,
-                    pruned: AtomicU64::new(0),
-                })
-            }),
-            search_floor: mode.top_k.is_some() && flexibility <= 1,
+            floor: top_k.map(|k| Arc::new(FloorState::new(k))),
+            search_floor: top_k.is_some() && flexibility <= 1,
         }
     }
 
@@ -218,21 +169,12 @@ impl Pruner {
         }
     }
 
-    /// Emission check for an exact-frequent pattern: the prefix
-    /// test, then the top-k offer, then the floor's emission
-    /// gate (sound at any gap — a result below the floor can never be
-    /// in the top k). The offer sits between the two so the floor only
-    /// ever reflects target-admissible supports; raising it on
-    /// out-of-target patterns would over-prune a combined run. Counts
-    /// whichever prune fired.
+    /// Emission check for an exact-frequent pattern: the top-k offer,
+    /// then the floor's emission gate (sound at any gap — a result
+    /// below the floor can never be in the top k). Counts a floor prune
+    /// on failure.
     #[inline]
-    pub(crate) fn admits_result(&self, codes: &[u8], sup: u128) -> bool {
-        if let Some(target) = &self.target {
-            if !codes.starts_with(&target.prefix) {
-                target.pruned.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-        }
+    pub(crate) fn admits_result(&self, sup: u128) -> bool {
         if let Some(floor) = &self.floor {
             floor.offer(sup);
             if !floor.admits(sup) {
@@ -278,7 +220,7 @@ impl Pruner {
     /// component's floor recheck keys on at restore time (only the
     /// floor moves while a record sits on disk). `u128::MAX` when the
     /// rigid-gap floor regime is off, so the recheck is a no-op on
-    /// full, targeted, and wide-gap top-k runs.
+    /// full and wide-gap top-k runs.
     pub(crate) fn component_best(&self, set: &PilSet, members: &[usize]) -> u128 {
         if !self.search_floor || self.floor.is_none() {
             return u128::MAX;
@@ -290,9 +232,6 @@ impl Pruner {
     /// result set into its final order: rank order + truncation for
     /// top-k runs, the canonical (length, codes) order otherwise.
     pub(crate) fn finish(&self, outcome: &mut MineOutcome) {
-        if let Some(target) = &self.target {
-            outcome.stats.pruned_by_target += target.pruned.load(Ordering::Relaxed);
-        }
         match &self.floor {
             Some(floor) => {
                 outcome.stats.floor_raises += floor.raises.load(Ordering::Relaxed);
@@ -335,14 +274,25 @@ pub fn select_top_k(frequent: &[FrequentPattern], k: usize) -> Vec<FrequentPatte
 mod tests {
     use super::*;
     use crate::gap::GapRequirement;
-    use crate::mpp::{mpp, MppConfig};
+    use crate::mpp::{mine_top_k, mpp, Algorithm, MppConfig};
+    use crate::trace::NoopObserver;
     use perigap_seq::Sequence;
 
-    fn on_three_threads(config: &MppConfig) -> MppConfig {
-        MppConfig {
-            threads: 3,
-            ..config.clone()
-        }
+    /// A top-k MPP mine on `threads` threads.
+    fn top_k(
+        seq: &Sequence,
+        gap: GapRequirement,
+        rho: f64,
+        n: usize,
+        k: usize,
+        threads: usize,
+    ) -> MineOutcome {
+        let config = MppConfig {
+            threads,
+            ..MppConfig::default()
+        };
+        let algorithm = Algorithm::Mpp { n };
+        mine_top_k(seq, gap, rho, algorithm, k, &config, &mut NoopObserver).unwrap()
     }
 
     #[test]
@@ -373,26 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_spec_admission_rules() {
-        let pruner = Pruner::new(&PruneMode::prefix(vec![0, 2]), 3);
-        assert!(pruner.admits_result(&[0, 2], 1));
-        assert!(pruner.admits_result(&[0, 2, 3], 1));
-        assert!(!pruner.admits_result(&[0], 1)); // too short
-        assert!(!pruner.admits_result(&[0, 1, 2], 1));
-        // A prefix cannot cut the search: any pattern may be a window
-        // (at shift ≥ prefix length) of a deep result, so parents,
-        // components and the search floor admit everything and only
-        // emission filters.
-        assert!(pruner.admits_parent(|| 0));
-        assert!(pruner.admits_search(0));
-        assert!(pruner.component_viable(&PilSet::new(3), &[]));
-        assert_eq!(pruner.component_best(&PilSet::new(3), &[]), u128::MAX);
-        let mut outcome = MineOutcome::default();
-        pruner.finish(&mut outcome);
-        assert_eq!(outcome.stats.pruned_by_target, 2);
-    }
-
-    #[test]
     fn select_top_k_breaks_ties_by_len_then_codes() {
         let seq = Sequence::dna("ACACAC".repeat(4).as_str()).unwrap();
         let gap = GapRequirement::new(0, 3).unwrap();
@@ -417,56 +347,19 @@ mod tests {
         assert!(full.frequent.len() > 8, "fixture too small to tie-test");
         for k in [1usize, 3, 7, full.frequent.len() + 10] {
             let expect = select_top_k(&full.frequent, k);
-            let config = MppConfig {
-                prune: PruneMode::top_k(k),
-                ..MppConfig::default()
-            };
-            let serial = mpp(&seq, gap, rho, n, config.clone()).unwrap();
+            let serial = top_k(&seq, gap, rho, n, k, 1);
             assert_eq!(serial.frequent, expect, "serial k={k}");
             assert_eq!(serial.stats.top_k, Some(k));
-            let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
+            let par = top_k(&seq, gap, rho, n, k, 3);
             assert_eq!(par.frequent, expect, "parallel k={k}");
         }
-    }
-
-    #[test]
-    fn targeted_prefix_matches_post_filtered_full_mine() {
-        let seq = Sequence::dna("ACGTT".repeat(40).as_str()).unwrap();
-        let gap = GapRequirement::new(1, 3).unwrap();
-        let rho = 0.005;
-        let n = 8;
-        let full = mpp(&seq, gap, rho, n, MppConfig::default()).unwrap();
-        let prefix = vec![1, 0]; // "CA" under ACGT coding
-        let mut expect: Vec<FrequentPattern> = full
-            .frequent
-            .iter()
-            .filter(|f| f.pattern.codes().starts_with(&prefix))
-            .cloned()
-            .collect();
-        expect.sort_by(|a, b| {
-            (a.pattern.len(), a.pattern.codes()).cmp(&(b.pattern.len(), b.pattern.codes()))
-        });
-        let config = MppConfig {
-            prune: PruneMode::prefix(prefix),
-            ..MppConfig::default()
-        };
-        let got = mpp(&seq, gap, rho, n, config.clone()).unwrap();
-        assert_eq!(got.frequent, expect);
-        assert!(got.stats.pruned_by_target > 0);
-        assert_eq!(got.stats.top_k, None);
-        let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
-        assert_eq!(par.frequent, expect, "parallel");
     }
 
     #[test]
     fn top_k_run_reports_floor_prunes() {
         let seq = Sequence::dna("ACGTT".repeat(60).as_str()).unwrap();
         let gap = GapRequirement::new(1, 3).unwrap();
-        let config = MppConfig {
-            prune: PruneMode::top_k(3),
-            ..MppConfig::default()
-        };
-        let got = mpp(&seq, gap, 0.005, 8, config).unwrap();
+        let got = top_k(&seq, gap, 0.005, 8, 3, 1);
         assert_eq!(got.frequent.len(), 3);
         assert!(got.stats.floor_raises > 0);
         assert!(got.stats.pruned_by_floor > 0);
@@ -508,50 +401,10 @@ mod tests {
         );
         for k in [1usize, 5, 20] {
             let expect = select_top_k(&full.frequent, k);
-            let config = MppConfig {
-                prune: PruneMode::top_k(k),
-                ..MppConfig::default()
-            };
-            let got = mpp(&seq, gap, rho, n, config.clone()).unwrap();
+            let got = top_k(&seq, gap, rho, n, k, 1);
             assert_eq!(got.frequent, expect, "serial k={k}");
-            let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
+            let par = top_k(&seq, gap, rho, n, k, 3);
             assert_eq!(par.frequent, expect, "parallel k={k}");
         }
-    }
-
-    /// A combined `--top-k --target` run ranks only among the patterns
-    /// the prefix admits: the floor must rise on admitted patterns alone.
-    #[test]
-    fn top_k_of_a_targeted_mine_ranks_within_the_cone() {
-        let seq = Sequence::dna("ACGTT".repeat(40).as_str()).unwrap();
-        let gap = GapRequirement::new(1, 3).unwrap();
-        let rho = 0.005;
-        let n = 8;
-        let prefix = vec![1]; // "C"
-        let full = mpp(&seq, gap, rho, n, MppConfig::default()).unwrap();
-        let cone: Vec<FrequentPattern> = full
-            .frequent
-            .iter()
-            .filter(|f| f.pattern.codes().starts_with(&prefix))
-            .cloned()
-            .collect();
-        assert!(cone.len() > 5, "fixture must admit more than k patterns");
-        let expect = select_top_k(&cone, 5);
-        assert_ne!(
-            expect,
-            select_top_k(&full.frequent, 5),
-            "the prefix must matter"
-        );
-        let config = MppConfig {
-            prune: PruneMode {
-                top_k: Some(5),
-                prefix: Some(prefix),
-            },
-            ..MppConfig::default()
-        };
-        let got = mpp(&seq, gap, rho, n, config.clone()).unwrap();
-        assert_eq!(got.frequent, expect);
-        let par = mpp(&seq, gap, rho, n, on_three_threads(&config)).unwrap();
-        assert_eq!(par.frequent, expect);
     }
 }

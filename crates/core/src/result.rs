@@ -82,8 +82,7 @@ pub struct MineStats {
     /// itself still completes — a leftover file costs disk, not
     /// correctness.
     pub spill_cleanup_failures: u64,
-    /// The `k` a top-k run was bounded to (`None` on full and targeted
-    /// mines). When set, `frequent` holds the rank-ordered top k, which
+    /// The `k` a top-k run was bounded to (`None` on full mines). When set, `frequent` holds the rank-ordered top k, which
     /// is smaller than the per-level `frequent` totals.
     pub top_k: Option<usize>,
     /// Times the shared top-k support floor actually rose. Like the
@@ -94,9 +93,6 @@ pub struct MineStats {
     /// Patterns and join parents pruned by the rising support floor
     /// (schedule-dependent; see [`MineStats::floor_raises`]).
     pub pruned_by_floor: u64,
-    /// Frequent patterns a targeted run left out because they do not
-    /// start with its [`crate::prune::PruneMode::prefix`].
-    pub pruned_by_target: u64,
 }
 
 impl MineStats {

@@ -302,7 +302,7 @@ pub struct CompleteEvent {
     /// Peak arena bytes observed across the run (0 when the engine
     /// predates the gauge).
     pub peak_arena_bytes: usize,
-    /// The `k` of a top-k run; `None` on full and targeted mines. When
+    /// The `k` of a top-k run; `None` on full mines. When
     /// set, `frequent` is the truncated top-k count, smaller than the
     /// per-level totals (`trace-check` relaxes its sum check on this).
     pub top_k: Option<usize>,
@@ -310,8 +310,6 @@ pub struct CompleteEvent {
     pub floor_raises: u64,
     /// Patterns and join parents pruned by the support floor.
     pub pruned_by_floor: u64,
-    /// Patterns, parents, and components pruned by the mining target.
-    pub pruned_by_target: u64,
     /// Total wall-clock time.
     pub total_elapsed: Duration,
 }
@@ -329,7 +327,6 @@ impl CompleteEvent {
             top_k: outcome.stats.top_k,
             floor_raises: outcome.stats.floor_raises,
             pruned_by_floor: outcome.stats.pruned_by_floor,
-            pruned_by_target: outcome.stats.pruned_by_target,
             total_elapsed: outcome.stats.total_elapsed,
         }
     }
@@ -576,19 +573,14 @@ impl<W: io::Write> MineObserver for JsonlObserver<W> {
                 escape_json(&e.message)
             ),
             Event::Complete(e) => {
-                // Pruning fields appear only on runs that used them,
-                // keeping full-mine traces byte-stable.
-                let mut prune = String::new();
-                if let Some(k) = e.top_k {
-                    let _ = write!(
-                        prune,
-                        ", \"top_k\": {}, \"floor_raises\": {}, \"pruned_by_floor\": {}",
-                        k, e.floor_raises, e.pruned_by_floor
-                    );
-                }
-                if e.pruned_by_target > 0 {
-                    let _ = write!(prune, ", \"pruned_by_target\": {}", e.pruned_by_target);
-                }
+                // Pruning fields appear only on top-k runs, keeping
+                // full-mine traces byte-stable.
+                let prune = e.top_k.map_or(String::new(), |k| {
+                    format!(
+                        ", \"top_k\": {k}, \"floor_raises\": {}, \"pruned_by_floor\": {}",
+                        e.floor_raises, e.pruned_by_floor
+                    )
+                });
                 format!(
                     "{{\"event\": \"summary\", \"frequent\": {}, \"levels\": {}, \"total_candidates\": {}, \"n_used\": {}, \"support_saturated\": {}, \"peak_arena_bytes\": {}{}, \"total_ms\": {:.3}}}",
                     e.frequent,
@@ -816,15 +808,11 @@ impl MetricsObserver {
                     ""
                 }
             );
-            if c.top_k.is_some() || c.pruned_by_target > 0 {
-                let k = c
-                    .top_k
-                    .map(|k| k.to_string())
-                    .unwrap_or_else(|| "-".to_string());
+            if let Some(k) = c.top_k {
                 let _ = writeln!(
                     out,
-                    "  pruning: top_k {} | floor_raises {} | pruned_by_floor {} | pruned_by_target {}",
-                    k, c.floor_raises, c.pruned_by_floor, c.pruned_by_target
+                    "  pruning: top_k {k} | floor_raises {} | pruned_by_floor {}",
+                    c.floor_raises, c.pruned_by_floor
                 );
             }
         }
@@ -1385,7 +1373,6 @@ mod tests {
             top_k: None,
             floor_raises: 0,
             pruned_by_floor: 0,
-            pruned_by_target: 0,
             total_elapsed: Duration::from_millis(3),
         }
     }
@@ -1534,7 +1521,6 @@ mod tests {
             top_k: Some(5),
             floor_raises: 2,
             pruned_by_floor: 6,
-            pruned_by_target: 4,
             ..plain
         }));
     }
@@ -1562,7 +1548,7 @@ mod tests {
             r#"{"event": "diff", "new": 3, "dropped": 1, "changed": 2, "unchanged": 11}"#,
             r#"{"event": "abort", "message": "arena memory ceiling of 10 bytes exceeded"}"#,
             r#"{"event": "summary", "frequent": 17, "levels": 2, "total_candidates": 144, "n_used": 8, "support_saturated": false, "peak_arena_bytes": 8192, "total_ms": 5.678}"#,
-            r#"{"event": "summary", "frequent": 5, "levels": 2, "total_candidates": 144, "n_used": 8, "support_saturated": true, "peak_arena_bytes": 8192, "top_k": 5, "floor_raises": 2, "pruned_by_floor": 6, "pruned_by_target": 4, "total_ms": 5.678}"#,
+            r#"{"event": "summary", "frequent": 5, "levels": 2, "total_candidates": 144, "n_used": 8, "support_saturated": true, "peak_arena_bytes": 8192, "top_k": 5, "floor_raises": 2, "pruned_by_floor": 6, "total_ms": 5.678}"#,
         ];
         let got: Vec<&str> = text.lines().collect();
         assert_eq!(got.len(), want.len(), "{text}");
@@ -1595,7 +1581,7 @@ mod tests {
   baseline diff: 3 new | 1 dropped | 2 changed | 11 unchanged
   ABORTED: arena memory ceiling of 10 bytes exceeded
   total: 5 frequent over 2 levels | 144 candidates | n = 8 | peak 8192 arena bytes | 5.678 ms | SUPPORT SATURATED
-  pruning: top_k 5 | floor_raises 2 | pruned_by_floor 6 | pruned_by_target 4
+  pruning: top_k 5 | floor_raises 2 | pruned_by_floor 6
 ";
         assert_eq!(m.render(), want);
     }

@@ -9,8 +9,7 @@
 //! (`*_ms`) are masked everywhere. At two threads the arena figures and
 //! the per-worker breakdown depend on the schedule and are masked too.
 
-use perigap_core::mpp::{mine, Algorithm, MppConfig};
-use perigap_core::prune::PruneMode;
+use perigap_core::mpp::{mine, mine_top_k, Algorithm, MppConfig};
 use perigap_core::spill::MemSpillIo;
 use perigap_core::trace::JsonlObserver;
 use perigap_core::GapRequirement;
@@ -100,14 +99,29 @@ fn two_thread_mask(key: &str) -> bool {
     key.ends_with("_ms") || matches!(key, "arena_bytes" | "peak_arena_bytes" | "workers")
 }
 
-/// Mine `fixture` through a JSONL sink and return the masked trace.
-fn trace(fixture: &Fixture, config: &MppConfig, hide: &dyn Fn(&str) -> bool) -> String {
+/// Mine `fixture` through a JSONL sink and return the masked trace:
+/// a full mine, or one keeping the `top_k` best patterns.
+fn trace_top_k(
+    fixture: &Fixture,
+    top_k: Option<usize>,
+    config: &MppConfig,
+    hide: &dyn Fn(&str) -> bool,
+) -> String {
     let Fixture { seq, gap, rho } = fixture;
+    let (gap, rho, mpp) = (*gap, *rho, Algorithm::Mpp { n: 8 });
     let mut sink = JsonlObserver::new(Vec::new());
     // An aborted mine still writes its trace; the abort line pins it.
-    let _ = mine(seq, *gap, *rho, Algorithm::Mpp { n: 8 }, config, &mut sink);
+    let _ = match top_k {
+        None => mine(seq, gap, rho, mpp, config, &mut sink),
+        Some(k) => mine_top_k(seq, gap, rho, mpp, k, config, &mut sink),
+    };
     let text = String::from_utf8(sink.finish().unwrap()).unwrap();
     text.lines().map(|l| mask(l, hide) + "\n").collect()
+}
+
+/// [`trace_top_k`] of a full mine.
+fn trace(fixture: &Fixture, config: &MppConfig, hide: &dyn Fn(&str) -> bool) -> String {
+    trace_top_k(fixture, None, config, hide)
 }
 
 fn assert_pinned(got: &str, want: &str, label: &str) {
@@ -154,11 +168,7 @@ fn top_k_drops_dead_components() {
         gap: GapRequirement::new(2, 2).unwrap(),
         rho: 0.001,
     };
-    let config = MppConfig {
-        prune: PruneMode::top_k(30),
-        ..MppConfig::default()
-    };
-    let got = trace(&fixture, &config, &one_thread_mask);
+    let got = trace_top_k(&fixture, Some(30), &MppConfig::default(), &one_thread_mask);
     assert_pinned(&got, TOP_K_T1, "top-k, one thread");
 }
 

@@ -1,9 +1,8 @@
 //! A small LRU cache of rendered response bodies for hot query/param
 //! pairs.
 //!
-//! The daemon's answers are pure functions of the immutable index (plus
-//! the mining source for the on-demand kinds), so a repeated query can
-//! be answered from the previous rendering. The cache stores the
+//! The daemon's answers are pure functions of the immutable index, so a
+//! repeated query can be answered from the previous rendering. The cache stores the
 //! response *tail* — everything after the `{"ok": true` head — because
 //! the head embeds the caller's `id` echo token, which must be
 //! re-applied per request. Only `"ok": true` answers are stored; error

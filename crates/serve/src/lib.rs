@@ -3,7 +3,9 @@
 //! A mined pattern set — fresh from the engine or loaded back from a
 //! PGST store file with [`perigap_store::load_outcome`] — is indexed
 //! once ([`perigap_store::PatternIndex`]) and served to concurrent
-//! clients over a line-delimited JSON protocol on a TCP socket:
+//! clients over a line-delimited JSON protocol on a TCP socket. Every
+//! answer comes from that index: the daemon holds neither the sequence
+//! nor a miner, so no request can start a mine.
 //!
 //! ```text
 //! -> {"q": "support", "pattern": "ACG"}
@@ -29,7 +31,7 @@ pub use protocol::{
     batch_response, parse_request, serve_line, serve_request_line, Envelope, LineOutcome, Request,
     ServeContext, Served, DEFAULT_LIMIT,
 };
-pub use server::{serve, serve_with, ServerHandle};
+pub use server::{serve, ServerHandle};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -120,19 +122,9 @@ mod tests {
 
     #[test]
     fn batch_lines_and_cache_flow_through_the_daemon() {
-        let seq = Sequence::dna(&"ACGT".repeat(25)).unwrap();
-        let gap = GapRequirement::new(0, 2).unwrap();
-        let outcome = mpp(&seq, gap, 0.001, 8, MppConfig::default()).unwrap();
-        let loaded = LoadedOutcome {
-            outcome,
-            gap,
-            rho: 0.001,
-        };
-        let index = Arc::new(PatternIndex::build(&loaded, Alphabet::Dna, Some(&seq)));
-        let handle = serve_with(
-            Arc::clone(&index),
+        let handle = serve(
+            served_index(),
             "memory:test".to_string(),
-            Some(seq),
             "127.0.0.1:0",
             MetricsObserver::new(),
         )
@@ -141,7 +133,7 @@ mod tests {
 
         // A batch line answers with an array in request order, ids
         // echoed per element.
-        let batch = r#"[{"q": "topk", "k": 2, "id": 1}, {"q": "mine_topk", "k": 3, "id": 2}, {"q": "nope", "id": 3}]"#;
+        let batch = r#"[{"q": "topk", "k": 2, "id": 1}, {"q": "prefix", "prefix": "AC", "id": 2}, {"q": "nope", "id": 3}]"#;
         let response = client.roundtrip(batch).unwrap();
         let parsed = Json::parse(&response).unwrap();
         let rows = parsed.as_arr().expect("array response");
@@ -151,17 +143,6 @@ mod tests {
         assert_eq!(rows[0].get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(rows[1].get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(rows[2].get("ok").and_then(Json::as_bool), Some(false));
-        // mine_topk ranks like the index (same parameters, same rank
-        // order).
-        let want: Vec<String> = index.top_k(3).map(|e| e.display(&Alphabet::Dna)).collect();
-        let got: Vec<&str> = rows[1]
-            .get("patterns")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .map(|p| p.get("pattern").and_then(Json::as_str).unwrap())
-            .collect();
-        assert_eq!(got, want);
 
         // Repeats hit the response cache; stats reports the counters.
         let first = client.roundtrip(r#"{"q": "topk", "k": 2}"#).unwrap();
@@ -179,7 +160,7 @@ mod tests {
         assert_eq!(metrics.queries["topk"].count, 2);
         assert_eq!(metrics.queries["topk"].cache_hits, 1);
         assert_eq!(metrics.queries["topk"].cache_misses, 1);
-        assert_eq!(metrics.queries["mine_topk"].count, 1);
+        assert_eq!(metrics.queries["prefix"].count, 1);
         assert_eq!(metrics.queries["invalid"].errors, 1);
     }
 
@@ -254,24 +235,6 @@ mod tests {
             assert!(!served.ok, "{line} -> {}", served.response);
             assert!(served.response.contains(refusal), "{}", served.response);
         }
-        let ctx = ServeContext {
-            index: &index,
-            backend: "memory:x",
-            queries: 0,
-            source: Some(&seq),
-            cache: None,
-        };
-        match serve_request_line(&ctx, r#"{"q": "mine_topk", "k": 3}"#) {
-            LineOutcome::Single(served) => {
-                assert!(
-                    !served.ok && served.response.contains(refusal),
-                    "{}",
-                    served.response
-                )
-            }
-            LineOutcome::Batch(_) => panic!("one request, one answer"),
-        }
-
         let refused = serve(
             Arc::new(index),
             "memory:x".to_string(),

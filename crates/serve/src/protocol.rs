@@ -19,29 +19,24 @@
 //! | `topk`     | `k` | the `k` highest-support patterns |
 //! | `prefix`   | `prefix` (text), `limit`? | patterns starting with a prefix |
 //! | `overlap`  | `a`, `b` (1-based offsets), `limit`? | patterns with an occurrence overlapping `[a, b]` |
-//! | `mine_topk` | `k` | mine the sequence on demand under a rising top-k support floor |
-//! | `mine_target` | `target` (text), `limit`? | mine on demand restricted to a pattern prefix |
 //! | `stats`    | — | index and daemon counters |
 //! | `shutdown` | — | acknowledge, then stop the daemon |
 //!
-//! The `mine_*` kinds re-run the engine against the subject sequence
-//! with the index's gap/threshold parameters, so they answer even when
-//! the served store holds a differently-filtered set; they require the
-//! daemon to have been started with the sequence (like `overlap`) and
-//! refuse with a typed error otherwise.
+//! Every kind answers from the index alone; no request mines. Over a
+//! store that holds a full mine, `topk` answers what a top-k mine
+//! (`perigap_core::mine_top_k`) would, and `prefix` what a mine
+//! filtered to that target would.
 //!
 //! Malformed input never kills a connection: the daemon answers
 //! `{"ok": false, "error": "..."}` and keeps reading.
 
 use crate::cache::{CachedAnswer, ResponseCache};
-use perigap_core::mpp::{mpp, MppConfig};
 use perigap_core::trace::{escape_json, Json};
-use perigap_core::{Pattern, PruneMode};
-use perigap_seq::Sequence;
+use perigap_core::Pattern;
 use perigap_store::{check_codes, IndexEntry, PatternIndex};
 
-/// Row cap applied when a `prefix`/`overlap`/`mine_target` request
-/// carries no `limit`. The `total` field always reports the uncapped
+/// Row cap applied when a `prefix`/`overlap` request carries no
+/// `limit`. The `total` field always reports the uncapped
 /// match count.
 pub const DEFAULT_LIMIT: usize = 100;
 
@@ -75,19 +70,6 @@ pub enum Request {
         /// Range end.
         b: u32,
         /// Row cap.
-        limit: usize,
-    },
-    /// Mine the subject sequence on demand under a top-k support floor.
-    MineTopK {
-        /// How many best-supported patterns to keep.
-        k: usize,
-    },
-    /// Mine the subject sequence on demand, restricted to patterns
-    /// starting with a prefix.
-    MineTarget {
-        /// Prefix text under the index alphabet.
-        target: String,
-        /// Row cap on the response (the mine itself is uncapped).
         limit: usize,
     },
     /// Index and daemon counters.
@@ -127,9 +109,8 @@ pub struct Served {
 }
 
 /// Everything `serve_request_line` answers from. The plain
-/// [`serve_line`] entry point wraps an index alone; the daemon supplies
-/// the subject sequence (enabling the `mine_*` kinds) and a response
-/// cache on top.
+/// [`serve_line`] entry point wraps an index alone; the daemon adds a
+/// response cache.
 pub struct ServeContext<'a> {
     /// The immutable pattern index.
     pub index: &'a PatternIndex,
@@ -137,9 +118,6 @@ pub struct ServeContext<'a> {
     pub backend: &'a str,
     /// Requests served so far, reported by `stats`.
     pub queries: u64,
-    /// The subject sequence, when the daemon holds it; `None` refuses
-    /// the `mine_*` kinds with a typed error.
-    pub source: Option<&'a Sequence>,
     /// Rendered-response cache, when the daemon keeps one.
     pub cache: Option<&'a ResponseCache>,
 }
@@ -219,13 +197,6 @@ pub fn parse_envelope(obj: &Json) -> Result<Envelope, String> {
                 limit: field_usize(obj, "limit")?.unwrap_or(DEFAULT_LIMIT),
             }
         }
-        "mine_topk" => Request::MineTopK {
-            k: field_usize(obj, "k")?.ok_or("query \"mine_topk\" needs an integer field \"k\"")?,
-        },
-        "mine_target" => Request::MineTarget {
-            target: text_field("target")?,
-            limit: field_usize(obj, "limit")?.unwrap_or(DEFAULT_LIMIT),
-        },
         "stats" => Request::Stats,
         "shutdown" => Request::Shutdown,
         other => return Err(format!("unknown query kind {other:?}")),
@@ -299,8 +270,6 @@ fn kind_of(request: &Request) -> &'static str {
         Request::TopK { .. } => "topk",
         Request::Prefix { .. } => "prefix",
         Request::Overlap { .. } => "overlap",
-        Request::MineTopK { .. } => "mine_topk",
-        Request::MineTarget { .. } => "mine_target",
         Request::Stats => "stats",
         Request::Shutdown => "shutdown",
     }
@@ -308,17 +277,13 @@ fn kind_of(request: &Request) -> &'static str {
 
 /// The cache key for a request, `None` for uncacheable kinds. `stats`
 /// answers from live daemon counters and `shutdown` has a side effect,
-/// so only the pure index/mine lookups are keyed.
+/// so only the pure index lookups are keyed.
 fn cache_key(request: &Request) -> Option<String> {
     match request {
         Request::Support { pattern } => Some(format!("support\u{0}{pattern}")),
         Request::TopK { k } => Some(format!("topk\u{0}{k}")),
         Request::Prefix { prefix, limit } => Some(format!("prefix\u{0}{prefix}\u{0}{limit}")),
         Request::Overlap { a, b, limit } => Some(format!("overlap\u{0}{a}\u{0}{b}\u{0}{limit}")),
-        Request::MineTopK { k } => Some(format!("mine_topk\u{0}{k}")),
-        Request::MineTarget { target, limit } => {
-            Some(format!("mine_target\u{0}{target}\u{0}{limit}"))
-        }
         Request::Stats | Request::Shutdown => None,
     }
 }
@@ -379,58 +344,6 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
                 Ok((rows_tail(&rows, total, index)?, n))
             }
         },
-        Request::MineTopK { k } => {
-            let seq = mine_source(ctx)?;
-            let config = MppConfig {
-                prune: PruneMode::top_k(*k),
-                ..MppConfig::default()
-            };
-            let outcome = mpp(seq, index.gap(), index.rho(), index.n_used(), config)
-                .map_err(|e| format!("mine failed: {e}"))?;
-            let rendered = outcome
-                .frequent
-                .iter()
-                .map(|f| row_json(&f.pattern, f.support, f.ratio, index))
-                .collect::<Result<Vec<String>, String>>()?;
-            let n = rendered.len();
-            Ok((
-                format!(
-                    ", \"floor_raises\": {}, \"pruned_by_floor\": {}, \"total\": {n}, \
-                     \"patterns\": [{}]}}",
-                    outcome.stats.floor_raises,
-                    outcome.stats.pruned_by_floor,
-                    rendered.join(", ")
-                ),
-                n,
-            ))
-        }
-        Request::MineTarget { target, limit } => {
-            let seq = mine_source(ctx)?;
-            let prefix = Pattern::parse(target, index.alphabet())
-                .map_err(|e| format!("bad target {target:?}: {e}"))?;
-            let config = MppConfig {
-                prune: PruneMode::prefix(prefix.codes().to_vec()),
-                ..MppConfig::default()
-            };
-            let outcome = mpp(seq, index.gap(), index.rho(), index.n_used(), config)
-                .map_err(|e| format!("mine failed: {e}"))?;
-            let total = outcome.frequent.len();
-            let rendered = outcome
-                .frequent
-                .iter()
-                .take(*limit)
-                .map(|f| row_json(&f.pattern, f.support, f.ratio, index))
-                .collect::<Result<Vec<String>, String>>()?;
-            let n = rendered.len();
-            Ok((
-                format!(
-                    ", \"pruned_by_target\": {}, \"total\": {total}, \"patterns\": [{}]}}",
-                    outcome.stats.pruned_by_target,
-                    rendered.join(", ")
-                ),
-                n,
-            ))
-        }
         Request::Stats => {
             let gap = index.gap();
             let cache = match ctx.cache {
@@ -460,14 +373,6 @@ fn answer(ctx: &ServeContext<'_>, request: &Request) -> Result<(String, usize), 
         }
         Request::Shutdown => Ok((", \"stopping\": true}".to_string(), 0)),
     }
-}
-
-fn mine_source<'a>(ctx: &ServeContext<'a>) -> Result<&'a Sequence, String> {
-    ctx.source.ok_or_else(|| {
-        "mine queries unavailable: the daemon was started without the subject sequence \
-         (serve a mine, or pass the sequence alongside the store file)"
-            .to_string()
-    })
 }
 
 /// Serve one parsed request, consulting the context's cache when the
@@ -586,15 +491,14 @@ pub fn batch_response(served: &[Served]) -> String {
 
 /// Serve one request line against the index alone. `backend` and
 /// `queries` feed the `stats` response; `queries` should count requests
-/// served so far on this daemon. This entry point has no mining source
-/// and no cache — the daemon's connection handler uses
-/// [`serve_request_line`] with a full [`ServeContext`] instead.
+/// served so far on this daemon. This entry point has no cache — the
+/// daemon's connection handler uses [`serve_request_line`] with a
+/// [`ServeContext`] that holds one instead.
 pub fn serve_line(index: &PatternIndex, backend: &str, queries: u64, line: &str) -> Served {
     let ctx = ServeContext {
         index,
         backend,
         queries,
-        source: None,
         cache: None,
     };
     serve_single(&ctx, line)
@@ -604,34 +508,24 @@ pub fn serve_line(index: &PatternIndex, backend: &str, queries: u64, line: &str)
 mod tests {
     use super::*;
     use perigap_core::mpp::{mpp, MppConfig};
-    use perigap_core::{select_top_k, GapRequirement};
+    use perigap_core::GapRequirement;
     use perigap_seq::{Alphabet, Sequence};
     use perigap_store::LoadedOutcome;
 
-    fn subject() -> (Sequence, GapRequirement, f64, usize) {
-        let seq = Sequence::dna(&"ACGT".repeat(25)).unwrap();
-        let gap = GapRequirement::new(0, 2).unwrap();
-        (seq, gap, 0.001, 8)
-    }
-
     fn index(with_seq: bool) -> PatternIndex {
-        let (seq, gap, rho, n) = subject();
-        let outcome = mpp(&seq, gap, rho, n, MppConfig::default()).unwrap();
+        let seq = Sequence::dna(&"ACGT".repeat(25)).unwrap();
+        let (gap, rho) = (GapRequirement::new(0, 2).unwrap(), 0.001);
+        let outcome = mpp(&seq, gap, rho, 8, MppConfig::default()).unwrap();
         assert!(!outcome.frequent.is_empty());
         let loaded = LoadedOutcome { outcome, gap, rho };
         PatternIndex::build(&loaded, Alphabet::Dna, with_seq.then_some(&seq))
     }
 
-    fn full_ctx<'a>(
-        idx: &'a PatternIndex,
-        seq: &'a Sequence,
-        cache: &'a ResponseCache,
-    ) -> ServeContext<'a> {
+    fn cached_ctx<'a>(idx: &'a PatternIndex, cache: &'a ResponseCache) -> ServeContext<'a> {
         ServeContext {
             index: idx,
             backend: "memory:test",
             queries: 0,
-            source: Some(seq),
             cache: Some(cache),
         }
     }
@@ -659,29 +553,20 @@ mod tests {
             }
         );
 
-        let env = parse_request(r#"{"q": "mine_topk", "k": 5}"#).unwrap();
-        assert_eq!(env.request, Request::MineTopK { k: 5 });
-        let env = parse_request(r#"{"q": "mine_target", "target": "AC"}"#).unwrap();
-        assert_eq!(
-            env.request,
-            Request::MineTarget {
-                target: "AC".to_string(),
-                limit: DEFAULT_LIMIT
-            }
-        );
-
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"q": "overlap", "a": 0, "b": 4}"#).is_err());
         assert!(parse_request(r#"{"q": "overlap", "a": 9, "b": 4}"#).is_err());
         assert!(parse_request(r#"{"q": "nope"}"#).is_err());
         assert!(parse_request(r#"{"k": 3}"#).is_err());
-        // A zero k and an empty target parse: the mine refuses them
-        // (see `mine_topk_matches_the_indexed_ranking`).
-        let env = parse_request(r#"{"q": "mine_topk", "k": 0}"#).unwrap();
-        assert_eq!(env.request, Request::MineTopK { k: 0 });
-        assert!(parse_request(r#"{"q": "mine_target", "target": ""}"#).is_ok());
-        // No kind takes a client-supplied file path.
-        assert!(parse_request(r#"{"q": "mine_incremental", "cache": "x.pgrc"}"#).is_err());
+        // No kind mines or takes a client-supplied file path.
+        for line in [
+            r#"{"q": "mine_topk", "k": 3}"#,
+            r#"{"q": "mine_target", "target": "AC"}"#,
+            r#"{"q": "mine_incremental", "cache": "x.pgrc"}"#,
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(err.starts_with("unknown query kind"), "{line}: {err}");
+        }
     }
 
     #[test]
@@ -736,10 +621,9 @@ mod tests {
 
     #[test]
     fn cache_hits_repeat_responses_byte_for_byte() {
-        let (seq, _, _, _) = subject();
         let idx = index(true);
         let cache = ResponseCache::new(8);
-        let ctx = full_ctx(&idx, &seq, &cache);
+        let ctx = cached_ctx(&idx, &cache);
         let line = r#"{"q": "topk", "k": 3}"#;
         let first = single(serve_request_line(&ctx, line));
         assert_eq!(first.cache, Some(false));
@@ -768,10 +652,9 @@ mod tests {
 
     #[test]
     fn batch_lines_answer_in_order_with_ids() {
-        let (seq, _, _, _) = subject();
         let idx = index(true);
         let cache = ResponseCache::new(8);
-        let ctx = full_ctx(&idx, &seq, &cache);
+        let ctx = cached_ctx(&idx, &cache);
         let line = r#"[{"q": "topk", "k": 2, "id": 1}, {"q": "nope", "id": 2}, {"q": "support", "pattern": "A", "id": "s"}]"#;
         let served = match serve_request_line(&ctx, line) {
             LineOutcome::Batch(served) => served,
@@ -802,84 +685,5 @@ mod tests {
             assert!(!served.is_empty());
             assert!(served.iter().all(|s| !s.ok), "{bad}");
         }
-    }
-
-    #[test]
-    fn mine_topk_matches_the_indexed_ranking() {
-        let (seq, gap, rho, n) = subject();
-        let idx = index(true);
-        let cache = ResponseCache::new(8);
-        let ctx = full_ctx(&idx, &seq, &cache);
-        let full = mpp(&seq, gap, rho, n, MppConfig::default()).unwrap();
-        for k in [1usize, 3, full.frequent.len() + 5] {
-            let line = format!("{{\"q\": \"mine_topk\", \"k\": {k}}}");
-            let served = single(serve_request_line(&ctx, &line));
-            assert!(served.ok, "{}", served.response);
-            let parsed = Json::parse(&served.response).unwrap();
-            let got: Vec<String> = parsed
-                .get("patterns")
-                .and_then(Json::as_arr)
-                .unwrap()
-                .iter()
-                .map(|p| p.get("pattern").and_then(Json::as_str).unwrap().to_string())
-                .collect();
-            let want: Vec<String> = select_top_k(&full.frequent, k)
-                .iter()
-                .map(|f| f.pattern.display(&Alphabet::Dna))
-                .collect();
-            assert_eq!(got, want, "mine_topk k={k}");
-        }
-        // Settings the mine cannot honour answer an error naming them.
-        for (line, setting) in [
-            (r#"{"q": "mine_topk", "k": 0}"#, "top_k"),
-            (r#"{"q": "mine_target", "target": ""}"#, "prefix"),
-        ] {
-            let served = single(serve_request_line(&ctx, line));
-            assert!(!served.ok, "{line}");
-            assert!(served.response.contains(setting), "{}", served.response);
-        }
-    }
-
-    #[test]
-    fn mine_target_matches_post_filtering_and_refuses_without_source() {
-        let (seq, gap, rho, n) = subject();
-        let idx = index(true);
-        let cache = ResponseCache::new(8);
-        let ctx = full_ctx(&idx, &seq, &cache);
-        let full = mpp(&seq, gap, rho, n, MppConfig::default()).unwrap();
-        let line = r#"{"q": "mine_target", "target": "AC", "limit": 1000000}"#;
-        let served = single(serve_request_line(&ctx, line));
-        assert!(served.ok, "{}", served.response);
-        let parsed = Json::parse(&served.response).unwrap();
-        let got: Vec<String> = parsed
-            .get("patterns")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .map(|p| p.get("pattern").and_then(Json::as_str).unwrap().to_string())
-            .collect();
-        let want_codes = Pattern::parse("AC", &Alphabet::Dna).unwrap();
-        let mut want: Vec<_> = full
-            .frequent
-            .iter()
-            .filter(|f| f.pattern.codes().starts_with(want_codes.codes()))
-            .collect();
-        want.sort_by(|a, b| (a.len(), a.pattern.codes()).cmp(&(b.len(), b.pattern.codes())));
-        let want: Vec<String> = want
-            .iter()
-            .map(|f| f.pattern.display(&Alphabet::Dna))
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(
-            parsed.get("total").and_then(Json::as_usize),
-            Some(want.len())
-        );
-
-        // Without the subject sequence the kinds refuse with a typed
-        // error, both through the plain entry point and a bare context.
-        let served = serve_line(&idx, "b", 0, r#"{"q": "mine_topk", "k": 2}"#);
-        assert!(!served.ok);
-        assert!(served.response.contains("unavailable"));
-        assert_eq!(served.kind, "mine_topk");
     }
 }

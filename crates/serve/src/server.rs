@@ -1,5 +1,7 @@
 //! The TCP daemon: accept loop, per-connection handlers, graceful
-//! shutdown.
+//! shutdown. The daemon shares one immutable index across its
+//! connections and holds nothing else of the mine, so every answer is
+//! an index lookup.
 //!
 //! The listener runs non-blocking and polls a shared stop flag, so a
 //! SIGINT (or a `shutdown` request from any client) stops the accept
@@ -10,7 +12,6 @@
 use crate::cache::ResponseCache;
 use crate::protocol::{self, LineOutcome, ServeContext, MAX_LINE_BYTES};
 use perigap_core::trace::{Event, MineObserver, QueryEvent, WarningEvent};
-use perigap_seq::Sequence;
 use perigap_store::PatternIndex;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -27,9 +28,6 @@ const READ_POLL: Duration = Duration::from_millis(50);
 struct Shared<O: MineObserver> {
     index: Arc<PatternIndex>,
     backend: String,
-    /// Subject sequence for the on-demand `mine_*` query kinds; absent
-    /// when the daemon serves a store file without the sequence.
-    source: Option<Sequence>,
     cache: ResponseCache,
     observer: Mutex<O>,
     stop: AtomicBool,
@@ -108,32 +106,14 @@ impl<O: MineObserver + Send + 'static> Drop for ServerHandle<O> {
 /// Every served request flows through `observer` as a
 /// [`QueryEvent`]; connection-level trouble (a client gone mid-line, a
 /// socket error) is a [`WarningEvent`], never a crash.
-pub fn serve<O, A>(
-    index: Arc<PatternIndex>,
-    backend: String,
-    addr: A,
-    observer: O,
-) -> io::Result<ServerHandle<O>>
-where
-    O: MineObserver + Send + 'static,
-    A: ToSocketAddrs,
-{
-    serve_with(index, backend, None, addr, observer)
-}
-
-/// [`serve`], plus the subject sequence. When `source` is given the
-/// daemon answers the on-demand `mine_topk`/`mine_target` query kinds
-/// by re-running the engine against it; without it those kinds refuse
-/// with a typed error (like `overlap` on a sequence-less index).
 ///
 /// An index holding a code its alphabet has no letter for is refused
 /// before binding: the error is [`io::ErrorKind::InvalidInput`] around
 /// the [`perigap_store::StoreError::CodeOutsideAlphabet`] that
 /// [`PatternIndex::check_alphabet`] returns.
-pub fn serve_with<O, A>(
+pub fn serve<O, A>(
     index: Arc<PatternIndex>,
     backend: String,
-    source: Option<Sequence>,
     addr: A,
     observer: O,
 ) -> io::Result<ServerHandle<O>>
@@ -150,7 +130,6 @@ where
     let shared = Arc::new(Shared {
         index,
         backend,
-        source,
         cache: ResponseCache::default(),
         observer: Mutex::new(observer),
         stop: AtomicBool::new(false),
@@ -283,7 +262,6 @@ fn serve_one<O: MineObserver>(stream: &mut TcpStream, shared: &Shared<O>, line: 
         index: &shared.index,
         backend: &shared.backend,
         queries,
-        source: shared.source.as_ref(),
         cache: Some(&shared.cache),
     };
     let (response, served) = match protocol::serve_request_line(&ctx, line) {

@@ -708,10 +708,11 @@ mod tests {
         out
     }
 
-    /// A gap as wide as `usize` allows, and a code past the alphabet,
-    /// neither overflow a step nor panic the build.
+    /// The widest gap a requirement allows, and a code past the
+    /// alphabet, neither overflow a step nor panic the build.
     #[test]
     fn extreme_gaps_and_foreign_codes_are_harmless() {
+        use perigap_core::gap::MAX_GAP;
         let seq = Sequence::dna("ACGTTGCA").unwrap();
         let patterns = [
             vec![0u8],
@@ -720,7 +721,7 @@ mod tests {
             vec![7],
             vec![0, 200, 1],
         ];
-        for (min, max) in [(0, usize::MAX), (usize::MAX, usize::MAX), (3, usize::MAX)] {
+        for (min, max) in [(0, MAX_GAP), (MAX_GAP, MAX_GAP), (3, MAX_GAP)] {
             let gap = GapRequirement::new(min, max).unwrap();
             let outcome = MineOutcome {
                 frequent: patterns

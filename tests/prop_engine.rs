@@ -285,13 +285,14 @@ fn assert_pruned_equal(
     Ok(())
 }
 
-// The pruning differential runs a dozen mines per case (top-k and
-// targeted, serial and pooled, with and without a spill ceiling),
-// so it gets a small case budget. Pruned mining is an output
-// contract: whatever the gap regime (rigid `W == 1`, where the
-// rising floor prunes the search itself, or flexible `W > 1`, where
-// only emission is gated), thread count, or memory ceiling,
-// the outcome must be bit-identical to post-filtering the full mine.
+// The top-k differential runs half a dozen mines per case (serial
+// and pooled, with and without a spill ceiling, MPP and MPPm), so it
+// gets a small case budget. A top-k mine is an output contract:
+// whatever the gap regime (rigid `W == 1`, where the rising floor
+// prunes the search itself, or flexible `W > 1`, where only emission
+// is gated), thread count, or memory ceiling, the outcome must be
+// bit-identical to ranking the full mine. (A `--target` prefix is an
+// output filter of `pgmine mine`, tested there.)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -307,29 +308,30 @@ proptest! {
     ) {
         use perigap::core::mppm::mppm;
         use perigap::core::spill::{MemSpillIo, SpillIo};
-        use perigap::core::{select_top_k, PruneMode};
+        use perigap::core::trace::NoopObserver;
+        use perigap::core::{mine_top_k, select_top_k};
         use std::sync::Arc;
 
         let seq = Sequence::from_codes(alpha, codes).unwrap();
         let gap = GapRequirement::new(n, m).unwrap();
         let rho = rho_scale as f64 * 1e-4;
         let cfg = MppConfig::default();
+        let top_k = |algorithm, config: &MppConfig| {
+            mine_top_k(&seq, gap, rho, algorithm, k, config, &mut NoopObserver)
+        };
+        let mpp8 = Algorithm::Mpp { n: 8 };
 
         // Top-k: every thread count must reproduce `select_top_k` over
         // the full mine — same rank order, same truncation, same ratios.
         let full = mpp(&seq, gap, rho, 8, cfg.clone());
-        let topk_cfg = MppConfig {
-            prune: PruneMode::top_k(k),
-            ..cfg.clone()
-        };
-        let topk = mpp(&seq, gap, rho, 8, topk_cfg.clone());
+        let topk = top_k(mpp8, &cfg);
         prop_assert_eq!(full.is_ok(), topk.is_ok());
         let Ok(full) = full else { return Ok(()) };
         let topk = topk.unwrap();
         prop_assert_eq!(topk.stats.top_k, Some(k));
         let expect_topk = select_top_k(&full.frequent, k);
         assert_pruned_equal(&expect_topk, &topk, "top-k serial")?;
-        let par = mpp(&seq, gap, rho, 8, MppConfig { threads: 3, ..topk_cfg.clone() }).unwrap();
+        let par = top_k(mpp8, &MppConfig { threads: 3, ..cfg.clone() }).unwrap();
         assert_pruned_equal(&expect_topk, &par, "top-k parallel")?;
 
         // Under a memory ceiling the floor drops spilled components
@@ -339,61 +341,16 @@ proptest! {
             max_arena_bytes: Some(1 << 30),
             spill_watermark: 0.5,
             spill: Some(Arc::new(MemSpillIo::default()) as Arc<dyn SpillIo>),
-            ..topk_cfg.clone()
+            threads: 2,
+            ..cfg.clone()
         };
-        let spilled = mpp(&seq, gap, rho, 8, MppConfig { threads: 2, ..spill_cfg }).unwrap();
+        let spilled = top_k(mpp8, &spill_cfg).unwrap();
         assert_pruned_equal(&expect_topk, &spilled, "top-k spill")?;
-
-        // Prefix target: emission-filtered only (the self-join needs
-        // every window), canonical order preserved.
-        let prefix: Vec<u8> = full
-            .frequent
-            .first()
-            .map(|f| f.pattern.codes()[..f.pattern.len().min(2)].to_vec())
-            .unwrap_or_else(|| vec![0]);
-        let target_cfg = MppConfig {
-            prune: PruneMode::prefix(prefix.clone()),
-            ..cfg.clone()
-        };
-        let expect_prefix: Vec<FrequentPattern> = full
-            .frequent
-            .iter()
-            .filter(|f| f.pattern.codes().starts_with(&prefix))
-            .cloned()
-            .collect();
-        let run = mpp(&seq, gap, rho, 8, target_cfg.clone()).unwrap();
-        assert_pruned_equal(&expect_prefix, &run, "prefix serial")?;
-        let run = mpp(&seq, gap, rho, 8, MppConfig { threads: 2, ..target_cfg }).unwrap();
-        assert_pruned_equal(&expect_prefix, &run, "prefix parallel")?;
-
-        // Combined: the floor only ever counts target-admitted
-        // patterns, so target-then-top-k is the composition.
-        let combined = MppConfig {
-            prune: PruneMode {
-                top_k: Some(k),
-                prefix: Some(prefix),
-            },
-            ..cfg.clone()
-        };
-        let expect_combined = select_top_k(&expect_prefix, k);
-        let run = mpp(&seq, gap, rho, 8, combined.clone()).unwrap();
-        assert_pruned_equal(&expect_combined, &run, "combined")?;
-        let run = mpp(&seq, gap, rho, 8, MppConfig { threads: 3, ..combined }).unwrap();
-        assert_pruned_equal(&expect_combined, &run, "combined parallel")?;
 
         // The multi-sequence-normalized engine honors the same
         // contract.
         let full_m = mppm(&seq, gap, rho, 4, cfg.clone());
-        let topk_m = mppm(
-            &seq,
-            gap,
-            rho,
-            4,
-            MppConfig {
-                prune: PruneMode::top_k(k),
-                ..cfg
-            },
-        );
+        let topk_m = top_k(Algorithm::Mppm { m: 4 }, &cfg);
         prop_assert_eq!(full_m.is_ok(), topk_m.is_ok());
         if let Ok(full_m) = full_m {
             let expect_m = select_top_k(&full_m.frequent, k);
