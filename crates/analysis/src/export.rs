@@ -11,19 +11,28 @@ use std::fmt::Write as _;
 
 /// Render an outcome as TSV with the header
 /// `pattern  length  support  ratio  gapped_form`.
+/// The gapped form is [`perigap_core::Pattern::display_with_gaps`],
+/// with the gap token formatted once per export.
 pub fn outcome_to_tsv(outcome: &MineOutcome, alphabet: &Alphabet, gap: GapRequirement) -> String {
+    let token = format!("g({},{})", gap.min(), gap.max());
     let mut out = String::from("pattern\tlength\tsupport\tratio\tgapped_form\n");
     for f in &outcome.frequent {
-        writeln!(
+        let letters = f.pattern.display(alphabet);
+        write!(
             out,
-            "{}\t{}\t{}\t{:.9}\t{}",
-            f.pattern.display(alphabet),
+            "{letters}\t{}\t{}\t{:.9}\t",
             f.len(),
             f.support,
-            f.ratio,
-            f.pattern.display_with_gaps(alphabet, gap)
+            f.ratio
         )
         .expect("writing to String cannot fail");
+        for (i, letter) in letters.chars().enumerate() {
+            if i > 0 {
+                out.push_str(&token);
+            }
+            out.push(letter);
+        }
+        out.push('\n');
     }
     out
 }

@@ -54,7 +54,7 @@ use crate::pil::Pil;
 use crate::result::{CorpusStats, MineOutcome};
 use crate::spill::ScopedSpillIo;
 use crate::trace::NoopObserver;
-use crate::wire::{Frame, Reader, WireError, Writer};
+use crate::wire::{fnv1a, Frame, Reader, WireError, Writer};
 use perigap_seq::{bits_per_symbol, pack_codes, packed_len, unpack_codes, Alphabet, Sequence};
 use std::collections::HashMap;
 use std::fs;
@@ -457,7 +457,14 @@ impl ShardJob {
     fn restore_or_mine(&self, shard: usize) -> Result<ShardResult, MineError> {
         let seq = self.corpus.sequence(shard)?;
         let checkpoint = self.checkpoint_dir.as_ref().map(|dir| {
-            let key = request_key(&seq, self.gap, self.rho, self.algorithm, &self.mpp);
+            let key = request_key(
+                fnv1a(seq.codes()),
+                &seq,
+                self.gap,
+                self.rho,
+                self.algorithm,
+                &self.mpp,
+            );
             (shard_record_path(dir, shard), key)
         });
         // A missing record is simply mined; a record that does not

@@ -83,7 +83,7 @@ use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::trace::{
     CompleteEvent, DiffEvent, EmEvent, Event, LevelEvent, MineObserver, SeedEvent, WarningEvent,
 };
-use crate::wire::{fnv1a, Frame, Reader, WireError, Writer};
+use crate::wire::{fnv1a, fnv1a_extend, Frame, Reader, WireError, Writer, FNV_OFFSET};
 use perigap_math::BigRatio;
 use perigap_seq::Sequence;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -541,7 +541,10 @@ pub fn write_result_cache(path: &Path, cache: &ResultCache) -> Result<(), MineEr
 // Key construction and checking.
 // ---------------------------------------------------------------------
 
+/// The key of a request whose sequence hashes to `seq_hash` (FNV-1a
+/// of its codes).
 pub(crate) fn request_key(
+    seq_hash: u64,
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
@@ -549,7 +552,7 @@ pub(crate) fn request_key(
     config: &MppConfig,
 ) -> CacheKey {
     CacheKey {
-        seq_hash: fnv1a(seq.codes()),
+        seq_hash,
         seq_len: seq.len(),
         sigma: seq.alphabet().size() as u32,
         gap: (gap.min(), gap.max()),
@@ -560,9 +563,10 @@ pub(crate) fn request_key(
     }
 }
 
-/// Check a cached key against the request. The sequence check is the
-/// append test: the cached sequence must be a *prefix* of the new one,
-/// verified by hashing the new sequence's first `seq_len` codes.
+/// Check a cached key against the request (all but its `seq_hash`).
+/// The sequence check is the append test: the cached sequence must be a
+/// *prefix* of the new one, verified by hashing the new sequence's
+/// first `seq_len` codes.
 fn check_key(cached: &CacheKey, requested: &CacheKey, seq: &Sequence) -> Result<(), MineError> {
     if cached.sigma != requested.sigma {
         return Err(mismatch("alphabet size", cached.sigma, requested.sigma));
@@ -698,35 +702,15 @@ impl From<DiffStats> for DiffEvent {
 struct RigidChains<'a> {
     codes: &'a [u8],
     stride: usize,
-    /// For stride 1 only: `rep[i]` is the length of the equal-symbol
-    /// run ending at index `i`. A length-`l` chain ending at 1-based
-    /// `e` is the uniform pattern `c^l` iff `rep[e-1] ≥ l`, which lets
-    /// the window counters classify the ends periodic data is made of
-    /// in O(1) instead of hashing `l` bytes. Empty for wider strides.
-    rep: Vec<u32>,
 }
 
 impl<'a> RigidChains<'a> {
     fn new(seq: &'a Sequence, gap: GapRequirement) -> RigidChains<'a> {
         debug_assert_eq!(gap.flexibility(), 1);
-        let codes = seq.codes();
-        let stride = gap.min_step();
-        let rep = if stride == 1 {
-            let mut rep = vec![0u32; codes.len()];
-            let mut run = 0u32;
-            for (i, &c) in codes.iter().enumerate() {
-                run = if i > 0 && codes[i - 1] == c {
-                    run + 1
-                } else {
-                    1
-                };
-                rep[i] = run;
-            }
-            rep
-        } else {
-            Vec::new()
-        };
-        RigidChains { codes, stride, rep }
+        RigidChains {
+            codes: seq.codes(),
+            stride: gap.min_step(),
+        }
     }
 
     /// First admissible 1-based end position of a length-`level` chain.
@@ -803,18 +787,34 @@ impl<'a> RigidChains<'a> {
         };
         counts.clear();
         // Uniform chains (`c^level`) — the bulk of any periodic region —
-        // are recognised from the run table and tallied per symbol;
-        // only non-uniform chains pay for a hash.
+        // are recognised from the equal-symbol run ending at the chain's
+        // end and tallied per symbol; only non-uniform chains pay for a
+        // hash. The run is counted back from `lo − 1` at most `level`
+        // symbols (all the test needs), then kept up to date as the
+        // walk moves right, so the cost follows the window, not `L`.
+        let codes = self.codes;
         let mut uniform = [0u128; 256];
         let mut uniform_end = [0usize; 256];
-        let l = level as u32;
+        let last = codes[lo - 1];
+        let mut run = 1 + codes[lo - level..lo - 1]
+            .iter()
+            .rev()
+            .take_while(|&&c| c == last)
+            .count();
         for end in lo..=hi {
-            if self.rep[end - 1] >= l {
-                let c = self.codes[end - 1] as usize;
+            if end > lo {
+                run = if codes[end - 1] == codes[end - 2] {
+                    run + 1
+                } else {
+                    1
+                };
+            }
+            if run >= level {
+                let c = codes[end - 1] as usize;
                 uniform[c] += 1;
                 uniform_end[c] = end;
             } else {
-                *counts.entry(&self.codes[end - level..end]).or_insert(0) += 1;
+                *counts.entry(&codes[end - level..end]).or_insert(0) += 1;
             }
         }
         for (c, &n) in uniform.iter().enumerate() {
@@ -873,14 +873,14 @@ impl std::hash::Hasher for FnvHasher {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        self.0 = crate::wire::fnv1a_extend(self.0, bytes);
+        self.0 = fnv1a_extend(self.0, bytes);
     }
 }
 
 impl std::hash::BuildHasher for FnvBuild {
     type Hasher = FnvHasher;
     fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(crate::wire::FNV_OFFSET)
+        FnvHasher(FNV_OFFSET)
     }
 }
 
@@ -1267,7 +1267,9 @@ pub fn mine_incremental<O: MineObserver>(
     observer: &mut O,
 ) -> Result<IncrementalOutcome, MineError> {
     config.check()?;
-    let requested = request_key(seq, gap, rho, algorithm, config);
+    // The sequence hash is filled in once the cache is read: an append
+    // extends the hash of the prefix the append check has verified.
+    let mut requested = request_key(0, seq, gap, rho, algorithm, config);
 
     // Read phase: a missing file is the expected first run, not a
     // fault; everything else wrong with the record is.
@@ -1290,6 +1292,10 @@ pub fn mine_incremental<O: MineObserver>(
     } else {
         None
     };
+    let (hashed, state) = cache
+        .as_ref()
+        .map_or((0, FNV_OFFSET), |c| (c.key.seq_len, c.key.seq_hash));
+    requested.seq_hash = fnv1a_extend(state, &seq.codes()[hashed..]);
 
     match cache {
         None => {
@@ -1719,6 +1725,26 @@ mod tests {
             diff.stats.changed + diff.stats.new + diff.stats.dropped > 0,
             "the appended signal must move something"
         );
+    }
+
+    #[test]
+    fn appends_key_their_record_by_the_whole_sequence() {
+        // A delta run's key extends the cached prefix's hash over the
+        // tail: it must be the hash of the whole sequence, or the next
+        // append would read as a mismatch and mine cold.
+        let gap = GapRequirement::new(0, 0).unwrap();
+        let path = tmp_path("chained");
+        let mut text = "ACGTT".repeat(60);
+        run(&dna(&text), gap, 0.01, 5, &path);
+        for tail in ["GGGGACGTT", "TTTTTGGGA"] {
+            text.push_str(tail);
+            let seq = dna(&text);
+            let out = run(&seq, gap, 0.01, 5, &path);
+            assert_eq!(out.mode, IncrementalMode::Incremental(tail.len()), "{tail}");
+            let key = load_result_cache(&path).unwrap().key;
+            assert_eq!(key.seq_len, seq.len());
+            assert_eq!(key.seq_hash, fnv1a(seq.codes()));
+        }
     }
 
     #[test]

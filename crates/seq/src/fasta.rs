@@ -4,6 +4,15 @@
 //! `;` comment lines (the older FASTA dialect) and wrapped sequence
 //! lines. This is the on-disk format the examples and the benchmark
 //! harness use to exchange subject sequences.
+//!
+//! The reader makes one pass over the input. Each line is read into one
+//! reused byte buffer, checked to be UTF-8 and trimmed of Unicode
+//! whitespace; a sequence line is then decoded through the alphabet's
+//! code table (`Alphabet::encode`) straight into its record's codes.
+//! Positions in errors count bytes of the record's body: its trimmed
+//! sequence lines, concatenated. A letter outside the alphabet is held
+//! until the record ends, so an unreadable line further down the same
+//! record is reported first.
 
 use crate::alphabet::Alphabet;
 use crate::error::SeqError;
@@ -21,61 +30,96 @@ pub struct FastaRecord {
     pub sequence: Sequence,
 }
 
+/// The record being read: its header, the codes decoded so far, the
+/// body bytes seen, and the first letter outside the alphabet.
+struct OpenRecord {
+    id: String,
+    description: Option<String>,
+    codes: Vec<u8>,
+    body_len: usize,
+    bad_letter: Option<SeqError>,
+}
+
+impl OpenRecord {
+    fn new(header: &str) -> OpenRecord {
+        let mut parts = header.splitn(2, char::is_whitespace);
+        let id = parts.next().unwrap_or("").to_string();
+        let description = parts
+            .next()
+            .map(str::trim)
+            .filter(|d| !d.is_empty())
+            .map(String::from);
+        OpenRecord {
+            id,
+            description,
+            codes: Vec::new(),
+            body_len: 0,
+            bad_letter: None,
+        }
+    }
+
+    fn push_line(&mut self, line: &str, alphabet: &Alphabet) {
+        if self.bad_letter.is_none() {
+            if let Err(e) = alphabet.encode(line.as_bytes(), self.body_len, &mut self.codes) {
+                self.bad_letter = Some(e);
+            }
+        }
+        self.body_len += line.len();
+    }
+
+    fn finish(self, alphabet: &Alphabet) -> Result<FastaRecord, SeqError> {
+        if self.body_len == 0 {
+            return Err(SeqError::FastaEmptyRecord { id: self.id });
+        }
+        if let Some(e) = self.bad_letter {
+            return Err(e);
+        }
+        Ok(FastaRecord {
+            id: self.id,
+            description: self.description,
+            sequence: Sequence::from_encoded(alphabet.clone(), self.codes),
+        })
+    }
+}
+
 /// Parse every record from a FASTA reader.
 ///
 /// Characters in sequence lines must belong to `alphabet` (whitespace is
-/// ignored). Empty records and a missing leading header are errors.
+/// ignored). Empty records and a missing leading header are errors, and
+/// so is a line that is not UTF-8.
 pub fn read_fasta<R: BufRead>(
-    reader: R,
+    mut reader: R,
     alphabet: &Alphabet,
 ) -> Result<Vec<FastaRecord>, SeqError> {
     let mut records = Vec::new();
-    let mut header: Option<(String, Option<String>)> = None;
-    let mut body = String::new();
-
-    let flush = |header: &mut Option<(String, Option<String>)>,
-                 body: &mut String,
-                 records: &mut Vec<FastaRecord>|
-     -> Result<(), SeqError> {
-        if let Some((id, description)) = header.take() {
-            if body.trim().is_empty() {
-                return Err(SeqError::FastaEmptyRecord { id });
-            }
-            let sequence = Sequence::from_str_checked(alphabet.clone(), body)?;
-            records.push(FastaRecord {
-                id,
-                description,
-                sequence,
-            });
-            body.clear();
+    let mut open: Option<OpenRecord> = None;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        Ok(())
-    };
-
-    for line in reader.lines() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with(';') {
+        // The message `BufRead::lines` gives for the same line.
+        let line = std::str::from_utf8(&buf)
+            .map_err(|_| SeqError::Io("stream did not contain valid UTF-8".into()))?
+            .trim();
+        if line.is_empty() || line.starts_with(';') {
             continue;
         }
-        if let Some(rest) = trimmed.strip_prefix('>') {
-            flush(&mut header, &mut body, &mut records)?;
-            let mut parts = rest.splitn(2, char::is_whitespace);
-            let id = parts.next().unwrap_or("").to_string();
-            let description = parts
-                .next()
-                .map(str::trim)
-                .filter(|d| !d.is_empty())
-                .map(String::from);
-            header = Some((id, description));
-        } else {
-            if header.is_none() {
-                return Err(SeqError::FastaMissingHeader);
+        if let Some(header) = line.strip_prefix('>') {
+            if let Some(record) = open.take() {
+                records.push(record.finish(alphabet)?);
             }
-            body.push_str(trimmed);
+            open = Some(OpenRecord::new(header));
+        } else {
+            open.as_mut()
+                .ok_or(SeqError::FastaMissingHeader)?
+                .push_line(line, alphabet);
         }
     }
-    flush(&mut header, &mut body, &mut records)?;
+    if let Some(record) = open {
+        records.push(record.finish(alphabet)?);
+    }
     Ok(records)
 }
 
@@ -165,6 +209,52 @@ mod tests {
             parse_fasta(">x\nACGN\n", &Alphabet::Dna),
             Err(SeqError::UnknownLetter { letter: 'N', .. })
         ));
+    }
+
+    #[test]
+    fn a_bad_letter_is_named_as_the_file_writes_it() {
+        // 'Ñ' is the two bytes C3 91; the error names the character, not
+        // the first byte read as Latin-1 ('Ã').
+        assert_eq!(
+            parse_fasta(">x\nACGÑT\n", &Alphabet::Dna),
+            Err(SeqError::UnknownLetter {
+                letter: 'Ñ',
+                pos: 3
+            })
+        );
+        // Positions count the record's trimmed lines, concatenated.
+        assert_eq!(
+            parse_fasta(">x\r\n  AC \r\nGT✓A\n", &Alphabet::Dna),
+            Err(SeqError::UnknownLetter {
+                letter: '✓',
+                pos: 4
+            })
+        );
+    }
+
+    #[test]
+    fn errors_come_in_file_order() {
+        let io = || Err(SeqError::Io("stream did not contain valid UTF-8".into()));
+        // A bad letter waits for its record to end: an unreadable line in
+        // the same record is reported first, one in a later record not.
+        assert_eq!(
+            read_fasta(&b">x\nAN\nA\xFF\n>y\nA\n"[..], &Alphabet::Dna),
+            io()
+        );
+        assert_eq!(
+            read_fasta(&b">x\nAN\n>y\nA\xFF\n"[..], &Alphabet::Dna),
+            Err(SeqError::UnknownLetter {
+                letter: 'N',
+                pos: 1
+            })
+        );
+        assert_eq!(
+            parse_fasta(">x\nAN\n>\n", &Alphabet::Dna),
+            Err(SeqError::UnknownLetter {
+                letter: 'N',
+                pos: 1
+            })
+        );
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! paper indexes sequences 1-based (`S[1]` is the first character);
 //! [`Sequence::at1`] mirrors that convention while the storage itself is
 //! the usual 0-based slice.
+//!
+//! [`Sequence::from_text`] decodes in one pass through the alphabet's
+//! byte → code table (`Alphabet::encode`); the FASTA reader decodes
+//! each line through the same table straight into a record's codes.
 
 use crate::alphabet::Alphabet;
 use crate::error::SeqError;
@@ -20,16 +24,17 @@ pub struct Sequence {
 impl Sequence {
     /// Encode a text into a sequence. ASCII whitespace is skipped (FASTA
     /// bodies are line wrapped); any other character must belong to the
-    /// alphabet.
+    /// alphabet. The first one that does not fails as
+    /// [`SeqError::UnknownLetter`] at its byte position.
     pub fn from_text(alphabet: Alphabet, text: &[u8]) -> Result<Sequence, SeqError> {
-        let mut codes = Vec::with_capacity(text.len());
-        for (pos, &ch) in text.iter().enumerate() {
-            if ch.is_ascii_whitespace() {
-                continue;
-            }
-            codes.push(alphabet.encode_char(ch, pos)?);
-        }
+        let mut codes = Vec::new();
+        alphabet.encode(text, 0, &mut codes)?;
         Ok(Sequence { alphabet, codes })
+    }
+
+    /// Wrap codes [`Alphabet::encode`] produced, which need no check.
+    pub(crate) fn from_encoded(alphabet: Alphabet, codes: Vec<u8>) -> Sequence {
+        Sequence { alphabet, codes }
     }
 
     /// Convenience constructor from a `&str`.

@@ -5,7 +5,9 @@
 //! order, same supports, same ratio bits, same saturation flag.
 //!
 //! The matrix crosses algorithms (mpp/mppm), thread counts (1–4) and
-//! append lengths (0, 1, and longer than the base sequence).
+//! append lengths (0, 1, and longer than the base sequence); the
+//! randomized cases cross rigid gaps 0:0 to 3:3 with appends that
+//! continue a homopolymer run across the old end.
 
 use perigap::core::trace::NoopObserver;
 use perigap::core::{mine_incremental, IncrementalMode, IncrementalOutcome};
@@ -215,18 +217,29 @@ fn threshold_crossings_diff_exactly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Randomized differential: any base sequence, any rigid gap, any
-    /// append — the incremental outcome equals the cold one.
+    /// Randomized differential: any base sequence, any rigid gap `N:N`
+    /// with `N` in `0..4`, any append — the incremental outcome equals
+    /// the cold one. Gap 0 is the only stride-1 gap, the one whose
+    /// window counts track equal-symbol runs. Half the cases are
+    /// run-heavy: the base ends in a homopolymer run and the append
+    /// continues it, so the run crosses the old end.
     #[test]
     fn random_rigid_appends_match_cold(
-        (base, extra, stride, case) in (
+        (base, extra, n, run, case) in (
             proptest::collection::vec(0u8..4, 20..120),
             proptest::collection::vec(0u8..4, 0..40),
-            1usize..4,
+            0usize..4,
+            (any::<bool>(), 0u8..4, 1usize..16, 1usize..16),
             0usize..1_000_000,
         )
     ) {
-        let gap = GapRequirement::new(stride, stride).unwrap();
+        let (run_heavy, symbol, before, after) = run;
+        let (mut base, mut extra) = (base, extra);
+        if run_heavy {
+            base.extend(std::iter::repeat_n(symbol, before));
+            extra.splice(0..0, std::iter::repeat_n(symbol, after));
+        }
+        let gap = GapRequirement::new(n, n).unwrap();
         let rho = 0.03;
         let engine = Algorithm::Mpp { n: 5 };
         let config = MppConfig::default();

@@ -19,15 +19,26 @@
 //! panic, and that the answer is one JSON object with a boolean `"ok"`
 //! field (for a batch, an array of such objects, one per element).
 //!
-//! Case counts: 256 arbitrary-byte and 256 mutated-file cases for each
-//! reader, 256 arbitrary request lines, all 399 field mutations (every
-//! kind, each field and an added `id`, each set to each of 19 values),
-//! 64 nesting cases and 64 batches.
+//! The FASTA reader is also held to a reference: the reader it replaced,
+//! which read with `lines()`, built each record's trimmed `body` and then
+//! looked up one byte at a time. On every arbitrary-byte and mutated-file
+//! case the two return equal records, or equal errors of the same
+//! variant and position. The one allowed difference is the letter an
+//! `UnknownLetter` names: the character its byte begins, where the
+//! reference read that byte as Latin-1. The cases cover DNA, protein and
+//! a custom alphabet holding a space and bytes from `0x80` up, with LF
+//! and CRLF line ends, Unicode whitespace and bytes that are not UTF-8.
+//!
+//! Case counts: 256 arbitrary-byte (half of them FASTA-shaped lines) and
+//! 256 mutated-file cases for each reader, 256 arbitrary
+//! request lines, all 399 field mutations (every kind, each field and an
+//! added `id`, each set to each of 19 values), 64 nesting cases and 64
+//! batches.
 
 use perigap::core::mpp::{mpp, MppConfig};
 use perigap::core::trace::Json;
 use perigap::core::GapRequirement;
-use perigap::seq::fasta::{parse_fasta, read_fasta};
+use perigap::seq::fasta::{parse_fasta, read_fasta, FastaRecord};
 use perigap::seq::genbank::{parse_genbank, read_genbank};
 use perigap::seq::{Alphabet, SeqError, Sequence};
 use perigap::serve::{
@@ -43,19 +54,27 @@ use std::sync::OnceLock;
 // Readers
 // ---------------------------------------------------------------------
 
+/// DNA, protein, or a custom alphabet holding a space and the bytes of
+/// 'é' (`C3 A9`), so that 'Ñ' (`C3 91`) stops inside a character.
 fn alphabet(which: usize) -> Alphabet {
-    if which == 0 {
-        Alphabet::Dna
-    } else {
-        Alphabet::Protein
+    match which {
+        0 => Alphabet::Dna,
+        1 => Alphabet::Protein,
+        _ => Alphabet::custom(b"ACGT \xC3\xA9").unwrap(),
     }
 }
 
-/// `len` letters of `alphabet` drawn from `seed`, in mixed case.
+/// `len` letters of `alphabet` drawn from `seed`: mixed case for DNA
+/// and protein, and 'é' as one letter pair for the custom alphabet.
 fn letters(alphabet: &Alphabet, seed: u64, len: usize) -> String {
-    let symbols: &[u8] = match alphabet {
-        Alphabet::Dna => b"ACGTacgt",
-        _ => b"ACDEFGHIKLMNPQRSTVWYacdefghiklmnpqrstvwy",
+    let symbols: &[&str] = match alphabet {
+        Alphabet::Dna => &["A", "C", "G", "T", "a", "c", "g", "t"],
+        Alphabet::Protein => &[
+            "A", "C", "D", "E", "F", "G", "H", "I", "K", "L", "M", "N", "P", "Q", "R", "S", "T",
+            "V", "W", "Y", "a", "c", "d", "e", "f", "g", "h", "i", "k", "l", "m", "n", "p", "q",
+            "r", "s", "t", "v", "w", "y",
+        ],
+        _ => &["A", "C", "G", "T", "é"],
     };
     let mut state = seed | 1;
     (0..len)
@@ -63,21 +82,22 @@ fn letters(alphabet: &Alphabet, seed: u64, len: usize) -> String {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            symbols[(state % symbols.len() as u64) as usize] as char
+            symbols[(state % symbols.len() as u64) as usize]
         })
         .collect()
 }
 
 /// A valid FASTA file: one record per length, with a comment line and
-/// wrapped sequence lines.
+/// sequence lines wrapped at 60 characters; odd seeds end lines in CRLF.
 fn fasta_file(alphabet: &Alphabet, seed: u64, lens: &[usize]) -> Vec<u8> {
-    let mut text = String::from("; generated\n");
+    let eol = if seed % 2 == 1 { "\r\n" } else { "\n" };
+    let mut text = format!("; generated{eol}");
     for (i, &len) in lens.iter().enumerate() {
-        text.push_str(&format!(">rec{i} description {i}\n"));
-        let body = letters(alphabet, seed + i as u64, len);
-        for line in body.as_bytes().chunks(60) {
-            text.push_str(std::str::from_utf8(line).unwrap());
-            text.push('\n');
+        text.push_str(&format!(">rec{i} description {i}{eol}"));
+        let body: Vec<char> = letters(alphabet, seed + i as u64, len).chars().collect();
+        for line in body.chunks(60) {
+            text.extend(line);
+            text.push_str(eol);
         }
     }
     text.into_bytes()
@@ -113,22 +133,87 @@ fn genbank_file(alphabet: &Alphabet, seed: u64, lens: &[usize]) -> Vec<u8> {
 }
 
 /// Lines a mutation may insert: record and block keywords of both
-/// formats, blank and comment lines, and bytes that are not letters.
-const INSERTED_LINES: &[&str] = &[
-    ">",
-    ">x",
-    "; note",
-    "",
-    "\r",
-    "LOCUS       X 4 bp",
-    "LOCUS",
-    "ORIGIN",
-    "//",
-    "        1 acgt",
-    "acgtn",
-    "\u{0}\u{7f}",
-    "é✓",
+/// formats, blank and comment lines, bytes that are not letters, Unicode
+/// whitespace around letters and headers, and bytes that are not UTF-8.
+const INSERTED_LINES: &[&[u8]] = &[
+    b">",
+    b">x",
+    b"; note",
+    b"",
+    b"\r",
+    b"LOCUS       X 4 bp",
+    b"LOCUS",
+    b"ORIGIN",
+    b"//",
+    b"        1 acgt",
+    b"acgtn",
+    b"\0\x7f",
+    "é✓".as_bytes(),
+    "\u{a0}acgt\u{2003}".as_bytes(),
+    "\u{3000}>y z\u{85}".as_bytes(),
+    "AC\u{a0}GT".as_bytes(),
+    "ACÑ".as_bytes(),
+    b"AC\xFFGT",
+    b"\xC3",
 ];
+
+/// The fragments FASTA-shaped lines are built from: letters of each
+/// alphabet, `>` and `;`, ASCII whitespace (a lone CR, and a vertical tab,
+/// which `trim` strips and the decoder does not skip), Unicode whitespace
+/// (U+00A0, U+0085, U+2003, U+3000), 'é' and 'Ñ'.
+const FRAGMENTS: &[&[u8]] = &[
+    b">",
+    b";",
+    b" ",
+    b"\t",
+    b"\r",
+    b"\x0B",
+    b"\x0C",
+    b"ACGT",
+    b"acgt",
+    b"MKWV",
+    b"N",
+    b"#",
+    b"\xC2\xA0",
+    b"\xC2\x85",
+    b"\xE2\x80\x83",
+    b"\xE3\x80\x80",
+    b"\xC3\xA9",
+    b"\xC3\x91",
+];
+
+/// Bytes that are not UTF-8 on their own: a lone lead byte, a lone
+/// continuation byte, and a byte no UTF-8 text holds.
+const NOT_UTF8: &[u8] = &[0xC3, 0x91, 0xFF];
+
+/// A FASTA-shaped input: up to 40 lines, each a header (1 in 7), a
+/// sequence line, or a sequence line that ends in a byte that is not
+/// UTF-8 (1 in 7), built from up to seven fragments and ended by LF,
+/// CRLF or nothing.
+fn fragment_run() -> impl Strategy<Value = Vec<u8>> {
+    let line = (
+        0usize..7,
+        collection::vec(0..FRAGMENTS.len(), 0..8),
+        0..NOT_UTF8.len(),
+        0usize..3,
+    );
+    collection::vec(line, 0..40).prop_map(|lines| {
+        let mut out = Vec::new();
+        for (kind, picks, bad, eol) in lines {
+            if kind == 0 {
+                out.push(b'>');
+            }
+            for &i in &picks {
+                out.extend_from_slice(FRAGMENTS[i]);
+            }
+            if kind == 6 {
+                out.push(NOT_UTF8[bad]);
+            }
+            out.extend_from_slice([&b"\n"[..], b"\r\n", b""][eol]);
+        }
+        out
+    })
+}
 
 #[derive(Clone, Debug)]
 enum FileMutation {
@@ -172,17 +257,121 @@ fn mutate_file(file: &[u8], m: &FileMutation) -> Vec<u8> {
                 .iter()
                 .rposition(|&b| b == b'\n')
                 .map_or(0, |p| p + 1);
-            let line = format!("{}\n", INSERTED_LINES[line]);
-            out.splice(at..at, line.into_bytes());
+            let mut line = INSERTED_LINES[line].to_vec();
+            line.push(b'\n');
+            out.splice(at..at, line);
         }
     }
     out
 }
 
+/// The FASTA reader this crate had before it decoded through the
+/// alphabet's code table, kept as the oracle: `lines()`, the trimmed
+/// sequence lines concatenated into one `body`, then one lookup a byte,
+/// naming a bad byte as a Latin-1 `char`.
+fn reference_read_fasta(reader: &[u8], alphabet: &Alphabet) -> Result<Vec<FastaRecord>, SeqError> {
+    use std::io::BufRead;
+    let mut records = Vec::new();
+    let mut header: Option<(String, Option<String>)> = None;
+    let mut body = String::new();
+
+    let flush = |header: &mut Option<(String, Option<String>)>,
+                 body: &mut String,
+                 records: &mut Vec<FastaRecord>|
+     -> Result<(), SeqError> {
+        if let Some((id, description)) = header.take() {
+            if body.trim().is_empty() {
+                return Err(SeqError::FastaEmptyRecord { id });
+            }
+            let mut codes = Vec::new();
+            for (pos, &ch) in body.as_bytes().iter().enumerate() {
+                if ch.is_ascii_whitespace() {
+                    continue;
+                }
+                codes.push(reference_code(alphabet, ch).ok_or(SeqError::UnknownLetter {
+                    letter: ch as char,
+                    pos,
+                })?);
+            }
+            records.push(FastaRecord {
+                id,
+                description,
+                sequence: Sequence::from_codes(alphabet.clone(), codes).unwrap(),
+            });
+            body.clear();
+        }
+        Ok(())
+    };
+
+    for line in reader.lines() {
+        let line = line?;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with(';') {
+            continue;
+        }
+        if let Some(rest) = trimmed.strip_prefix('>') {
+            flush(&mut header, &mut body, &mut records)?;
+            let mut parts = rest.splitn(2, char::is_whitespace);
+            let id = parts.next().unwrap_or("").to_string();
+            let description = parts
+                .next()
+                .map(str::trim)
+                .filter(|d| !d.is_empty())
+                .map(String::from);
+            header = Some((id, description));
+        } else {
+            if header.is_none() {
+                return Err(SeqError::FastaMissingHeader);
+            }
+            body.push_str(trimmed);
+        }
+    }
+    flush(&mut header, &mut body, &mut records)?;
+    Ok(records)
+}
+
+/// The reference's letter lookup: DNA and protein fold case, a custom
+/// alphabet takes the byte as it is.
+fn reference_code(alphabet: &Alphabet, byte: u8) -> Option<u8> {
+    let key = match alphabet {
+        Alphabet::Custom(_) => byte,
+        _ => byte.to_ascii_uppercase(),
+    };
+    alphabet.letters().position(|l| l == key).map(|i| i as u8)
+}
+
+/// The reader agrees with the reference: equal records, or an equal
+/// error. An `UnknownLetter` may name the character its byte begins
+/// where the reference named that byte.
+fn check_against_reference(
+    got: &Result<Vec<FastaRecord>, SeqError>,
+    want: &Result<Vec<FastaRecord>, SeqError>,
+) -> Result<(), TestCaseError> {
+    match (got, want) {
+        (
+            Err(SeqError::UnknownLetter { letter, pos }),
+            Err(SeqError::UnknownLetter {
+                letter: byte,
+                pos: want_pos,
+            }),
+        ) => {
+            prop_assert_eq!(pos, want_pos);
+            let first = letter.encode_utf8(&mut [0; 4]).as_bytes()[0];
+            prop_assert!(
+                letter == byte || (*byte as u32 >= 0x80 && first as u32 == *byte as u32),
+                "{letter:?} for the reference's {byte:?}"
+            );
+        }
+        _ => prop_assert_eq!(got, want),
+    }
+    Ok(())
+}
+
 /// A reader's answer: records that obey the format's rules, or a typed
-/// error whose message renders.
+/// error whose message renders; for FASTA, also the reference's answer.
 fn check_fasta(bytes: &[u8], alphabet: &Alphabet) -> Result<(), TestCaseError> {
     let result = read_fasta(bytes, alphabet);
+    check_against_reference(&result, &reference_read_fasta(bytes, alphabet))?;
     if let Ok(text) = std::str::from_utf8(bytes) {
         prop_assert_eq!(&parse_fasta(text, alphabet), &result);
     }
@@ -232,10 +421,20 @@ fn check_error(e: &SeqError) -> Result<(), TestCaseError> {
 /// the mutation suites start from inputs the readers accept.
 #[test]
 fn generated_files_parse() {
-    for which in 0..2 {
+    for which in 0..3 {
         let alphabet = alphabet(which);
         let lens = [1, 59, 60, 61, 250];
-        let fasta = read_fasta(&fasta_file(&alphabet, 7, &lens)[..], &alphabet).unwrap();
+        for seed in [6, 7] {
+            let fasta = read_fasta(&fasta_file(&alphabet, seed, &lens)[..], &alphabet).unwrap();
+            for (i, &len) in lens.iter().enumerate() {
+                let text = letters(&alphabet, seed + i as u64, len);
+                let want = Sequence::from_text(alphabet.clone(), text.as_bytes()).unwrap();
+                assert_eq!(fasta[i].sequence, want);
+            }
+        }
+        if which == 2 {
+            continue;
+        }
         let genbank = read_genbank(&genbank_file(&alphabet, 7, &lens)[..], &alphabet).unwrap();
         for (i, &len) in lens.iter().enumerate() {
             let want = Sequence::from_text(
@@ -243,7 +442,6 @@ fn generated_files_parse() {
                 letters(&alphabet, 7 + i as u64, len).as_bytes(),
             )
             .unwrap();
-            assert_eq!(fasta[i].sequence, want);
             assert_eq!(genbank[i].sequence, want);
             assert_eq!(genbank[i].stated_len, Some(len));
         }
@@ -255,8 +453,8 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_read_or_fail_typed(
-        random in collection::vec(any::<u8>(), 0..512),
-        which in 0usize..2,
+        random in prop_oneof![collection::vec(any::<u8>(), 0..512), fragment_run()],
+        which in 0usize..3,
     ) {
         let alphabet = alphabet(which);
         check_fasta(&random, &alphabet)?;
@@ -268,7 +466,7 @@ proptest! {
         m in file_mutation(),
         lens in collection::vec(1usize..200, 1..4),
         seed: u64,
-        which in 0usize..2,
+        which in 0usize..3,
     ) {
         let alphabet = alphabet(which);
         check_fasta(&mutate_file(&fasta_file(&alphabet, seed, &lens), &m), &alphabet)?;
