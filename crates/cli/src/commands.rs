@@ -50,7 +50,8 @@ USAGE:
                 one-longer frequent extension matches at equal support]
                [--incremental  mpp/mppm: consult and refresh a result
                 cache; a rigid gap (N:N) re-mines only the appended
-                suffix, anything else falls back to a cold mine]
+                suffix, anything else falls back to a cold mine; under
+                --format tsv its report goes to stderr]
                [--cache-path <path.pgrc>  the result-cache record
                 (required with --incremental)]
                [--baseline <path.jsonl>  write the per-pattern diff
@@ -529,6 +530,10 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
             .map_err(|e| ArgError(e.to_string()))?;
     }
     if args.get("format") == Some("tsv") {
+        // Stdout stays the bare TSV; what the cache did goes to stderr.
+        if let Some((mode, fault, suspect_scans, _)) = &incremental_report {
+            eprint!("{}", cache_report(mode, fault.as_ref(), *suspect_scans));
+        }
         return Ok(perigap_analysis::export::outcome_to_tsv(
             &outcome,
             seq.alphabet(),
@@ -549,18 +554,7 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         outcome.longest_len()
     ));
     if let Some((mode, fault, suspect_scans, diff)) = &incremental_report {
-        let status = match mode {
-            IncrementalMode::Cold => "cold (no usable cache; cache seeded)".to_string(),
-            IncrementalMode::ColdFallback(reason) => format!("cold fall-back ({reason})"),
-            IncrementalMode::Cached => "cached (sequence unchanged)".to_string(),
-            IncrementalMode::Incremental(d) => {
-                format!("incremental ({d} symbols appended; {suspect_scans} suspect scans)")
-            }
-        };
-        out.push_str(&format!("incremental: {status}\n"));
-        if let Some(fault) = fault {
-            out.push_str(&format!("cache fault (recovered by cold mine): {fault}\n"));
-        }
+        out.push_str(&cache_report(mode, fault.as_ref(), *suspect_scans));
         if let Some(diff) = diff {
             out.push_str(&format!(
                 "baseline diff: {} new | {} dropped | {} changed | {} unchanged\n",
@@ -649,6 +643,24 @@ fn trace_check_command(args: &Args) -> Result<String, ArgError> {
         "trace OK: {} lines, {} level events, {} frequent patterns, {} candidates, {} queries\n",
         report.lines, report.level_events, report.frequent, report.total_candidates, report.queries
     ))
+}
+
+/// The `incremental:` line of an `--incremental` mine, and the
+/// `cache fault` line when a faulty record was recovered by a cold mine.
+fn cache_report(mode: &IncrementalMode, fault: Option<&MineError>, suspect_scans: u64) -> String {
+    let status = match mode {
+        IncrementalMode::Cold => "cold (no usable cache; cache seeded)".to_string(),
+        IncrementalMode::ColdFallback(reason) => format!("cold fall-back ({reason})"),
+        IncrementalMode::Cached => "cached (sequence unchanged)".to_string(),
+        IncrementalMode::Incremental(d) => {
+            format!("incremental ({d} symbols appended; {suspect_scans} suspect scans)")
+        }
+    };
+    let mut lines = format!("incremental: {status}\n");
+    if let Some(fault) = fault {
+        lines.push_str(&format!("cache fault (recovered by cold mine): {fault}\n"));
+    }
+    lines
 }
 
 fn mine_with_profile_command(

@@ -45,6 +45,14 @@
 //! one call of the join kernel (`pil::join_into`) into one reused output
 //! list.
 //!
+//! A recording run (`mpp::mine_recording`) also keeps every evaluated
+//! candidate with non-zero support, with that support: the seed filter
+//! and `eager_generate` push it where they count it, tasks hand theirs
+//! back in their level totals, and the run sorts each level into code
+//! order at the end, so the maps do not depend on the schedule. Whether
+//! to record is decided once per `eager_generate` call, not per
+//! candidate.
+//!
 //! ## Why the component handoff is sound
 //!
 //! Let the survivors at level `h` be split into prefix runs (equal
@@ -75,8 +83,9 @@ use crate::arena::{partner_runs, prefix_runs, PilSet, NO_PARTNER};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
+use crate::incremental::CachedLevel;
 use crate::lambda::{BoundRow, BoundTable};
-use crate::mpp::{check_ceiling, clamp_n, MppConfig, SEED_LEVEL};
+use crate::mpp::{check_ceiling, clamp_n, MppConfig, Request, SEED_LEVEL};
 use crate::parallel::{
     PoolHooks, PoolJob, WorkerPool, CHUNKS_PER_THREAD, MIN_CHUNK, PARALLEL_THRESHOLD,
 };
@@ -101,11 +110,11 @@ use std::time::{Duration, Instant};
 /// [`CompleteEvent`] with the peak arena bytes, or [`AbortEvent`] on
 /// error.
 pub(crate) fn finish<O: MineObserver>(
-    run: Result<(MineOutcome, usize), MineError>,
+    run: Result<(MineOutcome, usize, Vec<CachedLevel>), MineError>,
     started: Instant,
     observer: &mut O,
-) -> Result<MineOutcome, MineError> {
-    let (mut outcome, peak) = match run {
+) -> Result<(MineOutcome, Vec<CachedLevel>), MineError> {
+    let (mut outcome, peak, levels) = match run {
         Ok(done) => done,
         Err(e) => {
             observer.on(Event::Abort(&AbortEvent {
@@ -118,7 +127,7 @@ pub(crate) fn finish<O: MineObserver>(
     observer.on(Event::Complete(
         &CompleteEvent::from_outcome(&outcome).with_peak_arena_bytes(peak),
     ));
-    Ok(outcome)
+    Ok((outcome, levels))
 }
 
 /// Per-level counter totals, merged across the prelude, chunk tasks,
@@ -128,6 +137,10 @@ pub(crate) fn finish<O: MineObserver>(
 /// whoever produced the whole level.
 #[derive(Clone, Default)]
 struct LevelAgg {
+    /// A recording run's evaluated candidates with non-zero support, as
+    /// `(codes, support)` in the order they were counted (empty when the
+    /// run does not record).
+    recorded: Vec<(Vec<u8>, u128)>,
     candidates: u128,
     evaluated: usize,
     frequent: usize,
@@ -142,6 +155,7 @@ struct LevelAgg {
 impl LevelAgg {
     /// Merge another task's totals for the same level.
     fn absorb(&mut self, add: LevelAgg) {
+        self.recorded.extend(add.recorded);
         self.candidates += add.candidates;
         self.evaluated += add.evaluated;
         self.frequent += add.frequent;
@@ -282,9 +296,33 @@ fn admit<'c>(
 /// before it is joined: its support is `m`'s entries dotted with row `a`
 /// of the run's [`WindowTable`]. Only a candidate that `admit` keeps is
 /// joined, by one [`join_into`] call into `bufs.out`, and copied into
-/// `next`.
+/// `next`. A recording run also pushes every candidate with non-zero
+/// support to the returned totals' `recorded`.
 #[allow(clippy::too_many_arguments)]
 fn eager_generate(
+    set: &PilSet,
+    members: &[usize],
+    index: &JoinIndex,
+    parents: Range<usize>,
+    env: &RunEnv,
+    row: &BoundRow,
+    next: &mut PilSet,
+    bufs: &mut EagerBufs,
+    frequent: &mut Vec<FrequentPattern>,
+) -> LevelAgg {
+    // Decided here, once per call: the candidate loop of a run that
+    // does not record carries no test for it.
+    let generate = if env.record {
+        eager_pass::<true>
+    } else {
+        eager_pass::<false>
+    };
+    generate(set, members, index, parents, env, row, next, bufs, frequent)
+}
+
+/// The candidate loop of [`eager_generate`], recording when `RECORD`.
+#[allow(clippy::too_many_arguments)]
+fn eager_pass<const RECORD: bool>(
     set: &PilSet,
     members: &[usize],
     index: &JoinIndex,
@@ -314,11 +352,18 @@ fn eager_generate(
             let (offsets, counts) = set.entries(m);
             st.evaluated += 1;
             st.jc.probed += offsets.len() as u64;
+            let sup = extension_support(occ, offsets, counts);
+            if RECORD && sup > 0 {
+                let mut codes = Vec::with_capacity(level + 1);
+                codes.extend_from_slice(p1);
+                codes.push(set.pattern_codes(m)[level - 1]);
+                st.recorded.push((codes, sup));
+            }
             let codes = &mut bufs.codes;
             let (is_frequent, is_kept) = admit(
                 row,
                 pruner,
-                extension_support(occ, offsets, counts),
+                sup,
                 move || {
                     codes.clear();
                     codes.extend_from_slice(p1);
@@ -386,8 +431,8 @@ fn split_components(members: &[usize], index: &JoinIndex) -> Option<Vec<Vec<usiz
 }
 
 /// What every task of one run shares: the mining parameters, the
-/// sequence's window table, the pruning state and the engine-wide arena
-/// gauge.
+/// sequence's window table, the pruning state, whether the run records
+/// its evaluated candidates, and the engine-wide arena gauge.
 struct RunEnv {
     gap: GapRequirement,
     seq_len: usize,
@@ -404,6 +449,9 @@ struct RunEnv {
     hooks: PoolHooks,
     /// The top-k floor, shared across every task.
     pruner: Pruner,
+    /// Keep every evaluated candidate with non-zero support
+    /// ([`Request::Record`]).
+    record: bool,
 }
 
 impl RunEnv {
@@ -841,8 +889,10 @@ fn sweep_spill_records<O: MineObserver>(job: &DfsJob, stats: &mut MineStats, obs
 /// The engine core of every MPP and MPPm mine: breadth-first prelude
 /// with eager evaluation, component handoff to depth-first subtree
 /// tasks, and engine-wide peak-arena accounting, on
-/// `config.threads` threads, keeping the `top_k` best patterns when
-/// set. Returns the outcome plus peak live arena bytes.
+/// `config.threads` threads, as `request` asks. Returns the outcome,
+/// the peak live arena bytes, and for [`Request::Record`] each level's
+/// evaluated candidates with non-zero support in code order (empty
+/// otherwise).
 ///
 /// The level events are emitted on every exit. An aborted run (memory
 /// ceiling, spill I/O, a failed worker) still reports each level it
@@ -853,13 +903,13 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     counts: &OffsetCounts,
     rho: &BigRatio,
     n: usize,
-    top_k: Option<usize>,
+    request: Request,
     config: &MppConfig,
     seed: PilSet,
     hooks: PoolHooks,
     mut stats_seed: Option<MineStats>,
     observer: &mut O,
-) -> Result<(MineOutcome, usize), MineError> {
+) -> Result<(MineOutcome, usize, Vec<CachedLevel>), MineError> {
     let threads = config.threads;
     let gap = counts.gap();
     let sigma = seq.alphabet().size() as u128;
@@ -876,7 +926,8 @@ pub(crate) fn run_hybrid<O: MineObserver>(
         live: AtomicUsize::new(0),
         peak: AtomicUsize::new(0),
         hooks,
-        pruner: Pruner::new(top_k, gap.flexibility()),
+        pruner: Pruner::new(request.top_k(), gap.flexibility()),
+        record: request == Request::Record,
     });
     let pruner = &env.pruner;
 
@@ -914,6 +965,12 @@ pub(crate) fn run_hybrid<O: MineObserver>(
             arena_bytes: cur_bytes,
             ..LevelAgg::default()
         };
+        if env.record {
+            // Every seed pattern occurs, so every support is non-zero.
+            seed_level.recorded = (0..current.len())
+                .map(|i| (current.pattern_codes(i).to_vec(), current.support(i)))
+                .collect();
+        }
         let mut kept: Vec<usize> = Vec::new();
         for i in 0..current.len() {
             let codes = || current.pattern_codes(i);
@@ -1161,7 +1218,18 @@ pub(crate) fn run_hybrid<O: MineObserver>(
     let peak = env.peak.load(Ordering::Relaxed);
     let mut outcome = MineOutcome { frequent, stats };
     pruner.finish(&mut outcome);
-    Ok((outcome, peak))
+    // Each level's candidates arrive in task order; code order makes
+    // the maps independent of the schedule.
+    let levels = aggs
+        .into_iter()
+        .filter(|(_, agg)| !agg.recorded.is_empty())
+        .map(|(level, agg)| {
+            let mut candidates = agg.recorded;
+            candidates.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            CachedLevel { level, candidates }
+        })
+        .collect();
+    Ok((outcome, peak, levels))
 }
 
 #[cfg(test)]
@@ -1531,14 +1599,14 @@ mod tests {
                     &counts,
                     &rho_exact,
                     20,
-                    None,
+                    Request::Full,
                     &config,
                     pils,
                     hooks,
                     None,
                     &mut NoopObserver,
                 )
-                .map(|(outcome, _)| outcome)
+                .map(|(outcome, ..)| outcome)
             });
             let _ = tx.send(result);
         });

@@ -27,10 +27,12 @@
 //!   the bit-exact ratio, in the engine's (length, codes) emission
 //!   order, plus `n_used`, `e_m` and the saturation flag;
 //! - for rigid gaps, the **per-level evaluated-candidate maps**: every
-//!   candidate the level-wise engine would materialise (the seed
-//!   generation and each join product with non-zero support) with its
-//!   exact support. These are what make the delta merge exact — see
-//!   below.
+//!   candidate the level-wise engine evaluated (the seed generation and
+//!   each join product with non-zero support) with its exact support.
+//!   These are what make the delta merge exact — see below. A cold mine
+//!   records them as it counts them (`mpp::mine_recording`), so seeding
+//!   the cache mines the sequence once; the delta merge then keeps them
+//!   up to date.
 //!
 //! [`crate::corpus`] writes its per-shard checkpoints in this format
 //! too, with no `e_m` and no level maps.
@@ -77,7 +79,7 @@ use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
 use crate::lambda::BoundTable;
-use crate::mpp::{check_inputs, clamp_n, mine, Algorithm, MppConfig, SEED_LEVEL};
+use crate::mpp::{check_inputs, clamp_n, mine, mine_recording, Algorithm, MppConfig, SEED_LEVEL};
 use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::trace::{
@@ -255,8 +257,8 @@ pub struct CachedPattern {
     pub ratio_bits: u64,
 }
 
-/// One level's evaluated-candidate map: every candidate the level-wise
-/// engine materialised at this level, with its exact support.
+/// One level's evaluated-candidate map: every candidate the engine
+/// evaluated at this level with non-zero support, with that support.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CachedLevel {
     /// Pattern length at this level.
@@ -927,12 +929,13 @@ struct CascadeResult {
 
 /// Replay MPP's level-wise loop (Figure 3) over rigid-gap chains with
 /// supports merged from `old` (the cached per-level candidate maps)
-/// plus window deltas — or computed from scratch when `old` is `None`
-/// (the cold-path cache rebuild, where the "window" is the whole
-/// sequence). The thresholds, break conditions and per-level counts
-/// mirror the engine's exactly, and the frequent set comes out in the
-/// engine's sorted order; the equivalence argument lives in DESIGN.md
-/// §16 and is enforced by `tests/prop_incremental.rs`.
+/// plus window deltas. With `old` `None` the window is the whole
+/// sequence and every support is counted from scratch: that rebuild
+/// mode is the test oracle for the level maps a cold mine records, and
+/// no production path takes it. The thresholds, break conditions and
+/// per-level counts mirror the engine's exactly, and the frequent set
+/// comes out in the engine's sorted order; the equivalence argument
+/// lives in DESIGN.md §16 and is enforced by `tests/prop_incremental.rs`.
 #[allow(clippy::too_many_arguments)]
 fn cascade(
     seq: &Sequence,
@@ -1099,8 +1102,8 @@ fn cascade(
                 codes.extend_from_slice(a);
                 codes.push(b[level - 1]);
                 let sup = if old_len == 0 {
-                    // Cold rebuild: the window is the whole sequence,
-                    // so the delta *is* the support.
+                    // Rebuild (the test oracle): the window is the
+                    // whole sequence, so the delta *is* the support.
                     deltas_next.get(&codes)
                 } else if a_old && old_kept.contains(b.as_slice()) {
                     // Both parents kept by the old mine ⇒ the old
@@ -1304,12 +1307,12 @@ pub fn mine_incremental<O: MineObserver>(
                 inner: observer,
                 complete: None,
             };
-            let outcome = mine(seq, gap, rho, algorithm, config, &mut defer)?;
+            let (outcome, levels) = mine_cold(seq, gap, rho, algorithm, config, &mut defer)?;
             let complete = defer.complete.take();
             if let Some(c) = complete {
                 observer.on(Event::Complete(&c));
             }
-            let record = build_cache_record(seq, gap, rho, &requested, config, &outcome)?;
+            let record = build_cache_record(&requested, &outcome, levels)?;
             write_result_cache(cache_path, &record)?;
             Ok(IncrementalOutcome {
                 outcome,
@@ -1471,14 +1474,14 @@ fn mine_cold_fallback<O: MineObserver>(
         inner: observer,
         complete: None,
     };
-    let outcome = mine(seq, gap, rho, algorithm, config, &mut defer)?;
+    let (outcome, levels) = mine_cold(seq, gap, rho, algorithm, config, &mut defer)?;
     let complete = defer.complete.take();
     let diff = compute_diff(&cache.outcome, &outcome.frequent);
     observer.on(Event::Diff(&diff.stats.into()));
     if let Some(c) = complete {
         observer.on(Event::Complete(&c));
     }
-    let record = build_cache_record(seq, gap, rho, requested, config, &outcome)?;
+    let record = build_cache_record(requested, &outcome, levels)?;
     write_result_cache(cache_path, &record)?;
     Ok(IncrementalOutcome {
         outcome,
@@ -1501,55 +1504,62 @@ pub(crate) fn outcome_to_cached(outcome: &MineOutcome) -> Vec<CachedPattern> {
         .collect()
 }
 
-/// Build the record a cold mine leaves behind. For rigid-gap runs the
-/// per-level candidate maps are rebuilt by replaying the cascade with
-/// no old state (every support is a whole-sequence chain count — the
-/// same integers the engine's PILs produced, asserted against the
-/// engine outcome); flexible-gap and saturated runs cache the outcome
-/// only.
-fn build_cache_record(
+/// The cold mine behind every record this module writes. Under a rigid
+/// gap the engine records the level maps the delta merge reads while it
+/// mines (`mpp::mine_recording`); a flexible gap never takes the merge,
+/// so its mine records nothing.
+fn mine_cold<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
-    key: &CacheKey,
+    algorithm: Algorithm,
     config: &MppConfig,
-    outcome: &MineOutcome,
-) -> Result<ResultCache, MineError> {
-    let levels = if gap.flexibility() == 1 && !outcome.stats.support_saturated {
-        let rho_exact = BigRatio::from_f64_exact(rho);
-        let run = cascade(
-            seq,
-            gap,
-            &rho_exact,
-            outcome.stats.n_used,
-            config,
-            None,
-            0,
-            &mut |_, _, _| {},
-        )
-        .unwrap_or_else(|CascadeBail::Budget| unreachable!("rebuild mode never scans suspects"));
-        // The rebuild must reproduce the engine's result exactly —
-        // anything else means the cache would poison future merges.
-        let same = run.outcome.frequent.len() == outcome.frequent.len()
-            && run
-                .outcome
-                .frequent
-                .iter()
-                .zip(outcome.frequent.iter())
-                .all(|(a, b)| {
-                    a.pattern == b.pattern
-                        && a.support == b.support
-                        && a.ratio.to_bits() == b.ratio.to_bits()
-                });
-        if !same {
-            return Err(cache_err(
-                "cache rebuild diverged from the engine outcome".into(),
-            ));
-        }
-        Some(run.levels)
+    observer: &mut O,
+) -> Result<(MineOutcome, Option<Vec<CachedLevel>>), MineError> {
+    if gap.flexibility() == 1 {
+        let (outcome, levels) = mine_recording(seq, gap, rho, algorithm, config, observer)?;
+        Ok((outcome, Some(levels)))
     } else {
-        None
-    };
+        Ok((mine(seq, gap, rho, algorithm, config, observer)?, None))
+    }
+}
+
+/// Build the record a cold mine leaves behind from its outcome and the
+/// level maps the engine recorded ([`mine_cold`]); a flexible-gap or
+/// saturated run caches the outcome only. The maps are held to the
+/// outcome first: every frequent pattern must sit in its recorded level
+/// with the same support. A record that disagreed with its own outcome
+/// would poison every later merge, so a mismatch fails as
+/// [`MineError::CacheIo`] and no record is written.
+fn build_cache_record(
+    key: &CacheKey,
+    outcome: &MineOutcome,
+    levels: Option<Vec<CachedLevel>>,
+) -> Result<ResultCache, MineError> {
+    let levels = levels.filter(|_| !outcome.stats.support_saturated);
+    if let Some(levels) = &levels {
+        for p in &outcome.frequent {
+            let codes = p.pattern.codes();
+            let recorded = levels
+                .iter()
+                .find(|lv| lv.level == codes.len())
+                .and_then(|lv| {
+                    let i = lv
+                        .candidates
+                        .binary_search_by(|(c, _)| c.as_slice().cmp(codes))
+                        .ok()?;
+                    Some(lv.candidates[i].1)
+                });
+            if recorded != Some(p.support) {
+                return Err(cache_err(format!(
+                    "the recorded level maps disagree with the engine outcome \
+                     (a length-{} pattern of support {})",
+                    codes.len(),
+                    p.support
+                )));
+            }
+        }
+    }
     Ok(ResultCache {
         key: key.clone(),
         n_used: outcome.stats.n_used,
@@ -1584,7 +1594,10 @@ fn emit_synthetic_trace<O: MineObserver>(outcome: &MineOutcome, observer: &mut O
 mod tests {
     use super::*;
     use crate::mpp::mpp;
+    use crate::spill::MemSpillIo;
     use crate::trace::NoopObserver;
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn dna(text: &str) -> Sequence {
         Sequence::dna(text).unwrap()
@@ -1878,6 +1891,167 @@ mod tests {
         }
         let cold = mpp(&other, gap, 0.01, 5, MppConfig::default()).unwrap();
         assert_same(&second.outcome, &cold);
+    }
+
+    /// The record the whole-sequence cascade replay builds: the
+    /// engine's `n_used`, `e_m` and saturation flag, and the replay's
+    /// own outcome and level maps.
+    fn replayed_record(
+        seq: &Sequence,
+        gap: GapRequirement,
+        rho: f64,
+        algorithm: Algorithm,
+        config: &MppConfig,
+    ) -> ResultCache {
+        let engine = mine(seq, gap, rho, algorithm, config, &mut NoopObserver).unwrap();
+        let rho_exact = BigRatio::from_f64_exact(rho);
+        let Ok(run) = cascade(
+            seq,
+            gap,
+            &rho_exact,
+            engine.stats.n_used,
+            config,
+            None,
+            0,
+            &mut |_, _, _| {},
+        ) else {
+            panic!("the rebuild scans no suspects, so it has no budget to exhaust")
+        };
+        ResultCache {
+            key: request_key(fnv1a(seq.codes()), seq, gap, rho, algorithm, config),
+            n_used: engine.stats.n_used,
+            em: engine.stats.em,
+            support_saturated: engine.stats.support_saturated,
+            outcome: outcome_to_cached(&run.outcome),
+            levels: Some(run.levels),
+        }
+    }
+
+    /// Hold the encoded record a cold mine writes, from the level maps
+    /// the engine recorded, to the replay's, byte for byte, and return
+    /// the engine's outcome.
+    fn assert_recorded_matches_replay(
+        seq: &Sequence,
+        gap: GapRequirement,
+        rho: f64,
+        algorithm: Algorithm,
+        config: &MppConfig,
+    ) -> MineOutcome {
+        let key = request_key(fnv1a(seq.codes()), seq, gap, rho, algorithm, config);
+        let (outcome, levels) =
+            mine_cold(seq, gap, rho, algorithm, config, &mut NoopObserver).unwrap();
+        let recorded = build_cache_record(&key, &outcome, levels).unwrap();
+        let replayed = replayed_record(seq, gap, rho, algorithm, config);
+        assert!(recorded.levels.as_ref().is_some_and(|l| !l.is_empty()));
+        if encode_cache(&recorded) != encode_cache(&replayed) {
+            assert_eq!(recorded, replayed, "{algorithm:?} gap {gap} {config:?}");
+            panic!("equal records encode differently");
+        }
+        outcome
+    }
+
+    /// A zero watermark spills at the first split; the ceiling is far
+    /// above anything these inputs hold.
+    fn spilling(config: MppConfig) -> MppConfig {
+        MppConfig {
+            max_arena_bytes: Some(1 << 30),
+            spill_watermark: 0.0,
+            spill: Some(Arc::new(MemSpillIo::default())),
+            ..config
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The level maps a cold mine records are the ones the
+        /// whole-sequence replay rebuilds: any rigid gap `N:N` with `N`
+        /// in `0..4`, MPP or MPPm, on 1 or 2 threads, with or without a
+        /// `max_level` cap and a spill backend. Half the cases are
+        /// run-heavy: the sequence ends in a homopolymer run, as the
+        /// bases of `tests/prop_incremental.rs` do.
+        #[test]
+        fn recorded_maps_match_the_replay(
+            (mut codes, n, run, mppm, shape) in (
+                proptest::collection::vec(0u8..4, 20..160),
+                0usize..4,
+                (any::<bool>(), 0u8..4, 1usize..24),
+                any::<bool>(),
+                (1usize..=2, (any::<bool>(), 3usize..8), any::<bool>()),
+            )
+        ) {
+            let (run_heavy, symbol, length) = run;
+            if run_heavy {
+                codes.extend(std::iter::repeat_n(symbol, length));
+            }
+            let (threads, (capped, cap), spill) = shape;
+            let max_level = capped.then_some(cap);
+            let seq = Sequence::from_codes(perigap_seq::Alphabet::Dna, codes).unwrap();
+            let gap = GapRequirement::new(n, n).unwrap();
+            let algorithm = if mppm {
+                Algorithm::Mppm { m: 2 }
+            } else {
+                Algorithm::Mpp { n: 5 }
+            };
+            let mut config = MppConfig {
+                threads,
+                max_level,
+                ..MppConfig::default()
+            };
+            if spill {
+                config = spilling(config);
+            }
+            assert_recorded_matches_replay(&seq, gap, 0.03, algorithm, &config);
+        }
+    }
+
+    #[test]
+    fn a_spilled_mine_records_the_replayed_maps() {
+        // A and T never join under gap 1:1, so the survivors split at
+        // the seed and each component spills.
+        let seq = dna(&"AT".repeat(50));
+        let gap = GapRequirement::new(1, 1).unwrap();
+        for threads in [1, 2] {
+            let config = spilling(MppConfig {
+                threads,
+                ..MppConfig::default()
+            });
+            let outcome =
+                assert_recorded_matches_replay(&seq, gap, 0.4, Algorithm::Mpp { n: 20 }, &config);
+            assert!(outcome.stats.spilled_records >= 2, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn maps_that_disagree_with_the_outcome_are_refused() {
+        let seq = dna(&"ACGTT".repeat(60));
+        let gap = GapRequirement::new(0, 0).unwrap();
+        let (rho, algorithm, config) = (0.01, Algorithm::Mpp { n: 5 }, MppConfig::default());
+        let key = request_key(fnv1a(seq.codes()), &seq, gap, rho, algorithm, &config);
+        let (outcome, levels) =
+            mine_cold(&seq, gap, rho, algorithm, &config, &mut NoopObserver).unwrap();
+        let levels = levels.expect("a rigid gap records its maps");
+        let frequent = outcome.frequent.last().expect("the fixture has patterns");
+        let codes = frequent.pattern.codes();
+        let l = levels.iter().position(|l| l.level == codes.len()).unwrap();
+        let i = levels[l]
+            .candidates
+            .iter()
+            .position(|(c, _)| c == codes)
+            .unwrap();
+        let mut bumped = levels.clone();
+        bumped[l].candidates[i].1 += 1;
+        let mut dropped = levels.clone();
+        dropped[l].candidates.remove(i);
+        for broken in [bumped, dropped] {
+            match build_cache_record(&key, &outcome, Some(broken)) {
+                Err(MineError::CacheIo { message }) => {
+                    assert!(message.contains("disagree"), "{message}");
+                }
+                other => panic!("expected CacheIo, got {other:?}"),
+            }
+        }
+        assert!(build_cache_record(&key, &outcome, Some(levels)).is_ok());
     }
 
     #[test]

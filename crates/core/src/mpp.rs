@@ -10,12 +10,15 @@
 //! says how `n` is chosen, [`MppConfig::threads`] how many threads
 //! mine, and the observer what is traced. [`mine_top_k`] is the same
 //! mine keeping only the `k` best-supported patterns (see
-//! [`crate::prune`]). [`mpp`] is the paper's untraced call.
+//! [`crate::prune`]), and the crate-private `mine_recording` the same
+//! mine returning the level maps a result-cache record holds (see
+//! [`crate::incremental`]). [`mpp`] is the paper's untraced call.
 
 use crate::arena::{build_seed, PilSet};
 use crate::counts::OffsetCounts;
 use crate::error::MineError;
 use crate::gap::GapRequirement;
+use crate::incremental::CachedLevel;
 use crate::parallel::PoolHooks;
 use crate::result::MineOutcome;
 use crate::trace::{Event, MineObserver, NoopObserver, SeedEvent};
@@ -200,7 +203,7 @@ pub fn mine<O: MineObserver>(
     config: &MppConfig,
     observer: &mut O,
 ) -> Result<MineOutcome, MineError> {
-    mine_with(seq, gap, rho, algorithm, None, config, observer)
+    mine_with(seq, gap, rho, algorithm, Request::Full, config, observer).map(|(outcome, _)| outcome)
 }
 
 /// [`mine`], keeping only the `k` best-supported frequent patterns, in
@@ -224,20 +227,60 @@ pub fn mine_top_k<O: MineObserver>(
             reason: "must be at least 1: a zero budget keeps no patterns".into(),
         });
     }
-    mine_with(seq, gap, rho, algorithm, Some(k), config, observer)
+    mine_with(seq, gap, rho, algorithm, Request::TopK(k), config, observer)
+        .map(|(outcome, _)| outcome)
 }
 
-/// The body of [`mine`] and [`mine_top_k`]: a full mine when `top_k`
-/// is `None`.
+/// [`mine`], also returning each level's evaluated candidates with
+/// non-zero support, in code order: the seed patterns, then every join
+/// product the engine counted, each with its support. These are the
+/// level maps of a rigid-gap result-cache record
+/// ([`crate::incremental`]), and they are the same at every thread
+/// count.
+pub(crate) fn mine_recording<O: MineObserver>(
+    seq: &Sequence,
+    gap: GapRequirement,
+    rho: f64,
+    algorithm: Algorithm,
+    config: &MppConfig,
+    observer: &mut O,
+) -> Result<(MineOutcome, Vec<CachedLevel>), MineError> {
+    mine_with(seq, gap, rho, algorithm, Request::Record, config, observer)
+}
+
+/// What one engine run returns beside its frequent set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Request {
+    /// Every frequent pattern ([`mine`]).
+    Full,
+    /// The `k` best-supported frequent patterns ([`mine_top_k`]).
+    TopK(usize),
+    /// Every frequent pattern and each level's evaluated candidates
+    /// ([`mine_recording`]).
+    Record,
+}
+
+impl Request {
+    /// The top-k budget, `None` for a full mine.
+    pub(crate) fn top_k(self) -> Option<usize> {
+        match self {
+            Request::TopK(k) => Some(k),
+            Request::Full | Request::Record => None,
+        }
+    }
+}
+
+/// The body of [`mine`], [`mine_top_k`] and [`mine_recording`]. The
+/// level maps are empty unless `request` is [`Request::Record`].
 fn mine_with<O: MineObserver>(
     seq: &Sequence,
     gap: GapRequirement,
     rho: f64,
     algorithm: Algorithm,
-    top_k: Option<usize>,
+    request: Request,
     config: &MppConfig,
     observer: &mut O,
-) -> Result<MineOutcome, MineError> {
+) -> Result<(MineOutcome, Vec<CachedLevel>), MineError> {
     let started = Instant::now();
     let (counts, rho_exact, n, seed, stats_seed) = match algorithm {
         Algorithm::Mpp { n } => {
@@ -255,7 +298,7 @@ fn mine_with<O: MineObserver>(
         &counts,
         &rho_exact,
         n,
-        top_k,
+        request,
         config,
         seed,
         PoolHooks::default(),

@@ -353,7 +353,7 @@ mod tests {
     use super::*;
     use crate::arena::build_seed;
     use crate::gap::GapRequirement;
-    use crate::mpp::{mine, mpp, prepare, Algorithm, MppConfig, SEED_LEVEL};
+    use crate::mpp::{mine, mpp, prepare, Algorithm, MppConfig, Request, SEED_LEVEL};
     use crate::result::MineOutcome;
     use crate::trace::{MetricsObserver, NoopObserver};
     use perigap_seq::gen::iid::uniform;
@@ -395,14 +395,14 @@ mod tests {
             &counts,
             &rho_exact,
             n,
-            None,
+            Request::Full,
             &config,
             pils,
             hooks,
             None,
             &mut NoopObserver,
         )
-        .map(|(outcome, _peak)| outcome)
+        .map(|(outcome, ..)| outcome)
     }
 
     fn assert_same_outcome(parallel: &MineOutcome, serial: &MineOutcome, label: &str) {
