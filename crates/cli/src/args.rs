@@ -1,15 +1,18 @@
 //! Dependency-free command-line argument parsing for `pgmine`.
 //!
 //! Supports `--key value`, `--key=value` and bare flags; unknown keys
-//! are errors so typos fail loudly.
+//! are errors so typos fail loudly. Every lookup marks its key read,
+//! so a command can refuse the options it never looked at.
+
+use std::cell::Cell;
 
 /// Parsed arguments: positional words plus `--key value` options.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     positional: Vec<String>,
-    /// Every `--key` in command-line order, with its value; a bare flag
-    /// carries none.
-    given: Vec<(String, Option<String>)>,
+    /// Every `--key` in command-line order, with its value (a bare flag
+    /// carries none) and whether a lookup has read it.
+    given: Vec<(String, Option<String>, Cell<bool>)>,
 }
 
 /// An argument-parsing error with a user-facing message.
@@ -45,7 +48,7 @@ impl Args {
                     if inline_value.is_some() {
                         return Err(ArgError(format!("--{key} takes no value")));
                     }
-                    out.given.push((key, None));
+                    out.given.push((key, None, Cell::new(false)));
                 } else if value_keys.contains(&key.as_str()) {
                     let value = match inline_value {
                         Some(v) => v,
@@ -53,10 +56,10 @@ impl Args {
                             .next()
                             .ok_or_else(|| ArgError(format!("--{key} needs a value")))?,
                     };
-                    if out.get(&key).is_some() {
+                    if out.given.iter().any(|(k, ..)| *k == key) {
                         return Err(ArgError(format!("--{key} given twice")));
                     }
-                    out.given.push((key, Some(value)));
+                    out.given.push((key, Some(value), Cell::new(false)));
                 } else {
                     return Err(ArgError(format!("unknown option --{key}")));
                 }
@@ -72,22 +75,35 @@ impl Args {
         &self.positional
     }
 
-    /// Every option and flag given, in command-line order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.given.iter().map(|(key, _)| key.as_str())
+    /// Mark `key` read, and return what was given for it: `None` when
+    /// absent, `Some(None)` for a bare flag. A flag may be given twice;
+    /// both are marked.
+    fn read(&self, key: &str) -> Option<&Option<String>> {
+        let mut found = None;
+        for (_, value, read) in self.given.iter().filter(|(k, ..)| k == key) {
+            read.set(true);
+            found = Some(value);
+        }
+        found
     }
 
     /// An option's raw value.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.given
-            .iter()
-            .find(|(k, v)| k == key && v.is_some())
-            .and_then(|(_, v)| v.as_deref())
+        self.read(key)?.as_deref()
     }
 
     /// Whether a bare flag was passed.
     pub fn flag(&self, key: &str) -> bool {
-        self.given.iter().any(|(k, v)| k == key && v.is_none())
+        self.read(key).is_some_and(Option::is_none)
+    }
+
+    /// Refuse the first option, in command-line order, that no lookup
+    /// has read: it does not apply to `mode`.
+    pub fn refuse_unread(&self, mode: &str) -> Result<(), ArgError> {
+        match self.given.iter().find(|(.., read)| !read.get()) {
+            Some((key, ..)) => Err(ArgError(format!("--{key} does not apply to {mode}"))),
+            None => Ok(()),
+        }
     }
 
     /// A required option.
@@ -171,7 +187,30 @@ mod tests {
         assert_eq!(a.get("rho"), Some("0.003%"));
         assert!(a.flag("verify"));
         assert!(!a.flag("quick"));
-        assert_eq!(a.keys().collect::<Vec<_>>(), ["gap", "rho", "verify"]);
+        assert_eq!(a.refuse_unread("mine"), Ok(()));
+    }
+
+    #[test]
+    fn refuses_the_first_option_no_lookup_read() {
+        let a = args(&[
+            "mine", "--n", "3", "--verify", "--gap", "1:2", "--rho", "1%",
+        ])
+        .unwrap();
+        // Looking up an absent key marks nothing, and every lookup of a
+        // given key marks it, whatever its value.
+        assert!(!a.flag("quick"));
+        assert_eq!(a.get("gap"), Some("1:2"));
+        let refused = |a: &Args| a.refuse_unread("mine --algorithm mppm").unwrap_err().0;
+        assert_eq!(refused(&a), "--n does not apply to mine --algorithm mppm");
+        assert!(a.parse_or("n", 0usize).is_ok());
+        assert_eq!(
+            refused(&a),
+            "--verify does not apply to mine --algorithm mppm"
+        );
+        assert!(a.flag("verify"));
+        assert_eq!(refused(&a), "--rho does not apply to mine --algorithm mppm");
+        assert!(a.require("rho").is_ok());
+        assert_eq!(a.refuse_unread("mine --algorithm mppm"), Ok(()));
     }
 
     #[test]

@@ -1,24 +1,26 @@
-//! The `pgmine` subcommands: `mine`, `pack`, `scan`, `stats`.
+//! The `pgmine` subcommands. Each reads every option it takes, then
+//! refuses through [`Args::refuse_unread`] every option it did not read,
+//! and only then opens a file, binds an address or mines.
 
 use crate::args::{parse_gap, parse_rho, ArgError, Args};
+use perigap_analysis::export::outcome_to_tsv;
 use perigap_analysis::report::TextTable;
 use perigap_core::adaptive::adaptive_mpp;
 use perigap_core::corpus::{mine_corpus, CheckpointConfig, Corpus, CorpusMineConfig};
 use perigap_core::enumerate::enumerate;
 use perigap_core::mpp::MppConfig;
-use perigap_core::multiseq::{mine_collection, CollectionOutcome};
+use perigap_core::multiseq::{mine_collection, CollectionPattern};
 use perigap_core::spill::{FsSpillIo, SpillIo};
 use perigap_core::trace::{validate_trace, JsonlObserver, MetricsObserver, NoopObserver};
 use perigap_core::verify::verify_outcome;
 use perigap_core::{
-    mine, mine_incremental, mine_top_k, select_top_k, Algorithm, BaselineDiff, GapRequirement,
-    IncrementalMode, MineError, MineOutcome, Pattern,
+    mine, mine_incremental, mine_top_k, select_top_k, Algorithm, FrequentPattern, GapRequirement,
+    IncrementalMode, IncrementalOutcome, MineError, Pattern,
 };
 use perigap_seq::fasta::read_fasta;
 use perigap_seq::oscillation::correlation_spectrum;
 use perigap_seq::stats::{gc_content, shannon_entropy};
 use perigap_seq::{Alphabet, Sequence};
-use std::io::BufRead;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
@@ -50,8 +52,7 @@ USAGE:
                 one-longer frequent extension matches at equal support]
                [--incremental  mpp/mppm: consult and refresh a result
                 cache; a rigid gap (N:N) re-mines only the appended
-                suffix, anything else falls back to a cold mine; under
-                --format tsv its report goes to stderr]
+                suffix, anything else falls back to a cold mine]
                [--cache-path <path.pgrc>  the result-cache record
                 (required with --incremental)]
                [--baseline <path.jsonl>  write the per-pattern diff
@@ -60,7 +61,10 @@ USAGE:
                [--trace <path.jsonl>] [--metrics]
                --top-k, --target, --threads, the arena and spill options,
                --incremental, --trace and --metrics are mpp/mppm only;
-               --top-k and --target do not apply to --incremental
+               --top-k and --target do not apply to --incremental.
+               --format tsv prints every row and nothing else on stdout:
+               it refuses --top and --metrics, and the cache report, the
+               --verify verdict and any warning go to stderr
   pgmine mine  --input <fasta> --rho <frac|pct%>
                --profile <N:M,N:M,...>  per-step gaps in place of --gap
                [--n <len>] [--top <k>] [--record <id>] [--alphabet dna|protein]
@@ -78,11 +82,12 @@ USAGE:
                 rerun with the same dir restores them]
                [--stop-after-shards <n>  pause after n checkpoints]
                [--closed] [--format table|tsv] [--metrics] [--top <k>]
+               (--format tsv refuses --top and --metrics)
   pgmine mine  --corpus <corpus.pgco> --unsharded --gap <N:M> --rho <frac|pct%>
                reference path: decode all and run the collection miner
                in one process; rows are identical to the sharded mine
                [--n <len>] [--min-sequences <k>] [--max-level <l>]
-               [--closed] [--format table|tsv] [--top <k>]
+               [--closed] [--format table|tsv] [--top <k>  table only]
   pgmine scan  --input <fasta> --pair <XY> [--min <d>] [--max <d>]
                [--record <id>] [--alphabet dna|protein]
   pgmine stats --input <fasta> [--record <id>] [--alphabet dna|protein]
@@ -90,8 +95,8 @@ USAGE:
                inspect a persisted outcome, rendered under the alphabet
                it was mined under (default dna)
   pgmine serve --store <pgst> [--input <fasta>  enables overlap queries]
-               [--record <id>] [--alphabet dna|protein  the store's and
-                the input's alphabet (default dna)]
+               [--record <id>  with --input] [--alphabet dna|protein  the
+                store's and the input's alphabet (default dna)]
                [--addr <host:port>  default 127.0.0.1:0]
                [--port-file <path>  write the bound address on startup]
                [--trace <path.jsonl>] [--metrics]
@@ -137,13 +142,6 @@ pub fn run(raw: impl IntoIterator<Item = String>) -> Result<String, ArgError> {
     let values: Vec<&str> = VALUES.split_whitespace().collect();
     let flags: Vec<&str> = FLAGS.split_whitespace().collect();
     let args = Args::parse(raw, &values, &flags)?;
-    let (mode, reads) = mode(&args)?;
-    if let Some(key) = args
-        .keys()
-        .find(|key| !reads.split_whitespace().any(|r| r == *key))
-    {
-        return Err(ArgError(format!("--{key} does not apply to {mode}")));
-    }
     match args.positional().first().map_or("help", String::as_str) {
         "mine" => mine_command(&args),
         "pack" => pack_command(&args),
@@ -153,92 +151,19 @@ pub fn run(raw: impl IntoIterator<Item = String>) -> Result<String, ArgError> {
         "serve" => serve_command(&args),
         "query" => query_command(&args),
         "trace-check" => trace_check_command(&args),
-        _ => Ok(USAGE.to_string()),
+        "help" => args.refuse_unread("help").map(|()| USAGE.to_string()),
+        other => Err(ArgError(format!(
+            "unknown command {other:?}; try `pgmine help`"
+        ))),
     }
 }
 
-/// What every mode that reads one FASTA record reads to load it.
-const SEQUENCE: &str = "input record alphabet";
-/// What `mine` reads under every algorithm, besides the input.
-const MINE: &str = "gap rho algorithm max-level top format save verify closed";
-/// What `mine` reads under MPP and MPPm only: the engine's threads and
-/// memory, and the observers.
-const ENGINE: &str = "threads max-arena-bytes spill-dir spill-watermark trace metrics";
-/// What `mine --incremental` reads beside [`ENGINE`]: the result cache.
-/// The cache holds full mines, so `--top-k` and `--target` are not read.
-const CACHE: &str = "incremental cache-path baseline";
-/// What both corpus paths read.
-const CORPUS: &str = "corpus gap rho n min-sequences max-level closed format top";
-/// What only the sharded corpus path reads: the fan-out, each shard's
-/// memory, the checkpoints and their counts. `mine_collection` reads
-/// none of these.
-const SHARDED: &str = "threads max-arena-bytes spill-dir spill-watermark checkpoint-dir \
-    stop-after-shards metrics";
-/// What the daemon reads wherever its patterns come from.
-const DAEMON: &str = "addr port-file trace metrics";
+fn open(path: &str) -> Result<std::fs::File, ArgError> {
+    std::fs::File::open(path).map_err(|e| ArgError(format!("cannot open {path:?}: {e}")))
+}
 
-/// The mode an invocation selects, named the way its command line
-/// selects it, and every option that mode reads.
-fn mode(args: &Args) -> Result<(String, String), ArgError> {
-    let command = args.positional().first().map_or("help", String::as_str);
-    let algorithm = args.get("algorithm").unwrap_or("mppm");
-    let parameter = match algorithm {
-        "mpp" | "adaptive" => "n",
-        "mppm" => "m",
-        _ => "",
-    };
-    Ok(match command {
-        "mine" if args.get("corpus").is_some() && args.flag("unsharded") => (
-            "mine --corpus --unsharded".into(),
-            format!("{CORPUS} unsharded"),
-        ),
-        "mine" if args.get("corpus").is_some() => {
-            ("mine --corpus".into(), format!("{CORPUS} {SHARDED}"))
-        }
-        "mine" if args.get("profile").is_some() => (
-            "mine --profile".into(),
-            format!("{SEQUENCE} rho profile n top"),
-        ),
-        "mine" if args.flag("incremental") && matches!(algorithm, "mpp" | "mppm") => (
-            "mine --incremental".into(),
-            format!("{SEQUENCE} {MINE} {parameter} {ENGINE} {CACHE}"),
-        ),
-        "mine" => {
-            let engine = match algorithm {
-                "mpp" | "mppm" => format!("{ENGINE} top-k target"),
-                "adaptive" | "enumerate" => String::new(),
-                other => return Err(ArgError(format!("unknown algorithm {other:?}"))),
-            };
-            (
-                format!("mine --algorithm {algorithm}"),
-                format!("{SEQUENCE} {MINE} {parameter} {engine}"),
-            )
-        }
-        "serve" if args.get("store").is_some() => {
-            ("serve --store".into(), format!("{SEQUENCE} store {DAEMON}"))
-        }
-        "serve" if matches!(algorithm, "mpp" | "mppm") => (
-            format!("serve --input --algorithm {algorithm}"),
-            format!("{SEQUENCE} gap rho algorithm {parameter} {DAEMON}"),
-        ),
-        "serve" => {
-            return Err(ArgError(format!(
-                "serve mines with --algorithm mppm or mpp (got {algorithm:?})"
-            )))
-        }
-        "pack" => (command.into(), "input output alphabet".into()),
-        "scan" => (command.into(), format!("{SEQUENCE} pair min max")),
-        "stats" => (command.into(), SEQUENCE.into()),
-        "show" => (command.into(), "input top alphabet".into()),
-        "query" => (command.into(), "addr json timeout-ms".into()),
-        "trace-check" => (command.into(), "input".into()),
-        "help" => (command.into(), String::new()),
-        other => {
-            return Err(ArgError(format!(
-                "unknown command {other:?}; try `pgmine help`"
-            )))
-        }
-    })
+fn create(path: &str) -> Result<std::fs::File, ArgError> {
+    std::fs::File::create(path).map_err(|e| ArgError(format!("cannot create {path:?}: {e}")))
 }
 
 /// The `--alphabet` a mode reads, DNA by default.
@@ -250,50 +175,51 @@ fn alphabet(args: &Args) -> Result<Alphabet, ArgError> {
     }
 }
 
+/// The sequence a mode reads: the record `--record` (the first by
+/// default) of the FASTA file `--input`, under `--alphabet`.
+struct Source<'a> {
+    input: &'a str,
+    record: Option<&'a str>,
+    alphabet: Alphabet,
+}
+
+impl<'a> Source<'a> {
+    fn read(args: &'a Args) -> Result<Source<'a>, ArgError> {
+        Ok(Source {
+            input: args.require("input")?,
+            record: args.get("record"),
+            alphabet: alphabet(args)?,
+        })
+    }
+
+    fn load(&self) -> Result<Sequence, ArgError> {
+        let reader = std::io::BufReader::new(open(self.input)?);
+        let records = read_fasta(reader, &self.alphabet).map_err(|e| ArgError(e.to_string()))?;
+        let mut records = records.into_iter();
+        let record = match self.record {
+            Some(id) => records.find(|r| r.id == id),
+            None => records.next(),
+        };
+        record.map(|r| r.sequence).ok_or_else(|| match self.record {
+            Some(id) => ArgError(format!("no FASTA record with id {id:?}")),
+            None => ArgError("FASTA file has no records".into()),
+        })
+    }
+}
+
 /// Load a PGST outcome file and check that `alphabet` has a letter for
 /// every code it holds.
 fn load_outcome_under(
     path: &str,
     alphabet: &Alphabet,
 ) -> Result<perigap_store::LoadedOutcome, ArgError> {
-    let file =
-        std::fs::File::open(path).map_err(|e| ArgError(format!("cannot open {path:?}: {e}")))?;
-    let loaded = perigap_store::load_outcome(file).map_err(|e| ArgError(e.to_string()))?;
+    let loaded = perigap_store::load_outcome(open(path)?).map_err(|e| ArgError(e.to_string()))?;
     loaded.check_alphabet(alphabet).map_err(|e| {
         ArgError(format!(
             "{path:?}: {e}; name the alphabet it was mined under with --alphabet"
         ))
     })?;
     Ok(loaded)
-}
-
-fn load_sequence(args: &Args) -> Result<Sequence, ArgError> {
-    let path = args.require("input")?;
-    let alphabet = alphabet(args)?;
-    let file =
-        std::fs::File::open(path).map_err(|e| ArgError(format!("cannot open {path:?}: {e}")))?;
-    let reader = std::io::BufReader::new(file);
-    load_from_reader(reader, &alphabet, args.get("record"))
-}
-
-fn load_from_reader<R: BufRead>(
-    reader: R,
-    alphabet: &Alphabet,
-    record_id: Option<&str>,
-) -> Result<Sequence, ArgError> {
-    let records = read_fasta(reader, alphabet).map_err(|e| ArgError(e.to_string()))?;
-    match record_id {
-        Some(id) => records
-            .into_iter()
-            .find(|r| r.id == id)
-            .map(|r| r.sequence)
-            .ok_or_else(|| ArgError(format!("no FASTA record with id {id:?}"))),
-        None => records
-            .into_iter()
-            .next()
-            .map(|r| r.sequence)
-            .ok_or_else(|| ArgError("FASTA file has no records".into())),
-    }
 }
 
 /// A mine error as `pgmine` reports it: a setting the mine refused
@@ -312,95 +238,206 @@ fn mine_error(e: MineError) -> ArgError {
     }
 }
 
-/// The mine request of every mining front end — `mine`,
-/// `mine --incremental`, `mine --corpus` and `serve --input` — in one
-/// place: how `n` is chosen (`--m` for MPPm, default 4; otherwise MPP's
-/// `--n`, default `default_n`) and the engine configuration. The mode
-/// check has already refused every option the mode does not read, so
-/// each option absent here keeps its [`MppConfig::default`] value; the
-/// mine itself refuses values it cannot honour.
-fn mine_request(
-    args: &Args,
-    algorithm: &str,
-    default_n: usize,
-) -> Result<(Algorithm, MppConfig), ArgError> {
-    let request = match algorithm {
-        "mppm" => Algorithm::Mppm {
-            m: args.parse_or("m", 4)?,
-        },
-        _ => Algorithm::Mpp {
-            n: args.parse_or("n", default_n)?,
-        },
-    };
-    let spill_dir = args.get("spill-dir");
-    if args.get("spill-watermark").is_some() && spill_dir.is_none() {
-        return Err(ArgError(
-            "--spill-watermark needs --spill-dir to have any effect".into(),
-        ));
-    }
-    let defaults = MppConfig::default();
-    let config = MppConfig {
-        max_level: args.parse_opt("max-level")?,
-        max_arena_bytes: args.parse_opt("max-arena-bytes")?,
-        spill: spill_dir.map(|dir| Arc::new(FsSpillIo::new(dir)) as Arc<dyn SpillIo>),
-        spill_watermark: args.parse_or("spill-watermark", defaults.spill_watermark)?,
-        threads: args.parse_or("threads", defaults.threads)?,
-    };
-    Ok((request, config))
+/// How much of [`MppConfig`] a mode reads: none of it (`serve`), its
+/// `--max-level`, or that and the engine's threads, ceiling and spill.
+#[derive(PartialEq, PartialOrd)]
+enum Settings {
+    Defaults,
+    Depth,
+    Engine,
 }
 
-fn mine_command(args: &Args) -> Result<String, ArgError> {
-    let want_metrics = args.flag("metrics");
-    if want_metrics && args.get("format") == Some("tsv") {
-        return Err(ArgError(
-            "--metrics would corrupt --format tsv output; drop one of them".into(),
-        ));
-    }
-    if args.get("corpus").is_some() {
-        return mine_corpus_command(args);
-    }
-    let seq = load_sequence(args)?;
-    let rho = parse_rho(args.require("rho")?)?;
+/// The mine request of `mine`, `mine --corpus` and `serve --input`: the
+/// gap requirement, the threshold, the algorithm with its `--m` (MPPm)
+/// or `--n` (MPP and adaptive), and the engine configuration. A setting
+/// left out keeps its [`MppConfig::default`] value; the mine itself
+/// refuses values it cannot honour.
+struct MineRequest<'a> {
+    gap: GapRequirement,
+    rho: f64,
+    algorithm: &'a str,
+    /// `--m` or `--n`; `None` leaves it to the mode's default.
+    parameter: Option<usize>,
+    config: MppConfig,
+}
 
-    // Per-step gap profile mode (the generalized pattern form).
-    if let Some(spec) = args.get("profile") {
-        return mine_with_profile_command(args, &seq, rho, spec);
-    }
-
-    let (lo, hi) = parse_gap(args.require("gap")?)?;
-    let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
-    let algorithm = args.get("algorithm").unwrap_or("mppm");
-    let top: usize = args.parse_or("top", 25)?;
-    // MPP's `n` defaults to l1; adaptive starts from 10.
-    let default_n = if algorithm == "mpp" {
-        gap.l1(seq.len())
-    } else {
-        10
-    };
-    let (request, mut config) = mine_request(args, algorithm, default_n)?;
-    if algorithm == "enumerate" {
-        // The enumeration baseline explores sigma^l candidates per level
-        // and must be depth-capped to terminate on repetitive inputs.
-        config.max_level.get_or_insert(10);
-    }
-    // `--top-k` and `--target` shape the output. A top-k mine ranks
-    // and truncates inside the engine; a target filters the mined
-    // outcome, and with `--top-k` as well ranks inside the target.
-    let top_k = args
-        .parse_opt::<NonZeroUsize>("top-k")?
-        .map(NonZeroUsize::get);
-    let target = match args.get("target") {
-        Some("") => {
-            return Err(ArgError(
-                "--target needs at least one symbol: an empty prefix admits everything".into(),
-            ))
+impl<'a> MineRequest<'a> {
+    fn read(args: &Args, algorithm: &'a str, settings: Settings) -> Result<Self, ArgError> {
+        let rho = parse_rho(args.require("rho")?)?;
+        let (lo, hi) = parse_gap(args.require("gap")?)?;
+        let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
+        let parameter = match algorithm {
+            "mppm" => args.parse_opt("m")?,
+            "mpp" | "adaptive" => args.parse_opt("n")?,
+            _ => None,
+        };
+        let mut config = MppConfig::default();
+        if settings >= Settings::Depth {
+            config.max_level = args.parse_opt("max-level")?;
         }
-        Some(text) => Some(
-            Pattern::parse(text, seq.alphabet())
-                .map_err(|e| ArgError(format!("bad --target {text:?}: {e}")))?,
-        ),
-        None => None,
+        if settings == Settings::Engine {
+            let spill_dir = args.get("spill-dir");
+            if args.get("spill-watermark").is_some() && spill_dir.is_none() {
+                return Err(ArgError(
+                    "--spill-watermark needs --spill-dir to have any effect".into(),
+                ));
+            }
+            config.max_arena_bytes = args.parse_opt("max-arena-bytes")?;
+            config.spill = spill_dir.map(|dir| Arc::new(FsSpillIo::new(dir)) as Arc<dyn SpillIo>);
+            config.spill_watermark = args.parse_or("spill-watermark", config.spill_watermark)?;
+            config.threads = args.parse_or("threads", config.threads)?;
+        }
+        Ok(MineRequest {
+            gap,
+            rho,
+            algorithm,
+            parameter,
+            config,
+        })
+    }
+
+    /// The engine's algorithm: MPPm's `m` defaults to 4, MPP's to `n`.
+    fn engine(&self, n: usize) -> Algorithm {
+        match (self.algorithm, self.parameter) {
+            ("mppm", m) => Algorithm::Mppm { m: m.unwrap_or(4) },
+            (_, p) => Algorithm::Mpp { n: p.unwrap_or(n) },
+        }
+    }
+}
+
+/// How `mine` and `mine --corpus` print their rows: a table of the
+/// first `--top` rows (25 by default), or every row as TSV.
+#[derive(Clone, Copy)]
+enum Output {
+    Table { top: usize },
+    Tsv,
+}
+
+impl Output {
+    /// Read `--format` and the table's `--top`. A TSV is every row and
+    /// nothing else, so it refuses `--top` and, when the mode read it,
+    /// `--metrics`.
+    fn read(args: &Args, metrics: bool) -> Result<Output, ArgError> {
+        match args.get("format").unwrap_or("table") {
+            "table" => Ok(Output::Table {
+                top: args.parse_or("top", 25)?,
+            }),
+            "tsv" if metrics => Err(ArgError(
+                "--metrics would corrupt --format tsv output; drop one of them".into(),
+            )),
+            "tsv" if args.get("top").is_some() => Err(ArgError(
+                "--top does not apply to --format tsv, which prints every row".into(),
+            )),
+            "tsv" => Ok(Output::Tsv),
+            other => Err(ArgError(format!("unknown format {other:?}"))),
+        }
+    }
+}
+
+type TraceSink = JsonlObserver<std::io::BufWriter<std::fs::File>>;
+
+/// What a mine or the daemon reports to: the `--trace` JSONL file and
+/// the `--metrics` summary.
+#[derive(Default)]
+struct Observers<'a> {
+    trace: Option<&'a str>,
+    metrics: bool,
+}
+
+impl<'a> Observers<'a> {
+    fn read(args: &'a Args) -> Self {
+        let (trace, metrics) = (args.get("trace"), args.flag("metrics"));
+        Observers { trace, metrics }
+    }
+
+    /// Create the trace file. Either half of the composed sink may be
+    /// absent; an absent half is a no-op (see `perigap_core::trace`).
+    fn open(&self) -> Result<(Option<TraceSink>, Option<MetricsObserver>), ArgError> {
+        let file = self.trace.map(create).transpose()?;
+        let trace = file.map(|file| JsonlObserver::new(std::io::BufWriter::new(file)));
+        Ok((trace, self.metrics.then(MetricsObserver::new)))
+    }
+}
+
+fn finish_trace(trace: Option<TraceSink>) -> Result<(), ArgError> {
+    let flushed = trace.map(JsonlObserver::finish).transpose();
+    flushed
+        .map(drop)
+        .map_err(|e| ArgError(format!("trace write failed: {e}")))
+}
+
+/// `mine --incremental`'s result cache: the record at `--cache-path`
+/// and the `--baseline` diff file.
+struct Cache<'a> {
+    path: &'a str,
+    baseline: Option<&'a str>,
+}
+
+impl<'a> Cache<'a> {
+    /// `None` without `--incremental`, whose companions are read only
+    /// beside it.
+    fn read(args: &'a Args) -> Result<Option<Self>, ArgError> {
+        if !args.flag("incremental") {
+            return Ok(None);
+        }
+        let Some(path) = args.get("cache-path") else {
+            return Err(ArgError(
+                "--incremental needs --cache-path: the result cache is where \
+                 the previous run's answer lives"
+                    .into(),
+            ));
+        };
+        let baseline = args.get("baseline");
+        Ok(Some(Cache { path, baseline }))
+    }
+}
+
+/// `pgmine mine` on one FASTA record: MPP or MPPm on the engine (through
+/// the result cache under `--incremental`), adaptive MPP or the
+/// enumeration baseline. `--corpus` and `--profile` select their own
+/// modes.
+fn mine_command(args: &Args) -> Result<String, ArgError> {
+    if let Some(path) = args.get("corpus") {
+        return mine_corpus_command(args, path);
+    }
+    let source = Source::read(args)?;
+    if let Some(spec) = args.get("profile") {
+        return mine_with_profile_command(args, source, spec);
+    }
+    let algorithm = args.get("algorithm").unwrap_or("mppm");
+    // Only MPP and MPPm run on the engine, so only they read its
+    // settings, the result cache, the observers, --top-k and --target.
+    let settings = match algorithm {
+        "mpp" | "mppm" => Settings::Engine,
+        "adaptive" | "enumerate" => Settings::Depth,
+        other => return Err(ArgError(format!("unknown algorithm {other:?}"))),
     };
+    let engine = settings == Settings::Engine;
+    let request = MineRequest::read(args, algorithm, settings)?;
+    let (cache, observers) = match engine {
+        true => (Cache::read(args)?, Observers::read(args)),
+        false => (None, Observers::default()),
+    };
+    // The result cache holds full mines: --incremental reads neither
+    // --top-k nor --target.
+    let (mut top_k, mut target) = (None, None);
+    if engine && cache.is_none() {
+        top_k = args.parse_opt("top-k")?.map(NonZeroUsize::get);
+        target = match args.get("target") {
+            Some("") => {
+                return Err(ArgError(
+                    "--target needs at least one symbol: an empty prefix admits everything".into(),
+                ))
+            }
+            Some(text) => Some((
+                text,
+                Pattern::parse(text, &source.alphabet)
+                    .map_err(|e| ArgError(format!("bad --target {text:?}: {e}")))?,
+            )),
+            None => None,
+        };
+    }
+    let output = Output::read(args, observers.metrics)?;
     let closed = args.flag("closed");
     if closed && (top_k.is_some() || target.is_some()) {
         return Err(ArgError(
@@ -409,68 +446,57 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
                 .into(),
         ));
     }
-    let incremental = args.flag("incremental");
-    let cache_path = args.get("cache-path");
-    let baseline_path = args.get("baseline");
-    if incremental && cache_path.is_none() {
-        return Err(ArgError(
-            "--incremental needs --cache-path: the result cache is where \
-             the previous run's answer lives"
-                .into(),
-        ));
-    }
+    let (verify, save) = (args.flag("verify"), args.get("save"));
+    args.refuse_unread(&match cache {
+        Some(_) => "mine --incremental".to_string(),
+        None => format!("mine --algorithm {algorithm}"),
+    })?;
 
-    let jsonl = match args.get("trace") {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| ArgError(format!("cannot create {path:?}: {e}")))?;
-            Some(JsonlObserver::new(std::io::BufWriter::new(file)))
+    let seq = source.load()?;
+    let (gap, rho) = (request.gap, request.rho);
+    let mut observer = observers.open()?;
+    // An incremental mine reports what the cache did, and keeps the
+    // baseline diff for `--baseline`.
+    let mut report = None;
+    // MPP's `n` defaults to l1, adaptive's to 10.
+    let (engine, config) = (request.engine(gap.l1(seq.len())), &request.config);
+    let mined = match (algorithm, &cache, top_k) {
+        ("adaptive", ..) => {
+            let n = request.parameter.unwrap_or(10);
+            adaptive_mpp(&seq, gap, rho, n, config.clone()).map(|a| a.outcome)
         }
-        None => None,
-    };
-    // Composed sink: either half may be absent; absent halves are
-    // no-ops (see `perigap_core::trace`).
-    let mut observer = (jsonl, want_metrics.then(MetricsObserver::new));
-
-    // Incremental mining reports its mode, any recovered cache fault,
-    // the suspect-scan count and the baseline diff alongside the outcome.
-    let mut incremental_report: Option<(
-        IncrementalMode,
-        Option<MineError>,
-        u64,
-        Option<BaselineDiff>,
-    )> = None;
-    let mined: Result<MineOutcome, _> = match (algorithm, request) {
-        ("adaptive", Algorithm::Mpp { n }) => {
-            adaptive_mpp(&seq, gap, rho, n, config).map(|a| a.outcome)
+        // The enumeration baseline explores sigma^l candidates per
+        // level and must be depth-capped to terminate on repetitive
+        // inputs.
+        ("enumerate", ..) => {
+            let mut config = config.clone();
+            config.max_level.get_or_insert(10);
+            enumerate(&seq, gap, rho, config, 100_000_000)
         }
-        ("enumerate", _) => enumerate(&seq, gap, rho, config, 100_000_000),
-        (_, request) if incremental => {
-            let cache = std::path::Path::new(cache_path.expect("validated above"));
-            mine_incremental(&seq, gap, rho, request, &config, cache, &mut observer).map(|inc| {
-                incremental_report = Some((inc.mode, inc.cache_fault, inc.suspect_scans, inc.diff));
+        (_, Some(cache), _) => {
+            let path = std::path::Path::new(cache.path);
+            mine_incremental(&seq, gap, rho, engine, config, path, &mut observer).map(|inc| {
+                report = Some((cache_report(&inc), inc.diff));
                 inc.outcome
             })
         }
-        // A target ranks among its own rows: a top-k mine's floor would
-        // rise on patterns outside it.
-        (_, request) => match top_k.filter(|_| target.is_none()) {
-            Some(k) => mine_top_k(&seq, gap, rho, request, k, &config, &mut observer),
-            None => mine(&seq, gap, rho, request, &config, &mut observer),
-        },
+        // A target ranks among its own rows: a top-k mine's floor
+        // would rise on patterns outside it.
+        (_, None, Some(k)) if target.is_none() => {
+            mine_top_k(&seq, gap, rho, engine, k, config, &mut observer)
+        }
+        _ => mine(&seq, gap, rho, engine, config, &mut observer),
     };
-    // Flush the trace before surfacing a mining error: an aborted run's
-    // trace (terminal `abort` line) is exactly what post-mortems need.
-    let (jsonl, metrics) = observer;
-    if let Some(sink) = jsonl {
-        sink.finish()
-            .map_err(|e| ArgError(format!("trace write failed: {e}")))?;
-    }
+    // Flush the trace before surfacing a mining error: an aborted
+    // run's trace (terminal `abort` line) is exactly what
+    // post-mortems need.
+    let (trace, metrics) = observer;
+    finish_trace(trace)?;
     let mut outcome = mined.map_err(mine_error)?;
     // The target and the closed filter are output modes: everything
     // downstream (save, tsv, table, verify) sees only the rows they
     // keep.
-    let target_dropped = target.map(|prefix| {
+    let target = target.map(|(text, prefix)| {
         let mined = outcome.frequent.len();
         outcome
             .frequent
@@ -479,105 +505,74 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
         if let Some(k) = top_k {
             outcome.frequent = select_top_k(&outcome.frequent, k);
         }
-        dropped
+        format!("target {text}: pruned by target {dropped}\n")
     });
-    let (outcome, closed_dropped) = if closed {
+    let closed = closed.then(|| {
         let kept = outcome.closed_frequent();
         let dropped = outcome.frequent.len() - kept.len();
-        (
-            MineOutcome {
-                frequent: kept,
-                stats: outcome.stats,
-            },
-            Some(dropped),
-        )
-    } else {
-        (outcome, None)
-    };
+        outcome.frequent = kept;
+        format!("closed: dropped {dropped} patterns absorbed by an equal-support extension\n")
+    });
 
-    if let Some(path) = baseline_path {
+    let (report, diff) = report.unzip();
+    if let Some(path) = cache.and_then(|c| c.baseline) {
         use std::io::Write as _;
-        let diff = incremental_report
-            .as_ref()
-            .and_then(|(_, _, _, diff)| diff.as_ref());
-        let file = std::fs::File::create(path)
-            .map_err(|e| ArgError(format!("cannot create {path:?}: {e}")))?;
-        let mut sink = std::io::BufWriter::new(file);
-        for entry in diff.map(|d| d.entries.as_slice()).unwrap_or(&[]) {
-            let pattern = Pattern::from_codes(entry.codes.clone());
-            let mut line = format!(
-                "{{\"kind\": {:?}, \"pattern\": {:?}",
-                entry.kind.label(),
-                pattern.display(seq.alphabet())
-            );
-            if let Some(old) = entry.old_support {
-                line.push_str(&format!(", \"old_support\": {old}"));
-            }
-            if let Some(new) = entry.new_support {
-                line.push_str(&format!(", \"new_support\": {new}"));
-            }
-            line.push_str("}\n");
-            sink.write_all(line.as_bytes())
-                .map_err(|e| ArgError(format!("cannot write {path:?}: {e}")))?;
+        let mut sink = std::io::BufWriter::new(create(path)?);
+        let write_error = |e| ArgError(format!("cannot write {path:?}: {e}"));
+        for entry in diff.flatten().map(|d| d.entries).unwrap_or_default() {
+            let pattern = Pattern::from_codes(entry.codes).display(seq.alphabet());
+            let support = |name, s: Option<u128>| s.map(|s| format!(", \"{name}\": {s}"));
+            let old = support("old_support", entry.old_support).unwrap_or_default();
+            let new = support("new_support", entry.new_support).unwrap_or_default();
+            let kind = entry.kind.label();
+            writeln!(
+                sink,
+                "{{\"kind\": {kind:?}, \"pattern\": {pattern:?}{old}{new}}}"
+            )
+            .map_err(write_error)?;
         }
-        sink.flush()
-            .map_err(|e| ArgError(format!("cannot write {path:?}: {e}")))?;
+        sink.flush().map_err(write_error)?;
     }
-    if let Some(path) = args.get("save") {
-        let file = std::fs::File::create(path)
-            .map_err(|e| ArgError(format!("cannot create {path:?}: {e}")))?;
-        perigap_store::save_outcome(file, &outcome, gap, rho)
+    if let Some(path) = save {
+        perigap_store::save_outcome(create(path)?, &outcome, gap, rho)
             .map_err(|e| ArgError(e.to_string()))?;
     }
-    if args.get("format") == Some("tsv") {
-        // Stdout stays the bare TSV; what the cache did goes to stderr.
-        if let Some((mode, fault, suspect_scans, _)) = &incremental_report {
-            eprint!("{}", cache_report(mode, fault.as_ref(), *suspect_scans));
+    let verdict = verify.then(|| match verify_outcome(&seq, gap, rho, &outcome) {
+        problems if problems.is_empty() => {
+            "verify: all supports, thresholds and ratios check out\n".to_string()
         }
-        return Ok(perigap_analysis::export::outcome_to_tsv(
-            &outcome,
-            seq.alphabet(),
-            gap,
-        ));
-    }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "sequence: {} chars over {:?}; gap {}; rho {:.6}%\n",
+        problems => format!("verify: {} DISCREPANCIES: {problems:?}\n", problems.len()),
+    });
+    let warning = outcome.stats.support_saturated.then_some(
+        "warning: a support counter saturated at u64::MAX; reported supports are lower bounds\n",
+    );
+    let Output::Table { top } = output else {
+        // Stdout stays the bare TSV: what the cache did, the verdict
+        // and the warning go to stderr.
+        let notes = [report.as_deref(), verdict.as_deref(), warning];
+        eprint!("{}", notes.into_iter().flatten().collect::<String>());
+        return Ok(outcome_to_tsv(&outcome, seq.alphabet(), gap));
+    };
+
+    let mut out = format!(
+        "sequence: {} chars over {:?}; gap {}; rho {:.6}%\n{} frequent patterns; longest = {}\n",
         seq.len(),
         seq.alphabet(),
         gap,
-        rho * 100.0
-    ));
-    out.push_str(&format!(
-        "{} frequent patterns; longest = {}\n",
+        rho * 100.0,
         outcome.frequent.len(),
         outcome.longest_len()
-    ));
-    if let Some((mode, fault, suspect_scans, diff)) = &incremental_report {
-        out.push_str(&cache_report(mode, fault.as_ref(), *suspect_scans));
-        if let Some(diff) = diff {
-            out.push_str(&format!(
-                "baseline diff: {} new | {} dropped | {} changed | {} unchanged\n",
-                diff.stats.new, diff.stats.dropped, diff.stats.changed, diff.stats.unchanged
-            ));
-        }
-    }
-    if let Some(dropped) = closed_dropped {
-        out.push_str(&format!(
-            "closed: dropped {dropped} patterns absorbed by an equal-support extension\n"
-        ));
-    }
-    if let Some(k) = top_k {
-        out.push_str(&format!(
+    );
+    let top_k_line = top_k.map(|k| {
+        format!(
             "top-k {k}: floor raises {}, pruned by floor {}\n",
             outcome.stats.floor_raises, outcome.stats.pruned_by_floor
-        ));
-    }
-    if let (Some(text), Some(dropped)) = (args.get("target"), target_dropped) {
-        out.push_str(&format!("target {text}: pruned by target {dropped}\n"));
+        )
+    });
+    for line in [report, closed, top_k_line, target].into_iter().flatten() {
+        out.push_str(&line);
     }
     out.push('\n');
-    let mut table = TextTable::new(&["pattern", "len", "support", "ratio"]);
     let mut rows: Vec<_> = outcome.frequent.iter().collect();
     // A top-k outcome is already in rank order (support desc, len,
     // codes) — print it that way; full mines keep the longest-first
@@ -590,43 +585,37 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
                 .then(a.pattern.codes().cmp(b.pattern.codes()))
         });
     }
-    for f in rows.iter().take(top) {
-        table.row(&[
-            f.pattern.display(seq.alphabet()),
-            f.len().to_string(),
-            f.support.to_string(),
-            format!("{:.6}", f.ratio),
-        ]);
-    }
-    out.push_str(&table.render());
+    out.push_str(&pattern_table(rows.into_iter().take(top), seq.alphabet()));
     if outcome.frequent.len() > top {
         out.push_str(&format!(
             "… {} more (raise --top)\n",
             outcome.frequent.len() - top
         ));
     }
-
-    if args.flag("verify") {
-        let problems = verify_outcome(&seq, gap, rho, &outcome);
-        if problems.is_empty() {
-            out.push_str("\nverify: all supports, thresholds and ratios check out\n");
-        } else {
-            out.push_str(&format!(
-                "\nverify: {} DISCREPANCIES: {problems:?}\n",
-                problems.len()
-            ));
-        }
-    }
-    if let Some(metrics) = metrics {
+    let metrics = metrics.map(|m| m.render());
+    let sections = [verdict.as_deref(), metrics.as_deref(), warning];
+    for section in sections.into_iter().flatten() {
         out.push('\n');
-        out.push_str(&metrics.render());
-    }
-    if outcome.stats.support_saturated {
-        out.push_str(
-            "\nwarning: a support counter saturated at u64::MAX; reported supports are lower bounds\n",
-        );
+        out.push_str(section);
     }
     Ok(out)
+}
+
+/// A table of frequent patterns: pattern, length, support and ratio.
+fn pattern_table<'a>(
+    rows: impl Iterator<Item = &'a FrequentPattern>,
+    alphabet: &Alphabet,
+) -> String {
+    let mut table = TextTable::new(&["pattern", "len", "support", "ratio"]);
+    for f in rows {
+        table.row(&[
+            f.pattern.display(alphabet),
+            f.len().to_string(),
+            f.support.to_string(),
+            format!("{:.6}", f.ratio),
+        ]);
+    }
+    table.render()
 }
 
 /// Validate a `--trace` JSONL file against the schema (see
@@ -635,6 +624,7 @@ fn mine_command(args: &Args) -> Result<String, ArgError> {
 /// `pgmine serve --trace` file holds query and warning lines only.
 fn trace_check_command(args: &Args) -> Result<String, ArgError> {
     let path = args.require("input")?;
+    args.refuse_unread("trace-check")?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| ArgError(format!("cannot read {path:?}: {e}")))?;
     let report =
@@ -645,31 +635,37 @@ fn trace_check_command(args: &Args) -> Result<String, ArgError> {
     ))
 }
 
-/// The `incremental:` line of an `--incremental` mine, and the
-/// `cache fault` line when a faulty record was recovered by a cold mine.
-fn cache_report(mode: &IncrementalMode, fault: Option<&MineError>, suspect_scans: u64) -> String {
-    let status = match mode {
+/// What an `--incremental` mine's result cache did: the `incremental:`
+/// line, the `cache fault` line when a faulty record was recovered by a
+/// cold mine, and the baseline diff's rollup when a baseline existed.
+fn cache_report(inc: &IncrementalOutcome) -> String {
+    let status = match &inc.mode {
         IncrementalMode::Cold => "cold (no usable cache; cache seeded)".to_string(),
         IncrementalMode::ColdFallback(reason) => format!("cold fall-back ({reason})"),
         IncrementalMode::Cached => "cached (sequence unchanged)".to_string(),
-        IncrementalMode::Incremental(d) => {
-            format!("incremental ({d} symbols appended; {suspect_scans} suspect scans)")
-        }
+        IncrementalMode::Incremental(d) => format!(
+            "incremental ({d} symbols appended; {} suspect scans)",
+            inc.suspect_scans
+        ),
     };
     let mut lines = format!("incremental: {status}\n");
-    if let Some(fault) = fault {
+    if let Some(fault) = &inc.cache_fault {
         lines.push_str(&format!("cache fault (recovered by cold mine): {fault}\n"));
+    }
+    if let Some(diff) = &inc.diff {
+        let s = diff.stats;
+        lines.push_str(&format!(
+            "baseline diff: {} new | {} dropped | {} changed | {} unchanged\n",
+            s.new, s.dropped, s.changed, s.unchanged
+        ));
     }
     lines
 }
 
-fn mine_with_profile_command(
-    args: &Args,
-    seq: &Sequence,
-    rho: f64,
-    spec: &str,
-) -> Result<String, ArgError> {
+/// `pgmine mine --profile`: per-step gaps in place of `--gap`.
+fn mine_with_profile_command(args: &Args, source: Source, spec: &str) -> Result<String, ArgError> {
     use perigap_core::profile::{mine_with_profile, GapProfile};
+    let rho = parse_rho(args.require("rho")?)?;
     let steps = spec
         .split(',')
         .map(|part| {
@@ -680,7 +676,9 @@ fn mine_with_profile_command(
     let profile = GapProfile::new(steps).map_err(|e| ArgError(e.to_string()))?;
     let n: usize = args.parse_or("n", profile.max_pattern_len())?;
     let top: usize = args.parse_or("top", 25)?;
-    let outcome = mine_with_profile(seq, &profile, rho, n).map_err(|e| ArgError(e.to_string()))?;
+    args.refuse_unread("mine --profile")?;
+    let seq = source.load()?;
+    let outcome = mine_with_profile(&seq, &profile, rho, n).map_err(|e| ArgError(e.to_string()))?;
     let mut out = format!(
         "sequence: {} chars; profile {:?}; rho {:.6}%\n{} frequent patterns; longest = {}\n\n",
         seq.len(),
@@ -689,16 +687,8 @@ fn mine_with_profile_command(
         outcome.frequent.len(),
         outcome.longest_len()
     );
-    let mut table = TextTable::new(&["pattern", "len", "support", "ratio"]);
-    for f in outcome.frequent.iter().rev().take(top) {
-        table.row(&[
-            f.pattern.display(seq.alphabet()),
-            f.len().to_string(),
-            f.support.to_string(),
-            format!("{:.6}", f.ratio),
-        ]);
-    }
-    out.push_str(&table.render());
+    let rows = outcome.frequent.iter().rev().take(top);
+    out.push_str(&pattern_table(rows, seq.alphabet()));
     Ok(out)
 }
 
@@ -708,9 +698,8 @@ fn pack_command(args: &Args) -> Result<String, ArgError> {
     let input = args.require("input")?;
     let output = args.require("output")?;
     let alphabet = alphabet(args)?;
-    let file =
-        std::fs::File::open(input).map_err(|e| ArgError(format!("cannot open {input:?}: {e}")))?;
-    let records = read_fasta(std::io::BufReader::new(file), &alphabet)
+    args.refuse_unread("pack")?;
+    let records = read_fasta(std::io::BufReader::new(open(input)?), &alphabet)
         .map_err(|e| ArgError(e.to_string()))?;
     if records.is_empty() {
         return Err(ArgError(format!("{input:?} has no FASTA records")));
@@ -732,48 +721,60 @@ fn pack_command(args: &Args) -> Result<String, ArgError> {
 /// `pgmine mine --corpus`: sharded corpus mining with optional
 /// per-shard checkpoints, or the `--unsharded` reference path through
 /// the in-process collection miner. Both print identical rows.
-fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
-    let rho = parse_rho(args.require("rho")?)?;
-    let (lo, hi) = parse_gap(args.require("gap")?)?;
-    let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
-    let min_sequences: usize = args.parse_or("min-sequences", 1)?;
-    let checkpoint_dir = args.get("checkpoint-dir").map(std::path::PathBuf::from);
-    let stop_after_shards = args.parse_opt("stop-after-shards")?;
-    if stop_after_shards.is_some() && checkpoint_dir.is_none() {
-        return Err(ArgError(
-            "--stop-after-shards needs --checkpoint-dir: a pause without \
-             checkpoints would just lose work"
-                .into(),
-        ));
-    }
-
-    let path = std::path::Path::new(args.get("corpus").expect("dispatch checked"));
-    let corpus = Corpus::open(path).map_err(|e| ArgError(e.to_string()))?;
-    let alphabet = corpus.alphabet().clone();
-    let (Algorithm::Mpp { n }, mpp_config) = mine_request(args, "mpp", 10)? else {
-        unreachable!("a corpus mine is an MPP mine");
+fn mine_corpus_command(args: &Args, path: &str) -> Result<String, ArgError> {
+    // The reference path runs the collection miner in one process: no
+    // pool, arena ceiling, spill, checkpoints or shard counts.
+    let unsharded = args.flag("unsharded");
+    let settings = match unsharded {
+        true => Settings::Depth,
+        false => Settings::Engine,
     };
+    let request = MineRequest::read(args, "mpp", settings)?;
+    let min_sequences: usize = args.parse_or("min-sequences", 1)?;
+    let closed = args.flag("closed");
+    let (mut checkpoint, mut metrics) = (None, false);
+    if !unsharded {
+        let dir = args.get("checkpoint-dir");
+        let stop_after_shards = args.parse_opt("stop-after-shards")?;
+        if stop_after_shards.is_some() && dir.is_none() {
+            return Err(ArgError(
+                "--stop-after-shards needs --checkpoint-dir: a pause without \
+                 checkpoints would just lose work"
+                    .into(),
+            ));
+        }
+        checkpoint = dir.map(|dir| CheckpointConfig {
+            dir: dir.into(),
+            stop_after_shards,
+        });
+        metrics = args.flag("metrics");
+    }
+    let output = Output::read(args, metrics)?;
+    args.refuse_unread(match unsharded {
+        true => "mine --corpus --unsharded",
+        false => "mine --corpus",
+    })?;
 
-    let (outcome, stats) = if args.flag("unsharded") {
+    let corpus = Corpus::open(std::path::Path::new(path)).map_err(|e| ArgError(e.to_string()))?;
+    let alphabet = corpus.alphabet().clone();
+    let (gap, rho) = (request.gap, request.rho);
+    let n = request.parameter.unwrap_or(10);
+    let (outcome, stats) = if unsharded {
         let seqs = (0..corpus.len())
             .map(|j| corpus.sequence(j))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| ArgError(e.to_string()))?;
-        let outcome =
-            mine_collection(&seqs, gap, rho, min_sequences, n, mpp_config).map_err(mine_error)?;
+        let outcome = mine_collection(&seqs, gap, rho, min_sequences, n, request.config)
+            .map_err(mine_error)?;
         (outcome, None)
     } else {
-        let corpus = Arc::new(corpus);
         let config = CorpusMineConfig {
             n,
             min_sequences,
-            mpp: mpp_config,
-            checkpoint: checkpoint_dir.map(|dir| CheckpointConfig {
-                dir,
-                stop_after_shards,
-            }),
+            mpp: request.config,
+            checkpoint,
         };
-        match mine_corpus(&corpus, gap, rho, &config) {
+        match mine_corpus(&Arc::new(corpus), gap, rho, &config) {
             Ok(out) => (out.outcome, Some(out.stats)),
             // A requested pause is a successful exit, not a failure:
             // the checkpoints are durable and a rerun restores them.
@@ -786,52 +787,33 @@ fn mine_corpus_command(args: &Args) -> Result<String, ArgError> {
             Err(e) => return Err(mine_error(e)),
         }
     };
-
-    render_collection(
-        &outcome,
-        &alphabet,
-        gap,
-        rho,
-        args.flag("closed"),
-        args.parse_or("top", 25)?,
-        args.get("format") == Some("tsv"),
-        args.flag("metrics").then_some(stats).flatten(),
-    )
-}
-
-/// Render a collection outcome — shared by the sharded and
-/// `--unsharded` corpus paths so their rows are byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn render_collection(
-    outcome: &CollectionOutcome,
-    alphabet: &Alphabet,
-    gap: GapRequirement,
-    rho: f64,
-    closed: bool,
-    top: usize,
-    tsv: bool,
-    stats: Option<perigap_core::CorpusStats>,
-) -> Result<String, ArgError> {
+    // Both paths render through here, so their rows are byte-identical.
     let total = outcome.patterns.len();
     let rows = if closed {
         outcome.closed_patterns()
     } else {
         outcome.patterns.clone()
     };
-    if tsv {
+    // Pattern, length, sequences and total support: one row of either
+    // format.
+    let cells = |p: &CollectionPattern| {
+        let support: u128 = p.supports.iter().sum();
+        let (len, seqs) = (p.pattern.len(), p.frequent_in.len());
+        [
+            p.pattern.display(&alphabet),
+            len.to_string(),
+            seqs.to_string(),
+            support.to_string(),
+        ]
+    };
+    let Output::Table { top } = output else {
         let mut out = String::from("pattern\tlength\tsequences\ttotal_support\n");
         for p in &rows {
-            let support: u128 = p.supports.iter().sum();
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\n",
-                p.pattern.display(alphabet),
-                p.pattern.len(),
-                p.frequent_in.len(),
-                support
-            ));
+            out.push_str(&cells(p).join("\t"));
+            out.push('\n');
         }
         return Ok(out);
-    }
+    };
     let mut out = format!(
         "corpus mine: gap {gap}; rho {:.6}%; {total} collection-frequent patterns\n",
         rho * 100.0
@@ -842,7 +824,7 @@ fn render_collection(
             total - rows.len()
         ));
     }
-    if let Some(stats) = &stats {
+    if let Some(stats) = stats.filter(|_| metrics) {
         out.push_str(&format!(
             "shards: {} total, {} mined, {} restored; longest {} symbols\n",
             stats.shards, stats.mined_shards, stats.restored_shards, stats.longest_shard
@@ -865,14 +847,8 @@ fn render_collection(
             .then(b.frequent_in.len().cmp(&a.frequent_in.len()))
             .then(a.pattern.codes().cmp(b.pattern.codes()))
     });
-    for p in view.iter().take(top) {
-        let support: u128 = p.supports.iter().sum();
-        table.row(&[
-            p.pattern.display(alphabet),
-            p.pattern.len().to_string(),
-            p.frequent_in.len().to_string(),
-            support.to_string(),
-        ]);
+    for p in view.into_iter().take(top) {
+        table.row(&cells(p));
     }
     out.push_str(&table.render());
     if rows.len() > top {
@@ -882,24 +858,25 @@ fn render_collection(
 }
 
 fn scan_command(args: &Args) -> Result<String, ArgError> {
-    let seq = load_sequence(args)?;
+    let source = Source::read(args)?;
     let pair = args.require("pair")?;
+    let min: usize = args.parse_or("min", 2)?;
+    let max: Option<usize> = args.parse_opt("max")?;
+    args.refuse_unread("scan")?;
+    let seq = source.load()?;
     let bytes = pair.as_bytes();
     if bytes.len() != 2 {
         return Err(ArgError(format!(
             "--pair needs two characters, got {pair:?}"
         )));
     }
-    let a = seq
-        .alphabet()
-        .code(bytes[0])
-        .ok_or_else(|| ArgError(format!("{:?} not in alphabet", bytes[0] as char)))?;
-    let b = seq
-        .alphabet()
-        .code(bytes[1])
-        .ok_or_else(|| ArgError(format!("{:?} not in alphabet", bytes[1] as char)))?;
-    let min: usize = args.parse_or("min", 2)?;
-    let max: usize = args.parse_or("max", 30.min(seq.len().saturating_sub(1)))?;
+    let code = |byte: u8| {
+        seq.alphabet()
+            .code(byte)
+            .ok_or_else(|| ArgError(format!("{:?} not in alphabet", byte as char)))
+    };
+    let (a, b) = (code(bytes[0])?, code(bytes[1])?);
+    let max = max.unwrap_or(30.min(seq.len().saturating_sub(1)));
     if min < 1 || min > max || max >= seq.len() {
         return Err(ArgError(format!("bad distance range [{min}, {max}]")));
     }
@@ -929,6 +906,7 @@ fn show_command(args: &Args) -> Result<String, ArgError> {
     let path = args.require("input")?;
     let top: usize = args.parse_or("top", 25)?;
     let alphabet = alphabet(args)?;
+    args.refuse_unread("show")?;
     let loaded = load_outcome_under(path, &alphabet)?;
     let mut out = format!(
         "persisted outcome: gap {}, rho {:.6}%, n = {}, {} patterns (longest {})\n\n",
@@ -938,16 +916,8 @@ fn show_command(args: &Args) -> Result<String, ArgError> {
         loaded.outcome.frequent.len(),
         loaded.outcome.longest_len()
     );
-    let mut table = TextTable::new(&["pattern", "len", "support", "ratio"]);
-    for f in loaded.outcome.frequent.iter().rev().take(top) {
-        table.row(&[
-            f.pattern.display(&alphabet),
-            f.len().to_string(),
-            f.support.to_string(),
-            format!("{:.6}", f.ratio),
-        ]);
-    }
-    out.push_str(&table.render());
+    let rows = loaded.outcome.frequent.iter().rev().take(top);
+    out.push_str(&pattern_table(rows, &alphabet));
     Ok(out)
 }
 
@@ -956,32 +926,47 @@ fn show_command(args: &Args) -> Result<String, ArgError> {
 /// client `shutdown` request.
 fn serve_command(args: &Args) -> Result<String, ArgError> {
     use perigap_store::{LoadedOutcome, PatternIndex};
-
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
+    let port_file = args.get("port-file");
+    let observers = Observers::read(args);
     // The daemon answers from the index alone: the sequence is dropped
     // once the index is built.
-    let (index, backend_desc) = match args.get("store") {
+    let (index, backend) = match args.get("store") {
         Some(path) => {
             let alphabet = alphabet(args)?;
-            let loaded = load_outcome_under(path, &alphabet)?;
             // With the subject sequence alongside, occurrence summaries
             // are recomputed and overlap queries become available.
-            let seq = match args.get("input") {
-                Some(_) => Some(load_sequence(args)?),
-                None => None,
-            };
+            // `--record` picks its record, so it is read only beside
+            // `--input`.
+            let source = args.get("input").map(|_| Source::read(args)).transpose()?;
+            args.refuse_unread("serve --store")?;
+            let loaded = load_outcome_under(path, &alphabet)?;
+            let seq = source.map(|source| source.load()).transpose()?;
             let index = PatternIndex::build(&loaded, alphabet, seq.as_ref());
             (index, format!("pgst-file:{path}"))
         }
         None => {
-            let seq = load_sequence(args)?;
-            let rho = parse_rho(args.require("rho")?)?;
-            let (lo, hi) = parse_gap(args.require("gap")?)?;
-            let gap = GapRequirement::new(lo, hi).map_err(|e| ArgError(e.to_string()))?;
+            let source = Source::read(args)?;
             let algorithm = args.get("algorithm").unwrap_or("mppm");
-            let (request, config) = mine_request(args, algorithm, gap.l1(seq.len()))?;
-            let outcome =
-                mine(&seq, gap, rho, request, &config, &mut NoopObserver).map_err(mine_error)?;
+            if !matches!(algorithm, "mpp" | "mppm") {
+                return Err(ArgError(format!(
+                    "serve mines with --algorithm mppm or mpp (got {algorithm:?})"
+                )));
+            }
+            let request = MineRequest::read(args, algorithm, Settings::Defaults)?;
+            args.refuse_unread(&format!("serve --input --algorithm {algorithm}"))?;
+            let seq = source.load()?;
+            let (gap, rho) = (request.gap, request.rho);
+            let algorithm = request.engine(gap.l1(seq.len()));
+            let outcome = mine(
+                &seq,
+                gap,
+                rho,
+                algorithm,
+                &request.config,
+                &mut NoopObserver,
+            )
+            .map_err(mine_error)?;
             let backend = format!("memory:{} patterns", outcome.frequent.len());
             let loaded = LoadedOutcome { outcome, gap, rho };
             let index = PatternIndex::build(&loaded, seq.alphabet().clone(), Some(&seq));
@@ -990,19 +975,10 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
     };
     let patterns = index.len();
 
-    let jsonl = match args.get("trace") {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| ArgError(format!("cannot create {path:?}: {e}")))?;
-            Some(JsonlObserver::new(std::io::BufWriter::new(file)))
-        }
-        None => None,
-    };
-    let observer = (jsonl, args.flag("metrics").then(MetricsObserver::new));
-
-    let handle = perigap_serve::serve(Arc::new(index), backend_desc.clone(), addr, observer)
+    let observer = observers.open()?;
+    let handle = perigap_serve::serve(Arc::new(index), backend.clone(), addr, observer)
         .map_err(|e| ArgError(format!("cannot bind {addr:?}: {e}")))?;
-    if let Some(path) = args.get("port-file") {
+    if let Some(path) = port_file {
         std::fs::write(path, handle.addr().to_string())
             .map_err(|e| ArgError(format!("cannot write port file {path:?}: {e}")))?;
     }
@@ -1013,13 +989,10 @@ fn serve_command(args: &Args) -> Result<String, ArgError> {
     }
     let queries = handle.queries_served();
     let bound = handle.addr();
-    let (jsonl, metrics) = handle.shutdown();
-    if let Some(sink) = jsonl {
-        sink.finish()
-            .map_err(|e| ArgError(format!("trace write failed: {e}")))?;
-    }
+    let (trace, metrics) = handle.shutdown();
+    finish_trace(trace)?;
     let mut out = format!(
-        "served {queries} queries over {patterns} patterns on {bound} (backend {backend_desc})\n"
+        "served {queries} queries over {patterns} patterns on {bound} (backend {backend})\n"
     );
     if let Some(metrics) = metrics {
         out.push('\n');
@@ -1037,9 +1010,10 @@ fn query_command(args: &Args) -> Result<String, ArgError> {
     if timeout_ms == 0 {
         return Err(ArgError("--timeout-ms must be at least 1".into()));
     }
-    let mut client =
-        perigap_serve::Client::connect(addr, std::time::Duration::from_millis(timeout_ms))
-            .map_err(|e| ArgError(format!("cannot connect to {addr:?}: {e}")))?;
+    args.refuse_unread("query")?;
+    let timeout = std::time::Duration::from_millis(timeout_ms);
+    let mut client = perigap_serve::Client::connect(addr, timeout)
+        .map_err(|e| ArgError(format!("cannot connect to {addr:?}: {e}")))?;
     let response = client
         .roundtrip(line)
         .map_err(|e| ArgError(format!("query failed: {e}")))?;
@@ -1047,10 +1021,11 @@ fn query_command(args: &Args) -> Result<String, ArgError> {
 }
 
 fn stats_command(args: &Args) -> Result<String, ArgError> {
-    let seq = load_sequence(args)?;
+    let source = Source::read(args)?;
+    args.refuse_unread("stats")?;
+    let seq = source.load()?;
     let mut out = format!("length: {}\n", seq.len());
-    let freqs = seq.code_frequencies();
-    for (code, f) in freqs.iter().enumerate() {
+    for (code, f) in seq.code_frequencies().iter().enumerate() {
         out.push_str(&format!(
             "P({}) = {f:.4}\n",
             seq.alphabet().letter(code as u8) as char
@@ -1111,6 +1086,23 @@ mod tests {
         assert!(out.contains("USAGE"));
         let out = run_words(&["help".into()]).unwrap();
         assert!(out.contains("pgmine mine"));
+    }
+
+    /// The help names every option the parser accepts, and the parser
+    /// accepts every option the help names.
+    #[test]
+    fn help_names_exactly_the_options_the_parser_accepts() {
+        use std::collections::BTreeSet;
+        let accepted: BTreeSet<&str> = VALUES
+            .split_whitespace()
+            .chain(FLAGS.split_whitespace())
+            .collect();
+        let named: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|option| !option.is_empty())
+            .collect();
+        assert_eq!(named, accepted);
     }
 
     #[test]
@@ -2241,6 +2233,26 @@ mod tests {
         assert!(out.starts_with("pattern\tlength\tsupport\tratio"), "{out}");
         let rows = perigap_analysis::export::parse_outcome_tsv(&out).unwrap();
         assert!(!rows.is_empty());
+        // The TSV holds every row, so the table's --top is refused, on
+        // the corpus path too; a format other than table or tsv is
+        // refused rather than read as the table.
+        let line = format!("mine --input {} --gap 1:2 --rho 1%", f.as_str());
+        let dir = TempDir::new("tsv-top");
+        let corpus = pack_demo_corpus(&dir);
+        let corpus = format!("mine --corpus {corpus} --gap 1:3 --rho 0.5%");
+        for base in [&line, &corpus] {
+            let refused = |extra: &str| {
+                let words = format!("{base} {extra}");
+                run(words.split(' ').map(String::from)).unwrap_err().0
+            };
+            let top = refused("--format tsv --top 3");
+            assert_eq!(
+                top,
+                "--top does not apply to --format tsv, which prints every row"
+            );
+            assert_eq!(refused("--top 3 --format=tsv"), top);
+            assert_eq!(refused("--format csv"), "unknown format \"csv\"");
+        }
     }
 
     #[test]
@@ -2466,9 +2478,9 @@ mod tests {
     }
 
     /// Every mode reads only the options it names: the corpus paths
-    /// honour `--max-level` and `--spill-watermark`, and the one mode
-    /// check refuses every other option with an error naming the option
-    /// and the mode.
+    /// honour `--max-level` and `--spill-watermark`, and every command,
+    /// once its reads are done, refuses any other option with an error
+    /// naming the option and the mode, before it opens a file.
     #[test]
     fn every_mode_refuses_the_options_it_does_not_read() {
         let dir = TempDir::new("modes");
@@ -2519,6 +2531,15 @@ mod tests {
             "profile" => "mine --input F --rho 0.5% --profile 1:3,1:3,1:3,1:3".into(),
             "serve" => "serve --input F --gap 1:3 --rho 0.5% --addr unbindable".into(),
             "store" => "serve --store missing.pgst".into(),
+            "incremental" => {
+                "mine --input F --gap 2 --rho 0.5% --incremental --cache-path S".into()
+            }
+            "pack" => "pack --input F --output S".into(),
+            "scan" => "scan --input F --pair AA".into(),
+            "show" => "show --input missing.pgst".into(),
+            "query" => "query --addr 127.0.0.1:1 --json {}".into(),
+            "trace" => "trace-check --input missing.jsonl".into(),
+            "help" => "help".into(),
             _ => "stats --input F".into(),
         };
         for case in [
@@ -2544,6 +2565,16 @@ mod tests {
             "serve --max-level 3 => serve --input --algorithm mppm",
             "store --threads 2 => serve --store",
             "store --max-level 3 => serve --store",
+            // --record picks the record of --input: without it, nothing
+            // reads it.
+            "store --record s => serve --store",
+            "incremental --target A => mine --incremental",
+            "pack --record s => pack",
+            "scan --gap 1:3 => scan",
+            "show --record s => show",
+            "query --input F => query",
+            "trace --top 3 => trace-check",
+            "help --gap 1:3 => help",
             "stats --gap 1:3 => stats",
             "stats --threads 2 => stats",
         ] {

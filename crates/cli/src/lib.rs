@@ -4,9 +4,9 @@
 //! requirements from FASTA inputs, scan base-pair oscillation spectra
 //! to pick a gap requirement, and report sequence statistics.
 //!
-//! The command logic lives in [`commands::run`] (pure: arguments in,
-//! rendered text out) so it is fully testable without spawning
-//! processes; `src/main.rs` is a thin shim.
+//! The command logic lives in [`commands::run`] (arguments in, rendered
+//! text out; only `mine --format tsv` writes its notes to stderr) so it
+//! is testable without spawning processes; `src/main.rs` is a thin shim.
 
 #![warn(missing_docs)]
 

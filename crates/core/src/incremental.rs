@@ -83,7 +83,7 @@ use crate::mpp::{check_inputs, clamp_n, mine, mine_recording, Algorithm, MppConf
 use crate::pattern::Pattern;
 use crate::result::{FrequentPattern, LevelStats, MineOutcome, MineStats};
 use crate::trace::{
-    CompleteEvent, DiffEvent, EmEvent, Event, LevelEvent, MineObserver, SeedEvent, WarningEvent,
+    CompleteEvent, EmEvent, Event, LevelEvent, MineObserver, SeedEvent, WarningEvent,
 };
 use crate::wire::{fnv1a, fnv1a_extend, Frame, Reader, WireError, Writer, FNV_OFFSET};
 use perigap_math::BigRatio;
@@ -680,17 +680,6 @@ fn compute_diff(baseline: &[CachedPattern], fresh: &[FrequentPattern]) -> Baseli
         }
     }
     diff
-}
-
-impl From<DiffStats> for DiffEvent {
-    fn from(s: DiffStats) -> DiffEvent {
-        DiffEvent {
-            new: s.new,
-            dropped: s.dropped,
-            changed: s.changed,
-            unchanged: s.unchanged,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1330,7 +1319,7 @@ pub fn mine_incremental<O: MineObserver>(
                 outcome.stats.total_elapsed = started.elapsed();
                 emit_synthetic_trace(&outcome, observer);
                 let diff = compute_diff(&cache.outcome, &outcome.frequent);
-                observer.on(Event::Diff(&diff.stats.into()));
+                observer.on(Event::Diff(&diff.stats));
                 observer.on(Event::Complete(&CompleteEvent::from_outcome(&outcome)));
                 return Ok(IncrementalOutcome {
                     outcome,
@@ -1428,7 +1417,7 @@ pub fn mine_incremental<O: MineObserver>(
                             run.outcome.stats.em_elapsed = em_elapsed;
                             run.outcome.stats.total_elapsed = started.elapsed();
                             let diff = compute_diff(&cache.outcome, &run.outcome.frequent);
-                            observer.on(Event::Diff(&diff.stats.into()));
+                            observer.on(Event::Diff(&diff.stats));
                             observer
                                 .on(Event::Complete(&CompleteEvent::from_outcome(&run.outcome)));
                             let record = ResultCache {
@@ -1477,7 +1466,7 @@ fn mine_cold_fallback<O: MineObserver>(
     let (outcome, levels) = mine_cold(seq, gap, rho, algorithm, config, &mut defer)?;
     let complete = defer.complete.take();
     let diff = compute_diff(&cache.outcome, &outcome.frequent);
-    observer.on(Event::Diff(&diff.stats.into()));
+    observer.on(Event::Diff(&diff.stats));
     if let Some(c) = complete {
         observer.on(Event::Complete(&c));
     }

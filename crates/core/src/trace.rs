@@ -56,6 +56,7 @@
 //! (a mine cut short by e.g. [`crate::MineError::MemoryCeiling`])
 //! carries no `summary`; the abort must then be the final line.
 
+use crate::incremental::DiffStats;
 use crate::result::MineOutcome;
 use std::fmt::Write as _;
 use std::io;
@@ -270,22 +271,6 @@ pub struct QueryEvent {
     pub cache: Option<bool>,
 }
 
-/// An incremental re-mine compared its result against the cached
-/// baseline (see [`crate::incremental`]): the [`crate::DiffStats`]
-/// rollup of the per-pattern diff. Emitted once, before the completion
-/// event, and only when a usable baseline existed.
-#[derive(Clone, Debug)]
-pub struct DiffEvent {
-    /// Patterns frequent now but not in the baseline.
-    pub new: usize,
-    /// Baseline patterns no longer frequent.
-    pub dropped: usize,
-    /// Patterns frequent in both with a different support.
-    pub changed: usize,
-    /// Patterns frequent in both at the same support.
-    pub unchanged: usize,
-}
-
 /// Mine completion: run-wide totals.
 #[derive(Clone, Debug, Default)]
 pub struct CompleteEvent {
@@ -361,9 +346,11 @@ pub enum Event<'a> {
     Warning(&'a WarningEvent),
     /// A pattern-store query was served (`pgmine serve` only).
     Query(&'a QueryEvent),
-    /// An incremental re-mine diffed its result against the cached
-    /// baseline (incremental mines only).
-    Diff(&'a DiffEvent),
+    /// An incremental re-mine compared its result against the cached
+    /// baseline (see [`crate::incremental`]): the rollup of the
+    /// per-pattern diff. Emitted once, before the completion event, and
+    /// only when a usable baseline existed.
+    Diff(&'a DiffStats),
     /// The mine aborted after partial progress (terminal).
     Abort(&'a AbortEvent),
     /// The mine finished (terminal).
@@ -622,7 +609,7 @@ pub struct MetricsObserver {
     pub queries: std::collections::BTreeMap<String, QueryStats>,
     /// The baseline diff rollup, if the mine was incremental and had a
     /// usable baseline.
-    pub diff: Option<DiffEvent>,
+    pub diff: Option<DiffStats>,
     /// The abort event, if the mine was cut short.
     pub abort: Option<AbortEvent>,
     /// The completion event.
@@ -846,7 +833,7 @@ impl MineObserver for MetricsObserver {
                     None => {}
                 }
             }
-            Event::Diff(e) => self.diff = Some(e.clone()),
+            Event::Diff(e) => self.diff = Some(*e),
             Event::Abort(e) => self.abort = Some(e.clone()),
             Event::Complete(e) => self.complete = Some(e.clone()),
         }
@@ -1496,7 +1483,7 @@ mod tests {
                 cache,
             }));
         }
-        o.on(Event::Diff(&DiffEvent {
+        o.on(Event::Diff(&DiffStats {
             new: 3,
             dropped: 1,
             changed: 2,
